@@ -155,7 +155,9 @@ grep -q '"structure_bytes_ratio"' BENCH_nav.json
 
 echo "==> planner/executor differential battery (release)"
 # Every workload query x every dataset: cost-ordered plan == fixed order
-# == forced scan == the naive oracle, plus the explain snapshot.
+# == forced scan route == forced index route == the naive oracle, the
+# scan-route edge cases, the selective workload's index seeds, plus the
+# explain snapshot.
 cargo test --release -q -p nok-bench --test plan_differential
 
 echo "==> planner bench (BENCH_plan.json)"
@@ -164,12 +166,20 @@ echo "==> planner bench (BENCH_plan.json)"
 # pessimal sibling-cut query), the zero-path-support query completes with 0
 # entries and 0 physical page reads, the deep selective path examines >=10x
 # fewer entries than tag-only seeding, and a plan-cache hit reuses the
-# cached allocation with exactly one miss.
+# cached allocation with exactly one miss. Route gates (Proposition 1 as
+# exact counts, no timing; dblp 0.1 and treebank 0.4 on disk): on
+# /dblp/article/author, //article[author][title] and /treebank/s[np][vp] the
+# scan route makes 0 index-pool gets and fetches each structural page at
+# most once, EXPLAIN shows strategy=scan for them, and dblp Q1-Q8 keep an
+# index seed. The per-route timings of the 12 heavy queries are reported,
+# not gated.
 cargo run --release -q -p nok-bench --bin plan_bench -- \
   --reps 3 --out BENCH_plan.json
 grep -q '"gates_passed":true' BENCH_plan.json
 grep -q '"path_gates_passed":true' BENCH_plan.json
 grep -q '"path_queries"' BENCH_plan.json
+grep -q '"route_gates_passed":true' BENCH_plan.json
+grep -q '"routes"' BENCH_plan.json
 
 echo "==> crash-recovery failpoint sweep + differential update fuzz (release)"
 # Bounded k-sweep by default; NOK_FAILPOINT_FULL=1 probes every injected

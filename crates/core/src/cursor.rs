@@ -40,6 +40,8 @@
 //! `dir_entries_examined` counts directory records (or skip-index bucket
 //! probes) consulted.
 
+use std::sync::Arc;
+
 use crate::dewey::Dewey;
 use crate::error::{CoreError, CoreResult};
 use crate::page::{DecodedPage, Entry, BLOCK_ENTRIES};
@@ -50,7 +52,7 @@ use crate::page::{DecodedPage, Entry, BLOCK_ENTRIES};
 /// there the summary probes are pure overhead over the linear oracle.
 const BLOCK_MISS_LIMIT: u32 = 2;
 use crate::sigma::TagCode;
-use crate::store::{NodeAddr, StructStore};
+use crate::store::{lin_at, NodeAddr, StructStore};
 use nok_pager::{PageId, Storage};
 
 /// Advance to the next entry in chain order (crossing page boundaries,
@@ -561,40 +563,140 @@ pub fn interval<S: Storage>(store: &StructStore<S>, addr: NodeAddr) -> CoreResul
     Ok((store.lin(addr)?, store.lin(close)?))
 }
 
+/// A forward walk over the page chain in document order: one decoded page
+/// held at a time, its `entries`/`levels` slices handed to the caller to
+/// iterate directly. This is the single-pass read path (Proposition 1) the
+/// scan route, [`DocScan`] and [`descendants`] share — no per-entry
+/// `decoded()`/`entry_at`, one directory probe and one page fetch per page.
+pub struct PageWalk<'a, S: Storage> {
+    store: &'a StructStore<S>,
+    next_rank: u32,
+}
+
+/// One page of a [`PageWalk`].
+pub struct WalkPage {
+    /// Chain rank of the page (document order of pages).
+    pub rank: u32,
+    /// Page id.
+    pub id: PageId,
+    /// The decoded page; never empty.
+    pub page: Arc<DecodedPage>,
+}
+
+impl WalkPage {
+    /// Linear position of entry `i` of this page (see [`StructStore::lin`]).
+    #[inline]
+    pub fn lin(&self, i: usize) -> u64 {
+        lin_at(self.rank, i as u32)
+    }
+}
+
+impl<'a, S: Storage> PageWalk<'a, S> {
+    /// Walk the whole chain from its first page.
+    pub fn new(store: &'a StructStore<S>) -> Self {
+        Self::from_rank(store, 0)
+    }
+
+    /// Walk the chain from the page at rank `rank`.
+    pub fn from_rank(store: &'a StructStore<S>, rank: u32) -> Self {
+        PageWalk {
+            store,
+            next_rank: rank,
+        }
+    }
+
+    /// The next non-empty page, or `None` at the end of the chain.
+    pub fn next_page(&mut self) -> CoreResult<Option<WalkPage>> {
+        let mut probes = 0u64;
+        let found = loop {
+            let Some(de) = self.store.dir_at(self.next_rank) else {
+                break None;
+            };
+            probes += 1;
+            self.next_rank += 1;
+            if de.entries > 0 {
+                break Some((self.next_rank - 1, de.id));
+            }
+        };
+        let stats = self.store.pool().stats();
+        stats.add_dir_entries_examined(probes);
+        let Some((rank, id)) = found else {
+            return Ok(None);
+        };
+        let page = self.store.decoded(id)?;
+        if page.is_empty() {
+            return Err(CoreError::Corrupt(format!(
+                "directory lists entries in empty page {id}"
+            )));
+        }
+        Ok(Some(WalkPage { rank, id, page }))
+    }
+}
+
 /// Iterator over the open entries of the subtree rooted at `addr`,
-/// *excluding* `addr` itself, in document order. Terminates by comparing
-/// each address against the precomputed close address — no per-step
-/// directory rank lookup.
+/// *excluding* `addr` itself, in document order: a [`PageWalk`] from
+/// `addr`'s page that stops at the first entry below `addr`'s level (its
+/// close) — no `subtree_close` walk, no per-entry page lookup.
 pub fn descendants<'a, S: Storage>(
     store: &'a StructStore<S>,
     addr: NodeAddr,
 ) -> CoreResult<impl Iterator<Item = CoreResult<(NodeAddr, TagCode, u16)>> + 'a> {
-    let end = subtree_close(store, addr)?;
-    let mut cur = next_entry(store, addr)?;
+    let rank = store.rank(addr.page)?;
+    let mut walk = PageWalk::from_rank(store, rank);
+    let first = walk
+        .next_page()?
+        .filter(|wp| wp.id == addr.page)
+        .ok_or_else(|| CoreError::Corrupt(format!("no entries in the page of {addr}")))?;
+    let level = match (
+        first.page.entries.get(addr.entry as usize),
+        first.page.levels.get(addr.entry as usize),
+    ) {
+        (Some(Entry::Open(_)), Some(&l)) => l,
+        _ => return Err(CoreError::Corrupt(format!("expected open entry at {addr}"))),
+    };
+    let mut cur = Some(first);
+    let mut idx = addr.entry as usize + 1;
+    let mut examined = 0u64;
     Ok(std::iter::from_fn(move || loop {
-        let addr = cur?;
-        // Document-order iteration visits every entry exactly once, so the
-        // subtree's close entry is hit by equality — no linearization needed.
-        if addr == end {
+        let wp = cur.as_ref()?;
+        if idx >= wp.page.len() {
+            match walk.next_page() {
+                Ok(Some(next)) => {
+                    cur = Some(next);
+                    idx = 0;
+                    continue;
+                }
+                // A well-formed store always closes every node.
+                Ok(None) => {
+                    cur = None;
+                    return Some(Err(CoreError::Corrupt(format!(
+                        "no matching close for node at {addr}"
+                    ))));
+                }
+                Err(e) => {
+                    cur = None;
+                    return Some(Err(e));
+                }
+            }
+        }
+        let (entry, lev) = (wp.page.entries[idx], wp.page.levels[idx]);
+        examined += 1;
+        if lev < level {
+            store.pool().stats().add_entries_examined(examined);
             cur = None;
             return None;
         }
-        let step = (|| -> CoreResult<Option<(NodeAddr, TagCode, u16)>> {
-            let (entry, level) = store.entry_at(addr)?;
-            let out = match entry {
-                Entry::Open(tag) => Some((addr, tag, level)),
-                Entry::Close => None,
-            };
-            cur = next_entry(store, addr)?;
-            Ok(out)
-        })();
-        match step {
-            Ok(Some(item)) => return Some(Ok(item)),
-            Ok(None) => continue,
-            Err(e) => {
-                cur = None;
-                return Some(Err(e));
-            }
+        let i = idx;
+        idx += 1;
+        if let Entry::Open(tag) = entry {
+            return Some(Ok((
+                NodeAddr {
+                    page: wp.id,
+                    entry: i as u32,
+                },
+                tag,
+                lev,
+            )));
         }
     }))
 }
@@ -643,11 +745,12 @@ pub fn linear_descendants<'a, S: Storage>(
 }
 
 /// A document-order scan over every element node, deriving each node's
-/// Dewey id on the fly (the "naive approach" starting-point strategy, and
-/// the proof that Dewey ids need not be stored).
+/// Dewey id on the fly (the proof that Dewey ids need not be stored): a
+/// thin iterator over [`PageWalk`].
 pub struct DocScan<'a, S: Storage> {
-    store: &'a StructStore<S>,
-    cur: Option<NodeAddr>,
+    walk: PageWalk<'a, S>,
+    cur: Option<WalkPage>,
+    idx: usize,
     /// Child counters per open level; `path` holds the current Dewey
     /// components.
     path: Vec<u32>,
@@ -671,10 +774,59 @@ impl<'a, S: Storage> DocScan<'a, S> {
     /// Scan the whole store from the root.
     pub fn new(store: &'a StructStore<S>) -> Self {
         DocScan {
-            store,
-            cur: store.root(),
+            walk: PageWalk::new(store),
+            cur: None,
+            idx: 0,
             path: Vec::new(),
             counters: vec![0],
+        }
+    }
+
+    fn step(&mut self) -> CoreResult<Option<ScanItem>> {
+        loop {
+            let wp = match &self.cur {
+                Some(wp) if self.idx < wp.page.len() => wp,
+                _ => match self.walk.next_page()? {
+                    Some(next) => {
+                        self.walk
+                            .store
+                            .pool()
+                            .stats()
+                            .add_entries_examined(next.page.len() as u64);
+                        self.idx = 0;
+                        self.cur.insert(next)
+                    }
+                    None => return Ok(None),
+                },
+            };
+            let i = self.idx;
+            self.idx += 1;
+            match wp.page.entries[i] {
+                Entry::Open(tag) => {
+                    let counter = self.counters.last_mut().ok_or_else(|| {
+                        CoreError::Corrupt("document scan saw more closes than opens".into())
+                    })?;
+                    self.path.push(*counter);
+                    *counter += 1;
+                    self.counters.push(0);
+                    return Ok(Some(ScanItem {
+                        addr: NodeAddr {
+                            page: wp.id,
+                            entry: i as u32,
+                        },
+                        tag,
+                        level: wp.page.levels[i],
+                        // Snapshot the scratch path without moving it —
+                        // inline small-vec for shallow nodes, one copy
+                        // either way, no intermediate Vec.
+                        dewey: Dewey::from_slice(&self.path),
+                    }));
+                }
+                Entry::Close => {
+                    self.path.pop();
+                    self.counters.pop();
+                }
+            }
         }
     }
 }
@@ -683,45 +835,13 @@ impl<S: Storage> Iterator for DocScan<'_, S> {
     type Item = CoreResult<ScanItem>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let addr = self.cur?;
-            let step = (|| -> CoreResult<Option<ScanItem>> {
-                let (entry, level) = self.store.entry_at(addr)?;
-                let item = match entry {
-                    Entry::Open(tag) => {
-                        let counter = self.counters.last_mut().ok_or_else(|| {
-                            CoreError::Corrupt("document scan saw more closes than opens".into())
-                        })?;
-                        let idx = *counter;
-                        *counter += 1;
-                        self.path.push(idx);
-                        self.counters.push(0);
-                        Some(ScanItem {
-                            addr,
-                            tag,
-                            level,
-                            // Snapshot the scratch path without moving it —
-                            // inline small-vec for shallow nodes, one copy
-                            // either way, no intermediate Vec.
-                            dewey: Dewey::from_slice(&self.path),
-                        })
-                    }
-                    Entry::Close => {
-                        self.path.pop();
-                        self.counters.pop();
-                        None
-                    }
-                };
-                self.cur = next_entry(self.store, addr)?;
-                Ok(item)
-            })();
-            match step {
-                Ok(Some(item)) => return Some(Ok(item)),
-                Ok(None) => continue,
-                Err(e) => {
-                    self.cur = None;
-                    return Some(Err(e));
-                }
+        match self.step() {
+            Ok(item) => item.map(Ok),
+            Err(e) => {
+                // Fuse: a failed page fetch must not be retried forever.
+                self.cur = None;
+                self.walk.next_rank = u32::MAX;
+                Some(Err(e))
             }
         }
     }

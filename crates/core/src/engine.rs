@@ -6,10 +6,11 @@
 //! - [`crate::plan`] — the plan IR: fragments, seed choices, and
 //!   semijoin/filter steps as enum operators.
 //! - [`crate::planner`] — the cost-based planner: picks each fragment's
-//!   seed and the fragment evaluation order from the persisted build-time
-//!   statistics (§6.2's heuristics, in explicit cost units).
-//! - [`crate::exec`] — the operator executor: interprets the plan against
-//!   `PhysAccess`/`NokMatcher`/`IntervalSet`.
+//!   route (index seed or scan) and the fragment evaluation order from the
+//!   persisted synopsis, pricing both routes in measured nanoseconds.
+//! - [`crate::exec`] — the operator executor: runs each fragment by its
+//!   route (`NokMatcher` from index-located starts, or one `ScanMatcher`
+//!   pass over the page chain) and joins fragments over intervals.
 //!
 //! This module keeps the stable entry points (`query`, `query_with`,
 //! `query_into`, `query_pattern`) plus the option/stats types they take
@@ -37,16 +38,18 @@ pub struct QueryMatch {
     pub dewey: Dewey,
 }
 
-/// How starting points for a fragment are located (§3's three options).
-/// Under `Auto` the planner decides; the other variants are planner
+/// How a fragment is evaluated: the scan route, or the index route seeded
+/// from one of the two indexes (§3's three starting-point options). Under
+/// `Auto` the planner decides by price; the other variants are planner
 /// overrides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StartStrategy {
-    /// The paper's heuristic: value index if a string-equality constraint
-    /// exists, else tag index when selective, else sequential scan.
+    /// The cheapest of the value seed, the best tag seed and the scan
+    /// route, priced in nanoseconds (for selective queries this is the
+    /// paper's heuristic: value index, else tag index).
     #[default]
     Auto,
-    /// Always scan the document in order (the "naïve approach").
+    /// Always take the scan route: one single pass over the document.
     Scan,
     /// Always use the tag-name B+ tree.
     TagIndex,
@@ -68,15 +71,16 @@ pub struct QueryOptions {
 pub struct QueryStats {
     /// Number of NoK fragments the pattern was partitioned into.
     pub fragments: usize,
-    /// Starting points tried, per fragment.
+    /// Starting points tried, per fragment (on the scan route: the nodes
+    /// that passed the fragment root's test).
     pub starting_points: Vec<u64>,
     /// Strategy actually used, per fragment ([`StrategyUsed::Skipped`]
     /// when an earlier empty fragment proved the query empty).
     pub strategies: Vec<StrategyUsed>,
     /// Successful fragment-root matches, per fragment.
     pub fragment_matches: Vec<u64>,
-    /// Surviving records after each top-down semijoin filter step, in
-    /// chain order (root fragment downward).
+    /// Surviving hot matches of the child fragment after each top-down
+    /// semijoin filter step, in chain order (root fragment downward).
     pub chain_survivors: Vec<u64>,
     /// String entries examined by navigation primitives during this query
     /// (delta of the pool-wide counter, so approximate when other threads

@@ -1,36 +1,44 @@
 //! The operator executor: interprets a [`QueryPlan`] against the physical
-//! layer (`PhysAccess`/`NokMatcher`/`IntervalSet`).
+//! layer.
 //!
 //! Execution of one plan:
 //!
 //! 1. [`PlanStep::EvalFragment`] steps run in plan order (children before
 //!    parents; cheapest ready fragment first when the plan is
-//!    cost-ordered). Each locates starting points per the planner's
-//!    [`SeedChoice`], runs physical NoK matching from every start, and —
-//!    through the matcher hook — requires every cut-edge source to
-//!    structurally contain (or precede) a match of the already-evaluated
-//!    child fragment (the structural *semijoin* folded into navigation).
-//!    A fragment with **zero** matches proves the whole query empty (tree
-//!    patterns are conjunctive and every fragment is reachable from the
-//!    root fragment through cut edges), so execution stops early — the
-//!    payoff of cost-ordering.
+//!    cost-ordered). Each evaluates its fragment by the route the planner
+//!    chose ([`SeedChoice`]):
+//!    * **index route** — locate starting points from B+v/B+t postings,
+//!      verify the spine above them through B+i, and run
+//!      [`NokMatcher::match_at`] from every start;
+//!    * **scan route** — walk the page chain once ([`PageWalk`]) and let
+//!      [`ScanMatcher`] decide the fragment for every node on the way: no
+//!      starting points are materialized and no index is probed per node.
+//!
+//!    Either way every cut-edge source must structurally contain (or
+//!    precede) a match of the already-evaluated child fragment — the
+//!    structural *semijoin* folded into matching. A fragment with **zero**
+//!    matches proves the whole query empty (tree patterns are conjunctive
+//!    and every fragment is reachable from the root fragment through cut
+//!    edges), so execution stops early — the payoff of cost-ordering.
 //! 2. [`PlanStep::FilterChain`] steps walk top-down along the fragment
-//!    path to the returning fragment, keeping records whose fragment-root
-//!    match lies under (or after) a surviving hot match of the parent.
-//! 3. [`PlanStep::Collect`] emits the surviving returning-fragment
-//!    records' hot matches: deduplicated, in document order.
+//!    path to the returning fragment, keeping hot matches whose
+//!    fragment-root match lies under (or after) a surviving hot match of
+//!    the parent.
+//! 3. [`PlanStep::Collect`] emits the surviving returning-fragment hot
+//!    matches: deduplicated, in document order.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 use nok_pager::Storage;
 
 use crate::build::XmlDb;
-use crate::cursor::DocScan;
+use crate::cursor::PageWalk;
 use crate::dewey::Dewey;
 use crate::engine::{QueryMatch, QueryScratch, QueryStats};
 use crate::error::CoreResult;
 use crate::join::IntervalSet;
 use crate::nok::{NokMatcher, TreeAccess};
+use crate::page::Entry;
 use crate::pattern::NameTest;
 use crate::pattern_tree::{CutKind, PNodeId, Partition, PatternTree, DOC_NODE};
 use crate::physical::{IdRecord, PhysAccess, PhysNode, TagPosting};
@@ -38,49 +46,154 @@ use crate::plan::{
     Explain, ExplainRow, FragmentPlan, PlanStep, PlannedQuery, QueryPlan, SeedChoice, StrategyUsed,
 };
 use crate::planner::spine_above;
-use crate::values::hash_key;
+use crate::scan::{NodeTests, ScanHit, ScanMatcher, ScanPattern, ScanSource};
+use crate::store::NodeAddr;
+use crate::values::{hash_key, LockDataFile};
 use crate::QueryOptions;
 
-/// One successful start: the fragment-root match and the collected hot-node
-/// matches beneath it.
-#[derive(Debug, Default)]
-pub(crate) struct Rec {
-    root_start: u64,
-    hot: Vec<(PhysNode, (u64, u64))>,
-}
+/// A hot-node match: Dewey id, address, containment interval, and the
+/// position of the fragment-root match it was collected under.
+type Hot = ScanHit<NodeAddr>;
 
 /// One fragment's evaluation result.
 #[derive(Debug, Default)]
 pub(crate) struct FragEval {
-    records: Vec<Rec>,
-    root_intervals: IntervalSet,
+    /// Successful fragment-root matches.
+    roots: u64,
+    /// Their positions, ascending — what the parent fragment's cut-edge
+    /// condition searches. Not kept for fragment 0: nothing cuts into it.
+    root_starts: Vec<u64>,
+    /// Hot-node matches of every root match.
+    hot: Vec<Hot>,
     evaluated: bool,
 }
 
 /// Pooled per-fragment evaluation buffers, reused across queries through
-/// one [`QueryScratch`] so the serve worker hot path reallocates neither
-/// the record vectors nor the per-record hot-match vectors.
+/// one [`QueryScratch`] so the serve worker hot path does not reallocate
+/// the match vectors.
 #[derive(Debug, Default)]
 pub(crate) struct EvalPool {
     evals: Vec<FragEval>,
-    spare_recs: Vec<Rec>,
 }
 
 impl EvalPool {
-    /// Prepare for a query of `nfrags` fragments: recycle every record
-    /// buffer from the previous query into the spare list.
+    /// Prepare for a query of `nfrags` fragments, keeping capacities.
     fn reset(&mut self, nfrags: usize) {
         for ev in &mut self.evals {
-            for mut rec in ev.records.drain(..) {
-                rec.hot.clear();
-                self.spare_recs.push(rec);
-            }
-            ev.root_intervals = IntervalSet::default();
+            ev.roots = 0;
+            ev.root_starts.clear();
+            ev.hot.clear();
             ev.evaluated = false;
         }
         if self.evals.len() < nfrags {
             self.evals.resize_with(nfrags, FragEval::default);
         }
+    }
+}
+
+/// One cut edge leaving the fragment under evaluation: its source pattern
+/// node, its kind, and the root positions of the (already evaluated) child
+/// fragment.
+type Cut<'a> = (PNodeId, CutKind, &'a [u64]);
+
+/// Does the node spanning `(start, end)` satisfy every cut edge leaving
+/// pattern node `p` — does a child-fragment root lie inside it (`//`) or
+/// after it (`following::`)? Tree intervals nest, so only the roots' start
+/// positions matter.
+fn cuts_hold(cuts: &[Cut<'_>], p: PNodeId, start: u64, end: u64) -> bool {
+    cuts.iter()
+        .filter(|(src, _, _)| *src == p)
+        .all(|&(_, kind, roots)| match kind {
+            CutKind::Descendant => {
+                let i = roots.partition_point(|&s| s <= start);
+                roots.get(i).is_some_and(|&s| s < end)
+            }
+            CutKind::Following => roots.last().is_some_and(|&s| s > end),
+        })
+}
+
+/// Order a B+v posting (big-endian Dewey key) against a Dewey path.
+fn cmp_key_path(key: &[u8], path: &[u32]) -> Ordering {
+    key.chunks_exact(4)
+        .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
+        .cmp(path.iter().copied())
+}
+
+/// A forward cursor over the document-ordered postings of one literal, for
+/// one pattern node.
+struct EqCursor {
+    /// Local pattern node carrying the constraint.
+    node: usize,
+    /// Index into [`StoreSource::postings`].
+    list: usize,
+    pos: usize,
+}
+
+/// The stored document as a [`ScanSource`]: string equalities by postings
+/// merge at open, other value comparisons by fetching the value at close,
+/// cut edges against the closing node's interval.
+struct StoreSource<'a, S: Storage> {
+    access: &'a PhysAccess<'a, S>,
+    tree: &'a PatternTree,
+    /// Local index → pattern node (see [`ScanPattern`]).
+    nodes: Vec<PNodeId>,
+    cuts: &'a [Cut<'a>],
+    /// Verified postings per distinct literal.
+    postings: Vec<(&'a str, Vec<Vec<u8>>)>,
+    eq: Vec<EqCursor>,
+    admits: u64,
+    confirms: u64,
+}
+
+impl<S: Storage> ScanSource for StoreSource<'_, S> {
+    type Payload = NodeAddr;
+
+    fn admits(&self) -> u64 {
+        self.admits
+    }
+
+    fn confirms(&self) -> u64 {
+        self.confirms
+    }
+
+    fn admit(&mut self, mut cand: u64, path: &[u32]) -> CoreResult<u64> {
+        for c in &mut self.eq {
+            if (cand >> c.node) & 1 == 0 {
+                continue;
+            }
+            // Nodes arrive in document order, the order the postings are
+            // in: the cursor only ever moves forward.
+            let list = &self.postings[c.list].1;
+            while list
+                .get(c.pos)
+                .is_some_and(|k| cmp_key_path(k, path) == Ordering::Less)
+            {
+                c.pos += 1;
+            }
+            if list
+                .get(c.pos)
+                .is_none_or(|k| cmp_key_path(k, path) != Ordering::Equal)
+            {
+                cand &= !(1 << c.node);
+            }
+        }
+        Ok(cand)
+    }
+
+    fn confirm(&mut self, p: usize, path: &[u32], start: u64, end: u64) -> CoreResult<bool> {
+        let pnode = self.nodes[p];
+        let cmps = &self.tree.nodes[pnode].value_cmps;
+        // String equalities were settled at open, by the postings merge.
+        let mut fetched = cmps.iter().filter(|c| c.str_eq().is_none()).peekable();
+        if fetched.peek().is_some() {
+            let Some(v) = self.access.value_of_dewey(&Dewey::from_slice(path))? else {
+                return Ok(false);
+            };
+            if !fetched.all(|c| c.eval(&v)) {
+                return Ok(false);
+            }
+        }
+        Ok(cuts_hold(self.cuts, pnode, start, end))
     }
 }
 
@@ -133,18 +246,21 @@ impl<S: Storage> XmlDb<S> {
                 pool_stats.dir_entries_examined().saturating_sub(dir_before);
         };
 
-        // Records of the chain fragment filtered so far (top-down pass).
-        let mut surviving: Option<Vec<usize>> = None;
         for step in &plan.steps {
             match step {
                 PlanStep::EvalFragment { frag } => {
                     let fp = &plan.fragments[*frag];
+                    // Hot intervals are read by one step only: the filter
+                    // that has this fragment as its parent.
+                    let hot_intervals = plan.steps.iter().any(
+                        |s| matches!(s, PlanStep::FilterChain { parent, .. } if parent == frag),
+                    );
                     let empty = self.exec_fragment(
                         &part,
                         fp,
                         &access,
                         &mut pool.evals,
-                        &mut pool.spare_recs,
+                        hot_intervals,
                         stats,
                     )?;
                     if empty {
@@ -155,7 +271,6 @@ impl<S: Storage> XmlDb<S> {
                                 stats.strategies[fp2.frag] = StrategyUsed::Skipped;
                             }
                         }
-                        out.clear();
                         finish(stats);
                         return Ok(());
                     }
@@ -165,42 +280,30 @@ impl<S: Storage> XmlDb<S> {
                     child,
                     kind,
                 } => {
-                    let surv = match &surviving {
-                        Some(s) => s.clone(),
-                        None => (0..pool.evals[*parent].records.len()).collect(),
-                    };
-                    let parent_eval = &pool.evals[*parent];
                     let allowed = IntervalSet::new(
-                        surv.iter()
-                            .flat_map(|&ri| parent_eval.records[ri].hot.iter().map(|(_, iv)| *iv))
+                        pool.evals[*parent]
+                            .hot
+                            .iter()
+                            .map(|h| (h.start, h.end))
                             .collect(),
                     );
-                    let child_eval = &pool.evals[*child];
-                    let next: Vec<usize> = (0..child_eval.records.len())
-                        .filter(|&ri| {
-                            let start = child_eval.records[ri].root_start;
-                            match kind {
-                                CutKind::Descendant => allowed.any_containing(start),
-                                CutKind::Following => allowed.any_ending_before(start),
-                            }
-                        })
-                        .collect();
-                    stats.chain_survivors.push(next.len() as u64);
-                    surviving = Some(next);
+                    let hot = &mut pool.evals[*child].hot;
+                    hot.retain(|h| match kind {
+                        CutKind::Descendant => allowed.any_containing(h.root_start),
+                        CutKind::Following => allowed.any_ending_before(h.root_start),
+                    });
+                    stats.chain_survivors.push(hot.len() as u64);
                 }
                 PlanStep::Collect { frag } => {
-                    let ret_eval = &pool.evals[*frag];
-                    let surv = match surviving.take() {
-                        Some(s) => s,
-                        None => (0..ret_eval.records.len()).collect(),
-                    };
-                    out.extend(surv.iter().flat_map(|&ri| {
-                        ret_eval.records[ri].hot.iter().map(|(n, _)| QueryMatch {
-                            addr: n.addr,
-                            dewey: n.dewey.clone(),
-                        })
+                    out.extend(pool.evals[*frag].hot.drain(..).map(|h| QueryMatch {
+                        addr: h.payload,
+                        dewey: h.dewey,
                     }));
-                    out.sort_by(|a, b| a.dewey.cmp(&b.dewey));
+                    // One route's matches already arrive in document
+                    // order; nested root matches of the index route may not.
+                    if !out.is_sorted_by(|a, b| a.dewey <= b.dewey) {
+                        out.sort_by(|a, b| a.dewey.cmp(&b.dewey));
+                    }
                     out.dedup_by(|a, b| a.addr == b.addr);
                 }
             }
@@ -209,22 +312,168 @@ impl<S: Storage> XmlDb<S> {
         Ok(())
     }
 
-    /// Evaluate one fragment per its plan: seed, verify, match. Returns
-    /// whether the fragment produced **no** records (the early-exit
-    /// signal).
-    #[allow(clippy::too_many_arguments)]
+    /// Evaluate one fragment by its planned route. Returns whether the
+    /// fragment matched **nowhere** (the early-exit signal).
     fn exec_fragment(
         &self,
         part: &Partition<'_>,
         fp: &FragmentPlan,
         access: &PhysAccess<'_, S>,
         evals: &mut [FragEval],
-        spare_recs: &mut Vec<Rec>,
+        hot_intervals: bool,
         stats: &mut QueryStats,
     ) -> CoreResult<bool> {
         let f = fp.frag;
-        let (mut starts, strategy) = self.seed_starts(part, fp, access)?;
+        // Child fragments always carry a larger index (partition numbering
+        // increases downward), so splitting at `f + 1` separates the
+        // fragment being written from the already-evaluated children its
+        // cut edges read.
+        let (head, tail) = evals.split_at_mut(f + 1);
+        let target = &mut head[f];
+        let cuts: Vec<Cut<'_>> = part
+            .cut_edges_from(f)
+            .map(|ce| {
+                let child = &tail[ce.child_frag - f - 1];
+                debug_assert!(child.evaluated, "child fragment evaluated before parent");
+                (ce.src, ce.kind, child.root_starts.as_slice())
+            })
+            .collect();
+        let (starts, strategy) = match &fp.seed {
+            SeedChoice::Scan => (None, StrategyUsed::Scan),
+            SeedChoice::DocNavigate => (Some(vec![access.doc_node()]), StrategyUsed::Doc),
+            SeedChoice::ValueIndex { literal, lift } => (
+                Some(self.value_seed(literal, *lift, access)?),
+                StrategyUsed::ValueIndex,
+            ),
+            SeedChoice::TagIndex { name, lift } => {
+                (Some(self.tag_seed(name, *lift)?), StrategyUsed::TagIndex)
+            }
+        };
         stats.strategies[f] = strategy;
+        match starts {
+            None => self.scan_fragment(part, f, access, &cuts, target, stats)?,
+            Some(starts) => self.index_fragment(
+                part,
+                fp,
+                starts,
+                access,
+                &cuts,
+                target,
+                hot_intervals,
+                stats,
+            )?,
+        }
+        // Ascending for the parent's binary searches (nested root matches
+        // close inner-first).
+        target.root_starts.sort_unstable();
+        target.evaluated = true;
+        Ok(target.roots == 0)
+    }
+
+    /// The scan route: one forward pass over the page chain, one decoded
+    /// page held at a time, its entry slice iterated in place.
+    fn scan_fragment(
+        &self,
+        part: &Partition<'_>,
+        f: usize,
+        access: &PhysAccess<'_, S>,
+        cuts: &[Cut<'_>],
+        target: &mut FragEval,
+        stats: &mut QueryStats,
+    ) -> CoreResult<()> {
+        let pat = ScanPattern::compile(part, f)?;
+        let mut src = StoreSource {
+            access,
+            tree: part.tree,
+            nodes: pat.nodes.clone(),
+            cuts,
+            postings: Vec::new(),
+            eq: Vec::new(),
+            admits: 0,
+            confirms: 0,
+        };
+        for (i, &n) in pat.nodes.iter().enumerate() {
+            for cmp in &part.tree.nodes[n].value_cmps {
+                let Some(lit) = cmp.str_eq() else {
+                    src.confirms |= 1 << i;
+                    continue;
+                };
+                let list = match src.postings.iter().position(|(l, _)| *l == lit) {
+                    Some(list) => list,
+                    None => {
+                        src.postings.push((lit, self.eq_postings(lit, access)?));
+                        src.postings.len() - 1
+                    }
+                };
+                src.eq.push(EqCursor {
+                    node: i,
+                    list,
+                    pos: 0,
+                });
+                src.admits |= 1 << i;
+            }
+            if cuts.iter().any(|(src_node, _, _)| *src_node == n) {
+                src.confirms |= 1 << i;
+            }
+        }
+
+        // Name tests per tag code, resolved once per pass.
+        let mut tests = vec![NodeTests::default(); self.dict.len()];
+        for (code, name) in self.dict.iter() {
+            let is_attr = name.starts_with('@');
+            tests[code.0 as usize] = NodeTests::of(&pat, |t| match t {
+                // '*' selects elements, not the synthesized attribute nodes.
+                NameTest::Wildcard => !is_attr,
+                NameTest::Tag(t) => t == name,
+            });
+        }
+
+        let mut m = ScanMatcher::new(pat, src);
+        // Released matches and root positions land straight in the pooled
+        // result vectors.
+        m.done = std::mem::take(&mut target.hot);
+        m.root_starts = (f != 0).then(|| std::mem::take(&mut target.root_starts));
+        let mut walk = PageWalk::new(&self.store);
+        let io = self.store.pool().stats();
+        while let Some(wp) = walk.next_page()? {
+            io.add_entries_examined(wp.page.len() as u64);
+            for (i, entry) in wp.page.entries.iter().enumerate() {
+                match *entry {
+                    Entry::Open(tag) => m.open(
+                        tests.get(tag.0 as usize).copied().unwrap_or_default(),
+                        wp.lin(i),
+                        || NodeAddr {
+                            page: wp.id,
+                            entry: i as u32,
+                        },
+                    )?,
+                    Entry::Close => m.close(wp.lin(i))?,
+                }
+            }
+        }
+        m.finish()?;
+        stats.starting_points[f] = m.candidates;
+        stats.fragment_matches[f] = m.roots;
+        target.roots = m.roots;
+        target.root_starts = m.root_starts.take().unwrap_or_default();
+        target.hot = m.done;
+        Ok(())
+    }
+
+    /// The index route: verify the seeded starting points, match from each.
+    #[allow(clippy::too_many_arguments)]
+    fn index_fragment(
+        &self,
+        part: &Partition<'_>,
+        fp: &FragmentPlan,
+        mut starts: Vec<PhysNode>,
+        access: &PhysAccess<'_, S>,
+        cuts: &[Cut<'_>],
+        target: &mut FragEval,
+        hot_intervals: bool,
+        stats: &mut QueryStats,
+    ) -> CoreResult<()> {
+        let f = fp.frag;
         if fp.verify_spine {
             // Fixed-depth pivot: enforce level and the spine above it.
             let spine = spine_above(part, fp.pivot);
@@ -239,129 +488,91 @@ impl<S: Storage> XmlDb<S> {
             }
             starts = verified;
         }
-        let matcher = if matches!(fp.seed, SeedChoice::DocNavigate) || fp.pivot == fp.root {
+        let matcher = if fp.pivot == fp.root {
             NokMatcher::new(part, f)
         } else {
             NokMatcher::with_root(part, f, fp.pivot)
         };
-
-        // Cut conditions checked during matching: src pattern node →
-        // (kind, child fragment's root intervals). Child fragments always
-        // carry a larger index (partition numbering increases downward),
-        // so splitting at `f + 1` separates the fragment being written
-        // from the already-evaluated children the hook reads.
-        let (head, tail) = evals.split_at_mut(f + 1);
-        let target = &mut head[f];
-        let mut cut_map: HashMap<PNodeId, Vec<(CutKind, usize)>> = HashMap::new();
-        for ce in part.cut_edges_from(f) {
-            cut_map
-                .entry(ce.src)
-                .or_default()
-                .push((ce.kind, ce.child_frag));
-        }
+        // Cut conditions checked during matching. The interval costs a
+        // `subtree_close` walk, so only cut sources pay it.
         let mut hook = |p: PNodeId, n: &PhysNode| -> CoreResult<bool> {
-            let Some(conds) = cut_map.get(&p) else {
+            if !cuts.iter().any(|(src, _, _)| *src == p) {
                 return Ok(true);
-            };
-            let (s, e) = access.interval(n)?;
-            for (kind, g) in conds {
-                let child = &tail[*g - f - 1];
-                debug_assert!(child.evaluated, "child fragment evaluated before parent");
-                let ok = match kind {
-                    CutKind::Descendant => child.root_intervals.any_within(s, e),
-                    CutKind::Following => child.root_intervals.any_starting_after(e),
-                };
-                if !ok {
-                    return Ok(false);
-                }
             }
-            Ok(true)
+            let (s, e) = access.interval(n)?;
+            Ok(cuts_hold(cuts, p, s, e))
         };
-        let mut root_ints = Vec::new();
         for start in starts {
             stats.starting_points[f] += 1;
-            if let Some(collected) = matcher.match_at(access, &start, &mut hook)? {
-                stats.fragment_matches[f] += 1;
-                let root_iv = access.interval(&start)?;
-                let mut rec = spare_recs.pop().unwrap_or_default();
-                rec.root_start = root_iv.0;
-                rec.hot.reserve(collected.len());
-                for (_, n) in collected {
-                    let iv = access.interval(&n)?;
-                    rec.hot.push((n, iv));
-                }
-                target.records.push(rec);
-                root_ints.push(root_iv);
+            let Some(collected) = matcher.match_at(access, &start, &mut hook)? else {
+                continue;
+            };
+            stats.fragment_matches[f] += 1;
+            target.roots += 1;
+            // Fragment 0 starts at (or under) the document node: nothing
+            // cuts into it, so nobody reads its root position.
+            let root_start = if f == 0 {
+                0
+            } else {
+                access.store().lin(start.addr)?
+            };
+            if f != 0 {
+                target.root_starts.push(root_start);
+            }
+            for (_, n) in collected {
+                let (start, end) = if hot_intervals {
+                    access.interval(&n)?
+                } else {
+                    (0, 0)
+                };
+                target
+                    .hot
+                    .push(ScanHit::new(n.dewey, n.addr, start, end, root_start));
             }
         }
-        target.root_intervals = IntervalSet::new(root_ints);
-        target.evaluated = true;
-        Ok(target.records.is_empty())
+        Ok(())
     }
 
-    /// Materialize a fragment's starting points from its planned seed.
-    fn seed_starts(
-        &self,
-        part: &Partition<'_>,
-        fp: &FragmentPlan,
-        access: &PhysAccess<'_, S>,
-    ) -> CoreResult<(Vec<PhysNode>, StrategyUsed)> {
-        match &fp.seed {
-            SeedChoice::DocNavigate => {
-                let strategy = if fp.pivot == DOC_NODE {
-                    StrategyUsed::Doc
-                } else {
-                    // Low selectivity everywhere: one navigational pass
-                    // from the root beats scan + ancestor verification.
-                    StrategyUsed::DocScan
-                };
-                Ok((vec![access.doc_node()], strategy))
-            }
-            SeedChoice::ValueIndex { literal, lift } => {
-                let starts = self.value_seed(literal, *lift, access)?;
-                Ok((starts, StrategyUsed::ValueIndex))
-            }
-            SeedChoice::TagIndex { name, lift } => {
-                let starts = self.tag_seed(name, *lift)?;
-                Ok((starts, StrategyUsed::TagIndex))
-            }
-            SeedChoice::Scan => {
-                let root_test = &part.tree.nodes[fp.pivot].test;
-                let mut starts = Vec::new();
-                for item in DocScan::new(&self.store) {
-                    let item = item?;
-                    let node = PhysNode {
-                        addr: item.addr,
-                        dewey: item.dewey,
-                    };
-                    if access.matches_test(&node, root_test)? {
-                        starts.push(node);
+    /// Dewey keys of the nodes whose value is exactly `literal`, in
+    /// document order: the literal's B+v postings, each verified against
+    /// the stored text (hash-collision safety) unless the data file vouches
+    /// that the hash identifies the literal.
+    fn eq_postings(&self, literal: &str, access: &PhysAccess<'_, S>) -> CoreResult<Vec<Vec<u8>>> {
+        let mut postings = self.bt_val.get_all(&hash_key(literal))?;
+        let vouched = self.data.lock_data().hash_identifies(literal)?;
+        if !vouched {
+            let mut verified = Vec::with_capacity(postings.len());
+            for p in postings {
+                if let Some(dewey) = Dewey::from_key(&p) {
+                    if access.value_equals(&dewey, literal)? {
+                        verified.push(p);
                     }
                 }
-                Ok((starts, StrategyUsed::Scan))
             }
+            postings = verified;
         }
+        // Postings of one hash sit in insertion order, which updates take
+        // out of document order.
+        if !postings.is_sorted() {
+            postings.sort_unstable();
+        }
+        Ok(postings)
     }
 
-    /// Value-index seed: look up the literal's postings, verify the actual
-    /// text (hash-collision safety), and lift each hit to the ancestor at
-    /// the pivot's depth.
+    /// Value-index seed: the literal's postings, each lifted to the
+    /// ancestor at the pivot's depth.
     fn value_seed(
         &self,
         literal: &str,
         lift: u32,
         access: &PhysAccess<'_, S>,
     ) -> CoreResult<Vec<PhysNode>> {
-        let postings = self.bt_val.get_all(&hash_key(literal))?;
         let mut starts = Vec::new();
         let mut seen = std::collections::HashSet::new();
-        for p in postings {
+        for p in self.eq_postings(literal, access)? {
             let Some(dewey) = Dewey::from_key(&p) else {
                 continue;
             };
-            if access.value_of_dewey(&dewey)?.as_deref() != Some(literal) {
-                continue;
-            }
             let level = dewey.level();
             if level <= lift {
                 continue; // too shallow to have the required ancestor
@@ -543,7 +754,7 @@ pub(crate) fn build_explain(
             PlanStep::Collect { frag } => {
                 rows.push(ExplainRow {
                     op: "collect".into(),
-                    detail: format!("returning fragment {frag}, sorted + deduped"),
+                    detail: format!("returning fragment {frag}, document order, deduped"),
                     est: None,
                     actual: Some(result_count as u64),
                 });
@@ -591,6 +802,13 @@ mod tests {
         <price>129.95</price>
       </book>
     </bib>"#;
+
+    /// BIB among enough other books that a couple of index starts cost less
+    /// than a pass over the document.
+    fn big_bib() -> String {
+        let filler = "<book><author><last>Other</last><first>O.</first></author></book>";
+        BIB.replace("</bib>", &format!("{}</bib>", filler.repeat(100)))
+    }
 
     fn deweys(db: &crate::build::XmlDb<nok_pager::MemStorage>, q: &str) -> Vec<String> {
         db.query(q)
@@ -703,7 +921,7 @@ mod tests {
 
     #[test]
     fn strategies_agree_with_each_other() {
-        let db = crate::build::XmlDb::build_in_memory(BIB).unwrap();
+        let db = crate::build::XmlDb::build_in_memory(&big_bib()).unwrap();
         let q = r#"//book[author/last="Stevens"][price<100]"#;
         let mut answers = Vec::new();
         for strat in [
@@ -721,7 +939,8 @@ mod tests {
         for (a, _) in &answers[1..] {
             assert_eq!(*a, answers[0].0);
         }
-        // Auto must have chosen the value index here (paper's heuristic).
+        // Two starts against a pass over 400 nodes: Auto must have chosen
+        // the value index here (the paper's heuristic, by price).
         assert!(answers[0].1.strategies.contains(&StrategyUsed::ValueIndex));
     }
 
@@ -844,7 +1063,7 @@ mod tests {
 
     #[test]
     fn explain_reports_estimates_and_actuals() {
-        let db = crate::build::XmlDb::build_in_memory(BIB).unwrap();
+        let db = crate::build::XmlDb::build_in_memory(&big_bib()).unwrap();
         let (hits, explain) = db
             .explain(
                 r#"//book[author/last="Stevens"]//first"#,

@@ -88,12 +88,6 @@ impl IntervalSet {
         !self.is_empty() && self.min_end < start
     }
 
-    /// Does any member start strictly after `end` — i.e. does the node with
-    /// this subtree end have a member in its *following*?
-    pub fn any_starting_after(&self, end: u64) -> bool {
-        self.starts.last().is_some_and(|&s| s > end)
-    }
-
     /// Iterate `(start, end)` pairs in start order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.starts.iter().copied().zip(self.ends.iter().copied())

@@ -24,10 +24,11 @@
 //!   the succinct store (single-pass matching, Proposition 1).
 //! * [`join`] — structural (containment) joins combining NoK partial results.
 //! * [`plan`] — the query-plan IR; [`planner`] — the cost-based planner
-//!   (the paper's §6.2 starting-point heuristics in explicit cost units,
-//!   plus cost-ordered fragment evaluation); [`exec`] — the operator
-//!   executor; [`engine`] — the stable query façade over the three.
-//! * [`stream`] — NoK matching over streaming SAX events.
+//!   (index route vs scan route per fragment, priced in measured
+//!   nanoseconds, plus cost-ordered fragment evaluation); [`exec`] — the
+//!   operator executor; [`engine`] — the stable query façade over the three.
+//! * `scan` — the single-pass NoK matcher behind the scan route and
+//!   [`stream`], NoK matching over streaming SAX events.
 //! * [`update`] — subtree insertion/deletion against the paged string.
 //! * [`stats`] — per-document statistics (Table 1 columns); [`synopsis`] —
 //!   the persisted planner synopsis: per-tag/per-value counts plus a
@@ -63,6 +64,7 @@ pub mod physical;
 pub mod plan;
 pub mod planner;
 pub mod recovery;
+pub(crate) mod scan;
 pub mod serialize;
 pub mod sigma;
 pub mod snapshot;

@@ -85,6 +85,15 @@ pub struct ValueCmp {
 }
 
 impl ValueCmp {
+    /// The literal of a `= "literal"` constraint — the one comparison the
+    /// value index (hash of the exact string) can answer.
+    pub fn str_eq(&self) -> Option<&str> {
+        match (&self.rhs, self.op) {
+            (Literal::Str(lit), CmpOp::Eq) => Some(lit),
+            _ => None,
+        }
+    }
+
     /// Evaluate this constraint against a node's string value.
     pub fn eval(&self, value: &str) -> bool {
         match (&self.rhs, self.op) {

@@ -216,6 +216,19 @@ impl<'a, S: Storage> PhysAccess<'a, S> {
         }
     }
 
+    /// Does the node with this Dewey id carry exactly `literal` as its
+    /// value? Compares the stored bytes (live or tombstoned — a snapshot
+    /// may still reference a record a later commit tombstoned).
+    pub fn value_equals(&self, dewey: &Dewey, literal: &str) -> CoreResult<bool> {
+        let Some(rec) = self.bt_id.get_first(&dewey.to_key())? else {
+            return Ok(false);
+        };
+        match IdRecord::from_bytes(&rec)?.value {
+            Some((off, _len)) => self.data.lock_data().record_equals(off, literal),
+            None => Ok(false),
+        }
+    }
+
     /// The containment interval of a node (document node ⇒ everything).
     pub fn interval(&self, n: &PhysNode) -> CoreResult<(u64, u64)> {
         if n.is_doc() {

@@ -2,7 +2,7 @@
 //! the operator executor interprets.
 //!
 //! A [`QueryPlan`] makes the engine's previously implicit control flow
-//! explicit: per-fragment seed choices (`SeedChoice`), the fragment
+//! explicit: per-fragment route choices (`SeedChoice`), the fragment
 //! evaluation order, and the semijoin/filter/collect steps ([`PlanStep`])
 //! are plain data that can be inspected (EXPLAIN), cached (the serve-layer
 //! plan cache), and reordered by cost.
@@ -26,14 +26,11 @@ pub enum StrategyUsed {
     /// Navigated from the virtual document node (bare-spine pivot is the
     /// document node itself).
     Doc,
-    /// Scan strategy resolved on a document-rooted fragment: one
-    /// navigational pass from the root.
-    DocScan,
     /// Seeded from the value index (B+v).
     ValueIndex,
     /// Seeded from the tag-name index (B+t).
     TagIndex,
-    /// Seeded by a sequential document scan.
+    /// The scan route: one single-pass match over the whole document.
     Scan,
     /// Skipped: an earlier fragment proved the query empty.
     Skipped,
@@ -44,7 +41,6 @@ impl fmt::Display for StrategyUsed {
         f.write_str(match self {
             StrategyUsed::Pending => "pending",
             StrategyUsed::Doc => "doc",
-            StrategyUsed::DocScan => "doc-scan",
             StrategyUsed::ValueIndex => "value-index",
             StrategyUsed::TagIndex => "tag-index",
             StrategyUsed::Scan => "scan",
@@ -57,7 +53,8 @@ impl fmt::Display for StrategyUsed {
 /// come from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SeedChoice {
-    /// Start a navigational pass from the virtual document node.
+    /// Navigate from the virtual document node (the fragment's pivot is
+    /// the document node itself, so there is nothing to locate).
     DocNavigate,
     /// Probe the value index for `literal`, then lift each hit `lift`
     /// levels to the pivot ancestor.
@@ -74,7 +71,8 @@ pub enum SeedChoice {
         /// Levels between the tagged node and the pivot.
         lift: u32,
     },
-    /// Sequential scan of the whole document.
+    /// The scan route: walk the page chain once and decide the fragment
+    /// for every node on the way (`core::scan`).
     Scan,
 }
 
@@ -108,9 +106,8 @@ pub struct FragmentPlan {
     pub verify_spine: bool,
     /// Estimated number of starting points.
     pub est_starts: u64,
-    /// Estimated cost (paper §6.2 units: 4× index probes, or a full scan;
-    /// path-aware tag seeds separate the posting scan from per-survivor
-    /// work).
+    /// Estimated cost in nanoseconds (see the constants in
+    /// `core::planner`).
     pub est_cost: u64,
     /// True root-chain support of the seed from the synopsis path summary,
     /// when the plan was path-aware (`None` under tag-only planning).
@@ -234,7 +231,6 @@ mod tests {
     fn strategy_display_matches_legacy_strings() {
         for (s, want) in [
             (StrategyUsed::Doc, "doc"),
-            (StrategyUsed::DocScan, "doc-scan"),
             (StrategyUsed::ValueIndex, "value-index"),
             (StrategyUsed::TagIndex, "tag-index"),
             (StrategyUsed::Scan, "scan"),

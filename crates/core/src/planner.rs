@@ -1,17 +1,27 @@
 //! The cost-based planner: turns a partitioned pattern tree into a
-//! [`QueryPlan`] using the build-time statistics (per-tag posting counts,
-//! per-value-hash selectivities) persisted with the store.
+//! [`QueryPlan`] using the synopsis persisted with the store (per-tag
+//! posting counts, per-value-hash counts, the path summary).
 //!
-//! The cost model reproduces the paper's §6.2 heuristic in explicit units:
-//! an index-seeded fragment costs four times its posting count (probe +
-//! lift + verify per hit), a sequential scan costs one pass over the
-//! document. Under `StartStrategy::Auto` a value-index seed is chosen
-//! whenever a string-equality constraint exists ("whenever there are value
-//! constraints, we always use the value index"), so the planner's choices
-//! coincide with the legacy engine's — what changes is that fragment
-//! *evaluation order* now follows estimated cost (cheapest ready fragment
-//! first, children before parents), which lets the executor prove a query
-//! empty before touching its expensive fragments.
+//! Every fragment has two routes, and the planner prices both in
+//! **nanoseconds** and takes the cheaper:
+//!
+//! * the **index route** — seed starting points from B+v or B+t postings,
+//!   lift each to the pivot, verify the spine above it through B+i, and run
+//!   `NokMatcher::match_at` per start: a cost *per start*;
+//! * the **scan route** — one single-pass match over the whole page chain
+//!   (`core::scan`): a cost *per document node*, independent of how many
+//!   nodes match.
+//!
+//! The unit costs below are measurements of this repository's own layers on
+//! the reference host, not tuning knobs; each names the probe that produced
+//! it. The paper's §6.2 heuristic ("whenever there are value constraints, we
+//! always use the value index"; tag index when selective) falls out for
+//! selective queries — a handful of starts costs microseconds against a
+//! pass of milliseconds — and result-heavy fragments take the pass.
+//!
+//! Fragment *evaluation order* follows the same estimates (cheapest ready
+//! fragment first, children before parents), which lets the executor prove
+//! a query empty before touching its expensive fragments.
 
 use std::collections::HashMap;
 
@@ -19,12 +29,46 @@ use nok_pager::Storage;
 
 use crate::build::XmlDb;
 use crate::error::CoreResult;
-use crate::pattern::{CmpOp, Literal, NameTest, PathExpr};
+use crate::pattern::{NameTest, PathExpr, ValueCmp};
 use crate::pattern_tree::{EdgeKind, PNodeId, Partition, PatternTree, DOC_NODE};
 use crate::plan::{FragmentPlan, PlanStep, PlannedQuery, QueryPlan, SeedChoice};
-use crate::synopsis::{PathAxis, PathStep};
+use crate::scan::MAX_SCAN_NODES;
+use crate::synopsis::{PathAxis, PathStep, PathTrie};
 use crate::values::hash_value;
 use crate::{QueryOptions, StartStrategy};
+
+// ---- Unit costs, in nanoseconds: measurements of this repository's own
+// layers on the reference host (2 cores; dblp at scale 0.1 — 320k nodes,
+// 4 KiB pages, 256-frame pools), not tuning knobs. `btree.*`, `values.*`
+// and `cursor.*` are per-layer probes of `benchmark/`; the others are
+// printed by `plan_bench`'s route section. DESIGN.md §12 keeps the table.
+
+/// One document node of the scan route's pass, whatever it matches:
+/// `scan_pass_ns_per_node` (11–13 ns; two entries per node).
+const SCAN_NODE_NS: u64 = 12;
+/// One hot-node candidate of the scan route — buffered with its Dewey id at
+/// open, settled at close, handed to the collector: `scan_hit_ns`
+/// (57–90 ns).
+const SCAN_HIT_NS: u64 = 75;
+/// Reading one posting off a B+t/B+v leaf chain:
+/// `btree.postings_ns_per_entry` (127–145 ns).
+const POSTING_NS: u64 = 145;
+/// One B+i point lookup with its leaf resident, which is what seeds arriving
+/// in key order see: `get_warm_ns` (594–702 ns). A lookup that misses the
+/// pool (`btree.get_ns`, 4–4.7 µs) is the sparse-seed case, where the index
+/// route wins by orders of magnitude anyway.
+const GET_NS: u64 = 600;
+/// Reading a value record once B+i has located it — one positional read:
+/// `values.fetch_ns` minus the `btree.get_ns` it includes (under 0.5 µs).
+const FETCH_NS: u64 = 400;
+/// One `FIRST-CHILD`/`FOLLOWING-SIBLING` step: `cursor.first_child_ns`,
+/// `cursor.following_sibling_ns` (80–136 ns).
+const NAV_NS: u64 = 120;
+/// `NokMatcher::match_at` from one starting point with pattern children to
+/// find — walking the start's child list plus per-call set-up:
+/// `match_ns_per_start`, the index route on `//article[author][title]`
+/// (1.9–2.3 µs over 17k starts).
+const MATCH_NS: u64 = 2_000;
 
 /// Planner knobs. Not part of [`QueryOptions`] so existing option literals
 /// keep compiling; benchmarks use this to compare orders and path modes.
@@ -47,6 +91,89 @@ impl Default for PlanConfig {
             path_aware: true,
         }
     }
+}
+
+/// The root-chain trie states of every pattern node of one plan. A node's
+/// states are its pattern parent's advanced by one step, so each distinct
+/// chain is walked once per plan however many candidates ask about it.
+struct Chains<'a> {
+    trie: &'a PathTrie,
+    /// Accepting trie states per pattern node; empty = zero support, which
+    /// is a proof of emptiness, not merely an estimate.
+    states: Vec<Vec<u32>>,
+}
+
+impl<'a> Chains<'a> {
+    fn new<S: Storage>(db: &'a XmlDb<S>, tree: &PatternTree) -> Chains<'a> {
+        let trie = db.synopsis().paths();
+        let mut states: Vec<Vec<u32>> = Vec::with_capacity(tree.nodes.len());
+        states.push(PathTrie::start_states());
+        // Arena order: a pattern node's parent always precedes it.
+        for (n, node) in tree.nodes.iter().enumerate().skip(1) {
+            let parent = node.parent.unwrap_or(DOC_NODE);
+            let tag = match &node.test {
+                NameTest::Wildcard => None,
+                NameTest::Tag(name) => match db.dict.lookup(name) {
+                    Some(code) => Some(code),
+                    // A tag the document has never seen: no node matches.
+                    None => {
+                        states.push(Vec::new());
+                        continue;
+                    }
+                },
+            };
+            let kind = tree.nodes[parent]
+                .children
+                .iter()
+                .find(|&&(_, c)| c == n)
+                .map_or(EdgeKind::Descendant, |&(k, _)| k);
+            let next = match kind {
+                EdgeKind::Child => trie.advance(
+                    &states[parent],
+                    PathStep {
+                        axis: PathAxis::Child,
+                        tag,
+                    },
+                ),
+                EdgeKind::Descendant => trie.advance(
+                    &states[parent],
+                    PathStep {
+                        axis: PathAxis::Descendant,
+                        tag,
+                    },
+                ),
+                // Document order does not constrain the tag path: `//test`.
+                EdgeKind::Following => trie.advance(
+                    &PathTrie::start_states(),
+                    PathStep {
+                        axis: PathAxis::Descendant,
+                        tag,
+                    },
+                ),
+            };
+            states.push(next);
+        }
+        Chains { trie, states }
+    }
+
+    /// Nodes whose root path satisfies pattern node `n`'s root chain.
+    fn support(&self, n: PNodeId) -> u64 {
+        self.trie.support_of(&self.states[n])
+    }
+
+    /// Nodes at or below those.
+    fn subtree_support(&self, n: PNodeId) -> u64 {
+        self.trie.subtree_support_of(&self.states[n])
+    }
+}
+
+/// An index-route candidate for one fragment.
+struct IndexCand {
+    cost: u64,
+    starts: u64,
+    support: Option<u64>,
+    seed: SeedChoice,
+    pivot: PNodeId,
 }
 
 impl<S: Storage> XmlDb<S> {
@@ -78,28 +205,25 @@ impl<S: Storage> XmlDb<S> {
     ) -> QueryPlan {
         let part = tree.partition();
         let nfrags = part.fragments.len();
+        let chains = cfg.path_aware.then(|| Chains::new(self, tree));
         let mut fragments = Vec::with_capacity(nfrags);
         for f in 0..nfrags {
-            fragments.push(self.plan_fragment(&part, f, opts, cfg));
+            fragments.push(self.plan_fragment(&part, f, opts, chains.as_ref()));
         }
 
         // Empty-by-synopsis proof: a conjunctive tree pattern can only
         // match if every pattern node's root chain has support in the
         // document; a single zero proves the whole query empty and lets
         // the executor answer without touching a page.
-        let proven_empty = cfg.path_aware
-            && (1..tree.nodes.len()).any(|n| match root_chain(self, tree, n) {
-                None => true,
-                Some(steps) => self.synopsis().path_support(&steps) == 0,
-            });
+        let proven_empty = chains
+            .as_ref()
+            .is_some_and(|c| c.states.iter().any(Vec::is_empty));
 
         // ---- Fragment evaluation order. Children must precede parents
-        // (their root intervals feed the parent's cut-edge hook).
+        // (their root positions feed the parent's cut-edge conditions).
         let mut deps: Vec<Vec<usize>> = vec![Vec::new(); nfrags]; // f → children
-        for f in 0..nfrags {
-            for ce in part.cut_edges_from(f) {
-                deps[f].push(ce.child_frag);
-            }
+        for (f, children) in deps.iter_mut().enumerate() {
+            children.extend(part.cut_edges_from(f).map(|ce| ce.child_frag));
         }
         let order: Vec<usize> = if cfg.cost_ordered {
             let mut done = vec![false; nfrags];
@@ -162,20 +286,22 @@ impl<S: Storage> XmlDb<S> {
         }
     }
 
-    /// Seed choice + cost estimate for one fragment (§6.2's heuristic, in
-    /// statistics form). Path-aware planning refines the tag-only picture
-    /// with the synopsis path summary: estimates come from true root-chain
-    /// support rather than min-tag counts, and a document-rooted fragment
-    /// may elevate its pivot onto a rarer spine ancestor when probing that
-    /// tag plus navigating its matched subtrees is estimated cheaper than
+    /// Route choice + cost estimate for one fragment: the cheapest index
+    /// seed against the scan route (module docs), both in nanoseconds.
+    /// Path-aware planning (`chains`) refines the tag-only picture with the
+    /// synopsis path summary: estimates come from true root-chain support
+    /// rather than tag counts, and a document-rooted fragment may elevate
+    /// its pivot onto a rarer spine ancestor when probing that tag plus
+    /// navigating its matched subtrees is estimated cheaper than
     /// lift-and-verify over the postings of the best member tag.
     fn plan_fragment(
         &self,
         part: &Partition<'_>,
         f: usize,
         opts: QueryOptions,
-        cfg: PlanConfig,
+        chains: Option<&Chains<'_>>,
     ) -> FragmentPlan {
+        let tree = part.tree;
         let root = part.fragments[f].root;
         let pivot = if root == DOC_NODE {
             doc_pivot(part)
@@ -183,18 +309,10 @@ impl<S: Storage> XmlDb<S> {
             root
         };
         let node_count = self.node_count();
-        // Root-chain support of a pattern node under path-aware planning.
-        // `Some(0)` is a proof of emptiness, not merely an estimate.
-        let chain_support = |n: PNodeId| -> Option<u64> {
-            if !cfg.path_aware {
-                return None;
-            }
-            Some(match root_chain(self, part.tree, n) {
-                None => 0,
-                Some(steps) => self.synopsis().path_support(&steps),
-            })
-        };
         if pivot == DOC_NODE {
+            // Nothing to locate. Almost always nothing to match either
+            // (`//…` leaves the document node alone in fragment 0).
+            let local = tree.local_children(DOC_NODE).count() as u64;
             return FragmentPlan {
                 frag: f,
                 root,
@@ -202,253 +320,174 @@ impl<S: Storage> XmlDb<S> {
                 seed: SeedChoice::DocNavigate,
                 verify_spine: false,
                 est_starts: 1,
-                est_cost: node_count,
+                est_cost: local.saturating_mul(node_count).saturating_mul(NAV_NS),
                 path_support: None,
             };
         }
         let strategy = opts.strategy;
         let depths = pivot_depths(part, pivot);
-        let pivot_support = chain_support(pivot);
-
-        // Value route: the most selective `= "literal"` constraint, by the
-        // persisted per-hash counts. Survivors are additionally bounded by
-        // the pivot chain's true path support.
-        if matches!(strategy, StartStrategy::Auto | StartStrategy::ValueIndex) {
-            let mut best: Option<(u64, &str, u32)> = None; // (count, literal, depth)
-            for (&n, &d) in &depths {
-                for cmp in &part.tree.nodes[n].value_cmps {
-                    if cmp.op != CmpOp::Eq {
-                        continue;
-                    }
-                    let Literal::Str(lit) = &cmp.rhs else {
-                        continue;
-                    };
-                    let count = self.value_count(hash_value(lit));
-                    if best.is_none_or(|(b, _, _)| count < b) {
-                        best = Some((count, lit.as_str(), d));
-                    }
-                }
-            }
-            if let Some((count, lit, d)) = best {
-                let est_starts = match pivot_support {
-                    Some(ps) => count.min(ps),
-                    None => count,
-                };
-                return FragmentPlan {
-                    frag: f,
-                    root,
-                    pivot,
-                    seed: SeedChoice::ValueIndex {
-                        literal: lit.to_string(),
-                        lift: d,
-                    },
-                    verify_spine: root == DOC_NODE,
-                    est_starts,
-                    est_cost: count.saturating_mul(4),
-                    path_support: pivot_support,
-                };
-            }
-        }
-
-        // Tag route.
-        if strategy != StartStrategy::Scan {
-            struct TagCand {
-                cost: u64,
-                starts: u64,
-                support: Option<u64>,
-                seed: SeedChoice,
-                pivot: PNodeId,
-            }
-            let mut best: Option<TagCand> = None;
-            let consider = |c: TagCand, best: &mut Option<TagCand>| {
-                if best.as_ref().is_none_or(|b| c.cost < b.cost) {
-                    *best = Some(c);
-                }
-            };
-            // Member candidates: the `/`-connected members below the
-            // pivot, seeded by lifting their tag postings. Tag-only cost
-            // is the legacy 4× postings; path-aware cost separates the
-            // posting scan from the per-survivor probe/lift/verify work.
-            for (&n, &d) in &depths {
-                if let NameTest::Tag(name) = &part.tree.nodes[n].test {
-                    let count = match self.dict.lookup(name) {
-                        None => 0, // tag unseen: the whole query is empty
-                        Some(code) => self.tag_count(code),
-                    };
-                    let (cost, starts, support) = match chain_support(n) {
-                        Some(s) => (
-                            count.saturating_add(s.saturating_mul(4)),
-                            s.min(count),
-                            Some(s),
-                        ),
-                        None => (count.saturating_mul(4), count, None),
-                    };
-                    consider(
-                        TagCand {
-                            cost,
-                            starts,
-                            support,
-                            seed: SeedChoice::TagIndex {
-                                name: name.clone(),
-                                lift: d,
-                            },
-                            pivot,
-                        },
-                        &mut best,
-                    );
-                }
-            }
-            // Elevated-pivot candidates (path-aware, document-rooted):
-            // spine ancestors of the pivot. Seeding from a rare ancestor
-            // costs its postings (probe + lift + verify ≈ 4×) plus
-            // navigation bounded by the total size of the subtrees its
-            // chain matches — which only the path summary can estimate.
-            if cfg.path_aware && root == DOC_NODE {
-                let mut cur = part.tree.nodes[pivot].parent;
-                while let Some(s) = cur {
-                    if s == DOC_NODE {
-                        break;
-                    }
-                    if let NameTest::Tag(name) = &part.tree.nodes[s].test {
-                        if let Some(code) = self.dict.lookup(name) {
-                            let count = self.tag_count(code);
-                            let (support, nav) = match root_chain(self, part.tree, s) {
-                                None => (0, 0),
-                                Some(steps) => (
-                                    self.synopsis().path_support(&steps),
-                                    self.synopsis().path_subtree_support(&steps),
-                                ),
-                            };
-                            consider(
-                                TagCand {
-                                    cost: count.saturating_mul(4).saturating_add(nav),
-                                    starts: support.min(count),
-                                    support: Some(support),
-                                    seed: SeedChoice::TagIndex {
-                                        name: name.clone(),
-                                        lift: 0,
-                                    },
-                                    pivot: s,
-                                },
-                                &mut best,
-                            );
-                        }
-                    }
-                    cur = part.tree.nodes[s].parent;
-                }
-            }
-            if let Some(c) = best {
-                let selective_enough = match strategy {
-                    StartStrategy::TagIndex => true,
-                    // A route costing more than one sequential pass gains
-                    // nothing over it.
-                    _ => c.cost <= node_count,
-                };
-                if selective_enough {
-                    return FragmentPlan {
-                        frag: f,
-                        root,
-                        pivot: c.pivot,
-                        seed: c.seed,
-                        verify_spine: root == DOC_NODE,
-                        est_starts: c.starts,
-                        est_cost: c.cost,
-                        path_support: c.support,
-                    };
-                }
-            }
-        }
-
-        // Sequential scan. A document-rooted fragment runs it as one
-        // navigational pass from the root instead (the executor maps a
-        // doc-rooted Scan seed to a DocNavigate pass).
-        let est_starts = match &part.tree.nodes[pivot].test {
-            NameTest::Tag(name) => match self.dict.lookup(name) {
-                None => 0,
-                Some(code) => self.tag_count(code),
-            },
-            _ => node_count,
+        let tag_count = |n: PNodeId| match &tree.nodes[n].test {
+            NameTest::Tag(name) => self.dict.lookup(name).map_or(0, |c| self.tag_count(c)),
+            NameTest::Wildcard => node_count,
         };
-        if root == DOC_NODE {
-            return FragmentPlan {
-                frag: f,
-                root,
-                pivot,
-                seed: SeedChoice::DocNavigate,
-                verify_spine: false,
-                est_starts: 1,
-                est_cost: node_count,
-                path_support: None,
-            };
+        // Nodes that can match pattern node `n`, as well as the planner
+        // knows: true root-chain support, else its tag's count.
+        let support = |n: PNodeId| chains.map_or_else(|| tag_count(n), |c| c.support(n));
+        let pivot_support = chains.map(|c| c.support(pivot));
+        let spine_gets = if root == DOC_NODE {
+            spine_above(part, pivot).len() as u64
+        } else {
+            0
+        };
+        // Index route, per start: lift to the pivot, verify the spine above
+        // it, match (a pivot without pattern children has nothing below it
+        // to navigate: one tag test).
+        let match_ns = match tree.local_children(pivot).next() {
+            Some(_) => MATCH_NS,
+            None => NAV_NS,
+        };
+        let per_start = |lift: u32| (u64::from(lift > 0) + spine_gets) * GET_NS + match_ns;
+
+        // ---- Scan route: one pass, the hot-node candidates it buffers, and
+        // what its value constraints read.
+        let hot = part.hot.get(&f).filter(|h| depths.contains_key(h));
+        let mut scan_cost = node_count
+            .saturating_mul(SCAN_NODE_NS)
+            .saturating_add(hot.map_or(0, |&h| support(h)).saturating_mul(SCAN_HIT_NS));
+        for &n in depths.keys() {
+            for cmp in &tree.nodes[n].value_cmps {
+                scan_cost = scan_cost.saturating_add(match cmp.str_eq() {
+                    // Merged against the literal's postings.
+                    Some(lit) => self.value_count(hash_value(lit)).saturating_mul(POSTING_NS),
+                    // Fetched for every structurally matching node.
+                    None => support(n).saturating_mul(GET_NS + FETCH_NS),
+                });
+            }
         }
-        FragmentPlan {
+        let scannable = depths.len() <= MAX_SCAN_NODES;
+        let scan = FragmentPlan {
             frag: f,
             root,
             pivot,
             seed: SeedChoice::Scan,
             verify_spine: false,
-            est_starts,
-            est_cost: node_count,
-            path_support: None,
+            est_starts: support(pivot),
+            est_cost: scan_cost,
+            path_support: pivot_support,
+        };
+        if strategy == StartStrategy::Scan && scannable {
+            return scan;
         }
-    }
-}
 
-/// The root chain of pattern node `n` as synopsis path steps, outermost
-/// first, resolved against the tag dictionary. A `following::` edge does
-/// not constrain the tag path above it, so the chain is conservatively
-/// truncated to `//test` at that point. Returns `None` when the chain
-/// names a tag the document has never seen — no node can match it, so the
-/// support is exactly zero.
-pub(crate) fn root_chain<S: Storage>(
-    db: &XmlDb<S>,
-    tree: &PatternTree,
-    n: PNodeId,
-) -> Option<Vec<PathStep>> {
-    let mut steps = Vec::new();
-    let mut cur = n;
-    while cur != DOC_NODE {
-        let node = &tree.nodes[cur];
-        let tag = match &node.test {
-            NameTest::Tag(name) => Some(db.dict.lookup(name)?),
-            NameTest::Wildcard => None,
-        };
-        let (kind, parent) = match node.parent {
-            Some(p) => (
-                tree.nodes[p]
-                    .children
-                    .iter()
-                    .find(|&&(_, c)| c == cur)
-                    .map(|&(k, _)| k)
-                    .unwrap_or(EdgeKind::Descendant),
-                p,
-            ),
-            None => (EdgeKind::Descendant, DOC_NODE),
-        };
-        match kind {
-            EdgeKind::Child => steps.push(PathStep {
-                axis: PathAxis::Child,
-                tag,
-            }),
-            EdgeKind::Descendant => steps.push(PathStep {
-                axis: PathAxis::Descendant,
-                tag,
-            }),
-            EdgeKind::Following => {
-                // Document order does not constrain the tag path: keep
-                // only `//test` for this node and drop everything above.
-                steps.push(PathStep {
-                    axis: PathAxis::Descendant,
-                    tag,
-                });
-                steps.reverse();
-                return Some(steps);
+        // ---- Index route, value seed: the most selective `= "literal"`
+        // constraint, by the persisted per-hash counts. Survivors are
+        // additionally bounded by the pivot chain's true path support.
+        let mut value: Option<IndexCand> = None;
+        for (&n, &d) in &depths {
+            for lit in tree.nodes[n].value_cmps.iter().filter_map(ValueCmp::str_eq) {
+                let count = self.value_count(hash_value(lit));
+                let starts = pivot_support.map_or(count, |ps| count.min(ps));
+                let cost = count
+                    .saturating_mul(POSTING_NS)
+                    .saturating_add(starts.saturating_mul(per_start(d)));
+                if value.as_ref().is_none_or(|b| cost < b.cost) {
+                    value = Some(IndexCand {
+                        cost,
+                        starts,
+                        support: pivot_support,
+                        seed: SeedChoice::ValueIndex {
+                            literal: lit.to_string(),
+                            lift: d,
+                        },
+                        pivot,
+                    });
+                }
             }
         }
-        cur = parent;
+
+        // ---- Index route, tag seeds.
+        let mut tag: Option<IndexCand> = None;
+        let mut consider = |c: IndexCand| {
+            if tag.as_ref().is_none_or(|b| c.cost < b.cost) {
+                tag = Some(c);
+            }
+        };
+        // Member candidates: the `/`-connected members below the pivot,
+        // seeded by lifting their tag postings. Every posting is read; only
+        // those on the member's root chain survive to be lifted and matched.
+        for (&n, &d) in &depths {
+            if let NameTest::Tag(name) = &tree.nodes[n].test {
+                let count = tag_count(n);
+                let starts = support(n).min(count);
+                consider(IndexCand {
+                    cost: count
+                        .saturating_mul(POSTING_NS)
+                        .saturating_add(starts.saturating_mul(per_start(d))),
+                    starts,
+                    support: chains.map(|c| c.support(n)),
+                    seed: SeedChoice::TagIndex {
+                        name: name.clone(),
+                        lift: d,
+                    },
+                    pivot,
+                });
+            }
+        }
+        // Elevated-pivot candidates (path-aware, document-rooted): spine
+        // ancestors of the pivot. Seeding from a rare ancestor costs its
+        // postings and their spine checks plus navigation bounded by the
+        // total size of the subtrees its chain matches — which only the
+        // path summary can estimate.
+        if let (Some(chains), true) = (chains, root == DOC_NODE) {
+            let mut cur = tree.nodes[pivot].parent;
+            while let Some(s) = cur.filter(|&s| s != DOC_NODE) {
+                if let NameTest::Tag(name) = &tree.nodes[s].test {
+                    let count = tag_count(s);
+                    let starts = chains.support(s).min(count);
+                    let spine = spine_above(part, s).len() as u64;
+                    consider(IndexCand {
+                        cost: count
+                            .saturating_mul(POSTING_NS)
+                            .saturating_add(starts.saturating_mul(spine * GET_NS))
+                            .saturating_add(chains.subtree_support(s).saturating_mul(NAV_NS)),
+                        starts,
+                        support: Some(chains.support(s)),
+                        seed: SeedChoice::TagIndex {
+                            name: name.clone(),
+                            lift: 0,
+                        },
+                        pivot: s,
+                    });
+                }
+                cur = tree.nodes[s].parent;
+            }
+        }
+
+        // ---- The choice. A forced strategy takes its seed when the
+        // fragment offers one; everything else is decided by price.
+        let index = match strategy {
+            StartStrategy::ValueIndex if value.is_some() => value,
+            StartStrategy::TagIndex | StartStrategy::Scan if tag.is_some() => tag,
+            _ => [value, tag]
+                .into_iter()
+                .flatten()
+                .min_by_key(|c| c.cost)
+                .filter(|c| c.cost <= scan_cost || !scannable),
+        };
+        match index {
+            Some(c) => FragmentPlan {
+                frag: f,
+                root,
+                pivot: c.pivot,
+                seed: c.seed,
+                verify_spine: root == DOC_NODE,
+                est_starts: c.starts,
+                est_cost: c.cost,
+                path_support: c.support,
+            },
+            None => scan,
+        }
     }
-    steps.reverse();
-    Some(steps)
 }
 
 /// Descend from the virtual document node through the *bare* spine prefix:
@@ -517,13 +556,21 @@ mod tests {
       <book><title>B</title><author><last>Suciu</last></author></book>
     </bib>"#;
 
+    /// BIB with enough other books that one index start is cheaper than a
+    /// pass over the document (a few starts beat a scan only once the
+    /// document outweighs them: ~75 nodes per start at these unit costs).
+    fn big_bib() -> String {
+        let filler = "<book><title>C</title><author><last>Other</last></author></book>";
+        BIB.replace("</bib>", &format!("{}</bib>", filler.repeat(50)))
+    }
+
     fn plan(db: &XmlDb<nok_pager::MemStorage>, q: &str) -> PlannedQuery {
         db.plan_query(q, QueryOptions::default()).unwrap()
     }
 
     #[test]
     fn value_constraint_selects_value_index() {
-        let db = XmlDb::build_in_memory(BIB).unwrap();
+        let db = XmlDb::build_in_memory(&big_bib()).unwrap();
         let p = plan(&db, r#"//book[author/last="Stevens"]"#);
         let frag = p
             .plan
@@ -536,7 +583,7 @@ mod tests {
 
     #[test]
     fn value_estimates_come_from_stats() {
-        let db = XmlDb::build_in_memory(BIB).unwrap();
+        let db = XmlDb::build_in_memory(&big_bib()).unwrap();
         let p = plan(&db, r#"//book[author/last="Stevens"]"#);
         let frag = p
             .plan
@@ -545,7 +592,8 @@ mod tests {
             .find(|fp| matches!(fp.seed, SeedChoice::ValueIndex { .. }))
             .unwrap();
         assert_eq!(frag.est_starts, 1, "exactly one last=Stevens node");
-        assert_eq!(frag.est_cost, 4);
+        // One posting read, one lift to the book, one match.
+        assert_eq!(frag.est_cost, POSTING_NS + GET_NS + MATCH_NS);
     }
 
     #[test]
@@ -560,7 +608,8 @@ mod tests {
         assert!(p
             .fragments
             .iter()
-            .any(|fp| matches!(fp.seed, SeedChoice::Scan) && fp.est_cost == db.node_count()));
+            .any(|fp| matches!(fp.seed, SeedChoice::Scan)
+                && fp.est_cost == db.node_count() * (SCAN_NODE_NS + SCAN_HIT_NS)));
     }
 
     #[test]

@@ -63,6 +63,13 @@ impl fmt::Display for NodeAddr {
     }
 }
 
+/// The linear position of entry `entry` of the page at chain rank `rank`
+/// (see [`StructStore::lin`]).
+#[inline]
+pub(crate) fn lin_at(rank: u32, entry: u32) -> u64 {
+    ((rank as u64 + 1) << 32) | entry as u64
+}
+
 /// One record of the in-memory header directory, in chain (document) order.
 #[derive(Debug, Clone, Copy)]
 pub struct DirEntry {
@@ -708,7 +715,7 @@ impl<S: Storage> StructStore<S> {
     /// virtual document node own the open interval `(0, u64::MAX)`.
     #[inline]
     pub fn lin(&self, addr: NodeAddr) -> CoreResult<u64> {
-        Ok(((self.rank(addr.page)? as u64 + 1) << 32) | addr.entry as u64)
+        Ok(lin_at(self.rank(addr.page)?, addr.entry))
     }
 
     /// Fetch and decode a page (cached). The cache is shared across query

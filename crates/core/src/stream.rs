@@ -6,14 +6,15 @@
 //! "naïve approach" for starting points (§3): try to start a match at every
 //! node whose tag matches the pattern root.
 //!
-//! [`StreamMatcher`] consumes [`nok_xml::Event`]s one at a time. When an
-//! event opens a node that could start a match, the matcher begins
-//! buffering that node's subtree (nested candidates share the stream but
-//! buffer independently); when the candidate's subtree closes, the buffered
-//! subtree is matched with the ordinary NoK algorithm and any returning
-//! matches are emitted. This realizes the paper's footprint bound
-//! (Proposition 1): memory is bounded by the largest candidate subtree, not
-//! the document.
+//! [`StreamMatcher`] consumes [`nok_xml::Event`]s one at a time and feeds
+//! them to the same single-pass matcher the stored engine's scan route
+//! runs ([`crate::scan::ScanMatcher`]) — two event sources, one matcher.
+//! A start tag opens a node (its attributes open and close as leading
+//! children, as in the storage model), an end tag closes it with the text
+//! collected in between as its value. A returning match is emitted as soon
+//! as every node above it up to the pattern root has closed successfully,
+//! so memory is bounded by the largest candidate subtree's matches
+//! (Proposition 1's footprint), never by the document.
 //!
 //! Supported patterns are those whose partition needs no structural join
 //! *between distinct subtrees*: a single NoK fragment under either a `/` or
@@ -22,14 +23,15 @@
 //! [`CoreError::StreamUnsupported`] — evaluating those requires the stored
 //! engine.
 
-use nok_xml::{Document, Event};
+use std::collections::HashMap;
+
+use nok_xml::Event;
 
 use crate::dewey::Dewey;
 use crate::error::{CoreError, CoreResult};
-use crate::naive::NaiveEvaluator;
-use crate::nok::{accept_all, DomAccess, NokMatcher};
-use crate::pattern::{NameTest, PathExpr};
-use crate::pattern_tree::{CutKind, PNodeId, PatternTree, DOC_NODE};
+use crate::pattern::{NameTest, PathExpr, ValueCmp};
+use crate::pattern_tree::{CutKind, PatternTree, DOC_NODE};
+use crate::scan::{NodeTests, ScanMatcher, ScanPattern, ScanSource};
 
 /// One match emitted by the streaming matcher.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,26 +42,52 @@ pub struct StreamHit {
     pub tag: String,
 }
 
-struct Candidate {
-    global_dewey: Dewey,
-    start_depth: u32,
-    events: Vec<Event>,
+/// The SAX stream as a [`ScanSource`]: every value constraint is decided
+/// at close, against the text the element (or attribute) turned out to
+/// carry.
+struct SaxSource {
+    /// Value constraints per local pattern node.
+    cmps: Vec<Vec<ValueCmp>>,
+    /// Value of the node about to close.
+    value: Option<String>,
+}
+
+impl ScanSource for SaxSource {
+    type Payload = String;
+
+    fn admits(&self) -> u64 {
+        0
+    }
+
+    fn confirms(&self) -> u64 {
+        self.cmps
+            .iter()
+            .enumerate()
+            .fold(0, |a, (i, c)| a | u64::from(!c.is_empty()) << i)
+    }
+
+    fn admit(&mut self, cand: u64, _path: &[u32]) -> CoreResult<u64> {
+        Ok(cand)
+    }
+
+    fn confirm(&mut self, p: usize, _path: &[u32], _start: u64, _end: u64) -> CoreResult<bool> {
+        let cmps = self.cmps.get(p).map_or(&[][..], Vec::as_slice);
+        Ok(self
+            .value
+            .as_deref()
+            .is_some_and(|v| cmps.iter().all(|c| c.eval(v))))
+    }
 }
 
 /// Incremental streaming matcher for one path expression.
 pub struct StreamMatcher {
-    tree: PatternTree,
-    frag: usize,
-    match_root: PNodeId,
-    /// `true` for a `//` anchor (any node may start a match); `false` for a
-    /// `/` anchor (only the root element may).
-    anchor_any: bool,
-    root_test: NameTest,
-    depth: u32,
-    /// Dewey derivation state.
-    dewey_path: Vec<u32>,
-    counters: Vec<u32>,
-    active: Vec<Candidate>,
+    matcher: ScanMatcher<SaxSource>,
+    /// Name tests passed, per distinct node name seen.
+    tests: HashMap<String, NodeTests>,
+    /// Direct text of the open elements.
+    text: Vec<String>,
+    /// Event counter: the stream's linear positions.
+    pos: u64,
 }
 
 impl StreamMatcher {
@@ -68,131 +96,116 @@ impl StreamMatcher {
     pub fn new(path: &str) -> CoreResult<StreamMatcher> {
         let expr = PathExpr::parse(path)?;
         let tree = PatternTree::from_path(&expr)?;
-        let (frag, match_root, anchor_any) = {
-            let part = tree.partition();
-            match part.fragments.len() {
-                1 => {
-                    // /a/... — everything local; match from the first step.
-                    let root = tree.local_children(DOC_NODE).next().ok_or_else(|| {
-                        CoreError::StreamUnsupported("pattern has no steps".into())
-                    })?;
-                    (0, root, false)
-                }
-                2 => {
-                    let cut = part.incoming_cut(1).expect("two fragments, one cut");
-                    if cut.src != DOC_NODE || cut.kind != CutKind::Descendant {
-                        return Err(CoreError::StreamUnsupported(
-                            "pattern has an interior global axis".into(),
-                        ));
-                    }
-                    (1, part.fragments[1].root, true)
-                }
-                _ => {
+        let part = tree.partition();
+        let frag = match part.fragments.len() {
+            // /a/... — everything local.
+            1 => 0,
+            2 => {
+                let cut = part
+                    .incoming_cut(1)
+                    .ok_or_else(|| CoreError::StreamUnsupported("malformed partition".into()))?;
+                if cut.src != DOC_NODE || cut.kind != CutKind::Descendant {
                     return Err(CoreError::StreamUnsupported(
-                        "pattern partitions into multiple joined fragments".into(),
-                    ))
+                        "pattern has an interior global axis".into(),
+                    ));
                 }
+                1
+            }
+            _ => {
+                return Err(CoreError::StreamUnsupported(
+                    "pattern partitions into multiple joined fragments".into(),
+                ))
             }
         };
-        let root_test = tree.nodes[match_root].test.clone();
+        if tree.local_children(DOC_NODE).next().is_none() && frag == 0 {
+            return Err(CoreError::StreamUnsupported("pattern has no steps".into()));
+        }
+        let pat = ScanPattern::compile(&part, frag)
+            .map_err(|e| CoreError::StreamUnsupported(e.to_string()))?;
+        let cmps = pat
+            .nodes
+            .iter()
+            .map(|&n| tree.nodes[n].value_cmps.clone())
+            .collect();
         Ok(StreamMatcher {
-            tree,
-            frag,
-            match_root,
-            anchor_any,
-            root_test,
-            depth: 0,
-            dewey_path: Vec::new(),
-            counters: vec![0],
-            active: Vec::new(),
+            matcher: ScanMatcher::new(pat, SaxSource { cmps, value: None }),
+            tests: HashMap::new(),
+            text: Vec::new(),
+            pos: 0,
         })
+    }
+
+    /// Returning matches held back because a node above them is still open.
+    pub fn buffered(&self) -> usize {
+        self.matcher.buffered()
+    }
+
+    fn open(&mut self, name: &str) -> CoreResult<()> {
+        let tests = match self.tests.get(name) {
+            Some(t) => *t,
+            None => {
+                let is_attr = name.starts_with('@');
+                let t = NodeTests::of(&self.matcher.pat, |test| match test {
+                    // '*' selects elements, not attribute nodes.
+                    NameTest::Wildcard => !is_attr,
+                    NameTest::Tag(t) => t == name,
+                });
+                self.tests.insert(name.to_string(), t);
+                t
+            }
+        };
+        self.pos += 1;
+        self.matcher.open(tests, self.pos, || name.to_string())
+    }
+
+    fn close(&mut self, value: Option<String>) -> CoreResult<()> {
+        self.matcher.src.value = value;
+        self.pos += 1;
+        self.matcher.close(self.pos)
+    }
+
+    /// The matches released since the last call.
+    fn released(&mut self) -> Vec<StreamHit> {
+        let hit = |h: crate::scan::ScanHit<String>| StreamHit {
+            dewey: h.dewey,
+            tag: h.payload,
+        };
+        self.matcher.done.drain(..).map(hit).collect()
     }
 
     /// Feed one event; returns matches completed by this event.
     pub fn on_event(&mut self, ev: &Event) -> CoreResult<Vec<StreamHit>> {
-        let mut hits = Vec::new();
         match ev {
             Event::Start { name, attrs } => {
-                let idx = {
-                    let c = self.counters.last_mut().expect("counter stack");
-                    let i = *c;
-                    *c += 1;
-                    i
-                };
-                self.dewey_path.push(idx);
+                self.open(name)?;
+                self.text.push(String::new());
                 // Attribute nodes occupy the leading child indexes in the
                 // storage model, so element children start after them.
-                self.counters.push(attrs.len() as u32);
-                self.depth += 1;
-                let tag_ok = match &self.root_test {
-                    NameTest::Wildcard => !name.starts_with('@'),
-                    NameTest::Tag(t) => t == name,
-                };
-                if tag_ok && (self.anchor_any || self.depth == 1) {
-                    self.active.push(Candidate {
-                        global_dewey: Dewey::from_slice(&self.dewey_path),
-                        start_depth: self.depth,
-                        events: Vec::new(),
-                    });
-                }
-                for c in &mut self.active {
-                    c.events.push(ev.clone());
+                for a in attrs {
+                    self.open(&format!("@{}", a.name))?;
+                    self.close(Some(a.value.clone()))?;
                 }
             }
             Event::End { .. } => {
-                for c in &mut self.active {
-                    c.events.push(ev.clone());
-                }
-                // The innermost candidate closes iff it started at this depth.
-                if self
-                    .active
-                    .last()
-                    .is_some_and(|c| c.start_depth == self.depth)
-                {
-                    let cand = self.active.pop().expect("checked non-empty");
-                    hits.extend(self.evaluate(cand)?);
-                }
-                self.depth -= 1;
-                self.dewey_path.pop();
-                self.counters.pop();
+                let text = self.text.pop().unwrap_or_default();
+                self.close((!text.trim().is_empty()).then_some(text))?;
             }
-            Event::Text(_) => {
-                for c in &mut self.active {
-                    c.events.push(ev.clone());
+            Event::Text(t) => {
+                if let Some(buf) = self.text.last_mut() {
+                    buf.push_str(t);
                 }
             }
             Event::Comment(_) | Event::ProcessingInstruction { .. } => {}
         }
-        Ok(hits)
+        Ok(self.released())
     }
 
-    fn evaluate(&self, cand: Candidate) -> CoreResult<Vec<StreamHit>> {
-        let doc = Document::from_events(cand.events.iter().cloned().map(Ok))?;
-        let part = self.tree.partition();
-        let matcher = NokMatcher::with_root(&part, self.frag, self.match_root);
-        let access = DomAccess::new(&doc);
-        let start = (nok_xml::NodeId::ROOT, None);
-        let mut hook = accept_all();
-        let Some(collected) = matcher.match_at(&access, &start, &mut hook)? else {
-            return Ok(Vec::new());
-        };
-        // Map buffer-relative nodes to global Dewey ids.
-        let ev = NaiveEvaluator::new(&doc);
-        let mut hits = Vec::with_capacity(collected.len());
-        for (_, node) in collected {
-            let rel = ev.dewey(&node);
-            let mut comps = cand.global_dewey.components().to_vec();
-            comps.extend_from_slice(&rel.components()[1..]);
-            let tag = match node {
-                (id, Some(ai)) => format!("@{}", doc.attrs(id)[ai].name),
-                (id, None) => doc.tag(id).unwrap_or("?").to_string(),
-            };
-            hits.push(StreamHit {
-                dewey: Dewey::from_components(comps),
-                tag,
-            });
-        }
-        Ok(hits)
+    /// End of the stream: the matches only the end of the document could
+    /// decide (patterns whose root holds predicates beside the returning
+    /// path). Fails if elements are still open.
+    pub fn finish(&mut self) -> CoreResult<Vec<StreamHit>> {
+        self.matcher.finish()?;
+        Ok(self.released())
     }
 
     /// Convenience: run a whole event stream and collect every hit.
@@ -205,6 +218,7 @@ impl StreamMatcher {
         for ev in events {
             hits.extend(m.on_event(&ev?)?);
         }
+        hits.extend(m.finish()?);
         Ok(hits)
     }
 
@@ -311,14 +325,14 @@ mod tests {
         // With a '/' anchor on a leaf-level tag, nothing before the
         // candidate is buffered.
         let mut m = StreamMatcher::new("//leaf").unwrap();
-        let mut max_active = 0;
+        let mut max_buffered = 0;
         for ev in nok_xml::Reader::content_only(
             "<r><big><x/><x/><x/><x/></big><leaf/><big><x/></big><leaf/></r>",
         ) {
             m.on_event(&ev.unwrap()).unwrap();
-            max_active = max_active.max(m.active.len());
+            max_buffered = max_buffered.max(m.buffered());
         }
-        assert_eq!(max_active, 1, "only the candidate itself is buffered");
+        assert_eq!(max_buffered, 1, "only the candidate itself is buffered");
     }
 
     #[test]

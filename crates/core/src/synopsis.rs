@@ -24,7 +24,7 @@
 //! Only `core::{build, update, synopsis}` may mutate a synopsis; the
 //! `synopsis-mutation` rule in `cargo xtask analyze` enforces this.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use crate::sigma::TagCode;
 
@@ -75,17 +75,24 @@ impl PathStep {
 struct TrieNode {
     /// Tag on the edge from the parent (unused for the virtual root).
     tag: TagCode,
+    /// Length of this trie path (the virtual root is 0).
+    depth: u16,
     /// Number of document nodes whose root path is exactly this trie path.
     count: u64,
+    /// Sum of `count` over this node and everything below it, kept current
+    /// by every count change so subtree volumes cost no trie walk.
+    subtree: u64,
     /// Child trie nodes, sorted by tag for canonical encoding.
     children: Vec<u32>,
 }
 
 impl TrieNode {
-    fn root() -> TrieNode {
+    fn new(tag: TagCode, depth: u16) -> TrieNode {
         TrieNode {
-            tag: TagCode(0),
+            tag,
+            depth,
             count: 0,
+            subtree: 0,
             children: Vec::new(),
         }
     }
@@ -111,7 +118,7 @@ impl PathTrie {
     /// An empty trie (virtual root only).
     pub fn new() -> PathTrie {
         PathTrie {
-            nodes: vec![TrieNode::root()],
+            nodes: vec![TrieNode::new(TagCode(0), 0)],
         }
     }
 
@@ -131,11 +138,8 @@ impl PathTrie {
             }
         };
         let id = self.nodes.len() as u32;
-        self.nodes.push(TrieNode {
-            tag,
-            count: 0,
-            children: Vec::new(),
-        });
+        let depth = self.nodes[node as usize].depth.saturating_add(1);
+        self.nodes.push(TrieNode::new(tag, depth));
         self.nodes[node as usize].children.insert(pos, id);
         id
     }
@@ -143,8 +147,11 @@ impl PathTrie {
     /// Walk (creating) the node for `tags` and add `n` to its count.
     pub fn add_path_count(&mut self, tags: &[TagCode], n: u64) {
         let mut cur = 0u32;
+        let bump = |node: &mut TrieNode| node.subtree = node.subtree.saturating_add(n);
+        bump(&mut self.nodes[0]);
         for &t in tags {
             cur = self.child_or_insert(cur, t);
+            bump(&mut self.nodes[cur as usize]);
         }
         let c = &mut self.nodes[cur as usize].count;
         *c = c.saturating_add(n);
@@ -154,15 +161,20 @@ impl PathTrie {
     /// count, saturating at zero. Nodes are left in place; zero-count
     /// subtrees are dropped at encode time.
     pub fn sub_path_count(&mut self, tags: &[TagCode], n: u64) {
-        let mut cur = 0u32;
+        let mut path = vec![0u32];
         for &t in tags {
-            match self.child_of(cur, t) {
-                Some(c) => cur = c,
+            match self.child_of(path[path.len() - 1], t) {
+                Some(c) => path.push(c),
                 None => return,
             }
         }
-        let c = &mut self.nodes[cur as usize].count;
-        *c = c.saturating_sub(n);
+        let c = &mut self.nodes[path[path.len() - 1] as usize].count;
+        let taken = n.min(*c);
+        *c -= taken;
+        for node in path {
+            let s = &mut self.nodes[node as usize].subtree;
+            *s = s.saturating_sub(taken);
+        }
     }
 
     /// Number of document nodes whose root path exactly equals `tags`.
@@ -177,34 +189,57 @@ impl PathTrie {
         self.nodes[cur as usize].count
     }
 
-    /// The accepting trie states for a chain of steps (NFA-style walk).
-    fn accepting(&self, steps: &[PathStep]) -> BTreeSet<u32> {
-        let mut states: BTreeSet<u32> = BTreeSet::new();
-        states.insert(0);
-        for step in steps {
-            let mut next: BTreeSet<u32> = BTreeSet::new();
-            for &s in &states {
-                match step.axis {
-                    PathAxis::Child => {
-                        for &c in &self.nodes[s as usize].children {
-                            if step.tag.is_none() || step.tag == Some(self.nodes[c as usize].tag) {
-                                next.insert(c);
-                            }
-                        }
-                    }
-                    PathAxis::Descendant => {
-                        // All strict descendants whose tag matches.
-                        let mut stack: Vec<u32> = self.nodes[s as usize].children.clone();
-                        while let Some(d) = stack.pop() {
-                            if step.tag.is_none() || step.tag == Some(self.nodes[d as usize].tag) {
-                                next.insert(d);
-                            }
-                            stack.extend_from_slice(&self.nodes[d as usize].children);
-                        }
-                    }
+    /// The trie state before any step: the virtual root.
+    pub fn start_states() -> Vec<u32> {
+        vec![0]
+    }
+
+    /// One NFA step: the trie nodes reachable from `states` through `step`,
+    /// ascending and distinct. A planner walks each pattern node's root
+    /// chain by advancing its parent's states, so a `//` step sweeps the
+    /// trie once per pattern node rather than once per question asked.
+    pub fn advance(&self, states: &[u32], step: PathStep) -> Vec<u32> {
+        let accepts = |n: u32| step.tag.is_none() || step.tag == Some(self.nodes[n as usize].tag);
+        let mut next = Vec::new();
+        match step.axis {
+            PathAxis::Child => {
+                for &s in states {
+                    let kids = &self.nodes[s as usize].children;
+                    next.extend(kids.iter().copied().filter(|&c| accepts(c)));
                 }
             }
-            states = next;
+            // Below the virtual root lies every node: no walk needed.
+            PathAxis::Descendant if states == [0] => {
+                next.extend((1..self.nodes.len() as u32).filter(|&n| accepts(n)));
+            }
+            PathAxis::Descendant => {
+                // Strict descendants of any state, each visited once.
+                let mut seen = vec![false; self.nodes.len()];
+                let mut stack: Vec<u32> = Vec::new();
+                for &s in states {
+                    stack.extend_from_slice(&self.nodes[s as usize].children);
+                }
+                while let Some(d) = stack.pop() {
+                    if std::mem::replace(&mut seen[d as usize], true) {
+                        continue;
+                    }
+                    if accepts(d) {
+                        next.push(d);
+                    }
+                    stack.extend_from_slice(&self.nodes[d as usize].children);
+                }
+            }
+        }
+        next.sort_unstable();
+        next.dedup();
+        next
+    }
+
+    /// The accepting trie states for a chain of steps (NFA-style walk).
+    fn accepting(&self, steps: &[PathStep]) -> Vec<u32> {
+        let mut states = Self::start_states();
+        for &step in steps {
+            states = self.advance(&states, step);
             if states.is_empty() {
                 break;
             }
@@ -212,25 +247,32 @@ impl PathTrie {
         states
     }
 
-    /// Number of document nodes whose root path satisfies the chain — the
-    /// true support of a pattern node. Zero proves the pattern empty.
-    pub fn support(&self, steps: &[PathStep]) -> u64 {
-        self.accepting(steps)
+    /// Number of document nodes whose root path ends in one of `states`.
+    pub fn support_of(&self, states: &[u32]) -> u64 {
+        states
             .iter()
             .map(|&s| self.nodes[s as usize].count)
             .fold(0u64, u64::saturating_add)
     }
 
-    /// Number of document nodes at-or-below paths satisfying the chain —
-    /// the volume of tree a NoK matcher seeded on those nodes can touch.
-    pub fn subtree_support(&self, steps: &[PathStep]) -> u64 {
-        let acc = self.accepting(steps);
-        // Sum whole subtrees, skipping accepting nodes nested inside an
-        // already-counted accepting ancestor's subtree.
+    /// Number of document nodes at-or-below the paths ending in `states`
+    /// (ascending), counting nested accepting paths once.
+    pub fn subtree_support_of(&self, states: &[u32]) -> u64 {
+        // Paths of one length cannot nest: sum their subtrees directly.
+        let depth_of = |&s: &u32| self.nodes[s as usize].depth;
+        if states
+            .windows(2)
+            .all(|w| depth_of(&w[0]) == depth_of(&w[1]))
+        {
+            return states
+                .iter()
+                .map(|&s| self.subtree_count(s))
+                .fold(0u64, u64::saturating_add);
+        }
         let mut total = 0u64;
         let mut stack: Vec<u32> = vec![0];
         while let Some(n) = stack.pop() {
-            if n != 0 && acc.contains(&n) {
+            if n != 0 && states.binary_search(&n).is_ok() {
                 total = total.saturating_add(self.subtree_count(n));
             } else {
                 stack.extend_from_slice(&self.nodes[n as usize].children);
@@ -239,14 +281,20 @@ impl PathTrie {
         total
     }
 
+    /// Number of document nodes whose root path satisfies the chain — the
+    /// true support of a pattern node. Zero proves the pattern empty.
+    pub fn support(&self, steps: &[PathStep]) -> u64 {
+        self.support_of(&self.accepting(steps))
+    }
+
+    /// Number of document nodes at-or-below paths satisfying the chain —
+    /// the volume of tree a NoK matcher seeded on those nodes can touch.
+    pub fn subtree_support(&self, steps: &[PathStep]) -> u64 {
+        self.subtree_support_of(&self.accepting(steps))
+    }
+
     fn subtree_count(&self, node: u32) -> u64 {
-        let mut total = 0u64;
-        let mut stack = vec![node];
-        while let Some(n) = stack.pop() {
-            total = total.saturating_add(self.nodes[n as usize].count);
-            stack.extend_from_slice(&self.nodes[n as usize].children);
-        }
-        total
+        self.nodes[node as usize].subtree
     }
 
     /// Number of distinct root-to-node paths with at least one node.
@@ -521,7 +569,13 @@ impl Synopsis {
         let mut frames: Vec<(u32, u64)> = vec![(0, root_kids as u64)];
         while let Some(&mut (parent, ref mut remaining)) = frames.last_mut() {
             if *remaining == 0 {
+                // Subtree complete: fold its volume into the parent's.
                 frames.pop();
+                if let Some(&(above, _)) = frames.last() {
+                    let done = syn.paths.nodes[parent as usize].subtree;
+                    let s = &mut syn.paths.nodes[above as usize].subtree;
+                    *s = s.saturating_add(done);
+                }
                 continue;
             }
             *remaining -= 1;
@@ -536,11 +590,10 @@ impl Synopsis {
             let count = read_varint(b, &mut pos)?;
             let kids = read_varint(b, &mut pos)?;
             let id = syn.paths.nodes.len() as u32;
-            syn.paths.nodes.push(TrieNode {
-                tag: TagCode(tag as u16),
-                count,
-                children: Vec::new(),
-            });
+            let mut node = TrieNode::new(TagCode(tag as u16), frames.len().min(0xffff) as u16);
+            node.count = count;
+            node.subtree = count;
+            syn.paths.nodes.push(node);
             // Siblings must arrive in strictly increasing tag order — the
             // canonical form our encoder writes, and the invariant that
             // keeps `child_of`'s binary search valid after decode.
@@ -706,6 +759,42 @@ mod tests {
                 tag: None
             }]),
             6
+        );
+    }
+
+    /// The maintained subtree sums must equal a recount after inserts,
+    /// deletes (including over-deletes, which saturate) and a decode.
+    #[test]
+    fn subtree_sums_follow_every_count_change() {
+        fn recount(t: &PathTrie, n: u32) -> u64 {
+            let node = &t.nodes[n as usize];
+            node.count + node.children.iter().map(|&c| recount(t, c)).sum::<u64>()
+        }
+        let check = |s: &Synopsis| {
+            for n in 0..s.paths.nodes.len() as u32 {
+                assert_eq!(s.paths.subtree_count(n), recount(&s.paths, n), "node {n}");
+            }
+        };
+        let mut s = sample();
+        check(&s);
+        s.sub_path_count(&[tc(1), tc(2), tc(3)], 1);
+        s.sub_path_count(&[tc(1), tc(4)], 5); // only one to take
+        s.sub_path_count(&[tc(9)], 1); // no such path
+        s.add_path_count(&[tc(1), tc(2), tc(3), tc(5)], 7);
+        check(&s);
+        assert_eq!(s.paths.subtree_count(0), s.paths.total_count());
+        let (_, decoded) = Synopsis::from_bytes(&s.to_bytes(0)).expect("decode failed");
+        check(&decoded);
+        assert_eq!(decoded.paths.total_count(), s.paths.total_count());
+        // Same-depth states sum directly; mixed depths take the walk.
+        let a_b = [PathStep::child(tc(1)), PathStep::child(tc(2))];
+        assert_eq!(s.path_subtree_support(&a_b), 2 + 1 + 7);
+        assert_eq!(
+            s.path_subtree_support(&[PathStep {
+                axis: PathAxis::Descendant,
+                tag: None
+            }]),
+            s.paths.total_count()
         );
     }
 

@@ -14,7 +14,7 @@
 //! * duplicate elimination — equal values are stored once and shared ("we
 //!   can keep only one copy and let these nodes point to the same position").
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -47,9 +47,26 @@ pub fn hash_key(value: &str) -> [u8; 8] {
     hash_value(value).to_be_bytes()
 }
 
+/// Payload bytes fetched together with a record's length header. Element
+/// text and attribute values are overwhelmingly shorter than this.
+const INLINE_READ: usize = 124;
+
 enum Backing {
     Mem(Vec<u8>),
     File(File),
+}
+
+/// One positional read: no seek, so no file-cursor state and one system
+/// call per record.
+#[cfg(unix)]
+fn read_file_at(f: &mut File, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(f, buf, offset)
+}
+
+#[cfg(not(unix))]
+fn read_file_at(f: &mut File, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+    f.seek(SeekFrom::Start(offset))?;
+    f.read_exact(buf)
 }
 
 /// The sequential `(len, value)` record file.
@@ -59,6 +76,10 @@ pub struct DataFile {
     len: u64,
     /// Dedup map: value hash → offsets of **live** records with that hash.
     dedup: HashMap<u64, Vec<u64>>,
+    /// Hashes of tombstoned records. A hash outside this set has every
+    /// record it ever had in `dedup`, which is what lets
+    /// [`DataFile::hash_identifies`] vouch for a whole posting list.
+    dead_hashes: HashSet<u64>,
     /// Optional fault-injection plan gating mutating I/O.
     failpoint: Option<Arc<FailPlan>>,
 }
@@ -70,6 +91,7 @@ impl DataFile {
             backing: Backing::Mem(Vec::new()),
             len: 0,
             dedup: HashMap::new(),
+            dead_hashes: HashSet::new(),
             failpoint: None,
         }
     }
@@ -87,6 +109,7 @@ impl DataFile {
             backing: Backing::File(file),
             len: 0,
             dedup: HashMap::new(),
+            dead_hashes: HashSet::new(),
             failpoint: None,
         })
     }
@@ -103,6 +126,7 @@ impl DataFile {
         file.read_to_end(&mut bytes)
             .map_err(nok_pager::PagerError::from)?;
         let mut dedup: HashMap<u64, Vec<u64>> = HashMap::new();
+        let mut dead_hashes = HashSet::new();
         let mut pos = 0u64;
         while (pos as usize) < bytes.len() {
             let p = pos as usize;
@@ -115,8 +139,10 @@ impl DataFile {
             if p + 4 + len > bytes.len() {
                 return Err(CoreError::Corrupt("truncated data-file record".into()));
             }
-            if !dead {
-                if let Ok(s) = std::str::from_utf8(&bytes[p + 4..p + 4 + len]) {
+            if let Ok(s) = std::str::from_utf8(&bytes[p + 4..p + 4 + len]) {
+                if dead {
+                    dead_hashes.insert(hash_value(s));
+                } else {
                     dedup.entry(hash_value(s)).or_default().push(pos);
                 }
             }
@@ -126,6 +152,7 @@ impl DataFile {
             backing: Backing::File(file),
             len: pos,
             dedup,
+            dead_hashes,
             failpoint: None,
         })
     }
@@ -155,7 +182,7 @@ impl DataFile {
             let candidates = offsets.clone();
             for off in candidates {
                 // Hash collision safety: verify the stored bytes.
-                if self.get_record(off)? == value {
+                if self.record_equals(off, value)? {
                     return Ok((off, value.len() as u32));
                 }
             }
@@ -184,14 +211,12 @@ impl DataFile {
     /// Read the record starting at `offset`. Tombstoned records are an
     /// error: nothing should still reference them.
     pub fn get_record(&mut self, offset: u64) -> CoreResult<String> {
-        let (len, dead) = self.record_span(offset)?;
-        if dead {
+        let mut payload = Vec::new();
+        if self.read_record(offset, &mut payload)? {
             return Err(CoreError::Corrupt(format!(
                 "read of tombstoned data record at offset {offset}"
             )));
         }
-        let mut payload = vec![0u8; len as usize];
-        self.read_exact_at(offset + 4, &mut payload)?;
         String::from_utf8(payload).map_err(|_| CoreError::Corrupt("non-UTF8 value record".into()))
     }
 
@@ -201,10 +226,38 @@ impl DataFile {
     /// tombstoning only sets the length's dead bit — the payload bytes
     /// stay intact for as long as the file lives.
     pub fn get_record_any(&mut self, offset: u64) -> CoreResult<String> {
-        let (len, _dead) = self.record_span(offset)?;
-        let mut payload = vec![0u8; len as usize];
-        self.read_exact_at(offset + 4, &mut payload)?;
+        let mut payload = Vec::new();
+        self.read_record(offset, &mut payload)?;
         String::from_utf8(payload).map_err(|_| CoreError::Corrupt("non-UTF8 value record".into()))
+    }
+
+    /// Does the record at `offset` (live or tombstoned) hold exactly
+    /// `value`? Compares the stored bytes; no `String` is built.
+    pub fn record_equals(&mut self, offset: u64, value: &str) -> CoreResult<bool> {
+        let mut payload = Vec::new();
+        self.read_record(offset, &mut payload)?;
+        Ok(payload == value.as_bytes())
+    }
+
+    /// Does the hash of `value` identify it — is every record that ever
+    /// carried this hash, at any generation a reader may be pinned to, a
+    /// copy of `value`? Then each B+v posting under the hash is a true
+    /// match and needs no per-node verification. `false` when a different
+    /// value shares the hash, or when a record with this hash has been
+    /// tombstoned (its text is no longer enumerable here, so the caller
+    /// must verify posting by posting).
+    pub fn hash_identifies(&mut self, value: &str) -> CoreResult<bool> {
+        let h = hash_value(value);
+        if self.dead_hashes.contains(&h) {
+            return Ok(false);
+        }
+        let offsets = self.dedup.get(&h).cloned().unwrap_or_default();
+        for off in offsets {
+            if !self.record_equals(off, value)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Payload length and tombstone flag of the record at `offset` — the
@@ -215,6 +268,40 @@ impl DataFile {
         self.read_exact_at(offset, &mut len_buf)?;
         let raw = u32::from_le_bytes(len_buf);
         Ok((raw & !DEAD_BIT, raw & DEAD_BIT != 0))
+    }
+
+    /// Read the payload of the record at `offset` into `payload` and return
+    /// its tombstone flag. One positional read fetches the length header
+    /// together with a payload of up to [`INLINE_READ`] bytes; only longer
+    /// values cost a second read.
+    fn read_record(&mut self, offset: u64, payload: &mut Vec<u8>) -> CoreResult<bool> {
+        let mut buf = [0u8; 4 + INLINE_READ];
+        let avail = self.len.saturating_sub(offset).min(buf.len() as u64) as usize;
+        if avail < 4 {
+            return Err(CoreError::Corrupt(format!(
+                "data-file read past end ({} > {})",
+                offset.saturating_add(4),
+                self.len
+            )));
+        }
+        self.read_exact_at(offset, &mut buf[..avail])?;
+        let raw = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
+        let len = (raw & !DEAD_BIT) as usize;
+        payload.clear();
+        if 4 + len <= avail {
+            payload.extend_from_slice(&buf[4..4 + len]);
+        } else {
+            // Bounded by the file, not by the (possibly damaged) header.
+            if (len as u64) > self.len.saturating_sub(offset + 4) {
+                return Err(CoreError::Corrupt(format!(
+                    "data record at {offset} runs past the end of the file"
+                )));
+            }
+            payload.resize(len, 0);
+            payload[..avail - 4].copy_from_slice(&buf[4..avail]);
+            self.read_exact_at(offset + avail as u64, &mut payload[avail - 4..])?;
+        }
+        Ok(raw & DEAD_BIT != 0)
     }
 
     /// Tombstone the record at `offset`: set the dead bit in its length
@@ -230,6 +317,7 @@ impl DataFile {
         self.read_exact_at(offset + 4, &mut payload)?;
         if let Ok(s) = std::str::from_utf8(&payload) {
             let h = hash_value(s);
+            self.dead_hashes.insert(h);
             if let Some(offsets) = self.dedup.get_mut(&h) {
                 offsets.retain(|&o| o != offset);
                 if offsets.is_empty() {
@@ -296,9 +384,7 @@ impl DataFile {
                 Ok(())
             }
             Backing::File(f) => {
-                f.seek(SeekFrom::Start(offset))
-                    .map_err(nok_pager::PagerError::from)?;
-                f.read_exact(buf).map_err(nok_pager::PagerError::from)?;
+                read_file_at(f, offset, buf).map_err(nok_pager::PagerError::from)?;
                 Ok(())
             }
         }
@@ -402,6 +488,51 @@ mod tests {
     }
 
     #[test]
+    fn long_and_short_records_read_back_from_a_file() {
+        // Short values ride along with the header read; long ones take a
+        // second read; the last record of the file ends mid-buffer.
+        let dir = std::env::temp_dir().join(format!("nok-values-long-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut df = DataFile::create(dir.join("values.dat")).unwrap();
+        let long = "x".repeat(INLINE_READ * 3 + 5);
+        let edge = "y".repeat(INLINE_READ);
+        let offs: Vec<u64> = ["a", &long, "", &edge, "tail"]
+            .iter()
+            .map(|v| df.put(v).unwrap().0)
+            .collect();
+        for (off, want) in offs.iter().zip(["a", &long, "", &edge, "tail"]) {
+            assert_eq!(df.get_record(*off).unwrap(), want);
+            assert!(df.record_equals(*off, want).unwrap());
+            assert!(!df.record_equals(*off, "something else").unwrap());
+        }
+        assert!(df.get_record(df.len_bytes() - 2).is_err(), "torn header");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_hash_identifies_its_value_until_proven_otherwise() {
+        let mut df = DataFile::in_memory();
+        let (abc, _) = df.put("abc").unwrap();
+        let (xyz, _) = df.put("xyz").unwrap();
+        assert!(df.hash_identifies("abc").unwrap());
+        assert!(df.hash_identifies("never stored").unwrap(), "vacuously");
+        // A second value under the same hash (a collision, planted here by
+        // hand) means postings must be verified one by one.
+        df.dedup.entry(hash_value("abc")).or_default().push(xyz);
+        assert!(!df.hash_identifies("abc").unwrap());
+        df.dedup.entry(hash_value("abc")).or_default().pop();
+        assert!(df.hash_identifies("abc").unwrap());
+        // So does a tombstone: the dead record's text is no longer listed,
+        // yet a pinned snapshot may still reach it — even after the value
+        // is stored afresh.
+        df.mark_dead(abc).unwrap();
+        assert!(!df.hash_identifies("abc").unwrap());
+        df.put("abc").unwrap();
+        assert!(!df.hash_identifies("abc").unwrap());
+        assert!(df.hash_identifies("xyz").unwrap());
+    }
+
+    #[test]
     fn out_of_range_read_is_error() {
         let mut df = DataFile::in_memory();
         df.put("x").unwrap();
@@ -441,6 +572,8 @@ mod tests {
             let mut df = DataFile::open(&path).unwrap();
             assert!(df.get_record(dead_off).is_err());
             assert_eq!(df.get_record(live_off).unwrap(), "kept");
+            assert!(!df.hash_identifies("condemned").unwrap());
+            assert!(df.hash_identifies("kept").unwrap());
             assert_ne!(df.put("condemned").unwrap().0, dead_off);
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -172,10 +172,14 @@ fn empty_results_do_not_disturb_strategies() {
 
 #[test]
 fn query_stats_reflect_plan_choices() {
-    // Enough filler that k (3 of 30+ nodes) counts as selective.
+    // Enough filler that three index starts cost less than one pass over
+    // the document (the planner prices both routes in nanoseconds).
     let mut xml = String::from("<r>");
     for _ in 0..3 {
         xml.push_str("<a><k>v1</k><f1/><f2/><f3/><f4/><f5/><f6/><f7/></a>");
+    }
+    for _ in 0..100 {
+        xml.push_str("<a><j>v2</j><f1/><f2/><f3/><f4/><f5/><f6/><f7/></a>");
     }
     xml.push_str("</r>");
     let xml = xml.as_str();

@@ -57,8 +57,11 @@
 //! Encoding and decoding are pure functions over byte slices so the
 //! property/fuzz suite can drive them without sockets.
 
+use std::fmt::Display;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
+
+use nok_core::QueryMatch;
 
 use crate::proto::{Request, WireMatch, MAX_FRAME};
 
@@ -472,6 +475,41 @@ pub fn encode_response(out: &mut Vec<u8>, resp: &BinResponse) {
     }
 }
 
+/// Append the `QueryOk` frame answering `id` with `matches` to `out`: each
+/// Dewey id and address is rendered through `Display` straight into the
+/// payload. Byte for byte the frame [`encode_response`] builds from the
+/// matches' [`WireMatch`] renderings — without the two `String`s per match
+/// and the payload copy.
+pub fn encode_query_ok(out: &mut Vec<u8>, id: u64, matches: &[QueryMatch]) {
+    out.push(op::QUERY_OK);
+    out.extend_from_slice(&id.to_le_bytes());
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]); // payload length, patched below
+    out.extend_from_slice(&(matches.len() as u32).to_le_bytes());
+    for m in matches {
+        put_display(out, &m.dewey);
+        put_display(out, &m.addr);
+    }
+    let len = (out.len() - len_at - 4) as u32;
+    if let Some(slot) = out.get_mut(len_at..len_at + 4) {
+        slot.copy_from_slice(&len.to_le_bytes());
+    }
+}
+
+/// Append `v`'s rendering behind a `u16 LE` length (clamped like
+/// [`encode_response`] clamps).
+fn put_display(out: &mut Vec<u8>, v: &impl Display) {
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 2]);
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{v}");
+    out.truncate(out.len().min(len_at + 2 + u16::MAX as usize));
+    let len = (out.len() - len_at - 2) as u16;
+    if let Some(slot) = out.get_mut(len_at..len_at + 2) {
+        slot.copy_from_slice(&len.to_le_bytes());
+    }
+}
+
 /// Decode a response from its frame fields.
 pub fn decode_response(opcode: u8, id: u64, payload: &[u8]) -> Result<BinResponse, FrameError> {
     match opcode {
@@ -609,6 +647,46 @@ mod tests {
             let (opcode, id, payload, used) = split_frame(&buf).unwrap().unwrap();
             assert_eq!(used, buf.len());
             assert_eq!(decode_request(opcode, id, payload).unwrap(), req);
+        }
+    }
+
+    /// The direct encoder must put on the wire exactly what the
+    /// `WireMatch` path does — `BinClient` decodes both the same.
+    #[test]
+    fn query_ok_direct_encoding_is_byte_identical() {
+        use nok_core::{Dewey, NodeAddr};
+        let deep: Vec<u32> = (0..40).map(|i| i * 1_000_003).collect();
+        let matches: Vec<QueryMatch> = [
+            (vec![0], (0, 0)),
+            (vec![0, 17, 3], (294, 1301)),
+            (vec![0, u32::MAX, 9], (u32::MAX, u32::MAX)),
+            (deep, (7, 7)),
+        ]
+        .into_iter()
+        .map(|(d, (page, entry))| QueryMatch {
+            addr: NodeAddr { page, entry },
+            dewey: Dewey::from_components(d),
+        })
+        .collect();
+        for n in [0, 1, matches.len()] {
+            let wire = BinResponse::QueryOk {
+                id: 0xfeed_0000_0000_0001,
+                matches: matches[..n]
+                    .iter()
+                    .map(|m| WireMatch {
+                        dewey: m.dewey.to_string(),
+                        addr: m.addr.to_string(),
+                    })
+                    .collect(),
+            };
+            // Both appended behind existing bytes, as frames are batched.
+            let (mut via_strings, mut direct) = (vec![0xAB], vec![0xAB]);
+            encode_response(&mut via_strings, &wire);
+            encode_query_ok(&mut direct, wire.id(), &matches[..n]);
+            assert_eq!(direct, via_strings, "{n} matches");
+            let (op, id, payload, used) = split_frame(&direct[1..]).unwrap().unwrap();
+            assert_eq!(used + 1, direct.len());
+            assert_eq!(decode_response(op, id, payload).unwrap(), wire);
         }
     }
 

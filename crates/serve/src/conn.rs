@@ -450,24 +450,19 @@ fn binary_read_loop<S: Storage + Send + Sync + 'static>(
                     QueryOptions::default(),
                     timeout_ms.map(Duration::from_millis),
                     move |result| {
-                        let resp = match result {
-                            Ok(matches) => BinResponse::QueryOk {
-                                id,
-                                matches: matches
-                                    .iter()
-                                    .map(|m| WireMatch {
-                                        dewey: m.dewey.to_string(),
-                                        addr: m.addr.to_string(),
-                                    })
-                                    .collect(),
-                            },
-                            Err(e) => BinResponse::Error {
+                        let frame = match result {
+                            Ok(matches) => {
+                                let mut frame = Vec::with_capacity(32 + 24 * matches.len());
+                                binproto::encode_query_ok(&mut frame, id, &matches);
+                                frame
+                            }
+                            Err(e) => encode_one(&BinResponse::Error {
                                 id,
                                 code: err_code(&e),
                                 message: e.to_string(),
-                            },
+                            }),
                         };
-                        cb_queue.complete(encode_one(&resp));
+                        cb_queue.complete(frame);
                     },
                 );
                 if let Err(e) = submitted {

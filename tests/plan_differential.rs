@@ -1,16 +1,20 @@
 //! Planner/executor differential battery: on every dataset, every
 //! workload query (plus the `//` variants), and both structure backends,
 //! the path-aware cost-ordered plan, the tag-only plan, the legacy
-//! fixed-order plan, and a forced full-scan plan must all return exactly
-//! the result set of the naive oracle — the planner may change evaluation
-//! *order* and *seeding* (including proving queries empty from the
-//! synopsis path summary), never *answers*. A final snapshot test pins the
-//! explain output's operator sequence on a deep/wide synthetic document.
+//! fixed-order plan, the forced scan route and the forced index route
+//! (tag and value seeds) must all return exactly the result sequence of
+//! the naive oracle — the planner may change evaluation *order*, *seeding*
+//! and *route* (including proving queries empty from the synopsis path
+//! summary), never *answers*. Targeted cases then aim at what a
+//! single-pass matcher can get wrong, a plan-stability test pins the index
+//! seeds of the selective workload at the benchmark's corpus size, and a
+//! final snapshot test pins the explain output's operator sequence on a
+//! deep/wide synthetic document.
 
 use nok_core::naive::NaiveEvaluator;
 use nok_core::{
-    BackendKind, BuildOptions, PlanConfig, QueryOptions, QueryScratch, StartStrategy, StrategyUsed,
-    XmlDb,
+    BackendKind, BuildOptions, PlanConfig, QueryOptions, QueryScratch, SeedChoice, StartStrategy,
+    StrategyUsed, XmlDb,
 };
 use nok_datagen::{generate, workload, DatasetKind};
 use nok_xml::Document;
@@ -51,7 +55,7 @@ fn check_dataset(kind: DatasetKind, backend: BackendKind) {
                 .iter()
                 .map(|n| oracle.dewey(n).to_string())
                 .collect();
-            let arms: [(&str, QueryOptions, PlanConfig); 4] = [
+            let arms: [(&str, QueryOptions, PlanConfig); 6] = [
                 (
                     "path-aware cost-ordered",
                     QueryOptions::default(),
@@ -77,6 +81,20 @@ fn check_dataset(kind: DatasetKind, backend: BackendKind) {
                     "forced-scan",
                     QueryOptions {
                         strategy: StartStrategy::Scan,
+                    },
+                    PlanConfig::default(),
+                ),
+                (
+                    "forced-index (tag)",
+                    QueryOptions {
+                        strategy: StartStrategy::TagIndex,
+                    },
+                    PlanConfig::default(),
+                ),
+                (
+                    "forced-index (value)",
+                    QueryOptions {
+                        strategy: StartStrategy::ValueIndex,
                     },
                     PlanConfig::default(),
                 ),
@@ -122,6 +140,346 @@ fn treebank_plans_match_oracle() {
 #[test]
 fn dblp_plans_match_oracle() {
     check_both_backends(DatasetKind::Dblp);
+}
+
+const ROUTES: [StartStrategy; 4] = [
+    StartStrategy::Auto,
+    StartStrategy::Scan,
+    StartStrategy::TagIndex,
+    StartStrategy::ValueIndex,
+];
+
+fn oracle_answers(xml: &str, query: &str) -> Vec<String> {
+    let doc = Document::parse(xml).expect("parse");
+    let oracle = NaiveEvaluator::new(&doc);
+    oracle
+        .eval_str(query)
+        .expect("oracle eval")
+        .iter()
+        .map(|n| oracle.dewey(n).to_string())
+        .collect()
+}
+
+/// Every route on both backends, small pages (so subtrees and candidate
+/// buffers straddle page boundaries), against the oracle — order included.
+fn check_routes(xml: &str, queries: &[&str]) {
+    for backend in [BackendKind::Classic, BackendKind::Succinct] {
+        for page_size in [128, 4096] {
+            let db =
+                XmlDb::build_in_memory_with(xml, BuildOptions::with_backend(backend), page_size)
+                    .expect("build");
+            let mut scratch = QueryScratch::new();
+            for q in queries {
+                let expected = oracle_answers(xml, q);
+                for strategy in ROUTES {
+                    let got = execute(
+                        &db,
+                        q,
+                        QueryOptions { strategy },
+                        PlanConfig::default(),
+                        &mut scratch,
+                    );
+                    assert_eq!(
+                        got, expected,
+                        "{q} via {strategy:?} ({backend:?}, {page_size}-byte pages)"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// ⊲ is strict and anchored to the *first* satisfied predecessor; the scan
+/// route learns a sibling's verdict only when it closes.
+#[test]
+fn scan_route_ordered_siblings() {
+    check_routes(
+        "<a><c/><b><c/></b><c/><d/><c><b/></c><b/><c/></a>",
+        &[
+            "/a/b/following-sibling::c",
+            "/a/c/following-sibling::b",
+            "/a/b/following-sibling::d/following-sibling::c",
+            "//c/b/following-sibling::c",
+            "/a/d/following-sibling::d",
+            "/a/c/b",
+        ],
+    );
+}
+
+/// Recursive same-tag nesting: inner candidates close (and succeed) before
+/// the outer ones they sit in, yet answers must stay in document order and
+/// each candidate must see only its own children.
+#[test]
+fn scan_route_nested_same_tag_candidates() {
+    let xml = "<t><s><np/><s><np/><s><vp/></s><np/><pp><s><np/><vp/></s></pp></s><np/><vp/></s>\
+               <s><vp/></s><s><s><s><np/></s></s></s></t>";
+    check_routes(
+        xml,
+        &[
+            "//s[np]",
+            "//s/np",
+            "//s[np][vp]",
+            "//s[vp]/np",
+            "//s/s/np",
+            "//s[s/np]",
+            "//s//np",
+            "//s[.//vp]/np",
+            "/t/s/np",
+            "/t/s[np][vp]",
+            "/t/s/s[np]",
+        ],
+    );
+}
+
+/// The predicate child may come before, between or after the returning
+/// children: buffered returning matches wait for it, and are dropped with
+/// the record when it never comes.
+#[test]
+fn scan_route_predicate_position_and_node_kinds() {
+    let xml = r#"<a k="1"><b><p/><r/><r/></b><b k="2"><r/><p/><r x="y"/></b><b><r/></b>
+                 <b><r/><r/><p/></b><c k="2"><r/></c></a>"#;
+    check_routes(
+        xml,
+        &[
+            "/a/b[p]/r",
+            "//b[p]/r",
+            "/a/*[p]/r",
+            // '*' never selects an attribute node; '@k' never an element.
+            "/a/*",
+            "//*[@k]",
+            "//*[@k]/r",
+            "/a/b/@k",
+            "//r/@x",
+            r#"//*[@k="2"]"#,
+            r#"//*[@k="2"]/r"#,
+            "/a/b[@k>1]/r",
+        ],
+    );
+}
+
+/// Cut edges: the scan route checks them against the interval the close
+/// entry completes, and multi-fragment plans mix both routes.
+#[test]
+fn scan_route_cut_edges_read_the_closing_interval() {
+    let xml = "<r><a><b/><x><c/></x></a><a><b/></a><c/><a><x><x><c/></x></x><b/><b/></a>\
+               <a><a><b/><c/></a><b/></a></r>";
+    check_routes(
+        xml,
+        &[
+            "//a[.//c]/b",
+            "//a[.//c]",
+            "/r/a[.//c]/b",
+            "//a//c",
+            "//a[b]//c",
+            "//a/x//c",
+            "//a/b/following::c",
+            "//a[b/following::a]",
+            "//x[.//x]//c",
+        ],
+    );
+}
+
+/// Equality predicates are answered by merging the literal's postings.
+/// A hash cannot vouch for its literal once a record carrying it has been
+/// tombstoned (the fallback verifies posting by posting), postings fall out
+/// of document order under updates, and a snapshot keeps matching a value
+/// whose record has since died.
+#[test]
+fn scan_route_value_literals_across_updates() {
+    let rec = |i: usize, extra: &str| {
+        let kw = if i % 4 == 0 { "needle" } else { "hay" };
+        format!(
+            "<rec><name>n{i}</name><kw>{kw}</kw><kw>extra</kw><price>{}</price>{extra}</rec>",
+            i * 3
+        )
+    };
+    let xml = format!(
+        "<lib>{}</lib>",
+        (0..40).map(|i| rec(i, "")).collect::<String>()
+    );
+    // What the updates below turn it into.
+    let updated = format!(
+        "<lib>{}</lib>",
+        (0..40)
+            .filter(|&i| i != 7)
+            .map(|i| match i {
+                0 => rec(i, "<name>n7</name>"),
+                2 => rec(i, "<name>n7</name><kw>needle</kw>"),
+                _ => rec(i, ""),
+            })
+            .collect::<String>()
+    );
+    let queries = [
+        r#"/lib/rec[kw="needle"]/name"#,
+        r#"//rec[kw="needle"][kw="extra"]"#,
+        r#"//rec[kw="needle"][price<50]/name"#,
+        r#"//kw[.="needle"]"#,
+        r#"//rec[kw="ghost"]/name"#,
+        r#"//rec[name="n7"]"#,
+        "//rec[price>=99]/name",
+    ];
+    check_routes(&xml, &queries);
+
+    for backend in [BackendKind::Classic, BackendKind::Succinct] {
+        let mut db = XmlDb::build_in_memory_with(&xml, BuildOptions::with_backend(backend), 128)
+            .expect("build");
+        let before = db.snapshot().expect("snapshot");
+        // Delete the only record named n7 (tombstoning its value), then
+        // give an *earlier* record a node with that very value: the hash
+        // now has a dead record, and the new posting sits after its
+        // document-order successors.
+        let n7 = db.query(r#"//rec[name="n7"]"#).expect("query")[0]
+            .dewey
+            .clone();
+        db.delete_subtree(&n7).expect("delete");
+        let rec2 = db.query("/lib/rec").expect("query")[2].dewey.clone();
+        db.insert_last_child(&rec2, "<name>n7</name>")
+            .expect("insert");
+        db.insert_last_child(&rec2, "<kw>needle</kw>")
+            .expect("insert");
+        let rec0 = db.query("/lib/rec").expect("query")[0].dewey.clone();
+        db.insert_last_child(&rec0, "<name>n7</name>")
+            .expect("insert");
+        let mut scratch = QueryScratch::new();
+        for q in queries {
+            for strategy in ROUTES {
+                let opts = QueryOptions { strategy };
+                assert_eq!(
+                    execute(&db, q, opts, PlanConfig::default(), &mut scratch),
+                    oracle_answers(&updated, q),
+                    "{q} via {strategy:?} after updates ({backend:?})"
+                );
+                // The pinned snapshot reads overlay pages and tombstoned
+                // records, and still answers as of its generation.
+                let planned = before.plan_query(q, opts).expect("plan");
+                let mut out = Vec::new();
+                before
+                    .execute_plan(&planned, &mut scratch, &mut out)
+                    .expect("execute");
+                let got: Vec<String> = out.iter().map(|m| m.dewey.to_string()).collect();
+                assert_eq!(
+                    got,
+                    oracle_answers(&xml, q),
+                    "{q} via {strategy:?} on the snapshot ({backend:?})"
+                );
+            }
+        }
+    }
+}
+
+/// Deleting whole runs of records leaves structurally empty pages in the
+/// chain; the pass must step over them without losing its place.
+#[test]
+fn scan_route_skips_pages_emptied_by_deletes() {
+    let mut xml = String::from("<r>");
+    for i in 0..60 {
+        xml.push_str(&format!("<a><b/><c><d/><d/></c><e>v{i}</e></a>"));
+    }
+    xml.push_str("</r>");
+    for backend in [BackendKind::Classic, BackendKind::Succinct] {
+        let mut db = XmlDb::build_in_memory_with(&xml, BuildOptions::with_backend(backend), 64)
+            .expect("build");
+        // Remove records 10..50, back to front so Dewey ids stay put.
+        let victims: Vec<_> = db.query("/r/a").expect("query")[10..50]
+            .iter()
+            .map(|m| m.dewey.clone())
+            .collect();
+        for d in victims.iter().rev() {
+            db.delete_subtree(d).expect("delete");
+        }
+        let empties = (0..db.store().chain_len())
+            .filter(|&r| db.store().dir_at(r).is_some_and(|de| de.entries == 0))
+            .count();
+        assert!(
+            empties > 0,
+            "the deletes must have emptied pages ({backend:?})"
+        );
+        let mut kept = String::from("<r>");
+        for i in (0..10).chain(50..60) {
+            kept.push_str(&format!("<a><b/><c><d/><d/></c><e>v{i}</e></a>"));
+        }
+        kept.push_str("</r>");
+        let mut scratch = QueryScratch::new();
+        for q in ["/r/a/c/d", "//a[b]/e", "//c[d]", r#"//a[e="v55"]/b"#] {
+            for strategy in ROUTES {
+                assert_eq!(
+                    execute(
+                        &db,
+                        q,
+                        QueryOptions { strategy },
+                        PlanConfig::default(),
+                        &mut scratch
+                    ),
+                    oracle_answers(&kept, q),
+                    "{q} via {strategy:?} ({backend:?})"
+                );
+            }
+        }
+    }
+}
+
+/// The benchmark's bypass workloads stay on the index route: at the
+/// benchmark's corpus size the sixteen selective dblp queries (Q1–Q8, both
+/// forms) and a unique-key lookup keep an index seed on every fragment —
+/// and the result-heavy eight take the scan route.
+#[test]
+fn selective_queries_keep_their_index_seeds() {
+    let ds = generate(DatasetKind::Dblp, 0.1);
+    let db = XmlDb::build_in_memory(&ds.xml).expect("build");
+    let seeds = |q: &str| -> Vec<String> {
+        let planned = db.plan_query(q, QueryOptions::default()).expect("plan");
+        planned
+            .plan
+            .fragments
+            .iter()
+            .filter(|f| f.seed != SeedChoice::DocNavigate)
+            .map(|f| f.seed.to_string())
+            .collect()
+    };
+    // (`/` form, `//` form) of each selective query: the seeds of the
+    // plans this workload had before the scan route existed.
+    let value = |lit: &str| vec![format!("value-index({lit:?}, lift 1)")];
+    let tag = |name: &str, lift: u32| vec![format!("tag-index({name}, lift {lift})")];
+    let expected: [(usize, Vec<String>, Vec<String>); 8] = [
+        (1, value("needle-high"), value("needle-high")),
+        (2, tag("rareitem", 0), tag("rareitem", 1)),
+        (3, value("needle-high"), value("needle-high")),
+        (4, tag("rareitem", 1), tag("rareitem", 1)),
+        (5, value("needle-mod"), value("needle-mod")),
+        // The `/` form used to seed from `subitem` (43 postings, three
+        // spine lookups each); the measured costs prefer the elevated
+        // `uncommonitem` pivot (40 postings, two lookups each).
+        (6, tag("uncommonitem", 0), tag("uncommonitem", 1)),
+        (7, value("needle-mod"), value("needle-mod")),
+        (8, tag("uncommonitem", 1), tag("uncommonitem", 1)),
+    ];
+    let specs: Vec<_> = workload(DatasetKind::Dblp)
+        .into_iter()
+        .filter_map(|(i, spec)| Some((i, spec?)))
+        .collect();
+    for (i, rooted, descendant) in expected {
+        let spec = &specs
+            .iter()
+            .find(|(j, _)| *j == i)
+            .expect("dblp has Q1-Q12")
+            .1;
+        assert_eq!(seeds(&spec.path), rooted, "Q{i}: {}", spec.path);
+        assert_eq!(
+            seeds(&spec.descendant_variant),
+            descendant,
+            "Q{i}: {}",
+            spec.descendant_variant
+        );
+    }
+    assert_eq!(
+        seeds(r#"//article[ee="db/j/17.html"]/title"#),
+        value("db/j/17.html")
+    );
+    for (i, spec) in specs.iter().filter(|(i, _)| *i >= 9) {
+        for q in [&spec.path, &spec.descendant_variant] {
+            assert_eq!(seeds(q), ["scan"], "Q{i}: {q}");
+        }
+    }
 }
 
 /// A deep/wide synthetic document (many sections, each a deep chain plus a

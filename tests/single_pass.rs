@@ -13,7 +13,7 @@ use nok_core::nok::{NokMatcher, TreeAccess};
 use nok_core::pattern_tree::PatternTree;
 use nok_core::physical::PhysAccess;
 use nok_core::store::{BuildOptions, StructStore};
-use nok_core::{TagDict, XmlDb};
+use nok_core::{QueryOptions, QueryScratch, StartStrategy, TagDict, XmlDb};
 use nok_datagen::{generate, DatasetKind};
 use nok_pager::{BufferPool, MemStorage};
 use nok_xml::Reader;
@@ -68,6 +68,43 @@ fn proposition1_single_start_reads_each_page_once() {
     );
     // And it genuinely touched the document, not a cached copy.
     assert!(reads > 0, "the run must perform real page reads");
+}
+
+#[test]
+fn scan_route_reads_each_page_once_and_no_index_page() {
+    // The executor's scan route *is* the single pass: one page held at a
+    // time, in chain order, with no index probe per node.
+    let ds = generate(DatasetKind::Catalog, 0.01);
+    let db = XmlDb::build_in_memory_with(&ds.xml, BuildOptions::default(), 256).expect("build");
+    let pages = db.store().page_count() as u64;
+    let index_gets = || {
+        [db.bt_tag(), db.bt_val(), db.bt_id()]
+            .iter()
+            .map(|bt| bt.pool().stats().logical_gets())
+            .sum::<u64>()
+    };
+    for query in ["/catalog/item[title][publisher]", "//item/title"] {
+        let planned = db
+            .plan_query(
+                query,
+                QueryOptions {
+                    strategy: StartStrategy::Scan,
+                },
+            )
+            .expect("plan");
+        db.store().invalidate_decoded(None);
+        db.store().pool().clear_cache().expect("clear");
+        db.store().pool().stats().reset();
+        let index_before = index_gets();
+        let mut out = Vec::new();
+        db.execute_plan(&planned, &mut QueryScratch::new(), &mut out)
+            .expect("execute");
+        assert!(out.len() > 100, "{query} matches every record");
+        let io = db.store().pool().stats();
+        assert_eq!(io.physical_reads(), pages, "{query}: every page, once");
+        assert_eq!(io.logical_gets(), pages, "{query}: no page fetched twice");
+        assert_eq!(index_gets(), index_before, "{query}: no index page touched");
+    }
 }
 
 #[test]
