@@ -53,14 +53,12 @@ else
   echo "==> Miri: skipped (nightly miri not installed)"
 fi
 
-echo "==> nokfsck over a generated corpus (both structure backends)"
+echo "==> nokfsck over a generated corpus"
 corpus="$(mktemp -d)"
 trap 'rm -rf "$corpus"' EXIT
 for ds in author address catalog; do
-  for backend in classic succinct; do
-    ./target/release/mkdb "$ds" 0.01 "$corpus/$ds-$backend" "$backend"
-    ./target/release/nokfsck --strict "$corpus/$ds-$backend"
-  done
+  ./target/release/mkdb "$ds" 0.01 "$corpus/$ds"
+  ./target/release/nokfsck --strict "$corpus/$ds"
 done
 
 echo "==> nokd end-to-end (serve a corpus, ~100 queries, diff vs offline)"
@@ -106,13 +104,6 @@ grep -q 'collect' "$corpus/explain-offline.txt"
   < /dev/null > /dev/null
 wait "$nokd_pid"
 ./target/release/nokfsck --strict "$corpus/dblp"
-# The succinct backend must serve byte-identical results for the same corpus
-# (backend picked up from the superblock) and pass the strict analyzer.
-./target/release/mkdb dblp 0.01 "$corpus/dblp-succinct" succinct
-./target/release/nokfsck --strict "$corpus/dblp-succinct"
-./target/release/nokq --offline "$corpus/dblp-succinct" < "$corpus/queries5.txt" \
-  > "$corpus/offline-succinct.txt"
-diff "$corpus/offline-succinct.txt" "$corpus/offline.txt"
 
 echo "==> serve throughput bench, both protocols + mixed writer (BENCH_serve.json)"
 # Exits nonzero itself if the binary-pipelined 1t->8t scaling gate (>=3x
@@ -138,20 +129,18 @@ grep -q '"writes_committed"' BENCH_serve.json
 # The mixed run carries its qps floor and verdict.
 grep -q '"required_ratio"' BENCH_serve.json
 
-echo "==> navigation kernels bench, both backends (BENCH_nav.json)"
-# nav_bench measures classic and succinct interleaved and exits nonzero if
-# the indexed path examines < 5x fewer entries on the deep/wide sibling
-# chain, any workload loads more pages than the linear oracle, or the
-# succinct structure is not at least 2x smaller. Wall-clock comparisons
-# (indexed vs linear, succinct vs classic) gate on the deepwide corpus
-# only; on the microsecond-scale dataset triples they are recorded as
+echo "==> navigation kernels bench (BENCH_nav.json)"
+# nav_bench measures the indexed primitives against the linear oracles,
+# interleaved, and exits nonzero if the indexed path examines < 5x fewer
+# entries on the deep/wide sibling chain or any workload loads more pages
+# than the linear oracle. The wall-clock comparison gates on the deepwide
+# corpus only; on the microsecond-scale dataset triples it is recorded as
 # wall_warnings in BENCH_nav.json instead.
 cargo run --release -q -p nok-bench --bin nav_bench -- \
   --scale 0.01 --reps 7 --out BENCH_nav.json
 grep -q '"gates_passed":true' BENCH_nav.json
-grep -q '"backend":"classic"' BENCH_nav.json
-grep -q '"backend":"succinct"' BENCH_nav.json
-grep -q '"structure_bytes_ratio"' BENCH_nav.json
+grep -q '"structure_bytes"' BENCH_nav.json
+grep -q '"workloads"' BENCH_nav.json
 
 echo "==> planner/executor differential battery (release)"
 # Every workload query x every dataset: cost-ordered plan == fixed order

@@ -20,18 +20,20 @@ fn main() {
 
     println!("C1: structure compression ratio (document bytes per string byte)");
     println!(
-        "{:<10} {:>12} {:>12} {:>8}",
-        "data set", "xml bytes", "|tree| bytes", "ratio"
+        "{:<10} {:>12} {:>12} {:>8} {:>12} {:>8}",
+        "data set", "xml bytes", "|tree| bytes", "ratio", "3 B/node", "ratio"
     );
     for ds in filter_datasets(all_datasets(scale), &args.dataset_filter()) {
         let db = XmlDb::build_in_memory(&ds.xml).expect("build");
         let stats = db.stats(ds.xml.len() as u64).expect("stats");
         println!(
-            "{:<10} {:>12} {:>12} {:>7.1}x",
+            "{:<10} {:>12} {:>12} {:>7.1}x {:>12} {:>7.1}x",
             ds.kind.name(),
             stats.xml_bytes,
             stats.tree_bytes,
-            stats.structure_ratio()
+            stats.structure_ratio(),
+            stats.paper_tree_bytes(),
+            stats.xml_bytes as f64 / stats.paper_tree_bytes().max(1) as f64
         );
     }
 

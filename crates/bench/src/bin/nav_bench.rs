@@ -1,5 +1,5 @@
-//! Navigation-kernel benchmark: indexed cursor primitives (block summaries
-//! + directory skip index) versus the retained `linear_*` oracles.
+//! Navigation-kernel benchmark: indexed cursor primitives (in-page excess
+//! search + directory skip index) versus the retained `linear_*` oracles.
 //!
 //! ```text
 //! cargo run -p nok-bench --release --bin nav_bench -- \
@@ -12,9 +12,8 @@
 //!   carrying a deep single-child chain, built at a small page size so both
 //!   layers of the navigation index matter. This is the workload the
 //!   wall-clock acceptance gates run on: the sibling chain must examine
-//!   ≥ 5× fewer entries through the indexed path, the indexed path must not
-//!   be slower than the linear oracle beyond `NS_TOL`, and the succinct
-//!   backend must keep up with classic.
+//!   ≥ 5× fewer entries through the indexed path, and the indexed path must
+//!   not be slower than the linear oracle beyond `NS_TOL`.
 //! * one sibling-chain / subtree-close / descendant-scan triple per datagen
 //!   dataset. Deterministic gates (no workload may load more pages than the
 //!   linear oracle) apply here too, but wall-clock comparisons are recorded
@@ -32,7 +31,7 @@ use nok_core::cursor::{
     descendants, first_child, following_sibling, linear_descendants, linear_following_sibling,
     linear_subtree_close, subtree_close,
 };
-use nok_core::{BackendKind, BuildOptions, CoreResult, NodeAddr, StructStore, TagDict};
+use nok_core::{BuildOptions, CoreResult, NodeAddr, StructStore, TagDict};
 use nok_datagen::all_datasets;
 use nok_pager::{BufferPool, MemStorage};
 use nok_serve::Json;
@@ -52,8 +51,8 @@ const PAGE_SIZE: usize = 256;
 /// single-core ones, where the runner itself competes for the CPU) swing
 /// best-of-reps ratios by ±25% between runs; the wall gate exists to catch
 /// gross pathologies — an indexed walk that loses outright to the linear
-/// scan — while the deterministic gates (entries ratio, page reads,
-/// structure bytes) carry the fine-grained regression checks.
+/// scan — while the deterministic gates (entries ratio, page reads) carry
+/// the fine-grained regression checks.
 const NS_TOL: f64 = 1.4;
 
 fn main() {
@@ -63,14 +62,14 @@ fn main() {
     }
 }
 
-fn build_store(xml: &str, backend: BackendKind) -> Result<Store, String> {
+fn build_store(xml: &str) -> Result<Store, String> {
     let pool = Arc::new(BufferPool::new(MemStorage::with_page_size(PAGE_SIZE)));
     let mut dict = TagDict::new();
     StructStore::build(
         pool,
         Reader::content_only(xml),
         &mut dict,
-        BuildOptions::with_backend(backend),
+        BuildOptions::default(),
         &mut (),
     )
     .map_err(|e| format!("build: {e}"))
@@ -131,37 +130,30 @@ fn cold_pass(
     ))
 }
 
-/// Measure the linear and indexed variants of one workload on both backend
-/// stores, *interleaved*: every rep runs all four passes back to back, so a
-/// machine-load drift hits every variant equally instead of biasing
-/// whichever side was measured later. Best wall time per variant is kept;
-/// counters come from the (deterministic) final pass.
-fn measure_quad(
-    stores: &[Store; 2],
+/// Measure the linear and indexed variants of one workload *interleaved*:
+/// every rep runs both passes back to back, so a machine-load drift hits
+/// both variants equally instead of biasing whichever was measured later.
+/// Best wall time per variant is kept; counters come from the
+/// (deterministic) final pass.
+fn measure_pair(
+    store: &Store,
     reps: usize,
     lin: &dyn Fn(&Store) -> Result<u64, String>,
     idx: &dyn Fn(&Store) -> Result<u64, String>,
-) -> Result<[(Measure, Measure); 2], String> {
-    let mut best = [[f64::INFINITY; 2]; 2];
-    let mut meas = [[Measure::default(); 2]; 2];
+) -> Result<(Measure, Measure), String> {
+    let mut best = [f64::INFINITY; 2];
+    let mut meas = [Measure::default(); 2];
     for _ in 0..reps.max(1) {
-        for (s, store) in stores.iter().enumerate() {
-            for (v, work) in [lin, idx].into_iter().enumerate() {
-                let (ns, m) = cold_pass(store, work)?;
-                best[s][v] = best[s][v].min(ns);
-                meas[s][v] = m;
-            }
+        for (v, work) in [lin, idx].into_iter().enumerate() {
+            let (ns, m) = cold_pass(store, work)?;
+            best[v] = best[v].min(ns);
+            meas[v] = m;
         }
     }
-    let finish = |m: &mut Measure, ns: f64| {
+    for (m, ns) in meas.iter_mut().zip(best) {
         m.ns_per_op = if m.ops == 0 { 0.0 } else { ns / m.ops as f64 };
-    };
-    for s in 0..2 {
-        for v in 0..2 {
-            finish(&mut meas[s][v], best[s][v]);
-        }
     }
-    Ok([(meas[0][0], meas[0][1]), (meas[1][0], meas[1][1])])
+    Ok((meas[0], meas[1]))
 }
 
 fn root_of(store: &Store) -> Result<NodeAddr, String> {
@@ -263,14 +255,13 @@ impl WorkloadResult {
     }
 }
 
-/// Run the three workload kinds on both backend stores of one corpus,
-/// appending per-backend results.
+/// Run the three workload kinds on one corpus's store, appending results.
 fn run_triple(
-    stores: &[Store; 2],
+    store: &Store,
     label: &str,
     reps: usize,
     close_cap: usize,
-    out: &mut [Vec<WorkloadResult>; 2],
+    out: &mut Vec<WorkloadResult>,
 ) -> Result<(), String> {
     let triples: [(
         &str,
@@ -294,20 +285,17 @@ fn run_triple(
         ),
     ];
     for (suffix, lin, idx) in &triples {
-        let sides = measure_quad(stores, reps, lin.as_ref(), idx.as_ref())?;
-        for (b, (linear, indexed)) in sides.into_iter().enumerate() {
-            out[b].push(WorkloadResult {
-                name: format!("{label}_{suffix}"),
-                linear,
-                indexed,
-            });
-        }
+        let (linear, indexed) = measure_pair(store, reps, lin.as_ref(), idx.as_ref())?;
+        out.push(WorkloadResult {
+            name: format!("{label}_{suffix}"),
+            linear,
+            indexed,
+        });
     }
     Ok(())
 }
 
-struct BackendRun {
-    kind: BackendKind,
+struct Run {
     /// Header + content bytes across the deepwide gate corpus's chain.
     deepwide_bytes: u64,
     /// Same, summed over the five paper datasets.
@@ -315,52 +303,32 @@ struct BackendRun {
     results: Vec<WorkloadResult>,
 }
 
-const BACKENDS: [BackendKind; 2] = [BackendKind::Classic, BackendKind::Succinct];
-
-fn run_all(scale: f64, reps: usize) -> Result<[BackendRun; 2], String> {
-    let mut results: [Vec<WorkloadResult>; 2] = [Vec::new(), Vec::new()];
+fn run_all(scale: f64, reps: usize) -> Result<Run, String> {
+    let mut results = Vec::new();
     let sbytes = |s: &Store| {
         s.structure_bytes()
             .map_err(|e| format!("structure_bytes: {e}"))
     };
 
     // Gate corpus.
-    let xml = deepwide_xml(300, 100);
-    let deepwide = [
-        build_store(&xml, BACKENDS[0])?,
-        build_store(&xml, BACKENDS[1])?,
-    ];
-    let deepwide_bytes = [sbytes(&deepwide[0])?, sbytes(&deepwide[1])?];
+    let deepwide = build_store(&deepwide_xml(300, 100))?;
+    let deepwide_bytes = sbytes(&deepwide)?;
     run_triple(&deepwide, "deepwide", reps, usize::MAX, &mut results)?;
     drop(deepwide);
 
     // The five paper datasets (reported; gated only on reads and ns/op).
-    let mut dataset_bytes = [0u64; 2];
+    let mut dataset_bytes = 0u64;
     for ds in all_datasets(scale) {
-        let stores = [
-            build_store(&ds.xml, BACKENDS[0])?,
-            build_store(&ds.xml, BACKENDS[1])?,
-        ];
-        dataset_bytes[0] += sbytes(&stores[0])?;
-        dataset_bytes[1] += sbytes(&stores[1])?;
-        run_triple(&stores, ds.kind.name(), reps, 500, &mut results)?;
+        let store = build_store(&ds.xml)?;
+        dataset_bytes += sbytes(&store)?;
+        run_triple(&store, ds.kind.name(), reps, 500, &mut results)?;
     }
 
-    let [classic_results, succinct_results] = results;
-    Ok([
-        BackendRun {
-            kind: BACKENDS[0],
-            deepwide_bytes: deepwide_bytes[0],
-            dataset_bytes: dataset_bytes[0],
-            results: classic_results,
-        },
-        BackendRun {
-            kind: BACKENDS[1],
-            deepwide_bytes: deepwide_bytes[1],
-            dataset_bytes: dataset_bytes[1],
-            results: succinct_results,
-        },
-    ])
+    Ok(Run {
+        deepwide_bytes,
+        dataset_bytes,
+        results,
+    })
 }
 
 fn run() -> Result<(), String> {
@@ -369,140 +337,95 @@ fn run() -> Result<(), String> {
     let reps = args.reps() as usize;
     let out_path = args.get("out").unwrap_or("BENCH_nav.json").to_string();
 
-    let runs = run_all(scale, reps)?;
+    let run = run_all(scale, reps)?;
 
-    for run in &runs {
+    println!(
+        "== structure: deepwide {} B, datasets {} B ==",
+        run.deepwide_bytes, run.dataset_bytes
+    );
+    println!(
+        "{:<28} {:>10} {:>10} {:>12} {:>12} {:>7} {:>6} {:>6}",
+        "workload",
+        "lin ns/op",
+        "idx ns/op",
+        "lin entries",
+        "idx entries",
+        "ratio",
+        "lin rd",
+        "idx rd"
+    );
+    for r in &run.results {
         println!(
-            "== backend {} (deepwide {} B, datasets {} B) ==",
-            run.kind.name(),
-            run.deepwide_bytes,
-            run.dataset_bytes
+            "{:<28} {:>10.1} {:>10.1} {:>12} {:>12} {:>7.1} {:>6} {:>6}",
+            r.name,
+            r.linear.ns_per_op,
+            r.indexed.ns_per_op,
+            r.linear.entries,
+            r.indexed.entries,
+            r.entries_ratio(),
+            r.linear.reads,
+            r.indexed.reads,
         );
-        println!(
-            "{:<28} {:>10} {:>10} {:>12} {:>12} {:>7} {:>6} {:>6}",
-            "workload",
-            "lin ns/op",
-            "idx ns/op",
-            "lin entries",
-            "idx entries",
-            "ratio",
-            "lin rd",
-            "idx rd"
-        );
-        for r in &run.results {
-            println!(
-                "{:<28} {:>10.1} {:>10.1} {:>12} {:>12} {:>7.1} {:>6} {:>6}",
-                r.name,
-                r.linear.ns_per_op,
-                r.indexed.ns_per_op,
-                r.linear.entries,
-                r.indexed.entries,
-                r.entries_ratio(),
-                r.linear.reads,
-                r.indexed.reads,
-            );
-        }
     }
 
     // ---- Acceptance gates. Deterministic counters (pages read, entries
-    // examined, structure bytes) gate on every workload; wall-clock gates
-    // only on the deepwide corpus, whose passes run long enough (tens of
-    // milliseconds) to clear scheduler noise. The per-dataset triples time
-    // microsecond passes where a single preemption outweighs NS_TOL, so
-    // there the same wall-clock checks are recorded as warnings instead.
+    // examined) gate on every workload; wall-clock gates only on the
+    // deepwide corpus, whose passes run long enough (tens of milliseconds)
+    // to clear scheduler noise. The per-dataset triples time microsecond
+    // passes where a single preemption outweighs NS_TOL, so there the same
+    // wall-clock checks are recorded as warnings instead. (The structure
+    // size gate is an exact unit test in `nok-core::store`.)
     let mut failures = Vec::new();
     let mut warnings = Vec::new();
-    for run in &runs {
-        let b = run.kind.name();
-        for r in &run.results {
-            if r.indexed.reads > r.linear.reads {
-                failures.push(format!(
-                    "{b}/{}: indexed path loaded more pages ({} > {})",
-                    r.name, r.indexed.reads, r.linear.reads
-                ));
-            }
-            // The regression this bench previously let through: an indexed
-            // walk that wins on entries examined but loses wall-clock.
-            if r.indexed.ns_per_op > r.linear.ns_per_op * NS_TOL {
-                let msg = format!(
-                    "{b}/{}: indexed slower than linear ({:.1} > {:.1} ns/op)",
-                    r.name, r.indexed.ns_per_op, r.linear.ns_per_op
-                );
-                if r.name.starts_with("deepwide") {
-                    failures.push(msg);
-                } else {
-                    warnings.push(msg);
-                }
-            }
+    for r in &run.results {
+        if r.indexed.reads > r.linear.reads {
+            failures.push(format!(
+                "{}: indexed path loaded more pages ({} > {})",
+                r.name, r.indexed.reads, r.linear.reads
+            ));
         }
-        match run
-            .results
-            .iter()
-            .find(|r| r.name == "deepwide_sibling_chain")
-        {
-            Some(r) if r.entries_ratio() < 5.0 => failures.push(format!(
-                "{b}/deepwide_sibling_chain: entries ratio {:.2} < 5.0 (linear={} indexed={})",
-                r.entries_ratio(),
-                r.linear.entries,
-                r.indexed.entries
-            )),
-            Some(_) => {}
-            None => failures.push(format!("{b}/deepwide_sibling_chain workload missing")),
-        }
-    }
-    let [classic, succinct] = &runs;
-    if succinct.deepwide_bytes * 2 > classic.deepwide_bytes {
-        failures.push(format!(
-            "succinct structure not >= 2x smaller on deepwide ({} vs {} bytes)",
-            succinct.deepwide_bytes, classic.deepwide_bytes
-        ));
-    }
-    // The succinct backend must not lose to classic: gated on the deepwide
-    // corpus, warned on the microsecond-scale dataset triples.
-    for (c, s) in classic.results.iter().zip(&succinct.results) {
-        if s.indexed.ns_per_op > c.indexed.ns_per_op * NS_TOL {
+        // The regression this bench previously let through: an indexed
+        // walk that wins on entries examined but loses wall-clock.
+        if r.indexed.ns_per_op > r.linear.ns_per_op * NS_TOL {
             let msg = format!(
-                "{}: succinct indexed slower than classic ({:.1} > {:.1} ns/op)",
-                s.name, s.indexed.ns_per_op, c.indexed.ns_per_op
+                "{}: indexed slower than linear ({:.1} > {:.1} ns/op)",
+                r.name, r.indexed.ns_per_op, r.linear.ns_per_op
             );
-            if s.name.starts_with("deepwide") {
+            if r.name.starts_with("deepwide") {
                 failures.push(msg);
             } else {
                 warnings.push(msg);
             }
         }
     }
+    match run
+        .results
+        .iter()
+        .find(|r| r.name == "deepwide_sibling_chain")
+    {
+        Some(r) if r.entries_ratio() < 5.0 => failures.push(format!(
+            "deepwide_sibling_chain: entries ratio {:.2} < 5.0 (linear={} indexed={})",
+            r.entries_ratio(),
+            r.linear.entries,
+            r.indexed.entries
+        )),
+        Some(_) => {}
+        None => failures.push("deepwide_sibling_chain workload missing".into()),
+    }
 
-    let backend_json = |run: &BackendRun| {
-        Json::obj(vec![
-            ("backend", Json::Str(run.kind.name().into())),
-            ("structure_bytes", Json::Num(run.deepwide_bytes as f64)),
-            (
-                "dataset_structure_bytes",
-                Json::Num(run.dataset_bytes as f64),
-            ),
-            (
-                "workloads",
-                Json::Arr(run.results.iter().map(|r| r.to_json()).collect()),
-            ),
-        ])
-    };
     let report = Json::obj(vec![
         ("bench", Json::Str("nav".into())),
         ("scale", Json::Num(scale)),
         ("reps", Json::Num(reps as f64)),
         ("page_size", Json::Num(PAGE_SIZE as f64)),
+        ("structure_bytes", Json::Num(run.deepwide_bytes as f64)),
         (
-            "backends",
-            Json::Arr(runs.iter().map(backend_json).collect()),
+            "dataset_structure_bytes",
+            Json::Num(run.dataset_bytes as f64),
         ),
         (
-            "structure_bytes_ratio",
-            Json::Num(
-                (classic.deepwide_bytes as f64 / succinct.deepwide_bytes.max(1) as f64 * 100.0)
-                    .round()
-                    / 100.0,
-            ),
+            "workloads",
+            Json::Arr(run.results.iter().map(|r| r.to_json()).collect()),
         ),
         (
             "wall_warnings",

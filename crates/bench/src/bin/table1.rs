@@ -35,7 +35,9 @@ fn main() {
     }
     println!();
     println!(
-        "(|tree| is the succinct string representation — 3 bytes per node; \
-         compare its column against size for the paper's 1/20–1/100 claim.)"
+        "(|tree| is the measured string representation: page headers plus \
+         bit-packed content; \"3 B/node\" is the paper's accounting for the \
+         same tree. Compare either against size for the paper's 1/20–1/100 \
+         claim.)"
     );
 }

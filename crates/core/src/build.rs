@@ -15,8 +15,8 @@ use nok_xml::Reader;
 
 use crate::cursor::DocScan;
 use crate::dewey::Dewey;
-use crate::error::{CoreError, CoreResult};
-use crate::page::BackendKind;
+use crate::error::{CoreError, CoreResult, SuperblockError};
+use crate::page;
 use crate::physical::{tag_posting_key, IdRecord, TagPosting};
 use crate::recovery::RecoveryReport;
 use crate::sigma::{TagCode, TagDict};
@@ -139,49 +139,63 @@ const SUPER_MAGIC: &[u8; 8] = b"NOKSUPER";
 /// Superblock format version.
 const SUPER_VERSION: u16 = 1;
 
-/// Write the superblock: `NOKSUPER | u16 version | format byte`. The format
-/// byte selects the structure backend (see [`BackendKind::format_byte`]).
-/// Static after creation — it is never part of a transaction.
-fn write_superblock(dir: &Path, backend: BackendKind) -> CoreResult<()> {
+/// Write the superblock: `NOKSUPER | u16 version | format byte`, the byte
+/// being [`page::FORMAT_BYTE`]. Static after creation — it is never part
+/// of a transaction — so it is made durable here, before any page file
+/// exists: temp file, fsync, rename, directory fsync. A power cut can leave
+/// a directory with a superblock and no pages, never pages that a later
+/// open would have to guess the format of.
+fn write_superblock(dir: &Path) -> CoreResult<()> {
+    use std::io::Write;
     let mut out = Vec::with_capacity(11);
     out.extend_from_slice(SUPER_MAGIC);
     out.extend_from_slice(&SUPER_VERSION.to_be_bytes());
-    out.push(backend.format_byte());
-    std::fs::write(dir.join(F_SUPER), out).map_err(nok_pager::PagerError::from)?;
+    out.push(page::FORMAT_BYTE);
+    let tmp = dir.join(format!("{F_SUPER}.tmp"));
+    let write = || -> std::io::Result<()> {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(&out)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, dir.join(F_SUPER))?;
+        std::fs::File::open(dir)?.sync_all()
+    };
+    write().map_err(nok_pager::PagerError::from)?;
     Ok(())
 }
 
-/// Read the superblock of a database directory. A missing file means a
-/// database created before the superblock existed: classic format.
-pub fn read_superblock<P: AsRef<Path>>(dir: P) -> CoreResult<BackendKind> {
-    let path = dir.as_ref().join(F_SUPER);
-    let bytes = match std::fs::read(&path) {
+/// Check that a database directory's superblock names the one structure
+/// page format this build reads. A missing, damaged or other-format
+/// superblock is [`CoreError::UnsupportedFormat`]: the pages are never
+/// decoded on a guess.
+fn check_superblock(dir: &Path) -> CoreResult<()> {
+    let bytes = match std::fs::read(dir.join(F_SUPER)) {
         Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BackendKind::Classic),
+        // No directory at all is an I/O error, not a format verdict.
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound && dir.is_dir() => {
+            return Err(SuperblockError::Missing.into())
+        }
         Err(e) => return Err(nok_pager::PagerError::from(e).into()),
     };
     if bytes.len() != 11
         || &bytes[..8] != SUPER_MAGIC
         || u16::from_be_bytes([bytes[8], bytes[9]]) != SUPER_VERSION
     {
-        return Err(CoreError::Corrupt("bad superblock".into()));
+        return Err(SuperblockError::Damaged.into());
     }
-    BackendKind::from_format_byte(bytes[10])
-        .ok_or_else(|| CoreError::Corrupt(format!("unknown backend byte {}", bytes[10])))
+    if bytes[10] != page::FORMAT_BYTE {
+        return Err(SuperblockError::Format(bytes[10]).into());
+    }
+    Ok(())
 }
 
 impl XmlDb<FileStorage> {
     /// Parse `xml` and build a database persisted under directory `dir`
-    /// (created if missing). Classic (paper) structure backend; use
-    /// [`XmlDb::create_on_disk_with`] to select another.
+    /// (created if missing).
     pub fn create_on_disk<P: AsRef<Path>>(dir: P, xml: &str) -> CoreResult<Self> {
         Self::create_on_disk_with(dir, xml, BuildOptions::default())
     }
 
-    /// [`XmlDb::create_on_disk`] with explicit build options — in
-    /// particular the structure backend, which is recorded in the
-    /// directory's superblock so [`XmlDb::open_dir`] decodes pages with
-    /// the right backend.
+    /// [`XmlDb::create_on_disk`] with explicit build options.
     pub fn create_on_disk_with<P: AsRef<Path>>(
         dir: P,
         xml: &str,
@@ -189,7 +203,7 @@ impl XmlDb<FileStorage> {
     ) -> CoreResult<Self> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(nok_pager::PagerError::from)?;
-        write_superblock(dir, opts.backend)?;
+        write_superblock(dir)?;
         let mk = |name: &str| -> CoreResult<Arc<BufferPool<FileStorage>>> {
             Ok(Arc::new(BufferPool::new(FileStorage::create(
                 dir.join(name),
@@ -250,27 +264,25 @@ impl<S: Storage> XmlDb<S> {
     /// Open an on-disk database with the component files wrapped by `wrap`
     /// (identity for plain [`FileStorage`]; the fault-injection harness
     /// wraps them in `FailpointStorage`). Runs crash recovery on the
-    /// directory **before** any component file is opened.
+    /// directory **before** any component file is opened, after the
+    /// superblock check refused a directory this build cannot read.
     pub fn open_dir_with<P, F>(dir: P, struct_frames: usize, wrap: F) -> CoreResult<XmlDb<S>>
     where
         P: AsRef<Path>,
         F: Fn(FileStorage) -> S,
     {
         let dir: PathBuf = dir.as_ref().to_path_buf();
+        check_superblock(&dir)?;
         let report = crate::recovery::recover_dir(&dir)?;
-        let backend = read_superblock(&dir)?;
         let mk = |name: &str| -> CoreResult<Arc<BufferPool<S>>> {
             Ok(Arc::new(BufferPool::new(wrap(FileStorage::open(
                 dir.join(name),
             )?))))
         };
-        let store = StructStore::open_with_backend(
-            Arc::new(BufferPool::with_capacity(
-                wrap(FileStorage::open(dir.join(F_STRUCT))?),
-                struct_frames,
-            )),
-            backend,
-        )?;
+        let store = StructStore::open(Arc::new(BufferPool::with_capacity(
+            wrap(FileStorage::open(dir.join(F_STRUCT))?),
+            struct_frames,
+        )))?;
         let bt_tag = BTree::open(mk(F_TAG)?)?;
         let bt_val = BTree::open(mk(F_VAL)?)?;
         let bt_id = BTree::open(mk(F_ID)?)?;
@@ -876,8 +888,7 @@ mod tests {
             // Value still resolvable after reopen.
             let hits = db.bt_val.get_all(&hash_key("TCP/IP")).unwrap();
             assert_eq!(hits.len(), 1);
-            // A classic directory records its backend in the superblock.
-            assert_eq!(read_superblock(&dir).unwrap(), BackendKind::Classic);
+            check_superblock(&dir).unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -887,20 +898,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nok-succinct-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         {
-            let db = XmlDb::create_on_disk_with(
-                &dir,
-                BIB,
-                BuildOptions::with_backend(BackendKind::Succinct),
-            )
-            .unwrap();
-            assert_eq!(db.store().backend(), BackendKind::Succinct);
+            let db = XmlDb::create_on_disk_with(&dir, BIB, BuildOptions::default()).unwrap();
             assert_eq!(db.node_count(), 9);
         }
-        assert_eq!(read_superblock(&dir).unwrap(), BackendKind::Succinct);
+        // The superblock names the page format, and nothing is left of the
+        // temp file it was written through.
+        let sb = std::fs::read(dir.join(F_SUPER)).unwrap();
+        assert_eq!(sb, b"NOKSUPER\x00\x01\x01");
+        assert!(!dir.join(format!("{F_SUPER}.tmp")).exists());
         {
-            // open_dir reads the superblock and picks the right decoder.
             let db = XmlDb::open_dir(&dir).unwrap();
-            assert_eq!(db.store().backend(), BackendKind::Succinct);
             assert_eq!(db.node_count(), 9);
             let hits = db.query(r#"//book[price="65.95"]"#).unwrap();
             assert_eq!(hits.len(), 1);
@@ -908,19 +915,65 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn open_err(dir: &Path) -> CoreError {
+        match XmlDb::open_dir(dir) {
+            Ok(_) => panic!("{} must not open", dir.display()),
+            Err(e) => e,
+        }
+    }
+
+    /// A directory with pages but no superblock is refused with the typed
+    /// error — its pages are not decoded on a guess.
     #[test]
-    fn missing_superblock_means_classic() {
+    fn missing_superblock_is_refused() {
         let dir = std::env::temp_dir().join(format!("nok-nosuper-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         {
             XmlDb::create_on_disk(&dir, BIB).unwrap();
         }
-        // Simulate a pre-superblock database directory.
         std::fs::remove_file(dir.join(F_SUPER)).unwrap();
-        assert_eq!(read_superblock(&dir).unwrap(), BackendKind::Classic);
-        let db = XmlDb::open_dir(&dir).unwrap();
-        assert_eq!(db.store().backend(), BackendKind::Classic);
-        assert_eq!(db.node_count(), 9);
+        assert!(dir.join(F_STRUCT).exists());
+        let e = open_err(&dir);
+        assert!(
+            matches!(e, CoreError::UnsupportedFormat(SuperblockError::Missing)),
+            "{e}"
+        );
+        assert!(e.to_string().contains("rebuild"), "{e}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Format 0 (the retired byte-per-entry pages), an unknown format byte
+    /// and a damaged superblock are each refused by name.
+    #[test]
+    fn other_format_or_damaged_superblock_is_refused() {
+        let dir = std::env::temp_dir().join(format!("nok-badsuper-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        {
+            XmlDb::create_on_disk(&dir, BIB).unwrap();
+        }
+        let good = std::fs::read(dir.join(F_SUPER)).unwrap();
+        for format in [0u8, 9] {
+            let mut sb = good.clone();
+            sb[10] = format;
+            std::fs::write(dir.join(F_SUPER), sb).unwrap();
+            let e = open_err(&dir);
+            assert!(
+                matches!(e, CoreError::UnsupportedFormat(SuperblockError::Format(f)) if f == format),
+                "{e}"
+            );
+        }
+        let mut bad_magic = good.clone();
+        bad_magic[0] = b'X';
+        for sb in [&good[..10], &bad_magic[..], &b""[..]] {
+            std::fs::write(dir.join(F_SUPER), sb).unwrap();
+            let e = open_err(&dir);
+            assert!(
+                matches!(e, CoreError::UnsupportedFormat(SuperblockError::Damaged)),
+                "{e}"
+            );
+        }
+        std::fs::write(dir.join(F_SUPER), good).unwrap();
+        assert_eq!(XmlDb::open_dir(&dir).unwrap().node_count(), 9);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,11 +19,12 @@
 //! **Navigation index.** On top of the paper's page-granular test sit two
 //! derived structures, both built lazily and never persisted:
 //!
-//! * *In-page block summaries* ([`crate::page::BlockSummary`], computed at
-//!   decode time): per-[`BLOCK_ENTRIES`] `min`/`max` levels plus first-entry
-//!   bookkeeping let the per-entry loops skip whole blocks that cannot hold
-//!   a candidate sibling, a stop, or a close — the same ±1 argument as page
-//!   skipping, applied at block granularity.
+//! * *The in-page excess directory* ([`crate::succinct::PageBp`], built at
+//!   decode time over the page's parenthesis bits): entry `j`'s level is
+//!   `st + E(j)`, so "first later entry at level `< l`" — the close of a
+//!   node at level `l`, which is also where its next sibling or its parent's
+//!   close follows — is one forward excess search over per-word and
+//!   per-superblock minima instead of an entry-by-entry walk.
 //! * *A directory skip index* (`store::SkipIndex`): level-bucketed rank
 //!   lists over the header directory answer "next page a scan at level `l`
 //!   must load" in a handful of probes instead of a linear walk over every
@@ -36,21 +37,15 @@
 //! against, with identical page-load behavior.
 //!
 //! Both layers report work into [`nok_pager::IoStats`]: `entries_examined`
-//! counts per-entry loop iterations inside loaded pages, and
-//! `dir_entries_examined` counts directory records (or skip-index bucket
+//! counts entries looked at (or excess searches made) inside loaded pages,
+//! and `dir_entries_examined` counts directory records (or skip-index bucket
 //! probes) consulted.
 
 use std::sync::Arc;
 
 use crate::dewey::Dewey;
 use crate::error::{CoreError, CoreResult};
-use crate::page::{DecodedPage, Entry, BLOCK_ENTRIES};
-
-/// After this many consecutive block summaries that admit the target (i.e.
-/// cannot skip), the in-page scans stop consulting summaries and walk the
-/// rest of the page linearly. Shallow corpora admit nearly every block, and
-/// there the summary probes are pure overhead over the linear oracle.
-const BLOCK_MISS_LIMIT: u32 = 2;
+use crate::page::{DecodedPage, Entry};
 use crate::sigma::TagCode;
 use crate::store::{lin_at, NodeAddr, StructStore};
 use nok_pager::{PageId, Storage};
@@ -142,11 +137,11 @@ pub fn first_child<S: Storage>(
 }
 
 /// Scan one page for a following sibling at level `l`, starting at entry
-/// `from`, skipping blocks whose summary admits neither a candidate nor a
-/// stop. `Some(Some(addr))` = found, `Some(None)` = stop reached (no
-/// sibling), `None` = page exhausted, continue on the next page.
+/// `from`: hop from subtree to subtree by excess search, deciding at the
+/// entry after each close. `Some(Some(addr))` = found, `Some(None)` = stop
+/// reached (no sibling), `None` = page exhausted, continue on the next page.
 #[inline]
-fn scan_sibling_blocks(
+fn sibling_in_page(
     page: &DecodedPage,
     pid: PageId,
     from: usize,
@@ -154,109 +149,28 @@ fn scan_sibling_blocks(
     stop: u16,
     examined: &mut u64,
 ) -> Option<Option<NodeAddr>> {
-    // Balanced-parentheses fast path (succinct backend): hop from the
-    // current position straight to the enclosing subtree's close via
-    // excess search, then the very next entry decides — an open at `l` is
-    // the sibling, anything lower is the stop.
-    if let Some(bp) = &page.bp {
-        let st = i32::from(page.header.st);
-        let mut j = from;
-        while j < page.len() {
-            *examined += 1;
-            let lev = page.levels[j];
-            if lev <= stop {
-                return Some(None);
-            }
-            if lev == l && page.entries[j].is_open() {
-                return Some(Some(NodeAddr {
-                    page: pid,
-                    entry: j as u32,
-                }));
-            }
-            if lev < l {
-                // A close at level l-1: its successor decides.
-                j += 1;
-            } else {
-                // Inside a nested subtree (level ≥ l): excess-search to the
-                // close at level l-1 in O(1) directory probes.
-                match bp.fwd_search_le(j + 1, i32::from(l) - 1 - st) {
-                    None => return None,
-                    Some(k) => j = k,
-                }
-            }
+    let st = i32::from(page.header.st);
+    let mut j = from;
+    while j < page.len() {
+        *examined += 1;
+        let lev = page.levels[j];
+        if lev <= stop {
+            return Some(None);
         }
-        return None;
-    }
-    // No aligned block boundary left in the remaining span: the summaries
-    // cannot skip anything, so the block bookkeeping is pure overhead —
-    // plain linear scan (this is the nav_bench deep/wide regression fix).
-    if from.next_multiple_of(BLOCK_ENTRIES) >= page.len() {
-        for j in from..page.len() {
-            *examined += 1;
-            let lev = page.levels[j];
-            if lev <= stop {
-                return Some(None);
-            }
-            if lev == l && page.entries[j].is_open() {
-                return Some(Some(NodeAddr {
-                    page: pid,
-                    entry: j as u32,
-                }));
-            }
+        if lev == l && page.entries[j].is_open() {
+            return Some(Some(NodeAddr {
+                page: pid,
+                entry: j as u32,
+            }));
         }
-        return None;
-    }
-    let mut i = from;
-    let mut misses = 0u32;
-    while i < page.len() {
-        let b = i / BLOCK_ENTRIES;
-        let end = ((b + 1) * BLOCK_ENTRIES).min(page.len());
-        // Whole blocks can only be skipped from their first entry: the
-        // first-open-at-`l` exception reasons about the block boundary.
-        if i == b * BLOCK_ENTRIES {
-            if page.blocks[b].admits_sibling(l) {
-                // In shallow documents nearly every block admits the target
-                // level, so the summary checks are pure overhead on top of
-                // the same entry walk the linear oracle does. After a few
-                // consecutive non-skipping blocks, stop consulting them for
-                // the rest of the page (the nav_bench ns/op regression fix).
-                misses += 1;
-                if misses >= BLOCK_MISS_LIMIT {
-                    for j in i..page.len() {
-                        *examined += 1;
-                        let lev = page.levels[j];
-                        if lev <= stop {
-                            return Some(None);
-                        }
-                        if lev == l && page.entries[j].is_open() {
-                            return Some(Some(NodeAddr {
-                                page: pid,
-                                entry: j as u32,
-                            }));
-                        }
-                    }
-                    return None;
-                }
-            } else {
-                misses = 0;
-                i = end;
-                continue;
-            }
+        if lev < l {
+            // A close at level l-1: its successor decides.
+            j += 1;
+        } else {
+            // Inside a nested subtree (level ≥ l): excess-search to the
+            // close at level l-1.
+            j = page.bp.fwd_search_le(j + 1, i32::from(l) - 1 - st)?;
         }
-        for j in i..end {
-            *examined += 1;
-            let lev = page.levels[j];
-            if lev <= stop {
-                return Some(None);
-            }
-            if lev == l && page.entries[j].is_open() {
-                return Some(Some(NodeAddr {
-                    page: pid,
-                    entry: j as u32,
-                }));
-            }
-        }
-        i = end;
     }
     None
 }
@@ -264,7 +178,7 @@ fn scan_sibling_blocks(
 /// `FOLLOWING-SIBLING`: the next sibling of the node at `addr`, if any.
 /// Scans right for an open entry at the same level, stopping at the
 /// parent's close (level `l-2`); skips pages via the directory skip index
-/// and entry blocks via the decode-time block summaries.
+/// and nested subtrees via the page's excess directory.
 pub fn following_sibling<S: Storage>(
     store: &StructStore<S>,
     addr: NodeAddr,
@@ -281,7 +195,7 @@ pub fn following_sibling<S: Storage>(
     let result = (|| {
         // Finish the current page first.
         let page = store.decoded(addr.page)?;
-        if let Some(res) = scan_sibling_blocks(
+        if let Some(res) = sibling_in_page(
             &page,
             addr.page,
             addr.entry as usize + 1,
@@ -302,7 +216,7 @@ pub fn following_sibling<S: Storage>(
                 .dir_at(r2)
                 .ok_or_else(|| CoreError::Corrupt(format!("skip index rank {r2} out of range")))?;
             let page = store.decoded(de.id)?;
-            if let Some(res) = scan_sibling_blocks(&page, de.id, 0, l, stop, &mut examined) {
+            if let Some(res) = sibling_in_page(&page, de.id, 0, l, stop, &mut examined) {
                 return Ok(res);
             }
             r = r2 + 1;
@@ -383,89 +297,30 @@ pub fn linear_following_sibling<S: Storage>(
     result
 }
 
-/// Scan one page for the first entry at level `< l` starting at `from`,
-/// skipping blocks whose min level rules it out. `Some(addr)` = found,
-/// `None` = continue on the next page.
+/// The first entry at level `< l` at or after `from` in one page — the close
+/// of a node at level `l` is the first later position with excess
+/// `≤ l-1-st`, one excess search. `None` = continue on the next page.
 #[inline]
-fn scan_close_blocks(
+fn close_in_page(
     page: &DecodedPage,
     pid: PageId,
     from: usize,
     l: u16,
     examined: &mut u64,
 ) -> Option<NodeAddr> {
-    // Balanced-parentheses fast path (succinct backend): the close of a
-    // node at level `l` is the first later position with excess
-    // ≤ l-1-st — one excess search instead of a per-entry loop.
-    if let Some(bp) = &page.bp {
-        *examined += 1;
-        return bp
-            .fwd_search_le(from, i32::from(l) - 1 - i32::from(page.header.st))
-            .map(|j| NodeAddr {
-                page: pid,
-                entry: j as u32,
-            });
-    }
-    // No aligned block boundary left: skip the block bookkeeping (see
-    // `scan_sibling_blocks`).
-    if from.next_multiple_of(BLOCK_ENTRIES) >= page.len() {
-        for j in from..page.len() {
-            *examined += 1;
-            if page.levels[j] < l {
-                return Some(NodeAddr {
-                    page: pid,
-                    entry: j as u32,
-                });
-            }
-        }
-        return None;
-    }
-    let mut i = from;
-    let mut misses = 0u32;
-    while i < page.len() {
-        let b = i / BLOCK_ENTRIES;
-        let end = ((b + 1) * BLOCK_ENTRIES).min(page.len());
-        if i == b * BLOCK_ENTRIES {
-            if page.blocks[b].admits_close(l) {
-                // See `scan_sibling_blocks`: stop consulting summaries after
-                // consecutive non-skipping blocks.
-                misses += 1;
-                if misses >= BLOCK_MISS_LIMIT {
-                    for j in i..page.len() {
-                        *examined += 1;
-                        if page.levels[j] < l {
-                            return Some(NodeAddr {
-                                page: pid,
-                                entry: j as u32,
-                            });
-                        }
-                    }
-                    return None;
-                }
-            } else {
-                misses = 0;
-                i = end;
-                continue;
-            }
-        }
-        for j in i..end {
-            *examined += 1;
-            if page.levels[j] < l {
-                return Some(NodeAddr {
-                    page: pid,
-                    entry: j as u32,
-                });
-            }
-        }
-        i = end;
-    }
-    None
+    *examined += 1;
+    page.bp
+        .fwd_search_le(from, i32::from(l) - 1 - i32::from(page.header.st))
+        .map(|j| NodeAddr {
+            page: pid,
+            entry: j as u32,
+        })
 }
 
 /// Address of the close entry matching the open at `addr` (the first
 /// subsequent close at level `l-1`). Pages that cannot contain any entry at
-/// level `< l` are skipped via the directory skip index; blocks that cannot
-/// are skipped via the decode-time summaries.
+/// level `< l` are skipped via the directory skip index; within a page the
+/// close is one excess search.
 pub fn subtree_close<S: Storage>(store: &StructStore<S>, addr: NodeAddr) -> CoreResult<NodeAddr> {
     let (entry, l) = store.entry_at(addr)?;
     debug_assert!(entry.is_open(), "subtree_close of a close entry");
@@ -475,7 +330,7 @@ pub fn subtree_close<S: Storage>(store: &StructStore<S>, addr: NodeAddr) -> Core
     let result = (|| {
         let page = store.decoded(addr.page)?;
         if let Some(found) =
-            scan_close_blocks(&page, addr.page, addr.entry as usize + 1, l, &mut examined)
+            close_in_page(&page, addr.page, addr.entry as usize + 1, l, &mut examined)
         {
             return Ok(found);
         }
@@ -492,7 +347,7 @@ pub fn subtree_close<S: Storage>(store: &StructStore<S>, addr: NodeAddr) -> Core
                 .dir_at(r2)
                 .ok_or_else(|| CoreError::Corrupt(format!("skip index rank {r2} out of range")))?;
             let page = store.decoded(de.id)?;
-            if let Some(found) = scan_close_blocks(&page, de.id, 0, l, &mut examined) {
+            if let Some(found) = close_in_page(&page, de.id, 0, l, &mut examined) {
                 return Ok(found);
             }
             r = r2 + 1;
@@ -857,25 +712,42 @@ mod tests {
     use std::sync::Arc;
 
     fn build(xml: &str, page_size: usize) -> (StructStore<MemStorage>, TagDict) {
-        build_with(xml, page_size, crate::page::BackendKind::Classic)
+        build_with(xml, page_size, BuildOptions::default())
     }
 
     fn build_with(
         xml: &str,
         page_size: usize,
-        backend: crate::page::BackendKind,
+        opts: BuildOptions,
     ) -> (StructStore<MemStorage>, TagDict) {
         let pool = Arc::new(BufferPool::new(MemStorage::with_page_size(page_size)));
         let mut dict = TagDict::new();
-        let store = StructStore::build(
-            pool,
-            Reader::content_only(xml),
-            &mut dict,
-            BuildOptions::with_backend(backend),
-            &mut (),
-        )
-        .unwrap();
+        let store =
+            StructStore::build(pool, Reader::content_only(xml), &mut dict, opts, &mut ()).unwrap();
         (store, dict)
+    }
+
+    /// Page sizes with the fraction of each page left unused. The first is
+    /// the smallest page the pager allows, mostly reserved: ~20 entries a
+    /// page, so boundaries fall inside nearly every subtree.
+    const PAGE_SHAPES: [(usize, f64); 6] = [
+        (64, 0.6),
+        (64, 0.2),
+        (96, 0.2),
+        (128, 0.2),
+        (256, 0.2),
+        (4096, 0.2),
+    ];
+
+    fn build_shape(
+        xml: &str,
+        (page_size, reserve): (usize, f64),
+    ) -> (StructStore<MemStorage>, TagDict) {
+        let opts = BuildOptions {
+            reserve,
+            ..BuildOptions::default()
+        };
+        build_with(xml, page_size, opts)
     }
 
     /// The paper's running example document (Figure 1a / Figure 2).
@@ -951,8 +823,9 @@ mod tests {
     #[test]
     fn navigation_agrees_with_dom_across_page_sizes() {
         let doc = Document::parse(BIB).unwrap();
-        for page_size in [64, 96, 128, 256, 4096] {
-            let (store, dict) = build(BIB, page_size);
+        for shape in PAGE_SHAPES {
+            let page_size = format!("{shape:?}");
+            let (store, dict) = build_shape(BIB, shape);
             // Walk DOM and store in lockstep (document order).
             let dom_elems: Vec<NodeId> =
                 doc.preorder().filter(|&id| doc.tag(id).is_some()).collect();
@@ -1013,48 +886,47 @@ mod tests {
     }
 
     /// The indexed primitives and the retained linear oracles must return
-    /// identical results for every node, on every page size (blocks and
-    /// pages fall on different boundaries in each configuration).
+    /// identical results for every node, on every page size (words,
+    /// superblocks and pages fall on different boundaries in each
+    /// configuration).
     #[test]
     fn indexed_primitives_match_linear_oracle_across_page_sizes() {
-        use crate::page::BackendKind;
         let deep = deep_wide_xml(60);
-        for backend in [BackendKind::Classic, BackendKind::Succinct] {
-            for xml in [BIB, deep.as_str()] {
-                for page_size in [64, 96, 128, 256, 4096] {
-                    let (store, _) = build_with(xml, page_size, backend);
-                    let items: Vec<ScanItem> = DocScan::new(&store)
+        for xml in [BIB, deep.as_str()] {
+            for shape in PAGE_SHAPES {
+                let page_size = format!("{shape:?}");
+                let (store, _) = build_shape(xml, shape);
+                let items: Vec<ScanItem> = DocScan::new(&store)
+                    .collect::<CoreResult<Vec<_>>>()
+                    .unwrap();
+                for it in &items {
+                    assert_eq!(
+                        following_sibling(&store, it.addr).unwrap(),
+                        linear_following_sibling(&store, it.addr).unwrap(),
+                        "following_sibling at {} (page_size={page_size})",
+                        it.dewey
+                    );
+                    assert_eq!(
+                        subtree_close(&store, it.addr).unwrap(),
+                        linear_subtree_close(&store, it.addr).unwrap(),
+                        "subtree_close at {} (page_size={page_size})",
+                        it.dewey
+                    );
+                    assert_eq!(
+                        next_entry(&store, it.addr).unwrap(),
+                        linear_next_entry(&store, it.addr).unwrap(),
+                        "next_entry at {} (page_size={page_size})",
+                        it.dewey
+                    );
+                    let a: Vec<_> = descendants(&store, it.addr)
+                        .unwrap()
                         .collect::<CoreResult<Vec<_>>>()
                         .unwrap();
-                    for it in &items {
-                        assert_eq!(
-                            following_sibling(&store, it.addr).unwrap(),
-                            linear_following_sibling(&store, it.addr).unwrap(),
-                            "following_sibling at {} (page_size={page_size})",
-                            it.dewey
-                        );
-                        assert_eq!(
-                            subtree_close(&store, it.addr).unwrap(),
-                            linear_subtree_close(&store, it.addr).unwrap(),
-                            "subtree_close at {} (page_size={page_size})",
-                            it.dewey
-                        );
-                        assert_eq!(
-                            next_entry(&store, it.addr).unwrap(),
-                            linear_next_entry(&store, it.addr).unwrap(),
-                            "next_entry at {} (page_size={page_size})",
-                            it.dewey
-                        );
-                        let a: Vec<_> = descendants(&store, it.addr)
-                            .unwrap()
-                            .collect::<CoreResult<Vec<_>>>()
-                            .unwrap();
-                        let b: Vec<_> = linear_descendants(&store, it.addr)
-                            .unwrap()
-                            .collect::<CoreResult<Vec<_>>>()
-                            .unwrap();
-                        assert_eq!(a, b, "descendants at {} (page_size={page_size})", it.dewey);
-                    }
+                    let b: Vec<_> = linear_descendants(&store, it.addr)
+                        .unwrap()
+                        .collect::<CoreResult<Vec<_>>>()
+                        .unwrap();
+                    assert_eq!(a, b, "descendants at {} (page_size={page_size})", it.dewey);
                 }
             }
         }
@@ -1071,7 +943,7 @@ mod tests {
         // so page boundaries land on sibling opens in several alignments.
         let mut xml = String::from("<r>");
         for i in 0..150 {
-            let depth = 8 + (i % 13);
+            let depth = 40 + (i % 13);
             xml.push_str("<s>");
             for _ in 0..depth {
                 xml.push_str("<d>");
@@ -1134,8 +1006,8 @@ mod tests {
         );
     }
 
-    /// The block summaries must pay off: a long sibling chain over deep
-    /// subtrees examines far fewer entries through the indexed path than
+    /// The in-page index must pay off: a long sibling chain over deep
+    /// subtrees examines far fewer entries through the excess search than
     /// through the per-entry oracle, with identical page loads.
     #[test]
     fn block_summaries_reduce_entries_examined() {

@@ -31,11 +31,39 @@ pub enum CoreError {
     UnknownTag(String),
     /// The store's on-disk structures are inconsistent.
     Corrupt(String),
+    /// The directory's superblock does not name the structure page format
+    /// this build reads; nothing in it was decoded.
+    UnsupportedFormat(SuperblockError),
     /// An update was rejected (e.g. deleting the root).
     InvalidUpdate(String),
     /// The pattern cannot be evaluated in one streaming pass (it needs
     /// structural joins between distinct subtrees).
     StreamUnsupported(String),
+}
+
+/// Why a database directory's `super.blk` was refused at open.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SuperblockError {
+    /// There is no `super.blk`: the directory predates it, or lost it.
+    Missing,
+    /// Wrong length, magic or version.
+    Damaged,
+    /// A wellformed superblock naming another page format (0 is the retired
+    /// byte-per-entry encoding).
+    Format(u8),
+}
+
+impl fmt::Display for SuperblockError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SuperblockError::Missing => write!(f, "super.blk is missing"),
+            SuperblockError::Damaged => write!(f, "super.blk is damaged"),
+            SuperblockError::Format(0) => {
+                write!(f, "super.blk names page format 0 (byte-per-entry pages)")
+            }
+            SuperblockError::Format(b) => write!(f, "super.blk names unknown page format {b}"),
+        }
+    }
 }
 
 impl fmt::Display for CoreError {
@@ -49,6 +77,13 @@ impl fmt::Display for CoreError {
             }
             CoreError::UnknownTag(t) => write!(f, "unknown tag name {t:?}"),
             CoreError::Corrupt(m) => write!(f, "corrupt store: {m}"),
+            CoreError::UnsupportedFormat(why) => write!(
+                f,
+                "unsupported database format: {why}; this build reads only format {} \
+                 (bit-packed pages) and upgrades nothing in place: rebuild the \
+                 directory from its XML source",
+                crate::page::FORMAT_BYTE
+            ),
             CoreError::InvalidUpdate(m) => write!(f, "invalid update: {m}"),
             CoreError::StreamUnsupported(m) => {
                 write!(f, "pattern not streamable in a single pass: {m}")
@@ -77,6 +112,12 @@ impl From<XmlError> for CoreError {
 impl From<PagerError> for CoreError {
     fn from(e: PagerError) -> Self {
         CoreError::Pager(e)
+    }
+}
+
+impl From<SuperblockError> for CoreError {
+    fn from(e: SuperblockError) -> Self {
+        CoreError::UnsupportedFormat(e)
     }
 }
 

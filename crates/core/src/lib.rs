@@ -9,13 +9,13 @@
 //!
 //! * [`sigma`] — the tag alphabet Σ; [`dewey`] — Dewey IDs.
 //! * [`page`] / [`store`] — the succinct string representation over chained
-//!   pages with `(st, lo, hi)` headers (paper §4.2), behind a
-//!   [`page::StructureBackend`]: the paper's classic byte entries or the
-//!   bit-packed balanced-parentheses encoding.
-//! * [`succinct`] — bitvector, rank/select and excess-search kernels for
-//!   the bit-packed backend.
+//!   pages with `(st, lo, hi)` headers (paper §4.2): one page format,
+//!   bit-packed balanced parentheses plus varint tag codes.
+//! * [`succinct`] — the bitvector, rank/select and excess-search kernels a
+//!   decoded page is navigated with.
 //! * [`cursor`] — `FIRST-CHILD` / `FOLLOWING-SIBLING` and derived primitives
-//!   (paper §5, Algorithm 2), with header-directory page skipping.
+//!   (paper §5, Algorithm 2), with header-directory page skipping and
+//!   in-page excess search.
 //! * [`values`] — the detached value data file and its hashing (paper §4.1).
 //! * [`pattern`] — path-expression parsing; [`pattern_tree`] — pattern trees
 //!   and their partitioning into NoK pattern trees.
@@ -79,8 +79,7 @@ pub mod values;
 pub use build::XmlDb;
 pub use dewey::Dewey;
 pub use engine::{QueryMatch, QueryOptions, QueryScratch, QueryStats, StartStrategy};
-pub use error::{CoreError, CoreResult};
-pub use page::BackendKind;
+pub use error::{CoreError, CoreResult, SuperblockError};
 pub use plan::{
     Explain, ExplainRow, FragmentPlan, PlanStep, PlannedQuery, QueryPlan, SeedChoice, StrategyUsed,
 };

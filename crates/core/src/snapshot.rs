@@ -28,7 +28,6 @@ use nok_pager::{BufferPool, SnapView, SnapshotGuard, Storage};
 
 use crate::build::XmlDb;
 use crate::error::{CoreError, CoreResult};
-use crate::page::BackendKind;
 use crate::sigma::TagDict;
 use crate::store::{Directory, StructStore};
 use crate::synopsis::Synopsis;
@@ -188,7 +187,6 @@ pub struct SnapshotSource<S: Storage> {
     gens: Arc<GenerationTable<DbGeneration>>,
     pools: [Arc<BufferPool<S>>; 4],
     data: Arc<Mutex<DataFile>>,
-    backend: BackendKind,
 }
 
 impl<S: Storage> Clone for SnapshotSource<S> {
@@ -197,7 +195,6 @@ impl<S: Storage> Clone for SnapshotSource<S> {
             gens: Arc::clone(&self.gens),
             pools: self.pools.clone(),
             data: Arc::clone(&self.data),
-            backend: self.backend,
         }
     }
 }
@@ -206,7 +203,7 @@ impl<S: Storage> SnapshotSource<S> {
     /// Pin the newest published generation and assemble a read-only view
     /// database over it. Lock-free, same as [`XmlDb::snapshot`].
     pub fn snapshot(&self) -> CoreResult<Snapshot<S>> {
-        assemble_snapshot(&self.gens, &self.pools, &self.data, self.backend)
+        assemble_snapshot(&self.gens, &self.pools, &self.data)
     }
 
     /// Epoch of the newest published generation.
@@ -235,7 +232,6 @@ fn assemble_snapshot<S: Storage>(
     gens: &Arc<GenerationTable<DbGeneration>>,
     pools: &[Arc<BufferPool<S>>; 4],
     data: &Arc<Mutex<DataFile>>,
-    backend: BackendKind,
 ) -> CoreResult<Snapshot<S>> {
     let guard = gens
         .pin()
@@ -246,7 +242,6 @@ fn assemble_snapshot<S: Storage>(
         Arc::clone(&g.dir),
         g.node_count,
         g.views[0].clone(),
-        backend,
     );
     let bt_tag = BTree::snapshot_view(
         Arc::clone(&pools[1]),
@@ -300,12 +295,7 @@ impl<S: Storage> XmlDb<S> {
     /// over it. Lock-free: two atomic RMWs and a handful of `Arc` clones —
     /// no `RwLock` or `Mutex` is taken, here or on the view's page reads.
     pub fn snapshot(&self) -> CoreResult<Snapshot<S>> {
-        assemble_snapshot(
-            &self.gens,
-            &self.component_pools(),
-            &self.data,
-            self.store.backend(),
-        )
+        assemble_snapshot(&self.gens, &self.component_pools(), &self.data)
     }
 
     /// The four component buffer pools in component order.
@@ -325,7 +315,6 @@ impl<S: Storage> XmlDb<S> {
             gens: Arc::clone(&self.gens),
             pools: self.component_pools(),
             data: Arc::clone(&self.data),
-            backend: self.store.backend(),
         }
     }
 

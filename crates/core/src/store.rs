@@ -21,9 +21,7 @@ use nok_xml::Event;
 
 use crate::dewey::Dewey;
 use crate::error::{CoreError, CoreResult};
-use crate::page::{
-    self, BackendKind, ContentAcc, DecodedPage, Entry, PageHeader, HEADER_SIZE, NO_PAGE,
-};
+use crate::page::{self, ContentAcc, DecodedPage, Entry, PageHeader, HEADER_SIZE, NO_PAGE};
 use crate::sigma::{TagCode, TagDict};
 
 /// Address of an entry in the structural store: a page and an entry index
@@ -315,25 +313,16 @@ pub struct BuildOptions {
     /// Fraction of each page reserved for future updates (the paper's `r`;
     /// its running example uses 20%).
     pub reserve: f64,
-    /// Physical page encoding (classic paper bytes by default).
-    pub backend: BackendKind,
+    /// The structure page format, for reports: a type with one value, so
+    /// there is nothing to choose.
+    pub backend: page::Succinct,
 }
 
 impl Default for BuildOptions {
     fn default() -> Self {
         BuildOptions {
             reserve: 0.2,
-            backend: BackendKind::Classic,
-        }
-    }
-}
-
-impl BuildOptions {
-    /// Default options with an explicit backend.
-    pub fn with_backend(backend: BackendKind) -> Self {
-        BuildOptions {
-            backend,
-            ..Default::default()
+            backend: page::Succinct,
         }
     }
 }
@@ -379,7 +368,6 @@ pub struct StructStore<S: Storage> {
     pool: Arc<BufferPool<S>>,
     dir: RwLock<Arc<Directory>>,
     decoded: RwLock<HashMap<PageId, Arc<DecodedPage>>>,
-    decode_cache_limit: usize,
     node_count: AtomicU64,
     /// Lazily built directory skip index; valid only while its generation
     /// matches `dir_generation`.
@@ -388,9 +376,10 @@ pub struct StructStore<S: Storage> {
     dir_generation: AtomicU64,
     /// MVCC overlay for snapshot views; `None` on the live store.
     view: Option<SnapView>,
-    /// Physical page encoding of this store's pages.
-    backend: BackendKind,
 }
+
+/// Decoded pages a store keeps before its decode cache clears wholesale.
+const DECODE_CACHE_LIMIT: usize = 1024;
 
 /// Recover the guard from a poisoned lock. The directory and decode cache
 /// hold plain data that is re-validated on use, so a panicking thread (only
@@ -427,7 +416,6 @@ impl<S: Storage> StructStore<S> {
             pool: &pool,
             dir: Directory::default(),
             budget,
-            backend: opts.backend,
             cur: PageBuf::new(0),
             cur_allocated: false,
             node_count: 0,
@@ -512,36 +500,19 @@ impl<S: Storage> StructStore<S> {
             ..
         } = builder;
         dir.rebuild_ranks();
-        Ok(StructStore {
-            pool,
-            dir: RwLock::new(Arc::new(dir)),
-            decoded: RwLock::new(HashMap::new()),
-            decode_cache_limit: 1024,
-            node_count: AtomicU64::new(node_count),
-            skip: RwLock::new(None),
-            dir_generation: AtomicU64::new(0),
-            view: None,
-            backend: opts.backend,
-        })
-    }
-
-    /// Open a classic-format store whose pages already exist in `pool`.
-    pub fn open(pool: Arc<BufferPool<S>>) -> CoreResult<Self> {
-        Self::open_with_backend(pool, BackendKind::Classic)
+        Ok(Self::assemble(pool, Arc::new(dir), node_count, None))
     }
 
     /// Open a store whose pages already exist in `pool`, rebuilding the
-    /// in-memory header directory by walking the chain (header reads only).
-    /// `backend` selects the page decoder — on-disk databases record it in
-    /// their superblock (see `crate::build`).
-    pub fn open_with_backend(pool: Arc<BufferPool<S>>, backend: BackendKind) -> CoreResult<Self> {
+    /// in-memory header directory by walking the chain.
+    pub fn open(pool: Arc<BufferPool<S>>) -> CoreResult<Self> {
         let mut dir = Directory::default();
         let mut node_count = 0u64;
         if pool.page_count() > 0 {
             let mut pid = 0u32;
             loop {
                 let handle = pool.get(pid)?;
-                let decoded = page::decode_page(backend, &handle.read())
+                let decoded = page::decode_page(&handle.read())
                     .ok_or_else(|| CoreError::Corrupt(format!("bad structural page {pid}")))?;
                 node_count += decoded.entries.iter().filter(|e| e.is_open()).count() as u64;
                 let (lo, hi) = (decoded.header.lo, decoded.header.hi);
@@ -559,17 +530,24 @@ impl<S: Storage> StructStore<S> {
             }
         }
         dir.rebuild_ranks();
-        Ok(StructStore {
+        Ok(Self::assemble(pool, Arc::new(dir), node_count, None))
+    }
+
+    fn assemble(
+        pool: Arc<BufferPool<S>>,
+        dir: Arc<Directory>,
+        node_count: u64,
+        view: Option<SnapView>,
+    ) -> Self {
+        StructStore {
             pool,
-            dir: RwLock::new(Arc::new(dir)),
+            dir: RwLock::new(dir),
             decoded: RwLock::new(HashMap::new()),
-            decode_cache_limit: 1024,
             node_count: AtomicU64::new(node_count),
             skip: RwLock::new(None),
             dir_generation: AtomicU64::new(0),
-            view: None,
-            backend,
-        })
+            view,
+        }
     }
 
     /// A read-only view of this store pinned to an MVCC generation: shares
@@ -580,25 +558,8 @@ impl<S: Storage> StructStore<S> {
         dir: Arc<Directory>,
         node_count: u64,
         view: SnapView,
-        backend: BackendKind,
     ) -> Self {
-        StructStore {
-            pool,
-            dir: RwLock::new(dir),
-            decoded: RwLock::new(HashMap::new()),
-            decode_cache_limit: 1024,
-            node_count: AtomicU64::new(node_count),
-            skip: RwLock::new(None),
-            dir_generation: AtomicU64::new(0),
-            view: Some(view),
-            backend,
-        }
-    }
-
-    /// Physical page encoding of this store.
-    #[inline]
-    pub fn backend(&self) -> BackendKind {
-        self.backend
+        Self::assemble(pool, dir, node_count, Some(view))
     }
 
     /// Is this store a snapshot view (reads resolve through an overlay)?
@@ -627,7 +588,7 @@ impl<S: Storage> StructStore<S> {
     /// after a rollback discarded this store's dirty frames: the in-memory
     /// views may reflect the undone mutation.
     pub fn reload(&self) -> CoreResult<()> {
-        let fresh = StructStore::open_with_backend(Arc::clone(&self.pool), self.backend)?;
+        let fresh = StructStore::open(Arc::clone(&self.pool))?;
         *wr(&self.dir) = fresh.dir.into_inner().unwrap_or_else(|e| e.into_inner());
         wr(&self.decoded).clear();
         *wr(&self.skip) = None;
@@ -647,22 +608,15 @@ impl<S: Storage> StructStore<S> {
         rd(&self.dir).order.len() as u32
     }
 
-    /// Bytes of string content (the paper's |tree| column in Table 1).
-    /// Every node contributes exactly 3 bytes (2-byte Σ char + 1-byte `)`).
-    pub fn content_bytes(&self) -> u64 {
-        self.node_count() * 3
-    }
-
     /// Total footprint in bytes (pages × page size), the on-disk size.
     pub fn footprint_bytes(&self) -> u64 {
         self.page_count() as u64 * self.pool.page_size() as u64
     }
 
-    /// Encoded structure bytes actually occupied on disk: the sum of every
-    /// page's `nbytes` plus its header. Unlike [`Self::content_bytes`]
-    /// (the paper's fixed 3-bytes-per-node accounting) this reflects the
-    /// active backend — the succinct encoding's whole point is making this
-    /// number smaller. Header reads only; contents are not decoded.
+    /// Encoded structure bytes actually occupied on disk — the measured
+    /// |tree| of Table 1: the sum of every page's `nbytes` plus its header
+    /// (the paper's accounting would be `3 × node_count`). Header reads
+    /// only; contents are not decoded.
     pub fn structure_bytes(&self) -> CoreResult<u64> {
         let dir = rd(&self.dir);
         let mut total = 0u64;
@@ -730,19 +684,14 @@ impl<S: Storage> StructStore<S> {
             // private decode cache above makes the copy a one-time cost).
             Some(view) => {
                 let bytes = resolve_page_cached(&self.pool, view, id)?;
-                page::decode_page(self.backend, &bytes)
-                    .ok_or_else(|| CoreError::Corrupt(format!("bad structural page {id}")))?
+                page::decode_page(&bytes)
             }
-            None => {
-                let handle = self.pool.get(id)?;
-                let decoded = page::decode_page(self.backend, &handle.read())
-                    .ok_or_else(|| CoreError::Corrupt(format!("bad structural page {id}")))?;
-                decoded
-            }
-        };
+            None => page::decode_page(&self.pool.get(id)?.read()),
+        }
+        .ok_or_else(|| CoreError::Corrupt(format!("bad structural page {id}")))?;
         let arc = Arc::new(page);
         let mut cache = wr(&self.decoded);
-        if cache.len() >= self.decode_cache_limit {
+        if cache.len() >= DECODE_CACHE_LIMIT {
             cache.clear();
         }
         cache.insert(id, Arc::clone(&arc));
@@ -879,7 +828,7 @@ impl Directory {
 
 /// Incremental page writer used by [`StructStore::build`]. Entries are
 /// buffered (with running [`ContentAcc`] size accounting, so page breaks
-/// are backend-exact) and encoded once at seal time.
+/// are byte-exact) and encoded once at seal time.
 struct PageBuf {
     id: PageId,
     st: u16,
@@ -908,7 +857,6 @@ struct Builder<'a, S: Storage> {
     pool: &'a Arc<BufferPool<S>>,
     dir: Directory,
     budget: usize,
-    backend: BackendKind,
     cur: PageBuf,
     cur_allocated: bool,
     node_count: u64,
@@ -923,9 +871,7 @@ impl<S: Storage> Builder<'_, S> {
             self.cur.id = id;
             self.cur_allocated = true;
         }
-        if self.cur.acc.bytes_with(self.backend, entry) > self.budget
-            && !self.cur.entries_buf.is_empty()
-        {
+        if self.cur.acc.bytes_with(entry) > self.budget && !self.cur.entries_buf.is_empty() {
             let (next_id, _) = self.pool.allocate()?;
             self.seal(next_id)?;
             let st = self.cur.last_level;
@@ -949,7 +895,7 @@ impl<S: Storage> Builder<'_, S> {
     }
 
     fn seal(&mut self, next: PageId) -> CoreResult<()> {
-        let content = page::encode_content(self.backend, &self.cur.entries_buf);
+        let content = page::encode_content(&self.cur.entries_buf);
         let n_entries = self.cur.entries_buf.len() as u32;
         // Sealed pages must satisfy the format invariants nok-verify
         // checks: content within the capacity budget and coherent bounds.
@@ -1146,7 +1092,7 @@ mod tests {
 
     #[test]
     fn multi_page_build_chains_and_sets_st() {
-        // Page size 64: budget = (64-12)*0.8 = 41 bytes -> ~13 nodes worth.
+        // Page size 64: budget = (64-12)*0.8 = 41 bytes -> ~31 nodes worth.
         let mut xml = String::from("<r>");
         for i in 0..100 {
             xml.push_str(&format!("<e{}/>", i % 10));
@@ -1311,7 +1257,7 @@ mod tests {
         for i in (0..80).rev() {
             xml.push_str(&format!("</d{i}>"));
         }
-        let xml = format!("<r>{xml}<x/><y/><z/></r>");
+        let xml = format!("<r>{xml}<y/><z/>{}</r>", "<x/>".repeat(100));
         let (store, _) = mem_store(&xml, 64);
         assert!(store.page_count() > 4);
         let skip = store.skip_index();
@@ -1407,29 +1353,11 @@ mod tests {
         }
         xml.push_str("</bib>");
         let (store, _) = mem_store(&xml, 4096);
-        let ratio = xml.len() as f64 / store.content_bytes() as f64;
+        let ratio = xml.len() as f64 / store.structure_bytes().unwrap() as f64;
         assert!(
             ratio > 8.0,
             "string rep should be far smaller than the document (ratio {ratio:.1})"
         );
-    }
-
-    fn mem_store_with(
-        xml: &str,
-        page_size: usize,
-        backend: BackendKind,
-    ) -> (StructStore<MemStorage>, TagDict) {
-        let pool = Arc::new(BufferPool::new(MemStorage::with_page_size(page_size)));
-        let mut dict = TagDict::new();
-        let store = StructStore::build(
-            pool,
-            Reader::content_only(xml),
-            &mut dict,
-            BuildOptions::with_backend(backend),
-            &mut (),
-        )
-        .unwrap();
-        (store, dict)
     }
 
     /// Flatten a store's pages into one (entry, level) sequence.
@@ -1445,70 +1373,111 @@ mod tests {
         out
     }
 
+    /// The entry sequence a document must encode to, straight from the
+    /// event stream: the page-free oracle for [`flat_entries`].
+    fn expected_entries(xml: &str, dict: &TagDict) -> Vec<(Entry, u16)> {
+        let mut out = Vec::new();
+        let mut level = 0u16;
+        for ev in Reader::content_only(xml) {
+            match ev.unwrap() {
+                Event::Start { name, attrs } => {
+                    level += 1;
+                    out.push((Entry::Open(dict.lookup(&name).unwrap()), level));
+                    for a in &attrs {
+                        let tag = dict.lookup(&format!("@{}", a.name)).unwrap();
+                        out.push((Entry::Open(tag), level + 1));
+                        out.push((Entry::Close, level));
+                    }
+                }
+                Event::End { .. } => {
+                    level -= 1;
+                    out.push((Entry::Close, level));
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
     #[test]
     fn succinct_build_encodes_the_same_tree_smaller() {
         let mut xml = String::from("<r>");
         for i in 0..120 {
-            xml.push_str(&format!("<e{}><f/></e{}>", i % 10, i % 10));
+            xml.push_str(&format!("<e{} k=\"v\"><f/></e{}>", i % 10, i % 10));
         }
         xml.push_str("</r>");
         for page_size in [64usize, 256, 4096] {
-            let (classic, _) = mem_store_with(&xml, page_size, BackendKind::Classic);
-            let (succinct, _) = mem_store_with(&xml, page_size, BackendKind::Succinct);
-            assert_eq!(classic.node_count(), succinct.node_count());
+            let (store, dict) = mem_store(&xml, page_size);
+            assert_eq!(store.node_count(), 361);
             assert_eq!(
-                flat_entries(&classic),
-                flat_entries(&succinct),
+                flat_entries(&store),
+                expected_entries(&xml, &dict),
                 "page_size {page_size}"
             );
-            let cb = classic.structure_bytes().unwrap();
-            let sb = succinct.structure_bytes().unwrap();
+            // Headers included, the chain stays under the paper's 3 B/node
+            // of content alone — under half of it once pages are not tiny.
+            let bytes = store.structure_bytes().unwrap();
+            let paper = 3 * store.node_count();
             assert!(
-                sb * 2 <= cb,
-                "succinct must halve structure bytes ({sb} vs {cb}, page_size {page_size})"
+                bytes < paper,
+                "{bytes} B vs {paper} B (page_size {page_size})"
             );
-            // Fewer pages too: more entries fit per page.
-            assert!(succinct.page_count() <= classic.page_count());
+            if page_size >= 256 {
+                assert!(bytes * 2 <= paper, "{bytes} B vs {paper} B");
+            }
             // Chain invariants hold page by page.
             let mut prev_end = 0u16;
-            for r in 0..succinct.chain_len() {
-                let de = succinct.dir_at(r).unwrap();
-                let page = succinct.decoded(de.id).unwrap();
+            for r in 0..store.chain_len() {
+                let de = store.dir_at(r).unwrap();
+                let page = store.decoded(de.id).unwrap();
                 assert_eq!(page.header.st, prev_end);
                 assert_eq!((page.header.lo, page.header.hi), page.level_bounds());
-                assert!(page.bp.is_some(), "succinct pages carry a BP directory");
+                assert_eq!(page.bp.len(), page.len());
                 prev_end = page.end_level();
             }
         }
     }
 
+    /// The size gate, as an exact count: `nav_bench`'s deep/wide corpus (300
+    /// siblings, each a 100-deep chain) at 256-byte pages takes at most half
+    /// the paper's 3 bytes per node, page headers included.
+    #[test]
+    fn deepwide_structure_is_at_most_half_the_papers_three_bytes_per_node() {
+        let mut xml = String::from("<r>");
+        for _ in 0..300 {
+            xml.push_str("<s>");
+            xml.push_str(&"<d>".repeat(100));
+            xml.push_str(&"</d>".repeat(100));
+            xml.push_str("</s>");
+        }
+        xml.push_str("</r>");
+        let (store, _) = mem_store(&xml, 256);
+        assert_eq!(store.node_count(), 30_301);
+        let bytes = store.structure_bytes().unwrap();
+        assert!(
+            bytes * 2 <= 3 * store.node_count(),
+            "{bytes} B for {} nodes",
+            store.node_count()
+        );
+    }
+
     #[test]
     fn succinct_store_reopens_with_matching_backend() {
+        // Reopening decodes every page again: same chain, same entries.
         let mut xml = String::from("<r>");
         for _ in 0..50 {
             xml.push_str("<x><y/></x>");
         }
         xml.push_str("</r>");
-        let pool = Arc::new(BufferPool::new(MemStorage::with_page_size(64)));
-        let mut dict = TagDict::new();
-        let store = StructStore::build(
-            Arc::clone(&pool),
-            Reader::content_only(&xml),
-            &mut dict,
-            BuildOptions::with_backend(BackendKind::Succinct),
-            &mut (),
-        )
-        .unwrap();
+        let (store, dict) = mem_store(&xml, 64);
         let (pages, nodes) = (store.page_count(), store.node_count());
-        let flat = flat_entries(&store);
+        assert!(pages > 2);
+        let pool = store.pool_rc();
         drop(store);
-        let store2 =
-            StructStore::open_with_backend(Arc::clone(&pool), BackendKind::Succinct).unwrap();
+        let store2 = StructStore::open(pool).unwrap();
         assert_eq!(store2.page_count(), pages);
         assert_eq!(store2.node_count(), nodes);
-        assert_eq!(flat_entries(&store2), flat);
-        // Opening with the wrong decoder must fail loudly, not misread.
-        assert!(StructStore::open_with_backend(pool, BackendKind::Classic).is_err());
+        assert_eq!(flat_entries(&store2), expected_entries(&xml, &dict));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Succinct balanced-parentheses kernels for the bit-packed structure
-//! backend (PR 9): a plain bitvector, a rank/select directory (popcount
+//! Succinct balanced-parentheses kernels for the bit-packed structure page:
+//! a plain bitvector, a rank/select directory (popcount
 //! superblocks + sampled select), and a per-page excess directory that
 //! answers the forward/backward excess searches behind `subtree_close`,
 //! `following_sibling` and `parent` in O(words scanned) instead of an
@@ -277,7 +277,7 @@ impl RankSelect {
 // Per-page excess directory
 // ---------------------------------------------------------------------------
 
-/// The per-page navigation directory of the succinct backend: a
+/// The per-page navigation directory: a
 /// [`RankSelect`] over the page's parenthesis bits plus per-word and
 /// per-superblock minimum-prefix-excess values, supporting the forward and
 /// backward excess searches all four navigation primitives reduce to.

@@ -7,8 +7,7 @@
 //! closes that gap with a trie over every distinct root-to-node tag path in
 //! the document, each annotated with the number of nodes bearing exactly
 //! that path — the structural summary a DataGuide maintains in Lore-style
-//! systems, shrunk to tag codes so it is identical over the classic and
-//! succinct structure backends.
+//! systems, shrunk to tag codes.
 //!
 //! One `Synopsis` value is the unit that flows through the system:
 //!

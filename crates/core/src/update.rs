@@ -606,10 +606,9 @@ impl<S: Storage> XmlDb<S> {
         old_next: u32,
         pin_head: usize,
     ) -> CoreResult<Vec<NodeAddr>> {
-        let backend = self.store.backend();
         let page_size = self.store.pool().page_size();
         let capacity = page_size - HEADER_SIZE;
-        let total_bytes = ContentAcc::over(&entries).bytes(backend);
+        let total_bytes = ContentAcc::over(&entries).bytes();
 
         if total_bytes <= capacity {
             // Fits in place.
@@ -626,7 +625,7 @@ impl<S: Storage> XmlDb<S> {
         // Head chunk (the pinned prefix) stays; the rest is distributed over
         // new pages at the build fill factor, leaving update slack.
         debug_assert!(
-            ContentAcc::over(&entries[..pin_head]).bytes(backend) <= capacity,
+            ContentAcc::over(&entries[..pin_head]).bytes() <= capacity,
             "pinned prefix of page {first_page} no longer fits its page"
         );
         let budget = ((capacity as f64) * 0.8) as usize;
@@ -634,7 +633,7 @@ impl<S: Storage> XmlDb<S> {
         let mut cur: Vec<Entry> = Vec::new();
         let mut cur_acc = ContentAcc::new();
         for e in &entries[pin_head..] {
-            if cur_acc.bytes_with(backend, *e) > budget && !cur.is_empty() {
+            if cur_acc.bytes_with(*e) > budget && !cur.is_empty() {
                 chunks.push(std::mem::take(&mut cur));
                 cur_acc = ContentAcc::new();
             }
@@ -726,7 +725,7 @@ impl<S: Storage> XmlDb<S> {
         entries: &[Entry],
         next: u32,
     ) -> CoreResult<u16> {
-        let content = page::encode_content(self.store.backend(), entries);
+        let content = page::encode_content(entries);
         let mut level = st as i32;
         let (mut lo, mut hi) = (u16::MAX, 0u16);
         for e in entries {
@@ -967,7 +966,7 @@ mod tests {
     #[test]
     fn delete_multi_page_subtree() {
         let mut xml = String::from("<r><victim>");
-        for i in 0..60 {
+        for i in 0..200 {
             xml.push_str(&format!("<v>{i}</v>"));
         }
         xml.push_str("</victim><keep>yes</keep></r>");
@@ -977,7 +976,7 @@ mod tests {
         let removed = db
             .delete_subtree(&Dewey::from_components(vec![0, 0]))
             .unwrap();
-        assert_eq!(removed, 61);
+        assert_eq!(removed, 201);
         assert_equivalent(
             &db,
             "<r><keep>yes</keep></r>",
@@ -1112,10 +1111,9 @@ mod tests {
 
     #[test]
     fn updates_work_on_succinct_backend() {
-        // Same insert/delete exercises as above, but over the bit-packed
-        // backend: place_entries must budget in succinct bytes and
-        // rewrite_page_with_st must emit succinct content.
-        let opts = crate::store::BuildOptions::with_backend(page::BackendKind::Succinct);
+        // Same insert/delete exercises as above, at the smallest page size:
+        // place_entries must budget in encoded bytes and split the chain.
+        let opts = crate::store::BuildOptions::default();
         let mut db = XmlDb::build_in_memory_with(BIB, opts, 64).unwrap();
         let mut big = String::from("<big>");
         for i in 0..40 {

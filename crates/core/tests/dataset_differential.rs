@@ -1,18 +1,17 @@
-//! Differential battery across structure backends: for every paper dataset
-//! and page size, the classic and succinct stores must return byte-identical
-//! results to each other and to the naive DOM evaluator on the dataset's
-//! whole query workload — and the succinct store must pass the strict
-//! format analyzer.
+//! Differential battery across datasets and page sizes: for every paper
+//! dataset at every page size, the store must return results byte-identical
+//! to the naive DOM evaluator on the dataset's whole query workload, and
+//! pass the strict format analyzer.
 
 use nok_core::naive::NaiveEvaluator;
-use nok_core::{BackendKind, BuildOptions, XmlDb};
+use nok_core::{BuildOptions, XmlDb};
 use nok_datagen::{generate, workload, DatasetKind};
 use nok_xml::Document;
 
 const PAGE_SIZES: [usize; 3] = [256, 1024, 4096];
 
 #[test]
-fn backends_agree_with_each_other_and_the_dom_oracle() {
+fn every_dataset_and_page_size_agrees_with_the_dom_oracle() {
     for kind in DatasetKind::ALL {
         let ds = generate(kind, 0.01);
         let doc = Document::parse(&ds.xml).expect("dataset XML parses");
@@ -31,18 +30,8 @@ fn backends_agree_with_each_other_and_the_dom_oracle() {
         assert!(!queries.is_empty(), "{}: empty workload", kind.name());
 
         for page_size in PAGE_SIZES {
-            let classic = XmlDb::build_in_memory_with(
-                &ds.xml,
-                BuildOptions::with_backend(BackendKind::Classic),
-                page_size,
-            )
-            .unwrap();
-            let succinct = XmlDb::build_in_memory_with(
-                &ds.xml,
-                BuildOptions::with_backend(BackendKind::Succinct),
-                page_size,
-            )
-            .unwrap();
+            let db =
+                XmlDb::build_in_memory_with(&ds.xml, BuildOptions::default(), page_size).unwrap();
             let what = format!("{}@{page_size}", kind.name());
 
             for q in &queries {
@@ -52,23 +41,16 @@ fn backends_agree_with_each_other_and_the_dom_oracle() {
                     .iter()
                     .map(|n| oracle.dewey(n).to_string())
                     .collect();
-                let classic_got: Vec<String> = classic
+                let got: Vec<String> = db
                     .query(q)
                     .unwrap()
                     .iter()
                     .map(|m| m.dewey.to_string())
                     .collect();
-                let succinct_got: Vec<String> = succinct
-                    .query(q)
-                    .unwrap()
-                    .iter()
-                    .map(|m| m.dewey.to_string())
-                    .collect();
-                assert_eq!(classic_got, want, "{what}: classic vs naive on {q}");
-                assert_eq!(succinct_got, want, "{what}: succinct vs naive on {q}");
+                assert_eq!(got, want, "{what}: store vs naive on {q}");
             }
 
-            let rep = nok_verify::verify_db(&succinct, nok_verify::VerifyOptions::strict());
+            let rep = nok_verify::verify_db(&db, nok_verify::VerifyOptions::strict());
             assert!(rep.is_clean(), "{what}: strict analyzer: {rep}");
         }
     }

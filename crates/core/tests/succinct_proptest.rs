@@ -5,9 +5,11 @@
 
 use proptest::prelude::*;
 
+use nok_core::page::{self, Entry};
 use nok_core::succinct::{
     read_varint, write_varint, BitVec, PageBp, RankSelect, SELECT_SAMPLE, SUPER_BITS,
 };
+use nok_core::TagCode;
 
 fn naive_rank1(bits: &[bool], i: usize) -> usize {
     bits[..i].iter().filter(|b| **b).count()
@@ -119,6 +121,62 @@ proptest! {
                 prop_assert_eq!(
                     bp.bwd_search_le(from, target), bwd,
                     "bwd_search_le({}, {})", from, target
+                );
+            }
+        }
+    }
+
+    /// `PageBp::fwd_search_le` is the only in-page navigation path: on
+    /// random pages — a slice of a balanced string entered at level `st`,
+    /// long enough to cross word and superblock boundaries, encoded and
+    /// decoded through the page format — it must agree with a linear scan
+    /// of the decoded level array for every `(from, target level)`.
+    #[test]
+    fn page_excess_search_matches_linear_level_scan(
+        pairs in 1usize..400,
+        st in 0u16..40,
+        coin in proptest::collection::vec(any::<bool>(), 97),
+        tags in proptest::collection::vec(0u16..(1 << 15), 13),
+    ) {
+        // `st` leading closes make the page start mid-subtree, as every
+        // page but the first does.
+        let mut entries = vec![Entry::Close; st as usize];
+        let mut opened = 0usize;
+        for open in balanced_from(pairs, &coin) {
+            entries.push(if open {
+                opened += 1;
+                Entry::Open(TagCode(tags[opened % tags.len()]))
+            } else {
+                Entry::Close
+            });
+        }
+        let content = page::encode_content(&entries);
+        let mut buf = vec![0u8; page::HEADER_SIZE + content.len()];
+        page::write_header(&mut buf, &page::PageHeader {
+            st,
+            lo: 0,
+            hi: 0,
+            next: page::NO_PAGE,
+            nbytes: content.len() as u16,
+        });
+        buf[page::HEADER_SIZE..].copy_from_slice(&content);
+        let decoded = page::decode_page(&buf).expect("canonical page decodes");
+        prop_assert_eq!(&decoded.entries, &entries);
+
+        let n = decoded.len();
+        let max_level = decoded.levels.iter().copied().max().unwrap_or(0);
+        for target in 0..=max_level {
+            // Sweep `from` downwards so the linear answer is carried along.
+            let mut linear = None;
+            prop_assert_eq!(decoded.bp.fwd_search_le(n, i32::from(target) - i32::from(st)), None);
+            for from in (0..n).rev() {
+                if decoded.levels[from] <= target {
+                    linear = Some(from);
+                }
+                prop_assert_eq!(
+                    decoded.bp.fwd_search_le(from, i32::from(target) - i32::from(st)),
+                    linear,
+                    "from={} target level={} st={}", from, target, st
                 );
             }
         }

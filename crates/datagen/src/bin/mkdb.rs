@@ -1,31 +1,19 @@
 //! `mkdb` — materialize a synthetic dataset as an on-disk database.
 //!
-//! Usage: `mkdb <dataset> <scale> <out-dir> [backend]` where `<dataset>` is
-//! one of author, address, catalog, treebank, dblp and `[backend]` is
-//! `classic` (default) or `succinct`. The backend is recorded in the
-//! database superblock, so consumers (`nokd`, `nokfsck`) pick it up
-//! automatically. Used by CI to produce corpora for `nokfsck`.
+//! Usage: `mkdb <dataset> <scale> <out-dir>` where `<dataset>` is one of
+//! author, address, catalog, treebank, dblp. Used by CI to produce corpora
+//! for `nokfsck` and `nokd`.
 
 use std::process::ExitCode;
 
-use nok_core::{BackendKind, BuildOptions, XmlDb};
+use nok_core::XmlDb;
 use nok_datagen::dataset_by_name;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (name, scale, dir, backend) = match args.as_slice() {
-        [name, scale, dir] => (name, scale, dir, BackendKind::Classic),
-        [name, scale, dir, backend] => match BackendKind::from_name(backend) {
-            Some(b) => (name, scale, dir, b),
-            None => {
-                eprintln!("mkdb: unknown backend {backend} (classic|succinct)");
-                return ExitCode::from(2);
-            }
-        },
-        _ => {
-            eprintln!("usage: mkdb <dataset> <scale> <out-dir> [classic|succinct]");
-            return ExitCode::from(2);
-        }
+    let [name, scale, dir] = args.as_slice() else {
+        eprintln!("usage: mkdb <dataset> <scale> <out-dir>");
+        return ExitCode::from(2);
     };
     let Ok(scale) = scale.parse::<f64>() else {
         eprintln!("mkdb: scale must be a number, got {scale}");
@@ -35,15 +23,13 @@ fn main() -> ExitCode {
         eprintln!("mkdb: unknown dataset {name} (author|address|catalog|treebank|dblp)");
         return ExitCode::from(2);
     };
-    let opts = BuildOptions::with_backend(backend);
-    match XmlDb::create_on_disk_with(dir, &ds.xml, opts).and_then(|db| db.flush()) {
+    match XmlDb::create_on_disk(dir, &ds.xml).and_then(|db| db.flush()) {
         Ok(()) => {
             println!(
-                "{dir}: {} ({} records, {} bytes of XML, {} backend)",
+                "{dir}: {} ({} records, {} bytes of XML)",
                 ds.kind.name(),
                 ds.records,
-                ds.xml.len(),
-                backend.name()
+                ds.xml.len()
             );
             ExitCode::SUCCESS
         }

@@ -3,17 +3,20 @@
 //! Usage: `nokfsck [--json] [--strict] <db-dir>`
 //!
 //! Opens the database read-only and runs every format check in
-//! [`nok_verify::verify_db`]. When the database refuses to open (e.g. a
-//! corrupted index file), falls back to a raw chain scan of `struct.pg` so
-//! structural damage is still reported. Exit codes: 0 clean, 1 violations
-//! found, 2 usage or open failure — including a fallback chain scan that
-//! found nothing, since the store as a whole still failed to open.
+//! [`nok_verify::verify_db`]. A missing, damaged or other-format `super.blk`
+//! is reported as a `superblock` violation and nothing is scanned — the
+//! pages are never decoded on a guess. When the database refuses to open
+//! for another reason (e.g. a corrupted index file), falls back to a raw
+//! chain scan of `struct.pg` so structural damage is still reported. Exit
+//! codes: 0 clean, 1 violations found, 2 usage or open failure — including
+//! a fallback chain scan that found nothing, since the store as a whole
+//! still failed to open.
 
 use std::process::ExitCode;
 
-use nok_core::XmlDb;
+use nok_core::{CoreError, XmlDb};
 use nok_pager::{BufferPool, FileStorage};
-use nok_verify::VerifyOptions;
+use nok_verify::{Report, VerifyOptions, Violation};
 
 const STRUCT_FILE: &str = "struct.pg";
 
@@ -47,22 +50,25 @@ fn main() -> ExitCode {
     let mut degraded = false;
     let (report, scope) = match XmlDb::open_dir(&dir) {
         Ok(db) => (nok_verify::verify_db(&db, opts), "full"),
+        Err(e @ CoreError::UnsupportedFormat(_)) => {
+            let report = Report {
+                violations: vec![Violation::Superblock {
+                    detail: e.to_string(),
+                }],
+                pages: 0,
+                nodes: 0,
+            };
+            (report, "superblock")
+        }
         Err(open_err) => {
             // The database would not open; degrade to a raw scan of the
             // structural string so page-level damage is still diagnosable.
-            // The superblock names the structure backend; a damaged or
-            // missing superblock degrades further to the classic encoding.
-            let backend = nok_core::build::read_superblock(&dir)
-                .unwrap_or(nok_core::page::BackendKind::Classic);
             let path = std::path::Path::new(&dir).join(STRUCT_FILE);
             match FileStorage::open(&path) {
                 Ok(storage) => {
                     eprintln!("nokfsck: database open failed ({open_err}); raw chain scan only");
                     degraded = true;
-                    (
-                        nok_verify::verify_chain_with(&BufferPool::new(storage), backend),
-                        "chain",
-                    )
+                    (nok_verify::verify_chain(&BufferPool::new(storage)), "chain")
                 }
                 Err(e) => {
                     eprintln!("nokfsck: cannot open {}: {e}", path.display());

@@ -30,7 +30,7 @@
 use std::collections::{HashMap, HashSet};
 
 use nok_core::dewey::Dewey;
-use nok_core::page::{self, BackendKind, HEADER_SIZE, NO_PAGE};
+use nok_core::page::{self, HEADER_SIZE, NO_PAGE};
 use nok_core::physical::{tag_posting_key, IdRecord, TagPosting};
 use nok_core::sigma::TagCode;
 use nok_core::store::{NodeAddr, StructStore};
@@ -98,11 +98,21 @@ struct ChainScan {
     completed: bool,
 }
 
+impl ChainScan {
+    fn into_report(self) -> Report {
+        Report {
+            violations: self.violations,
+            pages: self.chain.len() as u32,
+            nodes: self.opens,
+        }
+    }
+}
+
 /// Single source of truth for all structural checks: walk the chain from
 /// page 0 following raw `next` pointers, re-deriving levels, Dewey IDs and
 /// balance from the string itself, and comparing the stored headers against
 /// the recomputation.
-fn scan_chain<S: Storage>(pool: &BufferPool<S>, backend: BackendKind) -> ChainScan {
+fn scan_chain<S: Storage>(pool: &BufferPool<S>) -> ChainScan {
     let mut scan = ChainScan {
         violations: Vec::new(),
         nodes: Vec::new(),
@@ -201,29 +211,11 @@ fn scan_chain<S: Storage>(pool: &BufferPool<S>, backend: BackendKind) -> ChainSc
         }
 
         // Decode entries against the *recomputed* running level, so a wrong
-        // `st` does not cascade into bounds noise. Each backend gets its own
-        // granular parse (so damage is located precisely), then both feed
-        // the same level/Dewey recomputation.
+        // `st` does not cascade into bounds noise. The parse is granular
+        // (not `page::decode_page`, which only says yes or no) so damage is
+        // located precisely and the scan keeps what it could derive.
         let content = &buf[HEADER_SIZE..HEADER_SIZE + header.nbytes as usize];
-        let decoded = match backend {
-            BackendKind::Classic => {
-                let mut entries = Vec::new();
-                let mut pos = 0usize;
-                while pos < content.len() {
-                    let Some((entry, width)) = page::decode_entry(content, pos) else {
-                        scan.violations.push(Violation::PageUndecodable {
-                            page: pid,
-                            detail: format!("truncated entry at content offset {pos}"),
-                        });
-                        break;
-                    };
-                    entries.push(entry);
-                    pos += width;
-                }
-                entries
-            }
-            BackendKind::Succinct => scan_succinct_entries(pid, content, &mut scan.violations),
-        };
+        let decoded = scan_entries(pid, content, &mut scan.violations);
         let (mut lo, mut hi) = (u16::MAX, 0u16);
         let mut entry_idx = 0u32;
         for entry in decoded {
@@ -330,12 +322,12 @@ fn scan_chain<S: Storage>(pool: &BufferPool<S>, backend: BackendKind) -> ChainSc
     scan
 }
 
-/// Granular parse of one succinct page's content: entry-count word,
+/// Granular parse of one page's content: entry-count word,
 /// parenthesis bitvector (including canonical zero padding), dictionary tag
 /// codes (LEB128, 15-bit bound, exact stream length), and a rebuild of the
 /// rank/select directory cross-checked against a linear recount. Pushes a
 /// violation per defect and returns the entries it managed to derive.
-fn scan_succinct_entries(pid: PageId, content: &[u8], v: &mut Vec<Violation>) -> Vec<page::Entry> {
+fn scan_entries(pid: PageId, content: &[u8], v: &mut Vec<Violation>) -> Vec<page::Entry> {
     use nok_core::sigma::TagCode;
     if content.is_empty() {
         return Vec::new();
@@ -461,33 +453,17 @@ fn scan_succinct_entries(pid: PageId, content: &[u8], v: &mut Vec<Violation>) ->
 /// Verify the raw page chain of a structural pool: balance, header
 /// exactness, chain acyclicity and reachability, capacity bounds, nesting.
 /// Needs no [`StructStore`] — usable on a pool whose store refuses to open.
-/// Assumes the classic entry encoding; use [`verify_chain_with`] for a pool
-/// whose backend is known (e.g. from the directory superblock).
 pub fn verify_chain<S: Storage>(pool: &BufferPool<S>) -> Report {
-    verify_chain_with(pool, BackendKind::Classic)
-}
-
-/// [`verify_chain`] for a pool whose pages use `backend`.
-pub fn verify_chain_with<S: Storage>(pool: &BufferPool<S>, backend: BackendKind) -> Report {
-    let scan = scan_chain(pool, backend);
-    Report {
-        violations: scan.violations,
-        pages: scan.chain.len() as u32,
-        nodes: scan.opens,
-    }
+    scan_chain(pool).into_report()
 }
 
 /// Verify a [`StructStore`]: everything [`verify_chain`] checks, plus
 /// agreement between the in-memory header directory (rank map, mirrored
 /// headers, entry counts) and the raw pages, and the stored node count.
 pub fn verify_store<S: Storage>(store: &StructStore<S>) -> Report {
-    let mut scan = scan_chain(store.pool(), store.backend());
+    let mut scan = scan_chain(store.pool());
     directory_checks(store, &mut scan);
-    Report {
-        violations: scan.violations,
-        pages: scan.chain.len() as u32,
-        nodes: scan.opens,
-    }
+    scan.into_report()
 }
 
 fn directory_checks<S: Storage>(store: &StructStore<S>, scan: &mut ChainScan) {
@@ -557,15 +533,11 @@ fn directory_checks<S: Storage>(store: &StructStore<S>, scan: &mut ChainScan) {
 /// (B+i → data file, B+v ↔ values), tag-index completeness, and the
 /// structural invariants of all three B+ trees.
 pub fn verify_db<S: Storage>(db: &XmlDb<S>, opts: VerifyOptions) -> Report {
-    let mut scan = scan_chain(db.store().pool(), db.store().backend());
+    let mut scan = scan_chain(db.store().pool());
     directory_checks(db.store(), &mut scan);
     index_checks(db, opts, &mut scan);
     generation_checks(db, &mut scan.violations);
-    Report {
-        violations: scan.violations,
-        pages: scan.chain.len() as u32,
-        nodes: scan.opens,
-    }
+    scan.into_report()
 }
 
 /// The newest published MVCC generation must be self-consistent with the

@@ -9,6 +9,13 @@ use std::fmt;
 /// offset, expected vs. found) to pinpoint the damage.
 #[derive(Debug, Clone)]
 pub enum Violation {
+    /// The directory's `super.blk` is missing, damaged, or names a page
+    /// format this build does not read. Nothing else was scanned: the
+    /// pages are never decoded on a guess.
+    Superblock {
+        /// What is wrong, and the remedy.
+        detail: String,
+    },
     /// A chained page could not be read from storage at all.
     PageUnreadable {
         /// Page id.
@@ -198,7 +205,7 @@ pub enum Violation {
         /// Parse failure detail.
         detail: String,
     },
-    /// A succinct (bit-packed) page's content does not parse canonically:
+    /// A page's bit-packed content does not parse canonically:
     /// bad count word, truncated parenthesis bitvector, nonzero padding
     /// bits, or a tag-code stream that does not cover the content exactly.
     SuccinctEncoding {
@@ -207,16 +214,16 @@ pub enum Violation {
         /// What failed to parse.
         detail: String,
     },
-    /// A succinct page's rebuilt rank/select directory disagrees with a
-    /// linear recount of its parenthesis bitvector.
+    /// A page's rebuilt rank/select directory disagrees with a linear
+    /// recount of its parenthesis bitvector.
     RankSelectMismatch {
         /// Page id.
         page: u32,
         /// The diverging query and both answers.
         detail: String,
     },
-    /// A succinct page stores a dictionary tag code outside the 15-bit
-    /// range the classic encoding (and the tag dictionary) can represent.
+    /// A page stores a tag code outside the 15-bit range the tag
+    /// dictionary can represent.
     TagCodeOutOfRange {
         /// Page id.
         page: u32,
@@ -251,6 +258,7 @@ impl Violation {
     /// Stable machine-readable class name (used by tests and JSON output).
     pub fn kind(&self) -> &'static str {
         match self {
+            Violation::Superblock { .. } => "superblock",
             Violation::PageUnreadable { .. } => "page-unreadable",
             Violation::PageUndecodable { .. } => "page-undecodable",
             Violation::PageOverflow { .. } => "page-overflow",
@@ -289,6 +297,7 @@ impl Violation {
         let mut obj = JsonObj::new();
         obj.str("kind", self.kind());
         match self {
+            Violation::Superblock { detail } => obj.str("detail", detail),
             Violation::PageUnreadable { page, detail }
             | Violation::PageUndecodable { page, detail } => {
                 obj.num("page", *page as u64);
@@ -455,6 +464,7 @@ impl Violation {
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            Violation::Superblock { detail } => write!(f, "superblock: {detail}"),
             Violation::PageUnreadable { page, detail } => {
                 write!(f, "page {page}: unreadable: {detail}")
             }

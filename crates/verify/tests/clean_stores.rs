@@ -3,7 +3,7 @@
 //! attribute-heavy documents), stores after randomized update workloads,
 //! and on-disk databases reopened from files.
 
-use nok_core::{BackendKind, BuildOptions, Dewey, XmlDb};
+use nok_core::{BuildOptions, Dewey, XmlDb};
 use nok_datagen::{generate, DatasetKind};
 use nok_pager::MemStorage;
 use nok_verify::{verify_chain, verify_db, verify_store, VerifyOptions};
@@ -98,36 +98,23 @@ fn randomized_update_workload_stays_clean() {
     assert!(inserts > 5);
 }
 
-/// Bit-packed stores must satisfy every invariant the classic ones do, plus
-/// the succinct-specific ones (canonical encoding, rank/select directory
-/// agreement, tag-code bounds) — across all five paper datasets and two
-/// page sizes.
+/// Multi-page chains of every paper dataset satisfy every invariant,
+/// including the encoding's own (canonical form, rank/select directory
+/// agreement, tag-code bounds), at two small page sizes.
 #[test]
 fn succinct_builds_are_clean() {
     for kind in DatasetKind::ALL {
         let ds = generate(kind, 0.01);
         for page_size in [256usize, 1024] {
-            let db = XmlDb::build_in_memory_with(
-                &ds.xml,
-                BuildOptions::with_backend(BackendKind::Succinct),
-                page_size,
-            )
-            .unwrap();
-            let what = format!("{}@{page_size}", kind.name());
-            let chain = nok_verify::verify_chain_with(db.store().pool(), BackendKind::Succinct);
-            assert!(chain.is_clean(), "{what}: chain: {chain}");
-            let store = verify_store(db.store());
-            assert!(store.is_clean(), "{what}: store: {store}");
-            let full = verify_db(&db, VerifyOptions::strict());
-            assert!(full.is_clean(), "{what}: db: {full}");
-            assert!(full.nodes > 0, "{what}: analyzer saw no nodes");
+            let db =
+                XmlDb::build_in_memory_with(&ds.xml, BuildOptions::default(), page_size).unwrap();
+            assert_clean_strict(&db, &format!("{}@{page_size}", kind.name()));
         }
     }
 }
 
-/// Updates against a succinct store must keep it verifiably clean: splices
-/// re-encode pages in the bit-packed format, and the analyzer re-parses
-/// them canonically.
+/// Updates at small pages must keep the store verifiably clean: splices
+/// re-encode and split pages, and the analyzer re-parses them canonically.
 #[test]
 fn succinct_update_workload_stays_clean() {
     let mut xml = String::from("<log>");
@@ -135,9 +122,7 @@ fn succinct_update_workload_stays_clean() {
         xml.push_str(&format!("<rec id=\"r{i}\"><msg>event {i}</msg></rec>"));
     }
     xml.push_str("</log>");
-    let mut db =
-        XmlDb::build_in_memory_with(&xml, BuildOptions::with_backend(BackendKind::Succinct), 128)
-            .unwrap();
+    let mut db = XmlDb::build_in_memory_with(&xml, BuildOptions::default(), 128).unwrap();
     let mut rng = StdRng::seed_from_u64(0x5CC);
     let mut n_children = 24u32;
     for step in 0..30 {

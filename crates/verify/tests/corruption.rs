@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use nok_core::dewey::Dewey;
-use nok_core::page::{CLOSE_BYTE, HEADER_SIZE, OFF_LO, OFF_NBYTES, OFF_NEXT, OFF_ST};
+use nok_core::page::{HEADER_SIZE, OFF_LO, OFF_NBYTES, OFF_NEXT, OFF_ST};
 use nok_core::physical::IdRecord;
 use nok_core::store::{BuildOptions, NodeAddr};
 use nok_core::values::{hash_key, DataFile};
@@ -27,7 +27,7 @@ const BIB: &str = r#"<bib>
 /// pages to damage.
 fn tiny_db() -> XmlDb<MemStorage> {
     let mut xml = String::from("<log>");
-    for i in 0..30 {
+    for i in 0..120 {
         xml.push_str(&format!("<rec><msg>m{i}</msg><lvl>info</lvl></rec>"));
     }
     xml.push_str("</log>");
@@ -45,6 +45,49 @@ fn chain_page(db: &XmlDb<MemStorage>, i: u32) -> PageId {
 fn patch(db: &XmlDb<MemStorage>, page: PageId, f: impl FnOnce(&mut [u8])) {
     let handle = db.store().pool().get(page).unwrap();
     f(&mut handle.write());
+}
+
+/// Re-encode a page's content with one more `)` at the end: bump the count
+/// word and, when the parenthesis vector grows a byte, shift the tag codes
+/// up by one. The new bit is a zero the padding already held.
+fn append_close(buf: &mut [u8]) {
+    let nbytes = get_u16(buf, OFF_NBYTES) as usize;
+    let n = get_u16_le(buf, HEADER_SIZE) as usize;
+    if n % 8 == 0 {
+        assert!(HEADER_SIZE + nbytes < buf.len(), "page has slack");
+        let tags = HEADER_SIZE + 2 + n / 8;
+        buf.copy_within(tags..HEADER_SIZE + nbytes, tags + 1);
+        buf[tags] = 0;
+        put_u16(buf, OFF_NBYTES, nbytes as u16 + 1);
+    }
+    buf[HEADER_SIZE..HEADER_SIZE + 2].copy_from_slice(&(n as u16 + 1).to_le_bytes());
+}
+
+/// Re-encode a page's content without its last entry, which must be a `)`
+/// (the chain's final page always ends with the root's close).
+fn drop_last_close(buf: &mut [u8]) {
+    let nbytes = get_u16(buf, OFF_NBYTES) as usize;
+    let n = get_u16_le(buf, HEADER_SIZE) as usize;
+    assert!(n >= 2);
+    let last = n - 1;
+    assert_eq!(
+        buf[HEADER_SIZE + 2 + last / 8] >> (last % 8) & 1,
+        0,
+        "last entry is a close"
+    );
+    if last % 8 == 0 {
+        // The parenthesis vector loses its last byte.
+        let tags = HEADER_SIZE + 2 + n.div_ceil(8);
+        buf.copy_within(tags..HEADER_SIZE + nbytes, tags - 1);
+        put_u16(buf, OFF_NBYTES, nbytes as u16 - 1);
+    }
+    buf[HEADER_SIZE..HEADER_SIZE + 2].copy_from_slice(&(last as u16).to_le_bytes());
+}
+
+/// The content's count word is little-endian (the header fields go through
+/// the pager codec).
+fn get_u16_le(buf: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes([buf[at], buf[at + 1]])
 }
 
 #[test]
@@ -72,7 +115,7 @@ fn stale_empty_page_st_is_flagged() {
     // one of them a plausible-looking level instead of the canonical
     // sentinel. Both the raw scan and the directory cross-check must object.
     let mut xml = String::from("<r><victim>");
-    for i in 0..60 {
+    for i in 0..200 {
         xml.push_str(&format!("<v>{i}</v>"));
     }
     xml.push_str("</victim><keep>yes</keep></r>");
@@ -139,28 +182,21 @@ fn truncated_entry_is_flagged() {
     let db = tiny_db();
     let pid = chain_page(&db, 1);
     patch(&db, pid, |buf| {
-        // Append a lone open high-byte (opens are 2 bytes) as the last
-        // content byte: decoding must fail without panicking.
+        // Set the continuation bit of the last tag-code byte: the final
+        // open's varint now runs off the end of the content. Decoding must
+        // fail without panicking.
         let nbytes = get_u16(buf, OFF_NBYTES) as usize;
-        assert!(HEADER_SIZE + nbytes < buf.len(), "page has slack");
-        buf[HEADER_SIZE + nbytes] = 0x80 | 1;
-        put_u16(buf, OFF_NBYTES, nbytes as u16 + 1);
+        buf[HEADER_SIZE + nbytes - 1] |= 0x80;
     });
     let rep = verify_chain(db.store().pool());
-    assert!(rep.has_kind("page-undecodable"), "{rep}");
+    assert!(rep.has_kind("succinct-encoding"), "{rep}");
 }
 
 #[test]
 fn stray_close_is_a_nesting_violation() {
     let db = tiny_db();
     let last = chain_page(&db, db.store().chain_len() - 1);
-    patch(&db, last, |buf| {
-        // One extra `)` after the root closes: an interval underflow.
-        let nbytes = get_u16(buf, OFF_NBYTES) as usize;
-        assert!(HEADER_SIZE + nbytes < buf.len(), "page has slack");
-        buf[HEADER_SIZE + nbytes] = CLOSE_BYTE;
-        put_u16(buf, OFF_NBYTES, nbytes as u16 + 1);
-    });
+    patch(&db, last, |buf| append_close(buf));
     let rep = verify_chain(db.store().pool());
     assert!(rep.has_kind("nesting-violation"), "{rep}");
     assert!(rep.has_kind("unbalanced-string"), "{rep}");
@@ -170,54 +206,25 @@ fn stray_close_is_a_nesting_violation() {
 fn dropped_closes_unbalance_the_string() {
     let db = tiny_db();
     let last = chain_page(&db, db.store().chain_len() - 1);
-    patch(&db, last, |buf| {
-        // Cut the final close parenthesis: opens > closes, end level != 0.
-        let nbytes = get_u16(buf, OFF_NBYTES);
-        assert!(nbytes >= 1);
-        put_u16(buf, OFF_NBYTES, nbytes - 1);
-    });
+    patch(&db, last, |buf| drop_last_close(buf));
     let rep = verify_chain(db.store().pool());
     assert!(rep.has_kind("unbalanced-string"), "{rep}");
 }
 
 // ---------------------------------------------------------------------
-// Succinct-backend injections: canonical-form and tag-code damage in the
-// bit-packed page encoding.
+// Canonical-form and tag-code damage in the bit-packed content.
 // ---------------------------------------------------------------------
-
-/// Like [`tiny_db`] but stored with the bit-packed backend — which packs
-/// several times more entries per page, so the document is wider to keep
-/// the chain multi-page.
-fn tiny_succinct_db() -> XmlDb<MemStorage> {
-    let mut xml = String::from("<log>");
-    for i in 0..120 {
-        xml.push_str(&format!("<rec><msg>m{i}</msg><lvl>info</lvl></rec>"));
-    }
-    xml.push_str("</log>");
-    let db = XmlDb::build_in_memory_with(
-        &xml,
-        BuildOptions::with_backend(nok_core::BackendKind::Succinct),
-        64,
-    )
-    .unwrap();
-    assert!(db.store().chain_len() >= 4, "need a multi-page chain");
-    db
-}
-
-fn succinct_chain_report(db: &XmlDb<MemStorage>) -> nok_verify::Report {
-    nok_verify::verify_chain_with(db.store().pool(), nok_core::BackendKind::Succinct)
-}
 
 #[test]
 fn succinct_store_starts_clean() {
-    let db = tiny_succinct_db();
-    let rep = succinct_chain_report(&db);
+    let db = tiny_db();
+    let rep = verify_chain(db.store().pool());
     assert!(rep.is_clean(), "{rep}");
 }
 
 #[test]
 fn succinct_padding_bit_is_flagged() {
-    let db = tiny_succinct_db();
+    let db = tiny_db();
     // Find a page whose entry count is not a byte multiple, so the last
     // parens byte has padding bits, and set the topmost (always padding
     // when n % 8 != 0).
@@ -229,26 +236,26 @@ fn succinct_padding_bit_is_flagged() {
         let n = victim.entries as usize;
         buf[HEADER_SIZE + 2 + (n - 1) / 8] |= 0x80;
     });
-    let rep = succinct_chain_report(&db);
+    let rep = verify_chain(db.store().pool());
     assert!(rep.has_kind("succinct-encoding"), "{rep}");
 }
 
 #[test]
 fn succinct_zero_count_with_content_is_flagged() {
-    let db = tiny_succinct_db();
+    let db = tiny_db();
     let pid = chain_page(&db, 1);
     patch(&db, pid, |buf| {
         // Zero the entry-count word while nbytes still claims content: the
         // canonical empty page has nbytes == 0.
         put_u16(buf, HEADER_SIZE, 0);
     });
-    let rep = succinct_chain_report(&db);
+    let rep = verify_chain(db.store().pool());
     assert!(rep.has_kind("succinct-encoding"), "{rep}");
 }
 
 #[test]
 fn succinct_truncated_tag_stream_is_flagged() {
-    let db = tiny_succinct_db();
+    let db = tiny_db();
     let victim = (0..db.store().chain_len() as u32)
         .map(|r| db.store().dir_at(r).unwrap())
         .find(|e| e.entries > 0)
@@ -260,7 +267,7 @@ fn succinct_truncated_tag_stream_is_flagged() {
         assert!(nbytes >= 4);
         put_u16(buf, OFF_NBYTES, nbytes - 1);
     });
-    let rep = succinct_chain_report(&db);
+    let rep = verify_chain(db.store().pool());
     assert!(rep.has_kind("succinct-encoding"), "{rep}");
 }
 
@@ -286,7 +293,7 @@ fn succinct_tag_code_out_of_range_is_flagged() {
         );
         buf[HEADER_SIZE..HEADER_SIZE + content.len()].copy_from_slice(&content);
     }
-    let rep = nok_verify::verify_chain_with(&pool, nok_core::BackendKind::Succinct);
+    let rep = verify_chain(&pool);
     assert!(rep.has_kind("tag-code-out-of-range"), "{rep}");
 }
 

@@ -87,6 +87,47 @@ fn unopenable_store_with_clean_chain_exits_two() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A missing, format-0 or damaged `super.blk` is its own violation class:
+/// exit 1, named in `--json`, and no page is scanned under a guessed
+/// decoder.
+#[test]
+fn bad_superblock_is_a_violation_not_a_guess() {
+    let dir = fresh_dir("superblock");
+    XmlDb::create_on_disk(&dir, BIB).unwrap().flush().unwrap();
+    let sb_path = dir.join("super.blk");
+    let good = std::fs::read(&sb_path).unwrap();
+    let mut format0 = good.clone();
+    format0[10] = 0;
+    let cases: [(&str, Option<&[u8]>, &str); 3] = [
+        ("missing", None, "super.blk is missing"),
+        ("format 0", Some(&format0), "page format 0"),
+        ("damaged", Some(&good[..5]), "super.blk is damaged"),
+    ];
+    for (what, bytes, needle) in cases {
+        match bytes {
+            Some(b) => std::fs::write(&sb_path, b).unwrap(),
+            None => std::fs::remove_file(&sb_path).unwrap(),
+        }
+        let out = fsck(&["--json", "--strict", dir.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{what}: {out:?}");
+        let json = String::from_utf8(out.stdout).unwrap();
+        assert!(json.contains("\"clean\":false"), "{what}: {json}");
+        assert!(json.contains("\"kind\":\"superblock\""), "{what}: {json}");
+        assert!(json.contains(needle), "{what}: {json}");
+        assert!(json.contains("rebuild"), "{what}: names the remedy: {json}");
+        assert!(
+            json.contains("\"pages\":0"),
+            "{what}: nothing scanned: {json}"
+        );
+        assert_eq!(json.matches("\"kind\"").count(), 1, "{what}: {json}");
+    }
+    // Restored, the same directory is clean again.
+    std::fs::write(&sb_path, &good).unwrap();
+    let out = fsck(&["--strict", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn missing_directory_exits_two() {
     let out = fsck(&["/nonexistent/nok-db-dir"]);

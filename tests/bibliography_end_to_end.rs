@@ -104,7 +104,13 @@ fn statistics_of_the_example() {
     assert_eq!(st.nodes, db.node_count());
     assert_eq!(st.max_depth, 4); // bib/book/author/last
     assert!(st.tags >= 10);
-    assert_eq!(st.tree_bytes, st.nodes * 3);
+    // |tree| is measured: one page header, the count word, two parenthesis
+    // bits and a one-byte tag code per node — against the paper's 3 B/node.
+    assert_eq!(
+        st.tree_bytes,
+        12 + 2 + (2 * st.nodes).div_ceil(8) + st.nodes
+    );
+    assert_eq!(st.paper_tree_bytes(), st.nodes * 3);
 }
 
 #[test]

@@ -1,6 +1,5 @@
 //! Planner/executor differential battery: on every dataset, every
-//! workload query (plus the `//` variants), and both structure backends,
-//! the path-aware cost-ordered plan, the tag-only plan, the legacy
+//! workload query (plus the `//` variants), the path-aware cost-ordered plan, the tag-only plan, the legacy
 //! fixed-order plan, the forced scan route and the forced index route
 //! (tag and value seeds) must all return exactly the result sequence of
 //! the naive oracle — the planner may change evaluation *order*, *seeding*
@@ -13,8 +12,8 @@
 
 use nok_core::naive::NaiveEvaluator;
 use nok_core::{
-    BackendKind, BuildOptions, PlanConfig, QueryOptions, QueryScratch, SeedChoice, StartStrategy,
-    StrategyUsed, XmlDb,
+    BuildOptions, PlanConfig, QueryOptions, QueryScratch, SeedChoice, StartStrategy, StrategyUsed,
+    XmlDb,
 };
 use nok_datagen::{generate, workload, DatasetKind};
 use nok_xml::Document;
@@ -33,14 +32,9 @@ fn execute(
     out.iter().map(|m| m.dewey.to_string()).collect()
 }
 
-fn check_dataset(kind: DatasetKind, backend: BackendKind) {
+fn check_dataset(kind: DatasetKind) {
     let ds = generate(kind, 0.01); // floor: 800 records
-    let db = XmlDb::build_in_memory_with(
-        &ds.xml,
-        BuildOptions::with_backend(backend),
-        nok_pager::DEFAULT_PAGE_SIZE,
-    )
-    .expect("build");
+    let db = XmlDb::build_in_memory(&ds.xml).expect("build");
     let doc = Document::parse(&ds.xml).expect("parse");
     let oracle = NaiveEvaluator::new(&doc);
     // One scratch across every query: pooled buffers must never leak state
@@ -104,7 +98,7 @@ fn check_dataset(kind: DatasetKind, backend: BackendKind) {
                 assert_eq!(
                     got,
                     expected,
-                    "{arm} plan disagrees with oracle on {} ({backend:?}) Q{i}: {path}",
+                    "{arm} plan disagrees with oracle on {} Q{i}: {path}",
                     kind.name()
                 );
             }
@@ -112,34 +106,29 @@ fn check_dataset(kind: DatasetKind, backend: BackendKind) {
     }
 }
 
-fn check_both_backends(kind: DatasetKind) {
-    check_dataset(kind, BackendKind::Classic);
-    check_dataset(kind, BackendKind::Succinct);
-}
-
 #[test]
 fn author_plans_match_oracle() {
-    check_both_backends(DatasetKind::Author);
+    check_dataset(DatasetKind::Author);
 }
 
 #[test]
 fn address_plans_match_oracle() {
-    check_both_backends(DatasetKind::Address);
+    check_dataset(DatasetKind::Address);
 }
 
 #[test]
 fn catalog_plans_match_oracle() {
-    check_both_backends(DatasetKind::Catalog);
+    check_dataset(DatasetKind::Catalog);
 }
 
 #[test]
 fn treebank_plans_match_oracle() {
-    check_both_backends(DatasetKind::Treebank);
+    check_dataset(DatasetKind::Treebank);
 }
 
 #[test]
 fn dblp_plans_match_oracle() {
-    check_both_backends(DatasetKind::Dblp);
+    check_dataset(DatasetKind::Dblp);
 }
 
 const ROUTES: [StartStrategy; 4] = [
@@ -160,30 +149,27 @@ fn oracle_answers(xml: &str, query: &str) -> Vec<String> {
         .collect()
 }
 
-/// Every route on both backends, small pages (so subtrees and candidate
-/// buffers straddle page boundaries), against the oracle — order included.
+/// Every route, small pages (so subtrees and candidate buffers straddle
+/// page boundaries), against the oracle — order included.
 fn check_routes(xml: &str, queries: &[&str]) {
-    for backend in [BackendKind::Classic, BackendKind::Succinct] {
-        for page_size in [128, 4096] {
-            let db =
-                XmlDb::build_in_memory_with(xml, BuildOptions::with_backend(backend), page_size)
-                    .expect("build");
-            let mut scratch = QueryScratch::new();
-            for q in queries {
-                let expected = oracle_answers(xml, q);
-                for strategy in ROUTES {
-                    let got = execute(
-                        &db,
-                        q,
-                        QueryOptions { strategy },
-                        PlanConfig::default(),
-                        &mut scratch,
-                    );
-                    assert_eq!(
-                        got, expected,
-                        "{q} via {strategy:?} ({backend:?}, {page_size}-byte pages)"
-                    );
-                }
+    for page_size in [64, 128, 4096] {
+        let db =
+            XmlDb::build_in_memory_with(xml, BuildOptions::default(), page_size).expect("build");
+        let mut scratch = QueryScratch::new();
+        for q in queries {
+            let expected = oracle_answers(xml, q);
+            for strategy in ROUTES {
+                let got = execute(
+                    &db,
+                    q,
+                    QueryOptions { strategy },
+                    PlanConfig::default(),
+                    &mut scratch,
+                );
+                assert_eq!(
+                    got, expected,
+                    "{q} via {strategy:?} ({page_size}-byte pages)"
+                );
             }
         }
     }
@@ -320,49 +306,46 @@ fn scan_route_value_literals_across_updates() {
     ];
     check_routes(&xml, &queries);
 
-    for backend in [BackendKind::Classic, BackendKind::Succinct] {
-        let mut db = XmlDb::build_in_memory_with(&xml, BuildOptions::with_backend(backend), 128)
-            .expect("build");
-        let before = db.snapshot().expect("snapshot");
-        // Delete the only record named n7 (tombstoning its value), then
-        // give an *earlier* record a node with that very value: the hash
-        // now has a dead record, and the new posting sits after its
-        // document-order successors.
-        let n7 = db.query(r#"//rec[name="n7"]"#).expect("query")[0]
-            .dewey
-            .clone();
-        db.delete_subtree(&n7).expect("delete");
-        let rec2 = db.query("/lib/rec").expect("query")[2].dewey.clone();
-        db.insert_last_child(&rec2, "<name>n7</name>")
-            .expect("insert");
-        db.insert_last_child(&rec2, "<kw>needle</kw>")
-            .expect("insert");
-        let rec0 = db.query("/lib/rec").expect("query")[0].dewey.clone();
-        db.insert_last_child(&rec0, "<name>n7</name>")
-            .expect("insert");
-        let mut scratch = QueryScratch::new();
-        for q in queries {
-            for strategy in ROUTES {
-                let opts = QueryOptions { strategy };
-                assert_eq!(
-                    execute(&db, q, opts, PlanConfig::default(), &mut scratch),
-                    oracle_answers(&updated, q),
-                    "{q} via {strategy:?} after updates ({backend:?})"
-                );
-                // The pinned snapshot reads overlay pages and tombstoned
-                // records, and still answers as of its generation.
-                let planned = before.plan_query(q, opts).expect("plan");
-                let mut out = Vec::new();
-                before
-                    .execute_plan(&planned, &mut scratch, &mut out)
-                    .expect("execute");
-                let got: Vec<String> = out.iter().map(|m| m.dewey.to_string()).collect();
-                assert_eq!(
-                    got,
-                    oracle_answers(&xml, q),
-                    "{q} via {strategy:?} on the snapshot ({backend:?})"
-                );
-            }
+    let mut db = XmlDb::build_in_memory_with(&xml, BuildOptions::default(), 64).expect("build");
+    let before = db.snapshot().expect("snapshot");
+    // Delete the only record named n7 (tombstoning its value), then
+    // give an *earlier* record a node with that very value: the hash
+    // now has a dead record, and the new posting sits after its
+    // document-order successors.
+    let n7 = db.query(r#"//rec[name="n7"]"#).expect("query")[0]
+        .dewey
+        .clone();
+    db.delete_subtree(&n7).expect("delete");
+    let rec2 = db.query("/lib/rec").expect("query")[2].dewey.clone();
+    db.insert_last_child(&rec2, "<name>n7</name>")
+        .expect("insert");
+    db.insert_last_child(&rec2, "<kw>needle</kw>")
+        .expect("insert");
+    let rec0 = db.query("/lib/rec").expect("query")[0].dewey.clone();
+    db.insert_last_child(&rec0, "<name>n7</name>")
+        .expect("insert");
+    let mut scratch = QueryScratch::new();
+    for q in queries {
+        for strategy in ROUTES {
+            let opts = QueryOptions { strategy };
+            assert_eq!(
+                execute(&db, q, opts, PlanConfig::default(), &mut scratch),
+                oracle_answers(&updated, q),
+                "{q} via {strategy:?} after updates"
+            );
+            // The pinned snapshot reads overlay pages and tombstoned
+            // records, and still answers as of its generation.
+            let planned = before.plan_query(q, opts).expect("plan");
+            let mut out = Vec::new();
+            before
+                .execute_plan(&planned, &mut scratch, &mut out)
+                .expect("execute");
+            let got: Vec<String> = out.iter().map(|m| m.dewey.to_string()).collect();
+            assert_eq!(
+                got,
+                oracle_answers(&xml, q),
+                "{q} via {strategy:?} on the snapshot"
+            );
         }
     }
 }
@@ -376,44 +359,38 @@ fn scan_route_skips_pages_emptied_by_deletes() {
         xml.push_str(&format!("<a><b/><c><d/><d/></c><e>v{i}</e></a>"));
     }
     xml.push_str("</r>");
-    for backend in [BackendKind::Classic, BackendKind::Succinct] {
-        let mut db = XmlDb::build_in_memory_with(&xml, BuildOptions::with_backend(backend), 64)
-            .expect("build");
-        // Remove records 10..50, back to front so Dewey ids stay put.
-        let victims: Vec<_> = db.query("/r/a").expect("query")[10..50]
-            .iter()
-            .map(|m| m.dewey.clone())
-            .collect();
-        for d in victims.iter().rev() {
-            db.delete_subtree(d).expect("delete");
-        }
-        let empties = (0..db.store().chain_len())
-            .filter(|&r| db.store().dir_at(r).is_some_and(|de| de.entries == 0))
-            .count();
-        assert!(
-            empties > 0,
-            "the deletes must have emptied pages ({backend:?})"
-        );
-        let mut kept = String::from("<r>");
-        for i in (0..10).chain(50..60) {
-            kept.push_str(&format!("<a><b/><c><d/><d/></c><e>v{i}</e></a>"));
-        }
-        kept.push_str("</r>");
-        let mut scratch = QueryScratch::new();
-        for q in ["/r/a/c/d", "//a[b]/e", "//c[d]", r#"//a[e="v55"]/b"#] {
-            for strategy in ROUTES {
-                assert_eq!(
-                    execute(
-                        &db,
-                        q,
-                        QueryOptions { strategy },
-                        PlanConfig::default(),
-                        &mut scratch
-                    ),
-                    oracle_answers(&kept, q),
-                    "{q} via {strategy:?} ({backend:?})"
-                );
-            }
+    let mut db = XmlDb::build_in_memory_with(&xml, BuildOptions::default(), 64).expect("build");
+    // Remove records 10..50, back to front so Dewey ids stay put.
+    let victims: Vec<_> = db.query("/r/a").expect("query")[10..50]
+        .iter()
+        .map(|m| m.dewey.clone())
+        .collect();
+    for d in victims.iter().rev() {
+        db.delete_subtree(d).expect("delete");
+    }
+    let empties = (0..db.store().chain_len())
+        .filter(|&r| db.store().dir_at(r).is_some_and(|de| de.entries == 0))
+        .count();
+    assert!(empties > 0, "the deletes must have emptied pages");
+    let mut kept = String::from("<r>");
+    for i in (0..10).chain(50..60) {
+        kept.push_str(&format!("<a><b/><c><d/><d/></c><e>v{i}</e></a>"));
+    }
+    kept.push_str("</r>");
+    let mut scratch = QueryScratch::new();
+    for q in ["/r/a/c/d", "//a[b]/e", "//c[d]", r#"//a[e="v55"]/b"#] {
+        for strategy in ROUTES {
+            assert_eq!(
+                execute(
+                    &db,
+                    q,
+                    QueryOptions { strategy },
+                    PlanConfig::default(),
+                    &mut scratch
+                ),
+                oracle_answers(&kept, q),
+                "{q} via {strategy:?}"
+            );
         }
     }
 }

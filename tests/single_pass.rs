@@ -116,7 +116,7 @@ fn header_directory_skips_pages_for_sibling_jumps() {
         xml.push_str(&format!("<x><y>{i}</y></x>"));
     }
     xml.push_str("</bulk><target/></r>");
-    let (store, dict) = small_page_store(&xml, 256);
+    let (store, dict) = small_page_store(&xml, 128);
     assert!(store.page_count() > 100);
 
     let root = store.root().unwrap();

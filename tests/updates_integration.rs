@@ -145,7 +145,7 @@ fn page_splits_during_update_keep_proposition1() {
     let mut db = nok_core::XmlDb::build_in_memory_with(
         "<r><seed/></r>",
         nok_core::BuildOptions::default(),
-        128,
+        64,
     )
     .expect("build");
     for i in 0..200 {
