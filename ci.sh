@@ -75,20 +75,18 @@ port="$(cat "$corpus/nokd.port")"
 # five passes ≈ 120 queries through the shared pool.
 ./target/release/nokq --workload dblp > "$corpus/queries.txt"
 for _ in 1 2 3 4 5; do cat "$corpus/queries.txt"; done > "$corpus/queries5.txt"
-./target/release/nokq --addr "127.0.0.1:$port" < "$corpus/queries5.txt" \
-  > "$corpus/served.txt"
 ./target/release/nokq --offline "$corpus/dblp" < "$corpus/queries5.txt" \
   > "$corpus/offline.txt"
-diff "$corpus/served.txt" "$corpus/offline.txt"
-# Same queries over the pipelined binary protocol (8 in flight, responses
-# reordered by id client-side) must render the exact same bytes.
-./target/release/nokq --addr "127.0.0.1:$port" --binary --pipeline 8 \
-  < "$corpus/queries5.txt" > "$corpus/served-bin.txt"
-diff "$corpus/served-bin.txt" "$corpus/offline.txt"
-# Binary stats round-trip carries the same JSON shape as the JSON protocol.
+# One request at a time, then 8 in flight (responses reordered by id
+# client-side): both must render the exact bytes offline evaluation does.
+for depth in 1 8; do
+  ./target/release/nokq --addr "127.0.0.1:$port" --pipeline "$depth" \
+    < "$corpus/queries5.txt" > "$corpus/served-$depth.txt"
+  diff "$corpus/served-$depth.txt" "$corpus/offline.txt"
+done
 # (Capture to a file, then grep: `nokq | grep -q` races grep's early exit
 # against nokq's last stdout write, and nokq dies of EPIPE when it loses.)
-./target/release/nokq --addr "127.0.0.1:$port" --binary --stats \
+./target/release/nokq --addr "127.0.0.1:$port" --stats \
   < /dev/null > "$corpus/stats.json"
 grep -q '"served"' "$corpus/stats.json"
 # EXPLAIN over the wire and offline both end in the collect operator.
@@ -104,30 +102,6 @@ grep -q 'collect' "$corpus/explain-offline.txt"
   < /dev/null > /dev/null
 wait "$nokd_pid"
 ./target/release/nokfsck --strict "$corpus/dblp"
-
-echo "==> serve throughput bench, both protocols + mixed writer (BENCH_serve.json)"
-# Exits nonzero itself if the binary-pipelined 1t->8t scaling gate (>=3x
-# qps, p99 no worse) fails on a host with >=8 cores, or if the mixed
-# readers+writer run keeps less than 80% of read-only qps on a host with a
-# spare core for the writer; on smaller hosts the gates are recorded but
-# not enforced (same guarded-skip as TSan/Miri above).
-cargo run --release -q -p nok-bench --bin serve_throughput -- \
-  --scale 0.01 --duration-ms 300 --warmup-ms 150 --threads 1,2,4,8 \
-  --pipeline 8 --write-rate 50 --out BENCH_serve.json
-grep -q '"threads":8' BENCH_serve.json
-# Both wire protocols must have been measured, with pipeline depth recorded.
-grep -q '"protocol":"json"' BENCH_serve.json
-grep -q '"protocol":"binary"' BENCH_serve.json
-grep -q '"pipeline_depth"' BENCH_serve.json
-# The scaling gate verdict and host core count are always in the report.
-grep -q '"scaling"' BENCH_serve.json
-grep -q '"cores"' BENCH_serve.json
-# The mixed section (8 readers + 1 writer on MVCC snapshots) must be present
-# and the writer must have actually committed.
-grep -q '"mixed"' BENCH_serve.json
-grep -q '"writes_committed"' BENCH_serve.json
-# The mixed run carries its qps floor and verdict.
-grep -q '"required_ratio"' BENCH_serve.json
 
 echo "==> navigation kernels bench (BENCH_nav.json)"
 # nav_bench measures the indexed primitives against the linear oracles,

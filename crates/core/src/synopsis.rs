@@ -116,9 +116,14 @@ impl Default for PathTrie {
 impl PathTrie {
     /// An empty trie (virtual root only).
     pub fn new() -> PathTrie {
-        PathTrie {
-            nodes: vec![TrieNode::new(TagCode(0), 0)],
-        }
+        PathTrie::with_capacity(0)
+    }
+
+    /// An empty trie with room for `paths` distinct paths.
+    fn with_capacity(paths: usize) -> PathTrie {
+        let mut nodes = Vec::with_capacity(1 + paths);
+        nodes.push(TrieNode::new(TagCode(0), 0));
+        PathTrie { nodes }
     }
 
     fn child_of(&self, node: u32, tag: TagCode) -> Option<u32> {
@@ -561,6 +566,10 @@ impl Synopsis {
 
         let path_n = u32::from_be_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
         let root_kids = read_varint(b, &mut pos)? as usize;
+        // Size the node arena once instead of doubling it up to the final
+        // size. Every encoded node is at least three varint bytes, so the
+        // bytes left bound what a lying `path_n` can make us allocate.
+        syn.paths = PathTrie::with_capacity(path_n.min((b.len() - pos) / 3));
         // Decode preorder with an explicit frame stack: each frame is a
         // (parent, remaining-children) pair. Bounds are enforced by the
         // declared node count, so adversarial child counts cannot balloon.
@@ -832,6 +841,25 @@ mod tests {
         s.add_path_count(&[tc(1)], 1);
         s.add_path_count(&[tc(2)], 1);
         assert!(Synopsis::from_bytes(&s.to_bytes(2)).is_some());
+    }
+
+    #[test]
+    fn lying_path_count_reserves_for_the_bytes_it_has() {
+        // A header declaring four billion paths over a one-node body is
+        // refused, having reserved for the body and not for the claim
+        // (which would abort the process on the allocation).
+        let mut b = Vec::new();
+        b.extend_from_slice(SYNOPSIS_MAGIC);
+        b.extend_from_slice(&SYNOPSIS_VERSION.to_be_bytes());
+        b.extend_from_slice(&1u64.to_be_bytes()); // node_count
+        b.extend_from_slice(&0u32.to_be_bytes()); // tag_n
+        b.extend_from_slice(&0u32.to_be_bytes()); // val_n
+        b.extend_from_slice(&u32::MAX.to_be_bytes()); // path_n
+        write_varint(&mut b, 1); // root has one child
+        write_varint(&mut b, 1);
+        write_varint(&mut b, 1);
+        write_varint(&mut b, 0);
+        assert!(Synopsis::from_bytes(&b).is_none());
     }
 
     #[test]

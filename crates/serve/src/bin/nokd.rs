@@ -2,9 +2,8 @@
 //!
 //! Opens a database directory read-only (structural pool capped at 256
 //! frames by default so serving exercises eviction), starts a
-//! [`QueryService`] worker pool, and serves TCP connections. Each
-//! connection speaks either the length-prefixed newline-JSON protocol or
-//! the pipelined binary protocol — auto-detected from the first byte (see
+//! [`QueryService`] worker pool, and serves TCP connections speaking the
+//! pipelined binary protocol (`nok_serve::binproto`, served by
 //! `nok_serve::conn`). One thread per connection; all connections share
 //! the service's bounded admission queue.
 //!

@@ -17,22 +17,19 @@
 //! offline modes) which prints each query's plan — one row per operator
 //! with estimated vs actual cardinalities — instead of the result line.
 //!
-//! Server mode can also speak the pipelined binary protocol: `--binary`
-//! switches the wire format, and `--pipeline N` keeps up to `N` queries in
+//! `--pipeline N` (server mode, default 1) keeps up to `N` queries in
 //! flight on the one connection. Responses may return out of order; nokq
-//! reorders by request id before printing, so the output stays
-//! byte-identical to the sequential JSON and `--offline` modes.
+//! prints each line once every lower-numbered line is out, so the output
+//! stays byte-identical to `--offline` at any depth, and a failing query
+//! leaves the lines before it on stdout.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::collections::VecDeque;
+use std::io::{BufRead, Write};
 use std::net::TcpStream;
 
 use nok_core::{QueryOptions, XmlDb};
 use nok_serve::binproto::{BinClient, BinResponse};
-use nok_serve::proto::{
-    parse_explain_response, parse_query_response, read_frame, result_line, write_frame, Request,
-    WireMatch,
-};
-use nok_serve::Json;
+use nok_serve::{result_line, Request, WireMatch};
 
 struct Args {
     addr: Option<String>,
@@ -42,7 +39,6 @@ struct Args {
     stats: bool,
     shutdown: bool,
     explain: bool,
-    binary: bool,
     pipeline: usize,
     queries: Vec<String>,
 }
@@ -56,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
         stats: false,
         shutdown: false,
         explain: false,
-        binary: false,
         pipeline: 1,
         queries: Vec::new(),
     };
@@ -79,7 +74,6 @@ fn parse_args() -> Result<Args, String> {
             "--stats" => args.stats = true,
             "--shutdown" => args.shutdown = true,
             "--explain" => args.explain = true,
-            "--binary" => args.binary = true,
             "--pipeline" => {
                 args.pipeline = take("--pipeline")?
                     .parse()
@@ -91,7 +85,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: nokq --addr HOST:PORT [--timeout-ms N] [--stats] [--shutdown] [--explain]\n\
-                     \x20           [--binary] [--pipeline N] [query ...]\n\
+                     \x20           [--pipeline N] [query ...]\n\
                      \x20      nokq --offline <db-dir> [--explain] [query ...]\n\
                      \x20      nokq --workload <dataset>   (author|address|catalog|treebank|dblp)\n\
                      queries are read from stdin when none are given"
@@ -107,11 +101,8 @@ fn parse_args() -> Result<Args, String> {
     if modes != 1 {
         return Err("pick exactly one of --addr, --offline, --workload".to_string());
     }
-    if (args.binary || args.pipeline > 1) && args.addr.is_none() {
-        return Err("--binary/--pipeline need server mode (--addr)".to_string());
-    }
-    if args.pipeline > 1 && !args.binary {
-        return Err("--pipeline needs the binary protocol (--binary)".to_string());
+    if args.pipeline > 1 && args.addr.is_none() {
+        return Err("--pipeline needs server mode (--addr)".to_string());
     }
     Ok(args)
 }
@@ -203,110 +194,64 @@ fn run_offline(dir: &str, queries: &[String], explain: bool) -> Result<(), Strin
     Ok(())
 }
 
+/// Server mode: keep up to `--pipeline N` queries in flight and print the
+/// exact lines `--offline` prints, in submission order.
 fn run_server(addr: &str, queries: &[String], args: &Args) -> Result<(), String> {
-    if args.binary {
-        return run_server_binary(addr, queries, args);
-    }
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_nodelay(true).ok(); // request/response: don't wait out Nagle
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    let mut writer = BufWriter::new(stream);
-    let mut out = std::io::stdout().lock();
-    let mut id = 0u64;
-    let mut round_trip = |req: Request| -> Result<Json, String> {
-        write_frame(&mut writer, &req.to_json().to_string_compact()).map_err(|e| e.to_string())?;
-        let payload = read_frame(&mut reader)
-            .map_err(|e| e.to_string())?
-            .ok_or("server closed connection")?;
-        Json::parse(&payload)
-    };
-    for q in queries {
-        id += 1;
-        if args.explain {
-            let resp = round_trip(Request::Explain {
-                id,
-                path: q.clone(),
-            })?;
-            let text = parse_explain_response(&resp).map_err(|e| format!("{q}: {e}"))?;
-            let count = resp.get("count").and_then(Json::as_num).unwrap_or(0.0) as u64;
-            writeln!(out, "{q}  ({count} matches)\n{text}").map_err(|e| e.to_string())?;
-            continue;
-        }
-        let resp = round_trip(Request::Query {
-            id,
-            path: q.clone(),
-            timeout_ms: args.timeout_ms,
-        })?;
-        let matches = parse_query_response(&resp).map_err(|e| format!("{q}: {e}"))?;
-        writeln!(out, "{}", result_line(q, &matches)).map_err(|e| e.to_string())?;
-    }
-    if args.stats {
-        id += 1;
-        let resp = round_trip(Request::Stats { id })?;
-        writeln!(out, "{}", resp.to_string_compact()).map_err(|e| e.to_string())?;
-    }
-    if args.shutdown {
-        id += 1;
-        let resp = round_trip(Request::Shutdown { id })?;
-        writeln!(out, "{}", resp.to_string_compact()).map_err(|e| e.to_string())?;
-    }
-    Ok(())
-}
-
-/// Binary-protocol server mode: keep up to `--pipeline N` queries in
-/// flight, reorder responses by id, and print the exact lines the
-/// sequential modes print.
-fn run_server_binary(addr: &str, queries: &[String], args: &Args) -> Result<(), String> {
     let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut client = BinClient::new(stream).map_err(|e| e.to_string())?;
     let mut out = std::io::stdout().lock();
 
     // Query index i travels as request id i+1 (0 is reserved for "id was
-    // unreadable" in error frames).
-    let mut lines: Vec<Option<String>> = vec![None; queries.len()];
+    // unreadable" in error frames). `window` holds the answers to queries
+    // `printed..next`, `None` while in flight; its front is printed as soon
+    // as it arrives, so it never outgrows the pipeline depth.
+    let mut window: VecDeque<Option<Result<String, String>>> = VecDeque::new();
     let mut next = 0usize;
-    let mut outstanding = 0usize;
-    let mut completed = 0usize;
-    while completed < queries.len() {
-        while next < queries.len() && outstanding < args.pipeline {
+    let mut printed = 0usize;
+    while printed < queries.len() {
+        while next < queries.len() && window.len() < args.pipeline {
+            let q = &queries[next];
             let id = next as u64 + 1;
             let req = if args.explain {
                 Request::Explain {
                     id,
-                    path: queries[next].clone(),
+                    path: q.clone(),
                 }
             } else {
                 Request::Query {
                     id,
-                    path: queries[next].clone(),
+                    path: q.clone(),
                     timeout_ms: args.timeout_ms,
                 }
             };
             client.send(&req).map_err(|e| e.to_string())?;
+            window.push_back(None);
             next += 1;
-            outstanding += 1;
         }
         client.flush().map_err(|e| e.to_string())?;
         let resp = client
             .recv()
             .map_err(|e| e.to_string())?
             .ok_or("server closed connection")?;
-        let idx = (resp.id() as usize)
-            .checked_sub(1)
-            .filter(|i| *i < queries.len() && lines[*i].is_none())
+        let slot = (resp.id() as usize)
+            .checked_sub(printed + 1)
+            .and_then(|pos| window.get_mut(pos))
+            .filter(|slot| slot.is_none())
             .ok_or_else(|| format!("server answered unknown request id {}", resp.id()))?;
-        let q = &queries[idx];
-        lines[idx] = Some(match resp {
-            BinResponse::QueryOk { matches, .. } => result_line(q, &matches),
-            BinResponse::ExplainOk { count, text, .. } => format!("{q}  ({count} matches)\n{text}"),
-            BinResponse::Error { message, .. } => return Err(format!("{q}: {message}")),
-            other => return Err(format!("{q}: unexpected response {other:?}")),
+        let q = &queries[resp.id() as usize - 1];
+        *slot = Some(match resp {
+            BinResponse::QueryOk { matches, .. } => Ok(result_line(q, &matches)),
+            BinResponse::ExplainOk { count, text, .. } => {
+                Ok(format!("{q}  ({count} matches)\n{text}"))
+            }
+            BinResponse::Error { message, .. } => Err(format!("{q}: {message}")),
+            other => Err(format!("{q}: unexpected response {other:?}")),
         });
-        outstanding -= 1;
-        completed += 1;
-    }
-    for line in lines.into_iter().flatten() {
-        writeln!(out, "{line}").map_err(|e| e.to_string())?;
+        while let Some(answer) = window.front_mut().and_then(Option::take) {
+            window.pop_front();
+            printed += 1;
+            writeln!(out, "{}", answer?).map_err(|e| e.to_string())?;
+        }
     }
 
     let mut id = queries.len() as u64;

@@ -1,20 +1,14 @@
-//! The pipelined binary wire protocol.
+//! The wire protocol: pipelined binary frames with explicit request ids.
 //!
-//! The newline-JSON protocol ([`crate::proto`]) is one request per
-//! round-trip: the client writes a frame, blocks, reads a frame. That shape
-//! can never saturate a worker pool from one connection — the wire sits
-//! idle for a full RTT per query. This module adds a compact binary
-//! protocol with explicit request ids so a connection can keep many
-//! requests in flight ("pipelining") and match responses as they arrive,
-//! in whatever order the workers finish them.
+//! A connection keeps many requests in flight ("pipelining") and matches
+//! responses to requests by id, in whatever order the workers finish them,
+//! so one connection can keep a whole worker pool busy.
 //!
 //! ## Connection preamble
 //!
-//! A binary client opens with 5 bytes: the magic `NOKB` then a version
-//! byte (currently 1). The JSON protocol's first byte is always an ASCII
-//! digit (a decimal frame length), so the server tells the two apart by
-//! peeking one byte: `N` selects binary, a digit selects JSON. Both
-//! protocols are served on the same port forever; binary is additive.
+//! A client opens with 5 bytes: the magic `NOKB` then a version byte
+//! (currently 1). The server closes a connection that opens with anything
+//! else.
 //!
 //! ## Frame layout
 //!
@@ -41,13 +35,13 @@
 //! |--------|----------|---------|
 //! | 0x81   | QueryOk  | `count: u32 LE`, then per match `dewey_len: u16 LE` + dewey + `addr_len: u16 LE` + addr |
 //! | 0x82   | ExplainOk| `count: u32 LE` + `text_len: u32 LE` + rendered plan table UTF-8 |
-//! | 0x83   | StatsOk  | the stats object as compact JSON UTF-8 (same shape as the JSON protocol) |
+//! | 0x83   | StatsOk  | the stats object as compact JSON UTF-8 |
 //! | 0x84   | Pong     | empty |
 //! | 0x85   | Stopping | empty |
 //! | 0xEE   | Error    | `code: u8` + `msg_len: u16 LE` + message UTF-8 |
 //!
-//! Error codes mirror the JSON protocol's stable tags: 1 `timeout`,
-//! 2 `queue_full`, 3 `engine`, 4 `shutdown`, 5 `bad_request`.
+//! Error codes: 1 timeout, 2 queue full, 3 engine, 4 shutdown,
+//! 5 bad request.
 //!
 //! **Ordering contract:** responses to pipelined requests may arrive in
 //! any order; the id is the only correlation. A client that needs
@@ -63,15 +57,14 @@ use std::net::TcpStream;
 
 use nok_core::QueryMatch;
 
-use crate::proto::{Request, WireMatch, MAX_FRAME};
-
-/// Connection-opening magic for the binary protocol. The first byte must
-/// not be an ASCII digit (that's how it is distinguished from a JSON frame
-/// header).
+/// Connection-opening magic.
 pub const MAGIC: [u8; 4] = *b"NOKB";
 
 /// Current protocol version, sent right after the magic.
 pub const VERSION: u8 = 1;
+
+/// Hard cap on a single frame's payload, to bound memory on hostile input.
+pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// Fixed frame header size: opcode + id + payload length.
 pub const HEADER_LEN: usize = 1 + 8 + 4;
@@ -121,17 +114,6 @@ pub enum ErrCode {
 }
 
 impl ErrCode {
-    /// The JSON protocol's string tag for this code.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrCode::Timeout => "timeout",
-            ErrCode::QueueFull => "queue_full",
-            ErrCode::Engine => "engine",
-            ErrCode::Shutdown => "shutdown",
-            ErrCode::BadRequest => "bad_request",
-        }
-    }
-
     /// Decode a wire byte.
     pub fn from_byte(b: u8) -> Option<ErrCode> {
         match b {
@@ -143,6 +125,61 @@ impl ErrCode {
             _ => None,
         }
     }
+}
+
+/// A client request.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// Evaluate a path query.
+    Query {
+        /// Client-chosen correlation id, echoed in the response.
+        id: u64,
+        /// The path expression.
+        path: String,
+        /// Per-request deadline override in milliseconds.
+        timeout_ms: Option<u64>,
+    },
+    /// Plan a path query and evaluate it, returning per-operator
+    /// estimated vs actual cardinalities alongside the match count.
+    Explain {
+        /// Correlation id.
+        id: u64,
+        /// The path expression.
+        path: String,
+    },
+    /// Fetch aggregate server metrics.
+    Stats {
+        /// Correlation id.
+        id: u64,
+    },
+    /// Liveness probe.
+    Ping {
+        /// Correlation id.
+        id: u64,
+    },
+    /// Ask the server to exit gracefully.
+    Shutdown {
+        /// Correlation id.
+        id: u64,
+    },
+}
+
+/// One match in a query response: the Dewey id and physical address,
+/// rendered in their canonical display forms.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WireMatch {
+    /// `a.b.c` Dewey path.
+    pub dewey: String,
+    /// `page:entry` physical address.
+    pub addr: String,
+}
+
+/// Canonical one-line rendering of a query result, shared by `nokq`'s
+/// server and `--offline` modes so their outputs diff byte-identically:
+/// `path<TAB>count<TAB>dewey;dewey;...`.
+pub fn result_line(path: &str, matches: &[WireMatch]) -> String {
+    let deweys: Vec<&str> = matches.iter().map(|m| m.dewey.as_str()).collect();
+    format!("{path}\t{}\t{}", matches.len(), deweys.join(";"))
 }
 
 /// A decoded response frame.
@@ -164,8 +201,7 @@ pub enum BinResponse {
         /// Rendered estimated-vs-actual plan table.
         text: String,
     },
-    /// Stats payload (compact JSON, same object shape as the JSON
-    /// protocol's `stats` field).
+    /// Stats payload.
     StatsOk {
         /// Echoed correlation id.
         id: u64,
@@ -480,7 +516,12 @@ pub fn encode_response(out: &mut Vec<u8>, resp: &BinResponse) {
 /// payload. Byte for byte the frame [`encode_response`] builds from the
 /// matches' [`WireMatch`] renderings — without the two `String`s per match
 /// and the payload copy.
+///
+/// A receiver drops the connection on a payload above [`MAX_FRAME`], so an
+/// answer that large is never written: the frame appended instead is an
+/// [`ErrCode::Engine`] error naming the match count and the limit.
 pub fn encode_query_ok(out: &mut Vec<u8>, id: u64, matches: &[QueryMatch]) {
+    let frame_at = out.len();
     out.push(op::QUERY_OK);
     out.extend_from_slice(&id.to_le_bytes());
     let len_at = out.len();
@@ -489,6 +530,21 @@ pub fn encode_query_ok(out: &mut Vec<u8>, id: u64, matches: &[QueryMatch]) {
     for m in matches {
         put_display(out, &m.dewey);
         put_display(out, &m.addr);
+        if out.len() - len_at - 4 > MAX_FRAME {
+            out.truncate(frame_at);
+            let message = format!(
+                "answer of {} matches exceeds the {MAX_FRAME}-byte frame limit",
+                matches.len()
+            );
+            return encode_response(
+                out,
+                &BinResponse::Error {
+                    id,
+                    code: ErrCode::Engine,
+                    message,
+                },
+            );
+        }
     }
     let len = (out.len() - len_at - 4) as u32;
     if let Some(slot) = out.get_mut(len_at..len_at + 4) {
@@ -688,6 +744,47 @@ mod tests {
             assert_eq!(used + 1, direct.len());
             assert_eq!(decode_response(op, id, payload).unwrap(), wire);
         }
+    }
+
+    /// ~400 B per match: 50k matches is a 20 MB payload, over `MAX_FRAME`.
+    #[test]
+    fn oversized_query_answer_becomes_an_error_frame() {
+        use nok_core::{Dewey, NodeAddr};
+        let deep: Vec<u32> = (0..40).map(|i| u32::MAX - i).collect();
+        let matches: Vec<QueryMatch> = (0..50_000)
+            .map(|entry| QueryMatch {
+                addr: NodeAddr { page: 7, entry },
+                dewey: Dewey::from_components(deep.clone()),
+            })
+            .collect();
+        let mut out = vec![0xAB];
+        encode_query_ok(&mut out, 77, &matches);
+        let (op, id, payload, used) = split_frame(&out[1..]).unwrap().unwrap();
+        assert_eq!(used + 1, out.len(), "one receivable frame, nothing else");
+        match decode_response(op, id, payload).unwrap() {
+            BinResponse::Error { id, code, message } => {
+                assert_eq!((id, code), (77, ErrCode::Engine));
+                assert!(message.contains("50000 matches"), "{message}");
+                assert!(message.contains(&MAX_FRAME.to_string()), "{message}");
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+
+    #[test]
+    fn result_lines_are_stable() {
+        let matches = vec![
+            WireMatch {
+                dewey: "1.2".into(),
+                addr: "0:1".into(),
+            },
+            WireMatch {
+                dewey: "1.4".into(),
+                addr: "0:2".into(),
+            },
+        ];
+        assert_eq!(result_line("//a", &matches), "//a\t2\t1.2;1.4");
+        assert_eq!(result_line("//b", &[]), "//b\t0\t");
     }
 
     #[test]

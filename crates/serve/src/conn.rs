@@ -1,24 +1,15 @@
 //! Connection serving shared by `nokd` and the in-process benchmarks.
 //!
-//! One TCP connection is served by [`serve_connection`], which peeks the
-//! first byte to pick a protocol: an ASCII digit is a newline-JSON frame
-//! header ([`crate::proto`]), the byte `N` is the binary preamble
-//! ([`crate::binproto`]). Both protocols run against the same
-//! [`QueryService`].
-//!
-//! The JSON loop is strictly request/response: read a frame, dispatch
-//! synchronously (queries block the connection thread on the service's
-//! response slot), write a frame. Exactly the PR-7 behavior, byte for byte.
-//!
-//! The binary loop is pipelined. The connection thread reads frames and
-//! submits queries through [`QueryService::query_async`]; completions
-//! arrive on worker threads, which encode the response frame and push it
-//! onto a per-connection outbound queue. A dedicated writer thread drains
-//! that queue — *everything* available in one lock acquisition — and
-//! flushes the socket once per drain, so a burst of pipelined completions
-//! costs one syscall, not one per response. Responses therefore leave in
-//! completion order, not submission order; the request id is the only
-//! correlation (clients that need submission order reorder on their side).
+//! One TCP connection is served by [`serve_connection`]: it checks the
+//! [`crate::binproto`] preamble, then reads frames and submits queries
+//! through [`QueryService::query_async`]; completions arrive on worker
+//! threads, which encode the response frame and push it onto a
+//! per-connection outbound queue. A dedicated writer thread drains that
+//! queue — *everything* available in one lock acquisition — and flushes
+//! the socket once per drain, so a burst of pipelined completions costs one
+//! syscall, not one per response. Responses therefore leave in completion
+//! order, not submission order; the request id is the only correlation
+//! (clients that need submission order reorder on their side).
 //!
 //! Lock discipline: the outbound-queue mutex (`conn.out`) is a leaf — a
 //! worker thread grabs it inside the completion callback while holding no
@@ -27,7 +18,7 @@
 //! around queue edits, never across I/O or service calls.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -36,150 +27,13 @@ use std::time::Duration;
 use nok_core::QueryOptions;
 use nok_pager::Storage;
 
-use crate::binproto::{self, BinResponse, ErrCode, MAGIC, VERSION};
+use crate::binproto::{self, BinResponse, ErrCode, Request, MAGIC, VERSION};
 use crate::json::Json;
-use crate::proto::{
-    error_response, explain_ok, query_ok, read_frame, write_frame, Request, WireMatch,
-};
 use crate::service::{QueryError, QueryService};
 use crate::ServerMetrics;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Serve one accepted connection until the peer disconnects or asks for
-/// shutdown. Auto-detects the protocol from the first byte. On a shutdown
-/// request, flushes the acknowledgement, sets `stop`, and pokes `local`
-/// with a throwaway connection so the accept loop wakes and exits.
-pub fn serve_connection<S: Storage + Send + Sync + 'static>(
-    stream: &TcpStream,
-    svc: &Arc<QueryService<S>>,
-    stop: &AtomicBool,
-    local: SocketAddr,
-) -> io::Result<()> {
-    // Both protocols are request/response with small frames; Nagle's
-    // algorithm would serialize them against delayed ACKs (~40ms stalls).
-    stream.set_nodelay(true).ok();
-    let mut first = [0u8; 1];
-    // peek() blocks until one byte (or EOF) without consuming it, so the
-    // protocol loops below still see a complete stream.
-    if stream.peek(&mut first)? == 0 {
-        return Ok(()); // connected and left without a word
-    }
-    // analyze: allow(serve-worker-panic): peek returned 1 byte; MAGIC is a fixed array
-    if first[0] == MAGIC[0] {
-        serve_binary(stream, svc, stop, local)
-    } else {
-        serve_json(stream, svc, stop, local)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// JSON (request/response) path.
-
-fn serve_json<S: Storage + Send + Sync + 'static>(
-    stream: &TcpStream,
-    svc: &Arc<QueryService<S>>,
-    stop: &AtomicBool,
-    local: SocketAddr,
-) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    while let Some(payload) = read_frame(&mut reader)? {
-        let (response, stopping) = match Json::parse(&payload) {
-            Err(e) => (
-                error_response(0, "bad_request", &format!("bad json: {e}")),
-                false,
-            ),
-            Ok(v) => match Request::from_json(&v) {
-                Err(e) => (error_response(0, "bad_request", &e), false),
-                Ok(req) => dispatch(req, svc),
-            },
-        };
-        // The response must reach the client before the accept loop is
-        // released: once it wakes it exits the process, and an unflushed
-        // shutdown acknowledgement would be lost with it.
-        write_frame(&mut writer, &response.to_string_compact())?;
-        if stopping {
-            stop.store(true, Ordering::Release);
-            // Unblock the accept loop with a throwaway connection.
-            let _ = TcpStream::connect(local);
-        }
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// Handle one JSON request; the bool asks the connection loop to initiate
-/// server shutdown after the response is flushed.
-pub fn dispatch<S: Storage + Send + Sync + 'static>(
-    req: Request,
-    svc: &QueryService<S>,
-) -> (Json, bool) {
-    match req {
-        Request::Query {
-            id,
-            path,
-            timeout_ms,
-        } => {
-            let result = match timeout_ms {
-                Some(ms) => svc.query_with_timeout(
-                    &path,
-                    QueryOptions::default(),
-                    Duration::from_millis(ms),
-                ),
-                None => svc.query(&path),
-            };
-            let response = match result {
-                Ok(matches) => {
-                    let wire: Vec<WireMatch> = matches
-                        .iter()
-                        .map(|m| WireMatch {
-                            dewey: m.dewey.to_string(),
-                            addr: m.addr.to_string(),
-                        })
-                        .collect();
-                    query_ok(id, &wire)
-                }
-                Err(e) => error_response(id, err_code(&e).as_str(), &e.to_string()),
-            };
-            (response, false)
-        }
-        Request::Explain { id, path } => {
-            let response = match explain(svc, &path) {
-                Ok((count, ref ex)) => explain_ok(id, count, ex),
-                Err(e) => error_response(id, "engine", &e),
-            };
-            (response, false)
-        }
-        Request::Stats { id } => (
-            Json::obj(vec![
-                ("id", Json::Num(id as f64)),
-                ("status", Json::Str("ok".into())),
-                ("stats", stats_json(svc)),
-            ]),
-            false,
-        ),
-        Request::Ping { id } => (
-            Json::obj(vec![
-                ("id", Json::Num(id as f64)),
-                ("status", Json::Str("ok".into())),
-                ("pong", Json::Bool(true)),
-            ]),
-            false,
-        ),
-        Request::Shutdown { id } => (
-            Json::obj(vec![
-                ("id", Json::Num(id as f64)),
-                ("status", Json::Str("ok".into())),
-                ("stopping", Json::Bool(true)),
-            ]),
-            true,
-        ),
-    }
 }
 
 fn err_code(e: &QueryError) -> ErrCode {
@@ -205,9 +59,8 @@ fn explain<S: Storage + Send + Sync + 'static>(
     Ok((matches.len(), ex))
 }
 
-/// The stats object served by both protocols (the JSON protocol wraps it
-/// under `"stats"`, the binary protocol ships it as the `StatsOk` payload).
-/// Key set and order are part of the wire contract — scripts parse this.
+/// The stats object shipped as the `StatsOk` payload. Key set and order
+/// are part of the wire contract — scripts parse this.
 pub fn stats_json<S: Storage + Send + Sync + 'static>(svc: &QueryService<S>) -> Json {
     let m: &ServerMetrics = svc.metrics();
     let g = svc.generation_stats();
@@ -281,10 +134,7 @@ pub fn stats_json<S: Storage + Send + Sync + 'static>(svc: &QueryService<S>) -> 
     ])
 }
 
-// ---------------------------------------------------------------------------
-// Binary (pipelined) path.
-
-/// Mutex-protected outbound state of one binary connection.
+/// Mutex-protected outbound state of one connection.
 struct OutState {
     /// Encoded response frames awaiting the writer thread.
     frames: VecDeque<Vec<u8>>,
@@ -370,42 +220,50 @@ impl OutQueue {
     }
 }
 
-fn serve_binary<S: Storage + Send + Sync + 'static>(
+/// Serve one accepted connection until the peer disconnects or asks for
+/// shutdown. A connection that does not open with the preamble is closed.
+/// On a shutdown request, flushes the acknowledgement, sets `stop`, and
+/// pokes `local` with a throwaway connection so the accept loop wakes and
+/// exits.
+pub fn serve_connection<S: Storage + Send + Sync + 'static>(
     stream: &TcpStream,
     svc: &Arc<QueryService<S>>,
     stop: &AtomicBool,
     local: SocketAddr,
 ) -> io::Result<()> {
+    // Small frames both ways; Nagle's algorithm would serialize them
+    // against delayed ACKs (~40ms stalls).
+    stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
-    let writer_stream = stream.try_clone()?;
+    if reader.fill_buf()?.is_empty() {
+        return Ok(()); // connected and left without a word
+    }
 
     // Validate the preamble before spawning anything.
     let mut preamble = [0u8; 5];
     reader.read_exact(&mut preamble)?;
     // analyze: allow(serve-worker-panic): preamble is a [u8; 5], fully read
     if preamble[..4] != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad binary preamble",
-        ));
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad preamble"));
     }
     // analyze: allow(serve-worker-panic): preamble is a [u8; 5], fully read
     if preamble[4] != VERSION {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             // analyze: allow(serve-worker-panic): preamble is a [u8; 5], fully read
-            format!("unsupported binary protocol version {}", preamble[4]),
+            format!("unsupported protocol version {}", preamble[4]),
         ));
     }
 
     let queue = Arc::new(OutQueue::new());
     let writer_queue = Arc::clone(&queue);
+    let writer_stream = stream.try_clone()?;
     let writer = std::thread::Builder::new()
         .name("nok-conn-writer".to_string())
         .spawn(move || write_loop(&writer_queue, writer_stream))
         .map_err(|e| io::Error::new(io::ErrorKind::Other, format!("spawn writer: {e}")))?;
 
-    let result = binary_read_loop(&mut reader, svc, stop, local, &queue);
+    let result = read_loop(&mut reader, svc, stop, &queue);
     // Reader is done (EOF, shutdown, or error): let the writer drain every
     // outstanding response, then surface its I/O verdict if ours was clean.
     queue.finish();
@@ -415,16 +273,24 @@ fn serve_binary<S: Storage + Send + Sync + 'static>(
             "connection writer panicked",
         ))
     });
+    if let Ok(true) = result {
+        // Only now that the acknowledgement is flushed: once the accept
+        // loop wakes it exits the process, and an unflushed frame would be
+        // lost with it. Unblock it with a throwaway connection.
+        stop.store(true, Ordering::Release);
+        let _ = TcpStream::connect(local);
+    }
     result.and(writer_result)
 }
 
-fn binary_read_loop<S: Storage + Send + Sync + 'static>(
+/// Read and answer requests until EOF or until the server is stopping;
+/// `Ok(true)` when it was this peer that asked for the shutdown.
+fn read_loop<S: Storage + Send + Sync + 'static>(
     reader: &mut BufReader<TcpStream>,
     svc: &Arc<QueryService<S>>,
     stop: &AtomicBool,
-    local: SocketAddr,
     queue: &Arc<OutQueue>,
-) -> io::Result<()> {
+) -> io::Result<bool> {
     while let Some((opcode, id, payload)) = binproto::read_bin_frame(reader)? {
         let req = match binproto::decode_request(opcode, id, &payload) {
             Ok(req) => req,
@@ -500,16 +366,14 @@ fn binary_read_loop<S: Storage + Send + Sync + 'static>(
             Request::Ping { id } => queue.push(encode_one(&BinResponse::Pong { id })),
             Request::Shutdown { id } => {
                 queue.push(encode_one(&BinResponse::Stopping { id }));
-                stop.store(true, Ordering::Release);
-                let _ = TcpStream::connect(local);
-                return Ok(());
+                return Ok(true);
             }
         }
         if stop.load(Ordering::Acquire) {
-            return Ok(());
+            break;
         }
     }
-    Ok(())
+    Ok(false)
 }
 
 fn encode_one(resp: &BinResponse) -> Vec<u8> {
@@ -538,7 +402,6 @@ mod tests {
     use super::*;
     use crate::service::ServiceConfig;
     use nok_core::XmlDb;
-    use nok_pager::MemStorage;
     use std::net::TcpListener;
 
     const BIB: &str = r#"<bib>
@@ -573,6 +436,13 @@ mod tests {
             }
         });
         (local, stop)
+    }
+
+    /// The unsigned integer value of `key` in a rendered stats object.
+    fn stat(json: &str, key: &str) -> u64 {
+        let tail = json.split(&format!("\"{key}\":")).nth(1).unwrap();
+        let digits = tail.bytes().take_while(u8::is_ascii_digit).count();
+        tail[..digits].parse().unwrap()
     }
 
     fn bin_client(addr: SocketAddr) -> binproto::BinClient {
@@ -641,18 +511,14 @@ mod tests {
                 }
                 BinResponse::StatsOk { id, json } => {
                     assert_eq!(*id, 3);
-                    let v = Json::parse(json).unwrap();
-                    assert!(v.get("served").is_some());
-                    assert!(v.get("p99_us").is_some());
+                    assert!(json.contains("\"served\":"), "{json}");
+                    assert!(json.contains("\"p99_us\":"), "{json}");
                     // Synopsis gauges: BIB has at least bib, bib/book,
                     // bib/book/title, bib/book/price as distinct tag paths
                     // and a nonzero encoded synopsis block.
-                    assert!(
-                        v.get("distinct_paths").and_then(Json::as_num) >= Some(4.0),
-                        "{json}"
-                    );
-                    assert!(v.get("synopsis_bytes").and_then(Json::as_num) > Some(0.0));
-                    assert!(v.get("empty_proofs").is_some());
+                    assert!(stat(json, "distinct_paths") >= 4, "{json}");
+                    assert!(stat(json, "synopsis_bytes") > 0, "{json}");
+                    assert!(json.contains("\"empty_proofs\":"), "{json}");
                 }
                 BinResponse::ExplainOk { id, count, text } => {
                     assert_eq!(*id, 4);
@@ -668,21 +534,25 @@ mod tests {
     }
 
     #[test]
-    fn json_and_binary_share_one_port() {
+    fn bad_opening_is_closed_and_the_listener_keeps_serving() {
         let (addr, stop) = spawn_server(1);
-        // JSON connection.
-        {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut w = BufWriter::new(stream.try_clone().unwrap());
-            let mut r = BufReader::new(stream);
-            write_frame(&mut w, r#"{"id":9,"op":"query","path":"//book"}"#).unwrap();
-            w.flush().unwrap();
-            let resp = read_frame(&mut r).unwrap().unwrap();
-            let v = Json::parse(&resp).unwrap();
-            assert_eq!(v.get("status").and_then(Json::as_str), Some("ok"));
-        }
-        // Binary connection against the same listener.
-        {
+        let mut wrong_version = MAGIC.to_vec();
+        wrong_version.push(VERSION + 1);
+        let mut ping = Vec::new();
+        binproto::encode_request(&mut ping, &Request::Ping { id: 1 });
+        for opening in [
+            &b"37\n{\"id\":9,\"op\":\"query\",\"path\":\"//book\"}\n"[..],
+            &wrong_version,
+        ] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            // A well-formed frame behind it must not be answered either.
+            stream.write_all(&[opening, &ping].concat()).unwrap();
+            // Closed with nothing written: EOF, or a reset because the
+            // server dropped the socket with our bytes unread.
+            let mut answer = Vec::new();
+            let _ = stream.read_to_end(&mut answer);
+            assert!(answer.is_empty(), "{answer:?}");
+
             let mut c = bin_client(addr);
             c.send(&Request::Query {
                 id: 10,

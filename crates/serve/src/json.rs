@@ -1,16 +1,8 @@
-//! A minimal JSON value, writer, and recursive-descent parser.
-//!
-//! The build environment is offline, so the protocol layer cannot lean on
-//! serde; the wire format only needs objects, arrays, strings, numbers,
-//! booleans and null, which this module covers in full (including string
-//! escapes and `\uXXXX`, with surrogate pairs).
+//! A minimal JSON value and writer, for the stats object and the bench
+//! reports (the build is offline, so no serde).
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// Maximum nesting depth accepted by the parser — the protocol uses depth
-/// ≤ 4, so this only bounds hostile input.
-const MAX_DEPTH: usize = 64;
 
 /// A JSON value. Objects use a `BTreeMap` so serialization is deterministic
 /// (stable key order makes the e2e output diffable).
@@ -20,7 +12,7 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (always carried as f64; the protocol's integers are small)
+    /// Any number (always carried as f64; the integers written are small)
     Num(f64),
     /// A string
     Str(String),
@@ -34,38 +26,6 @@ impl Json {
     /// Build an object from key/value pairs.
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// Object field access.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// String content, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Numeric content, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Array content, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
     }
 
     /// Serialize to a compact string (no whitespace).
@@ -111,19 +71,6 @@ impl Json {
             }
         }
     }
-
-    /// Parse a complete JSON document (trailing non-whitespace is an error).
-    pub fn parse(input: &str) -> Result<Json, String> {
-        let bytes = input.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
 }
 
 fn write_escaped(s: &str, out: &mut String) {
@@ -144,252 +91,40 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, lit: &str) -> Result<(), String> {
-        let matches = self
-            .bytes
-            .get(self.pos..)
-            .is_some_and(|rest| rest.starts_with(lit.as_bytes()));
-        if matches {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected `{lit}` at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return Err("nesting too deep".into());
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => self.eat("null").map(|()| Json::Null),
-            Some(b't') => self.eat("true").map(|()| Json::Bool(true)),
-            Some(b'f') => self.eat("false").map(|()| Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected , or ] at offset {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut map = BTreeMap::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(":")?;
-                    let val = self.value(depth + 1)?;
-                    map.insert(key, val);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(map));
-                        }
-                        _ => return Err(format!("expected , or }} at offset {}", self.pos)),
-                    }
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at offset {}", self.pos)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or_default())
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at offset {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        if self.peek() != Some(b'"') {
-            return Err(format!("expected string at offset {}", self.pos));
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err("unterminated string".into());
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                self.eat("\\u")?;
-                                let lo = self.hex4()?;
-                                let combined =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                char::from_u32(combined)
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            out.push(c.ok_or("bad unicode escape")?);
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos - 1)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 character (multibyte-safe).
-                    let rest = std::str::from_utf8(self.bytes.get(self.pos..).unwrap_or_default())
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err("unterminated string".into());
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        let digits = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or("truncated \\u escape")?;
-        let s = std::str::from_utf8(digits).map_err(|_| "bad \\u escape".to_string())?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape".to_string())?;
-        self.pos = end;
-        Ok(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trip_values() {
-        for src in [
-            "null",
-            "true",
-            "false",
-            "0",
-            "-17",
-            "3.5",
-            r#""hello""#,
-            r#"["a",1,null]"#,
-            r#"{"a":1,"b":[true,"x"]}"#,
-        ] {
-            let v = Json::parse(src).unwrap();
-            assert_eq!(Json::parse(&v.to_string_compact()).unwrap(), v);
-        }
+    fn values_render_compactly() {
+        let v = Json::obj(vec![
+            (
+                "b",
+                Json::Arr(vec![Json::Bool(true), Json::Str("x".into())]),
+            ),
+            ("a", Json::Num(1.0)),
+            ("n", Json::Null),
+            ("f", Json::Num(-3.5)),
+        ]);
+        assert_eq!(
+            v.to_string_compact(),
+            r#"{"a":1,"b":[true,"x"],"f":-3.5,"n":null}"#
+        );
     }
 
     #[test]
-    fn escapes_round_trip() {
-        let v = Json::Str("line\nquote\"tab\tüñîçøde\u{1}".to_string());
-        let s = v.to_string_compact();
-        assert_eq!(Json::parse(&s).unwrap(), v);
-        // \uXXXX and surrogate pairs parse too.
+    fn escapes_are_written() {
+        let v = Json::Str("line\nquote\"tab\tback\\üñî\u{1}".to_string());
         assert_eq!(
-            Json::parse(r#""A😀""#).unwrap(),
-            Json::Str("A😀".to_string())
+            v.to_string_compact(),
+            r#""line\nquote\"tab\tback\\üñî\u0001""#
         );
     }
 
     #[test]
     fn object_order_is_deterministic() {
-        let a = Json::parse(r#"{"b":1,"a":2}"#).unwrap();
-        let b = Json::parse(r#"{"a":2,"b":1}"#).unwrap();
+        let a = Json::obj(vec![("b", Json::Num(1.0)), ("a", Json::Num(2.0))]);
+        let b = Json::obj(vec![("a", Json::Num(2.0)), ("b", Json::Num(1.0))]);
         assert_eq!(a.to_string_compact(), b.to_string_compact());
-    }
-
-    #[test]
-    fn garbage_is_rejected() {
-        for bad in ["", "{", "[1,", r#""unterminated"#, "{\"a\"}", "1 2", "nul"] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
-        }
-        let deep = "[".repeat(100) + &"]".repeat(100);
-        assert!(Json::parse(&deep).is_err());
-    }
-
-    #[test]
-    fn accessors() {
-        let v = Json::parse(r#"{"q":"//a","n":3,"items":[1]}"#).unwrap();
-        assert_eq!(v.get("q").and_then(Json::as_str), Some("//a"));
-        assert_eq!(v.get("n").and_then(Json::as_num), Some(3.0));
-        assert_eq!(
-            v.get("items").and_then(Json::as_arr).map(|a| a.len()),
-            Some(1)
-        );
-        assert_eq!(v.get("missing"), None);
     }
 }

@@ -9,14 +9,13 @@
 //! * [`admission`] — the bounded MPMC ring behind the service: producers
 //!   fail fast at capacity, workers drain in batches, and the parking path
 //!   is only touched when the ring runs empty (DESIGN.md §15).
-//! * [`proto`] — the length-prefixed newline-JSON wire protocol spoken by
-//!   the `nokd` server binary and the `nokq` client binary.
-//! * [`binproto`] — the pipelined binary protocol (magic + opcode +
-//!   request id framing) spoken alongside it; one connection keeps many
-//!   requests in flight and responses are matched by id.
-//! * [`conn`] — the connection loops shared by `nokd` and the in-process
-//!   benchmarks: protocol auto-detection, per-connection response queue,
-//!   batched response writes.
+//! * [`binproto`] — the wire protocol spoken by the `nokd` server binary
+//!   and the `nokq` client binary (magic + opcode + request id framing):
+//!   one connection keeps many requests in flight and responses are
+//!   matched by id.
+//! * [`conn`] — the connection loop shared by `nokd` and the in-process
+//!   benchmarks: preamble check, per-connection response queue, batched
+//!   response writes.
 //! * [`metrics`] — lock-free counters and a log2-bucket latency histogram
 //!   (p50/p99 without per-request allocation), sharded per worker and
 //!   merged on read.
@@ -24,8 +23,8 @@
 //!   normalized query text; each entry is tagged with the commit
 //!   generation it was planned under and dropped individually when a
 //!   lookup arrives from a newer snapshot.
-//! * [`json`] — the minimal JSON reader/writer the protocol rides on
-//!   (the build is offline, so no serde).
+//! * [`json`] — the minimal JSON writer behind the stats object (the
+//!   build is offline, so no serde).
 //!
 //! Concurrency model in one paragraph: every worker pins an immutable
 //! MVCC generation (lock-free — two atomic RMWs) and serves queries from
@@ -45,14 +44,13 @@ pub mod conn;
 pub mod json;
 pub mod metrics;
 pub mod plan_cache;
-pub mod proto;
 pub mod service;
 
 pub use admission::{AdmissionQueue, PushError};
+pub use binproto::{result_line, Request, WireMatch};
 pub use json::Json;
 pub use metrics::{LatencyHistogram, ServerMetrics, ShardedLatency};
 pub use plan_cache::{normalize_query, PlanCache};
-pub use proto::{read_frame, result_line, write_frame, Request, WireMatch};
 pub use service::{QueryError, QueryService, ServiceConfig};
 
 /// Default frame capacity `nokd` imposes on the shared structural buffer

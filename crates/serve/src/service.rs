@@ -16,10 +16,10 @@
 //!   in batches so one wakeup amortizes across several queued jobs instead
 //!   of paying a mutex handoff per query (DESIGN.md §15).
 //! * **Two submission shapes.** [`QueryService::query_with_timeout`]
-//!   blocks the caller on a response slot — the classic one-request-per
-//!   round-trip shape. [`QueryService::query_async`] hands the service a
-//!   completion callback instead, which is what lets a pipelined
-//!   connection keep many requests in flight without a thread per request.
+//!   blocks the caller on a response slot — the shape in-process callers
+//!   use. [`QueryService::query_async`] hands the service a completion
+//!   callback instead, which is what lets a connection keep many requests
+//!   in flight without a thread per request.
 //! * **Graceful timeout.** A query that misses its deadline returns
 //!   [`QueryError::Timeout`] to the caller; the worker thread is never
 //!   killed. If the worker was mid-evaluation, its eventual result lands in
@@ -28,7 +28,7 @@
 //!   complete with `Timeout` without touching the engine).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -143,7 +143,8 @@ pub struct QueryService<S: Storage + Send + 'static> {
 }
 
 impl<S: Storage + Send + 'static> QueryService<S> {
-    /// Start `config.workers` worker threads over a shared database.
+    /// Start `config.workers` worker threads over a shared database;
+    /// returns once every worker is running.
     pub fn start(db: Arc<XmlDb<S>>, config: ServiceConfig) -> Self {
         let source = db.snapshot_source();
         Self::start_inner(Some(db), source, config)
@@ -170,12 +171,20 @@ impl<S: Storage + Send + 'static> QueryService<S> {
             metrics: ServerMetrics::default(),
             plan_cache: PlanCache::new(config.plan_cache_cap),
         });
+        // Return with every worker running, its scratch allocated: what
+        // the caller spawns next (acceptor, connection threads) then never
+        // races worker start-up, so a service restarted in one process
+        // gets its threads, and the allocator arenas behind them, in the
+        // same order every time instead of dirtying a new arena whenever a
+        // worker starts late.
+        let ready = Arc::new(Barrier::new(config.workers + 1));
         let workers = (0..config.workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
+                let ready = Arc::clone(&ready);
                 std::thread::Builder::new()
                     .name(format!("nok-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, i))
+                    .spawn(move || worker_loop(&inner, i, &ready))
                     .unwrap_or_else(|e| {
                         // Thread spawn only fails on resource exhaustion at
                         // startup; surface it loudly rather than serving
@@ -185,6 +194,7 @@ impl<S: Storage + Send + 'static> QueryService<S> {
                     })
             })
             .collect();
+        ready.wait();
         QueryService {
             inner,
             default_timeout: config.default_timeout,
@@ -244,8 +254,8 @@ impl<S: Storage + Send + 'static> QueryService<S> {
     /// failures — [`QueryError::QueueFull`], [`QueryError::Shutdown`] —
     /// are returned immediately instead of invoking the callback, so a
     /// connection loop can answer them in-line. This is the submission
-    /// shape behind the pipelined binary protocol: one connection keeps
-    /// many queries in flight with no per-request thread.
+    /// shape behind the wire protocol: one connection keeps many queries
+    /// in flight with no per-request thread.
     pub fn query_async<F>(
         &self,
         path: &str,
@@ -356,7 +366,7 @@ impl<S: Storage + Send + 'static> Drop for QueryService<S> {
     }
 }
 
-fn worker_loop<S: Storage + Send + 'static>(inner: &Inner<S>, worker: usize) {
+fn worker_loop<S: Storage + Send + 'static>(inner: &Inner<S>, worker: usize, ready: &Barrier) {
     // Per-worker scratch: stats vectors and the result buffer live for the
     // worker's lifetime, so steady-state queries avoid fresh allocations
     // for bookkeeping.
@@ -367,6 +377,8 @@ fn worker_loop<S: Storage + Send + 'static>(inner: &Inner<S>, worker: usize) {
     // only when a commit has published a newer generation.
     let mut snap: Option<Snapshot<S>> = None;
     let mut batch: Vec<Job> = Vec::with_capacity(DRAIN_BATCH);
+    // Set up: let `start` return.
+    ready.wait();
     while inner.queue.pop_wait_batch(&mut batch, DRAIN_BATCH) {
         inner
             .metrics

@@ -1,11 +1,11 @@
-//! End-to-end differential for the pipelined binary protocol: for every
-//! paper dataset, the full Q1–Q12 workload (plus `//` descendant variants)
+//! End-to-end differential for the wire protocol: for every paper
+//! dataset, the full Q1–Q12 workload (plus `//` descendant variants)
 //! served over TCP with deep pipelining must render byte-identically to
 //! offline single-threaded evaluation of the same queries.
 //!
-//! This is the binary-protocol sibling of the `nokq`-vs-`--offline` diff
-//! the CI harness runs over the JSON protocol — same canonical
-//! `path<TAB>count<TAB>dewey;...` lines, same oracle, different wire.
+//! This is the in-process sibling of the `nokq`-vs-`--offline` diff the CI
+//! harness runs — same canonical `path<TAB>count<TAB>dewey;...` lines,
+//! same oracle.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,8 +17,7 @@ use nok_datagen::{generate, DatasetKind};
 use nok_pager::MemStorage;
 use nok_serve::binproto::{BinClient, BinResponse};
 use nok_serve::conn::serve_connection;
-use nok_serve::proto::{result_line, Request, WireMatch};
-use nok_serve::{QueryService, ServiceConfig};
+use nok_serve::{result_line, QueryService, Request, ServiceConfig, WireMatch};
 
 const PIPELINE_DEPTH: usize = 8;
 
@@ -71,7 +70,7 @@ fn spawn_server(svc: Arc<QueryService<MemStorage>>) -> (SocketAddr, Arc<AtomicBo
 
 /// Run `queries` over one pipelined binary connection (window of
 /// `depth`), reordering responses by request id — the exact strategy
-/// `nokq --binary --pipeline N` uses.
+/// `nokq --pipeline N` uses.
 fn run_pipelined(addr: SocketAddr, queries: &[String], depth: usize) -> Vec<String> {
     let mut client = BinClient::new(TcpStream::connect(addr).expect("connect")).expect("preamble");
     let mut lines: Vec<Option<String>> = vec![None; queries.len()];

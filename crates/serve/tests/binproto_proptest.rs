@@ -21,9 +21,8 @@ use proptest::prelude::*;
 
 use nok_serve::binproto::{
     decode_request, decode_response, encode_request, encode_response, put_frame, read_bin_frame,
-    split_frame, BinResponse, ErrCode, FrameError, HEADER_LEN,
+    split_frame, BinResponse, ErrCode, FrameError, Request, WireMatch, HEADER_LEN, MAX_FRAME,
 };
-use nok_serve::proto::{Request, WireMatch, MAX_FRAME};
 
 fn arb_path() -> impl Strategy<Value = String> {
     // Paths with slashes, predicate-ish chars, unicode (the `.` pool

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use nok_core::XmlDb;
 use nok_datagen::{generate, DatasetKind};
-use nok_serve::proto::{result_line, WireMatch};
+use nok_serve::{result_line, WireMatch};
 use nok_serve::{QueryService, ServiceConfig};
 use nok_verify::{verify_db, VerifyOptions};
 
