@@ -126,10 +126,11 @@ const ORDERING_NAMES: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "Se
 const SYNOPSIS_MUTATORS: &[&str] = &[
     "add_tag_count",
     "sub_tag_count",
-    "add_value_count",
-    "sub_value_count",
     "add_path_count",
     "sub_path_count",
+    "count_node",
+    "uncount_node",
+    "fold_to",
 ];
 
 /// Idents that precede a bracket group in non-indexing positions (array

@@ -23,7 +23,7 @@ use crate::sigma::{TagCode, TagDict};
 use crate::snapshot::{initial_generations, DbGeneration};
 use crate::store::{BuildOptions, BuildSink, NodeRecord, StructStore};
 use crate::synopsis::Synopsis;
-use crate::values::{hash_key, hash_value, DataFile, LockDataFile};
+use crate::values::{hash_key, DataFile, LockDataFile};
 
 /// A complete XML database instance over one document.
 pub struct XmlDb<S: Storage> {
@@ -40,9 +40,8 @@ pub struct XmlDb<S: Storage> {
     pub(crate) bt_val: BTree<S>,
     /// B+i: dewey key → [`IdRecord`].
     pub(crate) bt_id: BTree<S>,
-    /// Planner synopsis: per-tag and per-value counts plus the path
-    /// summary (see [`crate::synopsis`]); copy-on-write like the
-    /// dictionary.
+    /// Planner synopsis: per-tag counts plus the path summary (see
+    /// [`crate::synopsis`]); copy-on-write like the dictionary.
     pub(crate) synopsis: Arc<Synopsis>,
     /// Bumped once per successfully committed update transaction; the
     /// serve-layer plan cache keys its invalidation on it.
@@ -292,12 +291,11 @@ impl<S: Storage> XmlDb<S> {
             .ok_or_else(|| CoreError::Corrupt("bad tag dictionary".into()))?;
         // Planner synopsis: trust the persisted block only when recovery
         // was clean and the block matches the store it sits next to;
-        // otherwise rebuild it from the indexes and the document itself
-        // (the composite B+t keys carry the tag code in their first two
-        // bytes, the B+v keys are the 8-byte value hashes, and one
-        // document-order scan recovers the path summary). A pre-synopsis
-        // `NOKSTATS` block fails the magic check and lands in the same
-        // rebuild path, which is the read-compat story for old databases.
+        // otherwise recount it in one document-order pass. A block of an
+        // older format fails its magic or version check and lands in the
+        // same rebuild, which is the read-compat story for old databases;
+        // running after the log was replayed, a recovered database never
+        // serves a stale synopsis.
         let stats_path = dir.join(F_STATS);
         let loaded = if report.was_dirty() {
             None
@@ -308,33 +306,12 @@ impl<S: Storage> XmlDb<S> {
                 .filter(|(node_count, _)| *node_count == store.node_count())
                 .map(|(_, syn)| syn)
         };
-        let (synopsis, stats_stale) = match loaded {
-            Some(syn) => (syn, false),
-            None => {
-                let mut syn = Synopsis::new();
-                for item in bt_tag.iter_all()? {
-                    let (k, _) = item?;
-                    syn.add_tag_count(TagCode::from_key(&k), 1);
-                }
-                for item in bt_val.iter_all()? {
-                    let (k, _) = item?;
-                    if let Ok(bytes) = <[u8; 8]>::try_from(&k[..]) {
-                        syn.add_value_count(u64::from_be_bytes(bytes), 1);
-                    }
-                }
-                // Path summary: derive each node's root chain from its
-                // level during one document-order pass. Runs after crash
-                // recovery replayed the log, so a recovered database never
-                // serves a stale synopsis.
-                let mut chain: Vec<TagCode> = Vec::new();
-                for item in DocScan::new(&store) {
-                    let item = item?;
-                    chain.truncate((item.level as usize).saturating_sub(1));
-                    chain.push(item.tag);
-                    syn.add_path_count(&chain, 1);
-                }
-                (syn, true)
-            }
+        let stats_stale = loaded.is_none();
+        let synopsis = match loaded {
+            Some(syn) => syn,
+            None => Synopsis::of_document(
+                DocScan::new(&store).map(|item| item.map(|item| (item.tag, item.level))),
+            )?,
         };
         let wal = Wal::open_or_create(dir.join(F_WAL))?;
         let dict = Arc::new(dict);
@@ -438,16 +415,9 @@ impl<S: Storage> XmlDb<S> {
         let bt_id = BTree::bulk_load(id_pool, id_pairs, 0.9)?;
 
         // ---- Planner synopsis: tag counts and the path summary fall out
-        // of the document-order node stream (each node's root chain is its
-        // level-truncated tag stack); value counts follow below.
-        let mut synopsis = Synopsis::new();
-        let mut chain: Vec<TagCode> = Vec::new();
-        for rec in &sink.nodes {
-            synopsis.add_tag_count(rec.tag, 1);
-            chain.truncate((rec.level as usize).saturating_sub(1));
-            chain.push(rec.tag);
-            synopsis.add_path_count(&chain, 1);
-        }
+        // of the document-order node stream.
+        let nodes = sink.nodes.iter().map(|rec| Ok((rec.tag, rec.level)));
+        let synopsis = Synopsis::of_document::<CoreError>(nodes)?;
 
         // ---- B+t: composite (tag, dewey) key → posting. Dewey keys order
         // lexicographically in document order, so sorting groups each tag
@@ -475,7 +445,6 @@ impl<S: Storage> XmlDb<S> {
         let mut val_pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(sink.values.len());
         for (dewey, off, _len) in &sink.values {
             let text = data.get_record(*off)?;
-            synopsis.add_value_count(hash_value(&text), 1);
             val_pairs.push((hash_key(&text).to_vec(), dewey.to_key()));
         }
         val_pairs.sort_by(|a, b| a.0.cmp(&b.0));
@@ -560,19 +529,7 @@ impl<S: Storage> XmlDb<S> {
         self.synopsis.tag_count(tag)
     }
 
-    /// Occurrences of a value hash (0 if unseen) — the planner's
-    /// selectivity estimate for `= "literal"` constraints. Hash collisions
-    /// make this an upper bound; the executor re-verifies the actual text.
-    pub fn value_count(&self, hash: u64) -> u64 {
-        self.synopsis.value_count(hash)
-    }
-
-    /// Number of distinct value hashes tracked by the synopsis.
-    pub fn distinct_value_count(&self) -> u64 {
-        self.synopsis.distinct_value_count() as u64
-    }
-
-    /// The planner synopsis (per-tag/per-value counts + path summary) this
+    /// The planner synopsis (per-tag counts + path summary) this
     /// handle plans against. On a snapshot view this is the synopsis
     /// published with the view's pinned generation.
     pub fn synopsis(&self) -> &Synopsis {
@@ -659,7 +616,8 @@ impl<S: Storage> XmlDb<S> {
         Ok(TxnCtx {
             handles: [struct_txn, tag_txn, val_txn, id_txn],
             data_len0: self.data.lock_data().len_bytes(),
-            dict_bytes0: self.dict.to_bytes(),
+            dict0: Arc::clone(&self.dict),
+            dict_bytes: None,
             synopsis0: Arc::clone(&self.synopsis),
         })
     }
@@ -670,7 +628,7 @@ impl<S: Storage> XmlDb<S> {
     /// back; after it, the state is recoverable from the log and the caller
     /// is told to reopen.
     pub(crate) fn txn_commit(&mut self, mut ctx: TxnCtx<S>) -> CoreResult<()> {
-        if let Err(e) = self.txn_commit_log(&ctx) {
+        if let Err(e) = self.txn_commit_log(&mut ctx) {
             return Err(self.fail_with_rollback(ctx, e));
         }
         // ---- Commit point passed: the transaction is durable in the log.
@@ -701,7 +659,7 @@ impl<S: Storage> XmlDb<S> {
     }
 
     /// Phase 1 of commit: everything up to and including the log fsync.
-    fn txn_commit_log(&mut self, ctx: &TxnCtx<S>) -> CoreResult<()> {
+    fn txn_commit_log(&mut self, ctx: &mut TxnCtx<S>) -> CoreResult<()> {
         // Data-file appends must be durable before the commit record: the
         // log only records the committed length, not the bytes.
         self.data.lock_data().sync()?;
@@ -728,10 +686,10 @@ impl<S: Storage> XmlDb<S> {
                 .iter()
                 .map(|&off| WalRecord::DataDead(off)),
         );
-        let dict_bytes = self.dict.to_bytes();
-        if dict_bytes != ctx.dict_bytes0 {
-            records.push(WalRecord::DictBlob(dict_bytes));
-        }
+        // Interning takes the dictionary copy-on-write, so a transaction
+        // that interned nothing still holds the `Arc` it began with.
+        ctx.dict_bytes = (!Arc::ptr_eq(&self.dict, &ctx.dict0)).then(|| self.dict.to_bytes());
+        records.extend(ctx.dict_bytes.iter().cloned().map(WalRecord::DictBlob));
         wal.append_txn(&records)?;
         Ok(())
     }
@@ -748,14 +706,11 @@ impl<S: Storage> XmlDb<S> {
         }
         // The checkpoint drops the log's dictionary copy, so the file must
         // be durable first.
-        if self.wal.is_some() && self.dict.to_bytes() != ctx.dict_bytes0 {
-            if let Some(path) = &self.dict_path {
-                use std::io::Write;
-                let mut f = std::fs::File::create(path).map_err(nok_pager::PagerError::from)?;
-                f.write_all(&self.dict.to_bytes())
-                    .map_err(nok_pager::PagerError::from)?;
-                f.sync_data().map_err(nok_pager::PagerError::from)?;
-            }
+        if let (Some(bytes), Some(path)) = (&ctx.dict_bytes, &self.dict_path) {
+            use std::io::Write;
+            let mut f = std::fs::File::create(path).map_err(nok_pager::PagerError::from)?;
+            f.write_all(bytes).map_err(nok_pager::PagerError::from)?;
+            f.sync_data().map_err(nok_pager::PagerError::from)?;
         }
         for h in &mut ctx.handles {
             h.commit()?;
@@ -789,10 +744,7 @@ impl<S: Storage> XmlDb<S> {
             h.abort()?;
         }
         self.data.lock_data().truncate_to(ctx.data_len0)?;
-        self.dict = Arc::new(
-            TagDict::from_bytes(&ctx.dict_bytes0)
-                .ok_or_else(|| CoreError::Corrupt("dictionary snapshot corrupt".into()))?,
-        );
+        self.dict = Arc::clone(&ctx.dict0);
         self.synopsis = Arc::clone(&ctx.synopsis0);
         self.store.reload()?;
         self.bt_tag.reload_meta()?;
@@ -807,7 +759,10 @@ impl<S: Storage> XmlDb<S> {
 pub(crate) struct TxnCtx<S: Storage> {
     handles: [TxnHandle<S>; 4],
     data_len0: u64,
-    dict_bytes0: Vec<u8>,
+    dict0: Arc<TagDict>,
+    /// The dictionary as the log recorded it, when the transaction interned
+    /// a tag: what commit then makes durable in `dict.bin`.
+    dict_bytes: Option<Vec<u8>>,
     synopsis0: Arc<Synopsis>,
 }
 

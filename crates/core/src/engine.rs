@@ -164,7 +164,7 @@ impl<S: Storage> XmlDb<S> {
     ) -> CoreResult<()> {
         let expr = PathExpr::parse(path)?;
         let tree = PatternTree::from_path(&expr)?;
-        let plan = self.plan_pattern(&tree, opts, PlanConfig::default());
+        let plan = self.plan_pattern(&tree, opts, PlanConfig::default())?;
         self.execute_pattern_plan(&tree, &plan, scratch, out)
     }
 
@@ -176,7 +176,7 @@ impl<S: Storage> XmlDb<S> {
     ) -> CoreResult<(Vec<QueryMatch>, QueryStats)> {
         let mut scratch = QueryScratch::new();
         let mut out = Vec::new();
-        let plan = self.plan_pattern(tree, opts, PlanConfig::default());
+        let plan = self.plan_pattern(tree, opts, PlanConfig::default())?;
         self.execute_pattern_plan(tree, &plan, &mut scratch, &mut out)?;
         Ok((out, scratch.stats))
     }

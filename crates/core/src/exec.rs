@@ -712,6 +712,7 @@ pub(crate) fn build_explain(
                     _ => stats.starting_points.get(*frag).copied(),
                 };
                 let path_est = match fp.path_support {
+                    Some(s) if fp.path_support_open => format!(" path-est<={s}"),
                     Some(s) => format!(" path-est={s}"),
                     None => String::new(),
                 };

@@ -90,5 +90,5 @@ pub use snapshot::{DbGeneration, Snapshot, SnapshotSource};
 pub use stats::DocStats;
 pub use store::{BuildOptions, NodeAddr, StructStore};
 pub use stream::{StreamHit, StreamMatcher};
-pub use synopsis::{PathAxis, PathStep, PathTrie, Synopsis};
+pub use synopsis::{ChainStates, PathAxis, PathStep, PathTrie, Synopsis, TRIE_NODE_BUDGET};
 pub use values::LockDataFile;

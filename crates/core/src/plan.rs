@@ -109,9 +109,12 @@ pub struct FragmentPlan {
     /// Estimated cost in nanoseconds (see the constants in
     /// `core::planner`).
     pub est_cost: u64,
-    /// True root-chain support of the seed from the synopsis path summary,
-    /// when the plan was path-aware (`None` under tag-only planning).
+    /// Root-chain support of the seed from the synopsis path summary, when
+    /// the plan was path-aware (`None` under tag-only planning).
     pub path_support: Option<u64>,
+    /// The chain may end among paths the summary folded away:
+    /// `path_support` is an upper bound, not a count.
+    pub path_support_open: bool,
 }
 
 /// One step of the physical plan.

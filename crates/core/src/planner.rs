@@ -1,6 +1,9 @@
 //! The cost-based planner: turns a partitioned pattern tree into a
 //! [`QueryPlan`] using the synopsis persisted with the store (per-tag
-//! posting counts, per-value-hash counts, the path summary).
+//! posting counts, the path summary) and, for a `= "literal"` constraint,
+//! a count of the literal's B+v postings at the pinned generation — cut off
+//! where one more posting could no longer change the choice
+//! (`XmlDb::literal_postings`).
 //!
 //! Every fragment has two routes, and the planner prices both in
 //! **nanoseconds** and takes the cheaper:
@@ -24,17 +27,18 @@
 //! a query empty before touching its expensive fragments.
 
 use std::collections::HashMap;
+use std::ops::Bound;
 
 use nok_pager::Storage;
 
 use crate::build::XmlDb;
 use crate::error::CoreResult;
-use crate::pattern::{NameTest, PathExpr, ValueCmp};
+use crate::pattern::{NameTest, PathExpr};
 use crate::pattern_tree::{EdgeKind, PNodeId, Partition, PatternTree, DOC_NODE};
 use crate::plan::{FragmentPlan, PlanStep, PlannedQuery, QueryPlan, SeedChoice};
 use crate::scan::MAX_SCAN_NODES;
-use crate::synopsis::{PathAxis, PathStep, PathTrie};
-use crate::values::hash_value;
+use crate::synopsis::{ChainStates, PathAxis, PathStep, PathTrie};
+use crate::values::hash_key;
 use crate::{QueryOptions, StartStrategy};
 
 // ---- Unit costs, in nanoseconds: measurements of this repository's own
@@ -98,70 +102,57 @@ impl Default for PlanConfig {
 /// chain is walked once per plan however many candidates ask about it.
 struct Chains<'a> {
     trie: &'a PathTrie,
-    /// Accepting trie states per pattern node; empty = zero support, which
-    /// is a proof of emptiness, not merely an estimate.
-    states: Vec<Vec<u32>>,
+    /// Where each pattern node's root chain can end; empty = zero support,
+    /// which is a proof of emptiness, not merely an estimate.
+    states: Vec<ChainStates>,
+    /// Nodes that can match each pattern node: the chain's support, which
+    /// is exact unless the states are open, and then an upper bound held to
+    /// the paper's per-tag count.
+    support: Vec<u64>,
 }
 
 impl<'a> Chains<'a> {
     fn new<S: Storage>(db: &'a XmlDb<S>, tree: &PatternTree) -> Chains<'a> {
         let trie = db.synopsis().paths();
-        let mut states: Vec<Vec<u32>> = Vec::with_capacity(tree.nodes.len());
-        states.push(PathTrie::start_states());
+        let mut states: Vec<ChainStates> = Vec::with_capacity(tree.nodes.len());
+        let mut support: Vec<u64> = Vec::with_capacity(tree.nodes.len());
+        let start = PathTrie::start_states();
+        states.push(start.clone());
+        support.push(0);
         // Arena order: a pattern node's parent always precedes it.
         for (n, node) in tree.nodes.iter().enumerate().skip(1) {
             let parent = node.parent.unwrap_or(DOC_NODE);
+            // A tag the document has never seen: no node matches.
             let tag = match &node.test {
-                NameTest::Wildcard => None,
-                NameTest::Tag(name) => match db.dict.lookup(name) {
-                    Some(code) => Some(code),
-                    // A tag the document has never seen: no node matches.
-                    None => {
-                        states.push(Vec::new());
-                        continue;
-                    }
-                },
+                NameTest::Wildcard => Some(None),
+                NameTest::Tag(name) => db.dict.lookup(name).map(Some),
             };
             let kind = tree.nodes[parent]
                 .children
                 .iter()
                 .find(|&&(_, c)| c == n)
                 .map_or(EdgeKind::Descendant, |&(k, _)| k);
-            let next = match kind {
-                EdgeKind::Child => trie.advance(
-                    &states[parent],
-                    PathStep {
-                        axis: PathAxis::Child,
-                        tag,
-                    },
-                ),
-                EdgeKind::Descendant => trie.advance(
-                    &states[parent],
-                    PathStep {
-                        axis: PathAxis::Descendant,
-                        tag,
-                    },
-                ),
+            let (from, axis) = match kind {
+                EdgeKind::Child => (&states[parent], PathAxis::Child),
+                EdgeKind::Descendant => (&states[parent], PathAxis::Descendant),
                 // Document order does not constrain the tag path: `//test`.
-                EdgeKind::Following => trie.advance(
-                    &PathTrie::start_states(),
-                    PathStep {
-                        axis: PathAxis::Descendant,
-                        tag,
-                    },
-                ),
+                EdgeKind::Following => (&start, PathAxis::Descendant),
             };
+            let next = tag.map_or_else(ChainStates::default, |tag| {
+                trie.advance(from, PathStep { axis, tag })
+            });
+            let cap = tag.flatten().map_or(db.node_count(), |t| db.tag_count(t));
+            support.push(trie.support_of(&next).min(cap));
             states.push(next);
         }
-        Chains { trie, states }
+        Chains {
+            trie,
+            states,
+            support,
+        }
     }
 
-    /// Nodes whose root path satisfies pattern node `n`'s root chain.
-    fn support(&self, n: PNodeId) -> u64 {
-        self.trie.support_of(&self.states[n])
-    }
-
-    /// Nodes at or below those.
+    /// Nodes at or below those that can match pattern node `n`.
     fn subtree_support(&self, n: PNodeId) -> u64 {
         self.trie.subtree_support_of(&self.states[n])
     }
@@ -171,7 +162,8 @@ impl<'a> Chains<'a> {
 struct IndexCand {
     cost: u64,
     starts: u64,
-    support: Option<u64>,
+    /// Pattern node whose root chain bounds the seed's survivors.
+    chain: PNodeId,
     seed: SeedChoice,
     pivot: PNodeId,
 }
@@ -191,24 +183,24 @@ impl<S: Storage> XmlDb<S> {
     ) -> CoreResult<PlannedQuery> {
         let expr = PathExpr::parse(path)?;
         let tree = PatternTree::from_path(&expr)?;
-        let plan = self.plan_pattern(&tree, opts, cfg);
+        let plan = self.plan_pattern(&tree, opts, cfg)?;
         Ok(PlannedQuery { tree, plan })
     }
 
-    /// Plan a pre-built pattern tree. Consults only in-memory statistics,
-    /// so planning never touches the page pools.
+    /// Plan a pre-built pattern tree. Consults the in-memory synopsis and,
+    /// per `= "literal"` constraint, one bounded B+v probe.
     pub(crate) fn plan_pattern(
         &self,
         tree: &PatternTree,
         opts: QueryOptions,
         cfg: PlanConfig,
-    ) -> QueryPlan {
+    ) -> CoreResult<QueryPlan> {
         let part = tree.partition();
         let nfrags = part.fragments.len();
         let chains = cfg.path_aware.then(|| Chains::new(self, tree));
         let mut fragments = Vec::with_capacity(nfrags);
         for f in 0..nfrags {
-            fragments.push(self.plan_fragment(&part, f, opts, chains.as_ref()));
+            fragments.push(self.plan_fragment(&part, f, opts, chains.as_ref())?);
         }
 
         // Empty-by-synopsis proof: a conjunctive tree pattern can only
@@ -217,7 +209,7 @@ impl<S: Storage> XmlDb<S> {
         // the executor answer without touching a page.
         let proven_empty = chains
             .as_ref()
-            .is_some_and(|c| c.states.iter().any(Vec::is_empty));
+            .is_some_and(|c| c.states.iter().any(ChainStates::is_empty));
 
         // ---- Fragment evaluation order. Children must precede parents
         // (their root positions feed the parent's cut-edge conditions).
@@ -277,13 +269,13 @@ impl<S: Storage> XmlDb<S> {
             frag: part.returning_fragment,
         });
 
-        QueryPlan {
+        Ok(QueryPlan {
             fragments,
             steps,
             returning_fragment: part.returning_fragment,
             cost_ordered: cfg.cost_ordered,
             proven_empty,
-        }
+        })
     }
 
     /// Route choice + cost estimate for one fragment: the cheapest index
@@ -300,7 +292,7 @@ impl<S: Storage> XmlDb<S> {
         f: usize,
         opts: QueryOptions,
         chains: Option<&Chains<'_>>,
-    ) -> FragmentPlan {
+    ) -> CoreResult<FragmentPlan> {
         let tree = part.tree;
         let root = part.fragments[f].root;
         let pivot = if root == DOC_NODE {
@@ -313,7 +305,7 @@ impl<S: Storage> XmlDb<S> {
             // Nothing to locate. Almost always nothing to match either
             // (`//…` leaves the document node alone in fragment 0).
             let local = tree.local_children(DOC_NODE).count() as u64;
-            return FragmentPlan {
+            return Ok(FragmentPlan {
                 frag: f,
                 root,
                 pivot,
@@ -322,8 +314,22 @@ impl<S: Storage> XmlDb<S> {
                 est_starts: 1,
                 est_cost: local.saturating_mul(node_count).saturating_mul(NAV_NS),
                 path_support: None,
-            };
+                path_support_open: false,
+            });
         }
+        // A plan seeded on `seed` from `pivot`, its survivors bounded by the
+        // root chain of pattern node `chain`.
+        let plan = |seed, pivot, chain: PNodeId, est_starts, est_cost| FragmentPlan {
+            frag: f,
+            root,
+            pivot,
+            verify_spine: root == DOC_NODE && seed != SeedChoice::Scan,
+            seed,
+            est_starts,
+            est_cost,
+            path_support: chains.map(|c| c.support[chain]),
+            path_support_open: chains.is_some_and(|c| c.states[chain].is_open()),
+        };
         let strategy = opts.strategy;
         let depths = pivot_depths(part, pivot);
         let tag_count = |n: PNodeId| match &tree.nodes[n].test {
@@ -331,9 +337,8 @@ impl<S: Storage> XmlDb<S> {
             NameTest::Wildcard => node_count,
         };
         // Nodes that can match pattern node `n`, as well as the planner
-        // knows: true root-chain support, else its tag's count.
-        let support = |n: PNodeId| chains.map_or_else(|| tag_count(n), |c| c.support(n));
-        let pivot_support = chains.map(|c| c.support(pivot));
+        // knows: root-chain support, else its tag's count.
+        let support = |n: PNodeId| chains.map_or_else(|| tag_count(n), |c| c.support[n]);
         let spine_gets = if root == DOC_NODE {
             spine_above(part, pivot).len() as u64
         } else {
@@ -347,63 +352,6 @@ impl<S: Storage> XmlDb<S> {
             None => NAV_NS,
         };
         let per_start = |lift: u32| (u64::from(lift > 0) + spine_gets) * GET_NS + match_ns;
-
-        // ---- Scan route: one pass, the hot-node candidates it buffers, and
-        // what its value constraints read.
-        let hot = part.hot.get(&f).filter(|h| depths.contains_key(h));
-        let mut scan_cost = node_count
-            .saturating_mul(SCAN_NODE_NS)
-            .saturating_add(hot.map_or(0, |&h| support(h)).saturating_mul(SCAN_HIT_NS));
-        for &n in depths.keys() {
-            for cmp in &tree.nodes[n].value_cmps {
-                scan_cost = scan_cost.saturating_add(match cmp.str_eq() {
-                    // Merged against the literal's postings.
-                    Some(lit) => self.value_count(hash_value(lit)).saturating_mul(POSTING_NS),
-                    // Fetched for every structurally matching node.
-                    None => support(n).saturating_mul(GET_NS + FETCH_NS),
-                });
-            }
-        }
-        let scannable = depths.len() <= MAX_SCAN_NODES;
-        let scan = FragmentPlan {
-            frag: f,
-            root,
-            pivot,
-            seed: SeedChoice::Scan,
-            verify_spine: false,
-            est_starts: support(pivot),
-            est_cost: scan_cost,
-            path_support: pivot_support,
-        };
-        if strategy == StartStrategy::Scan && scannable {
-            return scan;
-        }
-
-        // ---- Index route, value seed: the most selective `= "literal"`
-        // constraint, by the persisted per-hash counts. Survivors are
-        // additionally bounded by the pivot chain's true path support.
-        let mut value: Option<IndexCand> = None;
-        for (&n, &d) in &depths {
-            for lit in tree.nodes[n].value_cmps.iter().filter_map(ValueCmp::str_eq) {
-                let count = self.value_count(hash_value(lit));
-                let starts = pivot_support.map_or(count, |ps| count.min(ps));
-                let cost = count
-                    .saturating_mul(POSTING_NS)
-                    .saturating_add(starts.saturating_mul(per_start(d)));
-                if value.as_ref().is_none_or(|b| cost < b.cost) {
-                    value = Some(IndexCand {
-                        cost,
-                        starts,
-                        support: pivot_support,
-                        seed: SeedChoice::ValueIndex {
-                            literal: lit.to_string(),
-                            lift: d,
-                        },
-                        pivot,
-                    });
-                }
-            }
-        }
 
         // ---- Index route, tag seeds.
         let mut tag: Option<IndexCand> = None;
@@ -424,7 +372,7 @@ impl<S: Storage> XmlDb<S> {
                         .saturating_mul(POSTING_NS)
                         .saturating_add(starts.saturating_mul(per_start(d))),
                     starts,
-                    support: chains.map(|c| c.support(n)),
+                    chain: n,
                     seed: SeedChoice::TagIndex {
                         name: name.clone(),
                         lift: d,
@@ -443,7 +391,7 @@ impl<S: Storage> XmlDb<S> {
             while let Some(s) = cur.filter(|&s| s != DOC_NODE) {
                 if let NameTest::Tag(name) = &tree.nodes[s].test {
                     let count = tag_count(s);
-                    let starts = chains.support(s).min(count);
+                    let starts = chains.support[s].min(count);
                     let spine = spine_above(part, s).len() as u64;
                     consider(IndexCand {
                         cost: count
@@ -451,7 +399,7 @@ impl<S: Storage> XmlDb<S> {
                             .saturating_add(starts.saturating_mul(spine * GET_NS))
                             .saturating_add(chains.subtree_support(s).saturating_mul(NAV_NS)),
                         starts,
-                        support: Some(chains.support(s)),
+                        chain: s,
                         seed: SeedChoice::TagIndex {
                             name: name.clone(),
                             lift: 0,
@@ -463,9 +411,60 @@ impl<S: Storage> XmlDb<S> {
             }
         }
 
+        // ---- Scan route: one pass, the hot-node candidates it buffers, and
+        // what its value constraints read — a fetch for every structurally
+        // matching node, except that `= "literal"` is merged against the
+        // literal's postings. Both routes read those, so a literal's count
+        // matters only while its postings cost less than the cheapest route
+        // that reads none of them: the best tag seed, else the pass alone.
+        let hot = part.hot.get(&f).filter(|h| depths.contains_key(h));
+        let mut scan_cost = node_count
+            .saturating_mul(SCAN_NODE_NS)
+            .saturating_add(hot.map_or(0, |&h| support(h)).saturating_mul(SCAN_HIT_NS));
+        let mut literals: Vec<(&str, u32)> = Vec::new();
+        for (&n, &d) in &depths {
+            for cmp in &tree.nodes[n].value_cmps {
+                match cmp.str_eq() {
+                    Some(lit) => literals.push((lit, d)),
+                    None => {
+                        scan_cost =
+                            scan_cost.saturating_add(support(n).saturating_mul(GET_NS + FETCH_NS));
+                    }
+                }
+            }
+        }
+        let bound = tag.as_ref().map_or(scan_cost, |t| t.cost);
+
+        // ---- Index route, value seed: the most selective `= "literal"`
+        // constraint. Survivors are additionally bounded by the pivot
+        // chain's path support.
+        let mut value: Option<IndexCand> = None;
+        for (lit, d) in literals {
+            let count = self.literal_postings(lit, bound)?;
+            scan_cost = scan_cost.saturating_add(count.saturating_mul(POSTING_NS));
+            let starts = chains.map_or(count, |c| count.min(c.support[pivot]));
+            let cost = count
+                .saturating_mul(POSTING_NS)
+                .saturating_add(starts.saturating_mul(per_start(d)));
+            if value.as_ref().is_none_or(|b| cost < b.cost) {
+                value = Some(IndexCand {
+                    cost,
+                    starts,
+                    chain: pivot,
+                    seed: SeedChoice::ValueIndex {
+                        literal: lit.to_string(),
+                        lift: d,
+                    },
+                    pivot,
+                });
+            }
+        }
+
         // ---- The choice. A forced strategy takes its seed when the
         // fragment offers one; everything else is decided by price.
+        let scannable = depths.len() <= MAX_SCAN_NODES;
         let index = match strategy {
+            StartStrategy::Scan if scannable => None,
             StartStrategy::ValueIndex if value.is_some() => value,
             StartStrategy::TagIndex | StartStrategy::Scan if tag.is_some() => tag,
             _ => [value, tag]
@@ -474,19 +473,33 @@ impl<S: Storage> XmlDb<S> {
                 .min_by_key(|c| c.cost)
                 .filter(|c| c.cost <= scan_cost || !scannable),
         };
-        match index {
-            Some(c) => FragmentPlan {
-                frag: f,
-                root,
-                pivot: c.pivot,
-                seed: c.seed,
-                verify_spine: root == DOC_NODE,
-                est_starts: c.starts,
-                est_cost: c.cost,
-                path_support: c.support,
-            },
-            None => scan,
+        Ok(match index {
+            Some(c) => plan(c.seed, c.pivot, c.chain, c.starts, c.cost),
+            None => plan(SeedChoice::Scan, pivot, pivot, support(pivot), scan_cost),
+        })
+    }
+
+    /// How many postings B+v holds under `literal`'s hash, counted only as
+    /// far as the choice of route can depend on it: every route through the
+    /// literal reads each of them ([`POSTING_NS`]) and then spends at least
+    /// [`NAV_NS`] on each that survives, so once the cheaper of the two
+    /// times the count exceeds `bound_ns` — what the cheapest route that
+    /// reads none of them costs — "at least that many" decides exactly as
+    /// the full count would. A unique key costs one descent.
+    fn literal_postings(&self, literal: &str, bound_ns: u64) -> CoreResult<u64> {
+        let limit = bound_ns / POSTING_NS.min(NAV_NS) + 1;
+        #[cfg(test)]
+        let limit = limit.max(tests::MIN_LIMIT.get());
+        let key = hash_key(literal);
+        let mut count = 0u64;
+        let postings = self
+            .bt_val
+            .range(Bound::Included(&key[..]), Bound::Included(key.to_vec()))?;
+        for posting in postings.take(usize::try_from(limit).unwrap_or(usize::MAX)) {
+            posting?;
+            count += 1;
         }
+        Ok(count)
     }
 }
 
@@ -550,6 +563,7 @@ pub(crate) fn pivot_depths(part: &Partition<'_>, pivot: PNodeId) -> HashMap<PNod
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dewey::Dewey;
 
     const BIB: &str = r#"<bib>
       <book><title>A</title><author><last>Stevens</last></author></book>
@@ -594,6 +608,88 @@ mod tests {
         assert_eq!(frag.est_starts, 1, "exactly one last=Stevens node");
         // One posting read, one lift to the book, one match.
         assert_eq!(frag.est_cost, POSTING_NS + GET_NS + MATCH_NS);
+    }
+
+    thread_local! {
+        /// Raised to `u64::MAX`, makes `literal_postings` count every
+        /// posting: the reference the capped count is held against.
+        pub(super) static MIN_LIMIT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Counting a literal's postings only as far as the choice can depend
+    /// on them picks the routes the full count picks, from a needle that
+    /// occurs once to one that occurs ten thousand times, whether the cap
+    /// bites or not — on a pinned snapshot, whose postings a writer's
+    /// commits do not move.
+    #[test]
+    fn capped_literal_counts_choose_as_full_counts_do() {
+        const FREQS: [u64; 4] = [1, 100, 1_000, 10_000];
+        let mut xml = String::from("<r><rare><v>n1</v><v>n100</v><v>n1000</v><v>n10000</v></rare>");
+        for f in FREQS {
+            xml.push_str(&format!("<e><v>n{f}</v></e>").repeat(f as usize - 1));
+        }
+        xml.push_str("</r>");
+        let mut db = XmlDb::build_in_memory(&xml).unwrap();
+        let pinned = db.snapshot_source().snapshot().unwrap();
+        let seeds = |full: bool, q: &str| -> Vec<(SeedChoice, u64, u64)> {
+            MIN_LIMIT.set(if full { u64::MAX } else { 0 });
+            let planned = pinned.plan_query(q, QueryOptions::default());
+            MIN_LIMIT.set(0);
+            let frags = planned.unwrap().plan.fragments;
+            frags
+                .into_iter()
+                .map(|fp| (fp.seed, fp.est_starts, fp.est_cost))
+                .collect()
+        };
+        let mut routes = Vec::new();
+        for f in FREQS {
+            // A dear tag seed, a cheap one, and none at all.
+            for shape in ["//e[v=\"n{}\"]", "//rare[v=\"n{}\"]", "//*[*=\"n{}\"]/v"] {
+                let q = shape.replace("{}", &f.to_string());
+                let (capped, full) = (seeds(false, &q), seeds(true, &q));
+                let choice = |s: &[(SeedChoice, u64, u64)]| -> Vec<SeedChoice> {
+                    s.iter().map(|(seed, ..)| seed.clone()).collect()
+                };
+                assert_eq!(choice(&capped), choice(&full), "{q}");
+                // A count the cap did not cut leaves the estimates alone too.
+                let lit = format!("n{f}");
+                if pinned.literal_postings(&lit, 0).unwrap() == f {
+                    assert_eq!(capped, full, "{q}");
+                }
+                routes.push(capped[capped.len() - 1].0.to_string());
+            }
+            // The writer moves the live count of every needle …
+            let more = format!("<e><v>n{f}</v></e>");
+            db.insert_last_child(&Dewey::root(), &more).unwrap();
+            assert_eq!(
+                db.literal_postings(&format!("n{f}"), u64::MAX).unwrap(),
+                f + 1
+            );
+            // … the pinned generation keeps its own, cut where asked.
+            assert_eq!(pinned.literal_postings("n10000", u64::MAX).unwrap(), 10_000);
+            assert_eq!(
+                pinned.literal_postings("n10000", 1_000 * NAV_NS).unwrap(),
+                1_001
+            );
+        }
+        // Both decisions occur, capped and uncapped.
+        assert_eq!(
+            routes,
+            [
+                "value-index(\"n1\", lift 1)",
+                "tag-index(rare, lift 0)",
+                "value-index(\"n1\", lift 1)",
+                "value-index(\"n100\", lift 1)",
+                "tag-index(rare, lift 0)",
+                "value-index(\"n100\", lift 1)",
+                "scan",
+                "tag-index(rare, lift 0)",
+                "scan",
+                "scan",
+                "tag-index(rare, lift 0)",
+                "scan",
+            ]
+        );
     }
 
     #[test]

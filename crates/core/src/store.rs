@@ -955,97 +955,6 @@ impl<S: Storage> Builder<'_, S> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Persisted planner statistics
-// ---------------------------------------------------------------------------
-
-/// Magic prefix of the on-disk stats block.
-const STATS_MAGIC: &[u8; 8] = b"NOKSTATS";
-/// Format version of the stats block.
-const STATS_VERSION: u16 = 1;
-
-/// Build-time statistics persisted alongside the store for the cost-based
-/// planner: per-tag occurrence counts and per-value-hash occurrence counts.
-/// The `node_count` field lets an opener detect a block that is stale
-/// relative to the structural store it sits next to.
-///
-/// Layout (all integers big-endian):
-/// `NOKSTATS | u16 version | u64 node_count | u32 tag_n | (u16, u64)* |
-/// u32 val_n | (u64, u64)*`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsBlock {
-    /// Node count of the store this block was derived from.
-    pub node_count: u64,
-    /// Occurrences per tag code.
-    pub tag_counts: Vec<(u16, u64)>,
-    /// Occurrences per value hash.
-    pub value_counts: Vec<(u64, u64)>,
-}
-
-impl StatsBlock {
-    /// Serialize to the on-disk format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            8 + 2 + 8 + 4 + self.tag_counts.len() * 10 + 4 + self.value_counts.len() * 16,
-        );
-        out.extend_from_slice(STATS_MAGIC);
-        out.extend_from_slice(&STATS_VERSION.to_be_bytes());
-        out.extend_from_slice(&self.node_count.to_be_bytes());
-        out.extend_from_slice(&(self.tag_counts.len() as u32).to_be_bytes());
-        for (code, count) in &self.tag_counts {
-            out.extend_from_slice(&code.to_be_bytes());
-            out.extend_from_slice(&count.to_be_bytes());
-        }
-        out.extend_from_slice(&(self.value_counts.len() as u32).to_be_bytes());
-        for (hash, count) in &self.value_counts {
-            out.extend_from_slice(&hash.to_be_bytes());
-            out.extend_from_slice(&count.to_be_bytes());
-        }
-        out
-    }
-
-    /// Decode; `None` on any structural mismatch (the caller rebuilds from
-    /// the indexes instead of trusting a damaged block).
-    pub fn from_bytes(b: &[u8]) -> Option<StatsBlock> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-            let s = b.get(*pos..*pos + n)?;
-            *pos += n;
-            Some(s)
-        };
-        if take(&mut pos, 8)? != STATS_MAGIC {
-            return None;
-        }
-        let version = u16::from_be_bytes(take(&mut pos, 2)?.try_into().ok()?);
-        if version != STATS_VERSION {
-            return None;
-        }
-        let node_count = u64::from_be_bytes(take(&mut pos, 8)?.try_into().ok()?);
-        let tag_n = u32::from_be_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-        let mut tag_counts = Vec::with_capacity(tag_n.min(1 << 16));
-        for _ in 0..tag_n {
-            let code = u16::from_be_bytes(take(&mut pos, 2)?.try_into().ok()?);
-            let count = u64::from_be_bytes(take(&mut pos, 8)?.try_into().ok()?);
-            tag_counts.push((code, count));
-        }
-        let val_n = u32::from_be_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-        let mut value_counts = Vec::with_capacity(val_n.min(1 << 20));
-        for _ in 0..val_n {
-            let hash = u64::from_be_bytes(take(&mut pos, 8)?.try_into().ok()?);
-            let count = u64::from_be_bytes(take(&mut pos, 8)?.try_into().ok()?);
-            value_counts.push((hash, count));
-        }
-        if pos != b.len() {
-            return None;
-        }
-        Some(StatsBlock {
-            node_count,
-            tag_counts,
-            value_counts,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1478,25 +1387,5 @@ mod tests {
         assert_eq!(store2.page_count(), pages);
         assert_eq!(store2.node_count(), nodes);
         assert_eq!(flat_entries(&store2), expected_entries(&xml, &dict));
-    }
-
-    #[test]
-    fn stats_block_round_trips() {
-        let block = StatsBlock {
-            node_count: 42,
-            tag_counts: vec![(0, 10), (3, 5)],
-            value_counts: vec![(0xdead_beef, 7), (1, 1)],
-        };
-        let bytes = block.to_bytes();
-        assert_eq!(StatsBlock::from_bytes(&bytes), Some(block.clone()));
-        // Truncation, trailing garbage, and a bad magic all reject.
-        assert_eq!(StatsBlock::from_bytes(&bytes[..bytes.len() - 1]), None);
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert_eq!(StatsBlock::from_bytes(&longer), None);
-        let mut bad = bytes;
-        bad[0] = b'X';
-        assert_eq!(StatsBlock::from_bytes(&bad), None);
-        assert_eq!(StatsBlock::from_bytes(b""), None);
     }
 }

@@ -39,7 +39,7 @@ use crate::page::{self, ContentAcc, Entry, PageHeader, HEADER_SIZE};
 use crate::physical::{tag_posting_key, IdRecord, TagPosting};
 use crate::sigma::TagCode;
 use crate::store::{DirEntry, NodeAddr};
-use crate::values::{hash_key, hash_value, LockDataFile};
+use crate::values::{hash_key, LockDataFile};
 
 /// Derives Dewey ids while walking raw entries from an arbitrary seed
 /// position (the stack-of-counters trick: ancestors' consumed-child counts
@@ -148,14 +148,14 @@ impl<S: Storage> XmlDb<S> {
                                 ));
                             }
                         }
-                        let tag = Arc::make_mut(&mut self.dict).intern(&name);
+                        let tag = self.intern_tag(&name);
                         let dewey = walker.on_open();
                         let level = dewey.level() as u16;
                         new_nodes.push((dewey.clone(), tag, level, new_entries.len()));
                         new_entries.push(Entry::Open(tag));
                         text_stack.push(String::new());
                         for a in &attrs {
-                            let atag = Arc::make_mut(&mut self.dict).intern_attr(&a.name);
+                            let atag = self.intern_tag(&format!("@{}", a.name));
                             let adewey = walker.on_open();
                             new_nodes.push((adewey.clone(), atag, level + 1, new_entries.len()));
                             new_entries.push(Entry::Open(atag));
@@ -232,7 +232,6 @@ impl<S: Storage> XmlDb<S> {
             let (off, len) = self.data.lock_data().put(text)?;
             value_map.insert(dewey.to_key(), (off, len));
             self.bt_val.insert(&hash_key(text), &dewey.to_key())?;
-            Arc::make_mut(&mut self.synopsis).add_value_count(hash_value(text), 1);
         }
         for (dewey, tag, level, rel_idx) in &new_nodes {
             let addr = addr_of[ip + rel_idx];
@@ -249,16 +248,11 @@ impl<S: Storage> XmlDb<S> {
             };
             self.bt_tag
                 .insert(&tag_posting_key(*tag, dewey), &posting.to_bytes())?;
-            // Synopsis: bump the tag count and the count of this node's
-            // root-to-node path (new_nodes is in document order, so the
-            // level-truncated chain is exactly the node's tag stack). Runs
+            // Synopsis: new_nodes is in document order, so the
+            // level-truncated chain is exactly the node's tag stack. Runs
             // inside the transaction: a rollback restores the snapshot Arc
-            // and recovery rebuilds from the replayed indexes.
-            let syn = Arc::make_mut(&mut self.synopsis);
-            syn.add_tag_count(*tag, 1);
-            chain.truncate((*level as usize).saturating_sub(1));
-            chain.push(*tag);
-            syn.add_path_count(&chain, 1);
+            // and recovery recounts the replayed document.
+            Arc::make_mut(&mut self.synopsis).count_node(&mut chain, *tag, *level);
         }
         let opens = new_nodes.len() as i64;
         self.store.bump_node_count(opens);
@@ -366,7 +360,6 @@ impl<S: Storage> XmlDb<S> {
                     let text = self.data.lock_data().get_record(off)?;
                     let h = hash_key(&text);
                     self.bt_val.delete(&h, Some(&key))?;
-                    Arc::make_mut(&mut self.synopsis).sub_value_count(hash_value(&text), 1);
                     // Tombstone the record at commit unless another node
                     // (deduplicated values are shared) still points at it.
                     let mut shared = false;
@@ -387,11 +380,7 @@ impl<S: Storage> XmlDb<S> {
             self.bt_tag.delete(&tag_posting_key(*tag, dewey), None)?;
             // Synopsis: `removed` is in document order, so the
             // level-truncated chain is each node's root-to-node path.
-            let syn = Arc::make_mut(&mut self.synopsis);
-            syn.sub_tag_count(*tag, 1);
-            chain.truncate((*level as usize).saturating_sub(1));
-            chain.push(*tag);
-            syn.sub_path_count(&chain, 1);
+            Arc::make_mut(&mut self.synopsis).uncount_node(&mut chain, *tag, *level);
         }
         for t in &touched {
             self.retag_node(t)?;
@@ -404,6 +393,17 @@ impl<S: Storage> XmlDb<S> {
     // ------------------------------------------------------------------
     // helpers
     // ------------------------------------------------------------------
+
+    /// The code of `name`, interned — and the dictionary taken copy-on-write —
+    /// only when the document has not seen the name: a transaction that
+    /// interns nothing keeps the `Arc` it began with, which is how commit
+    /// knows there is no dictionary to log.
+    fn intern_tag(&mut self, name: &str) -> TagCode {
+        match self.dict.lookup(name) {
+            Some(code) => code,
+            None => Arc::make_mut(&mut self.dict).intern(name),
+        }
+    }
 
     /// Tags of the ancestors-or-self of `dewey`, outermost first — the
     /// node's root chain, resolved through B+i. Must run while the indexes

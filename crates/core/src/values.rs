@@ -13,10 +13,15 @@
 //!   so Dewey IDs can be resolved to structure without a root walk),
 //! * duplicate elimination — equal values are stored once and shared ("we
 //!   can keep only one copy and let these nodes point to the same position").
+//!
+//! Reading a value needs only its offset. The table that finds a value's
+//! record by its hash ([`Dedup`]) is sized by the document, so opening a
+//! file does not build it: the first caller that shares, vouches for,
+//! tombstones or rolls back a record does, in one pass over the file.
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -65,8 +70,64 @@ fn read_file_at(f: &mut File, offset: u64, buf: &mut [u8]) -> std::io::Result<()
 
 #[cfg(not(unix))]
 fn read_file_at(f: &mut File, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+    use std::io::Read;
     f.seek(SeekFrom::Start(offset))?;
     f.read_exact(buf)
+}
+
+/// The records of a data file by value hash. One offset sits inline per
+/// hash and equal values share a record, so the table is one allocation to
+/// build and to drop; only values that collide in all 64 bits need `more`.
+#[derive(Default)]
+struct Dedup {
+    /// Value hash → offset of a **live** record with that hash.
+    first: HashMap<u64, u64>,
+    /// `(hash, offset)` of every further live record under a hash in `first`.
+    more: Vec<(u64, u64)>,
+    /// Hashes of tombstoned records. A hash outside this set has every
+    /// record it ever had listed above, which is what lets
+    /// [`DataFile::hash_identifies`] vouch for a whole posting list.
+    dead: HashSet<u64>,
+}
+
+impl Dedup {
+    /// Offsets of the live records under `hash`.
+    fn live(&self, hash: u64) -> Vec<u64> {
+        let more = self.more.iter().filter(|&&(h, _)| h == hash);
+        (self.first.get(&hash).copied().into_iter())
+            .chain(more.map(|&(_, off)| off))
+            .collect()
+    }
+
+    fn insert(&mut self, hash: u64, offset: u64) {
+        if self.first.contains_key(&hash) {
+            self.more.push((hash, offset));
+        } else {
+            self.first.insert(hash, offset);
+        }
+    }
+
+    /// Forget the live record at `offset`; another one under the same hash
+    /// takes its inline place.
+    fn remove(&mut self, hash: u64, offset: u64) {
+        if self.first.get(&hash) != Some(&offset) {
+            self.more.retain(|&entry| entry != (hash, offset));
+        } else if let Some(i) = self.more.iter().position(|&(h, _)| h == hash) {
+            self.first.insert(hash, self.more.swap_remove(i).1);
+        } else {
+            self.first.remove(&hash);
+        }
+    }
+
+    /// Forget every live record at or past `len`.
+    fn truncate(&mut self, len: u64) {
+        self.first.retain(|_, off| *off < len);
+        for (hash, off) in std::mem::take(&mut self.more) {
+            if off < len {
+                self.insert(hash, off);
+            }
+        }
+    }
 }
 
 /// The sequential `(len, value)` record file.
@@ -74,12 +135,8 @@ pub struct DataFile {
     backing: Backing,
     /// Total bytes written (also the next append offset).
     len: u64,
-    /// Dedup map: value hash → offsets of **live** records with that hash.
-    dedup: HashMap<u64, Vec<u64>>,
-    /// Hashes of tombstoned records. A hash outside this set has every
-    /// record it ever had in `dedup`, which is what lets
-    /// [`DataFile::hash_identifies`] vouch for a whole posting list.
-    dead_hashes: HashSet<u64>,
+    /// `None` until first needed (see [`DataFile::table`]).
+    dedup: Option<Dedup>,
     /// Optional fault-injection plan gating mutating I/O.
     failpoint: Option<Arc<FailPlan>>,
 }
@@ -90,8 +147,7 @@ impl DataFile {
         DataFile {
             backing: Backing::Mem(Vec::new()),
             len: 0,
-            dedup: HashMap::new(),
-            dead_hashes: HashSet::new(),
+            dedup: Some(Dedup::default()),
             failpoint: None,
         }
     }
@@ -108,53 +164,58 @@ impl DataFile {
         Ok(DataFile {
             backing: Backing::File(file),
             len: 0,
-            dedup: HashMap::new(),
-            dead_hashes: HashSet::new(),
+            dedup: Some(Dedup::default()),
             failpoint: None,
         })
     }
 
-    /// Open an existing data file, rebuilding the dedup map by scanning the
-    /// live (non-tombstoned) records.
+    /// Open an existing data file. Its length is the file's — recovery has
+    /// already cut it to the committed length — and nothing of it is read.
     pub fn open<P: AsRef<Path>>(path: P) -> CoreResult<Self> {
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(path)
             .map_err(nok_pager::PagerError::from)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)
-            .map_err(nok_pager::PagerError::from)?;
-        let mut dedup: HashMap<u64, Vec<u64>> = HashMap::new();
-        let mut dead_hashes = HashSet::new();
-        let mut pos = 0u64;
-        while (pos as usize) < bytes.len() {
-            let p = pos as usize;
-            if p + 4 > bytes.len() {
-                return Err(CoreError::Corrupt("truncated data-file record".into()));
-            }
-            let raw = u32::from_le_bytes([bytes[p], bytes[p + 1], bytes[p + 2], bytes[p + 3]]);
-            let dead = raw & DEAD_BIT != 0;
-            let len = (raw & !DEAD_BIT) as usize;
-            if p + 4 + len > bytes.len() {
-                return Err(CoreError::Corrupt("truncated data-file record".into()));
-            }
-            if let Ok(s) = std::str::from_utf8(&bytes[p + 4..p + 4 + len]) {
-                if dead {
-                    dead_hashes.insert(hash_value(s));
-                } else {
-                    dedup.entry(hash_value(s)).or_default().push(pos);
-                }
-            }
-            pos += 4 + len as u64;
-        }
+        let len = file.metadata().map_err(nok_pager::PagerError::from)?.len();
         Ok(DataFile {
             backing: Backing::File(file),
-            len: pos,
-            dedup,
-            dead_hashes,
+            len,
+            dedup: None,
             failpoint: None,
         })
+    }
+
+    /// The dedup table, built on first use by one pass over the records:
+    /// live ones by hash, tombstoned ones as dead hashes. A file that does
+    /// not end on a record boundary is [`CoreError::Corrupt`].
+    fn table(&mut self) -> CoreResult<&mut Dedup> {
+        if self.dedup.is_none() {
+            let mut bytes = vec![0u8; self.len as usize];
+            self.read_exact_at(0, &mut bytes)?;
+            let mut table = Dedup::default();
+            let mut p = 0usize;
+            while p < bytes.len() {
+                let record = bytes.get(p..p + 4).and_then(|header| {
+                    let raw = u32::from_le_bytes(header.try_into().ok()?);
+                    let len = (raw & !DEAD_BIT) as usize;
+                    Some((raw, bytes.get(p + 4..p + 4 + len)?))
+                });
+                let Some((raw, payload)) = record else {
+                    return Err(CoreError::Corrupt("truncated data-file record".into()));
+                };
+                if let Ok(s) = std::str::from_utf8(payload) {
+                    if raw & DEAD_BIT != 0 {
+                        table.dead.insert(hash_value(s));
+                    } else {
+                        table.insert(hash_value(s), p as u64);
+                    }
+                }
+                p += 4 + payload.len();
+            }
+            self.dedup = Some(table);
+        }
+        Ok(self.dedup.as_mut().expect("built above"))
     }
 
     /// Route this file's mutating I/O through a fault-injection plan.
@@ -178,13 +239,10 @@ impl DataFile {
     /// stored before. Returns `(offset, len)` of the record.
     pub fn put(&mut self, value: &str) -> CoreResult<(u64, u32)> {
         let h = hash_value(value);
-        if let Some(offsets) = self.dedup.get(&h) {
-            let candidates = offsets.clone();
-            for off in candidates {
-                // Hash collision safety: verify the stored bytes.
-                if self.record_equals(off, value)? {
-                    return Ok((off, value.len() as u32));
-                }
+        for off in self.table()?.live(h) {
+            // Hash collision safety: verify the stored bytes.
+            if self.record_equals(off, value)? {
+                return Ok((off, value.len() as u32));
             }
         }
         if value.len() as u32 & DEAD_BIT != 0 {
@@ -204,7 +262,7 @@ impl DataFile {
             }
         }
         self.len += rec.len() as u64;
-        self.dedup.entry(h).or_default().push(off);
+        self.table()?.insert(h, off);
         Ok((off, value.len() as u32))
     }
 
@@ -248,11 +306,11 @@ impl DataFile {
     /// must verify posting by posting).
     pub fn hash_identifies(&mut self, value: &str) -> CoreResult<bool> {
         let h = hash_value(value);
-        if self.dead_hashes.contains(&h) {
+        let table = self.table()?;
+        if table.dead.contains(&h) {
             return Ok(false);
         }
-        let offsets = self.dedup.get(&h).cloned().unwrap_or_default();
-        for off in offsets {
+        for off in table.live(h) {
             if !self.record_equals(off, value)? {
                 return Ok(false);
             }
@@ -317,13 +375,9 @@ impl DataFile {
         self.read_exact_at(offset + 4, &mut payload)?;
         if let Ok(s) = std::str::from_utf8(&payload) {
             let h = hash_value(s);
-            self.dead_hashes.insert(h);
-            if let Some(offsets) = self.dedup.get_mut(&h) {
-                offsets.retain(|&o| o != offset);
-                if offsets.is_empty() {
-                    self.dedup.remove(&h);
-                }
-            }
+            let table = self.table()?;
+            table.dead.insert(h);
+            table.remove(h, offset);
         }
         self.check_failpoint()?;
         let raw = len | DEAD_BIT;
@@ -362,10 +416,7 @@ impl DataFile {
             }
         }
         self.len = len;
-        self.dedup.retain(|_, offsets| {
-            offsets.retain(|&o| o < len);
-            !offsets.is_empty()
-        });
+        self.table()?.truncate(len);
         Ok(())
     }
 
@@ -518,9 +569,9 @@ mod tests {
         assert!(df.hash_identifies("never stored").unwrap(), "vacuously");
         // A second value under the same hash (a collision, planted here by
         // hand) means postings must be verified one by one.
-        df.dedup.entry(hash_value("abc")).or_default().push(xyz);
+        df.table().unwrap().insert(hash_value("abc"), xyz);
         assert!(!df.hash_identifies("abc").unwrap());
-        df.dedup.entry(hash_value("abc")).or_default().pop();
+        df.table().unwrap().remove(hash_value("abc"), xyz);
         assert!(df.hash_identifies("abc").unwrap());
         // So does a tombstone: the dead record's text is no longer listed,
         // yet a pinned snapshot may still reach it — even after the value
@@ -576,6 +627,60 @@ mod tests {
             assert!(df.hash_identifies("kept").unwrap());
             assert_ne!(df.put("condemned").unwrap().0, dead_off);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Opening reads nothing of the file and reading records never needs
+    /// the table; each of the four operations that do need it builds it,
+    /// and a file that ends inside a record is found out by that build.
+    #[test]
+    fn the_table_is_built_by_the_first_caller_that_needs_it() {
+        let dir = std::env::temp_dir().join(format!("nok-values-lazy-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("values.dat");
+        let (one, two, len);
+        {
+            let mut df = DataFile::create(&path).unwrap();
+            one = df.put("one").unwrap().0;
+            two = df.put("two").unwrap().0;
+            len = df.len_bytes();
+            df.sync().unwrap();
+        }
+        let needs: [fn(&mut DataFile, u64) -> bool; 4] = [
+            |df, _| df.put("three").is_ok(),
+            |df, _| df.hash_identifies("one").is_ok(),
+            |df, two| df.mark_dead(two).is_ok(),
+            |df, two| df.truncate_to(two).is_ok(),
+        ];
+        for need in needs {
+            let mut df = DataFile::open(&path).unwrap();
+            assert_eq!(df.len_bytes(), len);
+            assert_eq!(df.get_record(one).unwrap(), "one");
+            assert!(df.record_equals(two, "two").unwrap());
+            assert_eq!(df.record_span(two).unwrap(), (3, false));
+            assert!(df.dedup.is_none(), "reads do not build the table");
+            assert!(need(&mut df, two));
+            assert!(df.dedup.is_some());
+            drop(df);
+            // Undo what the operation did to the file.
+            let mut df = DataFile::create(&path).unwrap();
+            df.put("one").unwrap();
+            df.put("two").unwrap();
+        }
+        // A torn tail: opening does not notice, records before it read
+        // fine, and what needs the table is refused.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .and_then(|f| f.set_len(len - 1))
+            .unwrap();
+        let mut df = DataFile::open(&path).unwrap();
+        assert_eq!(df.get_record(one).unwrap(), "one");
+        assert!(matches!(
+            df.hash_identifies("one"),
+            Err(CoreError::Corrupt(_))
+        ));
+        assert!(matches!(df.put("three"), Err(CoreError::Corrupt(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 

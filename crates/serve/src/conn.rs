@@ -72,16 +72,17 @@ pub fn stats_json<S: Storage + Send + Sync + 'static>(svc: &QueryService<S>) -> 
             (io.entries_examined(), io.dir_entries_examined())
         })
         .unwrap_or((0, 0));
-    let (distinct_paths, synopsis_bytes) = snap
+    let (distinct_paths, synopsis_bytes, folded_nodes) = snap
         .as_ref()
         .map(|s| {
             let g = s.generation();
             (
                 g.synopsis().distinct_paths(),
-                g.synopsis().encoded_len(g.node_count()) as u64,
+                g.synopsis().to_bytes(g.node_count()).len() as u64,
+                g.synopsis().paths().folded_nodes(),
             )
         })
-        .unwrap_or((0, 0));
+        .unwrap_or((0, 0, 0));
     Json::obj(vec![
         ("served", Json::Num(m.served.load(Ordering::Relaxed) as f64)),
         (
@@ -127,6 +128,7 @@ pub fn stats_json<S: Storage + Send + Sync + 'static>(svc: &QueryService<S>) -> 
         ),
         ("distinct_paths", Json::Num(distinct_paths as f64)),
         ("synopsis_bytes", Json::Num(synopsis_bytes as f64)),
+        ("synopsis_folded_nodes", Json::Num(folded_nodes as f64)),
         (
             "empty_proofs",
             Json::Num(m.empty_proofs.load(Ordering::Relaxed) as f64),
@@ -518,6 +520,7 @@ mod tests {
                     // and a nonzero encoded synopsis block.
                     assert!(stat(json, "distinct_paths") >= 4, "{json}");
                     assert!(stat(json, "synopsis_bytes") > 0, "{json}");
+                    assert_eq!(stat(json, "synopsis_folded_nodes"), 0, "{json}");
                     assert!(json.contains("\"empty_proofs\":"), "{json}");
                 }
                 BinResponse::ExplainOk { id, count, text } => {

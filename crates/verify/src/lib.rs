@@ -35,7 +35,7 @@ use nok_core::physical::{tag_posting_key, IdRecord, TagPosting};
 use nok_core::sigma::TagCode;
 use nok_core::store::{NodeAddr, StructStore};
 use nok_core::succinct::{read_varint, BitVec, RankSelect};
-use nok_core::values::{hash_key, hash_value};
+use nok_core::values::hash_key;
 use nok_core::LockDataFile;
 use nok_core::XmlDb;
 use nok_pager::{BufferPool, PageId, Storage};
@@ -921,76 +921,53 @@ fn index_checks<S: Storage>(db: &XmlDb<S>, opts: VerifyOptions, scan: &mut Chain
             });
         }
     }
-    // Likewise the per-value-hash counters the cost-based planner estimates
-    // selectivities from, plus the distinct-hash total (which catches stale
-    // counters for values that no longer exist).
-    let mut derived_value_counts: HashMap<u64, u64> = HashMap::new();
-    for text in value_of.values() {
-        *derived_value_counts.entry(hash_value(text)).or_insert(0) += 1;
-    }
-    for (hash, expected) in &derived_value_counts {
-        let found = db.value_count(*hash);
-        if found != *expected {
-            v.push(Violation::CountMismatch {
-                what: "value occurrence counter",
-                expected: *expected,
-                found,
-            });
-        }
-    }
-    if db.distinct_value_count() != derived_value_counts.len() as u64 {
-        v.push(Violation::CountMismatch {
-            what: "distinct value hashes",
-            expected: derived_value_counts.len() as u64,
-            found: db.distinct_value_count(),
-        });
-    }
-    // The synopsis path summary the planner proves emptiness from: every
-    // distinct root-to-node tag path recomputed from the rescan must carry
-    // exactly the synopsis's count, and the synopsis must name no path the
-    // document lacks. The chain stack replays the same level-truncation
+    // The synopsis path summary the planner estimates from and proves
+    // emptiness with. It spells out some root-to-node tag paths and folds
+    // the rest into residuals, so the recount follows the persisted shape:
+    // walk each node's root path as far as the trie goes — a whole path
+    // counts on its own trie node, a shorter walk in the residual of the
+    // node it stops at — and every trie node must carry exactly the
+    // recounted pair. The chain stack replays the same level-truncation
     // the build and update layers maintain incrementally.
-    let mut derived_paths: HashMap<Vec<TagCode>, u64> = HashMap::new();
+    let paths = db.synopsis().paths();
+    let mut derived_paths: HashMap<Vec<TagCode>, [u64; 2]> = HashMap::new();
     let mut path_chain: Vec<TagCode> = Vec::new();
     for n in &scan.nodes {
         path_chain.truncate((n.level as usize).saturating_sub(1));
         path_chain.push(n.tag);
-        *derived_paths.entry(path_chain.clone()).or_insert(0) += 1;
+        let kept = paths.matched_prefix(&path_chain);
+        let pair = derived_paths
+            .entry(path_chain[..kept].to_vec())
+            .or_default();
+        pair[usize::from(kept < path_chain.len())] += 1;
     }
-    let render = |tags: &[TagCode]| {
-        let mut s = String::new();
-        for t in tags {
-            s.push('/');
-            s.push_str(db.dict().name(*t));
+    let mut check = |tags: &[TagCode], [count, residual]: [u64; 2], found: [u64; 2]| {
+        // A damaged block may name codes the dictionary never issued.
+        let known = |t: &TagCode| usize::from(t.0) < db.dict().len();
+        let name = |t: &TagCode| if known(t) { db.dict().name(*t) } else { "?" };
+        let path: String = tags.iter().flat_map(|t| ["/", name(t)]).collect();
+        if found[0] != count {
+            v.push(Violation::SynopsisPathCountMismatch {
+                path: path.clone(),
+                expected: count,
+                found: found[0],
+            });
         }
-        s
+        if found[1] != residual {
+            v.push(Violation::SynopsisResidualMismatch {
+                path,
+                expected: residual,
+                found: found[1],
+            });
+        }
     };
-    let paths = db.synopsis().paths();
-    for (tags, expected) in &derived_paths {
-        let found = paths.exact_count(tags);
-        if found != *expected {
-            v.push(Violation::SynopsisPathCountMismatch {
-                path: render(tags),
-                expected: *expected,
-                found,
-            });
-        }
-    }
-    paths.for_each_path(|tags, found| {
-        if !derived_paths.contains_key(tags) {
-            v.push(Violation::SynopsisPathCountMismatch {
-                path: render(tags),
-                expected: 0,
-                found,
-            });
-        }
+    paths.for_each_node(|tags, count, residual| {
+        let expected = derived_paths.remove(tags).unwrap_or_default();
+        check(tags, expected, [count, residual]);
     });
-    if db.synopsis().distinct_paths() != derived_paths.len() as u64 {
-        v.push(Violation::CountMismatch {
-            what: "distinct synopsis paths",
-            expected: derived_paths.len() as u64,
-            found: db.synopsis().distinct_paths(),
-        });
+    // Trie nodes the walk above reached but the summary holds for empty.
+    for (tags, expected) in &derived_paths {
+        check(tags, *expected, [0, 0]);
     }
 
     // ---- Data file: every live record reachable from B+i. Records whose

@@ -242,6 +242,17 @@ pub enum Violation {
         /// Node count the synopsis carries.
         found: u64,
     },
+    /// A residual of the synopsis path summary — the document nodes below a
+    /// trie path that the summary does not spell out — disagrees with the
+    /// recount of the rescan against the persisted trie shape.
+    SynopsisResidualMismatch {
+        /// The trie path, rendered `/a/b/c` with dictionary names.
+        path: String,
+        /// Folded nodes recounted from the rescan.
+        expected: u64,
+        /// Residual the synopsis carries.
+        found: u64,
+    },
     /// The published MVCC generation disagrees with the committed state it
     /// claims to represent (see DESIGN.md §14).
     GenerationMismatch {
@@ -288,6 +299,7 @@ impl Violation {
             Violation::RankSelectMismatch { .. } => "rank-select-mismatch",
             Violation::TagCodeOutOfRange { .. } => "tag-code-out-of-range",
             Violation::SynopsisPathCountMismatch { .. } => "synopsis-path-count-mismatch",
+            Violation::SynopsisResidualMismatch { .. } => "synopsis-residual-mismatch",
             Violation::GenerationMismatch { .. } => "generation-mismatch",
         }
     }
@@ -442,6 +454,11 @@ impl Violation {
                 path,
                 expected,
                 found,
+            }
+            | Violation::SynopsisResidualMismatch {
+                path,
+                expected,
+                found,
             } => {
                 obj.str("path", path);
                 obj.num("expected", *expected);
@@ -588,6 +605,14 @@ impl fmt::Display for Violation {
             } => write!(
                 f,
                 "synopsis path {path}: stored count {found}, rescan says {expected}"
+            ),
+            Violation::SynopsisResidualMismatch {
+                path,
+                expected,
+                found,
+            } => write!(
+                f,
+                "synopsis path {path}: stored residual {found}, rescan says {expected}"
             ),
             Violation::GenerationMismatch {
                 field,

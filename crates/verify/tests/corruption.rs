@@ -398,6 +398,78 @@ fn wrong_value_hash_is_flagged() {
     assert!(rep.has_kind("value-hash-mismatch"), "{rep}");
 }
 
+/// An on-disk store of `/r/a<i>/b<j>`, 70 × 70: more distinct paths than
+/// the synopsis keeps, so some `b`s are folded into their `a`'s residual.
+/// Returns the directory, its `stats.blk` bytes, and the offset of the
+/// block's trie section (the big-endian declared node count).
+fn folded_store(name: &str) -> (std::path::PathBuf, Vec<u8>, usize) {
+    let dir = std::env::temp_dir().join(format!("nok-verify-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut xml = String::from("<r>");
+    for i in 0..70 {
+        xml.push_str(&format!("<a{i}>"));
+        (0..70).for_each(|j| xml.push_str(&format!("<b{j}/>")));
+        xml.push_str(&format!("</a{i}>"));
+    }
+    xml.push_str("</r>");
+    let db = XmlDb::create_on_disk(&dir, &xml).unwrap();
+    assert!(db.synopsis().paths().folded_nodes() > 0);
+    assert!(verify_db(&db, VerifyOptions::strict()).is_clean());
+    drop(db);
+    let block = std::fs::read(dir.join("stats.blk")).unwrap();
+    // magic, version, node count; then the tag section: count, 10 bytes each.
+    let tag_n = u32::from_be_bytes(block[18..22].try_into().unwrap()) as usize;
+    (dir, block, 22 + 10 * tag_n)
+}
+
+#[test]
+fn bumped_residual_is_flagged() {
+    let (dir, mut block, trie) = folded_store("residual");
+    // After the declared node count come varints: the virtual root's
+    // residual and child count, then `tag, count, residual, children` per
+    // node in preorder. Find the first folded node and fold one node more.
+    let mut pos = trie + 4;
+    let mut next = |block: &[u8]| {
+        let (v, width) = nok_core::succinct::read_varint(block, pos).unwrap();
+        pos += width;
+        (v, pos - width)
+    };
+    next(&block);
+    next(&block);
+    let at = loop {
+        next(&block);
+        next(&block);
+        let (residual, at) = next(&block);
+        next(&block);
+        if residual > 0 {
+            break at;
+        }
+    };
+    block[at] ^= 1;
+    std::fs::write(dir.join("stats.blk"), &block).unwrap();
+    let db = XmlDb::open_dir(&dir).unwrap();
+    let rep = verify_db(&db, VerifyOptions::default());
+    assert_eq!(rep.kinds(), ["synopsis-residual-mismatch"], "{rep}");
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn block_declaring_more_nodes_than_the_budget_is_rebuilt() {
+    let (dir, good, trie) = folded_store("budget");
+    let mut block = good.clone();
+    let declared = nok_core::TRIE_NODE_BUDGET as u32 + 1;
+    block[trie..trie + 4].copy_from_slice(&declared.to_be_bytes());
+    std::fs::write(dir.join("stats.blk"), &block).unwrap();
+    // The decoder refuses the block by its header; open recounts the
+    // document and writes the block it should have found.
+    let db = XmlDb::open_dir(&dir).unwrap();
+    assert!(verify_db(&db, VerifyOptions::strict()).is_clean());
+    drop(db);
+    assert_eq!(std::fs::read(dir.join("stats.blk")).unwrap(), good);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn btree_page_corruption_is_flagged() {
     // Build with retained pool handles so the tag tree's pages can be

@@ -265,11 +265,13 @@ fn every_injected_crash_recovers_clean_and_consistent() {
         );
 
         // The synopsis path summary must never be stale after recovery.
-        // Strict verify above already recounted the full path multiset
-        // (`synopsis-path-count-mismatch`); this pins the contract
-        // explicitly against the matched state: the recovered planner
-        // sees the true per-path element counts, whichever side of the
-        // in-flight transaction recovery landed on.
+        // Strict verify above already recounted every trie node's count
+        // and residual (`synopsis-path-count-mismatch`,
+        // `synopsis-residual-mismatch`); this pins the contract explicitly
+        // against the matched state: the document fits the node budget, so
+        // nothing is folded, every path lies in the exact region, and the
+        // recovered planner sees the true per-path element counts,
+        // whichever side of the in-flight transaction recovery landed on.
         let code = |t: &str| {
             db.dict()
                 .lookup(t)
@@ -277,19 +279,18 @@ fn every_injected_crash_recovers_clean_and_consistent() {
         };
         let (list, item) = (code("list"), code("item"));
         let n = matched.len() as u64;
-        assert_eq!(
-            db.synopsis().paths().exact_count(&[list]),
-            1,
-            "k={k}: /list"
-        );
+        let paths = db.synopsis().paths();
+        assert_eq!(paths.folded_nodes(), 0, "k={k}: residuals");
+        assert_eq!(paths.total_count(), 1 + 3 * n, "k={k}: exact region");
         for (tail, want) in [
+            (vec![list], 1),
             (vec![list, item], n),
             (vec![list, item, code("name")], n),
             (vec![list, item, code("val")], n),
         ] {
             assert_eq!(
-                db.synopsis().paths().exact_count(&tail),
-                want,
+                paths.exact_count(&tail),
+                Some(want),
                 "k={k}: synopsis stale after recovery on path {tail:?}"
             );
         }
