@@ -151,10 +151,4 @@ echo "==> crash-recovery failpoint sweep + differential update fuzz (release)"
 # crash point (nightly CI does this).
 cargo test --release -q -p nok-bench --test crash_recovery --test update_fuzz
 
-echo "==> WAL durability bench (BENCH_wal.json)"
-# Gate: a durable (logged + fsynced) commit must cost <= 2x a non-durable one.
-cargo run --release -q -p nok-bench --bin update_durability -- \
-  --ops 200 --reps 3 --out BENCH_wal.json
-grep -q '"gates_passed":true' BENCH_wal.json
-
 echo "CI OK"

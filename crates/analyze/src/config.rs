@@ -81,6 +81,12 @@ pub const CORE_DIRECTORY: LockClass = LockClass {
     name: "core.directory",
     rank: 24,
 };
+/// The write-ahead log (`XmlDb.wal`): a leaf — taken for one append or one
+/// checkpoint, with no other lock held.
+pub const CORE_WAL: LockClass = LockClass {
+    name: "core.wal",
+    rank: 28,
+};
 pub const CORE_DATA_FILE: LockClass = LockClass {
     name: "core.data_file",
     rank: 30,
@@ -109,6 +115,7 @@ pub const ALL_CLASSES: &[LockClass] = &[
     CORE_DECODE_CACHE,
     CORE_SKIP_INDEX,
     CORE_DIRECTORY,
+    CORE_WAL,
     CORE_DATA_FILE,
     PAGER_POOL_SHARD,
     PAGER_STORAGE,
@@ -155,6 +162,11 @@ const LOCK_TABLE: &[LockEntry] = &[
         field: "dir",
         in_crate: Some("core"),
         class: CORE_DIRECTORY,
+    },
+    LockEntry {
+        field: "wal",
+        in_crate: Some("core"),
+        class: CORE_WAL,
     },
     LockEntry {
         field: "data",

@@ -1,37 +1,23 @@
-//! Durability-overhead benchmark: what does the write-ahead log cost per
-//! committed update transaction?
+//! Recovery walkthrough: crash a scripted update workload at a chosen
+//! mutating I/O and leave the directory for a reopen to recover.
 //!
 //! ```text
 //! cargo run -p nok-bench --release --bin update_durability -- \
-//!     [--ops 200] [--reps 3] [--out BENCH_wal.json] [--dir PATH] [--keep]
-//! ```
-//!
-//! Runs the same scripted insert/delete workload twice against an on-disk
-//! database: once with the log active (every commit is crash-durable) and
-//! once with it disabled via [`XmlDb::disable_wal`] (commits are atomic in
-//! memory but not crash-safe). Both modes fsync `values.dat` appends, so
-//! the ratio isolates the log's own cost: the commit-record fsync, the
-//! checkpoint, and dictionary persistence. The acceptance gate requires
-//! durable commits to stay within 2× of non-durable ones.
-//!
-//! With `--crash-at-io K` the run instead opens the database behind a
-//! fault-injection plan that kills the process's I/O at the K-th mutating
-//! operation, leaving a torn directory behind for the recovery walkthrough:
-//!
-//! ```text
-//! cargo run -p nok-bench --release --bin update_durability -- \
-//!     --crash-at-io 40 --dir /tmp/nok-crash-demo --keep
+//!     --crash-at-io 40 --dir /tmp/nok-crash-demo [--ops 200]
 //! nokfsck --strict /tmp/nok-crash-demo/crash   # recovers, then verifies
 //! ```
+//!
+//! The database is opened behind a fault-injection plan that kills the
+//! process's I/O at the K-th mutating operation — and, as a power cut
+//! would, drops what was written but never synced. What durability costs
+//! per commit is nokbench's `wal.durable_extra_us`.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 use nok_bench::Args;
 use nok_core::{Dewey, XmlDb};
 use nok_pager::{FailPlan, FailpointStorage, FileStorage};
-use nok_serve::Json;
 
 fn main() {
     if let Err(e) = run() {
@@ -51,7 +37,7 @@ fn initial_doc(items: usize) -> String {
 }
 
 /// One scripted update op: every third op deletes the first item, the rest
-/// append a fresh one. Identical across modes and reps.
+/// append a fresh one.
 fn apply_op<S: nok_pager::Storage>(db: &mut XmlDb<S>, i: usize) -> Result<(), String> {
     if i % 3 == 2 {
         db.delete_subtree(&Dewey::from_components(vec![0, 0]))
@@ -70,32 +56,10 @@ fn apply_op<S: nok_pager::Storage>(db: &mut XmlDb<S>, i: usize) -> Result<(), St
     Ok(())
 }
 
-/// Wall time for `ops` committed transactions, durable or not. The
-/// database directory is created fresh for each measurement.
-fn measure(dir: &Path, ops: usize, durable: bool) -> Result<f64, String> {
-    std::fs::remove_dir_all(dir).ok();
-    let mut db =
-        XmlDb::create_on_disk(dir, &initial_doc(ops)).map_err(|e| format!("create: {e}"))?;
-    if !durable {
-        db.disable_wal();
-    }
-    let t0 = Instant::now();
-    for i in 0..ops {
-        apply_op(&mut db, i)?;
-    }
-    let elapsed = t0.elapsed();
-    Ok(elapsed.as_nanos() as f64 / ops as f64)
-}
-
-/// Simulated crash for the recovery walkthrough: run the workload with
-/// every mutating I/O counted, dying at the `k`-th.
+/// Run the workload with every mutating I/O counted, dying at the `k`-th.
 fn crash_at(dir: &Path, ops: usize, k: u64) -> Result<(), String> {
     std::fs::remove_dir_all(dir).ok();
-    {
-        let db =
-            XmlDb::create_on_disk(dir, &initial_doc(ops)).map_err(|e| format!("create: {e}"))?;
-        drop(db);
-    }
+    drop(XmlDb::create_on_disk(dir, &initial_doc(ops)).map_err(|e| format!("create: {e}"))?);
     let plan = FailPlan::at(k);
     let wrap_plan = Arc::clone(&plan);
     let mut db = XmlDb::<FailpointStorage<FileStorage>>::open_dir_with(dir, 256, move |s| {
@@ -122,71 +86,20 @@ fn crash_at(dir: &Path, ops: usize, k: u64) -> Result<(), String> {
 
 fn run() -> Result<(), String> {
     let args = Args::parse();
-    let ops: usize = args
-        .get("ops")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "--ops must be an integer".to_string())
-        })
-        .transpose()?
-        .unwrap_or(200);
-    let reps = args.reps() as usize;
-    let out_path = args.get("out").unwrap_or("BENCH_wal.json").to_string();
+    let int = |name: &str| -> Result<Option<u64>, String> {
+        args.get(name)
+            .map(|s| {
+                s.parse()
+                    .map_err(|_| format!("--{name} must be an integer"))
+            })
+            .transpose()
+    };
+    let ops = int("ops")?.unwrap_or(200) as usize;
+    let k = int("crash-at-io")?.ok_or("--crash-at-io K is required")?;
     let base: PathBuf = match args.get("dir") {
         Some(d) => PathBuf::from(d),
         None => std::env::temp_dir().join(format!("nok-wal-bench-{}", std::process::id())),
     };
     std::fs::create_dir_all(&base).map_err(|e| format!("create {}: {e}", base.display()))?;
-
-    if let Some(k) = args.get("crash-at-io") {
-        let k: u64 = k
-            .parse()
-            .map_err(|_| "--crash-at-io must be an integer".to_string())?;
-        let result = crash_at(&base.join("crash"), ops, k);
-        if !args.has("keep") && result.is_err() {
-            std::fs::remove_dir_all(&base).ok();
-        }
-        return result;
-    }
-
-    // Best-of-reps for each mode; interleaving would let the page cache
-    // warm asymmetrically.
-    let mut durable_ns = f64::INFINITY;
-    let mut nondurable_ns = f64::INFINITY;
-    for _ in 0..reps {
-        nondurable_ns = nondurable_ns.min(measure(&base.join("plain"), ops, false)?);
-    }
-    for _ in 0..reps {
-        durable_ns = durable_ns.min(measure(&base.join("wal"), ops, true)?);
-    }
-    let ratio = durable_ns / nondurable_ns;
-
-    println!("{:<24} {:>12}", "mode", "ns/commit");
-    println!("{:<24} {:>12.0}", "non-durable", nondurable_ns);
-    println!("{:<24} {:>12.0}", "durable (WAL)", durable_ns);
-    println!("overhead ratio: {ratio:.2}x (gate: <= 2.0x)");
-
-    let gates_passed = ratio <= 2.0;
-    let report = Json::obj(vec![
-        ("bench", Json::Str("wal".into())),
-        ("ops", Json::Num(ops as f64)),
-        ("reps", Json::Num(reps as f64)),
-        ("nondurable_ns_per_commit", Json::Num(nondurable_ns)),
-        ("durable_ns_per_commit", Json::Num(durable_ns)),
-        ("overhead_ratio", Json::Num(ratio)),
-        ("gates_passed", Json::Bool(gates_passed)),
-    ]);
-    std::fs::write(&out_path, format!("{}\n", report.to_string_compact()))
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-
-    if !args.has("keep") {
-        std::fs::remove_dir_all(&base).ok();
-    }
-    if !gates_passed {
-        return Err(format!(
-            "durability gate failed: {ratio:.2}x > 2.0x WAL overhead"
-        ));
-    }
-    Ok(())
+    crash_at(&base.join("crash"), ops, k)
 }

@@ -75,6 +75,13 @@ fn cell_offset(buf: &[u8], i: usize) -> usize {
     get_u16(buf, slot_offset(i)) as usize
 }
 
+/// Is cell `i` the one this node received last? Cells are laid down from
+/// the page end in arrival order, so that is the lowest one (after a
+/// rebuild — [`remove`], [`truncate_to_range`] — the last slot's).
+pub fn is_newest_cell(buf: &[u8], i: usize) -> bool {
+    cell_offset(buf, i) == cell_start(buf)
+}
+
 /// Free bytes available for one more cell + slot.
 pub fn free_space(buf: &[u8]) -> usize {
     cell_start(buf).saturating_sub(HEADER_SIZE + 2 * ncells(buf))

@@ -8,6 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use nok_btree::BTree;
 use nok_pager::mvcc::GenerationTable;
+use nok_pager::wal::encode_page_image;
 use nok_pager::{
     BufferPool, FailPlan, FileStorage, MemStorage, Storage, TxnHandle, Wal, WalRecord,
 };
@@ -18,7 +19,7 @@ use crate::dewey::Dewey;
 use crate::error::{CoreError, CoreResult, SuperblockError};
 use crate::page;
 use crate::physical::{tag_posting_key, IdRecord, TagPosting};
-use crate::recovery::RecoveryReport;
+use crate::recovery::{persist_file, RecoveryReport};
 use crate::sigma::{TagCode, TagDict};
 use crate::snapshot::{initial_generations, DbGeneration};
 use crate::store::{BuildOptions, BuildSink, NodeRecord, StructStore};
@@ -52,8 +53,9 @@ pub struct XmlDb<S: Storage> {
     /// updates can intern new tags, so `flush` rewrites it.
     pub(crate) dict_path: Option<PathBuf>,
     /// Write-ahead log (durable on-disk databases only). When present,
-    /// every multi-page update commits through it.
-    pub(crate) wal: Option<Wal>,
+    /// every multi-page update commits through it. Behind a lock as the
+    /// data file is: [`XmlDb::flush`] checkpoints it through `&self`.
+    pub(crate) wal: Option<Mutex<Wal>>,
     /// What recovery found when this database was opened.
     pub(crate) recovery: Option<RecoveryReport>,
     /// Data-file offsets tombstoned by the update in flight; applied (and
@@ -128,6 +130,11 @@ pub(crate) const F_DICT: &str = "dict.bin";
 pub(crate) const F_WAL: &str = "wal.log";
 pub(crate) const F_STATS: &str = "stats.blk";
 pub(crate) const F_SUPER: &str = "super.blk";
+
+/// Log size past which a commit ends with a checkpoint ([`XmlDb::flush`]):
+/// how much replay an unclean exit can leave behind, against how many
+/// commits share one round of home-file syncs.
+const CHECKPOINT_LOG_BYTES: u64 = 1 << 20;
 
 /// Paged component files in WAL component order (the `comp` byte of a
 /// [`WalRecord::PageImage`] indexes this array).
@@ -219,12 +226,10 @@ impl XmlDb<FileStorage> {
         )?;
         db.dict_path = Some(dir.join(F_DICT));
         db.stats_path = Some(dir.join(F_STATS));
+        // The first checkpoint seeds the log with its baseline, so the
+        // first crash-recovery pass knows the committed data-file length.
+        db.wal = Some(Mutex::new(Wal::open_or_create(dir.join(F_WAL))?));
         db.flush()?;
-        // Seed the write-ahead log with a baseline checkpoint so the first
-        // crash-recovery pass knows the committed data-file length.
-        let mut wal = Wal::open_or_create(dir.join(F_WAL))?;
-        wal.checkpoint(&[WalRecord::DataLen(db.data.lock_data().len_bytes())])?;
-        db.wal = Some(wal);
         Ok(db)
     }
 
@@ -241,21 +246,6 @@ impl XmlDb<FileStorage> {
         struct_frames: usize,
     ) -> CoreResult<Self> {
         Self::open_dir_with(dir, struct_frames, |s| s)
-    }
-
-    /// Flush all components to disk, including the tag dictionary (updates
-    /// may have interned new tags).
-    pub fn flush(&self) -> CoreResult<()> {
-        if let Some(path) = &self.dict_path {
-            std::fs::write(path, self.dict.to_bytes()).map_err(nok_pager::PagerError::from)?;
-        }
-        self.persist_stats()?;
-        self.store.pool().flush()?;
-        self.bt_tag.flush()?;
-        self.bt_val.flush()?;
-        self.bt_id.flush()?;
-        self.data_cell().lock_data().sync()?;
-        Ok(())
     }
 }
 
@@ -289,15 +279,16 @@ impl<S: Storage> XmlDb<S> {
         let dict_bytes = std::fs::read(dir.join(F_DICT)).map_err(nok_pager::PagerError::from)?;
         let dict = TagDict::from_bytes(&dict_bytes)
             .ok_or_else(|| CoreError::Corrupt("bad tag dictionary".into()))?;
-        // Planner synopsis: trust the persisted block only when recovery
-        // was clean and the block matches the store it sits next to;
-        // otherwise recount it in one document-order pass. A block of an
-        // older format fails its magic or version check and lands in the
-        // same rebuild, which is the read-compat story for old databases;
-        // running after the log was replayed, a recovered database never
-        // serves a stale synopsis.
+        // Planner synopsis: trust the persisted block when it matches the
+        // store it sits next to and either recovery was clean or recovery
+        // wrote it (every commit logs its block, so a replayed log ends in
+        // the synopsis of the recovered document); otherwise recount it in
+        // one document-order pass. A block of an older format fails its
+        // magic or version check and lands in the same rebuild, which is
+        // the read-compat story for old databases; a recovered database
+        // never serves a stale synopsis.
         let stats_path = dir.join(F_STATS);
-        let loaded = if report.was_dirty() {
+        let loaded = if report.was_dirty() && !report.stats_restored {
             None
         } else {
             std::fs::read(&stats_path)
@@ -348,7 +339,7 @@ impl<S: Storage> XmlDb<S> {
             generation: AtomicU64::new(0),
             stats_path: Some(stats_path),
             dict_path: Some(dir.join(F_DICT)),
-            wal: Some(wal),
+            wal: Some(Mutex::new(wal)),
             recovery: Some(report),
             pending_dead: Vec::new(),
             gens,
@@ -542,12 +533,42 @@ impl<S: Storage> XmlDb<S> {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Persist the synopsis block next to the other components (no-op for
-    /// in-memory databases).
+    /// Persist the synopsis block next to the other components, fsynced
+    /// (no-op for in-memory databases).
     pub(crate) fn persist_stats(&self) -> CoreResult<()> {
-        if let Some(path) = &self.stats_path {
-            std::fs::write(path, self.synopsis.to_bytes(self.node_count()))
-                .map_err(nok_pager::PagerError::from)?;
+        match &self.stats_path {
+            Some(path) => persist_file(path, &self.synopsis.to_bytes(self.node_count())),
+            None => Ok(()),
+        }
+    }
+
+    /// Checkpoint: make everything committed so far durable in its home
+    /// file, then restart the log at a baseline. The order is the
+    /// contract — `values.dat` and the four paged components synced, the
+    /// dictionary and the synopsis persisted, and only *then* the log, whose
+    /// images all of that has just made redundant, truncated. Runs when a
+    /// commit finds the log past [`CHECKPOINT_LOG_BYTES`], when the caller
+    /// asks, and (in [`crate::recovery`]'s own form) at the end of recovery;
+    /// a crash anywhere inside it leaves a log that replays to this state.
+    pub fn flush(&self) -> CoreResult<()> {
+        let data_len = {
+            let mut data = self.data.lock_data();
+            data.sync()?;
+            data.len_bytes()
+        };
+        self.store.pool().flush()?;
+        self.bt_tag.pool().flush()?;
+        self.bt_val.pool().flush()?;
+        self.bt_id.pool().flush()?;
+        if let Some(path) = &self.dict_path {
+            persist_file(path, &self.dict.to_bytes())?;
+        }
+        self.persist_stats()?;
+        if let Some(wal) = &self.wal {
+            // Poisoning recovered: a `Wal` is a file handle, which a panic
+            // elsewhere cannot leave half-updated.
+            let mut wal = wal.lock().unwrap_or_else(|e| e.into_inner());
+            wal.checkpoint(&[WalRecord::DataLen(data_len)])?;
         }
         Ok(())
     }
@@ -589,6 +610,7 @@ impl<S: Storage> XmlDb<S> {
     /// [`XmlDb::open_dir_with`].
     pub fn set_failpoint(&mut self, plan: Arc<FailPlan>) {
         if let Some(wal) = &mut self.wal {
+            let wal = wal.get_mut().unwrap_or_else(|e| e.into_inner());
             wal.set_failpoint(Arc::clone(&plan));
         }
         self.data.lock_data().set_failpoint(plan);
@@ -617,27 +639,28 @@ impl<S: Storage> XmlDb<S> {
             handles: [struct_txn, tag_txn, val_txn, id_txn],
             data_len0: self.data.lock_data().len_bytes(),
             dict0: Arc::clone(&self.dict),
-            dict_bytes: None,
             synopsis0: Arc::clone(&self.synopsis),
         })
     }
 
-    /// Commit: fsync the data file, write the whole transaction to the log
-    /// with one fsync (the commit point), then move pages and side files
-    /// into place and checkpoint. A failure before the commit point rolls
-    /// back; after it, the state is recoverable from the log and the caller
-    /// is told to reopen.
+    /// Commit: write the whole transaction to the log with one fsync (the
+    /// commit point, and the only fsync here), then write pages and
+    /// tombstones back to their home files unsynced; past
+    /// [`CHECKPOINT_LOG_BYTES`] of log, checkpoint. A failure before the
+    /// commit point rolls back; after it, the state is recoverable from the
+    /// log and the caller is told to reopen.
     pub(crate) fn txn_commit(&mut self, mut ctx: TxnCtx<S>) -> CoreResult<()> {
-        if let Err(e) = self.txn_commit_log(&mut ctx) {
-            return Err(self.fail_with_rollback(ctx, e));
-        }
+        let log_len = match self.txn_commit_log(&ctx) {
+            Ok(len) => len,
+            Err(e) => return Err(self.fail_with_rollback(ctx, e)),
+        };
         // ---- Commit point passed: the transaction is durable in the log.
         // Publish generation N+1 right here so the visibility point
         // coincides with the commit point: snapshots pinned from now on see
         // this transaction; snapshots pinned before it keep resolving pages
         // through the frozen before-image overlay.
         self.publish_generation();
-        if let Err(e) = self.txn_commit_apply(&mut ctx) {
+        if let Err(e) = self.txn_commit_apply(&mut ctx, log_len) {
             for h in &mut ctx.handles {
                 h.detach();
             }
@@ -646,80 +669,62 @@ impl<S: Storage> XmlDb<S> {
                  reopen the database to recover"
             )));
         }
-        if let Some(wal) = &mut self.wal {
-            let len = self.data.lock_data().len_bytes();
-            if let Err(e) = wal.checkpoint(&[WalRecord::DataLen(len)]) {
-                return Err(CoreError::Corrupt(format!(
-                    "checkpoint failed after commit ({e}); reopen the database to recover"
-                )));
-            }
-        }
-        self.pending_dead.clear();
         Ok(())
     }
 
-    /// Phase 1 of commit: everything up to and including the log fsync.
-    fn txn_commit_log(&mut self, ctx: &mut TxnCtx<S>) -> CoreResult<()> {
-        // Data-file appends must be durable before the commit record: the
-        // log only records the committed length, not the bytes.
-        self.data.lock_data().sync()?;
-        let Some(wal) = &mut self.wal else {
-            return Ok(());
+    /// Phase 1 of commit: the transaction's log record, with everything
+    /// replay needs — nothing outside the log is synced for it. Returns the
+    /// log's length (0 without a log).
+    fn txn_commit_log(&self, ctx: &TxnCtx<S>) -> CoreResult<u64> {
+        let Some(wal) = &self.wal else {
+            return Ok(0);
         };
-        let mut records = Vec::new();
+        let mut frames = Vec::new();
         for (comp, h) in ctx.handles.iter().enumerate() {
-            records.push(WalRecord::PageCount {
-                comp: comp as u8,
-                count: h.pool().page_count(),
-            });
-            for (page, data) in h.dirty_images() {
-                records.push(WalRecord::PageImage {
-                    comp: comp as u8,
-                    page,
-                    data,
-                });
+            let comp = comp as u8;
+            let count = h.pool().page_count();
+            WalRecord::PageCount { comp, count }.encode_into(&mut frames);
+            for page in h.dirty_pages() {
+                encode_page_image(&mut frames, comp, page.id(), &page.read());
             }
         }
-        records.push(WalRecord::DataLen(self.data.lock_data().len_bytes()));
-        records.extend(
-            self.pending_dead
-                .iter()
-                .map(|&off| WalRecord::DataDead(off)),
-        );
+        {
+            let mut data = self.data.lock_data();
+            if data.len_bytes() > ctx.data_len0 {
+                let (offset, bytes) = (ctx.data_len0, data.bytes_from(ctx.data_len0)?);
+                WalRecord::DataAppend { offset, bytes }.encode_into(&mut frames);
+            }
+            WalRecord::DataLen(data.len_bytes()).encode_into(&mut frames);
+        }
+        for &off in &self.pending_dead {
+            WalRecord::DataDead(off).encode_into(&mut frames);
+        }
         // Interning takes the dictionary copy-on-write, so a transaction
         // that interned nothing still holds the `Arc` it began with.
-        ctx.dict_bytes = (!Arc::ptr_eq(&self.dict, &ctx.dict0)).then(|| self.dict.to_bytes());
-        records.extend(ctx.dict_bytes.iter().cloned().map(WalRecord::DictBlob));
-        wal.append_txn(&records)?;
-        Ok(())
+        if !Arc::ptr_eq(&self.dict, &ctx.dict0) {
+            WalRecord::DictBlob(self.dict.to_bytes()).encode_into(&mut frames);
+        }
+        WalRecord::StatsBlob(self.synopsis.to_bytes(self.node_count())).encode_into(&mut frames);
+        let mut wal = wal.lock().unwrap_or_else(|e| e.into_inner());
+        Ok(wal.append_frames(frames)?)
     }
 
-    /// Phase 2 of commit: apply tombstones, persist the dictionary, flush
-    /// the component pages. All of it is re-doable from the log.
-    fn txn_commit_apply(&mut self, ctx: &mut TxnCtx<S>) -> CoreResult<()> {
-        if !self.pending_dead.is_empty() {
-            let mut data = self.data.lock_data();
-            for off in &self.pending_dead {
-                data.mark_dead(*off)?;
-            }
-            data.sync()?;
+    /// Phase 2 of commit: tombstones and pages go to their home files,
+    /// unsynced. All of it is re-doable from the log, which keeps it until
+    /// a checkpoint — due once the log is past [`CHECKPOINT_LOG_BYTES`] —
+    /// has synced those files.
+    fn txn_commit_apply(&mut self, ctx: &mut TxnCtx<S>, log_len: u64) -> CoreResult<()> {
+        let mut data = self.data.lock_data();
+        for off in self.pending_dead.drain(..) {
+            data.mark_dead(off)?;
         }
-        // The checkpoint drops the log's dictionary copy, so the file must
-        // be durable first.
-        if let (Some(bytes), Some(path)) = (&ctx.dict_bytes, &self.dict_path) {
-            use std::io::Write;
-            let mut f = std::fs::File::create(path).map_err(nok_pager::PagerError::from)?;
-            f.write_all(bytes).map_err(nok_pager::PagerError::from)?;
-            f.sync_data().map_err(nok_pager::PagerError::from)?;
-        }
+        drop(data);
         for h in &mut ctx.handles {
             h.commit()?;
         }
-        // Persist the refreshed planner statistics **before** the
-        // checkpoint: a crash anywhere up to the checkpoint leaves the log
-        // dirty, so the next open rebuilds (or re-writes) the stats block
-        // instead of silently trusting a stale one.
-        self.persist_stats()?;
+        if log_len > CHECKPOINT_LOG_BYTES {
+            self.flush()?;
+        }
         Ok(())
     }
 
@@ -760,9 +765,6 @@ pub(crate) struct TxnCtx<S: Storage> {
     handles: [TxnHandle<S>; 4],
     data_len0: u64,
     dict0: Arc<TagDict>,
-    /// The dictionary as the log recorded it, when the transaction interned
-    /// a tag: what commit then makes durable in `dict.bin`.
-    dict_bytes: Option<Vec<u8>>,
     synopsis0: Arc<Synopsis>,
 }
 

@@ -2,18 +2,20 @@
 //! the component files before any of them is opened.
 //!
 //! The commit protocol (see `build.rs`) makes the single fsync of the log's
-//! commit record the commit point. Everything a committed transaction did —
-//! page images, page counts, the data-file length, tombstones, the tag
-//! dictionary — is in the log until the post-commit checkpoint confirms it
-//! reached the component files. Recovery therefore only has to redo:
+//! commit record the commit point, and the only fsync of a commit.
+//! Everything the transactions committed since the last checkpoint did —
+//! page images, page counts, data-file appends and length, tombstones, the
+//! tag dictionary, the synopsis — is in the log until the next checkpoint
+//! has synced it into the component files. Recovery therefore only has to
+//! redo, over all of them in commit order:
 //!
 //! 1. read the committed transactions (a torn tail is uncommitted and
 //!    ignored),
 //! 2. replay page counts and page images into the four paged components,
-//! 3. truncate `values.dat` to the last committed length (cutting off
-//!    appends from a transaction that never committed) and re-apply
-//!    committed tombstones,
-//! 4. restore `dict.bin` from the last logged dictionary blob,
+//! 3. rewrite the logged `values.dat` appends at their offsets, truncate
+//!    the file to the last committed length (cutting off appends from a
+//!    transaction that never committed) and re-apply committed tombstones,
+//! 4. restore `dict.bin` and `stats.blk` from the last logged blobs,
 //! 5. checkpoint the log with the committed data length as the new
 //!    baseline.
 //!
@@ -26,7 +28,7 @@ use std::path::Path;
 
 use nok_pager::{FileStorage, PagerError, Wal, WalRecord};
 
-use crate::build::{COMPONENT_FILES, F_DATA, F_DICT, F_WAL};
+use crate::build::{COMPONENT_FILES, F_DATA, F_DICT, F_STATS, F_WAL};
 use crate::error::{CoreError, CoreResult};
 use crate::values::DEAD_BIT;
 
@@ -47,6 +49,9 @@ pub struct RecoveryReport {
     pub deads_reapplied: usize,
     /// Whether `dict.bin` was rewritten from the log.
     pub dict_restored: bool,
+    /// Whether `stats.blk` was rewritten from the log: the synopsis of the
+    /// recovered document, which the open then need not recount.
+    pub stats_restored: bool,
     /// The directory predates the log; a baseline was seeded for it.
     pub legacy: bool,
 }
@@ -64,6 +69,17 @@ impl RecoveryReport {
 
 fn io_err(e: std::io::Error) -> CoreError {
     CoreError::from(PagerError::from(e))
+}
+
+/// Make `bytes` the durable content of the side file `path` (dictionary,
+/// synopsis): written and fsynced, unless the file already holds them.
+pub(crate) fn persist_file(path: &Path, bytes: &[u8]) -> CoreResult<()> {
+    if std::fs::read(path).is_ok_and(|old| old == bytes) {
+        return Ok(());
+    }
+    let mut f = std::fs::File::create(path).map_err(io_err)?;
+    f.write_all(bytes).map_err(io_err)?;
+    f.sync_data().map_err(io_err)
 }
 
 /// Recover the database directory `dir` in place. Must run before the
@@ -96,63 +112,69 @@ pub fn recover_dir(dir: &Path) -> CoreResult<RecoveryReport> {
     }
     let outcome = {
         let mut refs: Vec<&mut FileStorage> = storages.iter_mut().collect();
-        nok_pager::wal::replay(&txns, &mut refs)?
+        nok_pager::wal::replay(txns, &mut refs)?
     };
     report.pages_applied = outcome.pages_applied;
 
-    // The committed data-file length is authoritative: bytes past it were
-    // appended by a transaction that never reached its commit record.
-    let disk_len = std::fs::metadata(&data_path).map(|m| m.len()).unwrap_or(0);
+    // Committed appends are not synced before their commit record: put
+    // each back where its transaction wrote it. After that the committed
+    // length is authoritative: bytes past it were appended by a
+    // transaction that never reached its commit record.
+    let mut data = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&data_path)
+        .map_err(io_err)?;
+    for (offset, bytes) in &outcome.data_appends {
+        data.seek(SeekFrom::Start(*offset)).map_err(io_err)?;
+        data.write_all(bytes).map_err(io_err)?;
+    }
+    let disk_len = data.metadata().map_err(io_err)?.len();
     let committed_len = outcome.data_len.unwrap_or(disk_len);
     if disk_len < committed_len {
         return Err(CoreError::Corrupt(format!(
             "values.dat is {disk_len} bytes but the log committed {committed_len} \
-             (committed data was fsynced before its commit record, so it cannot be missing)"
+             (everything past the last checkpoint is in the log, so it cannot be missing)"
         )));
     }
     if disk_len > committed_len {
-        let f = OpenOptions::new()
-            .write(true)
-            .open(&data_path)
-            .map_err(io_err)?;
-        f.set_len(committed_len).map_err(io_err)?;
-        f.sync_data().map_err(io_err)?;
+        data.set_len(committed_len).map_err(io_err)?;
         report.data_truncated_by = disk_len - committed_len;
     }
     report.data_len = committed_len;
 
     // Re-apply committed tombstones: set the dead bit on each record's
     // length word. Setting an already-set bit is a no-op.
-    if !outcome.data_dead.is_empty() {
-        let mut f = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&data_path)
-            .map_err(io_err)?;
-        for off in &outcome.data_dead {
-            if off + 4 > committed_len {
-                return Err(CoreError::Corrupt(format!(
-                    "log tombstones offset {off} past the committed data length {committed_len}"
-                )));
-            }
-            let mut word = [0u8; 4];
-            f.seek(SeekFrom::Start(*off)).map_err(io_err)?;
-            f.read_exact(&mut word).map_err(io_err)?;
-            let raw = u32::from_le_bytes(word) | DEAD_BIT;
-            f.seek(SeekFrom::Start(*off)).map_err(io_err)?;
-            f.write_all(&raw.to_le_bytes()).map_err(io_err)?;
-            report.deads_reapplied += 1;
+    for off in &outcome.data_dead {
+        if off + 4 > committed_len {
+            return Err(CoreError::Corrupt(format!(
+                "log tombstones offset {off} past the committed data length {committed_len}"
+            )));
         }
-        f.sync_data().map_err(io_err)?;
+        let mut word = [0u8; 4];
+        data.seek(SeekFrom::Start(*off)).map_err(io_err)?;
+        data.read_exact(&mut word).map_err(io_err)?;
+        let raw = u32::from_le_bytes(word) | DEAD_BIT;
+        data.seek(SeekFrom::Start(*off)).map_err(io_err)?;
+        data.write_all(&raw.to_le_bytes()).map_err(io_err)?;
+        report.deads_reapplied += 1;
     }
+    let rewritten = outcome.data_appends.len() + outcome.data_dead.len();
+    if rewritten > 0 || report.data_truncated_by > 0 {
+        data.sync_data().map_err(io_err)?;
+    }
+    drop(data);
 
-    // The dictionary blob from the last committed transaction that changed
-    // it. The checkpoint below drops the log copy, so fsync the file.
+    // The dictionary and synopsis of the last committed transaction that
+    // logged one. The checkpoint below drops the log copies, so the files
+    // are fsynced.
     if let Some(blob) = &outcome.dict {
-        let mut f = std::fs::File::create(dir.join(F_DICT)).map_err(io_err)?;
-        f.write_all(blob).map_err(io_err)?;
-        f.sync_data().map_err(io_err)?;
+        persist_file(&dir.join(F_DICT), blob)?;
         report.dict_restored = true;
+    }
+    if let Some(blob) = &outcome.stats {
+        persist_file(&dir.join(F_STATS), blob)?;
+        report.stats_restored = true;
     }
 
     // Everything redone above is durable: restart the log at a baseline

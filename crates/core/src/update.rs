@@ -27,6 +27,7 @@
 //! header directory).
 
 use std::collections::HashMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use nok_pager::Storage;
@@ -119,12 +120,7 @@ impl<S: Storage> XmlDb<S> {
         let close = cursor::subtree_close(&self.store, parent_addr)?;
 
         // Child index for the new subtree root = current child count.
-        let mut n_children = 0u32;
-        let mut c = cursor::first_child(&self.store, parent_addr)?;
-        while let Some(cc) = c {
-            n_children += 1;
-            c = cursor::following_sibling(&self.store, cc)?;
-        }
+        let n_children = self.child_count(parent, parent_addr)?;
         let base = parent.child(n_children);
 
         // Build the new entries and node records from the fragment.
@@ -361,10 +357,14 @@ impl<S: Storage> XmlDb<S> {
                     let h = hash_key(&text);
                     self.bt_val.delete(&h, Some(&key))?;
                     // Tombstone the record at commit unless another node
-                    // (deduplicated values are shared) still points at it.
+                    // (deduplicated values are shared) still points at it:
+                    // the postings under the hash, read until one does.
                     let mut shared = false;
-                    for dk in self.bt_val.get_all(&h)? {
-                        if let Some(other) = self.bt_id.get_first(&dk)? {
+                    for posting in self
+                        .bt_val
+                        .range(Bound::Included(&h), Bound::Included(h.to_vec()))?
+                    {
+                        if let Some(other) = self.bt_id.get_first(&posting?.1)? {
                             if IdRecord::from_bytes(&other)?.value.map(|(o, _)| o) == Some(off) {
                                 shared = true;
                                 break;
@@ -403,6 +403,31 @@ impl<S: Storage> XmlDb<S> {
             Some(code) => code,
             None => Arc::make_mut(&mut self.dict).intern(name),
         }
+    }
+
+    /// How many children `parent` has. Child ordinals are dense (a delete
+    /// relabels its following siblings), so `parent.child(k)` is in B+i
+    /// exactly when `k < n`: gallop to a missing ordinal, then bisect —
+    /// about 2·log₂ n descents, whatever the fan-out.
+    fn child_count(&self, parent: &Dewey, parent_addr: NodeAddr) -> CoreResult<u32> {
+        if cursor::first_child(&self.store, parent_addr)?.is_none() {
+            return Ok(0);
+        }
+        let has = |k: u32| self.bt_id.contains(&parent.child(k).to_key());
+        let (mut lo, mut hi) = (0u32, 1u32); // child `lo` exists
+        while hi < u32::MAX && has(hi)? {
+            lo = hi;
+            hi = hi.saturating_mul(2);
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if has(mid)? {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(hi)
     }
 
     /// Tags of the ancestors-or-self of `dewey`, outermost first — the
@@ -1145,6 +1170,92 @@ mod tests {
                 "/bib/big/x",
             ],
         );
+    }
+
+    /// Children of `parent`, counted by walking them.
+    fn walked_child_count(db: &XmlDb<MemStorage>, parent: &Dewey) -> u32 {
+        let mut n = 0;
+        let mut c = cursor::first_child(&db.store, db.resolve(parent).unwrap()).unwrap();
+        while let Some(at) = c {
+            n += 1;
+            c = cursor::following_sibling(&db.store, at).unwrap();
+        }
+        n
+    }
+
+    #[test]
+    fn the_new_childs_ordinal_is_searched_not_walked() {
+        // <r> holds parents with 0, 1, 2, 1,000 and 30,000 children, on
+        // structure pages small enough that the widest spans hundreds.
+        let fans = [0u32, 1, 2, 1_000, 30_000];
+        let mut xml = String::from("<r>");
+        for fan in fans {
+            xml.push_str("<p>");
+            xml.push_str(&"<c/>".repeat(fan as usize));
+            xml.push_str("</p>");
+        }
+        xml.push_str("</r>");
+        let opts = crate::store::BuildOptions::default();
+        let mut db = XmlDb::build_in_memory_with(&xml, opts, 256).unwrap();
+        assert!(db.store.page_count() > 200);
+        let gets = |db: &XmlDb<MemStorage>| db.store.pool().stats().logical_gets();
+        for (i, fan) in fans.into_iter().enumerate() {
+            let parent = Dewey::root().child(i as u32);
+            // Nothing has decoded this parent's pages yet: walking 30,000
+            // siblings would fetch every page they span.
+            let before = gets(&db);
+            let at = db.insert_last_child(&parent, "<c/>").unwrap();
+            let touched = gets(&db) - before;
+            assert!(touched <= 8, "fan {fan}: {touched} structure-page gets");
+            assert_eq!(at, parent.child(fan));
+            assert_eq!(walked_child_count(&db, &parent), fan + 1);
+            assert_eq!(
+                db.insert_last_child(&parent, "<c/>").unwrap(),
+                parent.child(fan + 1)
+            );
+            // A delete relabels the following siblings; the ordinals stay
+            // dense and the search still lands on the count.
+            db.delete_subtree(&parent.child((fan + 2).saturating_sub(10)))
+                .unwrap();
+            assert_eq!(walked_child_count(&db, &parent), fan + 1);
+            assert_eq!(
+                db.insert_last_child(&parent, "<c/>").unwrap(),
+                parent.child(fan + 1)
+            );
+        }
+    }
+
+    /// A rolled-back transaction leaves every file byte for byte what it
+    /// was — no page of it was ever written (no-steal), its data-file
+    /// appends are cut off, and the log never saw it.
+    #[test]
+    fn an_abort_between_commits_restores_the_files() {
+        let dir = std::env::temp_dir().join(format!("nok-abort-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut db = XmlDb::create_on_disk(&dir, BIB).unwrap();
+        let files = || -> Vec<Vec<u8>> {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|f| std::fs::read(f.unwrap().path()).unwrap())
+                .collect()
+        };
+        let item = |i: u32| format!("<item><name>n{i}</name><val>v{i}</val></item>");
+        db.insert_last_child(&Dewey::root(), &item(0)).unwrap();
+        let before = files();
+        let mut ctx = db.txn_begin().unwrap();
+        db.insert_last_child_inner(&Dewey::root(), &item(1))
+            .unwrap();
+        assert_eq!(db.query("//item").unwrap().len(), 2);
+        db.txn_rollback(&mut ctx).unwrap();
+        drop(ctx);
+        assert_eq!(files(), before);
+        assert_eq!(db.query("//item").unwrap().len(), 1);
+        // The next commit is none the worse for it, through a restart too.
+        db.insert_last_child(&Dewey::root(), &item(2)).unwrap();
+        drop(db);
+        let db = XmlDb::open_dir(&dir).unwrap();
+        assert_eq!(db.query("//item/name").unwrap().len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

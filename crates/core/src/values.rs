@@ -138,7 +138,17 @@ pub struct DataFile {
     /// `None` until first needed (see [`DataFile::table`]).
     dedup: Option<Dedup>,
     /// Optional fault-injection plan gating mutating I/O.
-    failpoint: Option<Arc<FailPlan>>,
+    failpoint: Option<Failpoint>,
+}
+
+/// A fault-injection plan, and what the file must be put back to when it
+/// trips — a crash loses what was never synced (see [`nok_pager::failpoint`]).
+struct Failpoint {
+    plan: Arc<FailPlan>,
+    /// Length as of the last sync.
+    synced_len: u64,
+    /// `(offset, live length word)` of the records tombstoned since.
+    unsynced_dead: Vec<(u64, u32)>,
 }
 
 impl DataFile {
@@ -218,14 +228,19 @@ impl DataFile {
         Ok(self.dedup.as_mut().expect("built above"))
     }
 
-    /// Route this file's mutating I/O through a fault-injection plan.
+    /// Route this file's mutating I/O through a fault-injection plan; the
+    /// file is taken to be synced as it stands.
     pub fn set_failpoint(&mut self, plan: Arc<FailPlan>) {
-        self.failpoint = Some(plan);
+        self.failpoint = Some(Failpoint {
+            plan,
+            synced_len: self.len,
+            unsynced_dead: Vec::new(),
+        });
     }
 
     fn check_failpoint(&self) -> CoreResult<()> {
-        if let Some(plan) = &self.failpoint {
-            plan.check()?;
+        if let Some(fp) = &self.failpoint {
+            fp.plan.check()?;
         }
         Ok(())
     }
@@ -233,6 +248,14 @@ impl DataFile {
     /// Total bytes in the file.
     pub fn len_bytes(&self) -> u64 {
         self.len
+    }
+
+    /// The bytes from `offset` to the end: what a transaction that began at
+    /// length `offset` appended, for its commit record.
+    pub fn bytes_from(&mut self, offset: u64) -> CoreResult<Vec<u8>> {
+        let mut bytes = vec![0u8; self.len.saturating_sub(offset) as usize];
+        self.read_exact_at(offset, &mut bytes)?;
+        Ok(bytes)
     }
 
     /// Store `value`, reusing an existing record when the same value was
@@ -380,6 +403,9 @@ impl DataFile {
             table.remove(h, offset);
         }
         self.check_failpoint()?;
+        if let Some(fp) = &mut self.failpoint {
+            fp.unsynced_dead.push((offset, len));
+        }
         let raw = len | DEAD_BIT;
         match &mut self.backing {
             Backing::Mem(v) => {
@@ -450,7 +476,28 @@ impl DataFile {
         if let Backing::File(f) = &mut self.backing {
             f.sync_data().map_err(nok_pager::PagerError::from)?;
         }
+        if let Some(fp) = &mut self.failpoint {
+            fp.synced_len = self.len;
+            fp.unsynced_dead.clear();
+        }
         Ok(())
+    }
+}
+
+/// A tripped fault-injection plan is a crash, and a crash loses what was
+/// never synced: appends past the synced length and tombstones set since.
+impl Drop for DataFile {
+    fn drop(&mut self) {
+        let (Some(fp), Backing::File(f)) = (&self.failpoint, &mut self.backing) else {
+            return;
+        };
+        if fp.plan.is_tripped() {
+            for (off, live) in fp.unsynced_dead.iter().filter(|d| d.0 < fp.synced_len) {
+                let _ = f.seek(SeekFrom::Start(*off));
+                let _ = f.write_all(&live.to_le_bytes());
+            }
+            let _ = f.set_len(fp.synced_len.min(self.len));
+        }
     }
 }
 
@@ -681,6 +728,32 @@ mod tests {
             Err(CoreError::Corrupt(_))
         ));
         assert!(matches!(df.put("three"), Err(CoreError::Corrupt(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Under a fault-injection plan that tripped, dropping the file is the
+    /// crash: what was appended or tombstoned after the last sync is gone.
+    #[test]
+    fn a_tripped_plan_loses_what_was_never_synced() {
+        let dir = std::env::temp_dir().join(format!("nok-values-trip-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("values.dat");
+        let mut df = DataFile::create(&path).unwrap();
+        let kept = df.put("kept").unwrap().0;
+        let spared = df.put("spared").unwrap().0;
+        df.set_failpoint(FailPlan::at(5));
+        df.mark_dead(kept).unwrap(); // 1
+        df.sync().unwrap(); // 2
+        let synced = df.len_bytes();
+        assert_eq!(df.bytes_from(spared).unwrap(), b"\x06\x00\x00\x00spared");
+        df.put("lost").unwrap(); // 3
+        df.mark_dead(spared).unwrap(); // 4
+        assert!(df.sync().is_err()); // 5: the crash
+        drop(df);
+        let mut df = DataFile::open(&path).unwrap();
+        assert_eq!(df.len_bytes(), synced);
+        assert_eq!(df.record_span(kept).unwrap(), (4, true));
+        assert_eq!(df.get_record(spared).unwrap(), "spared");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -56,3 +56,45 @@ fn page_splitting_inserts_preserve_invariants() {
         assert_invariants(&db, &format!("after split insert {i}"));
     }
 }
+
+/// The storm script (insert, insert, delete the second) appends to the end
+/// of B+i and to the end of each tag's and each common value's run inside
+/// B+t and B+v. Leaves that split where those appends land keep the cost of
+/// a stored node what the bulk build made it, however long the storm runs.
+#[test]
+fn a_long_storm_adds_nodes_at_the_built_stores_bytes_per_node() {
+    use nok_core::LockDataFile;
+    let xml = nok_datagen::generate(nok_datagen::DatasetKind::Dblp, 0.01).xml;
+    let mut db = XmlDb::build_in_memory(&xml).unwrap();
+    let size = |db: &XmlDb<nok_pager::MemStorage>| {
+        let bytes = db.store().footprint_bytes()
+            + db.bt_tag().footprint_bytes()
+            + db.bt_val().footprint_bytes()
+            + db.bt_id().footprint_bytes()
+            + db.data_cell().lock_data().len_bytes();
+        (bytes as f64, db.node_count() as f64)
+    };
+    let record = |key: String| {
+        format!(
+            "<article><author>Bench Writer</author><title>storm record {key}</title>\
+             <year>2004</year><pages>1-2</pages><ee>db/j/{key}.html</ee></article>"
+        )
+    };
+    let (bytes0, nodes0) = size(&db);
+    for cycle in 0..3_000 {
+        db.insert_last_child(&Dewey::root(), &record(format!("a{cycle}")))
+            .unwrap();
+        let b = db
+            .insert_last_child(&Dewey::root(), &record(format!("b{cycle}")))
+            .unwrap();
+        db.delete_subtree(&b).unwrap();
+    }
+    let (bytes1, nodes1) = size(&db);
+    assert_eq!(nodes1 - nodes0, 6.0 * 3_000.0);
+    let (built, added) = (bytes0 / nodes0, (bytes1 - bytes0) / (nodes1 - nodes0));
+    assert!(
+        added <= built * 1.1,
+        "{added:.1} B per added node against {built:.1} B per built node"
+    );
+    assert_invariants(&db, "after the storm");
+}

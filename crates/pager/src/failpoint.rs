@@ -4,14 +4,17 @@
 //! one: the operation fails, and — because a real crash stops the process,
 //! while the test harness keeps executing — **every subsequent mutating
 //! operation fails too**. Code under test therefore cannot repair anything
-//! after the injected crash; whatever reached the files before the trip is
-//! exactly what recovery gets to work with.
+//! after the injected crash. And because a real crash also loses what was
+//! written but never synced, a tripped [`FailpointStorage`] puts its pages
+//! back to what its last successful `sync` left (the data file does the
+//! same): recovery gets to work with the synced bytes and the log only.
 //!
 //! [`FailpointStorage`] wraps any [`Storage`] and routes its mutating
 //! operations through a shared plan; [`crate::wal::Wal`] and the data file
 //! take the same plan via `set_failpoint`, so one counter spans every
 //! durability-relevant write in a store.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -78,12 +81,21 @@ impl FailPlan {
 pub struct FailpointStorage<S: Storage> {
     inner: S,
     plan: Arc<FailPlan>,
+    /// Page count as of the last successful sync.
+    synced_pages: u32,
+    /// Before-images of the pages below `synced_pages` written since.
+    unsynced: HashMap<PageId, Box<[u8]>>,
 }
 
 impl<S: Storage> FailpointStorage<S> {
-    /// Wrap a storage with a shared plan.
+    /// Wrap a storage (taken to be synced) with a shared plan.
     pub fn new(inner: S, plan: Arc<FailPlan>) -> Self {
-        FailpointStorage { inner, plan }
+        FailpointStorage {
+            synced_pages: inner.page_count(),
+            inner,
+            plan,
+            unsynced: HashMap::new(),
+        }
     }
 
     /// The shared plan.
@@ -107,6 +119,11 @@ impl<S: Storage> Storage for FailpointStorage<S> {
 
     fn write_page(&mut self, id: PageId, buf: &[u8]) -> PagerResult<()> {
         self.plan.check()?;
+        if id < self.synced_pages && !self.unsynced.contains_key(&id) {
+            let mut before = vec![0u8; buf.len()].into_boxed_slice();
+            self.inner.read_page(id, &mut before)?;
+            self.unsynced.insert(id, before);
+        }
         self.inner.write_page(id, buf)
     }
 
@@ -117,12 +134,30 @@ impl<S: Storage> Storage for FailpointStorage<S> {
 
     fn sync(&mut self) -> PagerResult<()> {
         self.plan.check()?;
-        self.inner.sync()
+        self.inner.sync()?;
+        self.synced_pages = self.inner.page_count();
+        self.unsynced.clear();
+        Ok(())
     }
 
     fn truncate_pages(&mut self, count: u32) -> PagerResult<()> {
         self.plan.check()?;
         self.inner.truncate_pages(count)
+    }
+}
+
+/// The crash loses what was never synced: pages allocated since the last
+/// sync go, pages overwritten since get their synced bytes back.
+impl<S: Storage> Drop for FailpointStorage<S> {
+    fn drop(&mut self) {
+        if !self.plan.is_tripped() {
+            return;
+        }
+        let keep = self.synced_pages.min(self.inner.page_count());
+        let _ = self.inner.truncate_pages(keep);
+        for (id, before) in self.unsynced.drain() {
+            let _ = self.inner.write_page(id, &before);
+        }
     }
 }
 
@@ -156,5 +191,39 @@ mod tests {
         assert!(s.write_page(0, &[0u8; 64]).is_err());
         let mut buf = [0u8; 64];
         s.read_page(0, &mut buf).unwrap();
+    }
+
+    #[test]
+    fn a_trip_loses_what_was_written_since_the_last_sync() {
+        let dir = std::env::temp_dir().join(format!("nok-failpoint-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("s.pg");
+        let file = crate::FileStorage::create_with_page_size(&path, 64).unwrap();
+        let plan = FailPlan::at(7);
+        let mut s = FailpointStorage::new(file, Arc::clone(&plan));
+        s.allocate_page().unwrap(); // 1
+        s.write_page(0, &[1u8; 64]).unwrap(); // 2
+        s.sync().unwrap(); // 3
+        s.write_page(0, &[2u8; 64]).unwrap(); // 4: overwrites synced bytes
+        s.allocate_page().unwrap(); // 5
+        s.write_page(1, &[3u8; 64]).unwrap(); // 6: a page the sync never saw
+        assert!(s.sync().is_err()); // 7: the crash
+        drop(s);
+        // What the restarted process finds is what the one sync left.
+        let mut s = crate::FileStorage::open(&path).unwrap();
+        assert_eq!(s.page_count(), 1);
+        let mut buf = [0u8; 64];
+        s.read_page(0, &mut buf).unwrap();
+        assert_eq!(buf, [1u8; 64]);
+        drop(s);
+        // An untripped plan keeps unsynced writes, as a clean exit does.
+        let file = crate::FileStorage::open(&path).unwrap();
+        let mut s = FailpointStorage::new(file, FailPlan::at(100));
+        s.write_page(0, &[9u8; 64]).unwrap();
+        drop(s);
+        let mut s = crate::FileStorage::open(&path).unwrap();
+        s.read_page(0, &mut buf).unwrap();
+        assert_eq!(buf, [9u8; 64]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

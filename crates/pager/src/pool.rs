@@ -260,6 +260,16 @@ impl<S: Storage> BufferPool<S> {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
+    /// A pin on a cached frame.
+    fn handle_to(&self, id: PageId, frame: &Frame) -> PageHandle {
+        PageHandle {
+            id,
+            data: Arc::clone(&frame.data),
+            dirty: Arc::clone(&frame.dirty),
+            capture: Some(Arc::clone(&self.capture)),
+        }
+    }
+
     /// Fetch page `id`, reading it from storage on a miss.
     pub fn get(&self, id: PageId) -> PagerResult<PageHandle> {
         self.stats.count_get();
@@ -280,12 +290,7 @@ impl<S: Storage> BufferPool<S> {
             let shard = read_lock(&self.shards[shard_of(id)]);
             if let Some(frame) = shard.get(&id) {
                 frame.last_used.store(self.tick(), Ordering::Relaxed);
-                return Ok(PageHandle {
-                    id,
-                    data: Arc::clone(&frame.data),
-                    dirty: Arc::clone(&frame.dirty),
-                    capture: Some(Arc::clone(&self.capture)),
-                });
+                return Ok(self.handle_to(id, frame));
             }
         }
         // Miss: make room first (never holding two shard locks at once),
@@ -298,12 +303,7 @@ impl<S: Storage> BufferPool<S> {
             if let Some(frame) = shard.get(&id) {
                 // Another thread installed it while we waited.
                 frame.last_used.store(self.tick(), Ordering::Relaxed);
-                PageHandle {
-                    id,
-                    data: Arc::clone(&frame.data),
-                    dirty: Arc::clone(&frame.dirty),
-                    capture: Some(Arc::clone(&self.capture)),
-                }
+                self.handle_to(id, frame)
             } else {
                 let mut buf = vec![0u8; self.page_size].into_boxed_slice();
                 mutex_lock(&self.storage).read_page(id, &mut buf)?;
@@ -455,8 +455,9 @@ impl<S: Storage> BufferPool<S> {
         Ok(true)
     }
 
-    /// Write every dirty frame back to storage and sync it.
-    pub fn flush(&self) -> PagerResult<()> {
+    /// Write every dirty frame back to storage, leaving the frames clean
+    /// and the storage unsynced.
+    pub fn write_back(&self) -> PagerResult<()> {
         for shard in &self.shards {
             let shard = read_lock(shard);
             for (&id, frame) in shard.iter() {
@@ -472,8 +473,13 @@ impl<S: Storage> BufferPool<S> {
                 }
             }
         }
-        mutex_lock(&self.storage).sync()?;
         Ok(())
+    }
+
+    /// Write every dirty frame back to storage and sync it.
+    pub fn flush(&self) -> PagerResult<()> {
+        self.write_back()?;
+        mutex_lock(&self.storage).sync()
     }
 
     /// Drop every *unpinned* cached frame (flushing dirty ones), so following
@@ -506,21 +512,21 @@ impl<S: Storage> BufferPool<S> {
         })
     }
 
-    /// Snapshot every dirty frame as `(page id, bytes)`, sorted by id. The
-    /// caller must ensure no concurrent writers (updates hold `&mut` on the
-    /// owning database).
-    pub fn dirty_images(&self) -> Vec<(PageId, Vec<u8>)> {
-        let mut images = Vec::new();
+    /// Pin every dirty frame, sorted by page id; the bytes are read through
+    /// the handles, not copied. The caller must ensure no concurrent writers
+    /// (updates hold `&mut` on the owning database).
+    pub fn dirty_pages(&self) -> Vec<PageHandle> {
+        let mut pages = Vec::new();
         for shard in &self.shards {
             let shard = read_lock(shard);
             for (&id, frame) in shard.iter() {
                 if frame.dirty.load(Ordering::Acquire) {
-                    images.push((id, read_lock(&frame.data).to_vec()));
+                    pages.push(self.handle_to(id, frame));
                 }
             }
         }
-        images.sort_by_key(|(id, _)| *id);
-        images
+        pages.sort_by_key(PageHandle::id);
+        pages
     }
 
     /// Drop every dirty frame without writing it back (rollback).
@@ -556,7 +562,7 @@ impl<S: Storage> BufferPool<S> {
 /// Dropping an unfinished handle aborts best-effort.
 ///
 /// While the handle lives, the pool is in no-steal mode: dirty frames stay
-/// in memory, so [`TxnHandle::dirty_images`] is exactly the transaction's
+/// in memory, so [`TxnHandle::dirty_pages`] is exactly the transaction's
 /// write set and [`TxnHandle::abort`] can undo it by discarding frames and
 /// truncating the storage back to its starting page count.
 #[derive(Debug)]
@@ -578,19 +584,20 @@ impl<S: Storage> TxnHandle<S> {
     }
 
     /// This transaction's write set (every dirty frame, sorted by id).
-    pub fn dirty_images(&self) -> Vec<(PageId, Vec<u8>)> {
-        self.pool.dirty_images()
+    pub fn dirty_pages(&self) -> Vec<PageHandle> {
+        self.pool.dirty_pages()
     }
 
-    /// Make the write set durable: leave no-steal mode, write every dirty
-    /// frame back and sync the storage. Call only after the write-ahead log
-    /// holds the images (or when running non-durably by choice).
+    /// Release the write set to its home storage: leave no-steal mode and
+    /// write every dirty frame back, **unsynced** — the write-ahead log
+    /// holds the images until the owner's next checkpoint syncs the storage
+    /// (without a log the commit is atomic in memory, not durable).
     pub fn commit(&mut self) -> PagerResult<()> {
         if self.done {
             return Ok(());
         }
         self.pool.txn_active.store(false, Ordering::Release);
-        self.pool.flush()?;
+        self.pool.write_back()?;
         self.done = true;
         Ok(())
     }
@@ -816,11 +823,13 @@ mod tests {
         let (p1, h1) = pool.allocate().unwrap();
         h1.write()[0] = 42;
         drop(h1);
-        let images = txn.dirty_images();
+        let pages = txn.dirty_pages();
         assert_eq!(
-            images.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+            pages.iter().map(PageHandle::id).collect::<Vec<_>>(),
             vec![p0, p1]
         );
+        assert_eq!((pages[0].read()[0], pages[1].read()[0]), (99, 42));
+        drop(pages);
         txn.abort().unwrap();
 
         assert_eq!(pool.page_count(), 1);
@@ -876,7 +885,7 @@ mod tests {
             .read_page(0, &mut storage_view)
             .unwrap();
         assert_eq!(storage_view[0], 0, "dirty frame leaked to storage mid-txn");
-        assert_eq!(txn.dirty_images().len(), 2);
+        assert_eq!(txn.dirty_pages().len(), 2);
         txn.commit().unwrap();
         mutex_lock(&pool.storage)
             .read_page(0, &mut storage_view)

@@ -2,20 +2,23 @@
 //!
 //! The WAL is a physical **redo** log: a transaction is the set of page
 //! images it dirtied (plus a handful of non-paged side effects — data-file
-//! length, tombstones, tag-dictionary blob), terminated by a commit marker.
-//! The commit protocol is FORCE-with-checkpoint:
+//! appends and length, tombstones, tag-dictionary and synopsis blobs),
+//! terminated by a commit marker. The commit protocol is NO-FORCE:
 //!
 //! 1. the caller appends every record of the transaction plus a
 //!    [`WalRecord::Commit`] marker in **one** write, then fsyncs — that
-//!    fsync is the commit point;
-//! 2. the pages are then flushed to their home storages and synced;
-//! 3. the log is checkpointed (truncated back to its magic, re-seeded with
-//!    the current baseline) — the images are now redundant.
+//!    fsync is the commit point, and the only fsync a commit performs;
+//! 2. the pages are written back to their home storages, unsynced;
+//! 3. once the log has grown past the caller's threshold, the caller syncs
+//!    the home files and checkpoints the log (truncates it back to its
+//!    magic, re-seeds it with the current baseline) — only then are the
+//!    images redundant.
 //!
 //! A crash before step 1 completes leaves a torn tail that
-//! [`Wal::committed_txns`] discards; a crash during step 2 or 3 is repaired
-//! by replaying the committed images (replay is idempotent). Because every
-//! commit checkpoints, the log never holds more than about two transactions.
+//! [`Wal::committed_txns`] discards; a crash anywhere after it is repaired
+//! by replaying, in order, every transaction committed since the last
+//! checkpoint (replay is idempotent, and every page written since then has
+//! its full image in the log).
 //!
 //! ## On-disk format
 //!
@@ -46,6 +49,8 @@ const REC_DATA_LEN: u8 = 3;
 const REC_DATA_DEAD: u8 = 4;
 const REC_DICT_BLOB: u8 = 5;
 const REC_COMMIT: u8 = 6;
+const REC_DATA_APPEND: u8 = 7;
+const REC_STATS_BLOB: u8 = 8;
 
 /// One logical record in the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,43 +77,38 @@ pub enum WalRecord {
     DataDead(u64),
     /// Full serialized tag dictionary after the transaction.
     DictBlob(Vec<u8>),
+    /// The bytes the transaction appended to the data file, which are not
+    /// synced before the commit point: recovery rewrites them at `offset`.
+    DataAppend {
+        /// Data-file length when the transaction began.
+        offset: u64,
+        /// Everything appended since.
+        bytes: Vec<u8>,
+    },
+    /// The encoded planner synopsis after the transaction.
+    StatsBlob(Vec<u8>),
     /// Terminates a transaction; everything since the previous commit
     /// becomes durable together.
     Commit,
 }
 
 impl WalRecord {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut payload = Vec::new();
+    /// Append this record's frame to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            WalRecord::PageImage { comp, page, data } => {
-                payload.push(REC_PAGE_IMAGE);
-                payload.push(*comp);
-                payload.extend_from_slice(&page.to_le_bytes());
-                payload.extend_from_slice(data);
-            }
+            WalRecord::PageImage { comp, page, data } => encode_page_image(out, *comp, *page, data),
             WalRecord::PageCount { comp, count } => {
-                payload.push(REC_PAGE_COUNT);
-                payload.push(*comp);
-                payload.extend_from_slice(&count.to_le_bytes());
+                put_frame(out, REC_PAGE_COUNT, &[&[*comp], &count.to_le_bytes()])
             }
-            WalRecord::DataLen(n) => {
-                payload.push(REC_DATA_LEN);
-                payload.extend_from_slice(&n.to_le_bytes());
+            WalRecord::DataLen(n) => put_frame(out, REC_DATA_LEN, &[&n.to_le_bytes()]),
+            WalRecord::DataDead(off) => put_frame(out, REC_DATA_DEAD, &[&off.to_le_bytes()]),
+            WalRecord::DictBlob(b) => put_frame(out, REC_DICT_BLOB, &[b]),
+            WalRecord::DataAppend { offset, bytes } => {
+                put_frame(out, REC_DATA_APPEND, &[&offset.to_le_bytes(), bytes])
             }
-            WalRecord::DataDead(off) => {
-                payload.push(REC_DATA_DEAD);
-                payload.extend_from_slice(&off.to_le_bytes());
-            }
-            WalRecord::DictBlob(b) => {
-                payload.push(REC_DICT_BLOB);
-                payload.extend_from_slice(b);
-            }
-            WalRecord::Commit => payload.push(REC_COMMIT),
+            WalRecord::StatsBlob(b) => put_frame(out, REC_STATS_BLOB, &[b]),
+            WalRecord::Commit => put_frame(out, REC_COMMIT, &[]),
         }
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
     }
 
     fn decode(payload: &[u8]) -> PagerResult<WalRecord> {
@@ -149,10 +149,42 @@ impl WalRecord {
                 Ok(WalRecord::DataDead(u64::from_le_bytes(b)))
             }
             REC_DICT_BLOB => Ok(WalRecord::DictBlob(rest.to_vec())),
+            REC_DATA_APPEND => {
+                let (off, bytes) = rest
+                    .split_first_chunk::<8>()
+                    .ok_or_else(|| corrupt("short data-append record"))?;
+                Ok(WalRecord::DataAppend {
+                    offset: u64::from_le_bytes(*off),
+                    bytes: bytes.to_vec(),
+                })
+            }
+            REC_STATS_BLOB => Ok(WalRecord::StatsBlob(rest.to_vec())),
             REC_COMMIT => Ok(WalRecord::Commit),
             other => Err(corrupt(&format!("unknown record type {other}"))),
         }
     }
+}
+
+/// Append one record's frame to `out`: the payload (`ty`, then `parts`) is
+/// written in place and its length and CRC patched in over it, so no
+/// intermediate payload buffer exists.
+fn put_frame(out: &mut Vec<u8>, ty: u8, parts: &[&[u8]]) {
+    let at = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    out.push(ty);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+    let len = (out.len() - at - 8) as u32;
+    let crc = crc32(&out[at + 8..]);
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    out[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Append the frame of a [`WalRecord::PageImage`] to `out`, borrowing the
+/// page bytes (the caller holds the frame's read latch, not a copy).
+pub fn encode_page_image(out: &mut Vec<u8>, comp: u8, page: PageId, data: &[u8]) {
+    put_frame(out, REC_PAGE_IMAGE, &[&[comp], &page.to_le_bytes(), data]);
 }
 
 /// The write-ahead log file.
@@ -211,22 +243,27 @@ impl Wal {
         }
     }
 
-    /// Append one transaction (a trailing [`WalRecord::Commit`] is added if
-    /// the caller did not include one) as a single write, then fsync.
-    /// Returning `Ok` means the transaction is durable — the commit point.
-    pub fn append_txn(&mut self, records: &[WalRecord]) -> PagerResult<()> {
+    /// Append one transaction (a trailing [`WalRecord::Commit`] in `records`
+    /// is the marker itself, not a second one); see [`Wal::append_frames`].
+    pub fn append_txn(&mut self, records: &[WalRecord]) -> PagerResult<u64> {
+        let mut frames = Vec::new();
+        for r in records.iter().filter(|r| **r != WalRecord::Commit) {
+            r.encode_into(&mut frames);
+        }
+        self.append_frames(frames)
+    }
+
+    /// Append one transaction's already-encoded record frames plus the
+    /// commit marker as a single write, then fsync. Returning `Ok` means
+    /// the transaction is durable — the commit point — and carries the
+    /// log's new length, for the caller's checkpoint threshold.
+    pub fn append_frames(&mut self, mut frames: Vec<u8>) -> PagerResult<u64> {
         self.check_failpoint()?;
-        let mut buf = Vec::new();
-        for r in records {
-            r.encode_into(&mut buf);
-        }
-        if records.last() != Some(&WalRecord::Commit) {
-            WalRecord::Commit.encode_into(&mut buf);
-        }
-        self.file.seek(SeekFrom::End(0))?;
-        self.file.write_all(&buf)?;
+        WalRecord::Commit.encode_into(&mut frames);
+        let at = self.file.seek(SeekFrom::End(0))?;
+        self.file.write_all(&frames)?;
         self.file.sync_data()?;
-        Ok(())
+        Ok(at + frames.len() as u64)
     }
 
     /// Read every committed transaction, in order. A torn or CRC-corrupt
@@ -280,7 +317,7 @@ impl Wal {
     pub fn checkpoint(&mut self, baseline: &[WalRecord]) -> PagerResult<()> {
         self.check_failpoint()?;
         self.file.set_len(8)?;
-        self.append_txn(baseline)
+        self.append_txn(baseline).map(|_| ())
     }
 }
 
@@ -298,6 +335,10 @@ pub struct ReplayOutcome {
     pub data_dead: Vec<u64>,
     /// Final logged dictionary blob, if any transaction recorded one.
     pub dict: Option<Vec<u8>>,
+    /// Every logged data-file append `(offset, bytes)`, in log order.
+    pub data_appends: Vec<(u64, Vec<u8>)>,
+    /// Final logged synopsis blob, if any transaction recorded one.
+    pub stats: Option<Vec<u8>>,
 }
 
 /// Apply committed transactions to their component storages: page counts
@@ -305,7 +346,7 @@ pub struct ReplayOutcome {
 /// sync per touched component. Idempotent — replaying an already-applied
 /// transaction writes the same bytes again.
 pub fn replay(
-    txns: &[Vec<WalRecord>],
+    txns: Vec<Vec<WalRecord>>,
     storages: &mut [&mut FileStorage],
 ) -> PagerResult<ReplayOutcome> {
     let mut out = ReplayOutcome::default();
@@ -324,12 +365,12 @@ pub fn replay(
         for rec in txn {
             match rec {
                 WalRecord::PageCount { comp, count } => {
-                    let i = comp_of(*comp, storages.len())?;
-                    storages[i].set_page_count_for_replay(*count)?;
+                    let i = comp_of(comp, storages.len())?;
+                    storages[i].set_page_count_for_replay(count)?;
                     touched[i] = true;
                 }
                 WalRecord::PageImage { comp, page, data } => {
-                    let i = comp_of(*comp, storages.len())?;
+                    let i = comp_of(comp, storages.len())?;
                     if data.len() != storages[i].page_size() {
                         return Err(PagerError::Corrupt(format!(
                             "WAL page image of {} bytes for component {comp} \
@@ -338,13 +379,15 @@ pub fn replay(
                             storages[i].page_size()
                         )));
                     }
-                    storages[i].write_page(*page, data)?;
+                    storages[i].write_page(page, &data)?;
                     touched[i] = true;
                     out.pages_applied += 1;
                 }
-                WalRecord::DataLen(n) => out.data_len = Some(*n),
-                WalRecord::DataDead(off) => out.data_dead.push(*off),
-                WalRecord::DictBlob(b) => out.dict = Some(b.clone()),
+                WalRecord::DataLen(n) => out.data_len = Some(n),
+                WalRecord::DataDead(off) => out.data_dead.push(off),
+                WalRecord::DictBlob(b) => out.dict = Some(b),
+                WalRecord::DataAppend { offset, bytes } => out.data_appends.push((offset, bytes)),
+                WalRecord::StatsBlob(b) => out.stats = Some(b),
                 WalRecord::Commit => {}
             }
         }
@@ -417,6 +460,11 @@ mod tests {
             WalRecord::DataLen(99),
             WalRecord::DataDead(12),
             WalRecord::DictBlob(b"dict".to_vec()),
+            WalRecord::DataAppend {
+                offset: 95,
+                bytes: b"\x00\x00\x00\x00".to_vec(),
+            },
+            WalRecord::StatsBlob(b"stats".to_vec()),
         ];
         {
             let mut wal = Wal::open_or_create(&path).unwrap();
@@ -425,6 +473,48 @@ mod tests {
         let mut wal = Wal::open_or_create(&path).unwrap();
         let txns = wal.committed_txns().unwrap();
         assert_eq!(txns, vec![recs]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A record encoded in place — length and CRC patched over the bytes —
+    /// is the frame `[len][crc32(payload)][payload]`, whatever precedes it
+    /// in the buffer, and a borrowed page image is the owned record's frame.
+    #[test]
+    fn frames_are_patched_in_place() {
+        let rec = WalRecord::PageImage {
+            comp: 2,
+            page: 7,
+            data: vec![5u8; 48],
+        };
+        let mut out = b"earlier frames".to_vec();
+        rec.encode_into(&mut out);
+        let frame = &out[14..];
+        let payload = &frame[8..];
+        assert_eq!(frame[..4], (payload.len() as u32).to_le_bytes());
+        assert_eq!(frame[4..8], crc32(payload).to_le_bytes());
+        assert_eq!(payload[..6], [REC_PAGE_IMAGE, 2, 7, 0, 0, 0]);
+        assert_eq!(WalRecord::decode(payload).unwrap(), rec);
+        let mut borrowed = Vec::new();
+        encode_page_image(&mut borrowed, 2, 7, &[5u8; 48]);
+        assert_eq!(borrowed, frame);
+    }
+
+    #[test]
+    fn an_append_returns_the_logs_length() {
+        let path = temp_path("len");
+        let mut wal = Wal::open_or_create(&path).unwrap();
+        let on_disk = || std::fs::metadata(&path).unwrap().len();
+        let one = wal
+            .append_txn(&[WalRecord::DataLen(1), WalRecord::Commit])
+            .unwrap();
+        assert_eq!((one, on_disk()), (8 + 17 + 9, 8 + 17 + 9));
+        assert_eq!(wal.append_frames(Vec::new()).unwrap(), one + 9);
+        assert_eq!(wal.committed_txns().unwrap().len(), 2);
+        wal.checkpoint(&[WalRecord::DataLen(1)]).unwrap();
+        assert_eq!(on_disk(), one);
+        drop(wal);
+        let mut wal = Wal::open_or_create(&path).unwrap();
+        assert_eq!(wal.append_frames(Vec::new()).unwrap(), one + 9);
         std::fs::remove_file(&path).ok();
     }
 

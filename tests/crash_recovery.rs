@@ -5,8 +5,13 @@
 //! workload performs, then the sweep re-runs the workload once per k with
 //! the plan set to trip at the k-th operation. A tripped plan fails that
 //! operation *and every mutating operation after it* — the process is
-//! effectively dead from that instant. The harness then reopens the
-//! directory (which runs crash recovery) and demands two things:
+//! effectively dead from that instant — and, as a power cut would, takes
+//! with it everything written since the file's last successful sync: a
+//! commit syncs nothing but the log, so what recovery finds in the home
+//! files is what the last checkpoint left. The workload is long enough to
+//! checkpoint twice (one `flush()` midway, one forced by the size of the
+//! log), and every k inside those two is probed. The harness then reopens
+//! the directory (which runs crash recovery) and demands three things:
 //!
 //! 1. `verify_db(strict)` reports zero violations (including the
 //!    `synopsis-path-count-mismatch` recount of the path summary),
@@ -22,8 +27,8 @@
 //! query must agree on it.
 //!
 //! By default the sweep probes up to [`DEFAULT_SWEEP`] evenly spaced k
-//! values (always including the first and last); set `NOK_FAILPOINT_FULL=1`
-//! to sweep every k.
+//! values (always including the first and last) beside the checkpoints'
+//! own; set `NOK_FAILPOINT_FULL=1` to sweep every k.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -77,7 +82,15 @@ fn render(items: &Mirror) -> String {
     s
 }
 
-const OPS: usize = 12;
+/// Operations in the sweep's script: at ~29 KB of log a commit, the ones
+/// after [`FLUSH_AFTER`] outgrow the checkpoint threshold (1 MiB) once.
+const OPS: usize = 60;
+
+/// The sweep calls `flush()` after this many operations.
+const FLUSH_AFTER: usize = 15;
+
+/// Operations the torn-tail test commits before the one it tears.
+const TORN_OPS: usize = 12;
 
 /// Apply op `i` to the mirror.
 fn mirror_op(items: &mut Mirror, i: usize) {
@@ -167,23 +180,41 @@ fn every_injected_crash_recovers_clean_and_consistent() {
     // Counting pass: how many mutating I/Os does the full workload issue?
     let work = temp_dir("count");
     copy_dir(&pristine, &work);
+    // It also finds the steps that checkpoint (the log is shorter after
+    // them than before): the midway flush, and the commit that finds the
+    // log past the threshold. Every k inside those steps is probed.
     let plan = FailPlan::counting();
+    let mut in_checkpoints: Vec<u64> = Vec::new();
+    let mut checkpoints = 0;
     {
         let mut db = open_with_failpoint(&work, &plan);
         let mut items = initial_items();
+        let wal_len = || std::fs::metadata(work.join("wal.log")).expect("wal").len();
         for i in 0..OPS {
+            let (k0, len0) = (plan.count(), wal_len());
+            if i == FLUSH_AFTER {
+                db.flush().expect("flush without failpoint");
+            }
             db_op(&mut db, i, items.len()).expect("workload op without failpoint");
             mirror_op(&mut items, i);
+            if wal_len() < len0 || i == FLUSH_AFTER {
+                in_checkpoints.extend(k0 + 1..=plan.count());
+                checkpoints += 1;
+            }
         }
     }
     let total = plan.count();
     assert!(total > 0, "workload must issue mutating I/O");
+    assert!(
+        checkpoints >= 2,
+        "the script must outgrow the checkpoint threshold after its flush"
+    );
 
     // Pick the ks to probe.
     let full = std::env::var("NOK_FAILPOINT_FULL")
         .map(|v| v == "1")
         .unwrap_or(false);
-    let ks: Vec<u64> = if full || total <= DEFAULT_SWEEP {
+    let mut ks: Vec<u64> = if full || total <= DEFAULT_SWEEP {
         (1..=total).collect()
     } else {
         // Evenly spaced, always including 1 and `total`.
@@ -191,6 +222,9 @@ fn every_injected_crash_recovers_clean_and_consistent() {
             .map(|i| 1 + i * (total - 1) / (DEFAULT_SWEEP - 1))
             .collect()
     };
+    ks.extend(in_checkpoints);
+    ks.sort_unstable();
+    ks.dedup();
 
     let work = temp_dir("sweep");
     for &k in &ks {
@@ -203,6 +237,10 @@ fn every_injected_crash_recovers_clean_and_consistent() {
         {
             let mut db = open_with_failpoint(&work, &plan);
             for i in 0..OPS {
+                // A crash inside the flush has no operation in flight.
+                if i == FLUSH_AFTER && db.flush().is_err() {
+                    break;
+                }
                 let mut next = committed.clone();
                 mirror_op(&mut next, i);
                 match db_op(&mut db, i, committed.len()) {
@@ -305,55 +343,94 @@ fn every_injected_crash_recovers_clean_and_consistent() {
 // Torn and corrupted log tails
 // ---------------------------------------------------------------------
 
+/// Reopen `dir` (recovery runs), demand a strict-clean store, and return
+/// its answers.
+fn recovered_answers(dir: &Path, what: &str) -> Vec<Vec<String>> {
+    let db = XmlDb::open_dir(dir).unwrap_or_else(|e| panic!("{what}: reopen failed: {e}"));
+    let report = verify_db(&db, VerifyOptions::strict());
+    assert!(
+        report.is_clean(),
+        "{what}: strict verify: {}",
+        report.to_json()
+    );
+    db_answers(&db)
+}
+
+fn cut_file(path: &Path, len: u64) {
+    let f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .expect("open wal");
+    f.set_len(len).expect("truncate wal");
+}
+
 #[test]
 fn torn_or_garbage_wal_tails_recover_to_committed_state() {
-    // Run the whole workload cleanly: every transaction committed and
-    // checkpointed, so the component files alone carry the final state.
+    // Commit the script and exit without flush: the log holds every
+    // transaction, the home files whatever was written back. `before` is
+    // the directory as it stood when the last operation began.
     let base = temp_dir("torn-base");
+    let before = temp_dir("torn-before");
+    let wal_len = |dir: &Path| std::fs::metadata(dir.join("wal.log")).expect("wal").len();
+    let mut items = initial_items();
     {
-        let mut db = XmlDb::create_on_disk(&base, &render(&initial_items())).expect("create");
-        let mut items = initial_items();
-        for i in 0..OPS {
+        let mut db = XmlDb::create_on_disk(&base, &render(&items)).expect("create");
+        for i in 0..TORN_OPS {
             db_op(&mut db, i, items.len()).expect("op");
             mirror_op(&mut items, i);
         }
+        copy_dir(&base, &before);
+        db_op(&mut db, TORN_OPS, items.len()).expect("last op");
     }
-    let mut final_items = initial_items();
-    for i in 0..OPS {
-        mirror_op(&mut final_items, i);
-    }
-    let want = oracle_answers(&final_items);
+    let want_pre = oracle_answers(&items);
+    mirror_op(&mut items, TORN_OPS);
+    let want_post = oracle_answers(&items);
+    assert_ne!(want_pre, want_post);
+    let (txn_start, txn_end) = (wal_len(&before), wal_len(&base));
+    assert!(txn_start > 8 && txn_end > txn_start, "the log kept growing");
 
-    let wal_path = base.join("wal.log");
-    let wal_len = std::fs::metadata(&wal_path).expect("wal metadata").len();
-    assert!(
-        wal_len > 8,
-        "wal must hold at least its header and baseline"
-    );
-
+    // The exit without flush itself: every transaction replays.
     let work = temp_dir("torn-work");
-    // Truncate the log to every stride-spaced prefix, including cutting
-    // into the magic header (a crash during log creation).
-    let stride = (wal_len / 24).max(1);
-    let mut cuts: Vec<u64> = (0..wal_len).step_by(stride as usize).collect();
-    cuts.push(wal_len);
-    for cut in cuts {
-        copy_dir(&base, &work);
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(work.join("wal.log"))
-            .expect("open wal");
-        f.set_len(cut).expect("truncate wal");
-        drop(f);
+    copy_dir(&base, &work);
+    assert_eq!(recovered_answers(&work, "no flush"), want_post);
 
-        let db = XmlDb::open_dir(&work).unwrap_or_else(|e| panic!("cut={cut}: reopen failed: {e}"));
-        let report = verify_db(&db, VerifyOptions::strict());
-        assert!(
-            report.is_clean(),
-            "cut={cut}: strict verify after torn tail: {}",
-            report.to_json()
-        );
-        assert_eq!(db_answers(&db), want, "cut={cut}: answers drifted");
+    // A crash while the last transaction's record was being appended: the
+    // files as they stood before it, and any prefix of its bytes in the
+    // log. Only the whole record commits it; whatever less there is, every
+    // query answers from the state before.
+    let stride = ((txn_end - txn_start) / 24).max(1);
+    let mut cuts: Vec<u64> = (txn_start..txn_end).step_by(stride as usize).collect();
+    cuts.extend([txn_end - 1, txn_end]);
+    for cut in cuts {
+        copy_dir(&before, &work);
+        std::fs::copy(base.join("wal.log"), work.join("wal.log")).expect("copy wal");
+        cut_file(&work.join("wal.log"), cut);
+        let want = if cut == txn_end {
+            &want_post
+        } else {
+            &want_pre
+        };
+        let got = recovered_answers(&work, &format!("cut={cut}"));
+        assert_eq!(&got, want, "cut={cut} of {txn_start}..{txn_end}");
+    }
+
+    // A checkpointed log is redundant: cut it anywhere — into the baseline,
+    // into the magic header (a crash during log creation) — and the state
+    // does not change.
+    {
+        let db = XmlDb::open_dir(&base).expect("reopen to flush");
+        db.flush().expect("flush");
+        assert!(!db.recovery_report().expect("report").legacy);
+    }
+    let report = XmlDb::open_dir(&base).expect("reopen flushed");
+    let report = report.recovery_report().expect("report").clone();
+    assert!(!report.was_dirty(), "a flushed directory reopens clean");
+    assert_eq!(report.replayed_txns, 1, "baseline-only log");
+    for cut in 0..=wal_len(&base) {
+        copy_dir(&base, &work);
+        cut_file(&work.join("wal.log"), cut);
+        let got = recovered_answers(&work, &format!("checkpointed, cut={cut}"));
+        assert_eq!(got, want_post, "checkpointed, cut={cut}");
     }
 
     // A garbage tail (valid-looking length prefix, bogus checksum) must be
@@ -368,15 +445,95 @@ fn torn_or_garbage_wal_tails_recover_to_committed_state() {
         f.write_all(&16u32.to_le_bytes()).expect("len prefix");
         f.write_all(&[0xABu8; 20]).expect("garbage");
     }
-    let db = XmlDb::open_dir(&work).expect("reopen with garbage tail");
-    let report = verify_db(&db, VerifyOptions::strict());
-    assert!(
-        report.is_clean(),
-        "garbage tail: strict verify: {}",
-        report.to_json()
-    );
-    assert_eq!(db_answers(&db), want, "garbage tail: answers drifted");
+    assert_eq!(recovered_answers(&work, "garbage tail"), want_post);
 
-    std::fs::remove_dir_all(&base).ok();
-    std::fs::remove_dir_all(&work).ok();
+    for dir in [&base, &before, &work] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+// ---------------------------------------------------------------------
+// What a commit costs, counted
+// ---------------------------------------------------------------------
+
+/// A [`FileStorage`] that counts its syncs.
+struct SyncCounted(FileStorage, Arc<std::sync::atomic::AtomicU64>);
+
+impl nok_pager::Storage for SyncCounted {
+    fn page_size(&self) -> usize {
+        self.0.page_size()
+    }
+    fn page_count(&self) -> u32 {
+        self.0.page_count()
+    }
+    fn read_page(&mut self, id: u32, buf: &mut [u8]) -> nok_pager::PagerResult<()> {
+        self.0.read_page(id, buf)
+    }
+    fn write_page(&mut self, id: u32, buf: &[u8]) -> nok_pager::PagerResult<()> {
+        self.0.write_page(id, buf)
+    }
+    fn allocate_page(&mut self) -> nok_pager::PagerResult<u32> {
+        self.0.allocate_page()
+    }
+    fn sync(&mut self) -> nok_pager::PagerResult<()> {
+        self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.0.sync()
+    }
+    fn truncate_pages(&mut self, count: u32) -> nok_pager::PagerResult<()> {
+        self.0.truncate_pages(count)
+    }
+}
+
+/// Below the checkpoint threshold a commit is one append to the log — one
+/// write, one fsync, the commit point — and no sync of any home file; the
+/// commit that finds the log past the threshold checkpoints, once, and
+/// leaves a log back at its baseline. Counts, not timings.
+#[test]
+fn a_commit_is_one_log_append_until_the_log_is_due_a_checkpoint() {
+    use nok_core::LockDataFile;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    let dir = make_pristine("commit-io");
+    let baseline_len = std::fs::metadata(dir.join("wal.log")).expect("wal").len();
+    let syncs = Arc::new(AtomicU64::new(0));
+    let wrap = Arc::clone(&syncs);
+    let mut db =
+        XmlDb::<SyncCounted>::open_dir_with(&dir, 256, move |s| SyncCounted(s, Arc::clone(&wrap)))
+            .expect("open counted");
+    // One counting plan for the log's mutating I/O (an append is one, a
+    // checkpoint two), one for the data file's (appends, tombstones, syncs).
+    let (log_ios, data_ios) = (FailPlan::counting(), FailPlan::counting());
+    db.set_failpoint(Arc::clone(&log_ios));
+    db.data_cell()
+        .lock_data()
+        .set_failpoint(Arc::clone(&data_ios));
+    let wal_len = || std::fs::metadata(dir.join("wal.log")).expect("wal").len();
+
+    let mut commits = 0;
+    loop {
+        let (len0, log0, data0) = (wal_len(), log_ios.count(), data_ios.count());
+        // An insert of two values the document has not seen.
+        db_op(&mut db, 3 * commits, 0).expect("insert");
+        commits += 1;
+        let (log, data) = (log_ios.count() - log0, data_ios.count() - data0);
+        if wal_len() > len0 {
+            assert_eq!(log, 1, "one log append, and with it one fsync");
+            assert_eq!(data, 2, "two data-file appends and no sync");
+            assert_eq!(syncs.load(Ordering::Relaxed), 0, "no home file synced");
+            assert!(commits < 1_000, "the log never reached its threshold");
+            continue;
+        }
+        assert!(commits > 5 && len0 <= (1 << 20), "checkpointed at {len0} B");
+        assert_eq!(wal_len(), baseline_len, "baseline-only log");
+        assert_eq!(log, 3, "the commit's append, then the checkpoint");
+        assert_eq!(data, 3, "two appends and the checkpoint's sync");
+        assert_eq!(syncs.load(Ordering::Relaxed), 4, "each component once");
+        break;
+    }
+    // What the checkpoint made durable needs no log.
+    drop(db);
+    std::fs::remove_file(dir.join("wal.log")).expect("remove wal");
+    let db = XmlDb::open_dir(&dir).expect("reopen without a log");
+    assert!(!db.recovery_report().expect("report").was_dirty());
+    assert_eq!(db.query("/list/item").expect("query").len(), 10 + commits);
+    std::fs::remove_dir_all(&dir).ok();
 }
