@@ -260,13 +260,13 @@ pub const CRITICAL_ATOMICS: &[&str] = &[
     "dir_generation", // seqlock generation for the page directory
     "txn_active",     // no-steal barrier between pool and WAL commit
     "shutdown",       // service stop flag gating queue drain
-    "dirty",          // frame dirty bit read by flush without the frame lock
-    "frames",         // pool occupancy accounting used by make_room
-    "ctrl",           // EpochArc control word: pin registration vs swing
-    "debt",           // EpochArc repaid-pin counter gating slot reclamation
-    "enqueue_pos",    // admission ring producer cursor (Vyukov MPMC)
-    "dequeue_pos",    // admission ring consumer cursor (Vyukov MPMC)
-    "sleepers",       // admission eventcount register: SeqCst on both sides
+    "state", // frame state bits (owes home, txn wrote) read by evict/flush without the frame lock
+    "frames", // pool occupancy accounting used by make_room
+    "ctrl",  // EpochArc control word: pin registration vs swing
+    "debt",  // EpochArc repaid-pin counter gating slot reclamation
+    "enqueue_pos", // admission ring producer cursor (Vyukov MPMC)
+    "dequeue_pos", // admission ring consumer cursor (Vyukov MPMC)
+    "sleepers", // admission eventcount register: SeqCst on both sides
 ];
 
 /// The seqlock generation field: reads of it participate in the

@@ -10,7 +10,7 @@
 //!   §13), with call-graph propagation so an acquisition hidden behind a
 //!   call chain is still checked against the locks its caller holds.
 //! - **`atomic-ordering`** — `Ordering::Relaxed` is an error on the named
-//!   critical atomics (`dir_generation`, `txn_active`, `shutdown`, `dirty`,
+//!   critical atomics (`dir_generation`, `txn_active`, `shutdown`, `state`,
 //!   `frames`); statistics counters are exempt.
 //! - **`seqlock-recheck`** — a reader of the directory generation must load
 //!   it twice (validate) or be a writer.

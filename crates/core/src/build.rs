@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use nok_btree::BTree;
 use nok_pager::mvcc::GenerationTable;
-use nok_pager::wal::encode_page_image;
+use nok_pager::wal::{encode_page_delta, encode_page_image};
 use nok_pager::{
     BufferPool, FailPlan, FileStorage, MemStorage, Storage, TxnHandle, Wal, WalRecord,
 };
@@ -137,7 +137,7 @@ pub(crate) const F_SUPER: &str = "super.blk";
 const CHECKPOINT_LOG_BYTES: u64 = 1 << 20;
 
 /// Paged component files in WAL component order (the `comp` byte of a
-/// [`WalRecord::PageImage`] indexes this array).
+/// [`WalRecord::PageImage`] or [`WalRecord::PageDelta`] indexes this array).
 pub(crate) const COMPONENT_FILES: [&str; 4] = [F_STRUCT, F_TAG, F_VAL, F_ID];
 
 /// Magic prefix of the database superblock.
@@ -544,12 +544,14 @@ impl<S: Storage> XmlDb<S> {
 
     /// Checkpoint: make everything committed so far durable in its home
     /// file, then restart the log at a baseline. The order is the
-    /// contract — `values.dat` and the four paged components synced, the
-    /// dictionary and the synopsis persisted, and only *then* the log, whose
-    /// images all of that has just made redundant, truncated. Runs when a
-    /// commit finds the log past [`CHECKPOINT_LOG_BYTES`], when the caller
-    /// asks, and (in [`crate::recovery`]'s own form) at the end of recovery;
-    /// a crash anywhere inside it leaves a log that replays to this state.
+    /// contract — `values.dat` synced, the four paged components written
+    /// back and synced, the dictionary and the synopsis persisted, and only
+    /// *then* the log, whose records all of that has just made redundant,
+    /// truncated. Runs when a commit finds the log past
+    /// [`CHECKPOINT_LOG_BYTES`], when the caller asks, and (in
+    /// [`crate::recovery`]'s own form) at the end of a recovery that
+    /// replayed anything; a crash anywhere inside it leaves a log that
+    /// replays to this state.
     pub fn flush(&self) -> CoreResult<()> {
         let data_len = {
             let mut data = self.data.lock_data();
@@ -631,12 +633,13 @@ impl<S: Storage> XmlDb<S> {
         for cell in self.capture_cells() {
             cell.activate(epoch);
         }
-        let struct_txn = self.store.pool_rc().begin_txn()?;
-        let tag_txn = self.bt_tag.pool_rc().begin_txn()?;
-        let val_txn = self.bt_val.pool_rc().begin_txn()?;
-        let id_txn = self.bt_id.pool_rc().begin_txn()?;
         Ok(TxnCtx {
-            handles: [struct_txn, tag_txn, val_txn, id_txn],
+            handles: [
+                self.store.pool_rc().begin_txn(),
+                self.bt_tag.pool_rc().begin_txn(),
+                self.bt_val.pool_rc().begin_txn(),
+                self.bt_id.pool_rc().begin_txn(),
+            ],
             data_len0: self.data.lock_data().len_bytes(),
             dict0: Arc::clone(&self.dict),
             synopsis0: Arc::clone(&self.synopsis),
@@ -644,11 +647,11 @@ impl<S: Storage> XmlDb<S> {
     }
 
     /// Commit: write the whole transaction to the log with one fsync (the
-    /// commit point, and the only fsync here), then write pages and
-    /// tombstones back to their home files unsynced; past
-    /// [`CHECKPOINT_LOG_BYTES`] of log, checkpoint. A failure before the
-    /// commit point rolls back; after it, the state is recoverable from the
-    /// log and the caller is told to reopen.
+    /// commit point, and the only fsync here) and tombstones to the data
+    /// file unsynced; the pages stay in their pools, owing their home
+    /// files. Past [`CHECKPOINT_LOG_BYTES`] of log, checkpoint. A failure
+    /// before the commit point rolls back; after it, the state is
+    /// recoverable from the log and the caller is told to reopen.
     pub(crate) fn txn_commit(&mut self, mut ctx: TxnCtx<S>) -> CoreResult<()> {
         let log_len = match self.txn_commit_log(&ctx) {
             Ok(len) => len,
@@ -660,10 +663,10 @@ impl<S: Storage> XmlDb<S> {
         // this transaction; snapshots pinned before it keep resolving pages
         // through the frozen before-image overlay.
         self.publish_generation();
-        if let Err(e) = self.txn_commit_apply(&mut ctx, log_len) {
-            for h in &mut ctx.handles {
-                h.detach();
-            }
+        for h in &mut ctx.handles {
+            h.commit();
+        }
+        if let Err(e) = self.txn_commit_apply(log_len) {
             return Err(CoreError::Corrupt(format!(
                 "commit interrupted after its log record became durable ({e}); \
                  reopen the database to recover"
@@ -673,21 +676,16 @@ impl<S: Storage> XmlDb<S> {
     }
 
     /// Phase 1 of commit: the transaction's log record, with everything
-    /// replay needs — nothing outside the log is synced for it. Returns the
-    /// log's length (0 without a log).
+    /// replay needs — nothing outside the log is synced for it. A page the
+    /// log holds whole since its last checkpoint is logged as a delta
+    /// against its before-image; any other as its full image, the base its
+    /// later deltas patch and the guard against a torn home page. Returns
+    /// the log's length (0 without a log).
     fn txn_commit_log(&self, ctx: &TxnCtx<S>) -> CoreResult<u64> {
         let Some(wal) = &self.wal else {
             return Ok(0);
         };
         let mut frames = Vec::new();
-        for (comp, h) in ctx.handles.iter().enumerate() {
-            let comp = comp as u8;
-            let count = h.pool().page_count();
-            WalRecord::PageCount { comp, count }.encode_into(&mut frames);
-            for page in h.dirty_pages() {
-                encode_page_image(&mut frames, comp, page.id(), &page.read());
-            }
-        }
         {
             let mut data = self.data.lock_data();
             if data.len_bytes() > ctx.data_len0 {
@@ -706,22 +704,38 @@ impl<S: Storage> XmlDb<S> {
         }
         WalRecord::StatsBlob(self.synopsis.to_bytes(self.node_count())).encode_into(&mut frames);
         let mut wal = wal.lock().unwrap_or_else(|e| e.into_inner());
-        Ok(wal.append_frames(frames)?)
+        let mut imaged = Vec::new();
+        for (comp, h) in ctx.handles.iter().enumerate() {
+            let comp = comp as u8;
+            let count = h.pool().page_count();
+            WalRecord::PageCount { comp, count }.encode_into(&mut frames);
+            let before = h.pool().capture_cell().current();
+            for page in h.written_pages() {
+                let (id, after) = (page.id(), page.read());
+                match before.as_ref().and_then(|images| images.get(id)) {
+                    Some(before) if wal.has_image(comp, id) => {
+                        encode_page_delta(&mut frames, comp, id, &before, &after)
+                    }
+                    _ => {
+                        encode_page_image(&mut frames, comp, id, &after);
+                        imaged.push((comp, id));
+                    }
+                }
+            }
+        }
+        Ok(wal.append_frames(frames, &imaged)?)
     }
 
-    /// Phase 2 of commit: tombstones and pages go to their home files,
-    /// unsynced. All of it is re-doable from the log, which keeps it until
-    /// a checkpoint — due once the log is past [`CHECKPOINT_LOG_BYTES`] —
-    /// has synced those files.
-    fn txn_commit_apply(&mut self, ctx: &mut TxnCtx<S>, log_len: u64) -> CoreResult<()> {
+    /// Phase 2 of commit: tombstones go to the data file, unsynced. Like
+    /// the pages, they are re-doable from the log, which keeps them until a
+    /// checkpoint — due once the log is past [`CHECKPOINT_LOG_BYTES`] — has
+    /// written back and synced the home files.
+    fn txn_commit_apply(&mut self, log_len: u64) -> CoreResult<()> {
         let mut data = self.data.lock_data();
         for off in self.pending_dead.drain(..) {
             data.mark_dead(off)?;
         }
         drop(data);
-        for h in &mut ctx.handles {
-            h.commit()?;
-        }
         if log_len > CHECKPOINT_LOG_BYTES {
             self.flush()?;
         }
@@ -740,8 +754,8 @@ impl<S: Storage> XmlDb<S> {
         }
     }
 
-    /// Undo an uncommitted transaction: discard dirty pages, truncate the
-    /// data file, restore the dictionary and tag counts, and reload the
+    /// Undo an uncommitted transaction: restore the pages it wrote, truncate
+    /// the data file, restore the dictionary and tag counts, and reload the
     /// in-memory structures derived from the rolled-back pages.
     pub(crate) fn txn_rollback(&mut self, ctx: &mut TxnCtx<S>) -> CoreResult<()> {
         self.pending_dead.clear();

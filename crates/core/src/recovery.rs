@@ -4,14 +4,17 @@
 //! The commit protocol (see `build.rs`) makes the single fsync of the log's
 //! commit record the commit point, and the only fsync of a commit.
 //! Everything the transactions committed since the last checkpoint did —
-//! page images, page counts, data-file appends and length, tombstones, the
-//! tag dictionary, the synopsis — is in the log until the next checkpoint
-//! has synced it into the component files. Recovery therefore only has to
-//! redo, over all of them in commit order:
+//! page counts, each touched page's first image and later deltas,
+//! data-file appends and length, tombstones, the tag dictionary, the
+//! synopsis — is in the log until the next checkpoint has written it back
+//! and synced it into the component files; what the home files hold of it
+//! meanwhile (pages evicted or written back unsynced) is never trusted.
+//! Recovery therefore only has to redo, over all of them in commit order:
 //!
 //! 1. read the committed transactions (a torn tail is uncommitted and
 //!    ignored),
-//! 2. replay page counts and page images into the four paged components,
+//! 2. replay page counts, images and deltas into the four paged
+//!    components, one fsync per component touched,
 //! 3. rewrite the logged `values.dat` appends at their offsets, truncate
 //!    the file to the last committed length (cutting off appends from a
 //!    transaction that never committed) and re-apply committed tombstones,
@@ -19,8 +22,10 @@
 //! 5. checkpoint the log with the committed data length as the new
 //!    baseline.
 //!
-//! Every step is idempotent, so a crash *during* recovery is handled by
-//! simply recovering again.
+//! A log holding only its baseline, with no torn tail, has nothing to
+//! redo: it is left as it is, and the open syncs nothing. Every step is
+//! idempotent, so a crash *during* recovery is handled by simply
+//! recovering again.
 
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -39,7 +44,7 @@ pub struct RecoveryReport {
     /// Committed transactions read from the log (including the checkpoint
     /// baseline, so a clean log yields 1).
     pub replayed_txns: usize,
-    /// Page images written back into the component files.
+    /// Page images and deltas written back into the component files.
     pub pages_applied: u64,
     /// Committed `values.dat` length after recovery.
     pub data_len: u64,
@@ -100,7 +105,7 @@ pub fn recover_dir(dir: &Path) -> CoreResult<RecoveryReport> {
     }
 
     let mut wal = Wal::open_or_create(&wal_path)?;
-    let txns = wal.committed_txns()?;
+    let (txns, committed_end) = wal.committed_txns()?;
     report.replayed_txns = txns.len();
 
     // Redo page-level effects into the component stores. `open_for_repair`
@@ -177,6 +182,12 @@ pub fn recover_dir(dir: &Path) -> CoreResult<RecoveryReport> {
         report.stats_restored = true;
     }
 
+    // Nothing redone and no torn tail for the next append to sit behind:
+    // the log stays as it is, and nothing is synced.
+    let log_len = std::fs::metadata(&wal_path).map_err(io_err)?.len();
+    if !report.was_dirty() && !report.stats_restored && log_len == committed_end {
+        return Ok(report);
+    }
     // Everything redone above is durable: restart the log at a baseline
     // recording the committed data length. This also discards a torn tail.
     wal.checkpoint(&[WalRecord::DataLen(committed_len)])?;

@@ -22,10 +22,21 @@
 //! the miss fails with [`crate::PagerError::PoolExhausted`]. Concurrent
 //! misses may transiently overshoot the cap by at most the number of racing
 //! threads; each subsequent install shrinks the pool back below `max_frames`.
+//!
+//! **Transactions.** A frame's state records two separate facts: it *owes*
+//! its home file bytes storage has not seen, and the open transaction
+//! *wrote* it. A commit writes nothing back: the owner's write-ahead log
+//! holds the transaction, and its frames simply stop being the
+//! transaction's. Eviction and [`BufferPool::flush`] write back any frame
+//! that owes — a committed frame's log record is already durable (the WAL
+//! rule) — but never one the open transaction wrote (no-steal). Rollback
+//! gives each page the transaction rewrote its before-image back from the
+//! pool's [`CaptureCell`]: the frame may hold committed bytes its home file
+//! has never seen, so dropping it would lose them.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::{PagerError, PagerResult};
@@ -44,10 +55,15 @@ fn shard_of(id: PageId) -> usize {
     (id.wrapping_mul(0x9E37_79B9) >> 16) as usize % SHARD_COUNT
 }
 
+/// Frame state bit: the frame holds bytes its home file has not seen.
+const OWES_HOME: u8 = 1;
+/// Frame state bit: the open transaction wrote the frame.
+const TXN_WROTE: u8 = 2;
+
 #[derive(Debug)]
 struct Frame {
     data: Arc<RwLock<Box<[u8]>>>,
-    dirty: Arc<AtomicBool>,
+    state: Arc<AtomicU8>,
     last_used: AtomicU64,
 }
 
@@ -56,6 +72,12 @@ impl Frame {
     /// own `Arc` is the only other holder.
     fn is_pinned(&self) -> bool {
         Arc::strong_count(&self.data) > 1
+    }
+
+    /// May the frame's bytes go to storage — not while the open
+    /// transaction (`in_txn`) has written them?
+    fn may_write_back(&self, in_txn: bool) -> bool {
+        !(in_txn && self.state.load(Ordering::Acquire) & TXN_WROTE != 0)
     }
 }
 
@@ -68,7 +90,7 @@ type Shard = HashMap<PageId, Frame>;
 pub struct PageHandle {
     id: PageId,
     data: Arc<RwLock<Box<[u8]>>>,
-    dirty: Arc<AtomicBool>,
+    state: Arc<AtomicU8>,
     /// The owning pool's capture cell: the first write to this page inside
     /// a transaction publishes its before-image for snapshot readers
     /// *before* mutating the frame. `None` only for cache-less handles.
@@ -140,8 +162,9 @@ impl PageHandle {
         PageRead(read_lock(&self.data))
     }
 
-    /// Mutable view of the page bytes; marks the page dirty. If the pool's
-    /// capture cell is active and this is the page's first write in the
+    /// Mutable view of the page bytes; marks the page as owing its home
+    /// file and as written by the open transaction. If the pool's capture
+    /// cell is active and this is the page's first write in the
     /// transaction, its before-image is published *before* the write lock
     /// is taken, so snapshot readers re-checking the cell never observe
     /// mid-transaction bytes.
@@ -151,7 +174,7 @@ impl PageHandle {
                 cell.capture(self.id, &read_lock(&self.data));
             }
         }
-        self.dirty.store(true, Ordering::Release);
+        self.state.fetch_or(OWES_HOME | TXN_WROTE, Ordering::AcqRel);
         PageWrite(write_lock(&self.data))
     }
 }
@@ -172,9 +195,9 @@ pub struct BufferPool<S: Storage> {
     capacity: usize,
     page_size: usize,
     stats: IoStats,
-    /// While a [`TxnHandle`] is open, dirty frames must not be written back
-    /// (no-steal): rollback discards them, and the write-ahead log has not
-    /// seen them yet. Eviction skips dirty frames while this is set.
+    /// While a [`TxnHandle`] is open, the frames it wrote must not be
+    /// written back (no-steal): the write-ahead log has not seen them yet.
+    /// Eviction and flush skip them while this is set.
     txn_active: AtomicBool,
     /// Process-unique pool identity (monotone, never reused), so caches
     /// outside the pool — e.g. the per-worker first tier in
@@ -265,7 +288,7 @@ impl<S: Storage> BufferPool<S> {
         PageHandle {
             id,
             data: Arc::clone(&frame.data),
-            dirty: Arc::clone(&frame.dirty),
+            state: Arc::clone(&frame.state),
             capture: Some(Arc::clone(&self.capture)),
         }
     }
@@ -281,7 +304,7 @@ impl<S: Storage> BufferPool<S> {
             return Ok(PageHandle {
                 id,
                 data: Arc::new(RwLock::new(buf)),
-                dirty: Arc::new(AtomicBool::new(false)),
+                state: Arc::new(AtomicU8::new(0)),
                 capture: None,
             });
         }
@@ -308,7 +331,7 @@ impl<S: Storage> BufferPool<S> {
                 let mut buf = vec![0u8; self.page_size].into_boxed_slice();
                 mutex_lock(&self.storage).read_page(id, &mut buf)?;
                 self.stats.count_read();
-                self.install_into(&mut shard, id, buf, false)
+                self.install_into(&mut shard, id, buf, 0)
             }
         };
         self.shrink_overshoot();
@@ -334,34 +357,28 @@ impl<S: Storage> BufferPool<S> {
                 PageHandle {
                     id,
                     data: Arc::new(RwLock::new(buf)),
-                    dirty: Arc::new(AtomicBool::new(true)),
+                    state: Arc::new(AtomicU8::new(OWES_HOME | TXN_WROTE)),
                     capture: None,
                 },
             ));
         }
         let handle = {
             let mut shard = write_lock(&self.shards[shard_of(id)]);
-            self.install_into(&mut shard, id, buf, true)
+            self.install_into(&mut shard, id, buf, OWES_HOME | TXN_WROTE)
         };
         self.shrink_overshoot();
         Ok((id, handle))
     }
 
     /// Insert a frame into an already write-locked shard.
-    fn install_into(
-        &self,
-        shard: &mut Shard,
-        id: PageId,
-        buf: Box<[u8]>,
-        dirty: bool,
-    ) -> PageHandle {
+    fn install_into(&self, shard: &mut Shard, id: PageId, buf: Box<[u8]>, state: u8) -> PageHandle {
         let data = Arc::new(RwLock::new(buf));
-        let dirty = Arc::new(AtomicBool::new(dirty));
+        let state = Arc::new(AtomicU8::new(state));
         shard.insert(
             id,
             Frame {
                 data: Arc::clone(&data),
-                dirty: Arc::clone(&dirty),
+                state: Arc::clone(&state),
                 last_used: AtomicU64::new(self.tick()),
             },
         );
@@ -369,7 +386,7 @@ impl<S: Storage> BufferPool<S> {
         PageHandle {
             id,
             data,
-            dirty,
+            state,
             capture: Some(Arc::clone(&self.capture)),
         }
     }
@@ -402,17 +419,17 @@ impl<S: Storage> BufferPool<S> {
         }
     }
 
-    /// Evict the least-recently-used unpinned frame, if any. Returns whether
-    /// a frame was evicted.
+    /// Evict the least-recently-used unpinned frame, if any, writing it back
+    /// if it owes its home file. Returns whether a frame was evicted.
     fn evict_one(&self) -> PagerResult<bool> {
-        let no_steal = self.txn_active.load(Ordering::Acquire);
+        let in_txn = self.txn_active.load(Ordering::Acquire);
         // Scan for the global LRU victim (read locks only).
         let victim: Option<(PageId, u64)> = {
             let mut best: Option<(PageId, u64)> = None;
             for shard in &self.shards {
                 let shard = read_lock(shard);
                 for (&id, frame) in shard.iter() {
-                    if frame.is_pinned() || (no_steal && frame.dirty.load(Ordering::Acquire)) {
+                    if frame.is_pinned() || !frame.may_write_back(in_txn) {
                         continue;
                     }
                     let stamp = frame.last_used.load(Ordering::Relaxed);
@@ -433,7 +450,7 @@ impl<S: Storage> BufferPool<S> {
         let mut shard = write_lock(&self.shards[shard_of(id)]);
         let still_evictable = shard
             .get(&id)
-            .is_some_and(|f| !f.is_pinned() && !(no_steal && f.dirty.load(Ordering::Acquire)));
+            .is_some_and(|f| !f.is_pinned() && f.may_write_back(in_txn));
         if !still_evictable {
             return Ok(true); // someone pinned or evicted it; count as progress
         }
@@ -441,7 +458,7 @@ impl<S: Storage> BufferPool<S> {
             return Ok(true);
         };
         self.frames.fetch_sub(1, Ordering::AcqRel);
-        if frame.dirty.load(Ordering::Acquire) {
+        if frame.state.load(Ordering::Acquire) & OWES_HOME != 0 {
             let result = mutex_lock(&self.storage).write_page(id, &read_lock(&frame.data));
             if let Err(e) = result {
                 // Reinstall rather than lose the dirty frame.
@@ -455,30 +472,28 @@ impl<S: Storage> BufferPool<S> {
         Ok(true)
     }
 
-    /// Write every dirty frame back to storage, leaving the frames clean
-    /// and the storage unsynced.
-    pub fn write_back(&self) -> PagerResult<()> {
+    /// Write every frame that owes its home file back to storage and sync
+    /// it — except, while a transaction is open, the frames it wrote. The
+    /// owner runs it outside its transactions (the checkpoint).
+    pub fn flush(&self) -> PagerResult<()> {
+        let in_txn = self.txn_active.load(Ordering::Acquire);
         for shard in &self.shards {
             let shard = read_lock(shard);
             for (&id, frame) in shard.iter() {
-                // swap() so a racing write that re-dirties the page after
-                // our write-back is not silently marked clean.
-                if frame.dirty.swap(false, Ordering::AcqRel) {
+                // fetch_and() so a racing write that re-dirties the page
+                // after our write-back is not silently marked clean.
+                if frame.may_write_back(in_txn)
+                    && frame.state.fetch_and(!OWES_HOME, Ordering::AcqRel) & OWES_HOME != 0
+                {
                     let result = mutex_lock(&self.storage).write_page(id, &read_lock(&frame.data));
                     if let Err(e) = result {
-                        frame.dirty.store(true, Ordering::Release);
+                        frame.state.fetch_or(OWES_HOME, Ordering::AcqRel);
                         return Err(e);
                     }
                     self.stats.count_write();
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Write every dirty frame back to storage and sync it.
-    pub fn flush(&self) -> PagerResult<()> {
-        self.write_back()?;
         mutex_lock(&self.storage).sync()
     }
 
@@ -503,67 +518,58 @@ impl<S: Storage> BufferPool<S> {
         Ok(self.storage.into_inner().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Is any frame dirty?
-    fn has_dirty(&self) -> bool {
-        self.shards.iter().any(|s| {
-            read_lock(s)
-                .values()
-                .any(|f| f.dirty.load(Ordering::Acquire))
-        })
-    }
-
-    /// Pin every dirty frame, sorted by page id; the bytes are read through
-    /// the handles, not copied. The caller must ensure no concurrent writers
-    /// (updates hold `&mut` on the owning database).
-    pub fn dirty_pages(&self) -> Vec<PageHandle> {
-        let mut pages = Vec::new();
-        for shard in &self.shards {
-            let shard = read_lock(shard);
-            for (&id, frame) in shard.iter() {
-                if frame.dirty.load(Ordering::Acquire) {
-                    pages.push(self.handle_to(id, frame));
-                }
-            }
-        }
-        pages.sort_by_key(PageHandle::id);
-        pages
-    }
-
-    /// Drop every dirty frame without writing it back (rollback).
-    fn discard_dirty(&self) {
+    /// Undo the open transaction's writes: a page it allocated (id at or
+    /// past `start_pages`) is dropped, a page it rewrote gets its
+    /// before-image back and keeps owing its home file.
+    fn roll_back(&self, start_pages: PageId) {
+        let images = self.capture.current();
         for shard in &self.shards {
             let mut shard = write_lock(shard);
             let before = shard.len();
-            shard.retain(|_, f| !f.dirty.load(Ordering::Acquire));
+            shard.retain(|&id, f| {
+                if f.state.load(Ordering::Acquire) & TXN_WROTE == 0 {
+                    return true;
+                }
+                let image = images.as_ref().filter(|_| id < start_pages);
+                let Some(image) = image.and_then(|m| m.get(id)) else {
+                    return false;
+                };
+                write_lock(&f.data).copy_from_slice(&image);
+                f.state.fetch_and(!TXN_WROTE, Ordering::AcqRel);
+                true
+            });
             self.frames
                 .fetch_sub(before - shard.len(), Ordering::AcqRel);
         }
     }
 
-    /// Begin a transaction: flush any pre-existing dirty frames (rollback
-    /// must only discard *this* transaction's work), then switch the pool to
-    /// no-steal mode.
-    pub fn begin_txn(self: &Arc<Self>) -> PagerResult<TxnHandle<S>> {
-        if self.has_dirty() {
-            self.flush()?;
+    /// Begin a transaction: arm before-image capture (rollback restores
+    /// from it), forget which frames earlier writes touched, and switch the
+    /// pool to no-steal mode. Writes nothing.
+    pub fn begin_txn(self: &Arc<Self>) -> TxnHandle<S> {
+        self.capture.activate(0);
+        for shard in &self.shards {
+            for frame in read_lock(shard).values() {
+                frame.state.fetch_and(!TXN_WROTE, Ordering::AcqRel);
+            }
         }
         self.txn_active.store(true, Ordering::Release);
-        Ok(TxnHandle {
+        TxnHandle {
             start_pages: self.page_count(),
             pool: Arc::clone(self),
             done: false,
-        })
+        }
     }
 }
 
 /// One pool's share of a multi-pool transaction (see `nok-core`'s update
 /// path): created by [`BufferPool::begin_txn`], ended by exactly one of
-/// [`TxnHandle::commit`], [`TxnHandle::abort`] or [`TxnHandle::detach`].
-/// Dropping an unfinished handle aborts best-effort.
+/// [`TxnHandle::commit`] or [`TxnHandle::abort`]. Dropping an unfinished
+/// handle aborts best-effort.
 ///
-/// While the handle lives, the pool is in no-steal mode: dirty frames stay
-/// in memory, so [`TxnHandle::dirty_pages`] is exactly the transaction's
-/// write set and [`TxnHandle::abort`] can undo it by discarding frames and
+/// While the handle lives, the pool is in no-steal mode: the frames it
+/// wrote stay in memory, [`TxnHandle::written_pages`] is exactly its write
+/// set, and [`TxnHandle::abort`] can undo it from the before-images and by
 /// truncating the storage back to its starting page count.
 #[derive(Debug)]
 pub struct TxnHandle<S: Storage> {
@@ -583,45 +589,49 @@ impl<S: Storage> TxnHandle<S> {
         self.start_pages
     }
 
-    /// This transaction's write set (every dirty frame, sorted by id).
-    pub fn dirty_pages(&self) -> Vec<PageHandle> {
-        self.pool.dirty_pages()
-    }
-
-    /// Release the write set to its home storage: leave no-steal mode and
-    /// write every dirty frame back, **unsynced** — the write-ahead log
-    /// holds the images until the owner's next checkpoint syncs the storage
-    /// (without a log the commit is atomic in memory, not durable).
-    pub fn commit(&mut self) -> PagerResult<()> {
-        if self.done {
-            return Ok(());
+    /// This transaction's write set: a pin on every frame it wrote, sorted
+    /// by page id; the bytes are read through the handles, not copied.
+    pub fn written_pages(&self) -> Vec<PageHandle> {
+        let mut pages = Vec::new();
+        for shard in &self.pool.shards {
+            for (&id, frame) in read_lock(shard).iter() {
+                if frame.state.load(Ordering::Acquire) & TXN_WROTE != 0 {
+                    pages.push(self.pool.handle_to(id, frame));
+                }
+            }
         }
-        self.pool.txn_active.store(false, Ordering::Release);
-        self.pool.write_back()?;
-        self.done = true;
-        Ok(())
+        pages.sort_by_key(PageHandle::id);
+        pages
     }
 
-    /// Undo the write set: discard dirty frames and truncate the storage
-    /// back to the starting page count.
+    /// End the transaction, writing nothing: its frames become committed
+    /// frames that owe their home file, written back at eviction or at the
+    /// owner's checkpoint — the owner's write-ahead log already holds them
+    /// (without a log the commit is atomic in memory, not durable). The
+    /// before-images are retired unless the owner's MVCC layer already
+    /// froze them into a generation.
+    pub fn commit(&mut self) {
+        if self.done {
+            return;
+        }
+        self.done = true;
+        self.pool.txn_active.store(false, Ordering::Release);
+        if let Some(images) = self.pool.capture.current().filter(|m| !m.is_empty()) {
+            self.pool.capture.reset(images.stamp);
+        }
+    }
+
+    /// Undo the write set: restore what it rewrote, drop what it allocated
+    /// and truncate the storage back to the starting page count.
     pub fn abort(&mut self) -> PagerResult<()> {
         if self.done {
             return Ok(());
         }
         self.done = true;
-        self.pool.discard_dirty();
+        self.pool.roll_back(self.start_pages);
         self.pool.txn_active.store(false, Ordering::Release);
         mutex_lock(&self.pool.storage).truncate_pages(self.start_pages)?;
         Ok(())
-    }
-
-    /// End the transaction *without* flushing or discarding — used when the
-    /// commit point already passed in the write-ahead log but applying the
-    /// pages failed: the frames stay dirty for a later retry, and recovery
-    /// can always redo them from the log.
-    pub fn detach(&mut self) {
-        self.done = true;
-        self.pool.txn_active.store(false, Ordering::Release);
     }
 }
 
@@ -818,12 +828,12 @@ mod tests {
         drop(h);
         pool.flush().unwrap();
 
-        let mut txn = pool.begin_txn().unwrap();
+        let mut txn = pool.begin_txn();
         pool.get(p0).unwrap().write()[0] = 99;
         let (p1, h1) = pool.allocate().unwrap();
         h1.write()[0] = 42;
         drop(h1);
-        let pages = txn.dirty_pages();
+        let pages = txn.written_pages();
         assert_eq!(
             pages.iter().map(PageHandle::id).collect::<Vec<_>>(),
             vec![p0, p1]
@@ -843,15 +853,15 @@ mod tests {
             8,
         ));
         {
-            let mut txn = pool.begin_txn().unwrap();
+            let mut txn = pool.begin_txn();
             let (_, h) = pool.allocate().unwrap();
             h.write()[0] = 7;
             drop(h);
-            txn.commit().unwrap();
+            txn.commit();
         }
         assert_eq!(pool.page_count(), 1);
         {
-            let _txn = pool.begin_txn().unwrap();
+            let _txn = pool.begin_txn();
             let (_, h) = pool.allocate().unwrap();
             h.write()[0] = 8;
             drop(h);
@@ -859,6 +869,13 @@ mod tests {
         }
         assert_eq!(pool.page_count(), 1);
         assert_eq!(pool.get(0).unwrap().read()[0], 7);
+    }
+
+    /// Byte 0 of `page` as storage holds it.
+    fn stored(pool: &BufferPool<MemStorage>, page: PageId) -> u8 {
+        let mut buf = vec![0u8; pool.page_size()];
+        mutex_lock(&pool.storage).read_page(page, &mut buf).unwrap();
+        buf[0]
     }
 
     #[test]
@@ -875,24 +892,84 @@ mod tests {
         }
         pool.flush().unwrap();
         pool.clear_cache().unwrap();
-        let mut txn = pool.begin_txn().unwrap();
+        let mut txn = pool.begin_txn();
         for i in 0..2 {
             pool.get(i).unwrap().write()[0] = i as u8 + 1;
         }
         assert!(matches!(pool.get(2), Err(PagerError::PoolExhausted { .. })));
-        let mut storage_view = vec![0u8; 128];
-        mutex_lock(&pool.storage)
-            .read_page(0, &mut storage_view)
-            .unwrap();
-        assert_eq!(storage_view[0], 0, "dirty frame leaked to storage mid-txn");
-        assert_eq!(txn.dirty_pages().len(), 2);
-        txn.commit().unwrap();
-        mutex_lock(&pool.storage)
-            .read_page(0, &mut storage_view)
-            .unwrap();
-        assert_eq!(storage_view[0], 1);
-        // Out of the txn, the miss succeeds again.
+        assert_eq!(stored(&pool, 0), 0, "dirty frame leaked to storage mid-txn");
+        assert_eq!(txn.written_pages().len(), 2);
+        txn.commit();
+        assert_eq!(stored(&pool, 0), 0, "a commit writes nothing back");
+        // Out of the txn, the miss succeeds again: it evicts page 0, the
+        // least recently used, and that eviction writes it back.
         assert!(pool.get(2).is_ok());
+        assert_eq!((stored(&pool, 0), stored(&pool, 1)), (1, 0));
+        pool.flush().unwrap();
+        assert_eq!(stored(&pool, 1), 2, "the flush writes back the rest");
+    }
+
+    /// A pool over pages `0..n` holding `i + 1` at byte 0, synced and
+    /// cached, with a committed transaction that rewrote page 0 to 50 —
+    /// bytes that reached no storage.
+    fn pool_with_committed_unwritten_page(n: u32, capacity: usize) -> Arc<BufferPool<MemStorage>> {
+        let pool = Arc::new(pool_with_pages(n, capacity));
+        for i in 0..n {
+            pool.get(i).unwrap().write()[0] = i as u8 + 1;
+        }
+        pool.flush().unwrap();
+        let mut txn = pool.begin_txn();
+        pool.get(0).unwrap().write()[0] = 50;
+        txn.commit();
+        assert_eq!(stored(&pool, 0), 1);
+        pool.stats().reset();
+        pool
+    }
+
+    #[test]
+    fn rollback_restores_a_page_holding_committed_unwritten_bytes() {
+        let pool = pool_with_committed_unwritten_page(2, 4);
+        let mut txn = pool.begin_txn();
+        pool.get(0).unwrap().write()[0] = 60;
+        pool.get(1).unwrap().write()[0] = 61;
+        txn.abort().unwrap();
+        assert_eq!(pool.get(0).unwrap().read()[0], 50, "committed bytes kept");
+        assert_eq!(pool.get(1).unwrap().read()[0], 2);
+        // They still owe storage, and get there at the next flush.
+        pool.flush().unwrap();
+        assert_eq!(stored(&pool, 0), 50);
+    }
+
+    #[test]
+    fn begin_txn_writes_nothing() {
+        let pool = pool_with_committed_unwritten_page(2, 4);
+        let mut txn = pool.begin_txn();
+        assert_eq!(pool.stats().physical_writes(), 0);
+        assert_eq!(stored(&pool, 0), 1);
+        assert!(
+            txn.written_pages().is_empty(),
+            "earlier writes are not this txn's"
+        );
+        txn.commit();
+    }
+
+    /// Inside a transaction, eviction may write back a committed frame
+    /// (its log record is durable) but never one the transaction wrote.
+    #[test]
+    fn eviction_in_a_txn_writes_committed_frames_never_the_txns_own() {
+        let pool = pool_with_committed_unwritten_page(4, 2);
+        let mut txn = pool.begin_txn();
+        pool.get(1).unwrap().write()[0] = 71;
+        // Page 0 (committed, owing) and page 1 (this txn's) fill the pool;
+        // the miss on page 2 can only evict page 0, writing it back.
+        pool.get(2).unwrap();
+        assert_eq!(stored(&pool, 0), 50);
+        // Now pages 1 and 2 are cached: the next miss evicts the clean 2.
+        pool.get(3).unwrap();
+        assert_eq!(pool.stats().physical_writes(), 1);
+        assert_eq!(stored(&pool, 1), 2, "the txn's frame never left");
+        txn.abort().unwrap();
+        assert_eq!(pool.get(1).unwrap().read()[0], 2);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! so stores survive process restarts.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::error::{PagerError, PagerResult};
@@ -197,10 +198,9 @@ impl FileStorage {
     /// Open without the length check — only for WAL replay, which is about
     /// to repair exactly the mismatch [`FileStorage::open`] rejects.
     pub fn open_for_repair<P: AsRef<Path>>(path: P) -> PagerResult<Self> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut header = [0u8; HEADER_LEN as usize];
-        file.seek(SeekFrom::Start(0))?;
-        file.read_exact(&mut header)?;
+        file.read_exact_at(&mut header, 0)?;
         if &header[..8] != FILE_MAGIC {
             return Err(PagerError::Corrupt("bad magic in storage file".into()));
         }
@@ -225,23 +225,29 @@ impl FileStorage {
     }
 
     fn persist_page_count(&mut self) -> PagerResult<()> {
-        self.file.seek(SeekFrom::Start(12))?;
-        self.file.write_all(&self.page_count.to_le_bytes())?;
+        self.file.write_all_at(&self.page_count.to_le_bytes(), 12)?;
         Ok(())
     }
 
-    /// Force the page count during WAL replay (may grow past pages that were
-    /// never materialized — they read as zeros until their images land).
+    /// Force the page count during WAL replay: the file is cut or grown to
+    /// exactly `count` pages (grown pages read as zeros until their images
+    /// land) and the header says so, all unsynced until
+    /// [`FileStorage::sync_replayed`].
     pub(crate) fn set_page_count_for_replay(&mut self, count: u32) -> PagerResult<()> {
         self.page_count = count;
         let want = self.offset_of(count);
-        if self.file_len > want {
-            // The crash happened after pages past the committed count were
-            // materialized (an interrupted later transaction): drop them.
+        if self.file_len != want {
             self.file.set_len(want)?;
             self.file_len = want;
         }
-        Ok(())
+        self.persist_page_count()
+    }
+
+    /// One fsync after replay: the page count, the extent and the pages it
+    /// wrote become durable together (the log still holds all of them, so
+    /// no ordering inside is needed).
+    pub(crate) fn sync_replayed(&mut self) -> PagerResult<()> {
+        Ok(self.file.sync_data()?)
     }
 }
 
@@ -267,9 +273,8 @@ impl Storage for FileStorage {
             buf.fill(0);
             return Ok(());
         }
-        self.file.seek(SeekFrom::Start(off))?;
         let avail = (self.file_len - off).min(buf.len() as u64) as usize;
-        self.file.read_exact(&mut buf[..avail])?;
+        self.file.read_exact_at(&mut buf[..avail], off)?;
         buf[avail..].fill(0);
         Ok(())
     }
@@ -282,8 +287,7 @@ impl Storage for FileStorage {
             });
         }
         let off = self.offset_of(id);
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.write_all(buf)?;
+        self.file.write_all_at(buf, off)?;
         self.file_len = self.file_len.max(off + buf.len() as u64);
         Ok(())
     }

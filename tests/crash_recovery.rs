@@ -21,7 +21,7 @@
 //!    never sees a stale summary after recovery.
 //!
 //! The only ambiguity is a crash *after* a transaction's commit record is
-//! fsynced but before its pages are applied: the transaction is durable,
+//! fsynced but before the operation returns: the transaction is durable,
 //! so recovery replays it. The harness therefore accepts either the state
 //! before or after the in-flight operation — but whichever it is, every
 //! query must agree on it.
@@ -31,6 +31,7 @@
 //! own; set `NOK_FAILPOINT_FULL=1` to sweep every k.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nok_core::naive::NaiveEvaluator;
@@ -82,9 +83,14 @@ fn render(items: &Mirror) -> String {
     s
 }
 
-/// Operations in the sweep's script: at ~29 KB of log a commit, the ones
-/// after [`FLUSH_AFTER`] outgrow the checkpoint threshold (1 MiB) once.
+/// Operations in the sweep's script. Every insert stores a value of
+/// [`VAL_BYTES`], which its log record carries as a data-file append: the
+/// ~30 inserts after [`FLUSH_AFTER`] outgrow the checkpoint threshold
+/// (1 MiB) once.
 const OPS: usize = 60;
+
+/// Size of the `val` text of every inserted item.
+const VAL_BYTES: usize = 40 << 10;
 
 /// The sweep calls `flush()` after this many operations.
 const FLUSH_AFTER: usize = 15;
@@ -92,12 +98,19 @@ const FLUSH_AFTER: usize = 15;
 /// Operations the torn-tail test commits before the one it tears.
 const TORN_OPS: usize = 12;
 
+/// The `name` and `val` texts op `i` inserts (a unique multi-KiB `val`).
+fn item_of(i: usize) -> (String, String) {
+    let pad = char::from(b'a' + (i % 26) as u8);
+    let val = format!("v{}-{}", 100 + i, pad.to_string().repeat(VAL_BYTES));
+    (format!("n{}", 100 + i), val)
+}
+
 /// Apply op `i` to the mirror.
 fn mirror_op(items: &mut Mirror, i: usize) {
     if i % 3 == 2 && !items.is_empty() {
         items.remove(0);
     } else {
-        items.push((format!("n{}", 100 + i), format!("v{}", 100 + i)));
+        items.push(item_of(i));
     }
 }
 
@@ -110,7 +123,7 @@ fn db_op<S: nok_pager::Storage>(
     if i % 3 == 2 && len > 0 {
         db.delete_subtree(&Dewey::from_components(vec![0, 0]))?;
     } else {
-        let (n, v) = (format!("n{}", 100 + i), format!("v{}", 100 + i));
+        let (n, v) = item_of(i);
         db.insert_last_child(
             &Dewey::root(),
             &format!("<item><name>{n}</name><val>{v}</val></item>"),
@@ -456,49 +469,61 @@ fn torn_or_garbage_wal_tails_recover_to_committed_state() {
 // What a commit costs, counted
 // ---------------------------------------------------------------------
 
-/// A [`FileStorage`] that counts its syncs.
-struct SyncCounted(FileStorage, Arc<std::sync::atomic::AtomicU64>);
+/// A [`FileStorage`] that counts its page writes and its syncs.
+struct Counted {
+    inner: FileStorage,
+    writes: Arc<AtomicU64>,
+    syncs: Arc<AtomicU64>,
+}
 
-impl nok_pager::Storage for SyncCounted {
+impl nok_pager::Storage for Counted {
     fn page_size(&self) -> usize {
-        self.0.page_size()
+        self.inner.page_size()
     }
     fn page_count(&self) -> u32 {
-        self.0.page_count()
+        self.inner.page_count()
     }
     fn read_page(&mut self, id: u32, buf: &mut [u8]) -> nok_pager::PagerResult<()> {
-        self.0.read_page(id, buf)
+        self.inner.read_page(id, buf)
     }
     fn write_page(&mut self, id: u32, buf: &[u8]) -> nok_pager::PagerResult<()> {
-        self.0.write_page(id, buf)
+        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.inner.write_page(id, buf)
     }
     fn allocate_page(&mut self) -> nok_pager::PagerResult<u32> {
-        self.0.allocate_page()
+        self.inner.allocate_page()
     }
     fn sync(&mut self) -> nok_pager::PagerResult<()> {
-        self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.0.sync()
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        self.inner.sync()
     }
     fn truncate_pages(&mut self, count: u32) -> nok_pager::PagerResult<()> {
-        self.0.truncate_pages(count)
+        self.inner.truncate_pages(count)
     }
 }
 
-/// Below the checkpoint threshold a commit is one append to the log — one
-/// write, one fsync, the commit point — and no sync of any home file; the
-/// commit that finds the log past the threshold checkpoints, once, and
-/// leaves a log back at its baseline. Counts, not timings.
+/// The budget of a storm-shaped commit — a six-node record inserted, then
+/// deleted again, each a transaction: below the checkpoint threshold it is
+/// one append to the log — one write, one fsync, the commit point — and
+/// nothing else durable: no home-file page written, no home file synced.
+/// Once the pages it dirties have had their first touch since the
+/// checkpoint, that append is at most 16 KiB. The commit that finds the log
+/// past the threshold checkpoints, once: it writes the pages back, syncs
+/// each component, and leaves a log back at its baseline. Counts and bytes,
+/// not timings.
 #[test]
 fn a_commit_is_one_log_append_until_the_log_is_due_a_checkpoint() {
     use nok_core::LockDataFile;
-    use std::sync::atomic::{AtomicU64, Ordering};
     let dir = make_pristine("commit-io");
     let baseline_len = std::fs::metadata(dir.join("wal.log")).expect("wal").len();
-    let syncs = Arc::new(AtomicU64::new(0));
-    let wrap = Arc::clone(&syncs);
-    let mut db =
-        XmlDb::<SyncCounted>::open_dir_with(&dir, 256, move |s| SyncCounted(s, Arc::clone(&wrap)))
-            .expect("open counted");
+    let (writes, syncs) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let (w, y) = (Arc::clone(&writes), Arc::clone(&syncs));
+    let mut db = XmlDb::<Counted>::open_dir_with(&dir, 256, move |inner| Counted {
+        inner,
+        writes: Arc::clone(&w),
+        syncs: Arc::clone(&y),
+    })
+    .expect("open counted");
     // One counting plan for the log's mutating I/O (an append is one, a
     // checkpoint two), one for the data file's (appends, tombstones, syncs).
     let (log_ios, data_ios) = (FailPlan::counting(), FailPlan::counting());
@@ -507,26 +532,45 @@ fn a_commit_is_one_log_append_until_the_log_is_due_a_checkpoint() {
         .lock_data()
         .set_failpoint(Arc::clone(&data_ios));
     let wal_len = || std::fs::metadata(dir.join("wal.log")).expect("wal").len();
+    // Five values the document has not seen, so an insert appends five
+    // records and its delete tombstones all five.
+    let record = |k: usize| {
+        format!("<item><name>s{k}</name><val>w{k}</val><a>a{k}</a><b>b{k}</b><c>c{k}</c></item>")
+    };
+    let storm = Dewey::from_components(vec![0, 10]);
 
     let mut commits = 0;
     loop {
         let (len0, log0, data0) = (wal_len(), log_ios.count(), data_ios.count());
-        // An insert of two values the document has not seen.
-        db_op(&mut db, 3 * commits, 0).expect("insert");
+        if commits % 2 == 0 {
+            db.insert_last_child(&Dewey::root(), &record(commits / 2))
+                .expect("insert");
+        } else {
+            db.delete_subtree(&storm).expect("delete");
+        }
         commits += 1;
         let (log, data) = (log_ios.count() - log0, data_ios.count() - data0);
         if wal_len() > len0 {
             assert_eq!(log, 1, "one log append, and with it one fsync");
-            assert_eq!(data, 2, "two data-file appends and no sync");
+            assert_eq!(data, 5, "five data-file appends or tombstones, no sync");
             assert_eq!(syncs.load(Ordering::Relaxed), 0, "no home file synced");
-            assert!(commits < 1_000, "the log never reached its threshold");
+            assert_eq!(writes.load(Ordering::Relaxed), 0, "no home page written");
+            if commits > 2 {
+                let appended = wal_len() - len0;
+                assert!(appended <= 16 << 10, "commit {commits} logged {appended} B");
+            }
+            assert!(commits < 5_000, "the log never reached its threshold");
             continue;
         }
         assert!(commits > 5 && len0 <= (1 << 20), "checkpointed at {len0} B");
         assert_eq!(wal_len(), baseline_len, "baseline-only log");
         assert_eq!(log, 3, "the commit's append, then the checkpoint");
-        assert_eq!(data, 3, "two appends and the checkpoint's sync");
+        assert_eq!(data, 5 + 1, "the commit's five, then the checkpoint's sync");
         assert_eq!(syncs.load(Ordering::Relaxed), 4, "each component once");
+        assert!(
+            writes.load(Ordering::Relaxed) > 0,
+            "the checkpoint wrote pages back"
+        );
         break;
     }
     // What the checkpoint made durable needs no log.
@@ -534,6 +578,9 @@ fn a_commit_is_one_log_append_until_the_log_is_due_a_checkpoint() {
     std::fs::remove_file(dir.join("wal.log")).expect("remove wal");
     let db = XmlDb::open_dir(&dir).expect("reopen without a log");
     assert!(!db.recovery_report().expect("report").was_dirty());
-    assert_eq!(db.query("/list/item").expect("query").len(), 10 + commits);
+    assert_eq!(
+        db.query("/list/item").expect("query").len(),
+        10 + commits % 2
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
