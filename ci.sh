@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full local CI: formatting, source-analysis lint, build, tests, and an
+# Full local CI: formatting, clippy, source-analysis lint, build, tests, and an
 # integrity sweep (nokfsck) over a freshly generated corpus. Mirrors
 # .github/workflows/ci.yml so the pipeline can be reproduced offline.
 set -euo pipefail
@@ -7,6 +7,9 @@ cd "$(dirname "$0")"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+echo "==> cargo clippy (workspace, all targets)"
+cargo clippy --workspace --all-targets
 
 echo "==> cargo xtask analyze (self-test, then workspace)"
 cargo xtask analyze --self-test

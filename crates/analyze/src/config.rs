@@ -35,9 +35,9 @@ struct LockEntry {
 }
 
 /// The MVCC epoch pin (`EpochArc`/`GenerationTable` in `pager::mvcc`,
-/// acquired through `snapshot()`). Rank 0 in the hierarchy: a reader pins
-/// its generation before touching anything else, and every other lock may
-/// be taken under it. It is a refcount, not a mutex — re-entrant by design
+/// acquired through `snapshot()`). The lowest rank in the hierarchy: a
+/// reader pins its generation before touching anything else, and every
+/// other lock may be taken under it. It is a refcount, not a mutex — re-entrant by design
 /// (see `guard-across-writer` for the rule that *does* constrain it).
 pub const PAGER_MVCC_EPOCH: LockClass = LockClass {
     name: "pager.mvcc_epoch",
@@ -46,17 +46,6 @@ pub const PAGER_MVCC_EPOCH: LockClass = LockClass {
 pub const SERVE_QUEUE: LockClass = LockClass {
     name: "serve.queue",
     rank: 10,
-};
-/// The admission ring's park mutex (`AdmissionQueue.park`): taken only to
-/// sleep on / signal the eventcount condvar, never around queue data (the
-/// ring itself is lock-free).
-pub const SERVE_ADMISSION_PARK: LockClass = LockClass {
-    name: "serve.admission_park",
-    rank: 11,
-};
-pub const SERVE_SLOT: LockClass = LockClass {
-    name: "serve.slot",
-    rank: 12,
 };
 /// A binary connection's outbound queue (`OutQueue.out` in `serve::conn`):
 /// a leaf in practice — workers and the writer thread take it holding no
@@ -108,8 +97,6 @@ pub const PAGER_FRAME: LockClass = LockClass {
 pub const ALL_CLASSES: &[LockClass] = &[
     PAGER_MVCC_EPOCH,
     SERVE_QUEUE,
-    SERVE_ADMISSION_PARK,
-    SERVE_SLOT,
     SERVE_CONN_OUT,
     SERVE_PLAN_CACHE,
     CORE_DECODE_CACHE,
@@ -127,16 +114,6 @@ const LOCK_TABLE: &[LockEntry] = &[
         field: "queue",
         in_crate: Some("serve"),
         class: SERVE_QUEUE,
-    },
-    LockEntry {
-        field: "park",
-        in_crate: Some("serve"),
-        class: SERVE_ADMISSION_PARK,
-    },
-    LockEntry {
-        field: "result",
-        in_crate: Some("serve"),
-        class: SERVE_SLOT,
     },
     LockEntry {
         field: "out",
@@ -231,8 +208,6 @@ pub fn method_mode(name: &str) -> Option<AcqMode> {
 pub fn guard_returning_fn(name: &str) -> Option<LockClass> {
     match name {
         "dir_mut" => Some(CORE_DIRECTORY),
-        // The admission ring's poison-recovering park-lock helper.
-        "lock_park" => Some(SERVE_ADMISSION_PARK),
         // `db.snapshot()` / `source.snapshot()` return a pinned
         // `SnapshotGuard`-backed view: the caller holds the epoch pin for
         // as long as the binding lives.
@@ -264,9 +239,6 @@ pub const CRITICAL_ATOMICS: &[&str] = &[
     "frames", // pool occupancy accounting used by make_room
     "ctrl",  // EpochArc control word: pin registration vs swing
     "debt",  // EpochArc repaid-pin counter gating slot reclamation
-    "enqueue_pos", // admission ring producer cursor (Vyukov MPMC)
-    "dequeue_pos", // admission ring consumer cursor (Vyukov MPMC)
-    "sleepers", // admission eventcount register: SeqCst on both sides
 ];
 
 /// The seqlock generation field: reads of it participate in the
@@ -425,23 +397,8 @@ mod tests {
 
     #[test]
     fn hierarchy_ranks_are_distinct() {
-        let all = [
-            PAGER_MVCC_EPOCH,
-            SERVE_QUEUE,
-            SERVE_ADMISSION_PARK,
-            SERVE_SLOT,
-            SERVE_CONN_OUT,
-            SERVE_PLAN_CACHE,
-            CORE_DECODE_CACHE,
-            CORE_SKIP_INDEX,
-            CORE_DIRECTORY,
-            CORE_DATA_FILE,
-            PAGER_POOL_SHARD,
-            PAGER_STORAGE,
-            PAGER_FRAME,
-        ];
-        for (i, a) in all.iter().enumerate() {
-            for b in &all[i + 1..] {
+        for (i, a) in ALL_CLASSES.iter().enumerate() {
+            for b in &ALL_CLASSES[i + 1..] {
                 assert_ne!(a.rank, b.rank, "{} vs {}", a.name, b.name);
             }
         }

@@ -320,8 +320,8 @@ fn extract(toks: &[TokenTree], krate: &str, out: &mut Vec<Event>, stmt_ctx: bool
     let mut at_stmt_start = true;
     let mut i = 0;
     while i < toks.len() {
-        match &toks[i] {
-            TokenTree::Punct(p) if p.ch == ';' && stmt_ctx => {
+        match (&toks[i], toks.get(i + 1)) {
+            (TokenTree::Punct(p), _) if p.ch == ';' && stmt_ctx => {
                 out.push(Event::EndStmt);
                 stmt_let = false;
                 stmt_var = None;
@@ -329,7 +329,7 @@ fn extract(toks: &[TokenTree], krate: &str, out: &mut Vec<Event>, stmt_ctx: bool
                 i += 1;
                 continue;
             }
-            TokenTree::Ident(id) if id.text == "let" && at_stmt_start => {
+            (TokenTree::Ident(id), _) if id.text == "let" && at_stmt_start => {
                 stmt_let = true;
                 // `let [mut] name = ...` — capture simple-ident bindings so
                 // `drop(name)` can release the guard; patterns stay None.
@@ -342,15 +342,14 @@ fn extract(toks: &[TokenTree], krate: &str, out: &mut Vec<Event>, stmt_ctx: bool
                     _ => None,
                 };
             }
-            TokenTree::Ident(id) if id.text == "unsafe" => {
+            (TokenTree::Ident(id), _) if id.text == "unsafe" => {
                 // The undocumented-unsafe rule runs on the lexical pass
                 // (comments.rs); nothing to record here.
                 let _ = id;
             }
             // `name!(...)` macro invocation.
-            TokenTree::Ident(id)
-                if matches!(toks.get(i + 1), Some(TokenTree::Punct(p)) if p.ch == '!')
-                    && matches!(toks.get(i + 2), Some(TokenTree::Group(_))) =>
+            (TokenTree::Ident(id), Some(TokenTree::Punct(p)))
+                if p.ch == '!' && matches!(toks.get(i + 2), Some(TokenTree::Group(_))) =>
             {
                 out.push(Event::MacroUse {
                     name: id.text.clone(),
@@ -364,9 +363,9 @@ fn extract(toks: &[TokenTree], krate: &str, out: &mut Vec<Event>, stmt_ctx: bool
                 continue;
             }
             // `PlanStep::` / `SeedChoice::` reference.
-            TokenTree::Ident(id)
+            (TokenTree::Ident(id), Some(TokenTree::Punct(p)))
                 if (id.text == "PlanStep" || id.text == "SeedChoice")
-                    && matches!(toks.get(i + 1), Some(TokenTree::Punct(p)) if p.ch == ':')
+                    && p.ch == ':'
                     && matches!(toks.get(i + 2), Some(TokenTree::Punct(p)) if p.ch == ':') =>
             {
                 out.push(Event::PlanOp {
@@ -375,11 +374,9 @@ fn extract(toks: &[TokenTree], krate: &str, out: &mut Vec<Event>, stmt_ctx: bool
                 });
             }
             // `name(...)`: free call, path call, or method call.
-            TokenTree::Ident(id) if matches!(toks.get(i + 1), Some(TokenTree::Group(g)) if g.delimiter == Delimiter::Parenthesis) =>
+            (TokenTree::Ident(id), Some(TokenTree::Group(args)))
+                if args.delimiter == Delimiter::Parenthesis =>
             {
-                let Some(TokenTree::Group(args)) = toks.get(i + 1) else {
-                    unreachable!()
-                };
                 let name = id.text.as_str();
                 let line = id.span.line;
                 let is_method =
@@ -426,7 +423,7 @@ fn extract(toks: &[TokenTree], krate: &str, out: &mut Vec<Event>, stmt_ctx: bool
                 at_stmt_start = false;
                 continue;
             }
-            TokenTree::Group(g) if g.delimiter == Delimiter::Brace => {
+            (TokenTree::Group(g), _) if g.delimiter == Delimiter::Brace => {
                 out.push(Event::EnterBlock);
                 extract(&g.stream.0, krate, out, true);
                 out.push(Event::ExitBlock);
@@ -449,7 +446,7 @@ fn extract(toks: &[TokenTree], krate: &str, out: &mut Vec<Event>, stmt_ctx: bool
                 i += 1;
                 continue;
             }
-            TokenTree::Group(g) if g.delimiter == Delimiter::Bracket => {
+            (TokenTree::Group(g), _) if g.delimiter == Delimiter::Bracket => {
                 // Indexing when the bracket follows an ident or a group
                 // (call result / prior index); array literals and types
                 // follow punctuation and stay silent. A preceding lifetime
@@ -474,7 +471,7 @@ fn extract(toks: &[TokenTree], krate: &str, out: &mut Vec<Event>, stmt_ctx: bool
                 at_stmt_start = false;
                 continue;
             }
-            TokenTree::Group(g) => {
+            (TokenTree::Group(g), _) => {
                 extract(&g.stream.0, krate, out, false);
                 i += 1;
                 at_stmt_start = false;

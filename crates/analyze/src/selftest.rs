@@ -112,18 +112,18 @@ const FAIL: &[FailFixture] = &[
     },
     FailFixture {
         // Leaf inversion: a connection's outbound queue (rank 13) must
-        // never be held while parking on the admission eventcount (rank 11).
-        name: "lock-order inversion (conn out-queue then admission park)",
+        // never be held while taking the admission queue (rank 10).
+        name: "lock-order inversion (conn out-queue then admission queue)",
         path: "crates/serve/src/conn.rs",
-        source: "impl OutQueue {\n    fn bad(&self, q: &AdmissionQueue) {\n        let g = lock(&self.out);\n        let p = lock_park(q);\n        let _ = (g, p);\n    }\n}\n",
+        source: "impl OutQueue {\n    fn bad(&self, q: &AdmissionQueue) {\n        let g = lock(&self.out);\n        let p = lock(&q.queue);\n        let _ = (g, p);\n    }\n}\n",
         expect: &["lock-order"],
     },
     FailFixture {
-        // The ring cursors look like counters but are part of the MPMC
-        // protocol: an unexplained Relaxed is flagged.
-        name: "relaxed on admission ring cursor",
-        path: "crates/serve/src/admission.rs",
-        source: "impl AdmissionQueue {\n    fn cursor(&self) -> usize {\n        self.enqueue_pos.load(Ordering::Relaxed)\n    }\n}\n",
+        // The service stop flag sits beside plain counters but gates
+        // admission: an unexplained Relaxed is flagged.
+        name: "relaxed on the service stop flag",
+        path: "crates/serve/src/service.rs",
+        source: "impl QueryService {\n    fn stopping(&self) -> bool {\n        self.inner.shutdown.load(Ordering::Relaxed)\n    }\n}\n",
         expect: &["atomic-ordering"],
     },
     FailFixture {
@@ -226,11 +226,11 @@ const PASS: &[PassFixture] = &[
         source: "thread_local! {\n    static T: u32 = 0;\n}\n#[cfg(test)]\nmod tests {\n    fn t() { Some(1).unwrap(); }\n}\n",
     },
     PassFixture {
-        // The eventcount shape: SeqCst sleepers check, then the park mutex
-        // taken with nothing else held.
-        name: "admission park taken alone after SeqCst sleepers check",
-        path: "crates/serve/src/admission.rs",
-        source: "impl AdmissionQueue {\n    fn wake(&self) {\n        if self.sleepers.load(Ordering::SeqCst) > 0 {\n            let g = lock_park(self);\n            let _ = g;\n        }\n    }\n}\n",
+        // Acquire stop-flag check, then the admission queue lock taken
+        // with nothing else held.
+        name: "admission queue taken alone after Acquire stop-flag check",
+        path: "crates/serve/src/service.rs",
+        source: "impl QueryService {\n    fn submit(&self) {\n        if !self.shutdown.load(Ordering::Acquire) {\n            let g = self.queue.lock();\n            let _ = g;\n        }\n    }\n}\n",
     },
     PassFixture {
         // The conn out-queue is a leaf: workers push completed frames under

@@ -2,6 +2,8 @@
 //! reference `BTreeMap<Vec<u8>, Vec<Vec<u8>>>` (multimap) under arbitrary
 //! operation sequences, across page sizes.
 
+#![cfg(test)]
+
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;

@@ -67,12 +67,11 @@ pub struct XmlDb<S: Storage> {
 }
 
 /// Collects node/value records during the build for index construction.
-#[derive(Default)]
 struct IndexSink {
     nodes: Vec<NodeRecord>,
     /// `(dewey, data-file offset, len)` per valued node, in close order.
     values: Vec<(Dewey, u64, u32)>,
-    data: Option<DataFile>,
+    data: DataFile,
 }
 
 impl BuildSink for IndexSink {
@@ -81,10 +80,9 @@ impl BuildSink for IndexSink {
     }
 
     fn value(&mut self, dewey: &Dewey, text: &str) {
-        let data = self.data.as_mut().expect("data file present during build");
         // Data-file errors are deferred: an in-memory put cannot fail, and
         // file-backed puts surface their error on the next sync.
-        if let Ok((off, len)) = data.put(text) {
+        if let Ok((off, len)) = self.data.put(text) {
             self.values.push((dewey.clone(), off, len));
         }
     }
@@ -364,7 +362,7 @@ impl<S: Storage> XmlDb<S> {
         let mut sink = IndexSink {
             nodes: Vec::new(),
             values: Vec::new(),
-            data: Some(data),
+            data,
         };
         let store = StructStore::build(
             struct_pool,
@@ -373,8 +371,7 @@ impl<S: Storage> XmlDb<S> {
             opts,
             &mut sink,
         )?;
-        let mut data = sink.data.take().expect("data file retained");
-        data.sync()?;
+        sink.data.sync()?;
 
         // ---- B+i: dewey → IdRecord, bulk-loaded in document (= key) order.
         let mut value_by_dewey: Vec<(Vec<u8>, (u64, u32))> = sink
@@ -435,7 +432,7 @@ impl<S: Storage> XmlDb<S> {
         // ---- B+v: value hash → dewey key.
         let mut val_pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(sink.values.len());
         for (dewey, off, _len) in &sink.values {
-            let text = data.get_record(*off)?;
+            let text = sink.data.get_record(*off)?;
             val_pairs.push((hash_key(&text).to_vec(), dewey.to_key()));
         }
         val_pairs.sort_by(|a, b| a.0.cmp(&b.0));
@@ -459,12 +456,12 @@ impl<S: Storage> XmlDb<S> {
                 (bt_val.root_page(), bt_val.len()),
                 (bt_id.root_page(), bt_id.len()),
             ],
-            data.len_bytes(),
+            sink.data.len_bytes(),
         );
         Ok(XmlDb {
             store,
             dict,
-            data: Arc::new(Mutex::new(data)),
+            data: Arc::new(Mutex::new(sink.data)),
             bt_tag,
             bt_val,
             bt_id,

@@ -1010,7 +1010,7 @@ mod tests {
     /// subtrees examines far fewer entries through the excess search than
     /// through the per-entry oracle, with identical page loads.
     #[test]
-    fn block_summaries_reduce_entries_examined() {
+    fn indexed_sibling_chain_examines_5x_fewer_entries() {
         let mut xml = String::from("<r>");
         for _ in 0..50 {
             xml.push_str("<s>");

@@ -107,11 +107,13 @@ impl Dewey {
         }
     }
 
-    /// Id of the next sibling.
+    /// Id of the next sibling. The empty id (the document node, which has
+    /// no siblings) comes back unchanged.
     pub fn next_sibling(&self) -> Dewey {
         let mut d = self.clone();
-        let last = d.components_mut().last_mut().expect("dewey is never empty");
-        *last += 1;
+        if let Some(last) = d.components_mut().last_mut() {
+            *last += 1;
+        }
         d
     }
 

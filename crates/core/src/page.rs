@@ -565,7 +565,7 @@ mod tests {
     /// The superblock byte and the name `nokbench` reports are part of the
     /// on-disk and report formats: pin both.
     #[test]
-    fn backend_format_bytes_round_trip() {
+    fn format_byte_and_reported_name_are_pinned() {
         assert_eq!(FORMAT_BYTE, 1);
         assert_eq!(format!("{:?}", Succinct), "Succinct");
     }

@@ -51,11 +51,12 @@ struct DeweyWalker {
 }
 
 impl DeweyWalker {
-    /// Seed a walker positioned just *after* the open of the node with
-    /// components `c` (i.e. about to read its first child or its close).
-    fn after_open(c: &[u32]) -> DeweyWalker {
+    /// Seed a walker positioned inside the node with components `c`, after
+    /// its first `consumed` children (about to read its next child or its
+    /// close).
+    fn after_children(c: &[u32], consumed: u32) -> DeweyWalker {
         let mut counters: Vec<u32> = c.iter().map(|&x| x + 1).collect();
-        counters.push(0);
+        counters.push(consumed);
         DeweyWalker {
             path: c.to_vec(),
             counters,
@@ -128,9 +129,7 @@ impl<S: Storage> XmlDb<S> {
         let mut new_nodes: Vec<(Dewey, TagCode, u16, usize)> = Vec::new(); // (.., rel entry idx)
         let mut new_values: Vec<(Dewey, String)> = Vec::new();
         {
-            let mut walker = DeweyWalker::after_open(parent.components());
-            // Pretend n_children children were already consumed.
-            *walker.counters.last_mut().expect("nonempty") = n_children;
+            let mut walker = DeweyWalker::after_children(parent.components(), n_children);
             let mut text_stack: Vec<String> = Vec::new();
             let mut roots = 0;
             for ev in nok_xml::Reader::content_only(fragment_xml) {
@@ -270,22 +269,22 @@ impl<S: Storage> XmlDb<S> {
     }
 
     fn delete_subtree_inner(&mut self, target: &Dewey) -> CoreResult<u64> {
-        if target.level() <= 1 {
-            return Err(CoreError::InvalidUpdate(
-                "cannot delete the document root".into(),
-            ));
-        }
+        let (parent_comps, target_idx) = match target.components() {
+            [parent @ .., idx] if !parent.is_empty() => (parent, *idx),
+            _ => {
+                return Err(CoreError::InvalidUpdate(
+                    "cannot delete the document root".into(),
+                ))
+            }
+        };
         let addr = self.resolve(target)?;
         let close = cursor::subtree_close(&self.store, addr)?;
         let parent_level = target.level() - 1;
-        let target_idx = *target.components().last().expect("non-root");
 
         // ---- Enumerate the deleted region (A): every node in the subtree.
         let mut removed: Vec<(Dewey, TagCode, u16, NodeAddr)> = Vec::new();
         {
-            let mut walker =
-                DeweyWalker::after_open(&target.components()[..target.components().len() - 1]);
-            *walker.counters.last_mut().expect("nonempty") = target_idx;
+            let mut walker = DeweyWalker::after_children(parent_comps, target_idx);
             let mut cur = Some(addr);
             let end_lin = self.store.lin(close)?;
             while let Some(a) = cur {
@@ -312,9 +311,7 @@ impl<S: Storage> XmlDb<S> {
         // Root chain of the target's parent, resolved before any index is
         // mutated; the synopsis decrements below extend it with each
         // removed node's subtree-relative tag stack.
-        let mut chain = self.ancestor_tag_chain(&Dewey::from_slice(
-            &target.components()[..target.components().len() - 1],
-        ))?;
+        let mut chain = self.ancestor_tag_chain(&Dewey::from_slice(parent_comps))?;
 
         // ---- Physical removal, page by page.
         let region_pages = self.pages_between(addr.page, close.page)?;
@@ -449,7 +446,11 @@ impl<S: Storage> XmlDb<S> {
         let mut r = self.store.rank(from)?;
         let end = self.store.rank(to)?;
         while r <= end {
-            out.push(self.store.dir_at(r).expect("rank valid").id);
+            let entry = self
+                .store
+                .dir_at(r)
+                .ok_or_else(|| CoreError::Corrupt(format!("directory rank {r} out of range")))?;
+            out.push(entry.id);
             r += 1;
         }
         Ok(out)
@@ -466,9 +467,9 @@ impl<S: Storage> XmlDb<S> {
     ) -> CoreResult<Vec<Touched>> {
         let mut out = Vec::new();
         let comps = target.components();
-        let mut walker = DeweyWalker::after_open(&comps[..comps.len() - 1]);
         // Old numbering: the deleted child was consumed.
-        *walker.counters.last_mut().expect("nonempty") = comps[comps.len() - 1] + 1;
+        let mut walker =
+            DeweyWalker::after_children(&comps[..comps.len() - 1], comps[comps.len() - 1] + 1);
 
         let close_page_decoded = self.store.decoded(close.page)?;
         let close_page_len = close_page_decoded.len();
@@ -602,8 +603,7 @@ impl<S: Storage> XmlDb<S> {
         close: NodeAddr,
         tail: &[Entry],
     ) -> CoreResult<Vec<(usize, Dewey, TagCode, u16)>> {
-        let mut walker = DeweyWalker::after_open(parent.components());
-        *walker.counters.last_mut().expect("nonempty") = consumed_children;
+        let mut walker = DeweyWalker::after_children(parent.components(), consumed_children);
         let decoded = self.store.decoded(close.page)?;
         let mut out = Vec::new();
         for (rel, entry) in tail.iter().enumerate() {
@@ -686,10 +686,10 @@ impl<S: Storage> XmlDb<S> {
             } else {
                 old_next
             };
-            if ci > 0 {
+            if let Some(prev) = prev_page {
                 // Insert the fresh page into the in-memory directory.
                 self.store.dir_mut().insert_after(
-                    prev_page.expect("not first"),
+                    prev,
                     DirEntry {
                         id: *pid,
                         st: running_st,
@@ -1135,7 +1135,7 @@ mod tests {
     }
 
     #[test]
-    fn updates_work_on_succinct_backend() {
+    fn updates_split_the_chain_at_the_smallest_page_size() {
         // Same insert/delete exercises as above, at the smallest page size:
         // place_entries must budget in encoded bytes and split the chain.
         let opts = crate::store::BuildOptions::default();

@@ -200,32 +200,34 @@ impl DataFile {
     /// live ones by hash, tombstoned ones as dead hashes. A file that does
     /// not end on a record boundary is [`CoreError::Corrupt`].
     fn table(&mut self) -> CoreResult<&mut Dedup> {
-        if self.dedup.is_none() {
-            let mut bytes = vec![0u8; self.len as usize];
-            self.read_exact_at(0, &mut bytes)?;
-            let mut table = Dedup::default();
-            let mut p = 0usize;
-            while p < bytes.len() {
-                let record = bytes.get(p..p + 4).and_then(|header| {
-                    let raw = u32::from_le_bytes(header.try_into().ok()?);
-                    let len = (raw & !DEAD_BIT) as usize;
-                    Some((raw, bytes.get(p + 4..p + 4 + len)?))
-                });
-                let Some((raw, payload)) = record else {
-                    return Err(CoreError::Corrupt("truncated data-file record".into()));
-                };
-                if let Ok(s) = std::str::from_utf8(payload) {
-                    if raw & DEAD_BIT != 0 {
-                        table.dead.insert(hash_value(s));
-                    } else {
-                        table.insert(hash_value(s), p as u64);
+        match self.dedup {
+            Some(ref mut table) => Ok(table),
+            None => {
+                let mut bytes = vec![0u8; self.len as usize];
+                self.read_exact_at(0, &mut bytes)?;
+                let mut table = Dedup::default();
+                let mut p = 0usize;
+                while p < bytes.len() {
+                    let record = bytes.get(p..p + 4).and_then(|header| {
+                        let raw = u32::from_le_bytes(header.try_into().ok()?);
+                        let len = (raw & !DEAD_BIT) as usize;
+                        Some((raw, bytes.get(p + 4..p + 4 + len)?))
+                    });
+                    let Some((raw, payload)) = record else {
+                        return Err(CoreError::Corrupt("truncated data-file record".into()));
+                    };
+                    if let Ok(s) = std::str::from_utf8(payload) {
+                        if raw & DEAD_BIT != 0 {
+                            table.dead.insert(hash_value(s));
+                        } else {
+                            table.insert(hash_value(s), p as u64);
+                        }
                     }
+                    p += 4 + payload.len();
                 }
-                p += 4 + payload.len();
+                Ok(self.dedup.insert(table))
             }
-            self.dedup = Some(table);
         }
-        Ok(self.dedup.as_mut().expect("built above"))
     }
 
     /// Route this file's mutating I/O through a fault-injection plan; the

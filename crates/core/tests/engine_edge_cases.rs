@@ -1,6 +1,8 @@
 //! Edge-case battery for the query engine, beyond the oracle comparisons:
 //! unusual documents, pathological patterns, and strategy interactions.
 
+#![cfg(test)]
+
 use nok_core::naive::NaiveEvaluator;
 use nok_core::{QueryOptions, StartStrategy, StrategyUsed, XmlDb};
 use nok_xml::Document;

@@ -3,6 +3,8 @@
 //! intervals must be properly nested, and the level arrays must satisfy the
 //! paper's invariants.
 
+#![cfg(test)]
+
 use std::sync::Arc;
 
 use proptest::prelude::*;

@@ -2,6 +2,8 @@
 //! allocations, reads, writes, pins and cache clears, page contents must
 //! match a flat reference model, for any pool capacity.
 
+#![cfg(test)]
+
 use proptest::prelude::*;
 
 use nok_pager::{BufferPool, MemStorage, PageHandle, PagerError};

@@ -1,280 +1,104 @@
-//! Bounded MPMC admission queue with batch draining.
+//! Bounded admission queue: a `Mutex<VecDeque>` plus one `Condvar`.
 //!
-//! The service's original admission path was a `Mutex<VecDeque>` plus a
-//! `Condvar`: every submit took the lock, every worker wakeup took the lock,
-//! and at high connection counts the lock became a convoy — profile-visible
-//! precisely when the worker pool had cores to spare. This replaces it with
-//! a fixed-size array queue in the style of Dmitry Vyukov's bounded MPMC
-//! ring:
-//!
-//! * each cell carries a **sequence number** that encodes, relative to the
-//!   two monotone positions, whether the cell is empty, full, or being
-//!   operated on by another thread;
-//! * producers claim a cell with one CAS on `enqueue_pos` and *fail fast*
-//!   ([`PushError::Full`]) when the ring is at capacity — overload degrades
-//!   by rejecting, exactly as before;
-//! * consumers claim cells with one CAS each and **drain in batches**
-//!   ([`AdmissionQueue::pop_wait_batch`]): a woken worker keeps popping
-//!   until its batch is full or the ring is empty, so one wakeup amortizes
-//!   across many jobs instead of paying a lock handoff per job.
-//!
-//! Parking uses a `Mutex<()>`/`Condvar` pair **only when a worker has seen
-//! the ring empty** — the hot path (non-empty ring, running workers) never
-//! touches it. The sleeper gauge is the classic eventcount handshake:
-//! a worker registers as a sleeper (SeqCst RMW) *before* its final empty
-//! re-check, and a producer publishes its item *before* loading the gauge
-//! (SeqCst fence in between); in the single total order one of the two
-//! always observes the other, so wakeups cannot be lost.
+//! Producers fail fast ([`PushError::Full`]) at capacity, so overload
+//! degrades by rejecting; workers block in [`AdmissionQueue::pop_wait`]
+//! until a job arrives or the queue is closed. One lock guards the items
+//! and the closed flag together, so a push and a close can never race a
+//! waiter's empty check.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
-    /// The ring is at capacity; the value is handed back.
+    /// The queue is at capacity; the value is handed back.
     Full(T),
     /// The queue has been closed; the value is handed back.
     Closed(T),
 }
 
-struct Cell<T> {
-    /// Cell state, relative to the positions: `seq == pos` means free for
-    /// the producer claiming `pos`; `seq == pos + 1` means occupied for the
-    /// consumer claiming `pos`; anything else means another thread is one
-    /// lap ahead or mid-operation.
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
+struct State<T> {
+    items: VecDeque<T>,
+    closed: bool,
 }
 
-/// A bounded MPMC queue. `T: Send` is enough for the queue to be shared:
-/// every value is moved in by exactly one producer and moved out by exactly
-/// one consumer, with the cell's sequence number serializing the two.
+/// A bounded MPMC queue.
 pub struct AdmissionQueue<T> {
-    cells: Box<[Cell<T>]>,
-    /// Capacity as configured (the ring itself is the next power of two;
-    /// producers bound themselves by this number).
+    queue: Mutex<State<T>>,
+    ready: Condvar,
     cap: usize,
-    mask: usize,
-    enqueue_pos: AtomicUsize,
-    dequeue_pos: AtomicUsize,
-    closed: AtomicBool,
-    /// Workers currently parked (or committing to park). SeqCst on both
-    /// sides of the eventcount handshake; see module docs.
-    sleepers: AtomicUsize,
-    park: Mutex<()>,
-    cv: Condvar,
-}
-
-// SAFETY: the seq protocol gives each value exactly one producer-writer and
-// exactly one consumer-reader, with a Release/Acquire pair on `seq`
-// ordering the hand-off, so `&AdmissionQueue<T>` shares when `T: Send`.
-unsafe impl<T: Send> Sync for AdmissionQueue<T> {}
-// SAFETY: moving the queue moves the owned cells; values are `T: Send`.
-unsafe impl<T: Send> Send for AdmissionQueue<T> {}
-
-fn lock_park<'a, T>(q: &'a AdmissionQueue<T>) -> MutexGuard<'a, ()> {
-    q.park.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl<T> AdmissionQueue<T> {
     /// A queue admitting at most `cap` items (`cap` is clamped to at least
-    /// 1; the backing ring is the next power of two).
+    /// 1).
     pub fn new(cap: usize) -> Self {
         let cap = cap.max(1);
-        let ring = cap.next_power_of_two();
         AdmissionQueue {
-            cells: (0..ring)
-                .map(|i| Cell {
-                    seq: AtomicUsize::new(i),
-                    value: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect(),
+            queue: Mutex::new(State {
+                items: VecDeque::with_capacity(cap),
+                closed: false,
+            }),
+            ready: Condvar::new(),
             cap,
-            mask: ring - 1,
-            enqueue_pos: AtomicUsize::new(0),
-            dequeue_pos: AtomicUsize::new(0),
-            closed: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            cv: Condvar::new(),
         }
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
+    fn state(&self) -> MutexGuard<'_, State<T>> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Approximate occupancy (exact when no operation is in flight).
+    /// Items currently queued.
     pub fn len(&self) -> usize {
-        // analyze: allow(atomic-ordering): advisory occupancy estimate, not a synchronization point
-        let tail = self.enqueue_pos.load(Ordering::Relaxed);
-        // analyze: allow(atomic-ordering): advisory occupancy estimate, not a synchronization point
-        let head = self.dequeue_pos.load(Ordering::Relaxed);
-        tail.saturating_sub(head)
+        self.state().items.len()
     }
 
-    /// Whether the queue is (approximately) empty.
+    /// Whether no item is queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Whether [`AdmissionQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-
     /// Non-blocking push; fails fast when the queue is full or closed.
     pub fn push(&self, value: T) -> Result<(), PushError<T>> {
-        if self.is_closed() {
+        let mut s = self.state();
+        if s.closed {
             return Err(PushError::Closed(value));
         }
-        // analyze: allow(atomic-ordering): cursor hint only; publication rides the cell seq (Acquire/Release)
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            // Bound by the *configured* capacity, which may be below the
-            // power-of-two ring size.
-            // analyze: allow(atomic-ordering): capacity check is advisory; a stale read fails conservatively
-            if pos.saturating_sub(self.dequeue_pos.load(Ordering::Relaxed)) >= self.cap {
-                return Err(PushError::Full(value));
-            }
-            // analyze: allow(serve-worker-panic): masked index is always in range
-            let cell = &self.cells[pos & self.mask];
-            let seq = cell.seq.load(Ordering::Acquire);
-            if seq == pos {
-                // analyze: allow(atomic-ordering): Vyukov MPMC — the CAS only claims the slot; the cell seq store below is the Release publication
-                match self.enqueue_pos.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS made this thread the unique owner
-                        // of cell `pos`; no reader touches it until the seq
-                        // store below publishes it.
-                        unsafe { (*cell.value.get()).write(value) };
-                        cell.seq.store(pos + 1, Ordering::Release);
-                        self.wake_one();
-                        return Ok(());
-                    }
-                    Err(cur) => pos = cur,
-                }
-            } else if seq < pos {
-                // A full lap behind: the ring is full.
-                return Err(PushError::Full(value));
-            } else {
-                // analyze: allow(atomic-ordering): retry-loop cursor refresh; correctness rides the cell seq
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
-            }
+        if s.items.len() >= self.cap {
+            return Err(PushError::Full(value));
         }
+        s.items.push_back(value);
+        drop(s);
+        self.ready.notify_one();
+        Ok(())
     }
 
     /// Non-blocking pop.
     pub fn try_pop(&self) -> Option<T> {
-        // analyze: allow(atomic-ordering): cursor hint only; the value read is guarded by the cell seq Acquire load
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
+        self.state().items.pop_front()
+    }
+
+    /// Blocking pop: waits until an item is available or the queue is
+    /// closed. Returns `None` once closed; items still queued then are
+    /// dropped with the queue, unrun.
+    pub fn pop_wait(&self) -> Option<T> {
+        let mut s = self.state();
         loop {
-            // analyze: allow(serve-worker-panic): masked index is always in range
-            let cell = &self.cells[pos & self.mask];
-            let seq = cell.seq.load(Ordering::Acquire);
-            if seq == pos + 1 {
-                // analyze: allow(atomic-ordering): Vyukov MPMC — the CAS only claims the slot; the Acquire seq load above synchronizes with the producer
-                match self.dequeue_pos.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS made this thread the unique consumer
-                        // of cell `pos`, and the Acquire load of `seq` saw the
-                        // producer's Release store: the value is fully written.
-                        let value = unsafe { (*cell.value.get()).assume_init_read() };
-                        cell.seq.store(pos + self.mask + 1, Ordering::Release);
-                        return Some(value);
-                    }
-                    Err(cur) => pos = cur,
-                }
-            } else if seq <= pos {
+            if s.closed {
                 return None;
-            } else {
-                // analyze: allow(atomic-ordering): retry-loop cursor refresh; correctness rides the cell seq
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
             }
+            if let Some(v) = s.items.pop_front() {
+                return Some(v);
+            }
+            s = self.ready.wait(s).unwrap_or_else(|e| e.into_inner());
         }
     }
 
-    /// Pop up to `max` items without blocking, appending to `out`. Returns
-    /// how many were taken.
-    pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut taken = 0;
-        while taken < max {
-            match self.try_pop() {
-                Some(v) => {
-                    out.push(v);
-                    taken += 1;
-                }
-                None => break,
-            }
-        }
-        taken
-    }
-
-    /// Blocking batch pop: parks until at least one item is available or
-    /// the queue is closed. Returns `false` when closed (the caller should
-    /// exit; any items still queued are intentionally abandoned, matching
-    /// shutdown semantics where pending response slots resolve to
-    /// `Shutdown`).
-    pub fn pop_wait_batch(&self, out: &mut Vec<T>, max: usize) -> bool {
-        loop {
-            if self.is_closed() {
-                return false;
-            }
-            if self.pop_batch(out, max) > 0 {
-                return true;
-            }
-            let guard = lock_park(self);
-            // Eventcount register: after this RMW, any producer that pushed
-            // before loading `sleepers` either sees us (and notifies) or
-            // pushed early enough for the re-check below to find the item.
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            if self.pop_batch(out, max) > 0 || self.is_closed() {
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                return !out.is_empty();
-            }
-            let guard = self.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            drop(guard);
-        }
-    }
-
-    /// Close the queue: pushes fail, parked workers wake and observe the
-    /// closed flag.
+    /// Close the queue: pushes fail, waiting workers wake and get `None`.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        let _guard = lock_park(self);
-        self.cv.notify_all();
-    }
-
-    fn wake_one(&self) {
-        // Publish-then-check side of the eventcount (see module docs).
-        fence(Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = lock_park(self);
-            self.cv.notify_one();
-        }
-    }
-}
-
-impl<T> Drop for AdmissionQueue<T> {
-    fn drop(&mut self) {
-        // Drain whatever was still queued so the values run their own drops
-        // (`&mut self`: no concurrent operations remain).
-        while self.try_pop().is_some() {}
+        self.state().closed = true;
+        self.ready.notify_all();
     }
 }
 
@@ -282,6 +106,7 @@ impl<T> Drop for AdmissionQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn fifo_within_a_single_thread() {
@@ -291,16 +116,16 @@ mod tests {
         }
         assert!(matches!(q.push(9), Err(PushError::Full(9))));
         assert_eq!(q.len(), 4);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out, 3), 3);
-        assert_eq!(out, vec![0, 1, 2]);
+        assert_eq!(q.pop_wait(), Some(0));
+        assert_eq!(q.try_pop(), Some(1));
+        assert_eq!(q.try_pop(), Some(2));
         assert_eq!(q.try_pop(), Some(3));
         assert_eq!(q.try_pop(), None);
     }
 
     #[test]
     fn capacity_is_bounded_below_ring_size() {
-        // cap 3 rides on a 4-cell ring; the 4th push must still fail.
+        // A non-power-of-two cap: the 4th push must fail.
         let q = AdmissionQueue::new(3);
         q.push(1).unwrap();
         q.push(2).unwrap();
@@ -315,15 +140,25 @@ mod tests {
         let q = Arc::new(AdmissionQueue::<u32>::new(8));
         let waiter = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut out = Vec::new();
-                q.pop_wait_batch(&mut out, 4)
-            })
+            std::thread::spawn(move || q.pop_wait())
         };
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(20));
         q.close();
-        assert!(!waiter.join().unwrap(), "closed queue returns false");
+        assert_eq!(waiter.join().unwrap(), None, "closed queue returns None");
         assert!(matches!(q.push(1), Err(PushError::Closed(1))));
+    }
+
+    #[test]
+    fn blocked_waiter_receives_a_later_push() {
+        let q = Arc::new(AdmissionQueue::<u32>::new(8));
+        let waiter = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop_wait())
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        q.push(7).unwrap();
+        assert_eq!(waiter.join().unwrap(), Some(7));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -338,12 +173,8 @@ mod tests {
                 let q = Arc::clone(&q);
                 let seen = Arc::clone(&seen);
                 std::thread::spawn(move || {
-                    let mut out = Vec::new();
-                    while q.pop_wait_batch(&mut out, 8) {
-                        let mut seen = seen.lock().unwrap_or_else(|e| e.into_inner());
-                        for v in out.drain(..) {
-                            seen[v] += 1;
-                        }
+                    while let Some(v) = q.pop_wait() {
+                        seen.lock().unwrap_or_else(|e| e.into_inner())[v] += 1;
                     }
                 })
             })

@@ -6,9 +6,9 @@
 //! * [`QueryService`] — a worker-pool executor whose workers serve from
 //!   pinned MVCC snapshots over the thread-safe buffer pool, with a
 //!   bounded admission queue, per-query deadlines, and aggregate metrics.
-//! * [`admission`] — the bounded MPMC ring behind the service: producers
-//!   fail fast at capacity, workers drain in batches, and the parking path
-//!   is only touched when the ring runs empty (DESIGN.md §15).
+//! * [`admission`] — the bounded queue behind the service (a
+//!   `Mutex<VecDeque>` and one `Condvar`): producers fail fast at
+//!   capacity, workers block until a job arrives.
 //! * [`binproto`] — the wire protocol spoken by the `nokd` server binary
 //!   and the `nokq` client binary (magic + opcode + request id framing):
 //!   one connection keeps many requests in flight and responses are
@@ -16,9 +16,8 @@
 //! * [`conn`] — the connection loop shared by `nokd` and the in-process
 //!   benchmarks: preamble check, per-connection response queue, batched
 //!   response writes.
-//! * [`metrics`] — lock-free counters and a log2-bucket latency histogram
-//!   (p50/p99 without per-request allocation), sharded per worker and
-//!   merged on read.
+//! * [`metrics`] — lock-free counters and one log2-bucket latency
+//!   histogram (p50/p99 without per-request allocation).
 //! * [`plan_cache`] — a bounded cache of planned queries keyed by
 //!   normalized query text; each entry is tagged with the commit
 //!   generation it was planned under and dropped individually when a
@@ -49,7 +48,7 @@ pub mod service;
 pub use admission::{AdmissionQueue, PushError};
 pub use binproto::{result_line, Request, WireMatch};
 pub use json::Json;
-pub use metrics::{LatencyHistogram, ServerMetrics, ShardedLatency};
+pub use metrics::{LatencyHistogram, ServerMetrics};
 pub use plan_cache::{normalize_query, PlanCache};
 pub use service::{QueryError, QueryService, ServiceConfig};
 

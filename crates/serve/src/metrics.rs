@@ -75,93 +75,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Histogram shards: workers record into `shards[worker % SHARDS]`, so with
-/// up to 16 workers every worker owns its shard outright and latency
-/// recording never bounces a cache line between cores. Reads merge.
-const SHARDS: usize = 16;
-
-/// A per-worker-sharded latency histogram, merged on read.
-///
-/// [`LatencyHistogram`] is already lock-free, but with every worker
-/// recording into the *same* bucket array each observation is a contended
-/// RMW on shared cache lines — measurable at high worker counts for the
-/// hottest buckets. Sharding by worker index makes recording effectively
-/// thread-private (still atomics, but uncontended ones); the read side —
-/// quantiles, mean, count for the stats endpoint — walks all shards and
-/// merges, which is the cold path. The merged view is exactly what a single
-/// shared histogram would have contained, so the stats endpoint's output
-/// shape and meaning are unchanged.
-#[derive(Debug)]
-pub struct ShardedLatency {
-    shards: [LatencyHistogram; SHARDS],
-}
-
-impl Default for ShardedLatency {
-    fn default() -> Self {
-        ShardedLatency {
-            shards: [(); SHARDS].map(|()| LatencyHistogram::default()),
-        }
-    }
-}
-
-impl ShardedLatency {
-    /// Record one observation from worker `worker` (sharded by
-    /// `worker % 16`).
-    pub fn record_shard(&self, worker: usize, latency: Duration) {
-        // analyze: allow(serve-worker-panic): index is taken modulo SHARDS
-        self.shards[worker % SHARDS].record(latency);
-    }
-
-    /// Record one observation with no worker identity (shard 0). Callers
-    /// off the worker hot path use this.
-    pub fn record(&self, latency: Duration) {
-        self.record_shard(0, latency);
-    }
-
-    /// Total observations across all shards.
-    pub fn count(&self) -> u64 {
-        self.shards.iter().map(LatencyHistogram::count).sum()
-    }
-
-    /// Mean latency in microseconds across all shards (0 when empty).
-    pub fn mean_micros(&self) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let sum: u64 = self
-            .shards
-            .iter()
-            .map(|s| s.sum_micros.load(Ordering::Relaxed))
-            .sum();
-        sum / n
-    }
-
-    /// Merged latency quantile `q` in `[0,1]`, reported as a bucket upper
-    /// bound in microseconds — identical semantics to
-    /// [`LatencyHistogram::quantile_micros`] over the union of all shards.
-    pub fn quantile_micros(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((total as f64 * q.clamp(0.0, 1.0)).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for i in 0..BUCKETS {
-            seen += self
-                .shards
-                .iter()
-                // analyze: allow(serve-worker-panic): i ranges over 0..BUCKETS
-                .map(|s| s.buckets[i].load(Ordering::Relaxed))
-                .sum::<u64>();
-            if seen >= target {
-                return 1u64 << i.min(63);
-            }
-        }
-        1u64 << (BUCKETS - 1)
-    }
-}
-
 /// Aggregate service counters, shared by every worker and connection.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
@@ -186,9 +99,8 @@ pub struct ServerMetrics {
     /// planner proved a root chain unsupported and the executor never
     /// located a starting point or touched a page.
     pub empty_proofs: AtomicU64,
-    /// End-to-end latency of successful queries (per-worker shards,
-    /// merged on read).
-    pub latency: ShardedLatency,
+    /// End-to-end latency of successful queries.
+    pub latency: LatencyHistogram,
 }
 
 impl ServerMetrics {

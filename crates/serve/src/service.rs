@@ -10,25 +10,25 @@
 //!   the worker re-pins before its next job. Pinning is lock-free, so a
 //!   concurrent writer — updating through `&mut XmlDb` while the service
 //!   reads through a [`SnapshotSource`] — never blocks the read path.
-//! * **Batched admission.** Jobs flow through a bounded lock-free MPMC
-//!   ring ([`crate::admission::AdmissionQueue`]); producers fail fast with
-//!   [`QueryError::QueueFull`] at `queue_cap`, and workers drain the ring
-//!   in batches so one wakeup amortizes across several queued jobs instead
-//!   of paying a mutex handoff per query (DESIGN.md §15).
-//! * **Two submission shapes.** [`QueryService::query_with_timeout`]
-//!   blocks the caller on a response slot — the shape in-process callers
-//!   use. [`QueryService::query_async`] hands the service a completion
-//!   callback instead, which is what lets a connection keep many requests
-//!   in flight without a thread per request.
+//! * **Admission.** Jobs flow through a bounded `Mutex<VecDeque>` queue
+//!   ([`crate::admission::AdmissionQueue`]); producers fail fast with
+//!   [`QueryError::QueueFull`] at `queue_cap`, and a worker takes one job
+//!   per pop.
+//! * **One completion path.** Every job carries a closure the worker calls
+//!   with its result. [`QueryService::query_async`] passes the caller's
+//!   closure, which is what lets a connection keep many requests in flight
+//!   without a thread per request; [`QueryService::query_with_timeout`]
+//!   passes one that sends into a one-slot channel and waits on it.
 //! * **Graceful timeout.** A query that misses its deadline returns
 //!   [`QueryError::Timeout`] to the caller; the worker thread is never
-//!   killed. If the worker was mid-evaluation, its eventual result lands in
-//!   an abandoned response slot and is dropped. Async jobs get their
-//!   deadline checked when a worker picks them up (expired-in-queue jobs
-//!   complete with `Timeout` without touching the engine).
+//!   killed. If the worker was mid-evaluation, its eventual result is sent
+//!   into a channel nobody reads and dropped. Every job's deadline is
+//!   checked when a worker picks it up (expired-in-queue jobs complete
+//!   with `Timeout` without touching the engine).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError};
+use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -38,11 +38,6 @@ use nok_pager::{GenerationStats, Storage};
 use crate::admission::{AdmissionQueue, PushError};
 use crate::metrics::ServerMetrics;
 use crate::plan_cache::{normalize_query, PlanCache};
-
-/// How many jobs one worker wakeup drains from the admission ring at most.
-/// Small enough that a batch cannot starve idle workers, large enough that
-/// a deep queue is drained with a fraction of the wakeups.
-const DRAIN_BATCH: usize = 4;
 
 /// Errors surfaced to a query submitter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,27 +90,15 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One-shot result slot: the submitting thread waits on it, the worker
-/// fills it.
-struct ResponseSlot {
-    result: Mutex<Option<Result<Vec<QueryMatch>, QueryError>>>,
-    cv: Condvar,
-}
-
-/// Where a completed job's result goes.
-enum Sink {
-    /// A blocked submitter waits on the slot.
-    Wait(Arc<ResponseSlot>),
-    /// A pipelined submitter gets called back (on the worker thread).
-    Callback(Box<dyn FnOnce(Result<Vec<QueryMatch>, QueryError>) + Send + 'static>),
-}
+/// Receives a job's result, on the worker thread that ran it.
+type Completion = Box<dyn FnOnce(Result<Vec<QueryMatch>, QueryError>) + Send>;
 
 struct Job {
     path: String,
     opts: QueryOptions,
     enqueued: Instant,
     deadline: Instant,
-    sink: Sink,
+    done: Completion,
 }
 
 struct Inner<S: Storage> {
@@ -129,10 +112,6 @@ struct Inner<S: Storage> {
     shutdown: AtomicBool,
     metrics: ServerMetrics,
     plan_cache: PlanCache,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A running query service. Dropping it shuts the workers down.
@@ -184,7 +163,7 @@ impl<S: Storage + Send + 'static> QueryService<S> {
                 let ready = Arc::clone(&ready);
                 std::thread::Builder::new()
                     .name(format!("nok-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, i, &ready))
+                    .spawn(move || worker_loop(&inner, &ready))
                     .unwrap_or_else(|e| {
                         // Thread spawn only fails on resource exhaustion at
                         // startup; surface it loudly rather than serving
@@ -220,32 +199,23 @@ impl<S: Storage + Send + 'static> QueryService<S> {
         opts: QueryOptions,
         timeout: Duration,
     ) -> Result<Vec<QueryMatch>, QueryError> {
-        let inner = &self.inner;
-        let now = Instant::now();
-        let slot = Arc::new(ResponseSlot {
-            result: Mutex::new(None),
-            cv: Condvar::new(),
-        });
-        self.submit(path, opts, now, timeout, Sink::Wait(Arc::clone(&slot)))?;
-
-        // Wait for the worker, bounded by the deadline.
-        let mut guard = lock(&slot.result);
-        while guard.is_none() {
-            let remaining = timeout.saturating_sub(now.elapsed());
-            if remaining.is_zero() {
-                inner.metrics.timed_out.fetch_add(1, Ordering::Relaxed);
-                return Err(QueryError::Timeout);
+        let (tx, rx) = sync_channel(1);
+        self.submit(
+            path,
+            opts,
+            timeout,
+            Box::new(move |r| {
+                let _ = tx.send(r);
+            }),
+        )?;
+        match rx.recv_timeout(timeout) {
+            Ok(r) => r,
+            Err(RecvTimeoutError::Timeout) => {
+                self.inner.metrics.timed_out.fetch_add(1, Ordering::Relaxed);
+                Err(QueryError::Timeout)
             }
-            let (g, _timed_out) = slot
-                .cv
-                .wait_timeout(guard, remaining)
-                .unwrap_or_else(|e| e.into_inner());
-            guard = g;
-        }
-        // The worker has delivered (take() so the slot can be dropped).
-        match guard.take() {
-            Some(r) => r,
-            None => Err(QueryError::Shutdown),
+            // The job was dropped unrun: the service shut down under it.
+            Err(RecvTimeoutError::Disconnected) => Err(QueryError::Shutdown),
         }
     }
 
@@ -267,33 +237,27 @@ impl<S: Storage + Send + 'static> QueryService<S> {
         F: FnOnce(Result<Vec<QueryMatch>, QueryError>) + Send + 'static,
     {
         let timeout = timeout.unwrap_or(self.default_timeout);
-        self.submit(
-            path,
-            opts,
-            Instant::now(),
-            timeout,
-            Sink::Callback(Box::new(on_done)),
-        )
+        self.submit(path, opts, timeout, Box::new(on_done))
     }
 
     fn submit(
         &self,
         path: &str,
         opts: QueryOptions,
-        now: Instant,
         timeout: Duration,
-        sink: Sink,
+        done: Completion,
     ) -> Result<(), QueryError> {
         let inner = &self.inner;
         if inner.shutdown.load(Ordering::Acquire) {
             return Err(QueryError::Shutdown);
         }
+        let now = Instant::now();
         let job = Job {
             path: path.to_string(),
             opts,
             enqueued: now,
             deadline: now + timeout,
-            sink,
+            done,
         };
         match inner.queue.push(job) {
             Ok(()) => {
@@ -366,7 +330,7 @@ impl<S: Storage + Send + 'static> Drop for QueryService<S> {
     }
 }
 
-fn worker_loop<S: Storage + Send + 'static>(inner: &Inner<S>, worker: usize, ready: &Barrier) {
+fn worker_loop<S: Storage + Send + 'static>(inner: &Inner<S>, ready: &Barrier) {
     // Per-worker scratch: stats vectors and the result buffer live for the
     // worker's lifetime, so steady-state queries avoid fresh allocations
     // for bookkeeping.
@@ -376,55 +340,50 @@ fn worker_loop<S: Storage + Send + 'static>(inner: &Inner<S>, worker: usize, rea
     // view per query would throw away its decode caches) and re-pinned
     // only when a commit has published a newer generation.
     let mut snap: Option<Snapshot<S>> = None;
-    let mut batch: Vec<Job> = Vec::with_capacity(DRAIN_BATCH);
     // Set up: let `start` return.
     ready.wait();
-    while inner.queue.pop_wait_batch(&mut batch, DRAIN_BATCH) {
-        inner
-            .metrics
-            .queue_depth
+    while let Some(job) = inner.queue.pop_wait() {
+        let m = &inner.metrics;
+        m.queue_depth
             .store(inner.queue.len() as u64, Ordering::Relaxed);
-        for job in batch.drain(..) {
-            let now = Instant::now();
-            if now >= job.deadline {
-                // Expired while queued: don't waste engine time on it.
-                inner.metrics.timed_out.fetch_add(1, Ordering::Relaxed);
-                deliver(job.sink, Err(QueryError::Timeout));
-                continue;
+        let result = serve_job(inner, &mut snap, &job, &mut scratch, &mut results);
+        match &result {
+            Ok(_) => {
+                m.served.fetch_add(1, Ordering::Relaxed);
+                m.latency.record(job.enqueued.elapsed());
             }
-            let current = inner.source.current_epoch();
-            if snap.as_ref().map(|s| s.epoch()) != Some(current) {
-                match inner.source.snapshot() {
-                    Ok(s) => snap = Some(s),
-                    Err(e) => {
-                        inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                        deliver(job.sink, Err(QueryError::Engine(e.to_string())));
-                        continue;
-                    }
-                }
+            Err(QueryError::Timeout) => {
+                m.timed_out.fetch_add(1, Ordering::Relaxed);
             }
-            let Some(view) = snap.as_ref() else {
-                // Unreachable: the branch above either pinned or continued.
-                deliver(job.sink, Err(QueryError::Shutdown));
-                continue;
-            };
-            let outcome = run_query(inner, view, &job, &mut scratch, &mut results);
-            match outcome {
-                Ok(()) => {
-                    inner.metrics.served.fetch_add(1, Ordering::Relaxed);
-                    inner
-                        .metrics
-                        .latency
-                        .record_shard(worker, job.enqueued.elapsed());
-                    deliver(job.sink, Ok(results.clone()));
-                }
-                Err(e) => {
-                    inner.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                    deliver(job.sink, Err(QueryError::Engine(e.to_string())));
-                }
+            Err(_) => {
+                m.failed.fetch_add(1, Ordering::Relaxed);
             }
         }
+        (job.done)(result);
     }
+}
+
+/// Answer one job on the worker's pinned snapshot, re-pinning first when a
+/// commit has published a newer generation.
+fn serve_job<S: Storage + Send + 'static>(
+    inner: &Inner<S>,
+    snap: &mut Option<Snapshot<S>>,
+    job: &Job,
+    scratch: &mut QueryScratch,
+    results: &mut Vec<QueryMatch>,
+) -> Result<Vec<QueryMatch>, QueryError> {
+    if Instant::now() >= job.deadline {
+        // Expired while queued: don't waste engine time on it.
+        return Err(QueryError::Timeout);
+    }
+    let engine = |e: nok_core::CoreError| QueryError::Engine(e.to_string());
+    let current = inner.source.current_epoch();
+    let view = match snap.take() {
+        Some(s) if s.epoch() == current => snap.insert(s),
+        _ => snap.insert(inner.source.snapshot().map_err(engine)?),
+    };
+    run_query(inner, view, job, scratch, results).map_err(engine)?;
+    Ok(results.clone())
 }
 
 /// Evaluate one job against the worker's pinned snapshot: look the plan up
@@ -463,17 +422,6 @@ fn run_query<S: Storage + Send + 'static>(
         inner.metrics.empty_proofs.fetch_add(1, Ordering::Relaxed);
     }
     Ok(())
-}
-
-fn deliver(sink: Sink, result: Result<Vec<QueryMatch>, QueryError>) {
-    match sink {
-        Sink::Wait(slot) => {
-            let mut guard = lock(&slot.result);
-            *guard = Some(result);
-            slot.cv.notify_all();
-        }
-        Sink::Callback(cb) => cb(result),
-    }
 }
 
 #[cfg(test)]

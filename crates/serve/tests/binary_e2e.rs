@@ -7,6 +7,8 @@
 //! harness runs — same canonical `path<TAB>count<TAB>dewey;...` lines,
 //! same oracle.
 
+#![cfg(test)]
+
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -1,5 +1,7 @@
 //! Process-level tests of the `nokd` and `nokq` binaries.
 
+#![cfg(test)]
+
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};

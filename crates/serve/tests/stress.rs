@@ -3,6 +3,8 @@
 //! shared buffer pool small enough that eviction actually happens, and the
 //! on-disk store must pass a strict integrity check after being hammered.
 
+#![cfg(test)]
+
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -3,6 +3,8 @@
 //! matching [`Violation::kind`] is reported (extra collateral kinds are
 //! allowed — damage cascades — but the primary class must be present).
 
+#![cfg(test)]
+
 use std::sync::Arc;
 
 use nok_core::dewey::Dewey;

@@ -1,6 +1,8 @@
 //! End-to-end tests for the `nokfsck` binary: exit codes and JSON output
 //! over real on-disk databases, including one corrupted at the file level.
 
+#![cfg(test)]
+
 use std::fs::OpenOptions;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
