@@ -212,6 +212,20 @@ pub fn truncate_to_range(buf: &mut [u8], from: usize, to: usize) {
     }
 }
 
+/// Move cells `[cut, n)` of `src` to the front of `dst` (same node type),
+/// keeping both links.
+pub fn move_tail_to_front(src: &mut [u8], dst: &mut [u8], cut: usize) {
+    let kept = snapshot_cells(dst);
+    let node_t = node_type(dst);
+    init(dst, node_t);
+    set_link(dst, kept.link);
+    copy_range(src, dst, cut, ncells(src));
+    for cell in &kept.cells {
+        append_raw(dst, cell);
+    }
+    truncate_to_range(src, 0, cut);
+}
+
 /// Copy cells `[from, to)` of `src` to the end of `dst` (same node type).
 pub fn copy_range(src: &[u8], dst: &mut [u8], from: usize, to: usize) {
     for i in from..to {

@@ -395,8 +395,7 @@ impl<S: Storage> XmlDb<S> {
                         addr: rec.addr,
                         value,
                     }
-                    .to_bytes()
-                    .to_vec(),
+                    .to_bytes(),
                 )
             })
             .collect();
@@ -407,7 +406,7 @@ impl<S: Storage> XmlDb<S> {
         let nodes = sink.nodes.iter().map(|rec| Ok((rec.tag, rec.level)));
         let synopsis = Synopsis::of_document::<CoreError>(nodes)?;
 
-        // ---- B+t: composite (tag, dewey) key → posting. Dewey keys order
+        // ---- B+t: composite (tag, dewey) key → address. Dewey keys order
         // lexicographically in document order, so sorting groups each tag
         // with its postings already in document order — and makes every key
         // unique, which is what lets updates delete one posting in place.
@@ -417,12 +416,7 @@ impl<S: Storage> XmlDb<S> {
             .map(|rec| {
                 (
                     tag_posting_key(rec.tag, &rec.dewey),
-                    TagPosting {
-                        addr: rec.addr,
-                        level: rec.level,
-                        dewey: rec.dewey.clone(),
-                    }
-                    .to_bytes(),
+                    TagPosting::value(rec.addr),
                 )
             })
             .collect();
@@ -574,7 +568,7 @@ impl<S: Storage> XmlDb<S> {
 
     /// All B+t postings for `tag`, in document order (a range scan over the
     /// composite-key prefix).
-    pub fn tag_postings(&self, tag: TagCode) -> CoreResult<Vec<Vec<u8>>> {
+    pub fn tag_postings(&self, tag: TagCode) -> CoreResult<Vec<TagPosting>> {
         use std::ops::Bound;
         let lo = tag.to_key();
         let code = u16::from_be_bytes(lo);
@@ -585,8 +579,8 @@ impl<S: Storage> XmlDb<S> {
         };
         let mut out = Vec::new();
         for item in self.bt_tag.range(Bound::Included(&lo[..]), hi)? {
-            let (_k, v) = item?;
-            out.push(v);
+            let (k, v) = item?;
+            out.push(TagPosting::decode(&k, &v)?);
         }
         Ok(out)
     }
@@ -833,10 +827,7 @@ mod tests {
         let db = XmlDb::build_in_memory(BIB).unwrap();
         let book = db.dict.lookup("book").unwrap();
         let postings = db.tag_postings(book).unwrap();
-        let deweys: Vec<String> = postings
-            .iter()
-            .map(|p| TagPosting::from_bytes(p).unwrap().dewey.to_string())
-            .collect();
+        let deweys: Vec<String> = postings.iter().map(|p| p.dewey.to_string()).collect();
         assert_eq!(deweys, vec!["0.0", "0.1"]);
     }
 
@@ -872,7 +863,7 @@ mod tests {
         // The superblock names the page format, and nothing is left of the
         // temp file it was written through.
         let sb = std::fs::read(dir.join(F_SUPER)).unwrap();
-        assert_eq!(sb, b"NOKSUPER\x00\x01\x01");
+        assert_eq!(sb, b"NOKSUPER\x00\x01\x02");
         assert!(!dir.join(format!("{F_SUPER}.tmp")).exists());
         {
             let db = XmlDb::open_dir(&dir).unwrap();
@@ -910,8 +901,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Format 0 (the retired byte-per-entry pages), an unknown format byte
-    /// and a damaged superblock are each refused by name.
+    /// Format 0 (the retired byte-per-entry pages), format 1 (fixed-width
+    /// index entries), an unknown format byte and a damaged superblock are
+    /// each refused by name.
     #[test]
     fn other_format_or_damaged_superblock_is_refused() {
         let dir = std::env::temp_dir().join(format!("nok-badsuper-{}", std::process::id()));
@@ -920,7 +912,7 @@ mod tests {
             XmlDb::create_on_disk(&dir, BIB).unwrap();
         }
         let good = std::fs::read(dir.join(F_SUPER)).unwrap();
-        for format in [0u8, 9] {
+        for format in [0u8, 1, 9] {
             let mut sb = good.clone();
             sb[10] = format;
             std::fs::write(dir.join(F_SUPER), sb).unwrap();

@@ -7,10 +7,16 @@
 //! matcher counts children as it iterates, so no node id needs to be stored
 //! in the structure.
 //!
-//! Byte encoding: each component as a 4-byte big-endian integer, so the
-//! natural lexicographic byte order of keys in the Dewey B+ tree is exactly
-//! document order (a prefix sorts before its extensions, and sibling order
-//! follows component order).
+//! Byte encoding ([`Dewey::to_key`]): each component in 1–5 bytes, the
+//! length in the high bits of the first byte (`0xxxxxxx` 1, `10xxxxxx` 2,
+//! `110xxxxx` 3, `1110xxxx` 4, `11110000` 5) and the value, less the
+//! smallest value of that length, big-endian in the rest. Longer encodings
+//! hold larger values and start with larger bytes, so the lexicographic
+//! byte order of keys in the Dewey B+ tree is exactly document order (a
+//! prefix sorts before its extensions, and sibling order follows component
+//! order). The code is prefix-free, and the bias makes it canonical: every
+//! `u32` has exactly one encoding, and every byte string decodes to at
+//! most one id.
 //!
 //! Representation: ids up to [`INLINE_CAP`] components live inline on the
 //! stack; deeper ids spill to a heap vector. Full-document scans mint one id
@@ -23,6 +29,67 @@ use std::hash::{Hash, Hasher};
 
 /// Components stored inline before spilling to the heap.
 const INLINE_CAP: usize = 8;
+
+/// Smallest component of each key-code length 1..=5: the previous
+/// length's smallest plus its 2^(7·length) payloads.
+const BIAS: [u64; 5] = [
+    0,
+    1 << 7,
+    (1 << 7) + (1 << 14),
+    (1 << 7) + (1 << 14) + (1 << 21),
+    (1 << 7) + (1 << 14) + (1 << 21) + (1 << 28),
+];
+
+/// The length mark in the high bits of a key code's first byte, by length.
+const MARK: [u8; 5] = [0x00, 0x80, 0xC0, 0xE0, 0xF0];
+
+/// Encoded length of component `c` (1..=5 bytes).
+#[inline]
+fn code_len(c: u32) -> usize {
+    BIAS[1..].iter().take_while(|&&b| u64::from(c) >= b).count() + 1
+}
+
+/// Append the key code of component `c`.
+#[inline]
+fn put_code(out: &mut Vec<u8>, c: u32) {
+    let n = code_len(c);
+    let payload = u64::from(c) - BIAS[n - 1];
+    let word = u64::from(MARK[n - 1]) << (8 * (n - 1)) | payload;
+    out.extend_from_slice(&word.to_be_bytes()[8 - n..]);
+}
+
+/// Decode the component whose code starts `key`: `(component, bytes)`.
+/// `None` for an invalid first byte, a truncated code, or a 5-byte code
+/// above `u32::MAX`.
+#[inline]
+fn get_code(key: &[u8]) -> Option<(u32, usize)> {
+    let first = *key.first()?;
+    let n = first.leading_ones() as usize + 1;
+    if n > 5 {
+        return None;
+    }
+    let code = key.get(..n)?;
+    let word = code.iter().fold(0u64, |w, &b| w << 8 | u64::from(b));
+    let payload = word & ((1 << (7 * n)) - 1);
+    let c = u32::try_from(BIAS[n - 1] + payload).ok()?;
+    Some((c, n))
+}
+
+/// The components of a key, in order, up to its end or its first
+/// malformed code.
+fn key_components(mut key: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    std::iter::from_fn(move || {
+        let (c, n) = get_code(key)?;
+        key = &key[n..];
+        Some(c)
+    })
+}
+
+/// Order a stored Dewey key against a Dewey path, by document order,
+/// without decoding the key into a [`Dewey`].
+pub fn cmp_key_path(key: &[u8], path: &[u32]) -> Ordering {
+    key_components(key).cmp(path.iter().copied())
+}
 
 #[derive(Clone)]
 enum Repr {
@@ -142,34 +209,44 @@ impl Dewey {
         a.len() < b.len() && b[..a.len()] == a[..]
     }
 
-    /// Order-preserving key bytes (4-byte big-endian components).
+    /// Append one component (the id of this node's child `c`, in place).
+    fn push(&mut self, c: u32) {
+        match &mut self.0 {
+            Repr::Inline { len, buf } if (*len as usize) < INLINE_CAP => {
+                buf[*len as usize] = c;
+                *len += 1;
+            }
+            Repr::Inline { .. } => {
+                let mut v = self.components().to_vec();
+                v.push(c);
+                self.0 = Repr::Heap(v);
+            }
+            Repr::Heap(v) => v.push(c),
+        }
+    }
+
+    /// Order-preserving, prefix-free key bytes (see the module docs).
     pub fn to_key(&self) -> Vec<u8> {
         let c = self.components();
-        let mut out = Vec::with_capacity(c.len() * 4);
+        let mut out = Vec::with_capacity(c.iter().map(|&x| code_len(x)).sum());
         for &comp in c {
-            out.extend_from_slice(&comp.to_be_bytes());
+            put_code(&mut out, comp);
         }
         out
     }
 
-    /// Inverse of [`Dewey::to_key`]. Returns `None` for malformed input.
-    pub fn from_key(key: &[u8]) -> Option<Dewey> {
-        if key.is_empty() || !key.len().is_multiple_of(4) {
+    /// Inverse of [`Dewey::to_key`]. `None` for the empty key and for any
+    /// byte string `to_key` never produces: an invalid first byte, a
+    /// truncated code, trailing bytes, or a component above `u32::MAX`.
+    pub fn from_key(mut key: &[u8]) -> Option<Dewey> {
+        if key.is_empty() {
             return None;
         }
-        let mut d = Dewey::from_slice(&[]);
-        if key.len() / 4 > INLINE_CAP {
-            d = Dewey(Repr::Heap(Vec::with_capacity(key.len() / 4)));
-        }
-        for c in key.chunks_exact(4) {
-            let comp = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
-            d = match d.0 {
-                Repr::Heap(mut v) => {
-                    v.push(comp);
-                    Dewey(Repr::Heap(v))
-                }
-                Repr::Inline { .. } => d.child(comp),
-            };
+        let mut d = Dewey::default();
+        while !key.is_empty() {
+            let (c, n) = get_code(key)?;
+            d.push(c);
+            key = &key[n..];
         }
         Some(d)
     }
@@ -294,7 +371,8 @@ mod tests {
         let d = Dewey::from_components(vec![0, 5, 1_000_000, 2]);
         assert_eq!(Dewey::from_key(&d.to_key()), Some(d));
         assert_eq!(Dewey::from_key(&[]), None);
-        assert_eq!(Dewey::from_key(&[1, 2, 3]), None);
+        // A two-byte code cut after its first byte.
+        assert_eq!(Dewey::from_key(&[1, 2, 0x80]), None);
     }
 
     #[test]
@@ -303,6 +381,60 @@ mod tests {
         let a = Dewey::root().child(255);
         let b = Dewey::root().child(256);
         assert!(a.to_key() < b.to_key());
+    }
+
+    /// Each length's first and last value, and its exact bytes.
+    #[test]
+    fn key_code_length_boundaries() {
+        let cases: [(u32, &[u8]); 10] = [
+            (0, &[0x00]),
+            (127, &[0x7f]),
+            (128, &[0x80, 0x00]),
+            (16_511, &[0xbf, 0xff]),
+            (16_512, &[0xc0, 0x00, 0x00]),
+            (2_113_663, &[0xdf, 0xff, 0xff]),
+            (2_113_664, &[0xe0, 0x00, 0x00, 0x00]),
+            (270_549_119, &[0xef, 0xff, 0xff, 0xff]),
+            (270_549_120, &[0xf0, 0x00, 0x00, 0x00, 0x00]),
+            (u32::MAX, &[0xf0, 0xefu8, 0xdf, 0xbf, 0x7f]),
+        ];
+        let mut prev: Option<Vec<u8>> = None;
+        for (c, bytes) in cases {
+            let key = Dewey::from_slice(&[c]).to_key();
+            assert_eq!(key, bytes, "component {c}");
+            assert_eq!(Dewey::from_key(&key), Some(Dewey::from_slice(&[c])));
+            assert!(
+                prev.is_none_or(|p| p < key),
+                "{c} sorts after its predecessor"
+            );
+            prev = Some(key);
+        }
+    }
+
+    /// Bytes `to_key` never writes are refused: an invalid first byte, a
+    /// 5-byte code above `u32::MAX`, a truncated code.
+    #[test]
+    fn malformed_keys_are_refused() {
+        for bad in [
+            &[0xf8][..],
+            &[0xff, 0, 0, 0, 0],
+            &[0xf1, 0, 0, 0, 0],
+            &[0xf0, 0xef, 0xdf, 0xbf, 0x80],
+            &[0xf0, 0xff, 0xff, 0xff, 0xff],
+            &[0x05, 0xe0, 0x00],
+        ] {
+            assert_eq!(Dewey::from_key(bad), None, "{bad:02x?}");
+        }
+    }
+
+    #[test]
+    fn key_path_comparison_follows_document_order() {
+        let key = Dewey::from_slice(&[0, 300, 7]).to_key();
+        assert_eq!(cmp_key_path(&key, &[0, 300, 7]), Ordering::Equal);
+        assert_eq!(cmp_key_path(&key, &[0, 300]), Ordering::Greater);
+        assert_eq!(cmp_key_path(&key, &[0, 300, 7, 0]), Ordering::Less);
+        assert_eq!(cmp_key_path(&key, &[0, 299, 9]), Ordering::Greater);
+        assert_eq!(cmp_key_path(&key, &[0, 16_600]), Ordering::Less);
     }
 
     /// Inline and heap representations must be indistinguishable: ids

@@ -48,8 +48,9 @@ pub enum SuperblockError {
     Missing,
     /// Wrong length, magic or version.
     Damaged,
-    /// A wellformed superblock naming another page format (0 is the retired
-    /// byte-per-entry encoding).
+    /// A wellformed superblock naming another format (0 is the retired
+    /// byte-per-entry page encoding, 1 the retired fixed-width index
+    /// entries).
     Format(u8),
 }
 
@@ -60,6 +61,9 @@ impl fmt::Display for SuperblockError {
             SuperblockError::Damaged => write!(f, "super.blk is damaged"),
             SuperblockError::Format(0) => {
                 write!(f, "super.blk names page format 0 (byte-per-entry pages)")
+            }
+            SuperblockError::Format(1) => {
+                write!(f, "super.blk names format 1 (fixed-width index entries)")
             }
             SuperblockError::Format(b) => write!(f, "super.blk names unknown page format {b}"),
         }
@@ -80,8 +84,8 @@ impl fmt::Display for CoreError {
             CoreError::UnsupportedFormat(why) => write!(
                 f,
                 "unsupported database format: {why}; this build reads only format {} \
-                 (bit-packed pages) and upgrades nothing in place: rebuild the \
-                 directory from its XML source",
+                 (bit-packed pages, variable-length index entries) and upgrades \
+                 nothing in place: rebuild the directory from its XML source",
                 crate::page::FORMAT_BYTE
             ),
             CoreError::InvalidUpdate(m) => write!(f, "invalid update: {m}"),

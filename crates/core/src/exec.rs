@@ -33,7 +33,7 @@ use nok_pager::Storage;
 
 use crate::build::XmlDb;
 use crate::cursor::PageWalk;
-use crate::dewey::Dewey;
+use crate::dewey::{cmp_key_path, Dewey};
 use crate::engine::{QueryMatch, QueryScratch, QueryStats};
 use crate::error::CoreResult;
 use crate::join::IntervalSet;
@@ -41,7 +41,7 @@ use crate::nok::{NokMatcher, TreeAccess};
 use crate::page::Entry;
 use crate::pattern::NameTest;
 use crate::pattern_tree::{CutKind, PNodeId, Partition, PatternTree, DOC_NODE};
-use crate::physical::{IdRecord, PhysAccess, PhysNode, TagPosting};
+use crate::physical::{IdRecord, PhysAccess, PhysNode};
 use crate::plan::{
     Explain, ExplainRow, FragmentPlan, PlanStep, PlannedQuery, QueryPlan, SeedChoice, StrategyUsed,
 };
@@ -110,13 +110,6 @@ fn cuts_hold(cuts: &[Cut<'_>], p: PNodeId, start: u64, end: u64) -> bool {
             }
             CutKind::Following => roots.last().is_some_and(|&s| s > end),
         })
-}
-
-/// Order a B+v posting (big-endian Dewey key) against a Dewey path.
-fn cmp_key_path(key: &[u8], path: &[u32]) -> Ordering {
-    key.chunks_exact(4)
-        .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-        .cmp(path.iter().copied())
 }
 
 /// A forward cursor over the document-ordered postings of one literal, for
@@ -603,16 +596,12 @@ impl<S: Storage> XmlDb<S> {
         let Some(code) = self.dict.lookup(name) else {
             return Ok(Vec::new());
         };
-        let mut postings = Vec::new();
-        for posting in self.tag_postings(code)? {
-            let p = TagPosting::from_bytes(&posting)?;
-            postings.push(PhysNode {
-                addr: p.addr,
-                dewey: p.dewey,
-            });
-        }
+        let postings = self.tag_postings(code)?.into_iter().map(|p| PhysNode {
+            addr: p.addr,
+            dewey: p.dewey,
+        });
         if lift == 0 {
-            return Ok(postings);
+            return Ok(postings.collect());
         }
         let mut out = Vec::new();
         let mut seen = std::collections::HashSet::new();

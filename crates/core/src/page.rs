@@ -34,15 +34,18 @@
 //! in-page navigation index (see the cursor module).
 //!
 //! This module is the only place that knows the encoding. The database
-//! superblock records it as [`FORMAT_BYTE`]; a directory naming any other
-//! format (0 was a byte-per-entry encoding, no longer read or written) is
-//! refused at open with [`crate::error::SuperblockError`].
+//! superblock records it, together with the index entry layout of
+//! [`crate::physical`] and [`crate::dewey`], as [`FORMAT_BYTE`]; a
+//! directory naming any other format (0 was a byte-per-entry page
+//! encoding, 1 fixed-width index entries, neither read or written any
+//! more) is refused at open with [`crate::error::SuperblockError`].
 
 use crate::sigma::TagCode;
 use crate::succinct::{read_varint, varint_len, write_varint, BitVec, PageBp};
 
-/// The byte the database superblock stores for this page format.
-pub const FORMAT_BYTE: u8 = 1;
+/// The byte the database superblock stores for this page format and the
+/// variable-length index entries.
+pub const FORMAT_BYTE: u8 = 2;
 
 /// The structure page format, as a type with exactly one value. It selects
 /// nothing: it exists so [`crate::store::BuildOptions::backend`], which
@@ -566,7 +569,7 @@ mod tests {
     /// on-disk and report formats: pin both.
     #[test]
     fn format_byte_and_reported_name_are_pinned() {
-        assert_eq!(FORMAT_BYTE, 1);
+        assert_eq!(FORMAT_BYTE, 2);
         assert_eq!(format!("{:?}", Succinct), "Succinct");
     }
 }

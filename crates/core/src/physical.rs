@@ -43,9 +43,89 @@ impl PhysNode {
     }
 }
 
+/// Append the unsigned LEB128 encoding of `v`.
+pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// Decode the unsigned LEB128 value at `b[*pos]` and advance `pos` past
+/// it. `None` for a truncated, overlong (a final `0x00` after a
+/// continuation) or over-64-bit encoding, so every value has one accepted
+/// form: the one [`write_varint`] writes.
+pub(crate) fn read_varint(b: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut v: u64 = 0;
+    for shift in (0..64).step_by(7) {
+        let byte = *b.get(*pos)?;
+        *pos += 1;
+        if shift == 63 && byte > 1 {
+            return None;
+        }
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return (byte != 0 || shift == 0).then_some(v);
+        }
+    }
+    None
+}
+
+/// Reads the varint fields of one stored index record, in order.
+struct Fields<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    what: &'static str,
+}
+
+impl Fields<'_> {
+    fn u64(&mut self) -> CoreResult<u64> {
+        read_varint(self.bytes, &mut self.pos).ok_or_else(|| {
+            CoreError::Corrupt(format!("{}: truncated or overlong varint", self.what))
+        })
+    }
+
+    fn u32(&mut self) -> CoreResult<u32> {
+        u32::try_from(self.u64()?)
+            .map_err(|_| CoreError::Corrupt(format!("{}: field exceeds u32", self.what)))
+    }
+
+    fn addr(&mut self) -> CoreResult<NodeAddr> {
+        Ok(NodeAddr {
+            page: self.u32()?,
+            entry: self.u32()?,
+        })
+    }
+
+    fn end(self) -> CoreResult<()> {
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(CoreError::Corrupt(format!(
+                "{}: {} trailing bytes",
+                self.what,
+                self.bytes.len() - self.pos
+            )))
+        }
+    }
+}
+
+fn write_addr(out: &mut Vec<u8>, addr: NodeAddr) {
+    write_varint(out, addr.page.into());
+    write_varint(out, addr.entry.into());
+}
+
 /// The record stored under each Dewey key in the **B+i** index: the node's
 /// physical address and, if it has a value, the value's location in the
 /// data file.
+///
+/// Stored as varints: page, entry, then `offset + 1` (0: no value) and,
+/// for a value, its length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdRecord {
     /// Physical address of the node.
@@ -55,85 +135,71 @@ pub struct IdRecord {
 }
 
 impl IdRecord {
-    /// Serialized size: addr(8) + flag(1) + offset(8) + len(4).
-    pub const SIZE: usize = 21;
-
     /// Encode for storage.
-    pub fn to_bytes(self) -> [u8; Self::SIZE] {
-        let mut out = [0u8; Self::SIZE];
-        out[..8].copy_from_slice(&self.addr.to_bytes());
+    pub fn to_bytes(self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(16);
+        write_addr(&mut out, self.addr);
         match self.value {
             Some((off, len)) => {
-                out[8] = 1;
-                out[9..17].copy_from_slice(&off.to_be_bytes());
-                out[17..21].copy_from_slice(&len.to_be_bytes());
+                write_varint(&mut out, off + 1);
+                write_varint(&mut out, len.into());
             }
-            None => out[8] = 0,
+            None => out.push(0),
         }
         out
     }
 
-    /// Decode from storage.
+    /// Decode from storage; anything [`IdRecord::to_bytes`] does not write
+    /// is [`CoreError::Corrupt`].
     pub fn from_bytes(b: &[u8]) -> CoreResult<IdRecord> {
-        if b.len() != Self::SIZE {
-            return Err(CoreError::Corrupt(format!(
-                "IdRecord of {} bytes (expected {})",
-                b.len(),
-                Self::SIZE
-            )));
-        }
-        let addr = NodeAddr::from_bytes(&b[..8]);
-        let value =
-            if b[8] == 1 {
-                let off =
-                    u64::from_be_bytes(b[9..17].try_into().map_err(|_| {
-                        CoreError::Corrupt("IdRecord offset field truncated".into())
-                    })?);
-                let len =
-                    u32::from_be_bytes(b[17..21].try_into().map_err(|_| {
-                        CoreError::Corrupt("IdRecord length field truncated".into())
-                    })?);
-                Some((off, len))
-            } else {
-                None
-            };
+        let mut f = Fields {
+            bytes: b,
+            pos: 0,
+            what: "IdRecord",
+        };
+        let addr = f.addr()?;
+        let value = match f.u64()? {
+            0 => None,
+            off => Some((off - 1, f.u32()?)),
+        };
+        f.end()?;
         Ok(IdRecord { addr, value })
     }
 }
 
-/// The posting stored under each tag key in the **B+t** index: address,
-/// level, and Dewey id of one occurrence (document order is preserved by
-/// the B+ tree's duplicate handling).
+/// One **B+t** entry, decoded: an occurrence's Dewey id, from the
+/// composite key ([`tag_posting_key`]), and its physical address, the
+/// value (varints page, entry). The level is the id's length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TagPosting {
     /// Physical address.
     pub addr: NodeAddr,
-    /// Node level.
-    pub level: u16,
     /// Dewey id.
     pub dewey: Dewey,
 }
 
 impl TagPosting {
-    /// Encode for storage (variable length: dewey is the tail).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(10 + self.dewey.components().len() * 4);
-        out.extend_from_slice(&self.addr.to_bytes());
-        out.extend_from_slice(&self.level.to_be_bytes());
-        out.extend_from_slice(&self.dewey.to_key());
+    /// The stored value: the address.
+    pub fn value(addr: NodeAddr) -> Vec<u8> {
+        let mut out = Vec::with_capacity(8);
+        write_addr(&mut out, addr);
         out
     }
 
-    /// Decode from storage.
-    pub fn from_bytes(b: &[u8]) -> CoreResult<TagPosting> {
-        if b.len() < 14 {
-            return Err(CoreError::Corrupt("short tag posting".into()));
-        }
-        let addr = NodeAddr::from_bytes(&b[..8]);
-        let level = u16::from_be_bytes([b[8], b[9]]);
-        let dewey = Dewey::from_key(&b[10..])
-            .ok_or_else(|| CoreError::Corrupt("bad dewey in tag posting".into()))?;
-        Ok(TagPosting { addr, level, dewey })
+    /// Decode one stored `(key, value)` entry.
+    pub fn decode(key: &[u8], value: &[u8]) -> CoreResult<TagPosting> {
+        let dewey = key
+            .get(2..)
+            .and_then(Dewey::from_key)
+            .ok_or_else(|| CoreError::Corrupt("bad Dewey key in tag posting".into()))?;
+        let mut f = Fields {
+            bytes: value,
+            pos: 0,
+            what: "tag posting",
+        };
+        let addr = f.addr()?;
+        f.end()?;
+        Ok(TagPosting { addr, dewey })
     }
 }
 
@@ -323,18 +389,79 @@ mod tests {
             addr: NodeAddr { page: 0, entry: 0 },
             value: None,
         };
+        assert_eq!(no_val.to_bytes(), [0, 0, 0]);
         assert_eq!(IdRecord::from_bytes(&no_val.to_bytes()).unwrap(), no_val);
-        assert!(IdRecord::from_bytes(&[0u8; 5]).is_err());
+        let widest = IdRecord {
+            addr: NodeAddr {
+                page: u32::MAX,
+                entry: u32::MAX,
+            },
+            value: Some((u64::MAX - 1, u32::MAX)),
+        };
+        assert_eq!(IdRecord::from_bytes(&widest.to_bytes()).unwrap(), widest);
+    }
+
+    /// Only the bytes `to_bytes` writes decode: a truncated or overlong
+    /// varint, a field past `u32`, and trailing bytes are all refused.
+    #[test]
+    fn id_record_rejects_non_canonical_bytes() {
+        let rec = IdRecord {
+            addr: NodeAddr {
+                page: 300,
+                entry: 5,
+            },
+            value: Some((1000, 9)),
+        }
+        .to_bytes();
+        for cut in 0..rec.len() {
+            assert!(IdRecord::from_bytes(&rec[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut trailing = rec.clone();
+        trailing.push(0);
+        assert!(IdRecord::from_bytes(&trailing).is_err());
+        // 5 as `0x85 0x00`: the value one byte says, spelled in two.
+        assert!(IdRecord::from_bytes(&[0, 0x85, 0x00, 0]).is_err());
+        // A page number of 2^32.
+        assert!(IdRecord::from_bytes(&[0x80, 0x80, 0x80, 0x80, 0x10, 0, 0]).is_err());
+        // Eleven continuation bytes never end a u64.
+        assert!(IdRecord::from_bytes(&[0xff; 11]).is_err());
+        // The retired fixed-width record is refused outright.
+        assert!(IdRecord::from_bytes(&[0u8; 21]).is_err());
+    }
+
+    #[test]
+    fn varint_accepts_exactly_the_written_forms() {
+        for v in [
+            0,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
+            let mut buf = Vec::new();
+            write_varint(&mut buf, v);
+            let mut pos = 0;
+            assert_eq!(read_varint(&buf, &mut pos), Some(v));
+            assert_eq!(pos, buf.len());
+        }
+        // u64::MAX plus one more bit.
+        let over = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02];
+        assert_eq!(read_varint(&over, &mut 0), None);
+        assert_eq!(read_varint(&[0x80, 0x00], &mut 0), None);
     }
 
     #[test]
     fn tag_posting_round_trip() {
-        let p = TagPosting {
-            addr: NodeAddr { page: 3, entry: 9 },
-            level: 4,
-            dewey: Dewey::from_components(vec![0, 2, 5]),
-        };
-        assert_eq!(TagPosting::from_bytes(&p.to_bytes()).unwrap(), p);
-        assert!(TagPosting::from_bytes(&[0u8; 3]).is_err());
+        let dewey = Dewey::from_components(vec![0, 2, 5]);
+        let addr = NodeAddr { page: 3, entry: 9 };
+        let key = tag_posting_key(TagCode(4), &dewey);
+        let p = TagPosting::decode(&key, &TagPosting::value(addr)).unwrap();
+        assert_eq!(p, TagPosting { addr, dewey });
+        assert!(TagPosting::decode(&key, &[3]).is_err());
+        assert!(TagPosting::decode(&key, &[3, 9, 0]).is_err());
+        assert!(TagPosting::decode(&key[..2], &TagPosting::value(addr)).is_err());
     }
 }

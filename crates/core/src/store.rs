@@ -35,26 +35,6 @@ pub struct NodeAddr {
     pub entry: u32,
 }
 
-impl NodeAddr {
-    /// Encode to 8 bytes for index postings.
-    #[inline]
-    pub fn to_bytes(self) -> [u8; 8] {
-        let mut out = [0u8; 8];
-        out[..4].copy_from_slice(&self.page.to_be_bytes());
-        out[4..].copy_from_slice(&self.entry.to_be_bytes());
-        out
-    }
-
-    /// Inverse of [`NodeAddr::to_bytes`].
-    #[inline]
-    pub fn from_bytes(b: &[u8]) -> NodeAddr {
-        NodeAddr {
-            page: u32::from_be_bytes([b[0], b[1], b[2], b[3]]),
-            entry: u32::from_be_bytes([b[4], b[5], b[6], b[7]]),
-        }
-    }
-}
-
 impl fmt::Display for NodeAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.page, self.entry)

@@ -42,6 +42,7 @@
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
+use crate::physical::{read_varint, write_varint};
 use crate::sigma::TagCode;
 
 /// Magic of the synopsis block (supersedes `NOKSTATS`).
@@ -681,38 +682,6 @@ impl Synopsis {
             return None;
         }
         Some((node_count, syn))
-    }
-}
-
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn read_varint(b: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *b.get(*pos)?;
-        *pos += 1;
-        if shift == 63 && byte > 1 {
-            return None; // overflow past 64 bits
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return None;
-        }
     }
 }
 

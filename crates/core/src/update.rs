@@ -87,7 +87,6 @@ struct Touched {
     old_dewey: Dewey,
     new_dewey: Dewey,
     tag: TagCode,
-    level: u16,
     new_addr: NodeAddr,
 }
 
@@ -197,8 +196,7 @@ impl<S: Storage> XmlDb<S> {
         // Walk the old tail (starting at the parent's close) to recover the
         // Dewey id of every shifted node: their ids are unchanged by a
         // last-child insert, but their addresses move.
-        let tail_opens =
-            self.walk_tail_deweys(parent, n_children + 1, close, &old_entries[ip..])?;
+        let tail_opens = self.walk_tail_deweys(parent, n_children + 1, &old_entries[ip..]);
 
         let mut combined: Vec<Entry> = Vec::with_capacity(old_entries.len() + new_entries.len());
         combined.extend_from_slice(&old_entries[..ip]);
@@ -211,14 +209,14 @@ impl<S: Storage> XmlDb<S> {
 
         // ---- Index maintenance.
         // Shifted old tail nodes: refresh stored addresses.
-        for (rel_idx, dewey, tag, level) in tail_opens {
+        for (rel_idx, dewey, tag) in tail_opens {
             let old_addr = NodeAddr {
                 page: close.page,
                 entry: (ip + rel_idx) as u32,
             };
             let new_addr = addr_of[ip + new_entries.len() + rel_idx];
             if new_addr != old_addr {
-                self.refresh_addr(&dewey, tag, level, new_addr)?;
+                self.refresh_addr(&dewey, tag, new_addr)?;
             }
         }
         // New nodes: insert into B+i / B+t (+ values into data file, B+v).
@@ -236,13 +234,8 @@ impl<S: Storage> XmlDb<S> {
                 value: value_map.get(&key).copied(),
             };
             self.bt_id.insert(&key, &rec.to_bytes())?;
-            let posting = TagPosting {
-                addr,
-                level: *level,
-                dewey: dewey.clone(),
-            };
             self.bt_tag
-                .insert(&tag_posting_key(*tag, dewey), &posting.to_bytes())?;
+                .insert(&tag_posting_key(*tag, dewey), &TagPosting::value(addr))?;
             // Synopsis: new_nodes is in document order, so the
             // level-truncated chain is exactly the node's tag stack. Runs
             // inside the transaction: a rollback restores the snapshot Arc
@@ -520,7 +513,6 @@ impl<S: Storage> XmlDb<S> {
                             old_dewey,
                             new_dewey,
                             tag,
-                            level,
                             new_addr,
                         });
                     }
@@ -556,14 +548,9 @@ impl<S: Storage> XmlDb<S> {
         // B+t: composite keys make the old posting addressable directly.
         self.bt_tag
             .delete(&tag_posting_key(t.tag, &t.old_dewey), None)?;
-        let new_posting = TagPosting {
-            addr: t.new_addr,
-            level: t.level,
-            dewey: t.new_dewey.clone(),
-        };
         self.bt_tag.insert(
             &tag_posting_key(t.tag, &t.new_dewey),
-            &new_posting.to_bytes(),
+            &TagPosting::value(t.new_addr),
         )?;
         // B+v, if the node carries a value and its Dewey changed.
         if t.old_dewey != t.new_dewey {
@@ -577,46 +564,32 @@ impl<S: Storage> XmlDb<S> {
     }
 
     /// Address-only refresh (insert path: Dewey unchanged).
-    fn refresh_addr(
-        &mut self,
-        dewey: &Dewey,
-        tag: TagCode,
-        level: u16,
-        new_addr: NodeAddr,
-    ) -> CoreResult<()> {
+    fn refresh_addr(&mut self, dewey: &Dewey, tag: TagCode, new_addr: NodeAddr) -> CoreResult<()> {
         self.retag_node(&Touched {
             old_dewey: dewey.clone(),
             new_dewey: dewey.clone(),
             tag,
-            level,
             new_addr,
         })
     }
 
-    /// Recover `(relative open index, dewey, tag, level)` for the open
-    /// entries of a page tail starting at the parent's close entry.
-    #[allow(clippy::type_complexity)]
+    /// Recover `(relative open index, dewey, tag)` for the open entries of
+    /// a page tail starting at the parent's close entry.
     fn walk_tail_deweys(
         &self,
         parent: &Dewey,
         consumed_children: u32,
-        close: NodeAddr,
         tail: &[Entry],
-    ) -> CoreResult<Vec<(usize, Dewey, TagCode, u16)>> {
+    ) -> Vec<(usize, Dewey, TagCode)> {
         let mut walker = DeweyWalker::after_children(parent.components(), consumed_children);
-        let decoded = self.store.decoded(close.page)?;
         let mut out = Vec::new();
         for (rel, entry) in tail.iter().enumerate() {
             match entry {
-                Entry::Open(tag) => {
-                    let d = walker.on_open();
-                    let level = decoded.levels[close.entry as usize + rel];
-                    out.push((rel, d, *tag, level));
-                }
+                Entry::Open(tag) => out.push((rel, walker.on_open(), *tag)),
                 Entry::Close => walker.on_close(),
             }
         }
-        Ok(out)
+        out
     }
 
     /// Write `entries` starting in `first_page` (head stays there; overflow

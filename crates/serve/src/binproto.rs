@@ -51,7 +51,6 @@
 //! Encoding and decoding are pure functions over byte slices so the
 //! property/fuzz suite can drive them without sockets.
 
-use std::fmt::Display;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 
@@ -512,53 +511,88 @@ pub fn encode_response(out: &mut Vec<u8>, resp: &BinResponse) {
 }
 
 /// Append the `QueryOk` frame answering `id` with `matches` to `out`: each
-/// Dewey id and address is rendered through `Display` straight into the
-/// payload. Byte for byte the frame [`encode_response`] builds from the
-/// matches' [`WireMatch`] renderings — without the two `String`s per match
-/// and the payload copy.
+/// Dewey id and address is written in decimal straight into a payload
+/// sized exactly before the first byte. Byte for byte the frame
+/// [`encode_response`] builds from the matches' [`WireMatch`] (`Display`)
+/// renderings — without the two `String`s per match and the payload copy.
 ///
 /// A receiver drops the connection on a payload above [`MAX_FRAME`], so an
 /// answer that large is never written: the frame appended instead is an
 /// [`ErrCode::Engine`] error naming the match count and the limit.
 pub fn encode_query_ok(out: &mut Vec<u8>, id: u64, matches: &[QueryMatch]) {
-    let frame_at = out.len();
+    let clamp = |n: usize| n.min(u16::MAX as usize);
+    let payload = 4 + matches
+        .iter()
+        .map(|m| {
+            let c = m.dewey.components();
+            let dewey =
+                c.iter().map(|&x| decimal_len(x)).sum::<usize>() + c.len().saturating_sub(1);
+            let addr = decimal_len(m.addr.page) + 1 + decimal_len(m.addr.entry);
+            4 + clamp(dewey) + clamp(addr)
+        })
+        .sum::<usize>();
+    if payload > MAX_FRAME {
+        let message = format!(
+            "answer of {} matches exceeds the {MAX_FRAME}-byte frame limit",
+            matches.len()
+        );
+        return encode_response(
+            out,
+            &BinResponse::Error {
+                id,
+                code: ErrCode::Engine,
+                message,
+            },
+        );
+    }
+    out.reserve(HEADER_LEN + payload);
     out.push(op::QUERY_OK);
     out.extend_from_slice(&id.to_le_bytes());
-    let len_at = out.len();
-    out.extend_from_slice(&[0; 4]); // payload length, patched below
+    out.extend_from_slice(&(payload as u32).to_le_bytes());
     out.extend_from_slice(&(matches.len() as u32).to_le_bytes());
     for m in matches {
-        put_display(out, &m.dewey);
-        put_display(out, &m.addr);
-        if out.len() - len_at - 4 > MAX_FRAME {
-            out.truncate(frame_at);
-            let message = format!(
-                "answer of {} matches exceeds the {MAX_FRAME}-byte frame limit",
-                matches.len()
-            );
-            return encode_response(
-                out,
-                &BinResponse::Error {
-                    id,
-                    code: ErrCode::Engine,
-                    message,
-                },
-            );
-        }
-    }
-    let len = (out.len() - len_at - 4) as u32;
-    if let Some(slot) = out.get_mut(len_at..len_at + 4) {
-        slot.copy_from_slice(&len.to_le_bytes());
+        put_rendered(out, |out| {
+            for (i, &c) in m.dewey.components().iter().enumerate() {
+                if i > 0 {
+                    out.push(b'.');
+                }
+                push_decimal(out, c);
+            }
+        });
+        put_rendered(out, |out| {
+            push_decimal(out, m.addr.page);
+            out.push(b':');
+            push_decimal(out, m.addr.entry);
+        });
     }
 }
 
-/// Append `v`'s rendering behind a `u16 LE` length (clamped like
+/// Digits in the decimal rendering of `v`.
+fn decimal_len(v: u32) -> usize {
+    v.checked_ilog10().map_or(1, |l| l as usize + 1)
+}
+
+/// Append the decimal rendering of `v`.
+fn push_decimal(out: &mut Vec<u8>, mut v: u32) {
+    let start = out.len();
+    loop {
+        out.push(b'0' + (v % 10) as u8);
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    if let Some(digits) = out.get_mut(start..) {
+        digits.reverse();
+    }
+}
+
+/// Append what `render` writes behind a `u16 LE` length (clamped like
 /// [`encode_response`] clamps).
-fn put_display(out: &mut Vec<u8>, v: &impl Display) {
+fn put_rendered(out: &mut Vec<u8>, render: impl FnOnce(&mut Vec<u8>)) {
     let len_at = out.len();
     out.extend_from_slice(&[0; 2]);
-    // Writing into a `Vec` cannot fail.
-    let _ = write!(out, "{v}");
+    render(out);
     out.truncate(out.len().min(len_at + 2 + u16::MAX as usize));
     let len = (out.len() - len_at - 2) as u16;
     if let Some(slot) = out.get_mut(len_at..len_at + 2) {
@@ -707,23 +741,49 @@ mod tests {
     }
 
     /// The direct encoder must put on the wire exactly what the
-    /// `WireMatch` path does — `BinClient` decodes both the same.
+    /// `WireMatch` path does — `BinClient` decodes both the same: at every
+    /// decimal width, at the Dewey key code's length boundaries, and for
+    /// 40-deep ids.
     #[test]
     fn query_ok_direct_encoding_is_byte_identical() {
         use nok_core::{Dewey, NodeAddr};
-        let deep: Vec<u32> = (0..40).map(|i| i * 1_000_003).collect();
-        let matches: Vec<QueryMatch> = [
-            (vec![0], (0, 0)),
-            (vec![0, 17, 3], (294, 1301)),
-            (vec![0, u32::MAX, 9], (u32::MAX, u32::MAX)),
-            (deep, (7, 7)),
-        ]
-        .into_iter()
-        .map(|(d, (page, entry))| QueryMatch {
-            addr: NodeAddr { page, entry },
-            dewey: Dewey::from_components(d),
-        })
-        .collect();
+        let edges = [
+            0,
+            9,
+            10,
+            99,
+            100,
+            127,
+            128,
+            16_511,
+            16_512,
+            2_113_663,
+            2_113_664,
+            270_549_119,
+            270_549_120,
+            999_999_999,
+            1_000_000_000,
+            u32::MAX,
+        ];
+        let mut ids: Vec<(Vec<u32>, (u32, u32))> = edges
+            .iter()
+            .map(|&c| {
+                (
+                    vec![0, c, 3],
+                    (c, edges[edges.len() - 1 - (c % 7) as usize]),
+                )
+            })
+            .collect();
+        ids.push(((0..40).map(|i| i * 1_000_003).collect(), (7, 7)));
+        ids.push(((0..40).map(|i| u32::MAX - i).collect(), (0, 10)));
+        ids.push((vec![0], (0, 0)));
+        let matches: Vec<QueryMatch> = ids
+            .into_iter()
+            .map(|(d, (page, entry))| QueryMatch {
+                addr: NodeAddr { page, entry },
+                dewey: Dewey::from_components(d),
+            })
+            .collect();
         for n in [0, 1, matches.len()] {
             let wire = BinResponse::QueryOk {
                 id: 0xfeed_0000_0000_0001,

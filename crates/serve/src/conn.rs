@@ -320,7 +320,7 @@ fn read_loop<S: Storage + Send + Sync + 'static>(
                     move |result| {
                         let frame = match result {
                             Ok(matches) => {
-                                let mut frame = Vec::with_capacity(32 + 24 * matches.len());
+                                let mut frame = Vec::new();
                                 binproto::encode_query_ok(&mut frame, id, &matches);
                                 frame
                             }

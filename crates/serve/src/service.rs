@@ -331,11 +331,9 @@ impl<S: Storage + Send + 'static> Drop for QueryService<S> {
 }
 
 fn worker_loop<S: Storage + Send + 'static>(inner: &Inner<S>, ready: &Barrier) {
-    // Per-worker scratch: stats vectors and the result buffer live for the
-    // worker's lifetime, so steady-state queries avoid fresh allocations
-    // for bookkeeping.
+    // Per-worker scratch: stats vectors live for the worker's lifetime, so
+    // steady-state queries avoid fresh allocations for bookkeeping.
     let mut scratch = QueryScratch::new();
-    let mut results: Vec<QueryMatch> = Vec::new();
     // The worker's pinned snapshot. Kept across jobs (re-assembling the
     // view per query would throw away its decode caches) and re-pinned
     // only when a commit has published a newer generation.
@@ -346,7 +344,7 @@ fn worker_loop<S: Storage + Send + 'static>(inner: &Inner<S>, ready: &Barrier) {
         let m = &inner.metrics;
         m.queue_depth
             .store(inner.queue.len() as u64, Ordering::Relaxed);
-        let result = serve_job(inner, &mut snap, &job, &mut scratch, &mut results);
+        let result = serve_job(inner, &mut snap, &job, &mut scratch);
         match &result {
             Ok(_) => {
                 m.served.fetch_add(1, Ordering::Relaxed);
@@ -364,13 +362,13 @@ fn worker_loop<S: Storage + Send + 'static>(inner: &Inner<S>, ready: &Barrier) {
 }
 
 /// Answer one job on the worker's pinned snapshot, re-pinning first when a
-/// commit has published a newer generation.
+/// commit has published a newer generation. The answer is moved to the
+/// job's completion, not copied.
 fn serve_job<S: Storage + Send + 'static>(
     inner: &Inner<S>,
     snap: &mut Option<Snapshot<S>>,
     job: &Job,
     scratch: &mut QueryScratch,
-    results: &mut Vec<QueryMatch>,
 ) -> Result<Vec<QueryMatch>, QueryError> {
     if Instant::now() >= job.deadline {
         // Expired while queued: don't waste engine time on it.
@@ -382,8 +380,9 @@ fn serve_job<S: Storage + Send + 'static>(
         Some(s) if s.epoch() == current => snap.insert(s),
         _ => snap.insert(inner.source.snapshot().map_err(engine)?),
     };
-    run_query(inner, view, job, scratch, results).map_err(engine)?;
-    Ok(results.clone())
+    let mut results = Vec::new();
+    run_query(inner, view, job, scratch, &mut results).map_err(engine)?;
+    Ok(results)
 }
 
 /// Evaluate one job against the worker's pinned snapshot: look the plan up

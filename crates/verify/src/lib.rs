@@ -767,9 +767,13 @@ fn index_checks<S: Storage>(db: &XmlDb<S>, opts: VerifyOptions, scan: &mut Chain
                         break;
                     }
                 };
-                let dewey = Dewey::from_key(&dk)
-                    .map(|d| d.to_string())
-                    .unwrap_or_else(|| format!("<{} raw bytes>", dk.len()));
+                let Some(dewey) = Dewey::from_key(&dk).map(|d| d.to_string()) else {
+                    v.push(Violation::RecordCorrupt {
+                        what: "B+v posting",
+                        detail: format!("{} bytes, not a Dewey key", dk.len()),
+                    });
+                    continue;
+                };
                 match expected_postings.get_mut(&(h.clone(), dk.clone())) {
                     Some(n) if *n > 0 => *n -= 1,
                     _ => {
@@ -804,22 +808,11 @@ fn index_checks<S: Storage>(db: &XmlDb<S>, opts: VerifyOptions, scan: &mut Chain
     }
 
     // ---- B+t: exactly one posting per node, stored under the composite
-    // (tag, dewey) key.
-    let mut expected_tags: HashMap<(Vec<u8>, Vec<u8>), i64> = HashMap::new();
-    for n in &scan.nodes {
-        let posting = TagPosting {
-            addr: n.addr,
-            level: n.level,
-            dewey: n.dewey.clone(),
-        };
-        *expected_tags
-            .entry((tag_posting_key(n.tag, &n.dewey), posting.to_bytes()))
-            .or_insert(0) += 1;
-    }
-    let order_of: HashMap<Vec<u8>, u64> = scan
+    // (tag, dewey) key and holding the node's address.
+    let mut expected_tags: HashMap<Vec<u8>, &DerivedNode> = scan
         .nodes
         .iter()
-        .map(|n| (n.dewey.to_key(), n.order))
+        .map(|n| (tag_posting_key(n.tag, &n.dewey), n))
         .collect();
     let mut tag_entries = 0u64;
     let mut prev_in_group: Option<(Vec<u8>, u64)> = None;
@@ -842,7 +835,7 @@ fn index_checks<S: Storage>(db: &XmlDb<S>, opts: VerifyOptions, scan: &mut Chain
                 } else {
                     u16::MAX
                 };
-                let posting = match TagPosting::from_bytes(&pv) {
+                let posting = match TagPosting::decode(&tk, &pv) {
                     Ok(p) => p,
                     Err(e) => {
                         v.push(Violation::RecordCorrupt {
@@ -852,22 +845,28 @@ fn index_checks<S: Storage>(db: &XmlDb<S>, opts: VerifyOptions, scan: &mut Chain
                         continue;
                     }
                 };
-                match expected_tags.get_mut(&(tk.clone(), pv.clone())) {
-                    Some(n) if *n > 0 => *n -= 1,
-                    _ => v.push(Violation::OrphanTagPosting {
+                match expected_tags.remove(&tk) {
+                    None => v.push(Violation::OrphanTagPosting {
                         tag,
                         detail: format!(
                             "posting for {} at {} matches no node",
                             posting.dewey, posting.addr
                         ),
                     }),
+                    Some(node) if node.addr != posting.addr => v.push(Violation::TagAddrMismatch {
+                        dewey: posting.dewey.to_string(),
+                        expected: node.addr.to_string(),
+                        found: posting.addr.to_string(),
+                    }),
+                    Some(_) => {}
                 }
-                if opts.tag_order && tk.len() >= 2 {
-                    // Group by the 2-byte tag prefix of the composite key.
-                    let group = tk[..2].to_vec();
-                    if let Some(&ord) = order_of.get(&posting.dewey.to_key()) {
+                if opts.tag_order {
+                    // Group by the 2-byte tag prefix of the composite key;
+                    // the rest of the key is the Dewey key.
+                    let (group, dk) = tk.split_at(2);
+                    if let Some(node) = derived.get(dk) {
                         if let Some((ptk, pord)) = &prev_in_group {
-                            if *ptk == group && *pord > ord {
+                            if ptk == group && *pord > node.order {
                                 v.push(Violation::TagOrderViolation {
                                     tag,
                                     detail: format!(
@@ -877,7 +876,7 @@ fn index_checks<S: Storage>(db: &XmlDb<S>, opts: VerifyOptions, scan: &mut Chain
                                 });
                             }
                         }
-                        prev_in_group = Some((group, ord));
+                        prev_in_group = Some((group.to_vec(), node.order));
                     }
                 }
             }
@@ -887,17 +886,11 @@ fn index_checks<S: Storage>(db: &XmlDb<S>, opts: VerifyOptions, scan: &mut Chain
             detail: e.to_string(),
         }),
     }
-    let mut missing_tags: Vec<(u16, &Vec<u8>)> = Vec::new();
-    for ((tk, pv), n) in &expected_tags {
-        if *n > 0 {
-            missing_tags.push((TagCode::from_key(tk).0, pv));
-        }
-    }
-    for (tag, pv) in missing_tags {
-        let dewey = TagPosting::from_bytes(pv)
-            .map(|p| p.dewey.to_string())
-            .unwrap_or_default();
-        v.push(Violation::MissingTagPosting { dewey, tag });
+    for node in expected_tags.values() {
+        v.push(Violation::MissingTagPosting {
+            dewey: node.dewey.to_string(),
+            tag: node.tag.0,
+        });
     }
     if tag_entries != scan.nodes.len() as u64 {
         v.push(Violation::CountMismatch {

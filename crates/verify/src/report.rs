@@ -136,6 +136,16 @@ pub enum Violation {
         /// Address stored in the index.
         found: String,
     },
+    /// A B+t posting stores the wrong physical address for the node its
+    /// key names.
+    TagAddrMismatch {
+        /// Dewey id of the node.
+        dewey: String,
+        /// Address derived from the structure (`page:entry`).
+        expected: String,
+        /// Address stored in the posting.
+        found: String,
+    },
     /// A B+i value pointer does not resolve to a matching data-file record.
     ValueUnresolvable {
         /// Dewey id of the node.
@@ -285,6 +295,7 @@ impl Violation {
             Violation::MissingIdEntry { .. } => "missing-id-entry",
             Violation::OrphanIdEntry { .. } => "orphan-id-entry",
             Violation::IdAddrMismatch { .. } => "id-addr-mismatch",
+            Violation::TagAddrMismatch { .. } => "tag-addr-mismatch",
             Violation::ValueUnresolvable { .. } => "value-unresolvable",
             Violation::ValueHashMismatch { .. } => "value-hash-mismatch",
             Violation::MissingValuePosting { .. } => "missing-value-posting",
@@ -394,6 +405,11 @@ impl Violation {
                 obj.str("dewey", dewey);
             }
             Violation::IdAddrMismatch {
+                dewey,
+                expected,
+                found,
+            }
+            | Violation::TagAddrMismatch {
                 dewey,
                 expected,
                 found,
@@ -554,6 +570,11 @@ impl fmt::Display for Violation {
                 expected,
                 found,
             } => write!(f, "node {dewey}: B+i stores address {found}, node is at {expected}"),
+            Violation::TagAddrMismatch {
+                dewey,
+                expected,
+                found,
+            } => write!(f, "node {dewey}: B+t stores address {found}, node is at {expected}"),
             Violation::ValueUnresolvable {
                 dewey,
                 offset,

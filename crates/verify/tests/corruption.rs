@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use nok_core::dewey::Dewey;
 use nok_core::page::{HEADER_SIZE, OFF_LO, OFF_NBYTES, OFF_NEXT, OFF_ST};
-use nok_core::physical::IdRecord;
+use nok_core::physical::{tag_posting_key, IdRecord, TagPosting};
 use nok_core::store::{BuildOptions, NodeAddr};
 use nok_core::values::{hash_key, DataFile};
 use nok_core::LockDataFile;
@@ -355,6 +355,90 @@ fn wrong_id_address_is_flagged() {
         .unwrap();
     let rep = verify_db(&db, VerifyOptions::default());
     assert!(rep.has_kind("id-addr-mismatch"), "{rep}");
+}
+
+/// Dewey key bytes `to_key` never writes — a 5-byte code above
+/// `u32::MAX`, an invalid first byte, a truncated code — are refused as
+/// keys of B+i and B+t and as B+v postings, not read as some other id.
+#[test]
+fn non_canonical_dewey_keys_are_flagged() {
+    let bad_tails: [&[u8]; 3] = [
+        &[0xf0, 0xff, 0xff, 0xff, 0xff],
+        &[0xf8],
+        &[0x85, 0x00, 0x80],
+    ];
+    for tail in bad_tails {
+        let key = [&[0x00][..], tail].concat();
+        let db = XmlDb::build_in_memory(BIB).unwrap();
+        let rec = IdRecord {
+            addr: NodeAddr { page: 0, entry: 0 },
+            value: None,
+        };
+        db.bt_id().insert(&key, &rec.to_bytes()).unwrap();
+        let rep = verify_db(&db, VerifyOptions::default());
+        assert!(rep.has_kind("record-corrupt"), "B+i {tail:02x?}: {rep}");
+
+        let db = XmlDb::build_in_memory(BIB).unwrap();
+        let tag = db.dict().lookup("book").unwrap();
+        let tag_key = [&tag.to_key()[..], &key].concat();
+        db.bt_tag()
+            .insert(&tag_key, &TagPosting::value(NodeAddr { page: 0, entry: 1 }))
+            .unwrap();
+        let rep = verify_db(&db, VerifyOptions::default());
+        assert!(rep.has_kind("record-corrupt"), "B+t {tail:02x?}: {rep}");
+
+        let db = XmlDb::build_in_memory(BIB).unwrap();
+        db.bt_val().insert(&hash_key("65.95"), &key).unwrap();
+        let rep = verify_db(&db, VerifyOptions::default());
+        assert!(rep.has_kind("record-corrupt"), "B+v {tail:02x?}: {rep}");
+    }
+}
+
+/// A B+i record whose varints are cut short, spelled in more bytes than
+/// needed, or followed by stray bytes is corrupt — never a shorter record.
+#[test]
+fn truncated_or_overlong_record_varints_are_flagged() {
+    let db = XmlDb::build_in_memory(BIB).unwrap();
+    let price = db.query("//price").unwrap()[0].clone();
+    let good = db
+        .bt_id()
+        .get_first(&price.dewey.to_key())
+        .unwrap()
+        .unwrap();
+    let overlong = [&[good[0] | 0x80, 0x00][..], &good[1..]].concat();
+    let trailing = [&good[..], &[0]].concat();
+    for (what, bytes) in [
+        ("truncated", &good[..good.len() - 1]),
+        ("overlong", &overlong[..]),
+        ("trailing", &trailing[..]),
+    ] {
+        let db = XmlDb::build_in_memory(BIB).unwrap();
+        let key = price.dewey.to_key();
+        db.bt_id().delete(&key, None).unwrap();
+        db.bt_id().insert(&key, bytes).unwrap();
+        let rep = verify_db(&db, VerifyOptions::default());
+        assert!(rep.has_kind("record-corrupt"), "{what}: {rep}");
+    }
+}
+
+/// A B+t posting under the right key holding another node's address.
+#[test]
+fn wrong_tag_posting_address_is_flagged() {
+    let db = XmlDb::build_in_memory(BIB).unwrap();
+    let author = db.query("//author").unwrap()[0].clone();
+    let tag = db.dict().lookup("author").unwrap();
+    let key = tag_posting_key(tag, &author.dewey);
+    db.bt_tag().delete(&key, None).unwrap();
+    let elsewhere = NodeAddr {
+        page: author.addr.page,
+        entry: author.addr.entry + 1,
+    };
+    db.bt_tag()
+        .insert(&key, &TagPosting::value(elsewhere))
+        .unwrap();
+    let rep = verify_db(&db, VerifyOptions::default());
+    assert!(rep.has_kind("tag-addr-mismatch"), "{rep}");
+    assert!(!rep.has_kind("missing-tag-posting"), "{rep}");
 }
 
 #[test]
