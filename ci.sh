@@ -139,8 +139,10 @@ echo "==> planner bench (BENCH_plan.json)"
 # /dblp/article/author, //article[author][title] and /treebank/s[np][vp] the
 # scan route makes 0 index-pool gets and fetches each structural page at
 # most once, EXPLAIN shows strategy=scan for them, and dblp Q1-Q8 keep an
-# index seed. The per-route timings of the 12 heavy queries are reported,
-# not gated.
+# index seed; forced TagIndex on //article[author][title] (the index route)
+# fetches each structural page at most once and examines only the entries
+# and directory records it feeds its matcher (no subtree_close). The
+# per-route timings of the 12 heavy queries are reported, not gated.
 cargo run --release -q -p nok-bench --bin plan_bench -- \
   --reps 3 --out BENCH_plan.json
 grep -q '"gates_passed":true' BENCH_plan.json

@@ -43,7 +43,10 @@
 //! `/treebank/s[np][vp]` the scan route performs zero index-pool page gets
 //! and fetches each structural page at most once, `EXPLAIN` shows
 //! `strategy=scan` for them, and the selective dblp queries Q1–Q8 keep an
-//! index seed on every fragment. The section also prints the unit costs the
+//! index seed on every fragment. The index route is held to the same
+//! proposition: forced tag seeds on `//article[author][title]` fetch each
+//! structural page at most once and navigate nothing outside the subtrees
+//! they feed the matcher (no `subtree_close`). The section also prints the unit costs the
 //! planner's constants cite (`scan_pass_ns_per_node`, `scan_hit_ns`,
 //! `get_warm_ns`, `match_ns_per_start`).
 //!
@@ -405,6 +408,63 @@ fn route_corpus(
                 failures.push(format!(
                     "{q}: scan route fetched pages more than once \
                      (gets={gets} reads={reads} pages={pages})"
+                ));
+            }
+        }
+
+        // ---- Proposition 1 on the index route: forced tag seeds on
+        // `//article[author][title]` feed each start's subtree to the
+        // matcher in place. Each structural page is fetched at most once,
+        // and nothing is navigated: every entry and directory record the
+        // pool counted (cursor primitives such as `subtree_close` count
+        // there too) is one the executor counted feeding its matcher.
+        if kind == DatasetKind::Dblp {
+            let q = COUNTED[1];
+            let planned = plan(q, StartStrategy::TagIndex)?;
+            if !planned
+                .plan
+                .fragments
+                .iter()
+                .any(|f| f.seed.to_string().starts_with("tag-index"))
+            {
+                failures.push(format!("{q}: forced TagIndex planned no tag seed"));
+            }
+            db.store().invalidate_decoded(None);
+            db.store()
+                .pool()
+                .clear_cache()
+                .map_err(|e| format!("clear: {e}"))?;
+            let (gets0, entries0, dir0) = (
+                struct_io.logical_gets(),
+                struct_io.entries_examined(),
+                struct_io.dir_entries_examined(),
+            );
+            let mut scratch = QueryScratch::new();
+            let mut out = Vec::new();
+            db.execute_plan(&planned, &mut scratch, &mut out)
+                .map_err(|e| format!("execute {q}: {e}"))?;
+            let pages = u64::from(db.store().page_count());
+            let gets = struct_io.logical_gets() - gets0;
+            let entries = struct_io.entries_examined() - entries0;
+            let dir = struct_io.dir_entries_examined() - dir0;
+            let stats = scratch.stats();
+            println!(
+                "{q} (index route): {} matches, structural gets {gets} of {pages} pages, \
+                 entries {entries} (fed {}), directory records {dir} (walked {})",
+                out.len(),
+                stats.entries_examined,
+                stats.dir_entries_examined
+            );
+            if gets > pages {
+                failures.push(format!(
+                    "{q}: index route fetched pages more than once (gets={gets} pages={pages})"
+                ));
+            }
+            if (entries, dir) != (stats.entries_examined, stats.dir_entries_examined) {
+                failures.push(format!(
+                    "{q}: index route navigated outside its sub-scans \
+                     (entries {entries} vs fed {}, directory {dir} vs walked {})",
+                    stats.entries_examined, stats.dir_entries_examined
                 ));
             }
         }

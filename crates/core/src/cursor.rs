@@ -151,13 +151,15 @@ fn sibling_in_page(
 ) -> Option<Option<NodeAddr>> {
     let st = i32::from(page.header.st);
     let mut j = from;
+    // Level of entry `j`: one rank query here, then stepped (±1 per entry;
+    // an excess search lands on level l-1 exactly).
+    let mut lev = if j < page.len() { page.level(j) } else { 0 };
     while j < page.len() {
         *examined += 1;
-        let lev = page.levels[j];
         if lev <= stop {
             return Some(None);
         }
-        if lev == l && page.entries[j].is_open() {
+        if lev == l && page.entry(j).is_open() {
             return Some(Some(NodeAddr {
                 page: pid,
                 entry: j as u32,
@@ -166,10 +168,15 @@ fn sibling_in_page(
         if lev < l {
             // A close at level l-1: its successor decides.
             j += 1;
+            lev = match page.get(j) {
+                Some(e) if e.is_open() => lev + 1,
+                _ => lev.wrapping_sub(1),
+            };
         } else {
             // Inside a nested subtree (level ≥ l): excess-search to the
             // close at level l-1.
             j = page.bp.fwd_search_le(j + 1, i32::from(l) - 1 - st)?;
+            lev = l - 1;
         }
     }
     None
@@ -247,13 +254,12 @@ pub fn linear_following_sibling<S: Storage>(
     let result = (|| {
         // Finish the current page first.
         let page = store.decoded(addr.page)?;
-        for i in (addr.entry as usize + 1)..page.len() {
+        for (i, lev) in page.levels().enumerate().skip(addr.entry as usize + 1) {
             examined += 1;
-            let lev = page.levels[i];
             if lev <= stop {
                 return Ok(None);
             }
-            if lev == l && page.entries[i].is_open() {
+            if lev == l && page.entry(i).is_open() {
                 return Ok(Some(NodeAddr {
                     page: addr.page,
                     entry: i as u32,
@@ -275,13 +281,12 @@ pub fn linear_following_sibling<S: Storage>(
                 continue; // header-directory skip: no page I/O at all
             }
             let page = store.decoded(de.id)?;
-            for i in 0..page.len() {
+            for (i, lev) in page.levels().enumerate() {
                 examined += 1;
-                let lev = page.levels[i];
                 if lev <= stop {
                     return Ok(None);
                 }
-                if lev == l && page.entries[i].is_open() {
+                if lev == l && page.entry(i).is_open() {
                     return Ok(Some(NodeAddr {
                         page: de.id,
                         entry: i as u32,
@@ -372,9 +377,9 @@ pub fn linear_subtree_close<S: Storage>(
 
     let result = (|| {
         let page = store.decoded(addr.page)?;
-        for i in (addr.entry as usize + 1)..page.len() {
+        for (i, lev) in page.levels().enumerate().skip(addr.entry as usize + 1) {
             examined += 1;
-            if page.levels[i] < l {
+            if lev < l {
                 return Ok(NodeAddr {
                     page: addr.page,
                     entry: i as u32,
@@ -389,9 +394,9 @@ pub fn linear_subtree_close<S: Storage>(
                 continue;
             }
             let page = store.decoded(de.id)?;
-            for i in 0..page.len() {
+            for (i, lev) in page.levels().enumerate() {
                 examined += 1;
-                if page.levels[i] < l {
+                if lev < l {
                     return Ok(NodeAddr {
                         page: de.id,
                         entry: i as u32,
@@ -419,13 +424,14 @@ pub fn interval<S: Storage>(store: &StructStore<S>, addr: NodeAddr) -> CoreResul
 }
 
 /// A forward walk over the page chain in document order: one decoded page
-/// held at a time, its `entries`/`levels` slices handed to the caller to
-/// iterate directly. This is the single-pass read path (Proposition 1) the
+/// held at a time, its entries handed to the caller to iterate in place. This is the single-pass read path (Proposition 1) the
 /// scan route, [`DocScan`] and [`descendants`] share — no per-entry
 /// `decoded()`/`entry_at`, one directory probe and one page fetch per page.
 pub struct PageWalk<'a, S: Storage> {
     store: &'a StructStore<S>,
     next_rank: u32,
+    /// Directory records consulted so far.
+    probes: u64,
 }
 
 /// One page of a [`PageWalk`].
@@ -457,7 +463,18 @@ impl<'a, S: Storage> PageWalk<'a, S> {
         PageWalk {
             store,
             next_rank: rank,
+            probes: 0,
         }
+    }
+
+    /// Continue the walk from the page at rank `rank`.
+    pub fn seek(&mut self, rank: u32) {
+        self.next_rank = rank;
+    }
+
+    /// Directory records this walk has consulted.
+    pub fn probes(&self) -> u64 {
+        self.probes
     }
 
     /// The next non-empty page, or `None` at the end of the chain.
@@ -473,8 +490,8 @@ impl<'a, S: Storage> PageWalk<'a, S> {
                 break Some((self.next_rank - 1, de.id));
             }
         };
-        let stats = self.store.pool().stats();
-        stats.add_dir_entries_examined(probes);
+        self.probes += probes;
+        self.store.pool().stats().add_dir_entries_examined(probes);
         let Some((rank, id)) = found else {
             return Ok(None);
         };
@@ -502,13 +519,12 @@ pub fn descendants<'a, S: Storage>(
         .next_page()?
         .filter(|wp| wp.id == addr.page)
         .ok_or_else(|| CoreError::Corrupt(format!("no entries in the page of {addr}")))?;
-    let level = match (
-        first.page.entries.get(addr.entry as usize),
-        first.page.levels.get(addr.entry as usize),
-    ) {
-        (Some(Entry::Open(_)), Some(&l)) => l,
+    let level = match first.page.get(addr.entry as usize) {
+        Some(Entry::Open(_)) => first.page.level(addr.entry as usize),
         _ => return Err(CoreError::Corrupt(format!("expected open entry at {addr}"))),
     };
+    // Level of the last entry seen, stepped ±1 per entry.
+    let mut lev = level;
     let mut cur = Some(first);
     let mut idx = addr.entry as usize + 1;
     let mut examined = 0u64;
@@ -534,7 +550,12 @@ pub fn descendants<'a, S: Storage>(
                 }
             }
         }
-        let (entry, lev) = (wp.page.entries[idx], wp.page.levels[idx]);
+        let entry = wp.page.entry(idx);
+        lev = if entry.is_open() {
+            lev + 1
+        } else {
+            lev.wrapping_sub(1)
+        };
         examined += 1;
         if lev < level {
             store.pool().stats().add_entries_examined(examined);
@@ -656,7 +677,7 @@ impl<'a, S: Storage> DocScan<'a, S> {
             };
             let i = self.idx;
             self.idx += 1;
-            match wp.page.entries[i] {
+            match wp.page.entry(i) {
                 Entry::Open(tag) => {
                     let counter = self.counters.last_mut().ok_or_else(|| {
                         CoreError::Corrupt("document scan saw more closes than opens".into())
@@ -670,7 +691,7 @@ impl<'a, S: Storage> DocScan<'a, S> {
                             entry: i as u32,
                         },
                         tag,
-                        level: wp.page.levels[i],
+                        level: self.path.len() as u16,
                         // Snapshot the scratch path without moving it —
                         // inline small-vec for shallow nodes, one copy
                         // either way, no intermediate Vec.

@@ -9,8 +9,9 @@
 //!   route (index seed or scan) and the fragment evaluation order from the
 //!   persisted synopsis, pricing both routes in measured nanoseconds.
 //! - [`crate::exec`] — the operator executor: runs each fragment by its
-//!   route (`NokMatcher` from index-located starts, or one `ScanMatcher`
-//!   pass over the page chain) and joins fragments over intervals.
+//!   route through one `ScanMatcher` (over the subtrees of index-located
+//!   starts, or over the whole page chain) and joins fragments over
+//!   intervals.
 //!
 //! This module keeps the stable entry points (`query`, `query_with`,
 //! `query_into`, `query_pattern`) plus the option/stats types they take
@@ -82,12 +83,13 @@ pub struct QueryStats {
     /// Surviving hot matches of the child fragment after each top-down
     /// semijoin filter step, in chain order (root fragment downward).
     pub chain_survivors: Vec<u64>,
-    /// String entries examined by navigation primitives during this query
-    /// (delta of the pool-wide counter, so approximate when other threads
-    /// query the same pool concurrently).
+    /// String entries the executor fed to its matcher during this query:
+    /// whole pages on the scan route, each start's subtree on the index
+    /// route. Counted by the executor itself, so exact whatever other
+    /// threads do on the same pool.
     pub entries_examined: u64,
-    /// Directory records / skip-index probes consulted during this query
-    /// (same pool-wide-delta caveat).
+    /// Directory records the executor's page walks consulted during this
+    /// query (exact, likewise).
     pub dir_entries_examined: u64,
     /// The synopsis path summary proved the query empty at plan time: the
     /// executor answered without locating a single starting point.

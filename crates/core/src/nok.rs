@@ -4,9 +4,10 @@
 //! [`crate::pattern_tree::Partition`]) against the subject subtree rooted at
 //! a starting node, using only the two primitives `FIRST-CHILD` and
 //! `FOLLOWING-SIBLING` of an abstract [`TreeAccess`] — so the same algorithm
-//! runs over the physical store (single pass, Proposition 1), over an
-//! in-memory DOM (the logical-level algorithm of §3), and over buffered
-//! streaming subtrees.
+//! runs over the physical store (single pass, Proposition 1) and over an
+//! in-memory DOM (the logical-level algorithm of §3). The executor runs
+//! neither route through it: both feed [`crate::scan::ScanMatcher`], and
+//! this navigating matcher is the reference the tests hold that one to.
 //!
 //! Faithfulness notes:
 //!
@@ -74,17 +75,6 @@ pub struct NokMatcher<'p> {
 }
 
 impl<'p> NokMatcher<'p> {
-    /// Compile a matcher for fragment `frag` of `partition`, rooted at an
-    /// explicit member node instead of the fragment root. Used by the
-    /// streaming matcher, whose buffered subtrees are rooted at the first
-    /// real step rather than at the virtual document node.
-    pub fn with_root(partition: &Partition<'p>, frag: usize, root: PNodeId) -> NokMatcher<'p> {
-        let mut m = NokMatcher::new(partition, frag);
-        debug_assert!(m.children.contains_key(&root), "root must be a member");
-        m.root = root;
-        m
-    }
-
     /// Compile the matcher for fragment `frag` of `partition`.
     pub fn new(partition: &Partition<'p>, frag: usize) -> NokMatcher<'p> {
         let tree = partition.tree;

@@ -211,17 +211,19 @@ pub fn encode_content(entries: &[Entry]) -> Vec<u8> {
     out
 }
 
-/// A structural page decoded into entry/level arrays — the paper's `A[p]`
-/// (content) and `L[p]` (levels) from Algorithm 2's `READ-PAGE` — plus the
-/// excess directory in-page navigation searches.
+/// A structural page decoded into its entry array — the paper's `A[p]`
+/// from Algorithm 2's `READ-PAGE` — plus the excess directory in-page
+/// navigation searches. Entries are held in two bytes each (a 15-bit tag
+/// code, or [`CLOSE_CODE`]). The paper's level array `L[p]` is not stored:
+/// a level is `st` plus an excess ([`DecodedPage::level`]), and a walk in
+/// order steps it by ±1 per entry ([`DecodedPage::levels`]).
 #[derive(Debug, Clone)]
 pub struct DecodedPage {
     /// Parsed header.
     pub header: PageHeader,
-    /// Entries in order.
-    pub entries: Vec<Entry>,
-    /// Level of each entry (paper's convention; see module docs).
-    pub levels: Vec<u16>,
+    /// Entries in order: the tag code of an open, [`CLOSE_CODE`] for a
+    /// close.
+    codes: Vec<u16>,
     /// Balanced-parentheses excess directory over the page's parenthesis
     /// bits, built at decode time and cached with the page (never
     /// persisted). Entry `j`'s level is `header.st + bp.excess_after(j)`.
@@ -237,16 +239,14 @@ pub fn decode_page(buf: &[u8]) -> Option<DecodedPage> {
     let header = read_header(buf)?;
     let content = buf.get(HEADER_SIZE..HEADER_SIZE + header.nbytes as usize)?;
     let mut bits = BitVec::new();
-    let mut entries = Vec::new();
-    let mut levels = Vec::new();
+    let mut codes = Vec::new();
     if !content.is_empty() {
         let n = u16::from_le_bytes([*content.first()?, *content.get(1)?]) as usize;
         if n == 0 {
             return None; // a zero count must be encoded as nbytes == 0
         }
         let paren_bytes = content.get(2..2 + n.div_ceil(8))?;
-        entries.reserve(n);
-        levels.reserve(n);
+        codes.reserve(n);
         let mut level = header.st as i32;
         let mut tag_pos = 2 + paren_bytes.len();
         for i in 0..n {
@@ -259,15 +259,14 @@ pub fn decode_page(buf: &[u8]) -> Option<DecodedPage> {
                 }
                 tag_pos += width;
                 level += 1;
-                entries.push(Entry::Open(TagCode(code)));
+                codes.push(code);
             } else {
                 level -= 1;
-                entries.push(Entry::Close);
+                codes.push(CLOSE_CODE);
             }
             if level < 0 {
                 return None; // malformed: more closes than opens ever seen
             }
-            levels.push(level as u16);
         }
         if tag_pos != content.len() {
             return None; // tag stream must cover nbytes exactly
@@ -280,39 +279,97 @@ pub fn decode_page(buf: &[u8]) -> Option<DecodedPage> {
     }
     Some(DecodedPage {
         header,
-        entries,
-        levels,
+        codes,
         bp: PageBp::build(bits),
     })
+}
+
+/// How a decoded page holds a close entry (tag codes use 15 bits).
+pub const CLOSE_CODE: u16 = u16::MAX;
+
+#[inline]
+fn unpack(code: u16) -> Entry {
+    if code == CLOSE_CODE {
+        Entry::Close
+    } else {
+        Entry::Open(TagCode(code))
+    }
 }
 
 impl DecodedPage {
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.codes.len()
     }
 
     /// True when the page holds no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.codes.is_empty()
+    }
+
+    /// Entry `i`; panics past the end, like a slice index.
+    #[inline]
+    pub fn entry(&self, i: usize) -> Entry {
+        unpack(self.codes[i])
+    }
+
+    /// Entry `i`, or `None` past the end.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<Entry> {
+        self.codes.get(i).copied().map(unpack)
+    }
+
+    /// The entries in order.
+    #[inline]
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = Entry> + '_ {
+        self.entries_from(0)
+    }
+
+    /// The entries from index `from` on (none when `from` is past the end).
+    #[inline]
+    pub fn entries_from(&self, from: usize) -> impl ExactSizeIterator<Item = Entry> + '_ {
+        self.codes[from.min(self.codes.len())..]
+            .iter()
+            .map(|&c| unpack(c))
+    }
+
+    /// Level of entry `i` (paper's convention; see module docs): one rank
+    /// query over the parenthesis bits.
+    #[inline]
+    pub fn level(&self, i: usize) -> u16 {
+        (i32::from(self.header.st) + self.bp.excess_after(i)) as u16
+    }
+
+    /// The level of every entry, in order: `st` stepped by +1 at each open
+    /// and -1 at each close.
+    pub fn levels(&self) -> impl Iterator<Item = u16> + '_ {
+        self.entries().scan(self.header.st, |level, e| {
+            *level = if e.is_open() {
+                level.wrapping_add(1)
+            } else {
+                level.wrapping_sub(1)
+            };
+            Some(*level)
+        })
     }
 
     /// Level of the last entry (st of the next page), or `header.st` when
     /// empty.
     #[inline]
     pub fn end_level(&self) -> u16 {
-        self.levels.last().copied().unwrap_or(self.header.st)
+        match self.len() {
+            0 => self.header.st,
+            n => self.level(n - 1),
+        }
     }
 
-    /// Recompute `lo`/`hi` from the level array.
+    /// Recompute `lo`/`hi` from the entry levels.
     pub fn level_bounds(&self) -> (u16, u16) {
-        match (self.levels.iter().min(), self.levels.iter().max()) {
-            (Some(&lo), Some(&hi)) => (lo, hi),
-            // An empty page constrains nothing: make [lo,hi] the empty range.
-            _ => (u16::MAX, 0),
-        }
+        // An empty page constrains nothing: the empty range [MAX, 0].
+        self.levels()
+            .fold((u16::MAX, 0), |(lo, hi), l| (lo.min(l), hi.max(l)))
     }
 }
 
@@ -390,8 +447,8 @@ mod tests {
         assert_eq!(content.len(), 2 + 1 + 6);
         assert_eq!(content[2], 0b01101);
         let page = decode_page(&raw_page(0, &entries)).unwrap();
-        assert_eq!(page.entries, entries);
-        assert_eq!(page.levels, vec![1, 0, 1, 2, 1]);
+        assert_eq!(page.entries().collect::<Vec<_>>(), entries);
+        assert_eq!(page.levels().collect::<Vec<_>>(), vec![1, 0, 1, 2, 1]);
     }
 
     #[test]
@@ -424,10 +481,13 @@ mod tests {
     fn paper_level_sequence() {
         let page = decode_page(&raw_page(0, &paper_entries())).unwrap();
         assert_eq!(
-            page.levels,
+            page.levels().collect::<Vec<_>>(),
             vec![1, 2, 3, 2, 3, 2, 3, 4, 3, 4, 3, 2],
             "levels must match the paper's 123232343432"
         );
+        for (i, l) in page.levels().enumerate() {
+            assert_eq!(page.level(i), l, "entry {i}: rank and walk agree");
+        }
         assert_eq!(page.level_bounds(), (1, 4));
         assert_eq!(page.end_level(), 2);
     }
@@ -436,7 +496,7 @@ mod tests {
     fn st_offsets_levels_on_later_pages() {
         // A page continuing one that ended at level 5.
         let page = decode_page(&raw_page(5, &[Entry::Open(TagCode(0)), Entry::Close])).unwrap();
-        assert_eq!(page.levels, vec![6, 5]);
+        assert_eq!(page.levels().collect::<Vec<_>>(), vec![6, 5]);
     }
 
     #[test]
@@ -490,12 +550,12 @@ mod tests {
         let entries = paper_entries();
         for st in [0u16, 5] {
             let page = decode_page(&raw_page(st, &entries)).unwrap();
-            assert_eq!(page.entries, entries);
+            assert_eq!(page.entries().collect::<Vec<_>>(), entries);
             assert_eq!(page.bp.len(), entries.len());
             let mut level = st;
             for (i, e) in entries.iter().enumerate() {
                 level = if e.is_open() { level + 1 } else { level - 1 };
-                assert_eq!(page.levels[i], level, "entry {i}");
+                assert_eq!(page.level(i), level, "entry {i}");
                 assert_eq!(
                     st as i32 + page.bp.excess_after(i),
                     level as i32,

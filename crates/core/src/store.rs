@@ -494,7 +494,7 @@ impl<S: Storage> StructStore<S> {
                 let handle = pool.get(pid)?;
                 let decoded = page::decode_page(&handle.read())
                     .ok_or_else(|| CoreError::Corrupt(format!("bad structural page {pid}")))?;
-                node_count += decoded.entries.iter().filter(|e| e.is_open()).count() as u64;
+                node_count += decoded.entries().filter(|e| e.is_open()).count() as u64;
                 let (lo, hi) = (decoded.header.lo, decoded.header.hi);
                 dir.order.push(DirEntry {
                     id: pid,
@@ -699,7 +699,7 @@ impl<S: Storage> StructStore<S> {
                 addr.entry, addr.page
             )));
         }
-        Ok((page.entries[i], page.levels[i]))
+        Ok((page.entry(i), page.level(i)))
     }
 
     /// Tag code at `addr` (must be an open entry).
@@ -966,7 +966,7 @@ mod tests {
         // Entries: a b ) c ) ) -> 6 entries.
         let page = store.decoded(root.page).unwrap();
         assert_eq!(page.len(), 6);
-        assert_eq!(page.levels, vec![1, 2, 1, 2, 1, 0]);
+        assert_eq!(page.levels().collect::<Vec<_>>(), vec![1, 2, 1, 2, 1, 0]);
     }
 
     #[test]
@@ -975,8 +975,8 @@ mod tests {
         assert_eq!(store.node_count(), 3); // a, @x, b
         let page = store.decoded(0).unwrap();
         // a @x ) b ) )
-        assert_eq!(page.entries[1], Entry::Open(dict.lookup("@x").unwrap()));
-        assert_eq!(page.levels, vec![1, 2, 1, 2, 1, 0]);
+        assert_eq!(page.entry(1), Entry::Open(dict.lookup("@x").unwrap()));
+        assert_eq!(page.levels().collect::<Vec<_>>(), vec![1, 2, 1, 2, 1, 0]);
     }
 
     #[test]
@@ -1116,7 +1116,7 @@ mod tests {
         for r in 0..store.chain_len() {
             let de = store.dir_at(r).unwrap();
             let page = store.decoded(de.id).unwrap();
-            for (i, e) in page.entries.iter().enumerate() {
+            for (i, e) in page.entries().enumerate() {
                 if e.is_open() {
                     lins.push(
                         store
@@ -1255,9 +1255,7 @@ mod tests {
         for r in 0..store.chain_len() {
             let de = store.dir_at(r).unwrap();
             let page = store.decoded(de.id).unwrap();
-            for i in 0..page.len() {
-                out.push((page.entries[i], page.levels[i]));
-            }
+            out.extend(page.entries().zip(page.levels()));
         }
         out
     }

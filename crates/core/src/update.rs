@@ -188,7 +188,7 @@ impl<S: Storage> XmlDb<S> {
         // Splice into the parent-close page at the close's entry index.
         let decoded = self.store.decoded(close.page)?;
         let ip = close.entry as usize;
-        let old_entries = decoded.entries.clone();
+        let old_entries: Vec<Entry> = decoded.entries().collect();
         let old_next = decoded.header.next;
         let st = decoded.header.st;
         drop(decoded);
@@ -324,8 +324,8 @@ impl<S: Storage> XmlDb<S> {
                 (0, 0)
             };
             let mut kept: Vec<Entry> = Vec::with_capacity(keep_head + keep_tail);
-            kept.extend_from_slice(&decoded.entries[..keep_head]);
-            kept.extend_from_slice(&decoded.entries[decoded.len() - keep_tail..]);
+            kept.extend(decoded.entries().take(keep_head));
+            kept.extend(decoded.entries_from(decoded.len() - keep_tail));
             let st = if i == 0 {
                 decoded.header.st
             } else {

@@ -1,0 +1,163 @@
+//! Exact work budget of the index route. For the selective dblp workload
+//! (Q1–Q8 in both forms) and one unique-key lookup, each query's logical
+//! page gets on the B+t, B+v and B+i pools and the entries its matcher is
+//! fed are counts, not timings: on a warm `XmlDb::open_dir` of a given
+//! corpus they repeat exactly, so a change that adds a lookup per start or
+//! widens a sub-scan fails here instead of drifting into the benchmark's
+//! `point_read`.
+//!
+//! Each ceiling is the measured count. Lower a ceiling when a query gets
+//! cheaper; raise one only with the reason in the change that does.
+
+#![cfg(test)]
+
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+
+use nok_core::{QueryOptions, XmlDb};
+use nok_datagen::{generate, workload, DatasetKind};
+use nok_pager::FileStorage;
+
+/// The unique-key lookup `point_read` alternates with the workload.
+const KEY_LOOKUP: &str = r#"//article[ee="db/j/777.html"]/title"#;
+
+/// `(query, [B+t gets, B+v gets, B+i gets, entries examined])` at dblp
+/// scale 0.01, ceilings = measured.
+const BUDGET: [(&str, [u64; 4]); 17] = [
+    (r#"/dblp/article[keyword="needle-high"]"#, [0, 6, 12, 86]),
+    (r#"//article[keyword="needle-high"]"#, [0, 6, 9, 86]),
+    ("/dblp/article/rareitem/subitem", [3, 0, 12, 12]),
+    ("//article/rareitem/subitem", [3, 0, 9, 86]),
+    (
+        r#"/dblp/article[keyword="needle-high"][note="needle-high"]/author"#,
+        [0, 9, 12, 86],
+    ),
+    (
+        r#"//article[keyword="needle-high"][note="needle-high"]/author"#,
+        [0, 9, 9, 86],
+    ),
+    (
+        "/dblp/article[rareitem][author][title][year]",
+        [3, 0, 12, 86],
+    ),
+    ("//article[rareitem][author][title][year]", [3, 0, 9, 86]),
+    (
+        r#"/dblp/article[keyword="needle-mod"]/author"#,
+        [0, 8, 123, 1194],
+    ),
+    (
+        r#"//article[keyword="needle-mod"]/author"#,
+        [0, 8, 120, 1194],
+    ),
+    ("/dblp/article/uncommonitem/subitem", [3, 0, 123, 160]),
+    ("//article/uncommonitem/subitem", [3, 0, 120, 1194]),
+    (
+        r#"/dblp/article[keyword="needle-mod"][note="needle-mod"]"#,
+        [0, 12, 123, 1194],
+    ),
+    (
+        r#"//article[keyword="needle-mod"][note="needle-mod"]"#,
+        [0, 12, 120, 1194],
+    ),
+    (
+        "/dblp/article[uncommonitem][author][title]",
+        [3, 0, 123, 1194],
+    ),
+    ("//article[uncommonitem][author][title]", [3, 0, 120, 1194]),
+    (KEY_LOOKUP, [0, 6, 3, 28]),
+];
+
+/// A fresh on-disk dblp store at scale 0.01, reopened (warm pools follow
+/// from one untimed run of each query).
+fn open_dblp(tag: &str) -> (XmlDb<FileStorage>, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("nok-index-route-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let db = XmlDb::create_on_disk(&dir, &generate(DatasetKind::Dblp, 0.01).xml).unwrap();
+    db.flush().unwrap();
+    drop(db);
+    (XmlDb::open_dir(&dir).unwrap(), dir)
+}
+
+fn index_gets(db: &XmlDb<FileStorage>) -> [u64; 3] {
+    [db.bt_tag(), db.bt_val(), db.bt_id()].map(|bt| bt.pool().stats().logical_gets())
+}
+
+#[test]
+fn selective_queries_stay_within_their_index_route_budget() {
+    let (db, dir) = open_dblp("budget");
+    let mut queries: Vec<String> = workload(DatasetKind::Dblp)
+        .into_iter()
+        .filter(|(i, _)| *i <= 8)
+        .filter_map(|(_, spec)| spec)
+        .flat_map(|spec| [spec.path, spec.descendant_variant])
+        .collect();
+    queries.push(KEY_LOOKUP.to_string());
+    assert_eq!(queries.len(), BUDGET.len(), "every query has a budget");
+    let mut over = Vec::new();
+    for q in &queries {
+        let Some((_, ceiling)) = BUDGET.iter().find(|(b, _)| b == q) else {
+            panic!("no budget for {q}");
+        };
+        db.query(q).unwrap();
+        let before = index_gets(&db);
+        let (hits, stats) = db.query_with(q, QueryOptions::default()).unwrap();
+        let after = index_gets(&db);
+        let got = [
+            after[0] - before[0],
+            after[1] - before[1],
+            after[2] - before[2],
+            stats.entries_examined,
+        ];
+        eprintln!(
+            "{q}: B+t {} B+v {} B+i {} entries {} ({} matches; ceiling {ceiling:?})",
+            got[0],
+            got[1],
+            got[2],
+            got[3],
+            hits.len()
+        );
+        if got.iter().zip(ceiling).any(|(g, c)| g > c) {
+            over.push(format!("{q}: {got:?} > {ceiling:?}"));
+        }
+    }
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(over.is_empty(), "over budget: {over:?}");
+}
+
+/// `entries_examined` is the executor's own count, not a delta of the
+/// pool-wide counters: another thread querying the same pool at the same
+/// time leaves it unchanged, on either route.
+#[test]
+fn entries_examined_is_exact_under_concurrent_queries() {
+    let (db, dir) = open_dblp("exact");
+    let counts = |q: &str| {
+        let (_, stats) = db.query_with(q, QueryOptions::default()).unwrap();
+        (stats.entries_examined, stats.dir_entries_examined)
+    };
+    let measured = [
+        r#"/dblp/article[keyword="needle-mod"]/author"#,
+        "/dblp/article[author][title]",
+    ];
+    let alone: Vec<_> = measured.iter().map(|q| counts(q)).collect();
+    assert!(alone.iter().all(|&(e, _)| e > 0));
+    let stop = AtomicBool::new(false);
+    let mut beside = Vec::new();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Relaxed) {
+                db.query("//article/author").unwrap();
+            }
+        });
+        for _ in 0..20 {
+            beside.extend(measured.iter().map(|q| counts(q)));
+        }
+        stop.store(true, Relaxed);
+    });
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+    for (i, got) in beside.iter().enumerate() {
+        let q = i % measured.len();
+        assert_eq!(*got, alone[q], "{} beside a concurrent query", measured[q]);
+    }
+}

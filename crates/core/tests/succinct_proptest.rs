@@ -161,16 +161,17 @@ proptest! {
         });
         buf[page::HEADER_SIZE..].copy_from_slice(&content);
         let decoded = page::decode_page(&buf).expect("canonical page decodes");
-        prop_assert_eq!(&decoded.entries, &entries);
+        prop_assert_eq!(&decoded.entries().collect::<Vec<_>>(), &entries);
 
         let n = decoded.len();
-        let max_level = decoded.levels.iter().copied().max().unwrap_or(0);
+        let levels: Vec<u16> = decoded.levels().collect();
+        let max_level = levels.iter().copied().max().unwrap_or(0);
         for target in 0..=max_level {
             // Sweep `from` downwards so the linear answer is carried along.
             let mut linear = None;
             prop_assert_eq!(decoded.bp.fwd_search_le(n, i32::from(target) - i32::from(st)), None);
             for from in (0..n).rev() {
-                if decoded.levels[from] <= target {
+                if levels[from] <= target {
                     linear = Some(from);
                 }
                 prop_assert_eq!(
