@@ -39,6 +39,17 @@ pub enum NameTest {
     Wildcard,
 }
 
+impl NameTest {
+    /// Does a node named `name` pass the test? `*` selects elements, not
+    /// the synthesized `@name` attribute nodes.
+    pub fn accepts(&self, name: &str) -> bool {
+        match self {
+            NameTest::Tag(t) => t == name,
+            NameTest::Wildcard => !name.starts_with('@'),
+        }
+    }
+}
+
 impl fmt::Display for NameTest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -29,7 +29,7 @@ use nok_xml::Event;
 
 use crate::dewey::Dewey;
 use crate::error::{CoreError, CoreResult};
-use crate::pattern::{NameTest, PathExpr, ValueCmp};
+use crate::pattern::{PathExpr, ValueCmp};
 use crate::pattern_tree::{CutKind, PatternTree, DOC_NODE};
 use crate::scan::{NodeTests, ScanMatcher, ScanPattern, ScanSource};
 
@@ -54,6 +54,7 @@ struct SaxSource {
 
 impl ScanSource for SaxSource {
     type Payload = String;
+    type Set = u64;
 
     fn admits(&self) -> u64 {
         0
@@ -83,7 +84,7 @@ impl ScanSource for SaxSource {
 pub struct StreamMatcher {
     matcher: ScanMatcher<SaxSource>,
     /// Name tests passed, per distinct node name seen.
-    tests: HashMap<String, NodeTests>,
+    tests: HashMap<String, NodeTests<u64>>,
     /// Direct text of the open elements.
     text: Vec<String>,
     /// Event counter: the stream's linear positions.
@@ -144,18 +145,13 @@ impl StreamMatcher {
         let tests = match self.tests.get(name) {
             Some(t) => *t,
             None => {
-                let is_attr = name.starts_with('@');
-                let t = NodeTests::of(&self.matcher.pat, |test| match test {
-                    // '*' selects elements, not attribute nodes.
-                    NameTest::Wildcard => !is_attr,
-                    NameTest::Tag(t) => t == name,
-                });
+                let t = NodeTests::of(&self.matcher.pat, name);
                 self.tests.insert(name.to_string(), t);
                 t
             }
         };
         self.pos += 1;
-        self.matcher.open(tests, self.pos, || name.to_string())
+        self.matcher.open(&tests, self.pos, || name.to_string())
     }
 
     fn close(&mut self, value: Option<String>) -> CoreResult<()> {
