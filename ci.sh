@@ -141,8 +141,11 @@ echo "==> planner bench (BENCH_plan.json)"
 # most once, EXPLAIN shows strategy=scan for them, and dblp Q1-Q8 keep an
 # index seed; forced TagIndex on //article[author][title] (the index route)
 # fetches each structural page at most once and examines only the entries
-# and directory records it feeds its matcher (no subtree_close). The
-# per-route timings of the 12 heavy queries are reported, not gated.
+# and directory records it feeds its matcher (no subtree_close); the scan
+# route skips >= 75% of the entries it reads inside dead subtrees on
+# /dblp/article/author and //article/author, and some on
+# /treebank/s[np][vp]. The per-route timings of the 12 heavy queries are
+# reported, not gated.
 cargo run --release -q -p nok-bench --bin plan_bench -- \
   --reps 3 --out BENCH_plan.json
 grep -q '"gates_passed":true' BENCH_plan.json

@@ -46,9 +46,14 @@
 //! index seed on every fragment. The index route is held to the same
 //! proposition: forced tag seeds on `//article[author][title]` fetch each
 //! structural page at most once and navigate nothing outside the subtrees
-//! they feed the matcher (no `subtree_close`). The section also prints the unit costs the
-//! planner's constants cite (`scan_pass_ns_per_node`, `scan_hit_ns`,
-//! `get_warm_ns`, `match_ns_per_start`).
+//! they feed the matcher (no `subtree_close`). The scan route's skip is
+//! gated as counts as well: on `/dblp/article/author` and
+//! `//article/author` it passes over at least 75 % of the entries it reads
+//! inside dead subtrees (`QueryStats::entries_skipped`), and on
+//! `/treebank/s[np][vp]` over some; the table prints every heavy query's
+//! share. The section also prints the unit costs the planner's constants
+//! cite (`scan_pass_ns_per_node`, `scan_hit_ns`, `get_warm_ns`,
+//! `match_ns_per_start`).
 //!
 //! Gates (the process exits nonzero when any fails):
 //!
@@ -69,7 +74,9 @@ use std::time::Instant;
 
 use nok_bench::Args;
 use nok_core::cursor::DocScan;
-use nok_core::{PlanConfig, PlannedQuery, QueryOptions, QueryScratch, StartStrategy, XmlDb};
+use nok_core::{
+    PlanConfig, PlannedQuery, QueryOptions, QueryScratch, QueryStats, StartStrategy, XmlDb,
+};
 use nok_datagen::{generate, workload, DatasetKind};
 use nok_pager::{FileStorage, MemStorage, Storage};
 use nok_serve::{normalize_query, Json, PlanCache, SERVE_POOL_FRAMES};
@@ -226,12 +233,12 @@ const COUNTED: [&str; 3] = [
 ];
 
 /// Best-of-`reps` wall time of one prepared plan, warm (one untimed run
-/// first), and its match count.
+/// first), its match count and the stats of its last run.
 fn time_plan<S: Storage>(
     db: &XmlDb<S>,
     planned: &PlannedQuery,
     reps: usize,
-) -> Result<(f64, usize), String> {
+) -> Result<(f64, usize, QueryStats), String> {
     let mut scratch = QueryScratch::new();
     let mut out = Vec::new();
     let mut best = f64::INFINITY;
@@ -243,7 +250,7 @@ fn time_plan<S: Storage>(
             best = best.min(t.elapsed().as_nanos() as f64);
         }
     }
-    Ok((best, out.len()))
+    Ok((best, out.len(), scratch.stats().clone()))
 }
 
 fn strategies_of<S: Storage>(db: &XmlDb<S>, q: &str) -> Result<Vec<String>, String> {
@@ -268,6 +275,10 @@ struct RouteRow {
     scan_ns: f64,
     index_ns: f64,
     matches: usize,
+    /// Entries the forced scan route read, and of those the entries it
+    /// passed over inside dead subtrees.
+    scan_examined: u64,
+    scan_skipped: u64,
 }
 
 impl RouteRow {
@@ -291,6 +302,11 @@ impl RouteRow {
             ("scan_ns", Json::Num(self.scan_ns)),
             ("index_ns", Json::Num(self.index_ns)),
             ("matches", Json::Num(self.matches as f64)),
+            (
+                "scan_entries_examined",
+                Json::Num(self.scan_examined as f64),
+            ),
+            ("scan_entries_skipped", Json::Num(self.scan_skipped as f64)),
             ("auto_tracks_fastest", Json::Bool(self.tracks())),
         ])
     }
@@ -334,8 +350,8 @@ fn route_corpus(
                     }
                     continue;
                 }
-                let (auto_ns, matches) = time_plan(&db, &plan(q, StartStrategy::Auto)?, reps)?;
-                let (scan_ns, _) = time_plan(&db, &plan(q, StartStrategy::Scan)?, reps)?;
+                let (auto_ns, matches, _) = time_plan(&db, &plan(q, StartStrategy::Auto)?, reps)?;
+                let (scan_ns, _, scan) = time_plan(&db, &plan(q, StartStrategy::Scan)?, reps)?;
                 // The forced index route: the faster of the tag and value
                 // seeds (a forced value seed falls back to `Auto` on
                 // fragments without a string equality — not an index plan).
@@ -358,7 +374,30 @@ fn route_corpus(
                     scan_ns,
                     index_ns,
                     matches,
+                    scan_examined: scan.entries_examined,
+                    scan_skipped: scan.entries_skipped,
                 });
+            }
+        }
+
+        // ---- The skip as exact counts: the scan route passes over the
+        // subtrees no pattern node can enter without a matcher call — on
+        // dblp all but the `article` records' `author` children, in both
+        // forms (the `//` one by the exact path summary's proof), on the
+        // folded treebank summary only what the `/treebank/s` spine rules
+        // out.
+        for r in &rows {
+            let (examined, skipped) = (r.scan_examined, r.scan_skipped);
+            let holds = match r.query.as_str() {
+                "/dblp/article/author" | "//article/author" => 4 * skipped >= 3 * examined,
+                "/treebank/s[np][vp]" => skipped > 0,
+                _ => true,
+            };
+            if !holds {
+                failures.push(format!(
+                    "{}: scan route skipped {skipped} of {examined} entries",
+                    r.query
+                ));
             }
         }
 
@@ -474,7 +513,7 @@ fn route_corpus(
         if kind == DatasetKind::Dblp {
             // The pass alone (a scan that matches three nodes), then what
             // each buffered hot candidate adds to it.
-            let (pass_ns, _) = time_plan(
+            let (pass_ns, _, _) = time_plan(
                 &db,
                 &plan("/dblp/article/rareitem/subitem", StartStrategy::Scan)?,
                 reps,
@@ -520,18 +559,19 @@ fn route_corpus(
 
 fn print_routes(rows: &[RouteRow]) {
     println!(
-        "route table\n{:<58} {:<10} {:>9} {:>9} {:>9} {:>8}  tracks",
-        "query", "auto", "auto ms", "scan ms", "index ms", "matches"
+        "route table\n{:<58} {:<10} {:>9} {:>9} {:>9} {:>8} {:>7}  tracks",
+        "query", "auto", "auto ms", "scan ms", "index ms", "matches", "skip %"
     );
     for r in rows {
         println!(
-            "{:<58} {:<10} {:>9.2} {:>9.2} {:>9.2} {:>8}  {}",
+            "{:<58} {:<10} {:>9.2} {:>9.2} {:>9.2} {:>8} {:>7.1}  {}",
             r.query,
             r.auto_strategy,
             r.auto_ns / 1e6,
             r.scan_ns / 1e6,
             r.index_ns / 1e6,
             r.matches,
+            100.0 * r.scan_skipped as f64 / r.scan_examined.max(1) as f64,
             if r.tracks() { "yes" } else { "NO" }
         );
     }

@@ -83,11 +83,15 @@ pub struct QueryStats {
     /// Surviving hot matches of the child fragment after each top-down
     /// semijoin filter step, in chain order (root fragment downward).
     pub chain_survivors: Vec<u64>,
-    /// String entries the executor fed to its matcher during this query:
-    /// whole pages on the scan route, each start's subtree on the index
-    /// route. Counted by the executor itself, so exact whatever other
-    /// threads do on the same pool.
+    /// String entries the executor's loops read during this query: whole
+    /// pages on the scan route, each start's subtree on the index route.
+    /// Counted by the executor itself, so exact whatever other threads do
+    /// on the same pool.
     pub entries_examined: u64,
+    /// Of those, the entries passed over by a depth count inside the
+    /// subtree of a dead node, with no matcher call (`core::scan`; exact,
+    /// likewise). The matcher was fed the rest.
+    pub entries_skipped: u64,
     /// Directory records the executor's page walks consulted during this
     /// query (exact, likewise).
     pub dir_entries_examined: u64,
@@ -109,6 +113,7 @@ impl QueryStats {
         self.fragment_matches.resize(nfrags, 0);
         self.chain_survivors.clear();
         self.entries_examined = 0;
+        self.entries_skipped = 0;
         self.dir_entries_examined = 0;
         self.proven_empty = false;
     }

@@ -8,7 +8,8 @@
 //!    cost-ordered). Each evaluates its fragment by the route the planner
 //!    chose ([`SeedChoice`]); both routes feed stored entries, read in
 //!    place off decoded pages ([`PageWalk`]), as open/close events to one
-//!    [`ScanMatcher`]:
+//!    [`ScanMatcher`], passing over the subtree of each dead node (see
+//!    `core::scan`) with a depth count:
 //!    * **index route** — locate starting points from B+v/B+t postings,
 //!      verify the spine above them through B+i, and feed each start's
 //!      subtree, from its open to its matching close, to the matcher
@@ -39,7 +40,7 @@ use crate::dewey::{cmp_key_path, Dewey};
 use crate::engine::{QueryMatch, QueryScratch, QueryStats};
 use crate::error::{CoreError, CoreResult};
 use crate::join::IntervalSet;
-use crate::page::Entry;
+use crate::page::{DecodedPage, Entry};
 use crate::pattern::NameTest;
 use crate::pattern_tree::{CutKind, PNodeId, Partition, PatternTree, DOC_NODE};
 use crate::physical::{IdRecord, PhysAccess, PhysNode, DOC_ADDR};
@@ -113,9 +114,36 @@ fn cuts_hold(cuts: &[Cut<'_>], p: PNodeId, start: u64, end: u64) -> bool {
         })
 }
 
+/// Where a page-fed pass stands in the subtree of a dead node (see
+/// [`ScanMatcher::open`]), carried from one page to the next.
+#[derive(Default)]
+struct Skip {
+    /// Nodes of the subtree still open; 0 outside one.
+    open: u32,
+    /// Entries of dead subtrees so far: each dead open, which the matcher
+    /// only counts as a child, and the rest of its subtree, passed over by
+    /// the depth count.
+    entries: u64,
+}
+
+impl Skip {
+    /// Pass over entries `from..` of `page` to the close that ends the
+    /// dead subtree: the index after it, or `None` at the end of the page.
+    /// Out of line: inlined into [`feed`], it slows the loop of a pass
+    /// that skips nothing.
+    #[inline(never)]
+    fn pass(&mut self, page: &DecodedPage, from: usize) -> Option<usize> {
+        let end = page.close_from(from, &mut self.open);
+        self.entries += (end.unwrap_or(page.len()) - from) as u64;
+        end
+    }
+}
+
 /// Feed entries `from..` of one page to the matcher, stopping after the
 /// close that leaves `floor` nodes open (the scan route passes 0: never).
-/// Returns the index after that close.
+/// Returns the index after that close. The subtree of a dead node is
+/// passed over with a depth count over the page's codes; a dead start of
+/// the index route ends its sub-scan at its own close.
 #[inline]
 fn feed<Src: ScanSource<Payload = NodeAddr>>(
     m: &mut ScanMatcher<Src>,
@@ -123,27 +151,57 @@ fn feed<Src: ScanSource<Payload = NodeAddr>>(
     wp: &WalkPage,
     from: usize,
     floor: usize,
+    skip: &mut Skip,
 ) -> CoreResult<Option<usize>> {
+    let page = &*wp.page;
+    let mut from = from;
     let untested = NodeTests::default();
-    for (i, entry) in (from..).zip(wp.page.entries_from(from)) {
-        match entry {
-            Entry::Open(tag) => m.open(
-                tests.get(tag.0 as usize).unwrap_or(&untested),
-                wp.lin(i),
-                || NodeAddr {
-                    page: wp.id,
-                    entry: i as u32,
-                },
-            )?,
-            Entry::Close => {
-                m.close(wp.lin(i))?;
-                if m.depth() == floor {
-                    return Ok(Some(i + 1));
+    // One run of live entries after each dead subtree passed over.
+    'runs: loop {
+        if skip.open > 0 {
+            let Some(end) = skip.pass(page, from) else {
+                return Ok(None);
+            };
+            if m.depth() == floor {
+                return Ok(Some(end));
+            }
+            from = end;
+        }
+        let mut entries = (from..).zip(page.entries_from(from));
+        while let Some((i, entry)) = entries.next() {
+            match entry {
+                Entry::Open(tag) => {
+                    let tests = tests.get(tag.0 as usize).unwrap_or(&untested);
+                    let addr = || NodeAddr {
+                        page: wp.id,
+                        entry: i as u32,
+                    };
+                    if !m.open(tests, wp.lin(i), addr)? {
+                        // A dead leaf: its close is all there is to pass.
+                        if matches!(page.get(i + 1), Some(Entry::Close)) {
+                            entries.next();
+                            skip.entries += 2;
+                            if m.depth() == floor {
+                                return Ok(Some(i + 2));
+                            }
+                            continue;
+                        }
+                        skip.open = 1;
+                        skip.entries += 1;
+                        from = i + 1;
+                        continue 'runs;
+                    }
+                }
+                Entry::Close => {
+                    m.close(wp.lin(i))?;
+                    if m.depth() == floor {
+                        return Ok(Some(i + 1));
+                    }
                 }
             }
         }
+        return Ok(None);
     }
-    Ok(None)
 }
 
 /// A forward cursor over the document-ordered postings of one literal, for
@@ -389,11 +447,11 @@ impl<S: Storage> XmlDb<S> {
         let f = fp.frag;
         Ok(match &fp.seed {
             SeedChoice::Scan => {
-                self.scan_fragment::<B>(part, f, access, cuts, target, stats)?;
+                self.scan_fragment::<B>(part, fp, access, cuts, target, stats)?;
                 StrategyUsed::Scan
             }
             SeedChoice::DocNavigate if part.tree.local_children(DOC_NODE).next().is_some() => {
-                self.scan_fragment::<B>(part, f, access, cuts, target, stats)?;
+                self.scan_fragment::<B>(part, fp, access, cuts, target, stats)?;
                 StrategyUsed::Doc
             }
             SeedChoice::DocNavigate => {
@@ -434,19 +492,22 @@ impl<S: Storage> XmlDb<S> {
         })
     }
 
-    /// The matcher of one fragment compiled as `pat`, its source reading
-    /// the postings of every `= "literal"` in `postings` (with `load`, of
-    /// every one the fragment has) and fetching values for the rest, and
-    /// its name tests resolved per tag code.
+    /// The matcher of fragment `fp` compiled as `pat`, its source reading
+    /// the postings of the index route's `seed` literals (on the scan
+    /// route, `None`: of every `= "literal"` the fragment has) and fetching
+    /// values for the rest, and its name tests resolved per tag code, with
+    /// the plan's barren tags.
     fn matcher<'a, B: NodeSet>(
         &self,
         part: &'a Partition<'_>,
+        fp: &FragmentPlan,
         pat: ScanPattern<B>,
         access: &'a PhysAccess<'a, S>,
         cuts: &'a [Cut<'a>],
-        mut postings: Vec<Postings<'a>>,
-        load: bool,
+        seed: Option<Vec<Postings<'a>>>,
     ) -> CoreResult<StoreMatcher<'a, S, B>> {
+        let load = seed.is_none();
+        let mut postings = seed.unwrap_or_default();
         let (mut eq, mut admits, mut confirms) = (Vec::new(), B::default(), B::default());
         for (i, &n) in pat.nodes.iter().enumerate() {
             for cmp in &part.tree.nodes[n].value_cmps {
@@ -473,8 +534,11 @@ impl<S: Storage> XmlDb<S> {
             }
         }
         let mut tests = vec![NodeTests::default(); self.dict.len()];
+        // Both in code order.
+        let mut barren = fp.barren.iter().peekable();
         for (code, name) in self.dict.iter() {
-            tests[code.0 as usize] = NodeTests::of(&pat, name);
+            let is_barren = barren.next_if_eq(&&code).is_some();
+            tests[code.0 as usize] = NodeTests::of(&pat, name, is_barren);
         }
         let src = StoreSource {
             access,
@@ -494,27 +558,36 @@ impl<S: Storage> XmlDb<S> {
     fn scan_fragment<B: NodeSet>(
         &self,
         part: &Partition<'_>,
-        f: usize,
+        fp: &FragmentPlan,
         access: &PhysAccess<'_, S>,
         cuts: &[Cut<'_>],
         target: &mut FragEval,
         stats: &mut QueryStats,
     ) -> CoreResult<()> {
+        let f = fp.frag;
         let pat = ScanPattern::<B>::compile(part, f)?;
-        let (mut m, tests) = self.matcher(part, pat, access, cuts, Vec::new(), true)?;
+        let (mut m, tests) = self.matcher(part, fp, pat, access, cuts, None)?;
         // Released matches and root positions land straight in the pooled
         // result vectors.
         m.done = std::mem::take(&mut target.hot);
         m.root_starts = (f != 0).then(|| std::mem::take(&mut target.root_starts));
         let mut walk = PageWalk::new(&self.store);
+        let mut skip = Skip::default();
         let io = self.store.pool().stats();
         while let Some(wp) = walk.next_page()? {
             let n = wp.page.len() as u64;
             io.add_entries_examined(n);
             stats.entries_examined += n;
-            feed(&mut m, &tests, &wp, 0, 0)?;
+            feed(&mut m, &tests, &wp, 0, 0, &mut skip)?;
+        }
+        if skip.open > 0 {
+            return Err(CoreError::Corrupt(format!(
+                "structure ends with {} nodes still open",
+                skip.open
+            )));
         }
         m.finish()?;
+        stats.entries_skipped += skip.entries;
         stats.dir_entries_examined += walk.probes();
         stats.starting_points[f] = m.candidates;
         stats.fragment_matches[f] = m.roots;
@@ -545,7 +618,7 @@ impl<S: Storage> XmlDb<S> {
     ) -> CoreResult<()> {
         let f = fp.frag;
         let pat = ScanPattern::<B>::compile_seeded(part, f, fp.pivot)?;
-        let (mut m, tests) = self.matcher(part, pat, access, cuts, seed, false)?;
+        let (mut m, tests) = self.matcher(part, fp, pat, access, cuts, Some(seed))?;
         m.done = std::mem::take(&mut target.hot);
         m.root_starts = (f != 0).then(|| std::mem::take(&mut target.root_starts));
         // A fixed-depth pivot: its level and the spine above it.
@@ -558,6 +631,7 @@ impl<S: Storage> XmlDb<S> {
         let mut walk = PageWalk::new(&self.store);
         let mut held: Option<WalkPage> = None;
         let mut last: Option<Dewey> = None;
+        let mut skip = Skip::default();
         let io = self.store.pool().stats();
         for start in starts {
             if let Some(spine) = &spine {
@@ -592,7 +666,7 @@ impl<S: Storage> XmlDb<S> {
             }
             m.prime(start.dewey.components())?;
             loop {
-                let stop = feed(&mut m, &tests, &wp, from, 1)?;
+                let stop = feed(&mut m, &tests, &wp, from, 1, &mut skip)?;
                 let n = (stop.unwrap_or(wp.page.len()) - from) as u64;
                 io.add_entries_examined(n);
                 stats.entries_examined += n;
@@ -608,6 +682,7 @@ impl<S: Storage> XmlDb<S> {
             last = Some(start.dewey);
         }
         m.finish()?;
+        stats.entries_skipped += skip.entries;
         stats.dir_entries_examined += walk.probes();
         stats.fragment_matches[f] = m.roots;
         target.roots = m.roots;

@@ -335,6 +335,29 @@ impl DecodedPage {
             .map(|&c| unpack(c))
     }
 
+    /// Pass over entries `from..` until `open` more nodes have closed than
+    /// opened — the end of a subtree entered `open` levels deep — and
+    /// return the index after that close; `None` at the end of the page,
+    /// with `open` left at the levels still to close. `open` must be
+    /// positive.
+    #[inline]
+    pub(crate) fn close_from(&self, from: usize, open: &mut u32) -> Option<usize> {
+        let mut depth = *open;
+        for (i, &code) in (from..).zip(&self.codes[from.min(self.codes.len())..]) {
+            if code == CLOSE_CODE {
+                depth -= 1;
+                if depth == 0 {
+                    *open = 0;
+                    return Some(i + 1);
+                }
+            } else {
+                depth += 1;
+            }
+        }
+        *open = depth;
+        None
+    }
+
     /// Level of entry `i` (paper's convention; see module docs): one rank
     /// query over the parenthesis bits.
     #[inline]
@@ -562,6 +585,27 @@ mod tests {
                     "entry {i}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn close_from_finds_each_subtree_end_or_carries_its_depth() {
+        let entries = paper_entries();
+        let page = decode_page(&raw_page(0, &entries)).unwrap();
+        for (i, e) in entries.iter().enumerate() {
+            if !e.is_open() {
+                continue;
+            }
+            let level = page.level(i);
+            let end = (i + 1..entries.len()).find(|&j| page.level(j) < level);
+            let mut open = 1;
+            assert_eq!(page.close_from(i + 1, &mut open), end.map(|j| j + 1));
+            // Unclosed at the page's end: the subtree's open nodes carry.
+            let left = match end {
+                Some(_) => 0,
+                None => page.end_level() + 1 - level,
+            };
+            assert_eq!(open, u32::from(left), "entry {i}");
         }
     }
 

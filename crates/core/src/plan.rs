@@ -14,6 +14,7 @@
 use std::fmt;
 
 use crate::pattern_tree::{CutKind, PNodeId, PatternTree};
+use crate::sigma::TagCode;
 
 /// How a fragment's starting points were (or will be) located. This is the
 /// typed replacement for the old `&'static str` strategy labels; `Display`
@@ -115,6 +116,13 @@ pub struct FragmentPlan {
     /// The chain may end among paths the summary folded away:
     /// `path_support` is an upper bound, not a count.
     pub path_support_open: bool,
+    /// Tags the exact path summary proves never have a descendant passing
+    /// the root test, ascending: the matcher passes over the subtree of
+    /// such a node when it matches nothing itself (`core::scan`). Empty
+    /// for the document-rooted fragment, whose root is anchored, and
+    /// whenever the summary is folded. Valid for the generation planned
+    /// against, as `QueryPlan::proven_empty` is.
+    pub barren: Vec<TagCode>,
 }
 
 /// One step of the physical plan.

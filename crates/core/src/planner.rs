@@ -37,6 +37,7 @@ use crate::error::CoreResult;
 use crate::pattern::{NameTest, PathExpr};
 use crate::pattern_tree::{EdgeKind, PNodeId, Partition, PatternTree, DOC_NODE};
 use crate::plan::{FragmentPlan, PlanStep, PlannedQuery, QueryPlan, SeedChoice};
+use crate::sigma::TagCode;
 use crate::synopsis::{ChainStates, PathAxis, PathStep, PathTrie};
 use crate::values::hash_key;
 use crate::{QueryOptions, StartStrategy};
@@ -280,6 +281,17 @@ impl<S: Storage> XmlDb<S> {
         })
     }
 
+    /// Tags the exact path summary proves never have a descendant passing
+    /// `test` (`FragmentPlan::barren`); none while the summary is folded.
+    fn barren_tags(&self, test: &NameTest) -> Vec<TagCode> {
+        let ntags = self.dict.len();
+        let passes = |t: TagCode| usize::from(t.0) >= ntags || test.accepts(self.dict.name(t));
+        self.synopsis()
+            .paths()
+            .barren_tags(ntags, passes)
+            .unwrap_or_default()
+    }
+
     /// Route choice + cost estimate for one fragment: the cheapest index
     /// seed against the scan route (module docs), both in nanoseconds.
     /// Path-aware planning (`chains`) refines the tag-only picture with the
@@ -317,11 +329,17 @@ impl<S: Storage> XmlDb<S> {
                 est_cost: local.saturating_mul(node_count).saturating_mul(NAV_NS),
                 path_support: None,
                 path_support_open: false,
+                barren: Vec::new(),
             });
         }
+        let barren = if root == DOC_NODE {
+            Vec::new()
+        } else {
+            self.barren_tags(&tree.nodes[root].test)
+        };
         // A plan seeded on `seed` from `pivot`, its survivors bounded by the
         // root chain of pattern node `chain`.
-        let plan = |seed, pivot, chain: PNodeId, est_starts, est_cost| FragmentPlan {
+        let plan = move |seed, pivot, chain: PNodeId, est_starts, est_cost| FragmentPlan {
             frag: f,
             root,
             pivot,
@@ -331,6 +349,7 @@ impl<S: Storage> XmlDb<S> {
             est_cost,
             path_support: chains.map(|c| c.support[chain]),
             path_support_open: chains.is_some_and(|c| c.states[chain].is_open()),
+            barren,
         };
         let strategy = opts.strategy;
         let depths = pivot_depths(part, pivot);

@@ -4,9 +4,10 @@
 //! The paper's §4.2 point is that the stored string *is* the SAX stream:
 //! every Σ character opens a node, every `)` closes one. [`ScanMatcher`]
 //! consumes exactly that — `open`/`close` calls in document order — and
-//! decides one NoK fragment for **every** subject node it is shown, so the
-//! same matcher serves both executor routes (events read off decoded pages
-//! by [`crate::cursor::PageWalk`]: the whole chain on the scan route, each
+//! decides one NoK fragment over every subject node it is shown, entering
+//! only the subtrees in which a pattern node can match. The same matcher
+//! serves both executor routes (events read off decoded pages by
+//! [`crate::cursor::PageWalk`]: the whole chain on the scan route, each
 //! index-located start's subtree on the index route, see
 //! [`ScanMatcher::prime`]) and [`crate::stream::StreamMatcher`] (events
 //! read off a SAX parser).
@@ -25,6 +26,21 @@
 //!   satisfied in the enclosing frame. The close event also completes the
 //!   node's `(start, end)` interval, so cut-edge conditions cost nothing.
 //!
+//! A node is **dead** when it opens if it passes the name test of no
+//! pattern child of the enclosing node's candidates, cannot be a root
+//! candidate itself, and no root candidate can open below it: nothing in
+//! its subtree can match. The enclosing frame counts it as a child (its
+//! Dewey ordinal) and the driver passes over the rest of the subtree,
+//! through its matching close, with a depth count and no matcher call —
+//! the paper's Algorithm 1 never enters such a subtree either. Below a
+//! node of an anchored fragment a root candidate opens only if the node
+//! carries the spine; below a node of a `//`- or `following::`-rooted
+//! fragment, anywhere, unless the node's tag is *barren*: the exact path
+//! summary shows no path on which the tag has a descendant passing the
+//! root test (`FragmentPlan::barren`). A folded summary proves nothing (a
+//! residual hides paths, and a tag seen only there is unknown), and a SAX
+//! stream has no summary, so such fragments then skip nothing.
+//!
 //! Matches of the fragment's hot node are buffered from the moment the
 //! candidate opens and released once every node on the path up to the
 //! fragment root has matched; a buffered candidate that opens earlier holds
@@ -33,6 +49,8 @@
 //!
 //! Semantics are those of `match_at` run from every node passing the root
 //! test (the differential batteries hold the two to the same answers).
+
+use std::cmp::Ordering;
 
 use crate::dewey::Dewey;
 use crate::error::{CoreError, CoreResult};
@@ -298,11 +316,33 @@ pub(crate) struct NodeTests<B> {
     pub(crate) nodes: B,
     /// Spine positions (`j` = level `j + 1`) whose test accepts it.
     pub(crate) spine: B,
+    /// When the node is dead (module docs).
+    pub(crate) dies: Dies,
+}
+
+/// When a node is dead, given the name tests it passes: never, or — if it
+/// is a candidate for no pattern child of its parent's candidates — always
+/// or by its level.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Dies {
+    /// A root candidate may open at the node or below it: it passes the
+    /// root test, or its tag may hold a descendant that does.
+    #[default]
+    Never,
+    /// No root candidate opens at or below the node at any level: it
+    /// fails the root test and, in an anchored fragment, every spine
+    /// test; in any other, its tag is barren.
+    Childless,
+    /// An anchored fragment's node passing the root test or a spine test:
+    /// its level and the spine above it decide.
+    ByLevel,
 }
 
 impl<B: NodeSet> NodeTests<B> {
-    /// The name tests of `pat` a node named `name` passes.
-    pub(crate) fn of(pat: &ScanPattern<B>, name: &str) -> Self {
+    /// The name tests of `pat` a node named `name` passes. `barren`: the
+    /// exact path summary proves that no node so named has a descendant
+    /// passing the root test.
+    pub(crate) fn of(pat: &ScanPattern<B>, name: &str, barren: bool) -> Self {
         let passed = |tests: &[NameTest]| {
             let mut s = B::default();
             (tests.iter().enumerate())
@@ -310,10 +350,14 @@ impl<B: NodeSet> NodeTests<B> {
                 .for_each(|(i, _)| s.insert(i));
             s
         };
-        NodeTests {
-            nodes: passed(&pat.tests),
-            spine: passed(&pat.spine),
-        }
+        let (nodes, spine) = (passed(&pat.tests), passed(&pat.spine));
+        let dies = match (pat.anchored, nodes.has(0)) {
+            (true, false) if spine.is_empty() => Dies::Childless,
+            (true, _) => Dies::ByLevel,
+            (false, false) if barren => Dies::Childless,
+            (false, _) => Dies::Never,
+        };
+        NodeTests { nodes, spine, dies }
     }
 }
 
@@ -385,6 +429,27 @@ struct Frame<B> {
     /// `pending.len()` when the node opened: its subtree's buffered hits.
     buf_start: usize,
     next_child: u32,
+}
+
+/// Can a root candidate of an anchored fragment open at a node passing
+/// `tests` that opens at `level`, or below it, when the leading `spine_ok`
+/// levels of the open path pass the spine? Only where every level above
+/// carries the spine.
+#[inline]
+fn anchored_roots_at_or_below<B: NodeSet>(
+    pat: &ScanPattern<B>,
+    spine_ok: usize,
+    tests: &NodeTests<B>,
+    level: usize,
+) -> bool {
+    if spine_ok + 1 != level {
+        return false;
+    }
+    match level.cmp(&(pat.spine.len() + 1)) {
+        Ordering::Less => tests.spine.has(level - 1),
+        Ordering::Equal => tests.nodes.has(0) && pat.root() != DOC_NODE,
+        Ordering::Greater => false,
+    }
 }
 
 /// The matcher: feed it `open`/`close` in document order, then `finish`.
@@ -476,14 +541,17 @@ impl<S: ScanSource> ScanMatcher<S> {
     }
 
     /// A node opens at position `start`. `payload` is only called when the
-    /// node is a hot-node candidate.
+    /// node is a hot-node candidate. Returns whether the node is live; a
+    /// dead one (module docs) is counted as its parent's child and nothing
+    /// else, and the caller must pass over the rest of its subtree, through
+    /// its matching close, without calling the matcher.
     #[inline]
     pub(crate) fn open(
         &mut self,
         tests: &NodeTests<S::Set>,
         start: u64,
         payload: impl FnOnce() -> S::Payload,
-    ) -> CoreResult<()> {
+    ) -> CoreResult<bool> {
         let pat = &self.pat;
         let level = self.frames.len();
         let Some(parent) = self.frames.last_mut() else {
@@ -491,6 +559,15 @@ impl<S: ScanSource> ScanMatcher<S> {
                 "scan matcher lost its root frame".into(),
             ));
         };
+        let rootless = match tests.dies {
+            Dies::Never => false,
+            Dies::Childless => true,
+            Dies::ByLevel => !anchored_roots_at_or_below(pat, self.spine_ok, tests, level),
+        };
+        if rootless && !tests.nodes.meets(&parent.kids) {
+            parent.next_child += 1;
+            return Ok(false);
+        }
         self.path.push(parent.next_child);
         parent.next_child += 1;
         let mut cand = tests.nodes.and(&parent.kids);
@@ -548,7 +625,7 @@ impl<S: ScanSource> ScanMatcher<S> {
             buf_start,
             next_child: 0,
         });
-        Ok(())
+        Ok(true)
     }
 
     /// The innermost open node closes at position `end`.
@@ -659,6 +736,7 @@ mod tests {
     use crate::pattern::ValueCmp;
     use crate::pattern_tree::PatternTree;
     use nok_xml::{Document, NodeId};
+    use std::collections::HashSet;
 
     /// Drives the matcher from the DOM, attributes as leading children —
     /// the same subject tree `DomAccess` shows `match_at`.
@@ -668,6 +746,40 @@ mod tests {
         cmps: Vec<Vec<ValueCmp>>,
         /// Value of the node about to close.
         value: Option<String>,
+        /// Names with a descendant passing the root test (the exact
+        /// holder set the path summary gives the stored engine).
+        holders: HashSet<String>,
+        /// Nodes opened live.
+        live: usize,
+    }
+
+    /// Every name with a descendant passing `root`, below `id` (whose
+    /// ancestors are `above`).
+    fn holders_of(
+        doc: &Document,
+        id: NodeId,
+        root: &NameTest,
+        above: &mut Vec<String>,
+        out: &mut HashSet<String>,
+    ) {
+        let name = doc.tag(id).unwrap_or("").to_string();
+        if root.accepts(&name) {
+            out.extend(above.iter().cloned());
+        }
+        above.push(name);
+        if doc
+            .attrs(id)
+            .iter()
+            .any(|a| root.accepts(&format!("@{}", a.name)))
+        {
+            out.extend(above.iter().cloned());
+        }
+        for c in doc.children(id) {
+            if doc.tag(c).is_some() {
+                holders_of(doc, c, root, above, out);
+            }
+        }
+        above.pop();
     }
 
     fn matcher<'d>(
@@ -681,10 +793,20 @@ mod tests {
             .iter()
             .map(|&n| tree.nodes[n].value_cmps.clone())
             .collect();
+        let mut holders = HashSet::new();
+        holders_of(
+            doc,
+            NodeId::ROOT,
+            &pat.tests[0],
+            &mut Vec::new(),
+            &mut holders,
+        );
         let src = DomSource {
             doc,
             cmps,
             value: None,
+            holders,
+            live: 0,
         };
         ScanMatcher::new(pat, src)
     }
@@ -711,19 +833,27 @@ mod tests {
         }
     }
 
+    /// Open a node named `name`: whether it is live.
+    fn open(m: &mut ScanMatcher<DomSource<'_>>, name: &str, pos: &mut u64) -> bool {
+        let tests = NodeTests::of(&m.pat, name, !m.src.holders.contains(name));
+        *pos += 1;
+        let live = m.open(&tests, *pos, || ()).unwrap();
+        m.src.live += usize::from(live);
+        live
+    }
+
+    /// Feed the subtree of `id`, passing over it when it opens dead.
     fn walk(m: &mut ScanMatcher<DomSource<'_>>, id: NodeId, pos: &mut u64) {
         let doc = m.src.doc;
-        let name = doc.tag(id).unwrap_or("").to_string();
-        let tests = NodeTests::of(&m.pat, &name);
-        *pos += 1;
-        m.open(&tests, *pos, || ()).unwrap();
+        if !open(m, doc.tag(id).unwrap_or(""), pos) {
+            return;
+        }
         for a in doc.attrs(id) {
-            let tests = NodeTests::of(&m.pat, &format!("@{}", a.name));
-            *pos += 1;
-            m.open(&tests, *pos, || ()).unwrap();
-            m.src.value = Some(a.value.clone());
-            *pos += 1;
-            m.close(*pos).unwrap();
+            if open(m, &format!("@{}", a.name), pos) {
+                m.src.value = Some(a.value.clone());
+                *pos += 1;
+                m.close(*pos).unwrap();
+            }
         }
         for c in doc.children(id) {
             if doc.tag(c).is_some() {
@@ -868,6 +998,22 @@ mod tests {
     }
 
     #[test]
+    fn dead_subtrees_are_passed_over() {
+        // 15 nodes. Anchored `/r/a/b` enters only what carries the spine;
+        // `//a/b` and `//w` also enter the holders of their root tag.
+        let xml = "<r><x><a><b/></a><y><w/></y></x><a><z><b/><c><b/></c></z><b/></a>\
+                   <v><w/><w/></v></r>";
+        for (q, live, hits) in [("/r/a/b", 3, 1), ("//a/b", 6, 2), ("//w", 7, 3)] {
+            assert_eq!(agree(q, xml).len(), hits, "{q}");
+            let tree = PatternTree::parse(q).unwrap();
+            let doc = Document::parse(xml).unwrap();
+            let mut m = matcher(&tree, tree.partition().fragments.len() - 1, &doc);
+            walk(&mut m, NodeId::ROOT, &mut 0);
+            assert_eq!(m.src.live, live, "{q}");
+        }
+    }
+
+    #[test]
     fn buffer_stays_within_the_open_candidate() {
         let xml = "<r><a><h/><h/><p/></a><a><h/></a><a><h/><p/></a></r>";
         let tree = PatternTree::parse("//a[p]/h").unwrap();
@@ -876,7 +1022,7 @@ mod tests {
         m.root_starts = Some(Vec::new());
         let mut pos = 0;
         // Walk by hand to sample the buffer after each record closes.
-        m.open(&NodeTests::default(), 1, || ()).unwrap();
+        assert!(m.open(&NodeTests::default(), 1, || ()).unwrap());
         for a in doc.children(NodeId::ROOT) {
             walk(&mut m, a, &mut pos);
             assert_eq!(m.buffered(), 0, "a closed record holds nothing back");

@@ -8,7 +8,10 @@
 //!
 //! [`StreamMatcher`] consumes [`nok_xml::Event`]s one at a time and feeds
 //! them to the same single-pass matcher the stored engine's scan route
-//! runs ([`crate::scan::ScanMatcher`]) — two event sources, one matcher.
+//! runs ([`crate::scan::ScanMatcher`]) — two event sources, one matcher,
+//! one rule for the dead subtrees it passes over by counting start and end
+//! tags. A stream has no path summary to prove a tag barren, so only a
+//! `/`-anchored pattern skips.
 //! A start tag opens a node (its attributes open and close as leading
 //! children, as in the storage model), an end tag closes it with the text
 //! collected in between as its value. A returning match is emitted as soon
@@ -87,8 +90,11 @@ pub struct StreamMatcher {
     tests: HashMap<String, NodeTests<u64>>,
     /// Direct text of the open elements.
     text: Vec<String>,
-    /// Event counter: the stream's linear positions.
+    /// Event counter: the linear positions of the nodes the matcher sees.
     pos: u64,
+    /// Elements of a dead subtree still open (see `ScanMatcher::open`):
+    /// its events are passed over, without a matcher call, until it closes.
+    skip: usize,
 }
 
 impl StreamMatcher {
@@ -133,6 +139,7 @@ impl StreamMatcher {
             tests: HashMap::new(),
             text: Vec::new(),
             pos: 0,
+            skip: 0,
         })
     }
 
@@ -141,11 +148,12 @@ impl StreamMatcher {
         self.matcher.buffered()
     }
 
-    fn open(&mut self, name: &str) -> CoreResult<()> {
+    /// Open a node: whether it is live.
+    fn open(&mut self, name: &str) -> CoreResult<bool> {
         let tests = match self.tests.get(name) {
             Some(t) => *t,
             None => {
-                let t = NodeTests::of(&self.matcher.pat, name);
+                let t = NodeTests::of(&self.matcher.pat, name, false);
                 self.tests.insert(name.to_string(), t);
                 t
             }
@@ -171,15 +179,27 @@ impl StreamMatcher {
 
     /// Feed one event; returns matches completed by this event.
     pub fn on_event(&mut self, ev: &Event) -> CoreResult<Vec<StreamHit>> {
+        if self.skip > 0 {
+            match ev {
+                Event::Start { .. } => self.skip += 1,
+                Event::End { .. } => self.skip -= 1,
+                _ => {}
+            }
+            return Ok(Vec::new());
+        }
         match ev {
             Event::Start { name, attrs } => {
-                self.open(name)?;
+                if !self.open(name)? {
+                    self.skip = 1;
+                    return Ok(Vec::new());
+                }
                 self.text.push(String::new());
                 // Attribute nodes occupy the leading child indexes in the
                 // storage model, so element children start after them.
                 for a in attrs {
-                    self.open(&format!("@{}", a.name))?;
-                    self.close(Some(a.value.clone()))?;
+                    if self.open(&format!("@{}", a.name))? {
+                        self.close(Some(a.value.clone()))?;
+                    }
                 }
             }
             Event::End { .. } => {
@@ -200,6 +220,12 @@ impl StreamMatcher {
     /// decide (patterns whose root holds predicates beside the returning
     /// path). Fails if elements are still open.
     pub fn finish(&mut self) -> CoreResult<Vec<StreamHit>> {
+        if self.skip > 0 {
+            return Err(CoreError::Corrupt(format!(
+                "stream ends with {} elements still open",
+                self.skip
+            )));
+        }
         self.matcher.finish()?;
         Ok(self.released())
     }

@@ -1,9 +1,11 @@
 //! Exact work budget of the index route. For the selective dblp workload
 //! (Q1–Q8 in both forms) and one unique-key lookup, each query's logical
-//! page gets on the B+t, B+v and B+i pools and the entries its matcher is
-//! fed are counts, not timings: on a warm `XmlDb::open_dir` of a given
-//! corpus they repeat exactly, so a change that adds a lookup per start or
-//! widens a sub-scan fails here instead of drifting into the benchmark's
+//! page gets on the B+t, B+v and B+i pools, the entries its sub-scans
+//! read, and the entries of those its matcher is fed (the rest lie in
+//! dead subtrees, passed over by a depth count) are counts, not timings:
+//! on a warm `XmlDb::open_dir` of a given corpus they repeat exactly, so a
+//! change that adds a lookup per start, widens a sub-scan or stops it
+//! skipping fails here instead of drifting into the benchmark's
 //! `point_read`.
 //!
 //! Each ceiling is the measured count. Lower a ceiling when a query gets
@@ -21,50 +23,59 @@ use nok_pager::FileStorage;
 /// The unique-key lookup `point_read` alternates with the workload.
 const KEY_LOOKUP: &str = r#"//article[ee="db/j/777.html"]/title"#;
 
-/// `(query, [B+t gets, B+v gets, B+i gets, entries examined])` at dblp
-/// scale 0.01, ceilings = measured.
-const BUDGET: [(&str, [u64; 4]); 17] = [
-    (r#"/dblp/article[keyword="needle-high"]"#, [0, 6, 12, 86]),
-    (r#"//article[keyword="needle-high"]"#, [0, 6, 9, 86]),
-    ("/dblp/article/rareitem/subitem", [3, 0, 12, 12]),
-    ("//article/rareitem/subitem", [3, 0, 9, 86]),
+/// `(query, [B+t gets, B+v gets, B+i gets, entries examined, entries
+/// fed])` at dblp scale 0.01, ceilings = measured.
+const BUDGET: [(&str, [u64; 5]); 17] = [
+    (
+        r#"/dblp/article[keyword="needle-high"]"#,
+        [0, 6, 12, 86, 12],
+    ),
+    (r#"//article[keyword="needle-high"]"#, [0, 6, 9, 86, 12]),
+    ("/dblp/article/rareitem/subitem", [3, 0, 12, 12, 12]),
+    ("//article/rareitem/subitem", [3, 0, 9, 86, 18]),
     (
         r#"/dblp/article[keyword="needle-high"][note="needle-high"]/author"#,
-        [0, 9, 12, 86],
+        [0, 9, 12, 86, 26],
     ),
     (
         r#"//article[keyword="needle-high"][note="needle-high"]/author"#,
-        [0, 9, 9, 86],
+        [0, 9, 9, 86, 26],
     ),
     (
         "/dblp/article[rareitem][author][title][year]",
-        [3, 0, 12, 86],
+        [3, 0, 12, 86, 32],
     ),
-    ("//article[rareitem][author][title][year]", [3, 0, 9, 86]),
+    (
+        "//article[rareitem][author][title][year]",
+        [3, 0, 9, 86, 32],
+    ),
     (
         r#"/dblp/article[keyword="needle-mod"]/author"#,
-        [0, 8, 123, 1194],
+        [0, 8, 123, 1194, 314],
     ),
     (
         r#"//article[keyword="needle-mod"]/author"#,
-        [0, 8, 120, 1194],
+        [0, 8, 120, 1194, 314],
     ),
-    ("/dblp/article/uncommonitem/subitem", [3, 0, 123, 160]),
-    ("//article/uncommonitem/subitem", [3, 0, 120, 1194]),
+    ("/dblp/article/uncommonitem/subitem", [3, 0, 123, 160, 160]),
+    ("//article/uncommonitem/subitem", [3, 0, 120, 1194, 240]),
     (
         r#"/dblp/article[keyword="needle-mod"][note="needle-mod"]"#,
-        [0, 12, 123, 1194],
+        [0, 12, 123, 1194, 240],
     ),
     (
         r#"//article[keyword="needle-mod"][note="needle-mod"]"#,
-        [0, 12, 120, 1194],
+        [0, 12, 120, 1194, 240],
     ),
     (
         "/dblp/article[uncommonitem][author][title]",
-        [3, 0, 123, 1194],
+        [3, 0, 123, 1194, 394],
     ),
-    ("//article[uncommonitem][author][title]", [3, 0, 120, 1194]),
-    (KEY_LOOKUP, [0, 6, 3, 28]),
+    (
+        "//article[uncommonitem][author][title]",
+        [3, 0, 120, 1194, 394],
+    ),
+    (KEY_LOOKUP, [0, 6, 3, 28, 6]),
 ];
 
 /// A fresh on-disk dblp store at scale 0.01, reopened (warm pools follow
@@ -107,13 +118,15 @@ fn selective_queries_stay_within_their_index_route_budget() {
             after[1] - before[1],
             after[2] - before[2],
             stats.entries_examined,
+            stats.entries_examined - stats.entries_skipped,
         ];
         eprintln!(
-            "{q}: B+t {} B+v {} B+i {} entries {} ({} matches; ceiling {ceiling:?})",
+            "{q}: B+t {} B+v {} B+i {} entries {} fed {} ({} matches; ceiling {ceiling:?})",
             got[0],
             got[1],
             got[2],
             got[3],
+            got[4],
             hits.len()
         );
         if got.iter().zip(ceiling).any(|(g, c)| g > c) {

@@ -124,8 +124,8 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_bounded_below_ring_size() {
-        // A non-power-of-two cap: the 4th push must fail.
+    fn a_capacity_that_is_no_power_of_two_is_exact() {
+        // Cap 3: the 4th push must fail, and a pop makes room for one.
         let q = AdmissionQueue::new(3);
         q.push(1).unwrap();
         q.push(2).unwrap();

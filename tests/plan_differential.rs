@@ -511,6 +511,125 @@ fn fragments_over_64_pattern_nodes() {
     );
 }
 
+/// Entries the forced scan route passes over inside dead subtrees.
+fn scan_skipped(db: &XmlDb<nok_pager::MemStorage>, q: &str) -> u64 {
+    let opts = QueryOptions {
+        strategy: StartStrategy::Scan,
+    };
+    db.query_with(q, opts).expect("query").1.entries_skipped
+}
+
+/// The pass skips the subtree of a node no pattern node can enter: on the
+/// scan route across page boundaries, on the index route below a start
+/// and at a start that is itself dead, for `/`-anchored fragments by the
+/// spine and for `//`- and `following::`-rooted ones by the exact path
+/// summary's proof that a tag never holds the root tag below it.
+#[test]
+fn dead_subtrees_are_skipped_on_every_route() {
+    // Dead subtrees spanning pages, and `x` only under some tags: `q`
+    // never holds an `x`, the second `m` does.
+    let wide = format!(
+        "<r><p><x><y/></x></p><q>{junk}</q><p><x><y/></x><x/><w>{junk}</w></p>\
+         <m><x><y/><y/></x></m><q><z/></q><m><n><x><y/></x></n>{junk}</m></r>",
+        junk = "<z><v/><v><u/></v></z>".repeat(12)
+    );
+    let queries = [
+        "/r/p/x/y", "//x/y", "//p/x", "//x[y]", "//m//x/y", "/r/m/n/x", "//v/u",
+    ];
+    check_routes(&wide, &queries);
+    let db = XmlDb::build_in_memory_with(&wide, BuildOptions::default(), 64).expect("build");
+    for q in queries {
+        assert!(scan_skipped(&db, q) > 0, "{q} skips nothing");
+    }
+
+    // Index-route starts of another tag: the literal's postings also lift
+    // to `z` parents, dead unless an `a` sits below (the fourth record).
+    check_routes(
+        "<r><a><k>v</k><b/></a><z><k>v</k><b/></z><a><z><k>v</k><b/></z><b/></a>\
+         <z><k>v</k><a><k>v</k><b/></a></z><z><k>w</k><k>v</k></z></r>",
+        &[
+            r#"//a[k="v"]/b"#,
+            r#"//a[k="v"]"#,
+            r#"/r/a[k="v"]/b"#,
+            r#"/r/*[k="v"]/b"#,
+            "//a[k]/b",
+            r#"//z[k="v"]/a/b"#,
+        ],
+    );
+
+    // `*` never passes an attribute node and `@k` never an element: under
+    // `//*` the attribute nodes are dead, under `//@k` the elements with
+    // no `@k` below.
+    check_routes(
+        r#"<r k="1"><a k="2"><b/><c k="3"><d/></c></a><e><f g="4"/></e><a/><h k="5"/></r>"#,
+        &[
+            "//*",
+            "/r/*",
+            "//*/@k",
+            "//@k",
+            "//a/@k",
+            "//*[@k]/d",
+            "//e//@g",
+            "/r/*[@k]",
+        ],
+    );
+
+    // ⊲-ordered predicates and `following::` cuts between dead subtrees.
+    check_routes(
+        "<r><a><b/><x><y/></x><c/></a><z><c/></z><a><c/><x><y/></x><b/></a><c/>\
+         <a><x><b/></x><b/><c/><c/></a><z><x/></z></r>",
+        &[
+            "//a/b/following-sibling::c",
+            "/r/a/b/following-sibling::c",
+            "//a[c/following-sibling::b]",
+            "//a/b/following::c",
+            "/r/a/b/following::c",
+            "//a[b/following::a]",
+            "//x/following::c",
+        ],
+    );
+}
+
+/// A recursive document with more distinct paths than the synopsis trie
+/// keeps is folded; a folded summary proves no tag barren, so `//`
+/// fragments skip nothing — yet `/`-anchored ones still do. Here `g` and
+/// `x` occur only below the folded levels, so a proof read off the kept
+/// nodes alone would skip the `t`/`u` holding them and lose answers.
+#[test]
+fn a_folded_summary_proves_nothing() {
+    let mut xml = String::from("<r>");
+    for i in 0..64 {
+        xml.push_str(&format!("<t{i}>"));
+        for j in 0..64 {
+            match (i, j) {
+                (0, 0) | (63, 63) => xml.push_str(&format!("<u{j}><g><x/></g></u{j}>")),
+                (5, 7) => xml.push_str(&format!("<u{j}><x/><g/></u{j}>")),
+                _ => xml.push_str(&format!("<u{j}/>")),
+            }
+        }
+        xml.push_str(&format!("</t{i}>"));
+    }
+    xml.push_str("</r>");
+    let db = XmlDb::build_in_memory(&xml).expect("build");
+    assert!(
+        db.synopsis().paths().folded_nodes() > 0,
+        "{} distinct paths do not fold",
+        db.synopsis().distinct_paths()
+    );
+    let descendant = ["//g/x", "//x", "//g[x]", "//u5//x", "//t0//g"];
+    for q in descendant {
+        assert_eq!(
+            scan_skipped(&db, q),
+            0,
+            "{q} skipped under a folded summary"
+        );
+    }
+    assert!(scan_skipped(&db, "/r/t0/u0/g/x") > 0);
+    let mut queries = descendant.to_vec();
+    queries.extend(["/r/t0/u0/g/x", "/r/t5/u7/x", "/r/*/*/g"]);
+    check_routes(&xml, &queries);
+}
+
 /// The benchmark's bypass workloads stay on the index route: at the
 /// benchmark's corpus size the sixteen selective dblp queries (Q1–Q8, both
 /// forms) and a unique-key lookup keep an index seed on every fragment —
