@@ -30,9 +30,10 @@ cargo test -q
 echo "==> concurrency stress suite (release)"
 cargo test -p nok-serve --release -q --test stress
 
-echo "==> loom concurrency models (seqlock, plan cache, buffer pool, mvcc)"
+echo "==> loom concurrency models (seqlock, plan cache, out queue, buffer pool, mvcc)"
 RUSTFLAGS="--cfg loom" cargo test -q -p nok-core --test loom_seqlock
 RUSTFLAGS="--cfg loom" cargo test -q -p nok-serve --test loom_plan_cache
+RUSTFLAGS="--cfg loom" cargo test -q -p nok-serve --test loom_out_queue
 RUSTFLAGS="--cfg loom" cargo test -q -p nok-pager --test loom_pool
 RUSTFLAGS="--cfg loom" cargo test -q -p nok-pager --test loom_mvcc
 
@@ -94,6 +95,9 @@ done
 ./target/release/nokq --addr "127.0.0.1:$port" --stats \
   < /dev/null > "$corpus/stats.json"
 grep -q '"served"' "$corpus/stats.json"
+# Answers stream: some answer above one chunk went out as parts (the
+# largest dblp answers are ~3.4k matches, several 4 KiB chunks).
+grep -q '"answer_chunks":[1-9]' "$corpus/stats.json"
 # EXPLAIN over the wire and offline both end in the collect operator.
 ./target/release/nokq --addr "127.0.0.1:$port" --explain \
   '//article[year="1995"]//author' > "$corpus/explain-served.txt"

@@ -46,12 +46,20 @@ const MARK: [u8; 5] = [0x00, 0x80, 0xC0, 0xE0, 0xF0];
 /// Encoded length of component `c` (1..=5 bytes).
 #[inline]
 fn code_len(c: u32) -> usize {
-    BIAS[1..].iter().take_while(|&&b| u64::from(c) >= b).count() + 1
+    let c = u64::from(c);
+    1 + usize::from(c >= BIAS[1])
+        + usize::from(c >= BIAS[2])
+        + usize::from(c >= BIAS[3])
+        + usize::from(c >= BIAS[4])
 }
 
 /// Append the key code of component `c`.
 #[inline]
-fn put_code(out: &mut Vec<u8>, c: u32) {
+pub fn put_code(out: &mut Vec<u8>, c: u32) {
+    if c < 0x80 {
+        out.push(c as u8);
+        return;
+    }
     let n = code_len(c);
     let payload = u64::from(c) - BIAS[n - 1];
     let word = u64::from(MARK[n - 1]) << (8 * (n - 1)) | payload;
@@ -62,7 +70,7 @@ fn put_code(out: &mut Vec<u8>, c: u32) {
 /// `None` for an invalid first byte, a truncated code, or a 5-byte code
 /// above `u32::MAX`.
 #[inline]
-fn get_code(key: &[u8]) -> Option<(u32, usize)> {
+pub fn get_code(key: &[u8]) -> Option<(u32, usize)> {
     let first = *key.first()?;
     let n = first.leading_ones() as usize + 1;
     if n > 5 {

@@ -39,6 +39,25 @@ pub struct QueryMatch {
     pub dewey: Dewey,
 }
 
+/// Where the executor puts a query's answer: each match once, in document
+/// order, as soon as it is decided — no open pattern ancestor can still
+/// veto it. A single-fragment plan releases matches while its pass is
+/// still reading pages; a plan that joins fragments releases them at its
+/// final collect step. `put` is called between pages, never with a pool,
+/// page or decode-cache lock held, so a sink may block (back-pressure).
+pub trait MatchSink {
+    /// Take the next match. An error stops the evaluation with it.
+    fn put(&mut self, m: QueryMatch) -> CoreResult<()>;
+}
+
+impl MatchSink for Vec<QueryMatch> {
+    #[inline]
+    fn put(&mut self, m: QueryMatch) -> CoreResult<()> {
+        self.push(m);
+        Ok(())
+    }
+}
+
 /// How a fragment is evaluated: the scan route, or the index route seeded
 /// from one of the two indexes (§3's three starting-point options). Under
 /// `Auto` the planner decides by price; the other variants are planner
@@ -172,6 +191,7 @@ impl<S: Storage> XmlDb<S> {
         let expr = PathExpr::parse(path)?;
         let tree = PatternTree::from_path(&expr)?;
         let plan = self.plan_pattern(&tree, opts, PlanConfig::default())?;
+        out.clear();
         self.execute_pattern_plan(&tree, &plan, scratch, out)
     }
 

@@ -39,6 +39,9 @@ pub enum CoreError {
     /// The pattern cannot be evaluated in one streaming pass (it needs
     /// structural joins between distinct subtrees).
     StreamUnsupported(String),
+    /// The [`crate::MatchSink`] taking the answer stopped the evaluation:
+    /// whoever reads the matches is gone or gave up on them.
+    Stopped(String),
 }
 
 /// Why a database directory's `super.blk` was refused at open.
@@ -92,6 +95,7 @@ impl fmt::Display for CoreError {
             CoreError::StreamUnsupported(m) => {
                 write!(f, "pattern not streamable in a single pass: {m}")
             }
+            CoreError::Stopped(m) => write!(f, "evaluation stopped: {m}"),
         }
     }
 }

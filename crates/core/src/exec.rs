@@ -29,6 +29,12 @@
 //!    the parent.
 //! 3. [`PlanStep::Collect`] emits the surviving returning-fragment hot
 //!    matches: deduplicated, in document order.
+//!
+//! Matches go to a [`MatchSink`]. When nothing evaluated after the
+//! returning fragment can drop a match (a single-fragment plan, or a
+//! `//`-rooted one whose other fragment is the bare document node), its
+//! pass puts each hot match into the sink between pages, as soon as the
+//! matcher releases it, instead of at the collect step.
 
 use std::cmp::Ordering;
 
@@ -37,7 +43,7 @@ use nok_pager::Storage;
 use crate::build::XmlDb;
 use crate::cursor::{PageWalk, WalkPage};
 use crate::dewey::{cmp_key_path, Dewey};
-use crate::engine::{QueryMatch, QueryScratch, QueryStats};
+use crate::engine::{MatchSink, QueryMatch, QueryScratch, QueryStats};
 use crate::error::{CoreError, CoreResult};
 use crate::join::IntervalSet;
 use crate::page::{DecodedPage, Entry};
@@ -204,6 +210,73 @@ fn feed<Src: ScanSource<Payload = NodeAddr>>(
     }
 }
 
+/// The sink of the fragment whose pass releases the answer itself (see the
+/// module docs), the position of the last match put into it, and how many
+/// hits were drained.
+struct Release<'s, K: ?Sized> {
+    sink: &'s mut K,
+    last: Option<u64>,
+    drained: u64,
+}
+
+impl<K: MatchSink + ?Sized> Release<'_, K> {
+    /// Put the hits released so far into the sink, emptying `done`. Hits
+    /// leave the matcher in document order (`core::scan`); one that does
+    /// not is an error, as it can no longer be sorted into place.
+    fn drain(&mut self, done: &mut Vec<Hot>) -> CoreResult<()> {
+        self.drained += done.len() as u64;
+        for h in done.drain(..) {
+            match self.last.map(|l| l.cmp(&h.start)) {
+                Some(Ordering::Equal) => continue,
+                Some(Ordering::Greater) => {
+                    return Err(CoreError::Corrupt(format!(
+                        "match {} released after a later one",
+                        h.dewey
+                    )))
+                }
+                _ => {}
+            }
+            self.last = Some(h.start);
+            self.sink.put(QueryMatch {
+                addr: h.payload,
+                dewey: h.dewey,
+            })?;
+        }
+        Ok(())
+    }
+}
+
+/// The fragment whose pass releases the answer into the sink: the
+/// returning fragment, when nothing after its evaluation can drop a match —
+/// every fragment evaluated after it, and every filter step, concerns only
+/// the bare document node (the `//` of a `//`-rooted query), which always
+/// matches and contains every node.
+fn released_frag(plan: &QueryPlan, part: &Partition<'_>) -> Option<usize> {
+    let bare_doc = |f: usize| {
+        matches!(plan.fragments[f].seed, SeedChoice::DocNavigate)
+            && part.tree.local_children(DOC_NODE).next().is_none()
+    };
+    let collect = plan.steps.iter().find_map(|step| match step {
+        PlanStep::Collect { frag } => Some(*frag),
+        _ => None,
+    })?;
+    let mut evaluated = false;
+    for step in &plan.steps {
+        match step {
+            PlanStep::EvalFragment { frag } if *frag == collect => evaluated = true,
+            PlanStep::EvalFragment { frag } if evaluated && !bare_doc(*frag) => return None,
+            PlanStep::FilterChain {
+                parent,
+                kind: CutKind::Descendant,
+                ..
+            } if bare_doc(*parent) => {}
+            PlanStep::FilterChain { .. } => return None,
+            _ => {}
+        }
+    }
+    Some(collect)
+}
+
 /// A forward cursor over the document-ordered postings of one literal, for
 /// one pattern node.
 struct EqCursor {
@@ -305,27 +378,38 @@ struct SpineMemo {
 
 impl<S: Storage> XmlDb<S> {
     /// Execute a planned query into caller-provided buffers. `out` is
-    /// cleared first; matches land there in document order. This is the
-    /// allocation-lean path the serve workers (and the plan cache) use.
+    /// cleared first; matches land there in document order.
     pub fn execute_plan(
         &self,
         planned: &PlannedQuery,
         scratch: &mut QueryScratch,
         out: &mut Vec<QueryMatch>,
     ) -> CoreResult<()> {
-        self.execute_pattern_plan(&planned.tree, &planned.plan, scratch, out)
+        out.clear();
+        self.execute_plan_into(planned, scratch, out)
+    }
+
+    /// Execute a planned query, putting its matches into `sink` in
+    /// document order as they are decided (see [`MatchSink`]). This is the
+    /// allocation-lean path the serve workers (and the plan cache) use.
+    pub fn execute_plan_into<K: MatchSink + ?Sized>(
+        &self,
+        planned: &PlannedQuery,
+        scratch: &mut QueryScratch,
+        sink: &mut K,
+    ) -> CoreResult<()> {
+        self.execute_pattern_plan(&planned.tree, &planned.plan, scratch, sink)
     }
 
     /// Execute a plan over a borrowed pattern tree (the partition is
     /// recomputed — it is deterministic and borrows the tree).
-    pub(crate) fn execute_pattern_plan(
+    pub(crate) fn execute_pattern_plan<K: MatchSink + ?Sized>(
         &self,
         tree: &PatternTree,
         plan: &QueryPlan,
         scratch: &mut QueryScratch,
-        out: &mut Vec<QueryMatch>,
+        sink: &mut K,
     ) -> CoreResult<()> {
-        out.clear();
         let part = tree.partition();
         let access = PhysAccess::new(&self.store, &self.dict, &self.bt_id, &self.data);
         let nfrags = part.fragments.len();
@@ -343,11 +427,19 @@ impl<S: Storage> XmlDb<S> {
             return Ok(());
         }
 
+        let released = released_frag(plan, &part);
+        let mut sink = Release {
+            sink,
+            last: None,
+            drained: 0,
+        };
         for step in &plan.steps {
             match step {
                 PlanStep::EvalFragment { frag } => {
                     let fp = &plan.fragments[*frag];
-                    let empty = self.exec_fragment(&part, fp, &access, &mut pool.evals, stats)?;
+                    let release = (released == Some(*frag)).then_some(&mut sink);
+                    let empty =
+                        self.exec_fragment(&part, fp, &access, &mut pool.evals, stats, release)?;
                     if empty {
                         // Conjunctive pattern + connected fragment forest:
                         // an empty fragment empties the whole query.
@@ -358,6 +450,10 @@ impl<S: Storage> XmlDb<S> {
                         }
                         return Ok(());
                     }
+                }
+                PlanStep::FilterChain { child, .. } if released == Some(*child) => {
+                    // Every match lies inside the document node: all pass.
+                    stats.chain_survivors.push(sink.drained);
                 }
                 PlanStep::FilterChain {
                     parent,
@@ -379,17 +475,16 @@ impl<S: Storage> XmlDb<S> {
                     stats.chain_survivors.push(hot.len() as u64);
                 }
                 PlanStep::Collect { frag } => {
-                    out.extend(pool.evals[*frag].hot.drain(..).map(|h| QueryMatch {
-                        addr: h.payload,
-                        dewey: h.dewey,
-                    }));
+                    // A released fragment's hits are in the sink already.
+                    let hot = &mut pool.evals[*frag].hot;
                     // Both routes release matches in document order (the
                     // index route's subtrees are disjoint and ascending);
                     // the dedup below relies on it.
-                    if !out.is_sorted_by(|a, b| a.dewey <= b.dewey) {
-                        out.sort_by(|a, b| a.dewey.cmp(&b.dewey));
+                    if !hot.is_sorted_by(|a, b| a.dewey <= b.dewey) {
+                        hot.sort_by(|a, b| a.dewey.cmp(&b.dewey));
                     }
-                    out.dedup_by(|a, b| a.addr == b.addr);
+                    hot.dedup_by(|a, b| a.payload == b.payload);
+                    sink.drain(hot)?;
                 }
             }
         }
@@ -397,14 +492,16 @@ impl<S: Storage> XmlDb<S> {
     }
 
     /// Evaluate one fragment by its planned route. Returns whether the
-    /// fragment matched **nowhere** (the early-exit signal).
-    fn exec_fragment(
+    /// fragment matched **nowhere** (the early-exit signal). With `release`,
+    /// its hot matches go there as the pass releases them.
+    fn exec_fragment<K: MatchSink + ?Sized>(
         &self,
         part: &Partition<'_>,
         fp: &FragmentPlan,
         access: &PhysAccess<'_, S>,
         evals: &mut [FragEval],
         stats: &mut QueryStats,
+        mut release: Option<&mut Release<'_, K>>,
     ) -> CoreResult<bool> {
         let f = fp.frag;
         // Child fragments always carry a larger index (partition numbering
@@ -422,10 +519,13 @@ impl<S: Storage> XmlDb<S> {
             })
             .collect();
         stats.strategies[f] = if part.fragments[f].members.len() <= u64::CAPACITY {
-            self.eval_route::<u64>(part, fp, access, &cuts, target, stats)?
+            self.eval_route::<u64, K>(part, fp, access, &cuts, target, stats, &mut release)?
         } else {
-            self.eval_route::<WideSet>(part, fp, access, &cuts, target, stats)?
+            self.eval_route::<WideSet, K>(part, fp, access, &cuts, target, stats, &mut release)?
         };
+        if let Some(release) = release {
+            release.drain(&mut target.hot)?;
+        }
         // Ascending for the parent's binary searches (nested root matches
         // close inner-first).
         target.root_starts.sort_unstable();
@@ -435,7 +535,8 @@ impl<S: Storage> XmlDb<S> {
 
     /// Evaluate fragment `fp` by its planned route, matching with pattern
     /// node sets of type `B`.
-    fn eval_route<'a, B: NodeSet>(
+    #[allow(clippy::too_many_arguments)]
+    fn eval_route<'a, B: NodeSet, K: MatchSink + ?Sized>(
         &self,
         part: &'a Partition<'_>,
         fp: &FragmentPlan,
@@ -443,15 +544,16 @@ impl<S: Storage> XmlDb<S> {
         cuts: &'a [Cut<'a>],
         target: &mut FragEval,
         stats: &mut QueryStats,
+        release: &mut Option<&mut Release<'_, K>>,
     ) -> CoreResult<StrategyUsed> {
         let f = fp.frag;
         Ok(match &fp.seed {
             SeedChoice::Scan => {
-                self.scan_fragment::<B>(part, fp, access, cuts, target, stats)?;
+                self.scan_fragment::<B, K>(part, fp, access, cuts, target, stats, release)?;
                 StrategyUsed::Scan
             }
             SeedChoice::DocNavigate if part.tree.local_children(DOC_NODE).next().is_some() => {
-                self.scan_fragment::<B>(part, fp, access, cuts, target, stats)?;
+                self.scan_fragment::<B, K>(part, fp, access, cuts, target, stats, release)?;
                 StrategyUsed::Doc
             }
             SeedChoice::DocNavigate => {
@@ -472,12 +574,14 @@ impl<S: Storage> XmlDb<S> {
                 let starts =
                     self.lifted(postings.iter().filter_map(|p| Dewey::from_key(p)), *lift)?;
                 let seed = vec![(literal.as_str(), postings)];
-                self.index_fragment::<B>(part, fp, starts, seed, access, cuts, target, stats)?;
+                self.index_fragment::<B, K>(
+                    part, fp, starts, seed, access, cuts, target, stats, release,
+                )?;
                 StrategyUsed::ValueIndex
             }
             SeedChoice::TagIndex { name, lift } => {
                 let starts = self.tag_seed(name, *lift)?;
-                self.index_fragment::<B>(
+                self.index_fragment::<B, K>(
                     part,
                     fp,
                     starts,
@@ -486,6 +590,7 @@ impl<S: Storage> XmlDb<S> {
                     cuts,
                     target,
                     stats,
+                    release,
                 )?;
                 StrategyUsed::TagIndex
             }
@@ -554,8 +659,10 @@ impl<S: Storage> XmlDb<S> {
     }
 
     /// The scan route: one forward pass over the page chain, one decoded
-    /// page held at a time, its entry slice iterated in place.
-    fn scan_fragment<B: NodeSet>(
+    /// page held at a time, its entry slice iterated in place. With
+    /// `release`, the hits released by each page go there after it.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_fragment<B: NodeSet, K: MatchSink + ?Sized>(
         &self,
         part: &Partition<'_>,
         fp: &FragmentPlan,
@@ -563,6 +670,7 @@ impl<S: Storage> XmlDb<S> {
         cuts: &[Cut<'_>],
         target: &mut FragEval,
         stats: &mut QueryStats,
+        release: &mut Option<&mut Release<'_, K>>,
     ) -> CoreResult<()> {
         let f = fp.frag;
         let pat = ScanPattern::<B>::compile(part, f)?;
@@ -579,6 +687,9 @@ impl<S: Storage> XmlDb<S> {
             io.add_entries_examined(n);
             stats.entries_examined += n;
             feed(&mut m, &tests, &wp, 0, 0, &mut skip)?;
+            if let Some(release) = release {
+                release.drain(&mut m.done)?;
+            }
         }
         if skip.open > 0 {
             return Err(CoreError::Corrupt(format!(
@@ -605,7 +716,7 @@ impl<S: Storage> XmlDb<S> {
     /// overlap, the walk only moves forward, and each structure page is
     /// fetched at most once.
     #[allow(clippy::too_many_arguments)]
-    fn index_fragment<'a, B: NodeSet>(
+    fn index_fragment<'a, B: NodeSet, K: MatchSink + ?Sized>(
         &self,
         part: &'a Partition<'_>,
         fp: &FragmentPlan,
@@ -615,6 +726,7 @@ impl<S: Storage> XmlDb<S> {
         cuts: &'a [Cut<'a>],
         target: &mut FragEval,
         stats: &mut QueryStats,
+        release: &mut Option<&mut Release<'_, K>>,
     ) -> CoreResult<()> {
         let f = fp.frag;
         let pat = ScanPattern::<B>::compile_seeded(part, f, fp.pivot)?;
@@ -670,6 +782,9 @@ impl<S: Storage> XmlDb<S> {
                 let n = (stop.unwrap_or(wp.page.len()) - from) as u64;
                 io.add_entries_examined(n);
                 stats.entries_examined += n;
+                if let Some(release) = release {
+                    release.drain(&mut m.done)?;
+                }
                 if stop.is_some() {
                     break;
                 }

@@ -78,7 +78,7 @@ pub mod values;
 
 pub use build::XmlDb;
 pub use dewey::Dewey;
-pub use engine::{QueryMatch, QueryOptions, QueryScratch, QueryStats, StartStrategy};
+pub use engine::{MatchSink, QueryMatch, QueryOptions, QueryScratch, QueryStats, StartStrategy};
 pub use error::{CoreError, CoreResult, SuperblockError};
 pub use plan::{
     Explain, ExplainRow, FragmentPlan, PlanStep, PlannedQuery, QueryPlan, SeedChoice, StrategyUsed,

@@ -284,6 +284,95 @@ pub fn decode_page(buf: &[u8]) -> Option<DecodedPage> {
     })
 }
 
+/// What [`check_page`] learns of a raw page without decoding it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageCheck {
+    /// Parsed header.
+    pub header: PageHeader,
+    /// Entries on the page ([`DecodedPage::len`]).
+    pub entries: usize,
+    /// Of those, the opens: the nodes the page starts.
+    pub opens: u64,
+}
+
+/// Per parenthesis byte (LSB first, 1 = open): its net level change, and
+/// the lowest level change after any of its bits.
+const BYTE_EXCESS: [(i8, i8); 256] = {
+    let mut table = [(0i8, 0i8); 256];
+    let mut b = 0;
+    while b < 256 {
+        let (mut level, mut low, mut i) = (0i8, i8::MAX, 0);
+        while i < 8 {
+            level += if (b >> i) & 1 == 1 { 1 } else { -1 };
+            if level < low {
+                low = level;
+            }
+            i += 1;
+        }
+        table[b] = (level, low);
+        b += 1;
+    }
+    table
+};
+
+/// Refuse exactly what [`decode_page`] refuses, and count the opens by
+/// popcount, materialising nothing: what opening a store needs of every
+/// page.
+pub fn check_page(buf: &[u8]) -> Option<PageCheck> {
+    let header = read_header(buf)?;
+    let content = buf.get(HEADER_SIZE..HEADER_SIZE + header.nbytes as usize)?;
+    if content.is_empty() {
+        return Some(PageCheck {
+            header,
+            entries: 0,
+            opens: 0,
+        });
+    }
+    let n = u16::from_le_bytes([*content.first()?, *content.get(1)?]) as usize;
+    if n == 0 {
+        return None; // a zero count must be encoded as nbytes == 0
+    }
+    let paren_bytes = content.get(2..2 + n.div_ceil(8))?;
+    let (full, tail) = paren_bytes.split_at(n / 8);
+    let mut level = header.st as i32;
+    for &b in full {
+        let (net, low) = BYTE_EXCESS[b as usize];
+        if level + i32::from(low) < 0 {
+            return None; // more closes than opens ever seen
+        }
+        level += i32::from(net);
+    }
+    if let Some(&last) = tail.first() {
+        let valid = n % 8;
+        if last >> valid != 0 {
+            return None; // padding bits must be zero
+        }
+        for i in 0..valid {
+            level += if (last >> i) & 1 == 1 { 1 } else { -1 };
+            if level < 0 {
+                return None;
+            }
+        }
+    }
+    let opens: u64 = paren_bytes.iter().map(|b| u64::from(b.count_ones())).sum();
+    let mut tag_pos = 2 + paren_bytes.len();
+    for _ in 0..opens {
+        let (code, width) = read_varint(content, tag_pos)?;
+        if code >= 1 << 15 {
+            return None; // the dictionary's tag-code space is 15 bits
+        }
+        tag_pos += width;
+    }
+    if tag_pos != content.len() {
+        return None; // tag stream must cover nbytes exactly
+    }
+    Some(PageCheck {
+        header,
+        entries: n,
+        opens,
+    })
+}
+
 /// How a decoded page holds a close entry (tag codes use 15 bits).
 pub const CLOSE_CODE: u16 = u16::MAX;
 

@@ -492,21 +492,21 @@ impl<S: Storage> StructStore<S> {
             let mut pid = 0u32;
             loop {
                 let handle = pool.get(pid)?;
-                let decoded = page::decode_page(&handle.read())
+                let checked = page::check_page(&handle.read())
                     .ok_or_else(|| CoreError::Corrupt(format!("bad structural page {pid}")))?;
-                node_count += decoded.entries().filter(|e| e.is_open()).count() as u64;
-                let (lo, hi) = (decoded.header.lo, decoded.header.hi);
+                node_count += checked.opens;
+                let (lo, hi) = (checked.header.lo, checked.header.hi);
                 dir.order.push(DirEntry {
                     id: pid,
-                    st: decoded.header.st,
+                    st: checked.header.st,
                     lo,
                     hi,
-                    entries: decoded.len() as u32,
+                    entries: checked.entries as u32,
                 });
-                if decoded.header.next == NO_PAGE {
+                if checked.header.next == NO_PAGE {
                     break;
                 }
-                pid = decoded.header.next;
+                pid = checked.header.next;
             }
         }
         dir.rebuild_ranks();

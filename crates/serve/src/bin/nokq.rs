@@ -186,7 +186,6 @@ fn run_offline(dir: &str, queries: &[String], explain: bool) -> Result<(), Strin
             .iter()
             .map(|m| WireMatch {
                 dewey: m.dewey.to_string(),
-                addr: m.addr.to_string(),
             })
             .collect();
         writeln!(out, "{}", result_line(q, &wire)).map_err(|e| e.to_string())?;

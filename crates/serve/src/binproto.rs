@@ -7,8 +7,8 @@
 //! ## Connection preamble
 //!
 //! A client opens with 5 bytes: the magic `NOKB` then a version byte
-//! (currently 1). The server closes a connection that opens with anything
-//! else.
+//! (currently 2). The server closes a connection that opens with anything
+//! else, version 1 included.
 //!
 //! ## Frame layout
 //!
@@ -31,39 +31,66 @@
 //!
 //! Response payloads:
 //!
-//! | opcode | response | payload |
-//! |--------|----------|---------|
-//! | 0x81   | QueryOk  | `count: u32 LE`, then per match `dewey_len: u16 LE` + dewey + `addr_len: u16 LE` + addr |
-//! | 0x82   | ExplainOk| `count: u32 LE` + `text_len: u32 LE` + rendered plan table UTF-8 |
-//! | 0x83   | StatsOk  | the stats object as compact JSON UTF-8 |
-//! | 0x84   | Pong     | empty |
-//! | 0x85   | Stopping | empty |
-//! | 0xEE   | Error    | `code: u8` + `msg_len: u16 LE` + message UTF-8 |
+//! | opcode | response  | payload |
+//! |--------|-----------|---------|
+//! | 0x86   | QueryPart | a chunk of matches: `count: u32 LE` + `count` keys (below) |
+//! | 0x81   | QueryOk   | the last chunk of matches, same layout: the answer is complete |
+//! | 0x82   | ExplainOk | `count: u32 LE` + `text_len: u32 LE` + rendered plan table UTF-8 |
+//! | 0x83   | StatsOk   | the stats object as compact JSON UTF-8 |
+//! | 0x84   | Pong      | empty |
+//! | 0x85   | Stopping  | empty |
+//! | 0xEE   | Error     | `code: u8` + `msg_len: u16 LE` + message UTF-8 |
 //!
 //! Error codes: 1 timeout, 2 queue full, 3 engine, 4 shutdown,
 //! 5 bad request.
 //!
+//! ## Answers
+//!
+//! A query is answered by zero or more `QueryPart` frames and then one
+//! `QueryOk`, or by an `Error` that ends the answer at any point (the
+//! client drops the parts it holds for that id). The server sends a part
+//! as soon as [`CHUNK_BYTES`] of matches are decided, so an answer of any
+//! size streams in frames of bounded size, and an answer of at most one
+//! chunk is the single `QueryOk` frame.
+//!
+//! A match is its Dewey id as the order-preserving key of
+//! [`nok_core::Dewey::to_key`], front-coded against the key before it in
+//! the same frame: `shared` (LEB128), the number of leading bytes it
+//! shares with that key (0 for a frame's first match); `len` (LEB128); then
+//! the `len` bytes that follow the shared prefix. Keys of an answer ascend,
+//! so consecutive siblings share all but their last component. The
+//! document node's id is the empty key.
+//!
 //! **Ordering contract:** responses to pipelined requests may arrive in
-//! any order; the id is the only correlation. A client that needs
-//! submission order (nokq does, to diff byte-identically against offline
-//! evaluation) reorders by id on its side.
+//! any order, and the parts of different answers interleave; the id is the
+//! only correlation. The frames of one answer arrive in order. A client
+//! that needs submission order (nokq does, to diff byte-identically against
+//! offline evaluation) reorders by id on its side.
 //!
 //! Encoding and decoding are pure functions over byte slices so the
 //! property/fuzz suite can drive them without sockets.
 
+use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 
-use nok_core::QueryMatch;
+use nok_core::dewey::{get_code, put_code};
 
 /// Connection-opening magic.
 pub const MAGIC: [u8; 4] = *b"NOKB";
 
 /// Current protocol version, sent right after the magic.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Hard cap on a single frame's payload, to bound memory on hostile input.
+/// Only requests can come near it: an answer's frames hold at most
+/// [`CHUNK_BYTES`] of matches each.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
+
+/// Match bytes a `QueryPart` frame carries: the server seals a chunk when
+/// the next match would not fit. (A single key longer than this, from a
+/// node thousands of levels deep, travels alone in an oversized chunk.)
+pub const CHUNK_BYTES: usize = 4 * 1024;
 
 /// Fixed frame header size: opcode + id + payload length.
 pub const HEADER_LEN: usize = 1 + 8 + 4;
@@ -83,8 +110,10 @@ pub mod op {
     pub const PING: u8 = 0x04;
     /// Graceful server exit.
     pub const SHUTDOWN: u8 = 0x05;
-    /// Successful query result.
+    /// The last chunk of a query answer.
     pub const QUERY_OK: u8 = 0x81;
+    /// A chunk of a query answer with more to come.
+    pub const QUERY_PART: u8 = 0x86;
     /// Successful explain result.
     pub const EXPLAIN_OK: u8 = 0x82;
     /// Stats payload.
@@ -163,14 +192,11 @@ pub enum Request {
     },
 }
 
-/// One match in a query response: the Dewey id and physical address,
-/// rendered in their canonical display forms.
+/// One match in a query response: its Dewey id, rendered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireMatch {
-    /// `a.b.c` Dewey path.
+    /// `a.b.c` Dewey path (empty for the document node).
     pub dewey: String,
-    /// `page:entry` physical address.
-    pub addr: String,
 }
 
 /// Canonical one-line rendering of a query result, shared by `nokq`'s
@@ -189,6 +215,14 @@ pub enum BinResponse {
         /// Echoed correlation id.
         id: u64,
         /// Matches in document order.
+        matches: Vec<WireMatch>,
+    },
+    /// One chunk of an answer still coming. [`BinClient::recv`] folds the
+    /// parts into the `QueryOk` that ends the answer and never returns one.
+    QueryPart {
+        /// Echoed correlation id.
+        id: u64,
+        /// The chunk's matches, in document order.
         matches: Vec<WireMatch>,
     },
     /// Successful explain.
@@ -233,6 +267,7 @@ impl BinResponse {
     pub fn id(&self) -> u64 {
         match self {
             BinResponse::QueryOk { id, .. }
+            | BinResponse::QueryPart { id, .. }
             | BinResponse::ExplainOk { id, .. }
             | BinResponse::StatsOk { id, .. }
             | BinResponse::Pong { id }
@@ -319,6 +354,21 @@ impl<'a> Cursor<'a> {
         let mut b = [0u8; 8];
         b.copy_from_slice(s);
         Ok(u64::from_le_bytes(b))
+    }
+
+    /// A LEB128 varint of at most 32 bits.
+    fn varint(&mut self) -> Result<usize, FrameError> {
+        let mut v = 0u64;
+        for shift in (0..35).step_by(7) {
+            let b = self.u8()?;
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return u32::try_from(v)
+                    .map(|v| v as usize)
+                    .map_err(|_| FrameError::Malformed("varint above 32 bits"));
+            }
+        }
+        Err(FrameError::Malformed("varint above 32 bits"))
     }
 
     fn str_with_len(&mut self, n: usize) -> Result<String, FrameError> {
@@ -467,25 +517,32 @@ fn empty(payload: &[u8]) -> Result<(), FrameError> {
 // ---------------------------------------------------------------------------
 // Response encode/decode.
 
-/// Append `resp` to `out` as one binary frame.
+/// Append `resp` to `out` as binary frames: one, except that a query
+/// answer is chunked as the server chunks it (see the module docs). A
+/// `dewey` that is not a rendered Dewey id goes out as the empty key.
 pub fn encode_response(out: &mut Vec<u8>, resp: &BinResponse) {
     match resp {
-        BinResponse::QueryOk { id, matches } => {
-            let mut payload = Vec::with_capacity(4 + matches.len() * 16);
-            payload.extend_from_slice(&(matches.len() as u32).to_le_bytes());
+        BinResponse::QueryOk { id, matches } | BinResponse::QueryPart { id, matches } => {
+            let mut enc = AnswerEncoder::new(*id);
+            let mut comps = Vec::new();
             for m in matches {
-                // Dewey paths and physical addresses are short renderings;
-                // u16 lengths are ample (and checked).
-                let d = m.dewey.as_bytes();
-                let a = m.addr.as_bytes();
-                payload.extend_from_slice(&(d.len().min(u16::MAX as usize) as u16).to_le_bytes());
-                // analyze: allow(serve-worker-panic): upper bound is clamped to the slice length
-                payload.extend_from_slice(&d[..d.len().min(u16::MAX as usize)]);
-                payload.extend_from_slice(&(a.len().min(u16::MAX as usize) as u16).to_le_bytes());
-                // analyze: allow(serve-worker-panic): upper bound is clamped to the slice length
-                payload.extend_from_slice(&a[..a.len().min(u16::MAX as usize)]);
+                comps.clear();
+                let parsed = m.dewey.is_empty()
+                    || m.dewey
+                        .split('.')
+                        .all(|c| c.parse().map(|c| comps.push(c)).is_ok());
+                if !parsed {
+                    comps.clear();
+                }
+                if let Some(part) = enc.push(&comps) {
+                    out.extend_from_slice(&part);
+                }
             }
-            put_frame(out, op::QUERY_OK, *id, &payload);
+            let last = match resp {
+                BinResponse::QueryOk { .. } => op::QUERY_OK,
+                _ => op::QUERY_PART,
+            };
+            out.extend_from_slice(&enc.last(last));
         }
         BinResponse::ExplainOk { id, count, text } => {
             let mut payload = Vec::with_capacity(8 + text.len());
@@ -510,66 +567,178 @@ pub fn encode_response(out: &mut Vec<u8>, resp: &BinResponse) {
     }
 }
 
-/// Append the `QueryOk` frame answering `id` with `matches` to `out`: each
-/// Dewey id and address is written in decimal straight into a payload
-/// sized exactly before the first byte. Byte for byte the frame
-/// [`encode_response`] builds from the matches' [`WireMatch`] (`Display`)
-/// renderings — without the two `String`s per match and the payload copy.
-///
-/// A receiver drops the connection on a payload above [`MAX_FRAME`], so an
-/// answer that large is never written: the frame appended instead is an
-/// [`ErrCode::Engine`] error naming the match count and the limit.
-pub fn encode_query_ok(out: &mut Vec<u8>, id: u64, matches: &[QueryMatch]) {
-    let clamp = |n: usize| n.min(u16::MAX as usize);
-    let payload = 4 + matches
-        .iter()
-        .map(|m| {
-            let c = m.dewey.components();
-            let dewey =
-                c.iter().map(|&x| decimal_len(x)).sum::<usize>() + c.len().saturating_sub(1);
-            let addr = decimal_len(m.addr.page) + 1 + decimal_len(m.addr.entry);
-            4 + clamp(dewey) + clamp(addr)
-        })
-        .sum::<usize>();
-    if payload > MAX_FRAME {
-        let message = format!(
-            "answer of {} matches exceeds the {MAX_FRAME}-byte frame limit",
-            matches.len()
-        );
-        return encode_response(
-            out,
-            &BinResponse::Error {
-                id,
-                code: ErrCode::Engine,
-                message,
-            },
-        );
+/// The frames of one query answer, built as its matches arrive: each
+/// [`AnswerEncoder::push`] may hand back a sealed `QueryPart` frame, and
+/// [`AnswerEncoder::finish`] the final `QueryOk` with the matches no part
+/// took. Matches are written straight from their Dewey components: only
+/// the components a match does not share with the one before are coded.
+/// The bytes are those of front-coding `Dewey::to_key`.
+pub struct AnswerEncoder {
+    id: u64,
+    /// The frame being filled: header and count placeholders, then keys.
+    frame: Vec<u8>,
+    count: u32,
+    /// The last match: its components, its key, and where each
+    /// component's code ends in the key.
+    prev: Vec<u32>,
+    prev_key: Vec<u8>,
+    ends: Vec<usize>,
+    /// The key being built.
+    key: Vec<u8>,
+}
+
+/// Frame bytes ahead of the first key: the header and the match count.
+const CHUNK_HEAD: usize = HEADER_LEN + 4;
+
+impl AnswerEncoder {
+    /// An empty answer to request `id`.
+    pub fn new(id: u64) -> AnswerEncoder {
+        AnswerEncoder {
+            id,
+            frame: vec![0; CHUNK_HEAD],
+            count: 0,
+            prev: Vec::new(),
+            prev_key: Vec::new(),
+            ends: Vec::new(),
+            key: Vec::new(),
+        }
     }
-    out.reserve(HEADER_LEN + payload);
-    out.push(op::QUERY_OK);
-    out.extend_from_slice(&id.to_le_bytes());
-    out.extend_from_slice(&(payload as u32).to_le_bytes());
-    out.extend_from_slice(&(matches.len() as u32).to_le_bytes());
-    for m in matches {
-        put_rendered(out, |out| {
-            for (i, &c) in m.dewey.components().iter().enumerate() {
-                if i > 0 {
-                    out.push(b'.');
-                }
-                push_decimal(out, c);
-            }
-        });
-        put_rendered(out, |out| {
-            push_decimal(out, m.addr.page);
-            out.push(b':');
-            push_decimal(out, m.addr.entry);
-        });
+
+    /// Add the next match (document order), given by its Dewey
+    /// components; a sealed `QueryPart` frame when the chunk being filled
+    /// had no room left for it.
+    pub fn push(&mut self, comps: &[u32]) -> Option<Vec<u8>> {
+        let same = (comps.iter())
+            .zip(&self.prev)
+            .take_while(|(a, b)| a == b)
+            .count();
+        // The codes of the components the two ids share are shared bytes;
+        // the codes of the rest are written afresh.
+        let base = (same.checked_sub(1))
+            .and_then(|i| self.ends.get(i).copied())
+            .unwrap_or(0);
+        self.key.clear();
+        (self.key).extend_from_slice(self.prev_key.get(..base).unwrap_or_default());
+        self.prev.truncate(same);
+        self.ends.truncate(same);
+        for &c in comps.get(same..).unwrap_or_default() {
+            put_code(&mut self.key, c);
+            self.prev.push(c);
+            self.ends.push(self.key.len());
+        }
+        let fresh = self.key.get(base..).unwrap_or_default();
+        let mut shared = base
+            + (fresh.iter())
+                .zip(self.prev_key.get(base..).unwrap_or_default())
+                .take_while(|(a, b)| a == b)
+                .count();
+        let rest = self.key.len() - shared;
+        let grows = varint_len(shared) + varint_len(rest) + rest;
+        let part = (self.count > 0 && self.frame.len() - HEADER_LEN + grows > CHUNK_BYTES)
+            .then(|| self.seal());
+        if self.count == 0 {
+            shared = 0; // a frame's first key stands alone
+        }
+        put_varint(&mut self.frame, shared);
+        put_varint(&mut self.frame, self.key.len() - shared);
+        self.frame
+            .extend_from_slice(self.key.get(shared..).unwrap_or_default());
+        std::mem::swap(&mut self.key, &mut self.prev_key);
+        self.count += 1;
+        part
+    }
+
+    /// The final `QueryOk` frame: the matches no part took.
+    pub fn finish(self) -> Vec<u8> {
+        self.last(op::QUERY_OK)
+    }
+
+    /// The frame being filled, sealed as `opcode`, as the answer's last.
+    fn last(mut self, opcode: u8) -> Vec<u8> {
+        let mut frame = std::mem::take(&mut self.frame);
+        self.write_head(opcode, &mut frame);
+        frame
+    }
+
+    /// Seal the frame being filled as a `QueryPart` and start the next.
+    fn seal(&mut self) -> Vec<u8> {
+        let mut next = Vec::with_capacity(CHUNK_HEAD + CHUNK_BYTES);
+        next.resize(CHUNK_HEAD, 0);
+        let mut frame = std::mem::replace(&mut self.frame, next);
+        self.write_head(op::QUERY_PART, &mut frame);
+        self.count = 0;
+        frame
+    }
+
+    /// Fill in the header and match count ahead of `frame`'s keys.
+    fn write_head(&self, opcode: u8, frame: &mut [u8]) {
+        let len = (frame.len() - HEADER_LEN) as u32;
+        let head = std::iter::once(opcode)
+            .chain(self.id.to_le_bytes())
+            .chain(len.to_le_bytes())
+            .chain(self.count.to_le_bytes());
+        frame.iter_mut().zip(head).for_each(|(b, h)| *b = h);
     }
 }
 
-/// Digits in the decimal rendering of `v`.
-fn decimal_len(v: u32) -> usize {
-    v.checked_ilog10().map_or(1, |l| l as usize + 1)
+/// Bytes of `v` as a LEB128 varint.
+fn varint_len(v: usize) -> usize {
+    (usize::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// Append `v` as a LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut v: usize) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Renders the front-coded keys of one frame as `a.b.c` (the empty key,
+/// the document node, as `""`), re-rendering only the components a key
+/// does not share with the key before it.
+#[derive(Default)]
+struct KeyText {
+    key: Vec<u8>,
+    /// Per component of `key`: where its code ends in `key`, and where its
+    /// digits end in `text`.
+    ends: Vec<(usize, usize)>,
+    text: Vec<u8>,
+}
+
+impl KeyText {
+    /// The next key: the first `shared` bytes of the key before, then
+    /// `rest`.
+    fn next(&mut self, shared: usize, rest: &[u8]) -> Result<String, FrameError> {
+        if shared > self.key.len() {
+            return Err(FrameError::Malformed(
+                "key shares more bytes than the key before it has",
+            ));
+        }
+        self.key.truncate(shared);
+        self.key.extend_from_slice(rest);
+        // Keep the components whose codes lie in the shared bytes.
+        while self
+            .ends
+            .last()
+            .is_some_and(|&(code_end, _)| code_end > shared)
+        {
+            self.ends.pop();
+        }
+        let (mut at, text_end) = self.ends.last().copied().unwrap_or_default();
+        self.text.truncate(text_end);
+        while let Some(code) = self.key.get(at..).filter(|c| !c.is_empty()) {
+            let (c, n) = get_code(code).ok_or(FrameError::Malformed("invalid dewey key"))?;
+            at += n;
+            if !self.ends.is_empty() {
+                self.text.push(b'.');
+            }
+            push_decimal(&mut self.text, c);
+            self.ends.push((at, self.text.len()));
+        }
+        String::from_utf8(self.text.clone()).map_err(|_| FrameError::BadUtf8)
+    }
 }
 
 /// Append the decimal rendering of `v`.
@@ -587,41 +756,38 @@ fn push_decimal(out: &mut Vec<u8>, mut v: u32) {
     }
 }
 
-/// Append what `render` writes behind a `u16 LE` length (clamped like
-/// [`encode_response`] clamps).
-fn put_rendered(out: &mut Vec<u8>, render: impl FnOnce(&mut Vec<u8>)) {
-    let len_at = out.len();
-    out.extend_from_slice(&[0; 2]);
-    render(out);
-    out.truncate(out.len().min(len_at + 2 + u16::MAX as usize));
-    let len = (out.len() - len_at - 2) as u16;
-    if let Some(slot) = out.get_mut(len_at..len_at + 2) {
-        slot.copy_from_slice(&len.to_le_bytes());
+/// The matches of a `QueryPart` or `QueryOk` payload.
+fn decode_matches(payload: &[u8]) -> Result<Vec<WireMatch>, FrameError> {
+    let mut c = Cursor::new(payload);
+    let count = c.u32()? as usize;
+    // Each match needs at least its two varint bytes; reject counts the
+    // payload cannot possibly hold before allocating.
+    if count > payload.len() / 2 {
+        return Err(FrameError::Malformed("match count exceeds payload"));
     }
+    let mut matches = Vec::with_capacity(count);
+    let mut key = KeyText::default();
+    for _ in 0..count {
+        let shared = c.varint()?;
+        let len = c.varint()?;
+        let dewey = key.next(shared, c.take(len)?)?;
+        matches.push(WireMatch { dewey });
+    }
+    c.done()?;
+    Ok(matches)
 }
 
-/// Decode a response from its frame fields.
+/// Decode a response frame from its fields.
 pub fn decode_response(opcode: u8, id: u64, payload: &[u8]) -> Result<BinResponse, FrameError> {
     match opcode {
-        op::QUERY_OK => {
-            let mut c = Cursor::new(payload);
-            let count = c.u32()? as usize;
-            // Each match needs at least 4 length bytes; reject counts the
-            // payload cannot possibly hold before allocating.
-            if count > payload.len() / 4 {
-                return Err(FrameError::Malformed("match count exceeds payload"));
-            }
-            let mut matches = Vec::with_capacity(count);
-            for _ in 0..count {
-                let dl = c.u16()? as usize;
-                let dewey = c.str_with_len(dl)?;
-                let al = c.u16()? as usize;
-                let addr = c.str_with_len(al)?;
-                matches.push(WireMatch { dewey, addr });
-            }
-            c.done()?;
-            Ok(BinResponse::QueryOk { id, matches })
-        }
+        op::QUERY_OK => Ok(BinResponse::QueryOk {
+            id,
+            matches: decode_matches(payload)?,
+        }),
+        op::QUERY_PART => Ok(BinResponse::QueryPart {
+            id,
+            matches: decode_matches(payload)?,
+        }),
         op::EXPLAIN_OK => {
             let mut c = Cursor::new(payload);
             let count = c.u32()?;
@@ -650,6 +816,56 @@ pub fn decode_response(opcode: u8, id: u64, payload: &[u8]) -> Result<BinRespons
     }
 }
 
+/// Folds the `QueryPart` chunks of each answer into the `QueryOk` that
+/// ends it, per id, however answers interleave.
+#[derive(Debug, Default)]
+pub struct Reassembly {
+    /// Matches of the answers under way, by id.
+    partial: HashMap<u64, Vec<WireMatch>>,
+}
+
+impl Reassembly {
+    /// Take the next decoded frame: `None` for a part (kept for its id),
+    /// else the response — a `QueryOk` carrying its parts' matches ahead
+    /// of its own, or an `Error` for which the id's parts are dropped. Any
+    /// other response to an id with an answer under way is malformed.
+    pub fn take(&mut self, resp: BinResponse) -> Result<Option<BinResponse>, FrameError> {
+        match resp {
+            BinResponse::QueryPart { id, mut matches } => {
+                self.partial.entry(id).or_default().append(&mut matches);
+                Ok(None)
+            }
+            BinResponse::QueryOk { id, mut matches } => Ok(Some(BinResponse::QueryOk {
+                id,
+                matches: match self.partial.remove(&id) {
+                    Some(mut parts) => {
+                        parts.append(&mut matches);
+                        parts
+                    }
+                    None => matches,
+                },
+            })),
+            BinResponse::Error { id, .. } => {
+                self.partial.remove(&id);
+                Ok(Some(resp))
+            }
+            other if self.partial.contains_key(&other.id()) => Err(FrameError::Malformed(
+                "a response other than the answer's own interrupts it",
+            )),
+            other => Ok(Some(other)),
+        }
+    }
+
+    /// The stream ended: an answer with parts but no final frame was torn.
+    pub fn finish(&self) -> Result<(), FrameError> {
+        if self.partial.is_empty() {
+            Ok(())
+        } else {
+            Err(FrameError::Malformed("stream ended inside an answer"))
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Client.
 
@@ -660,6 +876,7 @@ pub struct BinClient {
     w: BufWriter<TcpStream>,
     r: BufReader<TcpStream>,
     scratch: Vec<u8>,
+    answers: Reassembly,
 }
 
 impl BinClient {
@@ -675,6 +892,7 @@ impl BinClient {
             w,
             r,
             scratch: Vec::new(),
+            answers: Reassembly::default(),
         })
     }
 
@@ -691,13 +909,18 @@ impl BinClient {
         self.w.flush()
     }
 
-    /// Read the next response frame; `Ok(None)` on clean EOF.
+    /// Read the next response, a query answer whole (its parts folded
+    /// in, see [`Reassembly`]); `Ok(None)` on clean EOF.
     pub fn recv(&mut self) -> io::Result<Option<BinResponse>> {
-        match read_bin_frame(&mut self.r)? {
-            None => Ok(None),
-            Some((opcode, id, payload)) => decode_response(opcode, id, &payload)
-                .map(Some)
-                .map_err(io::Error::from),
+        loop {
+            let Some((opcode, id, payload)) = read_bin_frame(&mut self.r)? else {
+                self.answers.finish()?;
+                return Ok(None);
+            };
+            let resp = decode_response(opcode, id, &payload)?;
+            if let Some(resp) = self.answers.take(resp)? {
+                return Ok(Some(resp));
+            }
         }
     }
 }
@@ -705,6 +928,7 @@ impl BinClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nok_core::Dewey;
 
     #[test]
     fn requests_round_trip_binary() {
@@ -740,13 +964,13 @@ mod tests {
         }
     }
 
-    /// The direct encoder must put on the wire exactly what the
-    /// `WireMatch` path does — `BinClient` decodes both the same: at every
-    /// decimal width, at the Dewey key code's length boundaries, and for
-    /// 40-deep ids.
+    /// The encoder fed Dewey ids must put on the wire exactly what
+    /// `encode_response` does from their renderings, and both must decode
+    /// back to them: at every decimal width, at the Dewey key code's length
+    /// boundaries, for 40-deep ids, the document node, and answers of
+    /// several chunks.
     #[test]
     fn query_ok_direct_encoding_is_byte_identical() {
-        use nok_core::{Dewey, NodeAddr};
         let edges = [
             0,
             9,
@@ -765,70 +989,115 @@ mod tests {
             1_000_000_000,
             u32::MAX,
         ];
-        let mut ids: Vec<(Vec<u32>, (u32, u32))> = edges
-            .iter()
-            .map(|&c| {
-                (
-                    vec![0, c, 3],
-                    (c, edges[edges.len() - 1 - (c % 7) as usize]),
-                )
-            })
-            .collect();
-        ids.push(((0..40).map(|i| i * 1_000_003).collect(), (7, 7)));
-        ids.push(((0..40).map(|i| u32::MAX - i).collect(), (0, 10)));
-        ids.push((vec![0], (0, 0)));
-        let matches: Vec<QueryMatch> = ids
-            .into_iter()
-            .map(|(d, (page, entry))| QueryMatch {
-                addr: NodeAddr { page, entry },
-                dewey: Dewey::from_components(d),
-            })
-            .collect();
-        for n in [0, 1, matches.len()] {
+        let mut ids: Vec<Dewey> = vec![Dewey::default()];
+        ids.extend(edges.iter().map(|&c| Dewey::from_components(vec![0, c, 3])));
+        ids.push(Dewey::from_components(
+            (0..40).map(|i| i * 1_000_003).collect(),
+        ));
+        ids.push(Dewey::from_components(
+            (0..40).map(|i| u32::MAX - i).collect(),
+        ));
+        // Siblings under one parent: each key shares all but its last code.
+        ids.extend((0..20_000).map(|i| Dewey::from_components(vec![0, 7, i, 1])));
+        for n in [0, 1, 2, 19, ids.len()] {
             let wire = BinResponse::QueryOk {
                 id: 0xfeed_0000_0000_0001,
-                matches: matches[..n]
+                matches: ids[..n]
                     .iter()
-                    .map(|m| WireMatch {
-                        dewey: m.dewey.to_string(),
-                        addr: m.addr.to_string(),
+                    .map(|d| WireMatch {
+                        dewey: d.to_string(),
                     })
                     .collect(),
             };
             // Both appended behind existing bytes, as frames are batched.
             let (mut via_strings, mut direct) = (vec![0xAB], vec![0xAB]);
             encode_response(&mut via_strings, &wire);
-            encode_query_ok(&mut direct, wire.id(), &matches[..n]);
+            let mut enc = AnswerEncoder::new(wire.id());
+            for d in &ids[..n] {
+                if let Some(part) = enc.push(d.components()) {
+                    direct.extend_from_slice(&part);
+                }
+            }
+            direct.extend_from_slice(&enc.finish());
             assert_eq!(direct, via_strings, "{n} matches");
-            let (op, id, payload, used) = split_frame(&direct[1..]).unwrap().unwrap();
-            assert_eq!(used + 1, direct.len());
-            assert_eq!(decode_response(op, id, payload).unwrap(), wire);
+            let mut rest = &direct[1..];
+            let mut answers = Reassembly::default();
+            let mut whole = None;
+            while let Some((op, id, payload, used)) = split_frame(rest).unwrap() {
+                rest = &rest[used..];
+                assert!(whole.is_none(), "frames after the final one");
+                whole = answers
+                    .take(decode_response(op, id, payload).unwrap())
+                    .unwrap();
+            }
+            assert!(rest.is_empty());
+            assert_eq!(whole, Some(wire), "{n} matches");
         }
     }
 
-    /// ~400 B per match: 50k matches is a 20 MB payload, over `MAX_FRAME`.
+    /// An answer far over one chunk streams as parts of at most
+    /// `CHUNK_BYTES` of matches each, then one final frame; nothing caps it.
     #[test]
-    fn oversized_query_answer_becomes_an_error_frame() {
-        use nok_core::{Dewey, NodeAddr};
+    fn large_answers_stream_in_bounded_chunks() {
         let deep: Vec<u32> = (0..40).map(|i| u32::MAX - i).collect();
-        let matches: Vec<QueryMatch> = (0..50_000)
-            .map(|entry| QueryMatch {
-                addr: NodeAddr { page: 7, entry },
-                dewey: Dewey::from_components(deep.clone()),
-            })
-            .collect();
-        let mut out = vec![0xAB];
-        encode_query_ok(&mut out, 77, &matches);
-        let (op, id, payload, used) = split_frame(&out[1..]).unwrap().unwrap();
-        assert_eq!(used + 1, out.len(), "one receivable frame, nothing else");
-        match decode_response(op, id, payload).unwrap() {
-            BinResponse::Error { id, code, message } => {
-                assert_eq!((id, code), (77, ErrCode::Engine));
-                assert!(message.contains("50000 matches"), "{message}");
-                assert!(message.contains(&MAX_FRAME.to_string()), "{message}");
+        let mut enc = AnswerEncoder::new(77);
+        let mut out = Vec::new();
+        for entry in 0..50_000 {
+            let mut c = deep.clone();
+            c.push(entry);
+            if let Some(part) = enc.push(&c) {
+                out.extend_from_slice(&part);
             }
-            other => panic!("unexpected response {other:?}"),
         }
+        out.extend_from_slice(&enc.finish());
+        let mut rest = &out[..];
+        let (mut parts, mut matches) = (0, 0);
+        while let Some((op, id, payload, used)) = split_frame(rest).unwrap() {
+            rest = &rest[used..];
+            assert_eq!(id, 77);
+            assert!(payload.len() <= CHUNK_BYTES, "{}", payload.len());
+            match decode_response(op, id, payload).unwrap() {
+                BinResponse::QueryPart { matches: m, .. } => {
+                    parts += 1;
+                    matches += m.len();
+                }
+                BinResponse::QueryOk { matches: m, .. } => {
+                    matches += m.len();
+                    assert!(rest.is_empty(), "the final frame is the last");
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        assert_eq!(matches, 50_000);
+        assert!(parts > 1, "{parts} parts");
+    }
+
+    /// A key's shared prefix may not reach past the key before it, and a
+    /// stream may not end, or be interrupted, inside an answer.
+    #[test]
+    fn bad_deltas_and_torn_answers_are_errors() {
+        // Two matches: "0.1" then one claiming 3 shared bytes of a 2-byte key.
+        let mut payload = 2u32.to_le_bytes().to_vec();
+        payload.extend_from_slice(&[0, 2, 0, 1, 3, 0]);
+        assert!(matches!(
+            decode_response(op::QUERY_OK, 1, &payload),
+            Err(FrameError::Malformed(_))
+        ));
+        let part = |id| BinResponse::QueryPart {
+            id,
+            matches: vec![WireMatch { dewey: "0".into() }],
+        };
+        let mut answers = Reassembly::default();
+        assert_eq!(answers.take(part(5)), Ok(None));
+        assert!(answers.take(BinResponse::Pong { id: 5 }).is_err());
+        assert!(answers.finish().is_err(), "stream ended inside an answer");
+        let err = BinResponse::Error {
+            id: 5,
+            code: ErrCode::Engine,
+            message: "x".into(),
+        };
+        assert_eq!(answers.take(err.clone()), Ok(Some(err)));
+        assert_eq!(answers.finish(), Ok(()), "the error dropped the parts");
     }
 
     #[test]
@@ -836,11 +1105,9 @@ mod tests {
         let matches = vec![
             WireMatch {
                 dewey: "1.2".into(),
-                addr: "0:1".into(),
             },
             WireMatch {
                 dewey: "1.4".into(),
-                addr: "0:2".into(),
             },
         ];
         assert_eq!(result_line("//a", &matches), "//a\t2\t1.2;1.4");
@@ -855,11 +1122,18 @@ mod tests {
                 matches: vec![
                     WireMatch {
                         dewey: "1.2.3".into(),
-                        addr: "4:7".into(),
                     },
                     WireMatch {
                         dewey: "1.9".into(),
-                        addr: "2:0".into(),
+                    },
+                ],
+            },
+            BinResponse::QueryPart {
+                id: 3,
+                matches: vec![
+                    WireMatch { dewey: "".into() },
+                    WireMatch {
+                        dewey: "0.128.16512".into(),
                     },
                 ],
             },

@@ -2,19 +2,28 @@
 //!
 //! One TCP connection is served by [`serve_connection`]: it checks the
 //! [`crate::binproto`] preamble, then reads frames and submits queries
-//! through [`QueryService::query_async`]; completions arrive on worker
-//! threads, which encode the response frame and push it onto a
-//! per-connection outbound queue. A dedicated writer thread drains that
+//! through [`QueryService::query_streamed`]. The worker evaluating a query
+//! encodes its matches as the executor decides them and pushes each full
+//! chunk ([`binproto::CHUNK_BYTES`]) onto the connection's outbound queue
+//! at once, then the final frame. A dedicated writer thread drains that
 //! queue — *everything* available in one lock acquisition — and flushes
 //! the socket once per drain, so a burst of pipelined completions costs one
 //! syscall, not one per response. Responses therefore leave in completion
 //! order, not submission order; the request id is the only correlation
 //! (clients that need submission order reorder on their side).
 //!
+//! **Back-pressure.** The queue holds at most [`OUT_QUEUE_BYTES`] of a
+//! worker's frames: a worker whose frame does not fit waits for the writer
+//! to drain, so a client that stops reading stalls its own answers instead
+//! of growing the server's memory. The wait ends at the query's deadline
+//! (the answer then ends with a timeout error) or when the writer is gone
+//! (the socket failed: the answer is dropped). Frames the connection thread
+//! answers inline (ping, stats, explain, request errors) never wait.
+//!
 //! Lock discipline: the outbound-queue mutex (`conn.out`) is a leaf — a
-//! worker thread grabs it inside the completion callback while holding no
-//! service or pager lock (delivery in `service::worker_loop` happens after
-//! every lock is released), and the connection/writer threads hold it only
+//! worker thread grabs it from its reply, which the executor calls between
+//! pages holding no service or pager lock (and the final frame after every
+//! lock is released), and the connection/writer threads hold it only
 //! around queue edits, never across I/O or service calls.
 
 use std::collections::VecDeque;
@@ -22,15 +31,19 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use nok_core::QueryOptions;
+use nok_core::{QueryMatch, QueryOptions};
 use nok_pager::Storage;
 
-use crate::binproto::{self, BinResponse, ErrCode, Request, MAGIC, VERSION};
+use crate::binproto::{self, AnswerEncoder, BinResponse, ErrCode, Request, MAGIC, VERSION};
 use crate::json::Json;
-use crate::service::{QueryError, QueryService};
+use crate::service::{QueryError, QueryService, Reply};
 use crate::ServerMetrics;
+
+/// Bytes of worker frames a connection's outbound queue holds before the
+/// next push waits for the writer: eight answer chunks.
+pub const OUT_QUEUE_BYTES: usize = 8 * binproto::CHUNK_BYTES;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -133,6 +146,22 @@ pub fn stats_json<S: Storage + Send + Sync + 'static>(svc: &QueryService<S>) -> 
             "empty_proofs",
             Json::Num(m.empty_proofs.load(Ordering::Relaxed) as f64),
         ),
+        (
+            "first_chunk_p50_us",
+            Json::Num(m.first_chunk.quantile_micros(0.50) as f64),
+        ),
+        (
+            "first_chunk_p99_us",
+            Json::Num(m.first_chunk.quantile_micros(0.99) as f64),
+        ),
+        (
+            "answer_chunks",
+            Json::Num(m.answer_chunks.load(Ordering::Relaxed) as f64),
+        ),
+        (
+            "out_queue_hwm_bytes",
+            Json::Num(m.out_queue_hwm.load(Ordering::Relaxed) as f64),
+        ),
     ])
 }
 
@@ -140,39 +169,102 @@ pub fn stats_json<S: Storage + Send + Sync + 'static>(svc: &QueryService<S>) -> 
 struct OutState {
     /// Encoded response frames awaiting the writer thread.
     frames: VecDeque<Vec<u8>>,
-    /// Queries accepted by the service whose callbacks have not fired yet.
+    /// Their total length.
+    bytes: usize,
+    /// Queries accepted by the service whose replies have not finished.
     /// The writer refuses to exit while any are outstanding, so every
     /// admitted request gets its response flushed before the connection
     /// closes — including across a shutdown.
     in_flight: usize,
     /// The reader has stopped submitting (peer EOF or shutdown request).
     done: bool,
+    /// The writer has exited: frames pushed now go nowhere.
+    closed: bool,
 }
 
 /// Per-connection outbound queue feeding the writer thread.
 struct OutQueue {
     out: Mutex<OutState>,
-    cv: Condvar,
+    /// The writer waits here for frames.
+    ready: Condvar,
+    /// Workers wait here for room (see [`OUT_QUEUE_BYTES`]).
+    room: Condvar,
+    metrics: Arc<ServerMetrics>,
 }
 
 impl OutQueue {
-    fn new() -> Self {
+    fn new(metrics: Arc<ServerMetrics>) -> Self {
         OutQueue {
             out: Mutex::new(OutState {
                 frames: VecDeque::new(),
+                bytes: 0,
                 in_flight: 0,
                 done: false,
+                closed: false,
             }),
-            cv: Condvar::new(),
+            ready: Condvar::new(),
+            room: Condvar::new(),
+            metrics,
         }
     }
 
-    /// Queue one encoded frame (inline responses: ping, stats, errors).
+    /// Append under the lock, keeping the byte count and high-water mark.
+    fn enqueue(&self, g: &mut OutState, frame: Vec<u8>) {
+        if g.closed {
+            return;
+        }
+        g.bytes += frame.len();
+        g.frames.push_back(frame);
+        self.metrics
+            .out_queue_hwm
+            .fetch_max(g.bytes as u64, Ordering::Relaxed);
+    }
+
+    /// Wait until `len` more bytes fit, the writer is gone, or `deadline`
+    /// passes; returns the guard and whether the frame may go in.
+    fn wait_room(&self, len: usize, deadline: Instant) -> (MutexGuard<'_, OutState>, bool) {
+        let mut g = lock(&self.out);
+        loop {
+            if g.closed {
+                return (g, false);
+            }
+            if g.bytes == 0 || g.bytes + len <= OUT_QUEUE_BYTES {
+                return (g, true);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return (g, false);
+            }
+            g = self
+                .room
+                .wait_timeout(g, deadline - now)
+                .map_or_else(|e| e.into_inner().0, |(g, _)| g);
+        }
+    }
+
+    /// Queue one encoded frame the connection thread answers inline (ping,
+    /// stats, errors): never waits.
     fn push(&self, frame: Vec<u8>) {
         let mut g = lock(&self.out);
-        g.frames.push_back(frame);
+        self.enqueue(&mut g, frame);
         drop(g);
-        self.cv.notify_one();
+        self.ready.notify_one();
+    }
+
+    /// Queue a chunk of an in-flight answer, waiting for room until
+    /// `deadline`.
+    fn send(&self, frame: Vec<u8>, deadline: Instant) -> Result<(), QueryError> {
+        let (mut g, fits) = self.wait_room(frame.len(), deadline);
+        if g.closed {
+            return Err(QueryError::Engine("connection closed".into()));
+        }
+        if !fits {
+            return Err(QueryError::Timeout);
+        }
+        self.enqueue(&mut g, frame);
+        drop(g);
+        self.ready.notify_one();
+        Ok(())
     }
 
     /// Reserve an in-flight slot before submitting to the service.
@@ -180,13 +272,15 @@ impl OutQueue {
         lock(&self.out).in_flight += 1;
     }
 
-    /// Queue the response for an in-flight request and release its slot.
-    fn complete(&self, frame: Vec<u8>) {
-        let mut g = lock(&self.out);
-        g.frames.push_back(frame);
+    /// Queue the final frame of an in-flight request and release its slot.
+    /// It waits for room like a chunk, but goes in at `deadline` anyway:
+    /// it is the answer's last.
+    fn complete(&self, frame: Vec<u8>, deadline: Instant) {
+        let (mut g, _) = self.wait_room(frame.len(), deadline);
+        self.enqueue(&mut g, frame);
         g.in_flight = g.in_flight.saturating_sub(1);
         drop(g);
-        self.cv.notify_one();
+        self.ready.notify_one();
     }
 
     /// Release an in-flight slot without a frame (submission failed and the
@@ -195,14 +289,14 @@ impl OutQueue {
         let mut g = lock(&self.out);
         g.in_flight = g.in_flight.saturating_sub(1);
         drop(g);
-        self.cv.notify_one();
+        self.ready.notify_one();
     }
 
     /// The reader is finished; the writer drains what remains (waiting out
-    /// in-flight completions) and exits.
+    /// in-flight answers) and exits.
     fn finish(&self) {
         lock(&self.out).done = true;
-        self.cv.notify_all();
+        self.ready.notify_all();
     }
 
     /// Writer side: block until frames are available, then take all of
@@ -212,13 +306,89 @@ impl OutQueue {
         loop {
             if !g.frames.is_empty() {
                 into.extend(g.frames.drain(..));
+                g.bytes = 0;
+                drop(g);
+                self.room.notify_all();
                 return Some(());
             }
             if g.done && g.in_flight == 0 {
                 return None;
             }
-            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
+            g = self.ready.wait(g).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Writer side, on exit: drop what is queued and release every waiter.
+    fn close(&self) {
+        let mut g = lock(&self.out);
+        g.closed = true;
+        g.frames.clear();
+        g.bytes = 0;
+        drop(g);
+        self.room.notify_all();
+    }
+}
+
+/// A query's answer on its way to the socket: matches are encoded as the
+/// executor decides them, and each full chunk is queued at once.
+struct WireReply {
+    id: u64,
+    enc: AnswerEncoder,
+    queue: Arc<OutQueue>,
+    /// When the request was read.
+    arrived: Instant,
+    /// The query's deadline: how long a push may wait for room.
+    deadline: Instant,
+    /// A frame of the answer is queued already.
+    started: bool,
+}
+
+impl WireReply {
+    /// The answer's first frame is going out: time to first match.
+    fn first_frame(&mut self) {
+        if !self.started {
+            self.started = true;
+            self.queue
+                .metrics
+                .first_chunk
+                .record(self.arrived.elapsed());
+        }
+    }
+}
+
+impl Reply for WireReply {
+    fn put(&mut self, m: QueryMatch) -> Result<(), QueryError> {
+        let Some(part) = self.enc.push(m.dewey.components()) else {
+            return Ok(());
+        };
+        self.first_frame();
+        self.queue
+            .metrics
+            .answer_chunks
+            .fetch_add(1, Ordering::Relaxed);
+        self.queue.send(part, self.deadline)
+    }
+
+    fn finish(mut self: Box<Self>, outcome: Result<(), QueryError>) {
+        if outcome.is_ok() {
+            self.first_frame();
+        }
+        let WireReply {
+            id,
+            enc,
+            queue,
+            deadline,
+            ..
+        } = *self;
+        let frame = match outcome {
+            Ok(()) => enc.finish(),
+            Err(e) => encode_one(&BinResponse::Error {
+                id,
+                code: err_code(&e),
+                message: e.to_string(),
+            }),
+        };
+        queue.complete(frame, deadline);
     }
 }
 
@@ -257,7 +427,7 @@ pub fn serve_connection<S: Storage + Send + Sync + 'static>(
         ));
     }
 
-    let queue = Arc::new(OutQueue::new());
+    let queue = Arc::new(OutQueue::new(svc.shared_metrics()));
     let writer_queue = Arc::clone(&queue);
     let writer_stream = stream.try_clone()?;
     let writer = std::thread::Builder::new()
@@ -311,28 +481,19 @@ fn read_loop<S: Storage + Send + Sync + 'static>(
                 path,
                 timeout_ms,
             } => {
-                let cb_queue = Arc::clone(queue);
+                let timeout = timeout_ms.map(Duration::from_millis);
+                let arrived = Instant::now();
+                let reply = WireReply {
+                    id,
+                    enc: AnswerEncoder::new(id),
+                    queue: Arc::clone(queue),
+                    arrived,
+                    deadline: arrived + timeout.unwrap_or(svc.default_timeout()),
+                    started: false,
+                };
                 queue.begin();
-                let submitted = svc.query_async(
-                    &path,
-                    QueryOptions::default(),
-                    timeout_ms.map(Duration::from_millis),
-                    move |result| {
-                        let frame = match result {
-                            Ok(matches) => {
-                                let mut frame = Vec::new();
-                                binproto::encode_query_ok(&mut frame, id, &matches);
-                                frame
-                            }
-                            Err(e) => encode_one(&BinResponse::Error {
-                                id,
-                                code: err_code(&e),
-                                message: e.to_string(),
-                            }),
-                        };
-                        cb_queue.complete(frame);
-                    },
-                );
+                let submitted =
+                    svc.query_streamed(&path, QueryOptions::default(), timeout, Box::new(reply));
                 if let Err(e) = submitted {
                     // Admission failed: the callback will never run, so
                     // answer inline and release the in-flight slot.
@@ -386,8 +547,15 @@ fn encode_one(resp: &BinResponse) -> Vec<u8> {
 
 /// The connection's writer thread: drain *all* queued frames per wakeup,
 /// write them back-to-back, flush once. Pipelined bursts coalesce into one
-/// syscall instead of one per response.
+/// syscall instead of one per response. On exit, for whatever reason, it
+/// closes the queue, releasing any worker waiting for room.
 fn write_loop(queue: &OutQueue, stream: TcpStream) -> io::Result<()> {
+    let result = write_frames(queue, stream);
+    queue.close();
+    result
+}
+
+fn write_frames(queue: &OutQueue, stream: TcpStream) -> io::Result<()> {
     let mut w = BufWriter::new(stream);
     let mut batch: Vec<Vec<u8>> = Vec::new();
     while queue.take_all(&mut batch).is_some() {
@@ -522,6 +690,10 @@ mod tests {
                     assert!(stat(json, "synopsis_bytes") > 0, "{json}");
                     assert_eq!(stat(json, "synopsis_folded_nodes"), 0, "{json}");
                     assert!(json.contains("\"empty_proofs\":"), "{json}");
+                    // Streaming gauges: no answer here spans two chunks.
+                    assert_eq!(stat(json, "answer_chunks"), 0, "{json}");
+                    assert!(json.contains("\"first_chunk_p99_us\":"), "{json}");
+                    assert!(stat(json, "out_queue_hwm_bytes") <= OUT_QUEUE_BYTES as u64);
                 }
                 BinResponse::ExplainOk { id, count, text } => {
                     assert_eq!(*id, 4);
@@ -541,11 +713,15 @@ mod tests {
         let (addr, stop) = spawn_server(1);
         let mut wrong_version = MAGIC.to_vec();
         wrong_version.push(VERSION + 1);
+        // Version 1 sent whole answers with addresses; it is refused too.
+        let mut version_1 = MAGIC.to_vec();
+        version_1.push(1);
         let mut ping = Vec::new();
         binproto::encode_request(&mut ping, &Request::Ping { id: 1 });
         for opening in [
             &b"37\n{\"id\":9,\"op\":\"query\",\"path\":\"//book\"}\n"[..],
             &wrong_version,
+            &version_1,
         ] {
             let mut stream = TcpStream::connect(addr).unwrap();
             // A well-formed frame behind it must not be answered either.

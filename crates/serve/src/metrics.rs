@@ -101,6 +101,13 @@ pub struct ServerMetrics {
     pub empty_proofs: AtomicU64,
     /// End-to-end latency of successful queries.
     pub latency: LatencyHistogram,
+    /// From a query's arrival to its answer's first frame in the
+    /// connection's outbound queue: time to first match on the wire.
+    pub first_chunk: LatencyHistogram,
+    /// `QueryPart` frames sent: chunks of answers larger than one.
+    pub answer_chunks: AtomicU64,
+    /// The most bytes any connection's outbound queue has held.
+    pub out_queue_hwm: AtomicU64,
 }
 
 impl ServerMetrics {

@@ -14,11 +14,15 @@
 //!   ([`crate::admission::AdmissionQueue`]); producers fail fast with
 //!   [`QueryError::QueueFull`] at `queue_cap`, and a worker takes one job
 //!   per pop.
-//! * **One completion path.** Every job carries a closure the worker calls
-//!   with its result. [`QueryService::query_async`] passes the caller's
-//!   closure, which is what lets a connection keep many requests in flight
-//!   without a thread per request; [`QueryService::query_with_timeout`]
-//!   passes one that sends into a one-slot channel and waits on it.
+//! * **One answer path.** Every job carries a [`Reply`]: the worker puts
+//!   each match into it as soon as the executor decides it, then finishes
+//!   it with the outcome. A connection's reply encodes matches into
+//!   bounded wire chunks as they come ([`QueryService::query_streamed`]),
+//!   which is what lets one connection keep many requests in flight
+//!   without a thread per request, and lets an answer of any size leave
+//!   while it is being matched; [`QueryService::query_async`] and
+//!   [`QueryService::query_with_timeout`] pass one that collects the
+//!   answer for a closure.
 //! * **Graceful timeout.** A query that misses its deadline returns
 //!   [`QueryError::Timeout`] to the caller; the worker thread is never
 //!   killed. If the worker was mid-evaluation, its eventual result is sent
@@ -32,7 +36,10 @@ use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nok_core::{QueryMatch, QueryOptions, QueryScratch, Snapshot, SnapshotSource, XmlDb};
+use nok_core::{
+    CoreError, CoreResult, MatchSink, QueryMatch, QueryOptions, QueryScratch, Snapshot,
+    SnapshotSource, XmlDb,
+};
 use nok_pager::{GenerationStats, Storage};
 
 use crate::admission::{AdmissionQueue, PushError};
@@ -90,15 +97,60 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Receives a job's result, on the worker thread that ran it.
-type Completion = Box<dyn FnOnce(Result<Vec<QueryMatch>, QueryError>) + Send>;
+/// Receives one query's answer, on the worker thread that evaluates it.
+pub trait Reply: Send {
+    /// The next match, in document order, as soon as it is decided. Called
+    /// between pages with no engine lock held, so it may block. An error
+    /// ends the evaluation, and the answer with it.
+    fn put(&mut self, m: QueryMatch) -> Result<(), QueryError>;
+
+    /// The outcome, once: `Ok` after the last match, or why the answer
+    /// ended. A reply whose job never runs (the service stopped with it
+    /// queued) is dropped unfinished.
+    fn finish(self: Box<Self>, outcome: Result<(), QueryError>);
+}
+
+/// A reply that collects the whole answer for a closure.
+struct Collect<F> {
+    matches: Vec<QueryMatch>,
+    done: F,
+}
+
+impl<F: FnOnce(Result<Vec<QueryMatch>, QueryError>) + Send> Reply for Collect<F> {
+    fn put(&mut self, m: QueryMatch) -> Result<(), QueryError> {
+        self.matches.push(m);
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>, outcome: Result<(), QueryError>) {
+        let Collect { matches, done } = *self;
+        done(outcome.map(|()| matches));
+    }
+}
+
+/// The executor's view of a [`Reply`]: it keeps the reply's own error,
+/// which the engine only sees as [`CoreError::Stopped`].
+struct ToReply<'r> {
+    reply: &'r mut dyn Reply,
+    stopped: Option<QueryError>,
+}
+
+impl MatchSink for ToReply<'_> {
+    fn put(&mut self, m: QueryMatch) -> CoreResult<()> {
+        self.reply.put(m).map_err(|e| {
+            let why = CoreError::Stopped(e.to_string());
+            self.stopped = Some(e);
+            why
+        })
+    }
+}
 
 struct Job {
     path: String,
     opts: QueryOptions,
     enqueued: Instant,
     deadline: Instant,
-    done: Completion,
+    reply: Box<dyn Reply>,
 }
 
 struct Inner<S: Storage> {
@@ -110,7 +162,7 @@ struct Inner<S: Storage> {
     source: SnapshotSource<S>,
     queue: AdmissionQueue<Job>,
     shutdown: AtomicBool,
-    metrics: ServerMetrics,
+    metrics: Arc<ServerMetrics>,
     plan_cache: PlanCache,
 }
 
@@ -147,7 +199,7 @@ impl<S: Storage + Send + 'static> QueryService<S> {
             source,
             queue: AdmissionQueue::new(config.queue_cap),
             shutdown: AtomicBool::new(false),
-            metrics: ServerMetrics::default(),
+            metrics: Arc::default(),
             plan_cache: PlanCache::new(config.plan_cache_cap),
         });
         // Return with every worker running, its scratch allocated: what
@@ -200,14 +252,9 @@ impl<S: Storage + Send + 'static> QueryService<S> {
         timeout: Duration,
     ) -> Result<Vec<QueryMatch>, QueryError> {
         let (tx, rx) = sync_channel(1);
-        self.submit(
-            path,
-            opts,
-            timeout,
-            Box::new(move |r| {
-                let _ = tx.send(r);
-            }),
-        )?;
+        self.query_async(path, opts, Some(timeout), move |r| {
+            let _ = tx.send(r);
+        })?;
         match rx.recv_timeout(timeout) {
             Ok(r) => r,
             Err(RecvTimeoutError::Timeout) => {
@@ -236,17 +283,24 @@ impl<S: Storage + Send + 'static> QueryService<S> {
     where
         F: FnOnce(Result<Vec<QueryMatch>, QueryError>) + Send + 'static,
     {
-        let timeout = timeout.unwrap_or(self.default_timeout);
-        self.submit(path, opts, timeout, Box::new(on_done))
+        let reply = Collect {
+            matches: Vec::new(),
+            done: on_done,
+        };
+        self.query_streamed(path, opts, timeout, Box::new(reply))
     }
 
-    fn submit(
+    /// Submit a query whose matches go to `reply` as they are decided (see
+    /// [`Reply`]). Admission failures are returned immediately and `reply`
+    /// is dropped unused, as [`QueryService::query_async`] does.
+    pub fn query_streamed(
         &self,
         path: &str,
         opts: QueryOptions,
-        timeout: Duration,
-        done: Completion,
+        timeout: Option<Duration>,
+        reply: Box<dyn Reply>,
     ) -> Result<(), QueryError> {
+        let timeout = timeout.unwrap_or(self.default_timeout);
         let inner = &self.inner;
         if inner.shutdown.load(Ordering::Acquire) {
             return Err(QueryError::Shutdown);
@@ -257,7 +311,7 @@ impl<S: Storage + Send + 'static> QueryService<S> {
             opts,
             enqueued: now,
             deadline: now + timeout,
-            done,
+            reply,
         };
         match inner.queue.push(job) {
             Ok(()) => {
@@ -278,6 +332,12 @@ impl<S: Storage + Send + 'static> QueryService<S> {
     /// Aggregate server metrics.
     pub fn metrics(&self) -> &ServerMetrics {
         &self.inner.metrics
+    }
+
+    /// The metrics, shared with what outlives a borrow of the service (a
+    /// connection's replies).
+    pub fn shared_metrics(&self) -> Arc<ServerMetrics> {
+        Arc::clone(&self.inner.metrics)
     }
 
     /// Buffer-pool hit ratio of the structural store (the shared pool the
@@ -340,11 +400,11 @@ fn worker_loop<S: Storage + Send + 'static>(inner: &Inner<S>, ready: &Barrier) {
     let mut snap: Option<Snapshot<S>> = None;
     // Set up: let `start` return.
     ready.wait();
-    while let Some(job) = inner.queue.pop_wait() {
+    while let Some(mut job) = inner.queue.pop_wait() {
         let m = &inner.metrics;
         m.queue_depth
             .store(inner.queue.len() as u64, Ordering::Relaxed);
-        let result = serve_job(inner, &mut snap, &job, &mut scratch);
+        let result = serve_job(inner, &mut snap, &mut job, &mut scratch);
         match &result {
             Ok(_) => {
                 m.served.fetch_add(1, Ordering::Relaxed);
@@ -357,19 +417,19 @@ fn worker_loop<S: Storage + Send + 'static>(inner: &Inner<S>, ready: &Barrier) {
                 m.failed.fetch_add(1, Ordering::Relaxed);
             }
         }
-        (job.done)(result);
+        job.reply.finish(result);
     }
 }
 
 /// Answer one job on the worker's pinned snapshot, re-pinning first when a
-/// commit has published a newer generation. The answer is moved to the
-/// job's completion, not copied.
+/// commit has published a newer generation. Matches go to the job's reply
+/// as the executor decides them.
 fn serve_job<S: Storage + Send + 'static>(
     inner: &Inner<S>,
     snap: &mut Option<Snapshot<S>>,
-    job: &Job,
+    job: &mut Job,
     scratch: &mut QueryScratch,
-) -> Result<Vec<QueryMatch>, QueryError> {
+) -> Result<(), QueryError> {
     if Instant::now() >= job.deadline {
         // Expired while queued: don't waste engine time on it.
         return Err(QueryError::Timeout);
@@ -380,9 +440,14 @@ fn serve_job<S: Storage + Send + 'static>(
         Some(s) if s.epoch() == current => snap.insert(s),
         _ => snap.insert(inner.source.snapshot().map_err(engine)?),
     };
-    let mut results = Vec::new();
-    run_query(inner, view, job, scratch, &mut results).map_err(engine)?;
-    Ok(results)
+    let mut sink = ToReply {
+        reply: job.reply.as_mut(),
+        stopped: None,
+    };
+    match run_query(inner, view, &job.path, job.opts, scratch, &mut sink) {
+        Ok(()) => Ok(()),
+        Err(e) => Err(sink.stopped.take().unwrap_or_else(|| engine(e))),
+    }
 }
 
 /// Evaluate one job against the worker's pinned snapshot: look the plan up
@@ -394,11 +459,12 @@ fn serve_job<S: Storage + Send + 'static>(
 fn run_query<S: Storage + Send + 'static>(
     inner: &Inner<S>,
     view: &Snapshot<S>,
-    job: &Job,
+    path: &str,
+    opts: QueryOptions,
     scratch: &mut QueryScratch,
-    results: &mut Vec<QueryMatch>,
-) -> nok_core::CoreResult<()> {
-    let key = format!("{:?}|{}", job.opts.strategy, normalize_query(&job.path));
+    sink: &mut ToReply<'_>,
+) -> CoreResult<()> {
+    let key = format!("{:?}|{}", opts.strategy, normalize_query(path));
     let epoch = view.epoch();
     let looked = inner.plan_cache.lookup(&key, epoch);
     if looked.stale {
@@ -411,12 +477,12 @@ fn run_query<S: Storage + Send + 'static>(
         }
         None => {
             inner.metrics.plan_misses.fetch_add(1, Ordering::Relaxed);
-            let p = Arc::new(view.plan_query(&job.path, job.opts)?);
+            let p = Arc::new(view.plan_query(path, opts)?);
             inner.plan_cache.insert(key, epoch, Arc::clone(&p));
             p
         }
     };
-    view.execute_plan(&planned, scratch, results)?;
+    view.execute_plan_into(&planned, scratch, sink)?;
     if scratch.stats().proven_empty {
         inner.metrics.empty_proofs.fetch_add(1, Ordering::Relaxed);
     }

@@ -41,7 +41,6 @@ fn render(db: &XmlDb<MemStorage>, path: &str) -> String {
         .iter()
         .map(|m| WireMatch {
             dewey: m.dewey.to_string(),
-            addr: m.addr.to_string(),
         })
         .collect();
     result_line(path, &wire)

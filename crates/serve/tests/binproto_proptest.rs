@@ -16,12 +16,18 @@
 //! 5. **Arbitrary garbage**: the decoder never panics, whatever the bytes.
 //! 6. **Interleaving**: responses permuted across ids still map back to
 //!    the correct request by id — the invariant pipelined clients rely on.
+//! 7. **Chunked answers**: sorted Dewey lists cut into parts at arbitrary
+//!    points and interleaved with other answers, `Pong` and `Error` frames
+//!    reassemble exactly; a bad prefix delta, a torn chunk or a chunk after
+//!    its answer's final frame is an error, never a panic.
 
 use proptest::prelude::*;
 
+use nok_core::Dewey;
 use nok_serve::binproto::{
-    decode_request, decode_response, encode_request, encode_response, put_frame, read_bin_frame,
-    split_frame, BinResponse, ErrCode, FrameError, Request, WireMatch, HEADER_LEN, MAX_FRAME,
+    decode_request, decode_response, encode_request, encode_response, op, put_frame,
+    read_bin_frame, split_frame, BinResponse, ErrCode, FrameError, Reassembly, Request, WireMatch,
+    HEADER_LEN, MAX_FRAME,
 };
 
 fn arb_path() -> impl Strategy<Value = String> {
@@ -48,8 +54,41 @@ fn arb_request() -> impl Strategy<Value = Request> {
     ]
 }
 
+fn arb_dewey() -> impl Strategy<Value = Dewey> {
+    // Small components share key bytes; any u32 exercises every code length.
+    let comp = prop_oneof![0u32..4, any::<u32>()];
+    prop::collection::vec(comp, 0..10).prop_map(Dewey::from_components)
+}
+
 fn arb_match() -> impl Strategy<Value = WireMatch> {
-    ("[0-9.]{1,24}", "[0-9]{1,8}:[0-9]{1,8}").prop_map(|(dewey, addr)| WireMatch { dewey, addr })
+    arb_dewey().prop_map(|d| WireMatch {
+        dewey: d.to_string(),
+    })
+}
+
+fn wire(deweys: &[Dewey]) -> Vec<WireMatch> {
+    deweys
+        .iter()
+        .map(|d| WireMatch {
+            dewey: d.to_string(),
+        })
+        .collect()
+}
+
+/// Read a byte stream the way `BinClient::recv` does: frame, decode,
+/// reassemble, and at its end refuse an answer left without its final
+/// frame.
+fn reassemble(mut stream: &[u8]) -> Result<Vec<BinResponse>, String> {
+    let mut answers = Reassembly::default();
+    let mut out = Vec::new();
+    while let Some((opcode, id, payload)) =
+        read_bin_frame(&mut stream).map_err(|e| e.to_string())?
+    {
+        let resp = decode_response(opcode, id, &payload).map_err(|e| e.to_string())?;
+        out.extend(answers.take(resp).map_err(|e| e.to_string())?);
+    }
+    answers.finish().map_err(|e| e.to_string())?;
+    Ok(out)
 }
 
 fn arb_err_code() -> impl Strategy<Value = ErrCode> {
@@ -66,6 +105,8 @@ fn arb_response() -> impl Strategy<Value = BinResponse> {
     prop_oneof![
         (any::<u64>(), prop::collection::vec(arb_match(), 0..16))
             .prop_map(|(id, matches)| BinResponse::QueryOk { id, matches }),
+        (any::<u64>(), prop::collection::vec(arb_match(), 0..16))
+            .prop_map(|(id, matches)| BinResponse::QueryPart { id, matches }),
         (any::<u64>(), any::<u32>(), ".{0,64}")
             .prop_map(|(id, count, text)| BinResponse::ExplainOk { id, count, text }),
         (any::<u64>(), ".{0,64}").prop_map(|(id, json)| BinResponse::StatsOk { id, json }),
@@ -204,7 +245,7 @@ proptest! {
             // whose dewey is the request index.
             encode_response(&mut wire, &BinResponse::QueryOk {
                 id: i as u64,
-                matches: vec![WireMatch { dewey: i.to_string(), addr: "0:0".into() }],
+                matches: vec![WireMatch { dewey: i.to_string() }],
             });
         }
         let mut rest = &wire[..];
@@ -230,5 +271,116 @@ proptest! {
         // Below HEADER_LEN nothing can ever be a frame or an error —
         // regardless of content, the splitter must ask for more bytes.
         prop_assert_eq!(split_frame(&bytes).unwrap().map(|f| f.3), None);
+    }
+
+    #[test]
+    fn chunked_answers_reassemble_exactly(
+        answers in prop::collection::vec(
+            (prop::collection::vec(arb_dewey(), 0..40), prop::collection::vec(0usize..40, 0..4)),
+            1..4,
+        ),
+        others in prop::collection::vec(any::<bool>(), 0..4),
+        seed in any::<u64>(),
+        tear in any::<u64>(),
+    ) {
+        // Answer i travels as id 100 + i: its sorted list cut at the given
+        // points into parts, then the final frame with the rest.
+        let mut lanes: Vec<Vec<Vec<u8>>> = Vec::new();
+        let mut expected = Vec::new();
+        for (i, (deweys, cuts)) in answers.iter().enumerate() {
+            let id = 100 + i as u64;
+            let mut sorted = deweys.clone();
+            sorted.sort();
+            sorted.dedup();
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(sorted.len())).collect();
+            cuts.sort_unstable();
+            let mut frames = Vec::new();
+            let mut from = 0;
+            for &cut in &cuts {
+                let mut f = Vec::new();
+                encode_response(&mut f, &BinResponse::QueryPart { id, matches: wire(&sorted[from..cut]) });
+                frames.push(f);
+                from = cut;
+            }
+            let mut f = Vec::new();
+            encode_response(&mut f, &BinResponse::QueryOk { id, matches: wire(&sorted[from..]) });
+            frames.push(f);
+            lanes.push(frames);
+            expected.push(BinResponse::QueryOk { id, matches: wire(&sorted) });
+        }
+        // Single-frame responses to other ids ride between the chunks.
+        for (j, &pong) in others.iter().enumerate() {
+            let id = 200 + j as u64;
+            let resp = if pong {
+                BinResponse::Pong { id }
+            } else {
+                BinResponse::Error { id, code: ErrCode::Timeout, message: "late".into() }
+            };
+            let mut f = Vec::new();
+            encode_response(&mut f, &resp);
+            lanes.push(vec![f]);
+            expected.push(resp);
+        }
+        // Interleave the lanes, each in its own order, noting after each
+        // frame whether some answer is under way.
+        let mut stream = Vec::new();
+        let mut boundaries = vec![(0, false)];
+        let mut next = vec![0usize; lanes.len()];
+        let mut state = seed | 1;
+        loop {
+            let open: Vec<usize> = (0..lanes.len()).filter(|&l| next[l] < lanes[l].len()).collect();
+            if open.is_empty() {
+                break;
+            }
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let l = open[(state % open.len() as u64) as usize];
+            stream.extend_from_slice(&lanes[l][next[l]]);
+            next[l] += 1;
+            let under_way = (0..lanes.len()).any(|l| next[l] > 0 && next[l] < lanes[l].len());
+            boundaries.push((stream.len(), under_way));
+        }
+        let mut got = reassemble(&stream).expect("a well-formed stream reassembles");
+        got.sort_by_key(BinResponse::id);
+        prop_assert_eq!(got, expected);
+
+        // Torn: a stream cut inside a frame, or between frames while an
+        // answer is under way, fails cleanly.
+        let cut = (tear % stream.len() as u64) as usize;
+        let torn = reassemble(&stream[..cut]);
+        match boundaries.iter().find(|(b, _)| *b == cut) {
+            Some(&(_, under_way)) => prop_assert_eq!(torn.is_err(), under_way),
+            None => prop_assert!(torn.is_err()),
+        }
+
+        // A chunk after its answer's final frame leaves an answer open.
+        let mut late = stream.clone();
+        encode_response(&mut late, &BinResponse::QueryPart { id: 100, matches: wire(&[Dewey::root()]) });
+        prop_assert!(reassemble(&late).is_err());
+    }
+
+    #[test]
+    fn bad_deltas_are_errors(deweys in prop::collection::vec(arb_dewey(), 1..20), at in any::<u64>(), extra in 1usize..4) {
+        // Re-encode by hand with match `k`'s shared prefix past the key
+        // before it.
+        let mut sorted = deweys.clone();
+        sorted.sort();
+        let keys: Vec<Vec<u8>> = sorted.iter().map(Dewey::to_key).collect();
+        let k = (at % keys.len() as u64) as usize;
+        let mut payload = (keys.len() as u32).to_le_bytes().to_vec();
+        let mut prev: &[u8] = &[];
+        for (i, key) in keys.iter().enumerate() {
+            let shared = key.iter().zip(prev).take_while(|(a, b)| a == b).count();
+            let claimed = if i == k { prev.len() + extra } else { shared };
+            payload.push(claimed as u8);
+            payload.push((key.len() - shared) as u8);
+            payload.extend_from_slice(&key[shared..]);
+            prev = key;
+        }
+        prop_assert!(matches!(
+            decode_response(op::QUERY_OK, 1, &payload),
+            Err(FrameError::Malformed(_))
+        ));
     }
 }

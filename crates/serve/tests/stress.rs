@@ -44,7 +44,6 @@ fn render(db: &XmlDb<nok_pager::FileStorage>, path: &str) -> String {
         .iter()
         .map(|m| WireMatch {
             dewey: m.dewey.to_string(),
-            addr: m.addr.to_string(),
         })
         .collect();
     result_line(path, &wire)
@@ -95,7 +94,6 @@ fn workload_is_byte_identical_across_threads() {
                                 .iter()
                                 .map(|m| WireMatch {
                                     dewey: m.dewey.to_string(),
-                                    addr: m.addr.to_string(),
                                 })
                                 .collect();
                             ((i + t * 3) % n, result_line(p, &wire))
@@ -258,7 +256,6 @@ fn render_values<S: nok_pager::Storage>(db: &XmlDb<S>, path: &str) -> String {
         .iter()
         .map(|m| WireMatch {
             dewey: m.dewey.to_string(),
-            addr: m.addr.to_string(),
         })
         .collect();
     let mut line = result_line(path, &wire);
