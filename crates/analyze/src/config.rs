@@ -62,10 +62,6 @@ pub const CORE_DECODE_CACHE: LockClass = LockClass {
     name: "core.decode_cache",
     rank: 20,
 };
-pub const CORE_SKIP_INDEX: LockClass = LockClass {
-    name: "core.skip_index",
-    rank: 22,
-};
 pub const CORE_DIRECTORY: LockClass = LockClass {
     name: "core.directory",
     rank: 24,
@@ -100,7 +96,6 @@ pub const ALL_CLASSES: &[LockClass] = &[
     SERVE_CONN_OUT,
     SERVE_PLAN_CACHE,
     CORE_DECODE_CACHE,
-    CORE_SKIP_INDEX,
     CORE_DIRECTORY,
     CORE_WAL,
     CORE_DATA_FILE,
@@ -129,11 +124,6 @@ const LOCK_TABLE: &[LockEntry] = &[
         field: "decoded",
         in_crate: Some("core"),
         class: CORE_DECODE_CACHE,
-    },
-    LockEntry {
-        field: "skip",
-        in_crate: Some("core"),
-        class: CORE_SKIP_INDEX,
     },
     LockEntry {
         field: "dir",
@@ -232,18 +222,13 @@ pub fn is_writer_entry(name: &str) -> bool {
 /// point, not a counter). Everything else — IO statistics, service metrics,
 /// clock hands, `last_used` stamps — is advisory and exempt.
 pub const CRITICAL_ATOMICS: &[&str] = &[
-    "dir_generation", // seqlock generation for the page directory
-    "txn_active",     // no-steal barrier between pool and WAL commit
-    "shutdown",       // service stop flag gating queue drain
+    "txn_active", // no-steal barrier between pool and WAL commit
+    "shutdown",   // service stop flag gating queue drain
     "state", // frame state bits (owes home, txn wrote) read by evict/flush without the frame lock
     "frames", // pool occupancy accounting used by make_room
     "ctrl",  // EpochArc control word: pin registration vs swing
     "debt",  // EpochArc repaid-pin counter gating slot reclamation
 ];
-
-/// The seqlock generation field: reads of it participate in the
-/// `seqlock-recheck` rule (a reader must validate with a second load).
-pub const SEQLOCK_FIELDS: &[&str] = &["dir_generation"];
 
 /// Files whose non-test code must not contain panic paths (ports the old
 /// `hot-path-panic` scope verbatim).
@@ -360,7 +345,6 @@ pub const ALL_RULES: &[&str] = &[
     "lock-order",
     "lock-reentry",
     "atomic-ordering",
-    "seqlock-recheck",
     "serve-worker-panic",
     "lock-unwrap",
     "hot-path-panic",
@@ -428,7 +412,7 @@ mod tests {
         assert!(!is_hot_path("crates/core/src/naive.rs"));
         assert!(is_serve_worker_path("crates/serve/src/service.rs"));
         assert!(!is_serve_worker_path("crates/serve/src/bin/nokd.rs"));
-        assert!(is_test_path("crates/core/tests/loom_seqlock.rs"));
+        assert!(is_test_path("crates/pager/tests/loom_pool.rs"));
         assert_eq!(crate_of("crates/core/src/store.rs"), "core");
     }
 }

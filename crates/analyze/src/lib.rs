@@ -5,15 +5,13 @@
 //! acquisitions, atomic operations and panicking constructs, and enforces:
 //!
 //! - **`lock-order` / `lock-reentry`** — the declared lock hierarchy
-//!   (service queue → plan cache → directory seqlock → data-file mutex →
+//!   (service queue → plan cache → decode cache → directory → data-file mutex →
 //!   pool shard → storage → frame; see `config::ALL_CLASSES` and DESIGN.md
 //!   §13), with call-graph propagation so an acquisition hidden behind a
 //!   call chain is still checked against the locks its caller holds.
 //! - **`atomic-ordering`** — `Ordering::Relaxed` is an error on the named
-//!   critical atomics (`dir_generation`, `txn_active`, `shutdown`, `state`,
-//!   `frames`); statistics counters are exempt.
-//! - **`seqlock-recheck`** — a reader of the directory generation must load
-//!   it twice (validate) or be a writer.
+//!   critical atomics (`txn_active`, `shutdown`, `state`, `frames`, `ctrl`,
+//!   `debt`); statistics counters are exempt.
 //! - **`serve-worker-panic` / `lock-unwrap`** — no `.unwrap()`/`.expect()`/
 //!   indexing panics on worker paths or lock results.
 //! - The five historical lint rules (`hot-path-panic`, `stray-debug-macro`,

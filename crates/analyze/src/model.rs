@@ -656,12 +656,12 @@ mod tests {
 
     #[test]
     fn temporary_acquire_not_let_bound() {
-        let ev = events("fn f(&self) { *wr(&self.skip) = None; }");
+        let ev = events("fn f(&self) { wr(&self.decoded).clear(); }");
         assert!(ev.iter().any(|e| matches!(
             e,
             Event::Acquire {
                 class, let_bound: false, ..
-            } if class.name == "core.skip_index"
+            } if class.name == "core.decode_cache"
         )));
     }
 
@@ -679,11 +679,11 @@ mod tests {
 
     #[test]
     fn atomic_op_with_ordering_extracted() {
-        let ev = events("fn f(&self) { let g = self.dir_generation.load(Ordering::Acquire); }");
+        let ev = events("fn f(&self) { let g = self.txn_active.load(Ordering::Acquire); }");
         assert!(ev.iter().any(|e| matches!(
             e,
             Event::Atomic { field, op, orderings, .. }
-                if field == "dir_generation" && op == "load" && orderings == &["Acquire"]
+                if field == "txn_active" && op == "load" && orderings == &["Acquire"]
         )));
     }
 

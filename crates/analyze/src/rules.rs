@@ -514,45 +514,34 @@ pub fn run(models: &[FnModel], comments: &HashMap<String, CommentMap>) -> (Vec<F
             })
             .collect();
 
-        let mut seqlock_loads: Vec<usize> = Vec::new();
-        let mut seqlock_writes = 0usize;
-
         for ev in &m.events {
             match ev {
                 Event::Atomic {
                     field,
-                    op,
                     orderings,
                     line,
-                } if !m.in_test => {
-                    if config::CRITICAL_ATOMICS.contains(&field.as_str())
-                        && orderings.iter().any(|o| o == "Relaxed")
-                    {
-                        push(
-                            Finding {
-                                rule: "atomic-ordering",
-                                file: m.file.clone(),
-                                line: *line,
-                                message: format!(
-                                    "`Ordering::Relaxed` on critical atomic `{field}` in `{}`; \
-                                     this field is a synchronization point and requires \
-                                     Acquire/Release (see DESIGN.md §13)",
-                                    m.name
-                                ),
-                                lock_path: None,
-                            },
-                            comments,
-                            &mut allows_used,
-                            &mut findings,
-                        );
-                    }
-                    if config::SEQLOCK_FIELDS.contains(&field.as_str()) {
-                        if op == "load" {
-                            seqlock_loads.push(*line);
-                        } else {
-                            seqlock_writes += 1;
-                        }
-                    }
+                    ..
+                } if !m.in_test
+                    && config::CRITICAL_ATOMICS.contains(&field.as_str())
+                    && orderings.iter().any(|o| o == "Relaxed") =>
+                {
+                    push(
+                        Finding {
+                            rule: "atomic-ordering",
+                            file: m.file.clone(),
+                            line: *line,
+                            message: format!(
+                                "`Ordering::Relaxed` on critical atomic `{field}` in `{}`; \
+                                 this field is a synchronization point and requires \
+                                 Acquire/Release (see DESIGN.md §13)",
+                                m.name
+                            ),
+                            lock_path: None,
+                        },
+                        comments,
+                        &mut allows_used,
+                        &mut findings,
+                    );
                 }
                 Event::Panicky { name, line, .. } if !m.in_test => {
                     if lock_unwrap_lines.contains(line) {
@@ -733,29 +722,6 @@ pub fn run(models: &[FnModel], comments: &HashMap<String, CommentMap>) -> (Vec<F
                 }
                 _ => {}
             }
-        }
-
-        // Seqlock read protocol: one generation load with no validating
-        // second load (and no writer-side bump) cannot detect a concurrent
-        // directory swap.
-        if !m.in_test && seqlock_loads.len() == 1 && seqlock_writes == 0 {
-            push(
-                Finding {
-                    rule: "seqlock-recheck",
-                    file: m.file.clone(),
-                    line: seqlock_loads[0],
-                    message: format!(
-                        "`{}` reads the seqlock generation once without a validating \
-                         re-check; a concurrent writer can slip between the read and \
-                         the use (see DESIGN.md §13)",
-                        m.name
-                    ),
-                    lock_path: None,
-                },
-                comments,
-                &mut allows_used,
-                &mut findings,
-            );
         }
     }
 

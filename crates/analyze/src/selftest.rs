@@ -128,15 +128,9 @@ const FAIL: &[FailFixture] = &[
     },
     FailFixture {
         name: "relaxed load of critical atomic",
-        path: "crates/core/src/store.rs",
-        source: "impl StructStore {\n    fn generation(&self) -> u64 {\n        self.dir_generation.load(Ordering::Relaxed)\n    }\n}\n",
-        expect: &["atomic-ordering", "seqlock-recheck"],
-    },
-    FailFixture {
-        name: "seqlock read without validation",
-        path: "crates/core/src/store.rs",
-        source: "impl StructStore {\n    fn peek(&self) -> u64 {\n        let g = self.dir_generation.load(Ordering::Acquire);\n        g\n    }\n}\n",
-        expect: &["seqlock-recheck"],
+        path: "crates/pager/src/pool.rs",
+        source: "impl BufferPool {\n    fn in_txn(&self) -> bool {\n        self.txn_active.load(Ordering::Relaxed)\n    }\n}\n",
+        expect: &["atomic-ordering"],
     },
     FailFixture {
         name: "unwrap on serve worker path",
@@ -170,8 +164,8 @@ const FAIL: &[FailFixture] = &[
     },
     FailFixture {
         name: "allow without a reason",
-        path: "crates/core/src/store.rs",
-        source: "impl StructStore {\n    fn generation(&self) -> u64 {\n        // analyze: allow(atomic-ordering, seqlock-recheck)\n        self.dir_generation.load(Ordering::Relaxed)\n    }\n}\n",
+        path: "crates/pager/src/pool.rs",
+        source: "impl BufferPool {\n    fn in_txn(&self) -> bool {\n        // analyze: allow(atomic-ordering)\n        self.txn_active.load(Ordering::Relaxed)\n    }\n}\n",
         expect: &["bare-allow"],
     },
     FailFixture {
@@ -206,11 +200,11 @@ const PASS: &[PassFixture] = &[
     },
     PassFixture {
         // Statement-scoped temporaries drop before the next acquisition:
-        // no pair, no finding, even though skip < dir would be fine anyway
-        // and dir -> skip reversed would not.
+        // no pair, no finding, even though decoded < dir would be fine
+        // anyway and dir -> decoded reversed would not.
         name: "sequential statement guards do not overlap",
         path: "crates/core/src/store.rs",
-        source: "impl StructStore {\n    fn invalidate(&self) {\n        *wr(&self.dir) = Directory::new();\n        *wr(&self.skip) = None;\n    }\n}\n",
+        source: "impl StructStore {\n    fn invalidate(&self) {\n        *wr(&self.dir) = Directory::new();\n        wr(&self.decoded).clear();\n    }\n}\n",
     },
     PassFixture {
         name: "relaxed on an exempt statistics counter",
@@ -241,13 +235,8 @@ const PASS: &[PassFixture] = &[
     },
     PassFixture {
         name: "allowed with a reason",
-        path: "crates/core/src/store.rs",
-        source: "impl StructStore {\n    fn cache_key(&self) -> u64 {\n        // analyze: allow(atomic-ordering, seqlock-recheck): advisory cache key, value re-validated under the directory lock\n        self.dir_generation.load(Ordering::Relaxed)\n    }\n}\n",
-    },
-    PassFixture {
-        name: "seqlock reader with validation re-check",
-        path: "crates/core/src/store.rs",
-        source: "impl StructStore {\n    fn read_consistent(&self) -> Option<u64> {\n        let g0 = self.dir_generation.load(Ordering::Acquire);\n        let v = self.snapshot();\n        let g1 = self.dir_generation.load(Ordering::Acquire);\n        if g0 == g1 && g0 & 1 == 0 {\n            Some(v)\n        } else {\n            None\n        }\n    }\n}\n",
+        path: "crates/pager/src/pool.rs",
+        source: "impl BufferPool {\n    fn in_txn_hint(&self) -> bool {\n        // analyze: allow(atomic-ordering): advisory hint, re-checked under the storage lock\n        self.txn_active.load(Ordering::Relaxed)\n    }\n}\n",
     },
     PassFixture {
         name: "plan operators inside the planner",

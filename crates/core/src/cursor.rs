@@ -3,43 +3,29 @@
 //! operations (subtree end, descendants, document-order scan, containment
 //! intervals) that everything above is composed from.
 //!
-//! **Page skipping.** The paper skips a page during `FOLLOWING-SIBLING` when
-//! `l-1 ∉ [lo, hi]` (the page cannot contain the `)` of the current node).
-//! The justification: because levels change by ±1 per entry, every relevant
-//! entry — a candidate sibling (an open at level `l`) or the stop signal
-//! (the parent's close, at level `l-2`) — is directly preceded by an entry
-//! at level `l-1`, so the page holding it either contains a level-`l-1`
-//! entry too or *begins* with it. The paper's test misses that second,
-//! page-boundary case (the relevant entry being the first of its page, its
-//! `l-1` predecessor ending the previous page), which can make the scan skip
-//! over a parent close and return a *cousin*. We therefore load a page iff
-//! `lo ≤ l-1 || st == l-1`. The test consults only the in-memory header
+//! **Page tests.** Levels change by ±1 per entry, so the close of a node at
+//! level `l` — the first later entry below `l` — lies in the first later
+//! page whose header has `lo < l`; every page before it is skipped. Its
+//! next sibling, if any, is the entry right after that close, which begins
+//! the next page when the close ends its page; that page has `st == l-1`.
+//! So a close search loads a later page iff `lo < l`, and a sibling search
+//! iff `lo < l || st == l-1`. (The paper's test, `l-1 ∈ [lo, hi]`, misses
+//! that second case — a sibling first in its page, its `l-1` predecessor
+//! ending the previous page — and can skip a parent close and return a
+//! cousin.) The start page, the one holding the node, takes the close test
+//! when the node is its first entry; otherwise it is read to learn where
+//! the node's subtree goes. The tests consult only the in-memory header
 //! directory, so skipped pages cost no I/O — the effect the paper targets.
 //!
-//! **Navigation index.** On top of the paper's page-granular test sit two
-//! derived structures, both built lazily and never persisted:
+//! **Levels.** A loaded page is searched by a depth count over its entry
+//! codes ([`DecodedPage::close_from`], the same pass the scan route's
+//! dead-subtree skip makes). The absolute level a page test needs is
+//! `st + 1` for a node first in its page; otherwise it follows when the
+//! start page ends: the next page's `st` minus the levels still open.
 //!
-//! * *The in-page excess directory* ([`crate::succinct::PageBp`], built at
-//!   decode time over the page's parenthesis bits): entry `j`'s level is
-//!   `st + E(j)`, so "first later entry at level `< l`" — the close of a
-//!   node at level `l`, which is also where its next sibling or its parent's
-//!   close follows — is one forward excess search over per-word and
-//!   per-superblock minima instead of an entry-by-entry walk.
-//! * *A directory skip index* (`store::SkipIndex`): level-bucketed rank
-//!   lists over the header directory answer "next page a scan at level `l`
-//!   must load" in a handful of probes instead of a linear walk over every
-//!   directory entry, using the key `min(lo, st)` for sibling scans (proved
-//!   I/O-equivalent to the strict test in the store module) and `lo` for
-//!   close scans.
-//!
-//! The pre-index implementations are retained as `linear_*` — they are the
-//! per-entry/per-directory-record oracle the tests and `nav_bench` compare
-//! against, with identical page-load behavior.
-//!
-//! Both layers report work into [`nok_pager::IoStats`]: `entries_examined`
-//! counts entries looked at (or excess searches made) inside loaded pages,
-//! and `dir_entries_examined` counts directory records (or skip-index bucket
-//! probes) consulted.
+//! Both report work into [`nok_pager::IoStats`]: `entries_examined` counts
+//! entries looked at inside loaded pages, and `dir_entries_examined`
+//! counts directory records consulted.
 
 use std::sync::Arc;
 
@@ -51,368 +37,147 @@ use crate::store::{lin_at, NodeAddr, StructStore};
 use nok_pager::{PageId, Storage};
 
 /// Advance to the next entry in chain order (crossing page boundaries,
-/// skipping structurally empty pages). Costs I/O only when a page boundary
-/// is crossed.
-#[inline]
+/// skipping structurally empty pages). Reads the directory only, no page.
 pub fn next_entry<S: Storage>(
     store: &StructStore<S>,
     addr: NodeAddr,
 ) -> CoreResult<Option<NodeAddr>> {
-    let page = store.decoded(addr.page)?;
-    if (addr.entry as usize) + 1 < page.len() {
+    let (rank, de) = store.dir_of(addr.page)?;
+    if addr.entry >= de.entries {
+        return Err(CoreError::Corrupt(format!(
+            "entry index {} out of range in page {}",
+            addr.entry, addr.page
+        )));
+    }
+    if addr.entry + 1 < de.entries {
         return Ok(Some(NodeAddr {
             page: addr.page,
             entry: addr.entry + 1,
         }));
     }
-    // One skip-index probe replaces the linear directory walk.
-    let r = store.rank(addr.page)? + 1;
-    store.pool().stats().add_dir_entries_examined(1);
-    match store.skip_index().next_nonempty(r) {
-        None => Ok(None),
-        Some(r2) => {
-            let de = store
-                .dir_at(r2)
-                .ok_or_else(|| CoreError::Corrupt(format!("skip index rank {r2} out of range")))?;
-            Ok(Some(NodeAddr {
-                page: de.id,
-                entry: 0,
-            }))
-        }
-    }
+    let mut probes = 0u64;
+    let next = store.find_page(rank + 1, &mut probes, |_| true);
+    store.pool().stats().add_dir_entries_examined(probes);
+    Ok(next.map(|(_, de)| NodeAddr {
+        page: de.id,
+        entry: 0,
+    }))
 }
 
-/// Pre-index [`next_entry`]: walk the directory linearly to the next
-/// non-empty page. Retained as the oracle/baseline for tests and
-/// `nav_bench`; identical results and page loads, more directory work.
-#[inline]
-pub fn linear_next_entry<S: Storage>(
-    store: &StructStore<S>,
-    addr: NodeAddr,
-) -> CoreResult<Option<NodeAddr>> {
-    let page = store.decoded(addr.page)?;
-    if (addr.entry as usize) + 1 < page.len() {
-        return Ok(Some(NodeAddr {
-            page: addr.page,
-            entry: addr.entry + 1,
-        }));
-    }
-    let mut dir_examined = 0u64;
-    let mut r = store.rank(addr.page)? + 1;
-    let mut out = None;
-    while let Some(de) = store.dir_at(r) {
-        dir_examined += 1;
-        if de.entries > 0 {
-            out = Some(NodeAddr {
-                page: de.id,
-                entry: 0,
-            });
-            break;
-        }
-        r += 1;
-    }
-    store.pool().stats().add_dir_entries_examined(dir_examined);
-    Ok(out)
-}
-
-/// `FIRST-CHILD`: the first child of the node at `addr`, if any. Per the
-/// pre-order property this is the very next entry iff it is an open entry
-/// (equivalently: iff its level is `l+1`).
-#[inline]
+/// `FIRST-CHILD`: the first child of the open entry at `addr`, if any. Per
+/// the pre-order property this is the very next entry iff it is an open;
+/// only the page holding that entry is read.
 pub fn first_child<S: Storage>(
     store: &StructStore<S>,
     addr: NodeAddr,
 ) -> CoreResult<Option<NodeAddr>> {
-    let (entry, level) = store.entry_at(addr)?;
-    debug_assert!(entry.is_open(), "first_child of a close entry");
     let Some(next) = next_entry(store, addr)? else {
         return Ok(None);
     };
-    let (e, l) = store.entry_at(next)?;
-    Ok(if e.is_open() && l == level + 1 {
-        Some(next)
-    } else {
-        None
-    })
+    let page = store.decoded(next.page)?;
+    store.pool().stats().add_entries_examined(1);
+    Ok(page
+        .get(next.entry as usize)
+        .is_some_and(Entry::is_open)
+        .then_some(next))
 }
 
-/// Scan one page for a following sibling at level `l`, starting at entry
-/// `from`: hop from subtree to subtree by excess search, deciding at the
-/// entry after each close. `Some(Some(addr))` = found, `Some(None)` = stop
-/// reached (no sibling), `None` = page exhausted, continue on the next page.
-#[inline]
-fn sibling_in_page(
-    page: &DecodedPage,
-    pid: PageId,
-    from: usize,
-    l: u16,
-    stop: u16,
-    examined: &mut u64,
-) -> Option<Option<NodeAddr>> {
-    let st = i32::from(page.header.st);
-    let mut j = from;
-    // Level of entry `j`: one rank query here, then stepped (±1 per entry;
-    // an excess search lands on level l-1 exactly).
-    let mut lev = if j < page.len() { page.level(j) } else { 0 };
-    while j < page.len() {
-        *examined += 1;
-        if lev <= stop {
-            return Some(None);
+/// The close of the open entry at `addr` (the first later entry below its
+/// level), the page holding it and that page's chain rank. Loads pages by
+/// the close search's page test (module docs).
+fn close_of<S: Storage>(
+    store: &StructStore<S>,
+    addr: NodeAddr,
+) -> CoreResult<(NodeAddr, Arc<DecodedPage>, u32)> {
+    let (rank, start) = store.dir_of(addr.page)?;
+    let mut examined = 0u64;
+    let mut probes = 0u64;
+    let result = (|| {
+        // The close's level `l-1`, known up front for a node first in its
+        // page: it opens at `st + 1`.
+        let close_level = (addr.entry == 0).then_some(start.st);
+        // Levels the start page leaves open.
+        let mut open = 1u32;
+        if close_level.is_none_or(|t| start.lo <= t) {
+            let page = store.decoded(addr.page)?;
+            if !page.get(addr.entry as usize).is_some_and(Entry::is_open) {
+                return Err(CoreError::Corrupt(format!("expected open entry at {addr}")));
+            }
+            let from = addr.entry as usize + 1;
+            if let Some(end) = page.close_from(from, &mut open) {
+                examined += (end - from) as u64;
+                let close = NodeAddr {
+                    page: addr.page,
+                    entry: end as u32 - 1,
+                };
+                return Ok((close, page, rank));
+            }
+            examined += page.len().saturating_sub(from) as u64;
         }
-        if lev == l && page.entry(j).is_open() {
-            return Some(Some(NodeAddr {
-                page: pid,
-                entry: j as u32,
-            }));
-        }
-        if lev < l {
-            // A close at level l-1: its successor decides.
-            j += 1;
-            lev = match page.get(j) {
-                Some(e) if e.is_open() => lev + 1,
-                _ => lev.wrapping_sub(1),
-            };
-        } else {
-            // Inside a nested subtree (level ≥ l): excess-search to the
-            // close at level l-1.
-            j = page.bp.fwd_search_le(j + 1, i32::from(l) - 1 - st)?;
-            lev = l - 1;
-        }
-    }
-    None
+        let no_close = || CoreError::Corrupt(format!("no matching close for node at {addr}"));
+        let close_level = match close_level {
+            Some(t) => t,
+            // The first page after the start begins at the start page's
+            // end level, `open` levels above the close.
+            None => {
+                let (_, next) = store
+                    .find_page(rank + 1, &mut probes, |_| true)
+                    .ok_or_else(no_close)?;
+                next.st.checked_sub(open as u16).ok_or_else(no_close)?
+            }
+        };
+        let (r, de) = store
+            .find_page(rank + 1, &mut probes, |de| de.lo <= close_level)
+            .ok_or_else(no_close)?;
+        let disagrees = || CoreError::Corrupt(format!("page {} disagrees with its header", de.id));
+        // Every page between ended above the close's level.
+        let above = de.st.checked_sub(close_level).filter(|&d| d > 0);
+        let above = above.ok_or_else(disagrees)?;
+        let page = store.decoded(de.id)?;
+        let end = page
+            .close_from(0, &mut u32::from(above))
+            .ok_or_else(disagrees)?;
+        examined += end as u64;
+        let close = NodeAddr {
+            page: de.id,
+            entry: end as u32 - 1,
+        };
+        Ok((close, page, r))
+    })();
+    let stats = store.pool().stats();
+    stats.add_entries_examined(examined);
+    stats.add_dir_entries_examined(probes);
+    result
 }
 
-/// `FOLLOWING-SIBLING`: the next sibling of the node at `addr`, if any.
-/// Scans right for an open entry at the same level, stopping at the
-/// parent's close (level `l-2`); skips pages via the directory skip index
-/// and nested subtrees via the page's excess directory.
+/// `FOLLOWING-SIBLING`: the next sibling of the open entry at `addr`, if
+/// any — the entry right after its close, when that entry is an open.
 pub fn following_sibling<S: Storage>(
     store: &StructStore<S>,
     addr: NodeAddr,
 ) -> CoreResult<Option<NodeAddr>> {
-    let (entry, l) = store.entry_at(addr)?;
-    debug_assert!(entry.is_open(), "following_sibling of a close entry");
-    if l == 1 {
-        return Ok(None); // the root has no siblings
+    let (close, page, rank) = close_of(store, addr)?;
+    let next = close.entry as usize + 1;
+    if next < page.len() {
+        let sibling = NodeAddr {
+            page: close.page,
+            entry: next as u32,
+        };
+        return Ok(page.entry(next).is_open().then_some(sibling));
     }
-    let stop = l - 2; // level of the parent's close parenthesis
-    let mut examined = 0u64;
-    let mut probes = 0u64;
-
-    let result = (|| {
-        // Finish the current page first.
-        let page = store.decoded(addr.page)?;
-        if let Some(res) = sibling_in_page(
-            &page,
-            addr.page,
-            addr.entry as usize + 1,
-            l,
-            stop,
-            &mut examined,
-        ) {
-            return Ok(res);
-        }
-        // Subsequent pages: hop straight to the next admissible one.
-        let skip = store.skip_index();
-        let mut r = store.rank(addr.page)? + 1;
-        loop {
-            let Some(r2) = skip.next_sibling_page(r, l, &mut probes) else {
-                return Ok(None);
-            };
-            let de = store
-                .dir_at(r2)
-                .ok_or_else(|| CoreError::Corrupt(format!("skip index rank {r2} out of range")))?;
-            let page = store.decoded(de.id)?;
-            if let Some(res) = sibling_in_page(&page, de.id, 0, l, stop, &mut examined) {
-                return Ok(res);
-            }
-            r = r2 + 1;
-        }
-    })();
-    let stats = store.pool().stats();
-    stats.add_entries_examined(examined);
-    stats.add_dir_entries_examined(probes);
-    result
-}
-
-/// Pre-index [`following_sibling`]: per-entry loops and a linear directory
-/// walk with the corrected per-page test (see module docs). Retained as the
-/// oracle/baseline; identical results and page loads.
-pub fn linear_following_sibling<S: Storage>(
-    store: &StructStore<S>,
-    addr: NodeAddr,
-) -> CoreResult<Option<NodeAddr>> {
-    let (entry, l) = store.entry_at(addr)?;
-    debug_assert!(entry.is_open(), "following_sibling of a close entry");
-    if l == 1 {
-        return Ok(None); // the root has no siblings
-    }
-    let stop = l - 2; // level of the parent's close parenthesis
-    let mut examined = 0u64;
-    let mut dir_examined = 0u64;
-
-    let result = (|| {
-        // Finish the current page first.
-        let page = store.decoded(addr.page)?;
-        for (i, lev) in page.levels().enumerate().skip(addr.entry as usize + 1) {
-            examined += 1;
-            if lev <= stop {
-                return Ok(None);
-            }
-            if lev == l && page.entry(i).is_open() {
-                return Ok(Some(NodeAddr {
-                    page: addr.page,
-                    entry: i as u32,
-                }));
-            }
-        }
-
-        // Subsequent pages: consult headers, load only pages that can matter.
-        let mut r = store.rank(addr.page)? + 1;
-        while let Some(de) = store.dir_at(r) {
-            dir_examined += 1;
-            r += 1;
-            if de.entries == 0 {
-                continue;
-            }
-            // Load iff the page may contain an entry at level l-1 (the
-            // predecessor of any candidate or stop) or begins right after one.
-            if !(de.lo < l || de.st == l - 1) {
-                continue; // header-directory skip: no page I/O at all
-            }
-            let page = store.decoded(de.id)?;
-            for (i, lev) in page.levels().enumerate() {
-                examined += 1;
-                if lev <= stop {
-                    return Ok(None);
-                }
-                if lev == l && page.entry(i).is_open() {
-                    return Ok(Some(NodeAddr {
-                        page: de.id,
-                        entry: i as u32,
-                    }));
-                }
-            }
-        }
-        Ok(None)
-    })();
-    let stats = store.pool().stats();
-    stats.add_entries_examined(examined);
-    stats.add_dir_entries_examined(dir_examined);
-    result
-}
-
-/// The first entry at level `< l` at or after `from` in one page — the close
-/// of a node at level `l` is the first later position with excess
-/// `≤ l-1-st`, one excess search. `None` = continue on the next page.
-#[inline]
-fn close_in_page(
-    page: &DecodedPage,
-    pid: PageId,
-    from: usize,
-    l: u16,
-    examined: &mut u64,
-) -> Option<NodeAddr> {
-    *examined += 1;
-    page.bp
-        .fwd_search_le(from, i32::from(l) - 1 - i32::from(page.header.st))
-        .map(|j| NodeAddr {
-            page: pid,
-            entry: j as u32,
+    // The close ends its page: the next non-empty page decides.
+    let mut walk = PageWalk::from_rank(store, rank + 1);
+    Ok(walk.next_page()?.and_then(|wp| {
+        wp.page.entry(0).is_open().then_some(NodeAddr {
+            page: wp.id,
+            entry: 0,
         })
+    }))
 }
 
-/// Address of the close entry matching the open at `addr` (the first
-/// subsequent close at level `l-1`). Pages that cannot contain any entry at
-/// level `< l` are skipped via the directory skip index; within a page the
-/// close is one excess search.
+/// Address of the close entry matching the open at `addr`.
 pub fn subtree_close<S: Storage>(store: &StructStore<S>, addr: NodeAddr) -> CoreResult<NodeAddr> {
-    let (entry, l) = store.entry_at(addr)?;
-    debug_assert!(entry.is_open(), "subtree_close of a close entry");
-    let mut examined = 0u64;
-    let mut probes = 0u64;
-
-    let result = (|| {
-        let page = store.decoded(addr.page)?;
-        if let Some(found) =
-            close_in_page(&page, addr.page, addr.entry as usize + 1, l, &mut examined)
-        {
-            return Ok(found);
-        }
-        let skip = store.skip_index();
-        let mut r = store.rank(addr.page)? + 1;
-        loop {
-            let Some(r2) = skip.next_close_page(r, l, &mut probes) else {
-                // A well-formed store always closes every node.
-                return Err(CoreError::Corrupt(format!(
-                    "no matching close for node at {addr}"
-                )));
-            };
-            let de = store
-                .dir_at(r2)
-                .ok_or_else(|| CoreError::Corrupt(format!("skip index rank {r2} out of range")))?;
-            let page = store.decoded(de.id)?;
-            if let Some(found) = close_in_page(&page, de.id, 0, l, &mut examined) {
-                return Ok(found);
-            }
-            r = r2 + 1;
-        }
-    })();
-    let stats = store.pool().stats();
-    stats.add_entries_examined(examined);
-    stats.add_dir_entries_examined(probes);
-    result
-}
-
-/// Pre-index [`subtree_close`]: per-entry loops and a linear directory
-/// walk. Retained as the oracle/baseline; identical results and page loads.
-pub fn linear_subtree_close<S: Storage>(
-    store: &StructStore<S>,
-    addr: NodeAddr,
-) -> CoreResult<NodeAddr> {
-    let (entry, l) = store.entry_at(addr)?;
-    debug_assert!(entry.is_open(), "subtree_close of a close entry");
-    let mut examined = 0u64;
-    let mut dir_examined = 0u64;
-
-    let result = (|| {
-        let page = store.decoded(addr.page)?;
-        for (i, lev) in page.levels().enumerate().skip(addr.entry as usize + 1) {
-            examined += 1;
-            if lev < l {
-                return Ok(NodeAddr {
-                    page: addr.page,
-                    entry: i as u32,
-                });
-            }
-        }
-        let mut r = store.rank(addr.page)? + 1;
-        while let Some(de) = store.dir_at(r) {
-            dir_examined += 1;
-            r += 1;
-            if de.entries == 0 || de.lo >= l {
-                continue;
-            }
-            let page = store.decoded(de.id)?;
-            for (i, lev) in page.levels().enumerate() {
-                examined += 1;
-                if lev < l {
-                    return Ok(NodeAddr {
-                        page: de.id,
-                        entry: i as u32,
-                    });
-                }
-            }
-        }
-        // A well-formed store always closes every node.
-        Err(CoreError::Corrupt(format!(
-            "no matching close for node at {addr}"
-        )))
-    })();
-    let stats = store.pool().stats();
-    stats.add_entries_examined(examined);
-    stats.add_dir_entries_examined(dir_examined);
-    result
+    Ok(close_of(store, addr)?.0)
 }
 
 /// The containment interval `⟨start, end⟩` of the node at `addr`, in linear
@@ -480,28 +245,25 @@ impl<'a, S: Storage> PageWalk<'a, S> {
     /// The next non-empty page, or `None` at the end of the chain.
     pub fn next_page(&mut self) -> CoreResult<Option<WalkPage>> {
         let mut probes = 0u64;
-        let found = loop {
-            let Some(de) = self.store.dir_at(self.next_rank) else {
-                break None;
-            };
-            probes += 1;
-            self.next_rank += 1;
-            if de.entries > 0 {
-                break Some((self.next_rank - 1, de.id));
-            }
-        };
+        let found = self.store.find_page(self.next_rank, &mut probes, |_| true);
         self.probes += probes;
         self.store.pool().stats().add_dir_entries_examined(probes);
-        let Some((rank, id)) = found else {
+        let Some((rank, de)) = found else {
             return Ok(None);
         };
-        let page = self.store.decoded(id)?;
+        self.next_rank = rank + 1;
+        let page = self.store.decoded(de.id)?;
         if page.is_empty() {
             return Err(CoreError::Corrupt(format!(
-                "directory lists entries in empty page {id}"
+                "directory lists entries in empty page {}",
+                de.id
             )));
         }
-        Ok(Some(WalkPage { rank, id, page }))
+        Ok(Some(WalkPage {
+            rank,
+            id: de.id,
+            page,
+        }))
     }
 }
 
@@ -573,49 +335,6 @@ pub fn descendants<'a, S: Storage>(
                 tag,
                 lev,
             )));
-        }
-    }))
-}
-
-/// Pre-index [`descendants`]: tests subtree end by linearizing every visited
-/// address (a directory rank lookup per step) and advances with
-/// [`linear_next_entry`]. Retained as the oracle/baseline.
-pub fn linear_descendants<'a, S: Storage>(
-    store: &'a StructStore<S>,
-    addr: NodeAddr,
-) -> CoreResult<impl Iterator<Item = CoreResult<(NodeAddr, TagCode, u16)>> + 'a> {
-    let end = linear_subtree_close(store, addr)?;
-    let end_lin = store.lin(end)?;
-    let mut cur = linear_next_entry(store, addr)?;
-    Ok(std::iter::from_fn(move || loop {
-        let addr = cur?;
-        let addr_lin = match store.lin(addr) {
-            Ok(l) => l,
-            Err(e) => {
-                cur = None;
-                return Some(Err(e));
-            }
-        };
-        if addr_lin >= end_lin {
-            cur = None;
-            return None;
-        }
-        let step = (|| -> CoreResult<Option<(NodeAddr, TagCode, u16)>> {
-            let (entry, level) = store.entry_at(addr)?;
-            let out = match entry {
-                Entry::Open(tag) => Some((addr, tag, level)),
-                Entry::Close => None,
-            };
-            cur = linear_next_entry(store, addr)?;
-            Ok(out)
-        })();
-        match step {
-            Ok(Some(item)) => return Some(Ok(item)),
-            Ok(None) => continue,
-            Err(e) => {
-                cur = None;
-                return Some(Err(e));
-            }
         }
     }))
 }
@@ -906,10 +625,10 @@ mod tests {
         }
     }
 
-    /// The indexed primitives and the retained linear oracles must return
-    /// identical results for every node, on every page size (words,
-    /// superblocks and pages fall on different boundaries in each
-    /// configuration).
+    /// The primitives must agree with a linear oracle — a scan of the
+    /// whole chain flattened to one `(address, entry, level)` sequence —
+    /// for every node, on every page size (pages fall on different
+    /// boundaries in each configuration).
     #[test]
     fn indexed_primitives_match_linear_oracle_across_page_sizes() {
         let deep = deep_wide_xml(60);
@@ -917,37 +636,54 @@ mod tests {
             for shape in PAGE_SHAPES {
                 let page_size = format!("{shape:?}");
                 let (store, _) = build_shape(xml, shape);
-                let items: Vec<ScanItem> = DocScan::new(&store)
-                    .collect::<CoreResult<Vec<_>>>()
-                    .unwrap();
-                for it in &items {
+                let mut flat: Vec<(NodeAddr, Entry, u16)> = Vec::new();
+                for r in 0..store.chain_len() {
+                    let de = store.dir_at(r).unwrap();
+                    let page = store.decoded(de.id).unwrap();
+                    for (i, (e, l)) in page.entries().zip(page.levels()).enumerate() {
+                        let addr = NodeAddr {
+                            page: de.id,
+                            entry: i as u32,
+                        };
+                        flat.push((addr, e, l));
+                    }
+                }
+                for (i, &(addr, e, l)) in flat.iter().enumerate() {
+                    if !e.is_open() {
+                        continue;
+                    }
+                    let close = (i + 1..flat.len()).find(|&j| flat[j].2 < l).unwrap();
+                    let after = flat.get(close + 1).filter(|f| f.1.is_open());
+                    let inside: Vec<_> = flat[i + 1..close]
+                        .iter()
+                        .filter_map(|&(a, e, l)| match e {
+                            Entry::Open(t) => Some((a, t, l)),
+                            Entry::Close => None,
+                        })
+                        .collect();
+                    let at = format!("{addr} (page_size={page_size})");
                     assert_eq!(
-                        following_sibling(&store, it.addr).unwrap(),
-                        linear_following_sibling(&store, it.addr).unwrap(),
-                        "following_sibling at {} (page_size={page_size})",
-                        it.dewey
+                        subtree_close(&store, addr).unwrap(),
+                        flat[close].0,
+                        "close {at}"
                     );
                     assert_eq!(
-                        subtree_close(&store, it.addr).unwrap(),
-                        linear_subtree_close(&store, it.addr).unwrap(),
-                        "subtree_close at {} (page_size={page_size})",
-                        it.dewey
+                        following_sibling(&store, addr).unwrap(),
+                        after.map(|f| f.0),
+                        "sibling {at}"
                     );
                     assert_eq!(
-                        next_entry(&store, it.addr).unwrap(),
-                        linear_next_entry(&store, it.addr).unwrap(),
-                        "next_entry at {} (page_size={page_size})",
-                        it.dewey
+                        next_entry(&store, addr).unwrap(),
+                        flat.get(i + 1).map(|f| f.0),
+                        "next {at}"
                     );
-                    let a: Vec<_> = descendants(&store, it.addr)
+                    let first = flat.get(i + 1).filter(|f| f.1.is_open()).map(|f| f.0);
+                    assert_eq!(first_child(&store, addr).unwrap(), first, "child {at}");
+                    let got: Vec<_> = descendants(&store, addr)
                         .unwrap()
                         .collect::<CoreResult<Vec<_>>>()
                         .unwrap();
-                    let b: Vec<_> = linear_descendants(&store, it.addr)
-                        .unwrap()
-                        .collect::<CoreResult<Vec<_>>>()
-                        .unwrap();
-                    assert_eq!(a, b, "descendants at {} (page_size={page_size})", it.dewey);
+                    assert_eq!(got, inside, "descendants {at}");
                 }
             }
         }
@@ -1012,70 +748,12 @@ mod tests {
                     "page-boundary sibling missed at {} (page_size={page_size})",
                     it.dewey
                 );
-                assert_eq!(
-                    linear_following_sibling(&store, prev_addr).unwrap(),
-                    Some(it.addr),
-                    "oracle page-boundary sibling missed at {} (page_size={page_size})",
-                    it.dewey
-                );
                 exercised += 1;
             }
         }
         assert!(
             exercised > 0,
             "corpus never produced the page-boundary configuration"
-        );
-    }
-
-    /// The in-page index must pay off: a long sibling chain over deep
-    /// subtrees examines far fewer entries through the excess search than
-    /// through the per-entry oracle, with identical page loads.
-    #[test]
-    fn indexed_sibling_chain_examines_5x_fewer_entries() {
-        let mut xml = String::from("<r>");
-        for _ in 0..50 {
-            xml.push_str("<s>");
-            for _ in 0..40 {
-                xml.push_str("<d>");
-            }
-            for _ in 0..40 {
-                xml.push_str("</d>");
-            }
-            xml.push_str("</s>");
-        }
-        xml.push_str("</r>");
-        let (store, _) = build(&xml, 512);
-
-        let chain = |sib: fn(
-            &StructStore<MemStorage>,
-            NodeAddr,
-        ) -> CoreResult<Option<NodeAddr>>|
-         -> (u64, u64) {
-            store.invalidate_decoded(None);
-            store.pool().clear_cache().unwrap();
-            store.pool().stats().reset();
-            let mut cur = first_child(&store, store.root().unwrap()).unwrap().unwrap();
-            let mut hops = 0;
-            while let Some(next) = sib(&store, cur).unwrap() {
-                cur = next;
-                hops += 1;
-            }
-            assert_eq!(hops, 49);
-            (
-                store.pool().stats().entries_examined(),
-                store.pool().stats().physical_reads(),
-            )
-        };
-
-        let (linear_entries, linear_reads) = chain(linear_following_sibling);
-        let (indexed_entries, indexed_reads) = chain(following_sibling);
-        assert!(
-            indexed_entries * 5 <= linear_entries,
-            "expected ≥5× reduction: indexed={indexed_entries} linear={linear_entries}"
-        );
-        assert!(
-            indexed_reads <= linear_reads,
-            "indexed path must not load more pages: {indexed_reads} > {linear_reads}"
         );
     }
 

@@ -11,11 +11,10 @@
 //! * [`page`] / [`store`] — the succinct string representation over chained
 //!   pages with `(st, lo, hi)` headers (paper §4.2): one page format,
 //!   bit-packed balanced parentheses plus varint tag codes.
-//! * [`succinct`] — the bitvector, rank/select and excess-search kernels a
-//!   decoded page is navigated with.
+//! * [`succinct`] — the LEB128 varints of a page's tag codes.
 //! * [`cursor`] — `FIRST-CHILD` / `FOLLOWING-SIBLING` and derived primitives
-//!   (paper §5, Algorithm 2), with header-directory page skipping and
-//!   in-page excess search.
+//!   (paper §5, Algorithm 2): pages skipped by the header directory's
+//!   `(st, lo, hi)` test, a depth count inside each page read.
 //! * [`values`] — the detached value data file and its hashing (paper §4.1).
 //! * [`pattern`] — path-expression parsing; [`pattern_tree`] — pattern trees
 //!   and their partitioning into NoK pattern trees.

@@ -30,8 +30,6 @@
 //! Levels follow the paper's convention: scanning left to right starting
 //! from `st`, an open entry's level is `prev + 1` and a close entry's level
 //! is `prev - 1` (so the `)` of a node at depth `l` carries level `l-1`).
-//! Decoding a page also builds its [`PageBp`] excess directory, the one
-//! in-page navigation index (see the cursor module).
 //!
 //! This module is the only place that knows the encoding. The database
 //! superblock records it, together with the index entry layout of
@@ -41,7 +39,7 @@
 //! more) is refused at open with [`crate::error::SuperblockError`].
 
 use crate::sigma::TagCode;
-use crate::succinct::{read_varint, varint_len, write_varint, BitVec, PageBp};
+use crate::succinct::{read_varint, varint_len, write_varint};
 
 /// The byte the database superblock stores for this page format and the
 /// variable-length index entries.
@@ -68,8 +66,8 @@ pub const NO_PAGE: u32 = u32::MAX;
 
 /// Canonical `st` for a structurally empty page (`entries == 0`), in both
 /// the page header and the directory. An empty page has no start level — a
-/// stale pre-delete `st` would mislead the skip index's level buckets — so
-/// it takes the same sentinel its `lo` does (`lo = u16::MAX, hi = 0`).
+/// stale pre-delete `st` would pass a page test it should fail — so it
+/// takes the same sentinel its `lo` does (`lo = u16::MAX, hi = 0`).
 /// Navigation never consults an empty page's levels: every path checks
 /// `entries == 0` first.
 pub const EMPTY_PAGE_ST: u16 = u16::MAX;
@@ -212,11 +210,10 @@ pub fn encode_content(entries: &[Entry]) -> Vec<u8> {
 }
 
 /// A structural page decoded into its entry array — the paper's `A[p]`
-/// from Algorithm 2's `READ-PAGE` — plus the excess directory in-page
-/// navigation searches. Entries are held in two bytes each (a 15-bit tag
-/// code, or [`CLOSE_CODE`]). The paper's level array `L[p]` is not stored:
-/// a level is `st` plus an excess ([`DecodedPage::level`]), and a walk in
-/// order steps it by ±1 per entry ([`DecodedPage::levels`]).
+/// from Algorithm 2's `READ-PAGE`. Entries are held in two bytes each (a
+/// 15-bit tag code, or [`CLOSE_CODE`]). The paper's level array `L[p]` is
+/// not stored: a walk in order steps the level by ±1 per entry from `st`
+/// ([`DecodedPage::levels`]).
 #[derive(Debug, Clone)]
 pub struct DecodedPage {
     /// Parsed header.
@@ -224,10 +221,6 @@ pub struct DecodedPage {
     /// Entries in order: the tag code of an open, [`CLOSE_CODE`] for a
     /// close.
     codes: Vec<u16>,
-    /// Balanced-parentheses excess directory over the page's parenthesis
-    /// bits, built at decode time and cached with the page (never
-    /// persisted). Entry `j`'s level is `header.st + bp.excess_after(j)`.
-    pub bp: PageBp,
 }
 
 /// Decode a raw page (header + content). `None` on any malformed or
@@ -238,7 +231,6 @@ pub struct DecodedPage {
 pub fn decode_page(buf: &[u8]) -> Option<DecodedPage> {
     let header = read_header(buf)?;
     let content = buf.get(HEADER_SIZE..HEADER_SIZE + header.nbytes as usize)?;
-    let mut bits = BitVec::new();
     let mut codes = Vec::new();
     if !content.is_empty() {
         let n = u16::from_le_bytes([*content.first()?, *content.get(1)?]) as usize;
@@ -250,9 +242,7 @@ pub fn decode_page(buf: &[u8]) -> Option<DecodedPage> {
         let mut level = header.st as i32;
         let mut tag_pos = 2 + paren_bytes.len();
         for i in 0..n {
-            let open = (paren_bytes[i / 8] >> (i % 8)) & 1 == 1;
-            bits.push(open);
-            if open {
+            if (paren_bytes[i / 8] >> (i % 8)) & 1 == 1 {
                 let (code, width) = read_varint(content, tag_pos)?;
                 if code >= 1 << 15 {
                     return None; // the dictionary's tag-code space is 15 bits
@@ -277,11 +267,7 @@ pub fn decode_page(buf: &[u8]) -> Option<DecodedPage> {
             return None;
         }
     }
-    Some(DecodedPage {
-        header,
-        codes,
-        bp: PageBp::build(bits),
-    })
+    Some(DecodedPage { header, codes })
 }
 
 /// What [`check_page`] learns of a raw page without decoding it.
@@ -447,11 +433,15 @@ impl DecodedPage {
         None
     }
 
-    /// Level of entry `i` (paper's convention; see module docs): one rank
-    /// query over the parenthesis bits.
-    #[inline]
+    /// Level of entry `i` (paper's convention; see module docs): `st` plus
+    /// the opens minus the closes of entries `0..=i`, counted. The count is
+    /// kept in `u16` lanes, which vectorise; a page holds at most
+    /// `u16::MAX` entries, so it cannot overflow.
     pub fn level(&self, i: usize) -> u16 {
-        (i32::from(self.header.st) + self.bp.excess_after(i)) as u16
+        let closes = self.codes[..=i]
+            .iter()
+            .fold(0u16, |n, &c| n + u16::from(c == CLOSE_CODE));
+        (usize::from(self.header.st) + i + 1 - 2 * usize::from(closes)) as u16
     }
 
     /// The level of every entry, in order: `st` stepped by +1 at each open
@@ -663,16 +653,16 @@ mod tests {
         for st in [0u16, 5] {
             let page = decode_page(&raw_page(st, &entries)).unwrap();
             assert_eq!(page.entries().collect::<Vec<_>>(), entries);
-            assert_eq!(page.bp.len(), entries.len());
-            let mut level = st;
-            for (i, e) in entries.iter().enumerate() {
-                level = if e.is_open() { level + 1 } else { level - 1 };
-                assert_eq!(page.level(i), level, "entry {i}");
+            // Excess: opens minus closes so far, the level above `st`.
+            let mut excess = 0i32;
+            for (i, (e, walked)) in entries.iter().zip(page.levels()).enumerate() {
+                excess += if e.is_open() { 1 } else { -1 };
                 assert_eq!(
-                    st as i32 + page.bp.excess_after(i),
-                    level as i32,
+                    i32::from(page.level(i)),
+                    i32::from(st) + excess,
                     "entry {i}"
                 );
+                assert_eq!(walked, page.level(i), "entry {i}");
             }
         }
     }
@@ -725,7 +715,6 @@ mod tests {
         assert_eq!(ContentAcc::new().bytes(), 0);
         let page = decode_page(&raw_page(0, &[])).unwrap();
         assert!(page.is_empty());
-        assert!(page.bp.is_empty());
         assert_eq!(page.end_level(), 0);
     }
 

@@ -33,7 +33,7 @@ use std::sync::Arc;
 use nok_pager::Storage;
 
 use crate::build::XmlDb;
-use crate::cursor;
+use crate::cursor::{self, PageWalk};
 use crate::dewey::Dewey;
 use crate::error::{CoreError, CoreResult};
 use crate::page::{self, ContentAcc, Entry, PageHeader, HEADER_SIZE};
@@ -271,35 +271,42 @@ impl<S: Storage> XmlDb<S> {
             }
         };
         let addr = self.resolve(target)?;
-        let close = cursor::subtree_close(&self.store, addr)?;
         let parent_level = target.level() - 1;
 
-        // ---- Enumerate the deleted region (A): every node in the subtree.
-        let mut removed: Vec<(Dewey, TagCode, u16, NodeAddr)> = Vec::new();
-        {
+        // ---- Enumerate the deleted region (A): every node in the subtree,
+        // in place in each page, up to the target's close. The walker's
+        // depth is the level of the entry just read.
+        let mut removed: Vec<(Dewey, TagCode)> = Vec::new();
+        let close = {
             let mut walker = DeweyWalker::after_children(parent_comps, target_idx);
-            let mut cur = Some(addr);
-            let end_lin = self.store.lin(close)?;
-            while let Some(a) = cur {
-                let (entry, level) = self.store.entry_at(a)?;
-                match entry {
-                    Entry::Open(tag) => {
-                        let d = walker.on_open();
-                        removed.push((d, tag, level, a));
+            let mut walk = PageWalk::from_rank(&self.store, self.store.rank(addr.page)?);
+            let mut from = addr.entry as usize;
+            'region: loop {
+                let wp = walk.next_page()?.ok_or_else(|| {
+                    CoreError::Corrupt(format!("no matching close for node at {addr}"))
+                })?;
+                for (i, entry) in (from..).zip(wp.page.entries_from(from)) {
+                    match entry {
+                        Entry::Open(tag) => removed.push((walker.on_open(), tag)),
+                        Entry::Close => {
+                            walker.on_close();
+                            if walker.depth() == parent_level as usize {
+                                break 'region NodeAddr {
+                                    page: wp.id,
+                                    entry: i as u32,
+                                };
+                            }
+                        }
                     }
-                    Entry::Close => walker.on_close(),
                 }
-                if self.store.lin(a)? >= end_lin {
-                    break;
-                }
-                cur = cursor::next_entry(&self.store, a)?;
+                from = 0;
             }
-        }
+        };
 
         // ---- Enumerate affected nodes after the region: following siblings
         // of the target (Dewey ids shift down) and same-page tail nodes
         // (addresses shift). One walk covers both domains.
-        let touched = self.collect_after_region(target, close, parent_level)?;
+        let touched = self.collect_after_region(target, addr, close, parent_level)?;
 
         // Root chain of the target's parent, resolved before any index is
         // mutated; the synopsis decrements below extend it with each
@@ -308,7 +315,7 @@ impl<S: Storage> XmlDb<S> {
 
         // ---- Physical removal, page by page.
         let region_pages = self.pages_between(addr.page, close.page)?;
-        let level_before = self.store.level_at(addr)?.saturating_sub(1);
+        let level_before = parent_level as u16;
         for (i, pid) in region_pages.iter().enumerate() {
             let decoded = self.store.decoded(*pid)?;
             let (keep_head, keep_tail): (usize, usize) = if region_pages.len() == 1 {
@@ -337,7 +344,7 @@ impl<S: Storage> XmlDb<S> {
         }
 
         // ---- Index maintenance.
-        for (dewey, tag, level, _addr) in &removed {
+        for (dewey, tag) in &removed {
             let key = dewey.to_key();
             // B+v first (needs the value pointer from B+i).
             if let Some(rec) = self.bt_id.get_first(&key)? {
@@ -370,7 +377,8 @@ impl<S: Storage> XmlDb<S> {
             self.bt_tag.delete(&tag_posting_key(*tag, dewey), None)?;
             // Synopsis: `removed` is in document order, so the
             // level-truncated chain is each node's root-to-node path.
-            Arc::make_mut(&mut self.synopsis).uncount_node(&mut chain, *tag, *level);
+            let level = dewey.level() as u16;
+            Arc::make_mut(&mut self.synopsis).uncount_node(&mut chain, *tag, level);
         }
         for t in &touched {
             self.retag_node(t)?;
@@ -449,12 +457,14 @@ impl<S: Storage> XmlDb<S> {
         Ok(out)
     }
 
-    /// Walk the entries after a deleted region, producing the index fixups:
-    /// following siblings of the target get shifted Dewey ids; nodes in the
-    /// close page's tail get shifted addresses.
+    /// Walk the entries after a deleted region (`addr` to `close`),
+    /// producing the index fixups: following siblings of the target get
+    /// shifted Dewey ids; nodes in the close page's tail get shifted
+    /// addresses.
     fn collect_after_region(
         &self,
         target: &Dewey,
+        addr: NodeAddr,
         close: NodeAddr,
         parent_level: u32,
     ) -> CoreResult<Vec<Touched>> {
@@ -463,71 +473,71 @@ impl<S: Storage> XmlDb<S> {
         // Old numbering: the deleted child was consumed.
         let mut walker =
             DeweyWalker::after_children(&comps[..comps.len() - 1], comps[comps.len() - 1] + 1);
-
-        let close_page_decoded = self.store.decoded(close.page)?;
-        let close_page_len = close_page_decoded.len();
-        drop(close_page_decoded);
-        // How far tail entries in the close page shift left.
-        let region_in_close_page = {
-            // Entries removed from the close page: if the region starts in
-            // this page, from its start entry; else from entry 0.
-            let start_entry =
-                if self.store.rank(close.page)? == self.store.rank(self.resolve(target)?.page)? {
-                    self.resolve(target)?.entry as usize
-                } else {
-                    0
-                };
-            close.entry as usize - start_entry + 1
+        // How far tail entries in the close page shift left: the region's
+        // entries in that page.
+        let start_entry = if addr.page == close.page {
+            addr.entry
+        } else {
+            0
         };
+        let shift = close.entry - start_entry + 1;
 
+        // The walker's depth is the level of the entry just read; the
+        // target's close left it at the parent's level.
         let mut in_parent = true; // still inside the parent's subtree?
-        let mut cur = cursor::next_entry(&self.store, close)?;
-        while let Some(a) = cur {
+        let mut walk = PageWalk::from_rank(&self.store, self.store.rank(close.page)?);
+        let mut from = close.entry as usize + 1;
+        'walk: while let Some(wp) = walk.next_page()? {
             // Stop once we have left both domains.
-            let in_close_page = a.page == close.page;
-            if !in_parent && !in_close_page {
-                break;
-            }
-            let (entry, level) = self.store.entry_at(a)?;
-            match entry {
-                Entry::Open(tag) => {
-                    let old_dewey = walker.on_open();
-                    let new_dewey = if in_parent {
-                        // Shift the sibling-level component down by one.
-                        let mut c = old_dewey.components().to_vec();
-                        c[parent_level as usize] -= 1;
-                        Dewey::from_components(c)
-                    } else {
-                        old_dewey.clone()
-                    };
-                    let new_addr = if in_close_page {
-                        NodeAddr {
-                            page: a.page,
-                            entry: a.entry - region_in_close_page as u32,
+            let in_close_page = wp.id == close.page;
+            for (i, entry) in (from..).zip(wp.page.entries_from(from)) {
+                if !in_parent && !in_close_page {
+                    break 'walk;
+                }
+                let a = NodeAddr {
+                    page: wp.id,
+                    entry: i as u32,
+                };
+                match entry {
+                    Entry::Open(tag) => {
+                        let old_dewey = walker.on_open();
+                        let new_dewey = if in_parent {
+                            // Shift the sibling-level component down by one.
+                            let mut c = old_dewey.components().to_vec();
+                            c[parent_level as usize] -= 1;
+                            Dewey::from_components(c)
+                        } else {
+                            old_dewey.clone()
+                        };
+                        let new_addr = if in_close_page {
+                            NodeAddr {
+                                page: a.page,
+                                entry: a.entry - shift,
+                            }
+                        } else {
+                            a
+                        };
+                        if new_dewey != old_dewey || new_addr != a {
+                            out.push(Touched {
+                                old_dewey,
+                                new_dewey,
+                                tag,
+                                new_addr,
+                            });
                         }
-                    } else {
-                        a
-                    };
-                    if new_dewey != old_dewey || new_addr != a {
-                        out.push(Touched {
-                            old_dewey,
-                            new_dewey,
-                            tag,
-                            new_addr,
-                        });
                     }
-                }
-                Entry::Close => {
-                    walker.on_close();
-                    if in_parent && level < parent_level as u16 {
-                        in_parent = false; // just passed the parent's close
+                    Entry::Close => {
+                        walker.on_close();
+                        if walker.depth() < parent_level as usize {
+                            in_parent = false; // just passed the parent's close
+                        }
                     }
                 }
             }
-            if in_close_page && a.entry as usize + 1 == close_page_len && !in_parent {
+            if !in_parent {
                 break;
             }
-            cur = cursor::next_entry(&self.store, a)?;
+            from = 0;
         }
         Ok(out)
     }

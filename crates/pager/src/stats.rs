@@ -37,8 +37,8 @@ impl IoStats {
         self.entries_examined.load(Ordering::Relaxed)
     }
 
-    /// Directory probes by navigation primitives (header records consulted,
-    /// or skip-index bucket probes). Incremented by the navigation layer via
+    /// Directory probes by navigation primitives (header records
+    /// consulted). Incremented by the navigation layer via
     /// [`IoStats::add_dir_entries_examined`].
     pub fn dir_entries_examined(&self) -> u64 {
         self.dir_entries_examined.load(Ordering::Relaxed)

@@ -178,16 +178,13 @@ fn hot_page_hammer_leaves_store_clean() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The navigation index (block summaries + directory skip index) under
-/// thread pressure: 8 threads drive the indexed cursor primitives over a
-/// shared store with a small pool (constant faulting and eviction, plus a
-/// racy first build of the lazily-cached skip index) and every result must
-/// equal the single-threaded `linear_*` oracle baseline.
+/// The cursor primitives under thread pressure: 8 threads drive them over
+/// a shared store with a small pool (constant faulting and eviction, and
+/// racing decodes of shared pages), and every result must equal the
+/// answer computed single-threaded before the threads start.
 #[test]
 fn navigation_primitives_agree_under_threads() {
-    use nok_core::cursor::{
-        following_sibling, linear_following_sibling, linear_subtree_close, subtree_close, DocScan,
-    };
+    use nok_core::cursor::{following_sibling, subtree_close, DocScan};
 
     let ds = generate(DatasetKind::Treebank, 0.005);
     let dir = fresh_dir("navprims");
@@ -197,7 +194,7 @@ fn navigation_primitives_agree_under_threads() {
         .expect("flush");
     let db = Arc::new(XmlDb::open_dir_with_capacity(&dir, 64).expect("reopen"));
 
-    // Single-threaded oracle baseline over a document-spanning sample.
+    // Single-threaded answers over a document-spanning sample.
     let items: Vec<_> = DocScan::new(db.store())
         .collect::<Result<Vec<_>, _>>()
         .expect("scan");
@@ -208,13 +205,13 @@ fn navigation_primitives_agree_under_threads() {
         .map(|it| {
             (
                 it.addr,
-                linear_following_sibling(db.store(), it.addr).expect("oracle sibling"),
-                linear_subtree_close(db.store(), it.addr).expect("oracle close"),
+                following_sibling(db.store(), it.addr).expect("baseline sibling"),
+                subtree_close(db.store(), it.addr).expect("baseline close"),
             )
         })
         .collect();
-    // Drop every decoded page (and its block summaries) so the threads
-    // below race to re-decode and re-summarize shared pages.
+    // Drop every decoded page so the threads below race to re-decode
+    // shared pages.
     db.store().invalidate_decoded(None);
 
     let sample = Arc::new(sample);
@@ -229,12 +226,12 @@ fn navigation_primitives_agree_under_threads() {
                     assert_eq!(
                         following_sibling(db.store(), addr).expect("sibling"),
                         sib,
-                        "indexed following_sibling diverged under threads"
+                        "following_sibling diverged under threads"
                     );
                     assert_eq!(
                         subtree_close(db.store(), addr).expect("close"),
                         close,
-                        "indexed subtree_close diverged under threads"
+                        "subtree_close diverged under threads"
                     );
                 }
             })

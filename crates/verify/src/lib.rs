@@ -34,7 +34,7 @@ use nok_core::page::{self, HEADER_SIZE, NO_PAGE};
 use nok_core::physical::{tag_posting_key, IdRecord, TagPosting};
 use nok_core::sigma::TagCode;
 use nok_core::store::{NodeAddr, StructStore};
-use nok_core::succinct::{read_varint, BitVec, RankSelect};
+use nok_core::succinct::read_varint;
 use nok_core::values::hash_key;
 use nok_core::LockDataFile;
 use nok_core::XmlDb;
@@ -323,9 +323,8 @@ fn scan_chain<S: Storage>(pool: &BufferPool<S>) -> ChainScan {
 }
 
 /// Granular parse of one page's content: entry-count word,
-/// parenthesis bitvector (including canonical zero padding), dictionary tag
-/// codes (LEB128, 15-bit bound, exact stream length), and a rebuild of the
-/// rank/select directory cross-checked against a linear recount. Pushes a
+/// parenthesis bitvector (including canonical zero padding) and dictionary
+/// tag codes (LEB128, 15-bit bound, exact stream length). Pushes a
 /// violation per defect and returns the entries it managed to derive.
 fn scan_entries(pid: PageId, content: &[u8], v: &mut Vec<Violation>) -> Vec<page::Entry> {
     use nok_core::sigma::TagCode;
@@ -366,54 +365,12 @@ fn scan_entries(pid: PageId, content: &[u8], v: &mut Vec<Violation>) -> Vec<page
             detail: "nonzero padding bits after the last entry".into(),
         });
     }
-    let bits = BitVec::from_bits((0..n).map(|i| (parens[i / 8] >> (i % 8)) & 1 == 1));
-
-    // Rank/select directory consistency: rebuild the per-page directory and
-    // cross-check every rank, select and excess answer against a linear
-    // recount of the raw bitvector.
-    let rs = RankSelect::build(bits.clone());
-    let mut ones = 0usize;
-    let mut excess = 0i64;
-    for i in 0..n {
-        if rs.rank1(i) != ones {
-            v.push(Violation::RankSelectMismatch {
-                page: pid,
-                detail: format!("rank1({i}) = {}, linear recount says {ones}", rs.rank1(i)),
-            });
-            break;
-        }
-        if bits.get(i) {
-            if rs.select1(ones) != Some(i) {
-                v.push(Violation::RankSelectMismatch {
-                    page: pid,
-                    detail: format!("select1({ones}) = {:?}, expected {i}", rs.select1(ones)),
-                });
-                break;
-            }
-            ones += 1;
-            excess += 1;
-        } else {
-            excess -= 1;
-        }
-        if rs.excess(i + 1) != excess {
-            v.push(Violation::RankSelectMismatch {
-                page: pid,
-                detail: format!(
-                    "excess({}) = {}, recount says {excess}",
-                    i + 1,
-                    rs.excess(i + 1)
-                ),
-            });
-            break;
-        }
-    }
-
     // Tag-code stream: one varint per open, in order, covering the rest of
     // the content exactly.
     let mut entries = Vec::with_capacity(n);
     let mut pos = 2 + paren_bytes;
     for i in 0..n {
-        if bits.get(i) {
+        if (parens[i / 8] >> (i % 8)) & 1 == 1 {
             match read_varint(content, pos) {
                 Some((code, width)) => {
                     if code >= 1 << 15 {

@@ -224,14 +224,6 @@ pub enum Violation {
         /// What failed to parse.
         detail: String,
     },
-    /// A page's rebuilt rank/select directory disagrees with a linear
-    /// recount of its parenthesis bitvector.
-    RankSelectMismatch {
-        /// Page id.
-        page: u32,
-        /// The diverging query and both answers.
-        detail: String,
-    },
     /// A page stores a tag code outside the 15-bit range the tag
     /// dictionary can represent.
     TagCodeOutOfRange {
@@ -307,7 +299,6 @@ impl Violation {
             Violation::BTreeStructure { .. } => "btree-structure",
             Violation::RecordCorrupt { .. } => "record-corrupt",
             Violation::SuccinctEncoding { .. } => "succinct-encoding",
-            Violation::RankSelectMismatch { .. } => "rank-select-mismatch",
             Violation::TagCodeOutOfRange { .. } => "tag-code-out-of-range",
             Violation::SynopsisPathCountMismatch { .. } => "synopsis-path-count-mismatch",
             Violation::SynopsisResidualMismatch { .. } => "synopsis-residual-mismatch",
@@ -456,8 +447,7 @@ impl Violation {
                 obj.str("what", what);
                 obj.str("detail", detail);
             }
-            Violation::SuccinctEncoding { page, detail }
-            | Violation::RankSelectMismatch { page, detail } => {
+            Violation::SuccinctEncoding { page, detail } => {
                 obj.num("page", *page as u64);
                 obj.str("detail", detail);
             }
@@ -612,9 +602,6 @@ impl fmt::Display for Violation {
             Violation::RecordCorrupt { what, detail } => write!(f, "{what}: {detail}"),
             Violation::SuccinctEncoding { page, detail } => {
                 write!(f, "page {page}: succinct encoding: {detail}")
-            }
-            Violation::RankSelectMismatch { page, detail } => {
-                write!(f, "page {page}: rank/select directory: {detail}")
             }
             Violation::TagCodeOutOfRange { page, entry, code } => {
                 write!(f, "page {page} entry {entry}: tag code {code} outside the 15-bit range")

@@ -99,8 +99,8 @@ fn randomized_update_workload_stays_clean() {
 }
 
 /// Multi-page chains of every paper dataset satisfy every invariant,
-/// including the encoding's own (canonical form, rank/select directory
-/// agreement, tag-code bounds), at two small page sizes.
+/// including the encoding's own (canonical form, tag-code bounds), at two
+/// small page sizes.
 #[test]
 fn succinct_builds_are_clean() {
     for kind in DatasetKind::ALL {

@@ -4,8 +4,8 @@
 //!
 //! * `cargo xtask analyze` — static concurrency analysis over
 //!   `crates/**/*.rs` via the `nok-analyze` crate: lock-order hierarchy
-//!   with call-graph propagation, atomic-ordering audit, seqlock read
-//!   validation, panic-path rules, and the five historical hygiene rules
+//!   with call-graph propagation, atomic-ordering audit, panic-path
+//!   rules, and the five historical hygiene rules
 //!   re-implemented on the AST. Exits nonzero when any finding is reported.
 //! * `cargo xtask analyze --json` — same, machine-readable output (rule id,
 //!   file:line, message, lock path) for CI artifacts.
