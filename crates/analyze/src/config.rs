@@ -58,10 +58,6 @@ pub const SERVE_PLAN_CACHE: LockClass = LockClass {
     name: "serve.plan_cache",
     rank: 14,
 };
-pub const CORE_DECODE_CACHE: LockClass = LockClass {
-    name: "core.decode_cache",
-    rank: 20,
-};
 pub const CORE_DIRECTORY: LockClass = LockClass {
     name: "core.directory",
     rank: 24,
@@ -95,7 +91,6 @@ pub const ALL_CLASSES: &[LockClass] = &[
     SERVE_QUEUE,
     SERVE_CONN_OUT,
     SERVE_PLAN_CACHE,
-    CORE_DECODE_CACHE,
     CORE_DIRECTORY,
     CORE_WAL,
     CORE_DATA_FILE,
@@ -119,11 +114,6 @@ const LOCK_TABLE: &[LockEntry] = &[
         field: "inner",
         in_crate: Some("serve"),
         class: SERVE_PLAN_CACHE,
-    },
-    LockEntry {
-        field: "decoded",
-        in_crate: Some("core"),
-        class: CORE_DECODE_CACHE,
     },
     LockEntry {
         field: "dir",

@@ -5,7 +5,7 @@
 //! acquisitions, atomic operations and panicking constructs, and enforces:
 //!
 //! - **`lock-order` / `lock-reentry`** — the declared lock hierarchy
-//!   (service queue → plan cache → decode cache → directory → data-file mutex →
+//!   (service queue → plan cache → directory → data-file mutex →
 //!   pool shard → storage → frame; see `config::ALL_CLASSES` and DESIGN.md
 //!   §13), with call-graph propagation so an acquisition hidden behind a
 //!   call chain is still checked against the locks its caller holds.

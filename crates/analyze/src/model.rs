@@ -656,12 +656,12 @@ mod tests {
 
     #[test]
     fn temporary_acquire_not_let_bound() {
-        let ev = events("fn f(&self) { wr(&self.decoded).clear(); }");
+        let ev = events("fn f(&self) { wr(&self.dir).clear(); }");
         assert!(ev.iter().any(|e| matches!(
             e,
             Event::Acquire {
                 class, let_bound: false, ..
-            } if class.name == "core.decode_cache"
+            } if class.name == "core.directory"
         )));
     }
 

@@ -200,11 +200,11 @@ const PASS: &[PassFixture] = &[
     },
     PassFixture {
         // Statement-scoped temporaries drop before the next acquisition:
-        // no pair, no finding, even though decoded < dir would be fine
-        // anyway and dir -> decoded reversed would not.
+        // no pair, no finding, even though data file -> dir held together
+        // would be an inversion.
         name: "sequential statement guards do not overlap",
         path: "crates/core/src/store.rs",
-        source: "impl StructStore {\n    fn invalidate(&self) {\n        *wr(&self.dir) = Directory::new();\n        wr(&self.decoded).clear();\n    }\n}\n",
+        source: "impl StructStore {\n    fn invalidate(&self) {\n        self.data.lock_data().clear();\n        *wr(&self.dir) = Directory::new();\n    }\n}\n",
     },
     PassFixture {
         name: "relaxed on an exempt statistics counter",

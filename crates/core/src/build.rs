@@ -170,7 +170,7 @@ fn write_superblock(dir: &Path) -> CoreResult<()> {
 /// Check that a database directory's superblock names the one structure
 /// page format this build reads. A missing, damaged or other-format
 /// superblock is [`CoreError::UnsupportedFormat`]: the pages are never
-/// decoded on a guess.
+/// read on a guess.
 fn check_superblock(dir: &Path) -> CoreResult<()> {
     let bytes = match std::fs::read(dir.join(F_SUPER)) {
         Ok(b) => b,
@@ -863,7 +863,7 @@ mod tests {
         // The superblock names the page format, and nothing is left of the
         // temp file it was written through.
         let sb = std::fs::read(dir.join(F_SUPER)).unwrap();
-        assert_eq!(sb, b"NOKSUPER\x00\x01\x02");
+        assert_eq!(sb, b"NOKSUPER\x00\x01\x03");
         assert!(!dir.join(format!("{F_SUPER}.tmp")).exists());
         {
             let db = XmlDb::open_dir(&dir).unwrap();
@@ -882,7 +882,7 @@ mod tests {
     }
 
     /// A directory with pages but no superblock is refused with the typed
-    /// error — its pages are not decoded on a guess.
+    /// error — its pages are not read on a guess.
     #[test]
     fn missing_superblock_is_refused() {
         let dir = std::env::temp_dir().join(format!("nok-nosuper-{}", std::process::id()));
@@ -902,8 +902,8 @@ mod tests {
     }
 
     /// Format 0 (the retired byte-per-entry pages), format 1 (fixed-width
-    /// index entries), an unknown format byte and a damaged superblock are
-    /// each refused by name.
+    /// index entries), format 2 (LEB128 tag codes), an unknown format byte
+    /// and a damaged superblock are each refused by name.
     #[test]
     fn other_format_or_damaged_superblock_is_refused() {
         let dir = std::env::temp_dir().join(format!("nok-badsuper-{}", std::process::id()));
@@ -912,7 +912,7 @@ mod tests {
             XmlDb::create_on_disk(&dir, BIB).unwrap();
         }
         let good = std::fs::read(dir.join(F_SUPER)).unwrap();
-        for format in [0u8, 1, 9] {
+        for format in [0u8, 1, 2, 9] {
             let mut sb = good.clone();
             sb[10] = format;
             std::fs::write(dir.join(F_SUPER), sb).unwrap();

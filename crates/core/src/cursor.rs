@@ -17,10 +17,10 @@
 //! the node's subtree goes. The tests consult only the in-memory header
 //! directory, so skipped pages cost no I/O — the effect the paper targets.
 //!
-//! **Levels.** A loaded page is searched by a depth count over its entry
-//! codes ([`DecodedPage::close_from`], the same pass the scan route's
-//! dead-subtree skip makes). The absolute level a page test needs is
-//! `st + 1` for a node first in its page; otherwise it follows when the
+//! **Levels.** A loaded page is searched in place by an excess search over
+//! its parenthesis bytes ([`Page::close_from`], the same pass the scan
+//! route's dead-subtree skip makes). The absolute level a page test needs
+//! is `st + 1` for a node first in its page; otherwise it follows when the
 //! start page ends: the next page's `st` minus the levels still open.
 //!
 //! Both report work into [`nok_pager::IoStats`]: `entries_examined` counts
@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use crate::dewey::Dewey;
 use crate::error::{CoreError, CoreResult};
-use crate::page::{DecodedPage, Entry};
+use crate::page::{Entry, Page, Pos};
 use crate::sigma::TagCode;
 use crate::store::{lin_at, NodeAddr, StructStore};
 use nok_pager::{PageId, Storage};
@@ -74,21 +74,42 @@ pub fn first_child<S: Storage>(
     let Some(next) = next_entry(store, addr)? else {
         return Ok(None);
     };
-    let page = store.decoded(next.page)?;
+    let open = store.with_page(next.page, |page| page.is_open(next.entry as usize))?;
     store.pool().stats().add_entries_examined(1);
-    Ok(page
-        .get(next.entry as usize)
-        .is_some_and(Entry::is_open)
-        .then_some(next))
+    Ok(open.then_some(next))
+}
+
+/// Where a close search ended: the close of the node, whether the entry
+/// after it on the same page is an open (`None` when the close ends its
+/// page), and the chain rank of that page.
+type CloseAt = (NodeAddr, Option<bool>, u32);
+
+/// The close of `from`'s subtree on `page` (`open` levels still open at
+/// `from`), if the page holds it, as a [`CloseAt`] on page `id` at `rank`;
+/// counts the entries read into `examined`.
+fn close_on(
+    page: Page<'_>,
+    (id, rank): (PageId, u32),
+    from: usize,
+    open: &mut u32,
+    examined: &mut u64,
+) -> Option<CloseAt> {
+    let Some(end) = page.close_from(from, open) else {
+        *examined += page.len().saturating_sub(from) as u64;
+        return None;
+    };
+    *examined += (end - from) as u64;
+    let close = NodeAddr {
+        page: id,
+        entry: end as u32 - 1,
+    };
+    let after = (end < page.len()).then(|| page.is_open(end));
+    Some((close, after, rank))
 }
 
 /// The close of the open entry at `addr` (the first later entry below its
-/// level), the page holding it and that page's chain rank. Loads pages by
-/// the close search's page test (module docs).
-fn close_of<S: Storage>(
-    store: &StructStore<S>,
-    addr: NodeAddr,
-) -> CoreResult<(NodeAddr, Arc<DecodedPage>, u32)> {
+/// level). Loads pages by the close search's page test (module docs).
+fn close_of<S: Storage>(store: &StructStore<S>, addr: NodeAddr) -> CoreResult<CloseAt> {
     let (rank, start) = store.dir_of(addr.page)?;
     let mut examined = 0u64;
     let mut probes = 0u64;
@@ -99,20 +120,16 @@ fn close_of<S: Storage>(
         // Levels the start page leaves open.
         let mut open = 1u32;
         if close_level.is_none_or(|t| start.lo <= t) {
-            let page = store.decoded(addr.page)?;
-            if !page.get(addr.entry as usize).is_some_and(Entry::is_open) {
-                return Err(CoreError::Corrupt(format!("expected open entry at {addr}")));
+            let at = addr.entry as usize;
+            let found = store.with_page(addr.page, |page| {
+                page.is_open(at)
+                    .then(|| close_on(page, (addr.page, rank), at + 1, &mut open, &mut examined))
+            })?;
+            match found {
+                None => return Err(CoreError::Corrupt(format!("expected open entry at {addr}"))),
+                Some(Some(close)) => return Ok(close),
+                Some(None) => {}
             }
-            let from = addr.entry as usize + 1;
-            if let Some(end) = page.close_from(from, &mut open) {
-                examined += (end - from) as u64;
-                let close = NodeAddr {
-                    page: addr.page,
-                    entry: end as u32 - 1,
-                };
-                return Ok((close, page, rank));
-            }
-            examined += page.len().saturating_sub(from) as u64;
         }
         let no_close = || CoreError::Corrupt(format!("no matching close for node at {addr}"));
         let close_level = match close_level {
@@ -133,16 +150,11 @@ fn close_of<S: Storage>(
         // Every page between ended above the close's level.
         let above = de.st.checked_sub(close_level).filter(|&d| d > 0);
         let above = above.ok_or_else(disagrees)?;
-        let page = store.decoded(de.id)?;
-        let end = page
-            .close_from(0, &mut u32::from(above))
-            .ok_or_else(disagrees)?;
-        examined += end as u64;
-        let close = NodeAddr {
-            page: de.id,
-            entry: end as u32 - 1,
-        };
-        Ok((close, page, r))
+        store
+            .with_page(de.id, |page| {
+                close_on(page, (de.id, r), 0, &mut u32::from(above), &mut examined)
+            })?
+            .ok_or_else(disagrees)
     })();
     let stats = store.pool().stats();
     stats.add_entries_examined(examined);
@@ -156,22 +168,24 @@ pub fn following_sibling<S: Storage>(
     store: &StructStore<S>,
     addr: NodeAddr,
 ) -> CoreResult<Option<NodeAddr>> {
-    let (close, page, rank) = close_of(store, addr)?;
-    let next = close.entry as usize + 1;
-    if next < page.len() {
-        let sibling = NodeAddr {
+    let (close, after, rank) = close_of(store, addr)?;
+    if let Some(open) = after {
+        return Ok(open.then_some(NodeAddr {
             page: close.page,
-            entry: next as u32,
-        };
-        return Ok(page.entry(next).is_open().then_some(sibling));
+            entry: close.entry + 1,
+        }));
     }
     // The close ends its page: the next non-empty page decides.
-    let mut walk = PageWalk::from_rank(store, rank + 1);
-    Ok(walk.next_page()?.and_then(|wp| {
-        wp.page.entry(0).is_open().then_some(NodeAddr {
-            page: wp.id,
-            entry: 0,
-        })
+    let mut probes = 0u64;
+    let next = store.find_page(rank + 1, &mut probes, |_| true);
+    store.pool().stats().add_dir_entries_examined(probes);
+    let Some((_, de)) = next else {
+        return Ok(None);
+    };
+    let open = store.with_page(de.id, |page| page.is_open(0))?;
+    Ok(open.then_some(NodeAddr {
+        page: de.id,
+        entry: 0,
     }))
 }
 
@@ -188,28 +202,35 @@ pub fn interval<S: Storage>(store: &StructStore<S>, addr: NodeAddr) -> CoreResul
     Ok((store.lin(addr)?, store.lin(close)?))
 }
 
-/// A forward walk over the page chain in document order: one decoded page
-/// held at a time, its entries handed to the caller to iterate in place. This is the single-pass read path (Proposition 1) the
-/// scan route, [`DocScan`] and [`descendants`] share — no per-entry
-/// `decoded()`/`entry_at`, one directory probe and one page fetch per page.
+/// A forward walk over the page chain in document order: one page held at a
+/// time, its entries handed to the caller to read in place. This is the
+/// single-pass read path (Proposition 1) the scan route, [`DocScan`] and
+/// [`descendants`] share — no per-entry `entry_at`, one directory probe and
+/// one page fetch per page. The walk holds the page's image
+/// ([`StructStore::page_image`]), not a locked frame: its callers take
+/// other locks (the matcher's value checks read B+i and the data file)
+/// while they read the page.
 pub struct PageWalk<'a, S: Storage> {
     store: &'a StructStore<S>,
     next_rank: u32,
     /// Directory records consulted so far.
     probes: u64,
+    /// Rank, id, image and opens of the page the walk holds, if any.
+    cur: Option<(u32, PageId, Arc<[u8]>, u32)>,
 }
 
-/// One page of a [`PageWalk`].
-pub struct WalkPage {
+/// The page a [`PageWalk`] holds.
+#[derive(Clone, Copy)]
+pub struct WalkPage<'w> {
     /// Chain rank of the page (document order of pages).
     pub rank: u32,
     /// Page id.
     pub id: PageId,
-    /// The decoded page; never empty.
-    pub page: Arc<DecodedPage>,
+    /// The page, read in place; never empty.
+    pub page: Page<'w>,
 }
 
-impl WalkPage {
+impl WalkPage<'_> {
     /// Linear position of entry `i` of this page (see [`StructStore::lin`]).
     #[inline]
     pub fn lin(&self, i: usize) -> u64 {
@@ -229,6 +250,7 @@ impl<'a, S: Storage> PageWalk<'a, S> {
             store,
             next_rank: rank,
             probes: 0,
+            cur: None,
         }
     }
 
@@ -242,8 +264,22 @@ impl<'a, S: Storage> PageWalk<'a, S> {
         self.probes
     }
 
-    /// The next non-empty page, or `None` at the end of the chain.
-    pub fn next_page(&mut self) -> CoreResult<Option<WalkPage>> {
+    /// The page the walk holds: the one [`PageWalk::next_page`] returned
+    /// last.
+    pub fn current(&self) -> Option<WalkPage<'_>> {
+        let (rank, id, image, opens) = self.cur.as_ref()?;
+        let page = Page::counted(image, *opens)?;
+        Some(WalkPage {
+            rank: *rank,
+            id: *id,
+            page,
+        })
+    }
+
+    /// Move to the next non-empty page, or to `None` at the end of the
+    /// chain.
+    pub fn next_page(&mut self) -> CoreResult<Option<WalkPage<'_>>> {
+        self.cur = None;
         let mut probes = 0u64;
         let found = self.store.find_page(self.next_rank, &mut probes, |_| true);
         self.probes += probes;
@@ -252,18 +288,31 @@ impl<'a, S: Storage> PageWalk<'a, S> {
             return Ok(None);
         };
         self.next_rank = rank + 1;
-        let page = self.store.decoded(de.id)?;
-        if page.is_empty() {
-            return Err(CoreError::Corrupt(format!(
-                "directory lists entries in empty page {}",
-                de.id
-            )));
+        self.cur = Some((rank, de.id, self.store.page_image(de.id)?, de.opens));
+        match self.current() {
+            Some(wp) if !wp.page.is_empty() => Ok(Some(wp)),
+            _ => Err(CoreError::Corrupt(format!("bad structural page {}", de.id))),
         }
-        Ok(Some(WalkPage {
-            rank,
-            id: de.id,
-            page,
-        }))
+    }
+
+    /// The entry at `pos` in the page the walk holds, with its page and
+    /// index, moving `pos` past it; past the page's end, the first entry of
+    /// the next page. `None` at the end of the chain.
+    fn step(&mut self, pos: &mut Pos) -> CoreResult<Option<(PageId, usize, Entry)>> {
+        loop {
+            if let Some(wp) = self.current() {
+                let mut entries = wp.page.resume(*pos);
+                let i = entries.index();
+                if let Some(entry) = entries.next() {
+                    *pos = entries.pos();
+                    return Ok(Some((wp.id, i, entry)));
+                }
+            }
+            if self.next_page()?.is_none() {
+                return Ok(None);
+            }
+            *pos = Pos::default();
+        }
     }
 }
 
@@ -275,44 +324,35 @@ pub fn descendants<'a, S: Storage>(
     store: &'a StructStore<S>,
     addr: NodeAddr,
 ) -> CoreResult<impl Iterator<Item = CoreResult<(NodeAddr, TagCode, u16)>> + 'a> {
-    let rank = store.rank(addr.page)?;
-    let mut walk = PageWalk::from_rank(store, rank);
-    let first = walk
-        .next_page()?
-        .filter(|wp| wp.id == addr.page)
-        .ok_or_else(|| CoreError::Corrupt(format!("no entries in the page of {addr}")))?;
-    let level = match first.page.get(addr.entry as usize) {
-        Some(Entry::Open(_)) => first.page.level(addr.entry as usize),
-        _ => return Err(CoreError::Corrupt(format!("expected open entry at {addr}"))),
+    let mut walk = PageWalk::from_rank(store, store.rank(addr.page)?);
+    let start = walk.next_page()?.filter(|wp| wp.id == addr.page);
+    let at = addr.entry as usize;
+    let Some(page) = start.map(|wp| wp.page).filter(|page| page.is_open(at)) else {
+        return Err(CoreError::Corrupt(format!("expected open entry at {addr}")));
     };
+    let level = page.level(at);
+    let mut pos = page.entries_from(at + 1).pos();
     // Level of the last entry seen, stepped ±1 per entry.
     let mut lev = level;
-    let mut cur = Some(first);
-    let mut idx = addr.entry as usize + 1;
     let mut examined = 0u64;
+    let mut done = false;
     Ok(std::iter::from_fn(move || loop {
-        let wp = cur.as_ref()?;
-        if idx >= wp.page.len() {
-            match walk.next_page() {
-                Ok(Some(next)) => {
-                    cur = Some(next);
-                    idx = 0;
-                    continue;
-                }
-                // A well-formed store always closes every node.
-                Ok(None) => {
-                    cur = None;
-                    return Some(Err(CoreError::Corrupt(format!(
-                        "no matching close for node at {addr}"
-                    ))));
-                }
-                Err(e) => {
-                    cur = None;
-                    return Some(Err(e));
-                }
-            }
+        if done {
+            return None;
         }
-        let entry = wp.page.entry(idx);
+        let (page, i, entry) = match walk.step(&mut pos) {
+            Ok(Some(next)) => next,
+            // A well-formed store always closes every node.
+            Ok(None) => {
+                done = true;
+                let e = CoreError::Corrupt(format!("no matching close for node at {addr}"));
+                return Some(Err(e));
+            }
+            Err(e) => {
+                done = true;
+                return Some(Err(e));
+            }
+        };
         lev = if entry.is_open() {
             lev + 1
         } else {
@@ -321,20 +361,15 @@ pub fn descendants<'a, S: Storage>(
         examined += 1;
         if lev < level {
             store.pool().stats().add_entries_examined(examined);
-            cur = None;
+            done = true;
             return None;
         }
-        let i = idx;
-        idx += 1;
         if let Entry::Open(tag) = entry {
-            return Some(Ok((
-                NodeAddr {
-                    page: wp.id,
-                    entry: i as u32,
-                },
-                tag,
-                lev,
-            )));
+            let addr = NodeAddr {
+                page,
+                entry: i as u32,
+            };
+            return Some(Ok((addr, tag, lev)));
         }
     }))
 }
@@ -344,8 +379,10 @@ pub fn descendants<'a, S: Storage>(
 /// thin iterator over [`PageWalk`].
 pub struct DocScan<'a, S: Storage> {
     walk: PageWalk<'a, S>,
-    cur: Option<WalkPage>,
-    idx: usize,
+    /// Where the scan stands in the walk's page.
+    pos: Pos,
+    /// Entries read, counted into the pool's statistics at the end.
+    examined: u64,
     /// Child counters per open level; `path` holds the current Dewey
     /// components.
     path: Vec<u32>,
@@ -370,8 +407,8 @@ impl<'a, S: Storage> DocScan<'a, S> {
     pub fn new(store: &'a StructStore<S>) -> Self {
         DocScan {
             walk: PageWalk::new(store),
-            cur: None,
-            idx: 0,
+            pos: Pos::default(),
+            examined: 0,
             path: Vec::new(),
             counters: vec![0],
         }
@@ -379,24 +416,13 @@ impl<'a, S: Storage> DocScan<'a, S> {
 
     fn step(&mut self) -> CoreResult<Option<ScanItem>> {
         loop {
-            let wp = match &self.cur {
-                Some(wp) if self.idx < wp.page.len() => wp,
-                _ => match self.walk.next_page()? {
-                    Some(next) => {
-                        self.walk
-                            .store
-                            .pool()
-                            .stats()
-                            .add_entries_examined(next.page.len() as u64);
-                        self.idx = 0;
-                        self.cur.insert(next)
-                    }
-                    None => return Ok(None),
-                },
+            let Some((page, i, entry)) = self.walk.step(&mut self.pos)? else {
+                let stats = self.walk.store.pool().stats();
+                stats.add_entries_examined(std::mem::take(&mut self.examined));
+                return Ok(None);
             };
-            let i = self.idx;
-            self.idx += 1;
-            match wp.page.entry(i) {
+            self.examined += 1;
+            match entry {
                 Entry::Open(tag) => {
                     let counter = self.counters.last_mut().ok_or_else(|| {
                         CoreError::Corrupt("document scan saw more closes than opens".into())
@@ -406,7 +432,7 @@ impl<'a, S: Storage> DocScan<'a, S> {
                     self.counters.push(0);
                     return Ok(Some(ScanItem {
                         addr: NodeAddr {
-                            page: wp.id,
+                            page,
                             entry: i as u32,
                         },
                         tag,
@@ -434,7 +460,7 @@ impl<S: Storage> Iterator for DocScan<'_, S> {
             Ok(item) => item.map(Ok),
             Err(e) => {
                 // Fuse: a failed page fetch must not be retried forever.
-                self.cur = None;
+                self.walk.cur = None;
                 self.walk.next_rank = u32::MAX;
                 Some(Err(e))
             }
@@ -639,14 +665,17 @@ mod tests {
                 let mut flat: Vec<(NodeAddr, Entry, u16)> = Vec::new();
                 for r in 0..store.chain_len() {
                     let de = store.dir_at(r).unwrap();
-                    let page = store.decoded(de.id).unwrap();
-                    for (i, (e, l)) in page.entries().zip(page.levels()).enumerate() {
-                        let addr = NodeAddr {
-                            page: de.id,
-                            entry: i as u32,
-                        };
-                        flat.push((addr, e, l));
-                    }
+                    store
+                        .with_page(de.id, |page| {
+                            for (i, (e, l)) in page.entries().zip(page.levels()).enumerate() {
+                                let addr = NodeAddr {
+                                    page: de.id,
+                                    entry: i as u32,
+                                };
+                                flat.push((addr, e, l));
+                            }
+                        })
+                        .unwrap();
                 }
                 for (i, &(addr, e, l)) in flat.iter().enumerate() {
                     if !e.is_open() {
@@ -837,7 +866,6 @@ mod tests {
         assert!(store.page_count() > 10);
         let root = store.root().unwrap();
         let first = first_child(&store, root).unwrap().unwrap();
-        store.invalidate_decoded(None);
         store.pool().clear_cache().unwrap();
         store.pool().stats().reset();
         let second = following_sibling(&store, first).unwrap().unwrap();

@@ -43,8 +43,8 @@ pub struct QueryMatch {
 /// order, as soon as it is decided — no open pattern ancestor can still
 /// veto it. A single-fragment plan releases matches while its pass is
 /// still reading pages; a plan that joins fragments releases them at its
-/// final collect step. `put` is called between pages, never with a pool,
-/// page or decode-cache lock held, so a sink may block (back-pressure).
+/// final collect step. `put` is called between pages, never with a pool
+/// or page lock held, so a sink may block (back-pressure).
 pub trait MatchSink {
     /// Take the next match. An error stops the evaluation with it.
     fn put(&mut self, m: QueryMatch) -> CoreResult<()>;

@@ -53,7 +53,7 @@ pub enum SuperblockError {
     Damaged,
     /// A wellformed superblock naming another format (0 is the retired
     /// byte-per-entry page encoding, 1 the retired fixed-width index
-    /// entries).
+    /// entries, 2 the retired LEB128 tag codes).
     Format(u8),
 }
 
@@ -67,6 +67,9 @@ impl fmt::Display for SuperblockError {
             }
             SuperblockError::Format(1) => {
                 write!(f, "super.blk names format 1 (fixed-width index entries)")
+            }
+            SuperblockError::Format(2) => {
+                write!(f, "super.blk names format 2 (LEB128 tag codes)")
             }
             SuperblockError::Format(b) => write!(f, "super.blk names unknown page format {b}"),
         }
@@ -87,7 +90,8 @@ impl fmt::Display for CoreError {
             CoreError::UnsupportedFormat(why) => write!(
                 f,
                 "unsupported database format: {why}; this build reads only format {} \
-                 (bit-packed pages, variable-length index entries) and upgrades \
+                 (bit-packed pages with fixed-width tag codes, variable-length index \
+                 entries) and upgrades \
                  nothing in place: rebuild the directory from its XML source",
                 crate::page::FORMAT_BYTE
             ),

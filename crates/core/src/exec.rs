@@ -7,7 +7,7 @@
 //!    parents; cheapest ready fragment first when the plan is
 //!    cost-ordered). Each evaluates its fragment by the route the planner
 //!    chose ([`SeedChoice`]); both routes feed stored entries, read in
-//!    place off decoded pages ([`PageWalk`]), as open/close events to one
+//!    place off the stored pages ([`PageWalk`]), as open/close events to one
 //!    [`ScanMatcher`], passing over the subtree of each dead node (see
 //!    `core::scan`) with a depth count:
 //!    * **index route** — locate starting points from B+v/B+t postings,
@@ -46,7 +46,7 @@ use crate::dewey::{cmp_key_path, Dewey};
 use crate::engine::{MatchSink, QueryMatch, QueryScratch, QueryStats};
 use crate::error::{CoreError, CoreResult};
 use crate::join::IntervalSet;
-use crate::page::{DecodedPage, Entry};
+use crate::page::{Entries, Entry};
 use crate::pattern::NameTest;
 use crate::pattern_tree::{CutKind, PNodeId, Partition, PatternTree, DOC_NODE};
 use crate::physical::{IdRecord, PhysAccess, PhysNode, DOC_ADDR};
@@ -133,48 +133,53 @@ struct Skip {
 }
 
 impl Skip {
-    /// Pass over entries `from..` of `page` to the close that ends the
-    /// dead subtree: the index after it, or `None` at the end of the page.
-    /// Out of line: inlined into [`feed`], it slows the loop of a pass
-    /// that skips nothing.
+    /// Pass `entries` over the rest of the dead subtree, to after the close
+    /// that ends it or to the end of the page: `true` when the close was
+    /// on the page. Out of line, and by value so that [`feed`]'s iterator
+    /// stays in registers: inlined, it slows the loop of a pass that skips
+    /// nothing.
     #[inline(never)]
-    fn pass(&mut self, page: &DecodedPage, from: usize) -> Option<usize> {
-        let end = page.close_from(from, &mut self.open);
-        self.entries += (end.unwrap_or(page.len()) - from) as u64;
-        end
+    fn pass<'a>(&mut self, mut entries: Entries<'a>) -> (Entries<'a>, bool) {
+        let from = entries.index();
+        let closed = entries.pass(&mut self.open);
+        self.entries += (entries.index() - from) as u64;
+        (entries, closed)
     }
 }
 
 /// Feed entries `from..` of one page to the matcher, stopping after the
 /// close that leaves `floor` nodes open (the scan route passes 0: never).
 /// Returns the index after that close. The subtree of a dead node is
-/// passed over with a depth count over the page's codes; a dead start of
-/// the index route ends its sub-scan at its own close.
+/// passed over by an excess search over the page's parenthesis bytes; a
+/// dead start of the index route ends its sub-scan at its own close.
 #[inline]
 fn feed<Src: ScanSource<Payload = NodeAddr>>(
     m: &mut ScanMatcher<Src>,
     tests: &[NodeTests<Src::Set>],
-    wp: &WalkPage,
+    wp: &WalkPage<'_>,
     from: usize,
     floor: usize,
     skip: &mut Skip,
 ) -> CoreResult<Option<usize>> {
-    let page = &*wp.page;
-    let mut from = from;
+    let mut entries = wp.page.entries_from(from);
     let untested = NodeTests::default();
     // One run of live entries after each dead subtree passed over.
     'runs: loop {
         if skip.open > 0 {
-            let Some(end) = skip.pass(page, from) else {
+            let closed;
+            (entries, closed) = skip.pass(entries);
+            if !closed {
+                return Ok(None);
+            }
+            if m.depth() == floor {
+                return Ok(Some(entries.index()));
+            }
+        }
+        loop {
+            let i = entries.index();
+            let Some(entry) = entries.next() else {
                 return Ok(None);
             };
-            if m.depth() == floor {
-                return Ok(Some(end));
-            }
-            from = end;
-        }
-        let mut entries = (from..).zip(page.entries_from(from));
-        while let Some((i, entry)) = entries.next() {
             match entry {
                 Entry::Open(tag) => {
                     let tests = tests.get(tag.0 as usize).unwrap_or(&untested);
@@ -184,7 +189,7 @@ fn feed<Src: ScanSource<Payload = NodeAddr>>(
                     };
                     if !m.open(tests, wp.lin(i), addr)? {
                         // A dead leaf: its close is all there is to pass.
-                        if matches!(page.get(i + 1), Some(Entry::Close)) {
+                        if entries.at_close() {
                             entries.next();
                             skip.entries += 2;
                             if m.depth() == floor {
@@ -194,7 +199,6 @@ fn feed<Src: ScanSource<Payload = NodeAddr>>(
                         }
                         skip.open = 1;
                         skip.entries += 1;
-                        from = i + 1;
                         continue 'runs;
                     }
                 }
@@ -206,7 +210,6 @@ fn feed<Src: ScanSource<Payload = NodeAddr>>(
                 }
             }
         }
-        return Ok(None);
     }
 }
 
@@ -658,8 +661,8 @@ impl<S: Storage> XmlDb<S> {
         Ok((ScanMatcher::new(pat, src), tests))
     }
 
-    /// The scan route: one forward pass over the page chain, one decoded
-    /// page held at a time, its entry slice iterated in place. With
+    /// The scan route: one forward pass over the page chain, one page held
+    /// at a time, its entries read in place. With
     /// `release`, the hits released by each page go there after it.
     #[allow(clippy::too_many_arguments)]
     fn scan_fragment<B: NodeSet, K: MatchSink + ?Sized>(
@@ -741,7 +744,6 @@ impl<S: Storage> XmlDb<S> {
         };
         let mut memo = SpineMemo::default();
         let mut walk = PageWalk::new(&self.store);
-        let mut held: Option<WalkPage> = None;
         let mut last: Option<Dewey> = None;
         let mut skip = Skip::default();
         let io = self.store.pool().stats();
@@ -760,24 +762,22 @@ impl<S: Storage> XmlDb<S> {
             {
                 continue;
             }
-            let mut wp = match held.take() {
-                Some(wp) if wp.id == start.addr.page => wp,
-                _ => {
-                    walk.seek(self.store.rank(start.addr.page)?);
-                    walk.next_page()?.ok_or_else(|| {
-                        CoreError::Corrupt(format!("start {} past the page chain", start.addr))
-                    })?
-                }
-            };
+            // The walk still holds the page when the last start was on it.
+            if walk.current().is_none_or(|wp| wp.id != start.addr.page) {
+                walk.seek(self.store.rank(start.addr.page)?);
+                walk.next_page()?.ok_or_else(|| {
+                    CoreError::Corrupt(format!("start {} past the page chain", start.addr))
+                })?;
+            }
             let mut from = start.addr.entry as usize;
-            if !matches!(wp.page.get(from), Some(Entry::Open(_))) {
+            if !walk.current().is_some_and(|wp| wp.page.is_open(from)) {
                 return Err(CoreError::Corrupt(format!(
                     "start {} is not an open entry",
                     start.addr
                 )));
             }
             m.prime(start.dewey.components())?;
-            loop {
+            while let Some(wp) = walk.current() {
                 let stop = feed(&mut m, &tests, &wp, from, 1, &mut skip)?;
                 let n = (stop.unwrap_or(wp.page.len()) - from) as u64;
                 io.add_entries_examined(n);
@@ -788,12 +788,11 @@ impl<S: Storage> XmlDb<S> {
                 if stop.is_some() {
                     break;
                 }
-                wp = walk.next_page()?.ok_or_else(|| {
+                walk.next_page()?.ok_or_else(|| {
                     CoreError::Corrupt(format!("no matching close for node at {}", start.addr))
                 })?;
                 from = 0;
             }
-            held = Some(wp);
             last = Some(start.dewey);
         }
         m.finish()?;

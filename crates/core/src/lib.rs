@@ -10,8 +10,8 @@
 //! * [`sigma`] — the tag alphabet Σ; [`dewey`] — Dewey IDs.
 //! * [`page`] / [`store`] — the succinct string representation over chained
 //!   pages with `(st, lo, hi)` headers (paper §4.2): one page format,
-//!   bit-packed balanced parentheses plus varint tag codes.
-//! * [`succinct`] — the LEB128 varints of a page's tag codes.
+//!   bit-packed balanced parentheses plus fixed-width tag codes, read in
+//!   place.
 //! * [`cursor`] — `FIRST-CHILD` / `FOLLOWING-SIBLING` and derived primitives
 //!   (paper §5, Algorithm 2): pages skipped by the header directory's
 //!   `(st, lo, hi)` test, a depth count inside each page read.
@@ -70,7 +70,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod store;
 pub mod stream;
-pub mod succinct;
 pub mod synopsis;
 pub mod update;
 pub mod values;

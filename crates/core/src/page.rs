@@ -2,10 +2,10 @@
 //! parenthesised string representation of the subject tree, bit-packed.
 //!
 //! ```text
-//! +----+----+----+----------+--------+---------+-------------+----------------+-------+
-//! | st | lo | hi | nextpage | nbytes | n (u16) | parens bits | LEB128 tag     | slack |
-//! | u16| u16| u16| u32      | u16    |         | ceil(n/8) B | codes (opens)  |       |
-//! +----+----+----+----------+--------+---------+-------------+----------------+-------+
+//! +----+----+----+----------+--------+---------+-------------+---------------+-------+
+//! | st | lo | hi | nextpage | nbytes | n (u16) | parens bits | tag codes,    | slack |
+//! | u16| u16| u16| u32      | u16    |         | ceil(n/8) B | w B per open  |       |
+//! +----+----+----+----------+--------+---------+-------------+---------------+-------+
 //! ```
 //!
 //! * `st` — level of the last entry of the *previous* page (0 for the first
@@ -20,30 +20,39 @@
 //!
 //! The content is the page's `n` entries as balanced parentheses, 1 bit per
 //! entry: bit `i` is bit `i % 8` of byte `i / 8` (LSB-first), `1` = an
-//! **open** entry (a character of Σ), `0` = a **close** (`)`). The opens'
-//! tag codes follow in order as LEB128 varints (15-bit codes, so at most
-//! three bytes, one for the first 128 tags). Padding bits of the last
-//! parenthesis byte are zero. A node costs 2 bits plus its tag code —
-//! about 1.3 bytes against the 3 bytes (`S = 2`, `P = 1`) of the paper's
-//! byte-per-character accounting, which [`capacity`] still reproduces.
+//! **open** entry (a character of Σ), `0` = a **close** (`)`). Padding bits
+//! of the last parenthesis byte are zero. The opens' tag codes follow in
+//! order, each `w` bytes wide (little-endian): `w = 1` when the page's
+//! largest code is below 256, else 2. The width is not stored: the tag area
+//! is `nbytes - 2 - ceil(n/8)` bytes and holds one code per set parenthesis
+//! bit, so `w` is the area over the popcount. A node costs 2 bits plus its
+//! code — about 1.3 bytes against the 3 bytes (`S = 2`, `P = 1`) of the
+//! paper's byte-per-character accounting, which [`capacity`] still
+//! reproduces.
 //!
 //! Levels follow the paper's convention: scanning left to right starting
 //! from `st`, an open entry's level is `prev + 1` and a close entry's level
 //! is `prev - 1` (so the `)` of a node at depth `l` carries level `l-1`).
 //!
+//! Queries read a page where it lies ([`Page`]): entry `i` is a bit test,
+//! its tag sits at `w · rank1(i)` in the tag area, its level is `st` plus
+//! twice the opens minus the entries up to it, and the end of a subtree is
+//! an excess search over the parenthesis bytes ([`Page::close_from`]).
+//! Nothing is decoded.
+//!
 //! This module is the only place that knows the encoding. The database
 //! superblock records it, together with the index entry layout of
 //! [`crate::physical`] and [`crate::dewey`], as [`FORMAT_BYTE`]; a
 //! directory naming any other format (0 was a byte-per-entry page
-//! encoding, 1 fixed-width index entries, neither read or written any
-//! more) is refused at open with [`crate::error::SuperblockError`].
+//! encoding, 1 fixed-width index entries, 2 LEB128 tag codes; none is read
+//! or written any more) is refused at open with
+//! [`crate::error::SuperblockError`].
 
 use crate::sigma::TagCode;
-use crate::succinct::{read_varint, varint_len, write_varint};
 
 /// The byte the database superblock stores for this page format and the
 /// variable-length index entries.
-pub const FORMAT_BYTE: u8 = 2;
+pub const FORMAT_BYTE: u8 = 3;
 
 /// The structure page format, as a type with exactly one value. It selects
 /// nothing: it exists so [`crate::store::BuildOptions::backend`], which
@@ -71,6 +80,9 @@ pub const NO_PAGE: u32 = u32::MAX;
 /// Navigation never consults an empty page's levels: every path checks
 /// `entries == 0` first.
 pub const EMPTY_PAGE_ST: u16 = u16::MAX;
+
+/// Tag codes are 15-bit: the dictionary's code space.
+pub const TAG_CODE_LIMIT: u32 = 1 << 15;
 
 /// One entry of the string representation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,15 +143,28 @@ pub fn write_header(buf: &mut [u8], h: &PageHeader) {
     put_u16(buf, OFF_NBYTES, h.nbytes);
 }
 
+/// Bytes per tag code on a page whose largest code is `max_code`.
+#[inline]
+pub fn tag_width(max_code: u16) -> usize {
+    if max_code < 256 {
+        1
+    } else {
+        2
+    }
+}
+
 /// Incremental content-size accounting, so the builder and the update
 /// splicer can pick page break points without encoding speculatively: the
-/// content length is a pure function of `(entries, total varint bytes)`.
+/// content length is a pure function of the entries, the opens and the
+/// largest code (which fixes the tag width).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ContentAcc {
     /// Total entries.
     pub entries: usize,
-    /// Total LEB128 bytes of the open entries' tag codes.
-    pub tag_bytes: usize,
+    /// Of those, the opens.
+    pub opens: usize,
+    /// The largest tag code among the opens.
+    pub max_code: u16,
 }
 
 impl ContentAcc {
@@ -153,7 +178,8 @@ impl ContentAcc {
     pub fn add(&mut self, e: Entry) {
         self.entries += 1;
         if let Entry::Open(TagCode(code)) = e {
-            self.tag_bytes += varint_len(code);
+            self.opens += 1;
+            self.max_code = self.max_code.max(code);
         }
     }
 
@@ -172,7 +198,7 @@ impl ContentAcc {
         if self.entries == 0 {
             0
         } else {
-            2 + self.entries.div_ceil(8) + self.tag_bytes
+            2 + self.entries.div_ceil(8) + self.opens * tag_width(self.max_code)
         }
     }
 
@@ -191,8 +217,9 @@ pub fn encode_content(entries: &[Entry]) -> Vec<u8> {
         return Vec::new();
     }
     debug_assert!(entries.len() <= u16::MAX as usize);
+    let acc = ContentAcc::over(entries);
     let n = entries.len();
-    let mut out = Vec::with_capacity(2 + n.div_ceil(8));
+    let mut out = Vec::with_capacity(acc.bytes());
     out.extend_from_slice(&(n as u16).to_le_bytes());
     out.resize(2 + n.div_ceil(8), 0);
     for (i, e) in entries.iter().enumerate() {
@@ -200,85 +227,35 @@ pub fn encode_content(entries: &[Entry]) -> Vec<u8> {
             out[2 + i / 8] |= 1 << (i % 8);
         }
     }
+    let wide = tag_width(acc.max_code) == 2;
     for &e in entries {
         if let Entry::Open(TagCode(code)) = e {
-            debug_assert!(code < 1 << 15);
-            write_varint(&mut out, code);
+            debug_assert!(u32::from(code) < TAG_CODE_LIMIT);
+            if wide {
+                out.extend_from_slice(&code.to_le_bytes());
+            } else {
+                out.push(code as u8);
+            }
         }
     }
     out
 }
 
-/// A structural page decoded into its entry array — the paper's `A[p]`
-/// from Algorithm 2's `READ-PAGE`. Entries are held in two bytes each (a
-/// 15-bit tag code, or [`CLOSE_CODE`]). The paper's level array `L[p]` is
-/// not stored: a walk in order steps the level by ±1 per entry from `st`
-/// ([`DecodedPage::levels`]).
-#[derive(Debug, Clone)]
-pub struct DecodedPage {
-    /// Parsed header.
-    pub header: PageHeader,
-    /// Entries in order: the tag code of an open, [`CLOSE_CODE`] for a
-    /// close.
-    codes: Vec<u16>,
-}
-
-/// Decode a raw page (header + content). `None` on any malformed or
-/// non-canonical input: a buffer shorter than the header, an `nbytes` count
-/// overrunning the page, a zero count word, a truncated parenthesis vector
-/// or tag stream, a tag code past 15 bits, content bytes the tag stream does
-/// not cover, nonzero padding bits, or a level dropping below zero.
-pub fn decode_page(buf: &[u8]) -> Option<DecodedPage> {
-    let header = read_header(buf)?;
-    let content = buf.get(HEADER_SIZE..HEADER_SIZE + header.nbytes as usize)?;
-    let mut codes = Vec::new();
-    if !content.is_empty() {
-        let n = u16::from_le_bytes([*content.first()?, *content.get(1)?]) as usize;
-        if n == 0 {
-            return None; // a zero count must be encoded as nbytes == 0
-        }
-        let paren_bytes = content.get(2..2 + n.div_ceil(8))?;
-        codes.reserve(n);
-        let mut level = header.st as i32;
-        let mut tag_pos = 2 + paren_bytes.len();
-        for i in 0..n {
-            if (paren_bytes[i / 8] >> (i % 8)) & 1 == 1 {
-                let (code, width) = read_varint(content, tag_pos)?;
-                if code >= 1 << 15 {
-                    return None; // the dictionary's tag-code space is 15 bits
-                }
-                tag_pos += width;
-                level += 1;
-                codes.push(code);
-            } else {
-                level -= 1;
-                codes.push(CLOSE_CODE);
-            }
-            if level < 0 {
-                return None; // malformed: more closes than opens ever seen
-            }
-        }
-        if tag_pos != content.len() {
-            return None; // tag stream must cover nbytes exactly
-        }
-        // Padding bits of the last parenthesis byte must be zero.
-        let pad = paren_bytes.len() * 8 - n;
-        if pad > 0 && paren_bytes[paren_bytes.len() - 1] >> (8 - pad) != 0 {
-            return None;
-        }
+/// Set bits in `bytes`, eight at a time.
+fn popcount(bytes: &[u8]) -> usize {
+    let mut words = bytes.chunks_exact(8);
+    let mut n = 0u32;
+    for w in &mut words {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(w);
+        n += u64::from_le_bytes(word).count_ones();
     }
-    Some(DecodedPage { header, codes })
-}
-
-/// What [`check_page`] learns of a raw page without decoding it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PageCheck {
-    /// Parsed header.
-    pub header: PageHeader,
-    /// Entries on the page ([`DecodedPage::len`]).
-    pub entries: usize,
-    /// Of those, the opens: the nodes the page starts.
-    pub opens: u64,
+    n += words
+        .remainder()
+        .iter()
+        .map(|b| b.count_ones())
+        .sum::<u32>();
+    n as usize
 }
 
 /// Per parenthesis byte (LSB first, 1 = open): its net level change, and
@@ -301,152 +278,175 @@ const BYTE_EXCESS: [(i8, i8); 256] = {
     table
 };
 
-/// Refuse exactly what [`decode_page`] refuses, and count the opens by
-/// popcount, materialising nothing: what opening a store needs of every
-/// page.
-pub fn check_page(buf: &[u8]) -> Option<PageCheck> {
-    let header = read_header(buf)?;
-    let content = buf.get(HEADER_SIZE..HEADER_SIZE + header.nbytes as usize)?;
-    if content.is_empty() {
-        return Some(PageCheck {
-            header,
-            entries: 0,
-            opens: 0,
-        });
+/// A structural page read in place: its header, and its parenthesis bits
+/// and tag codes as slices of the page image. Nothing is copied or decoded.
+#[derive(Debug, Clone, Copy)]
+pub struct Page<'a> {
+    /// Parsed header.
+    pub header: PageHeader,
+    /// Entries on the page.
+    n: usize,
+    /// `ceil(n/8)` parenthesis bytes.
+    parens: &'a [u8],
+    /// One code per open, [`Page::wide`] deciding 1 or 2 bytes each.
+    tags: &'a [u8],
+    wide: bool,
+}
+
+impl<'a> Page<'a> {
+    /// Read a page image (header + content). `None` on a malformed one: a
+    /// buffer shorter than the header, an `nbytes` count overrunning the
+    /// page, a zero count word, a truncated parenthesis vector, nonzero
+    /// padding bits, or a tag area that is not one or two bytes per open.
+    /// Every accessor is panic-free on what this accepts; what else a
+    /// stored page must satisfy, [`check_page`] checks.
+    pub fn new(buf: &'a [u8]) -> Option<Self> {
+        Self::read(buf, popcount)
     }
-    let n = u16::from_le_bytes([*content.first()?, *content.get(1)?]) as usize;
-    if n == 0 {
-        return None; // a zero count must be encoded as nbytes == 0
+
+    /// [`Page::new`] for a page whose opens were counted before (the
+    /// store's directory keeps the count): the tag area is held against
+    /// `opens` instead of a popcount of the bits. Accessors stay
+    /// panic-free when the count is wrong.
+    pub fn counted(buf: &'a [u8], opens: u32) -> Option<Self> {
+        Self::read(buf, |_| opens as usize)
     }
-    let paren_bytes = content.get(2..2 + n.div_ceil(8))?;
-    let (full, tail) = paren_bytes.split_at(n / 8);
-    let mut level = header.st as i32;
-    for &b in full {
-        let (net, low) = BYTE_EXCESS[b as usize];
-        if level + i32::from(low) < 0 {
-            return None; // more closes than opens ever seen
+
+    fn read(buf: &'a [u8], opens: impl FnOnce(&[u8]) -> usize) -> Option<Self> {
+        let header = read_header(buf)?;
+        let content = buf.get(HEADER_SIZE..HEADER_SIZE + usize::from(header.nbytes))?;
+        let Some((count, rest)) = content.split_first_chunk::<2>() else {
+            return content.is_empty().then_some(Page {
+                header,
+                n: 0,
+                parens: &[],
+                tags: &[],
+                wide: false,
+            });
+        };
+        let n = usize::from(u16::from_le_bytes(*count));
+        if n == 0 {
+            return None; // a zero count must be encoded as nbytes == 0
         }
-        level += i32::from(net);
-    }
-    if let Some(&last) = tail.first() {
-        let valid = n % 8;
-        if last >> valid != 0 {
+        let parens = rest.get(..n.div_ceil(8))?;
+        if n % 8 != 0 && parens[parens.len() - 1] >> (n % 8) != 0 {
             return None; // padding bits must be zero
         }
-        for i in 0..valid {
-            level += if (last >> i) & 1 == 1 { 1 } else { -1 };
-            if level < 0 {
-                return None;
-            }
-        }
+        let tags = &rest[parens.len()..];
+        let opens = opens(parens);
+        let wide = match tags.len() {
+            len if len == opens => false,
+            len if len == 2 * opens => true,
+            _ => return None, // not one code per open
+        };
+        Some(Page {
+            header,
+            n,
+            parens,
+            tags,
+            wide,
+        })
     }
-    let opens: u64 = paren_bytes.iter().map(|b| u64::from(b.count_ones())).sum();
-    let mut tag_pos = 2 + paren_bytes.len();
-    for _ in 0..opens {
-        let (code, width) = read_varint(content, tag_pos)?;
-        if code >= 1 << 15 {
-            return None; // the dictionary's tag-code space is 15 bits
-        }
-        tag_pos += width;
-    }
-    if tag_pos != content.len() {
-        return None; // tag stream must cover nbytes exactly
-    }
-    Some(PageCheck {
-        header,
-        entries: n,
-        opens,
-    })
-}
 
-/// How a decoded page holds a close entry (tag codes use 15 bits).
-pub const CLOSE_CODE: u16 = u16::MAX;
-
-#[inline]
-fn unpack(code: u16) -> Entry {
-    if code == CLOSE_CODE {
-        Entry::Close
-    } else {
-        Entry::Open(TagCode(code))
-    }
-}
-
-impl DecodedPage {
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.codes.len()
+        self.n
     }
 
     /// True when the page holds no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
+        self.n == 0
     }
 
-    /// Entry `i`; panics past the end, like a slice index.
+    /// Number of open entries: the nodes the page starts.
     #[inline]
-    pub fn entry(&self, i: usize) -> Entry {
-        unpack(self.codes[i])
+    pub fn opens(&self) -> usize {
+        self.tags.len() >> usize::from(self.wide)
+    }
+
+    /// Bytes per tag code (1 or 2).
+    #[inline]
+    pub fn tag_width(&self) -> usize {
+        1 + usize::from(self.wide)
+    }
+
+    /// Is entry `i` an open? `false` past the end.
+    #[inline]
+    pub fn is_open(&self, i: usize) -> bool {
+        i < self.n && (self.parens[i / 8] >> (i % 8)) & 1 == 1
+    }
+
+    /// The opens among entries `0..i`.
+    #[inline]
+    fn rank(&self, i: usize) -> usize {
+        let i = i.min(self.n);
+        let mut r = popcount(&self.parens[..i / 8]);
+        if !i.is_multiple_of(8) {
+            r += (self.parens[i / 8] & ((1u8 << (i % 8)) - 1)).count_ones() as usize;
+        }
+        r
+    }
+
+    /// The tag code of the `k`-th open (0 past the tag area, which only a
+    /// wrong count of opens can reach).
+    #[inline]
+    fn code(&self, k: usize) -> TagCode {
+        TagCode(if self.wide {
+            self.tags
+                .get(2 * k..2 * k + 2)
+                .map_or(0, |c| u16::from_le_bytes([c[0], c[1]]))
+        } else {
+            self.tags.get(k).map_or(0, |&c| u16::from(c))
+        })
     }
 
     /// Entry `i`, or `None` past the end.
     #[inline]
     pub fn get(&self, i: usize) -> Option<Entry> {
-        self.codes.get(i).copied().map(unpack)
+        if i >= self.n {
+            None
+        } else if self.is_open(i) {
+            Some(Entry::Open(self.code(self.rank(i))))
+        } else {
+            Some(Entry::Close)
+        }
     }
 
     /// The entries in order.
     #[inline]
-    pub fn entries(&self) -> impl ExactSizeIterator<Item = Entry> + '_ {
+    pub fn entries(&self) -> Entries<'a> {
         self.entries_from(0)
     }
 
     /// The entries from index `from` on (none when `from` is past the end).
     #[inline]
-    pub fn entries_from(&self, from: usize) -> impl ExactSizeIterator<Item = Entry> + '_ {
-        self.codes[from.min(self.codes.len())..]
-            .iter()
-            .map(|&c| unpack(c))
+    pub fn entries_from(&self, from: usize) -> Entries<'a> {
+        let i = from.min(self.n);
+        self.resume(Pos { i, k: self.rank(i) })
     }
 
-    /// Pass over entries `from..` until `open` more nodes have closed than
-    /// opened — the end of a subtree entered `open` levels deep — and
-    /// return the index after that close; `None` at the end of the page,
-    /// with `open` left at the levels still to close. `open` must be
-    /// positive.
+    /// The entries from a position an [`Entries`] reached over this page.
     #[inline]
-    pub(crate) fn close_from(&self, from: usize, open: &mut u32) -> Option<usize> {
-        let mut depth = *open;
-        for (i, &code) in (from..).zip(&self.codes[from.min(self.codes.len())..]) {
-            if code == CLOSE_CODE {
-                depth -= 1;
-                if depth == 0 {
-                    *open = 0;
-                    return Some(i + 1);
-                }
-            } else {
-                depth += 1;
-            }
+    pub fn resume(&self, pos: Pos) -> Entries<'a> {
+        Entries {
+            page: *self,
+            i: pos.i,
+            k: pos.k,
         }
-        *open = depth;
-        None
     }
 
     /// Level of entry `i` (paper's convention; see module docs): `st` plus
-    /// the opens minus the closes of entries `0..=i`, counted. The count is
-    /// kept in `u16` lanes, which vectorise; a page holds at most
-    /// `u16::MAX` entries, so it cannot overflow.
+    /// the opens minus the closes of entries `0..=i`.
     pub fn level(&self, i: usize) -> u16 {
-        let closes = self.codes[..=i]
-            .iter()
-            .fold(0u16, |n, &c| n + u16::from(c == CLOSE_CODE));
-        (usize::from(self.header.st) + i + 1 - 2 * usize::from(closes)) as u16
+        let upto = (i + 1).min(self.n);
+        (i64::from(self.header.st) + 2 * self.rank(upto) as i64 - upto as i64) as u16
     }
 
     /// The level of every entry, in order: `st` stepped by +1 at each open
     /// and -1 at each close.
-    pub fn levels(&self) -> impl Iterator<Item = u16> + '_ {
+    pub fn levels(&self) -> impl Iterator<Item = u16> + 'a {
         self.entries().scan(self.header.st, |level, e| {
             *level = if e.is_open() {
                 level.wrapping_add(1)
@@ -461,7 +461,7 @@ impl DecodedPage {
     /// empty.
     #[inline]
     pub fn end_level(&self) -> u16 {
-        match self.len() {
+        match self.n {
             0 => self.header.st,
             n => self.level(n - 1),
         }
@@ -473,6 +473,167 @@ impl DecodedPage {
         self.levels()
             .fold((u16::MAX, 0), |(lo, hi), l| (lo.min(l), hi.max(l)))
     }
+
+    /// The largest tag code on the page (0 when it has no open).
+    pub fn max_code(&self) -> u16 {
+        if self.wide {
+            self.tags
+                .chunks_exact(2)
+                .map(|c| u16::from_le_bytes([c[0], c[1]]))
+                .max()
+                .unwrap_or(0)
+        } else {
+            self.tags.iter().copied().max().map_or(0, u16::from)
+        }
+    }
+
+    /// Pass over entries `from..` until `open` more nodes have closed than
+    /// opened — the end of a subtree entered `open` levels deep — and
+    /// return the index after that close; `None` at the end of the page,
+    /// with `open` left at the levels still to close. `open` must be
+    /// positive. Whole parenthesis bytes are passed by their net excess;
+    /// only the byte where the depth can reach zero is read bit by bit.
+    pub fn close_from(&self, from: usize, open: &mut u32) -> Option<usize> {
+        let (n, mut i) = (self.n, from.min(self.n));
+        let mut depth = i64::from(*open);
+        while i < n && depth > 0 {
+            if i.is_multiple_of(8) && i + 8 <= n {
+                // A whole byte the depth does not reach zero in.
+                let (net, low) = BYTE_EXCESS[usize::from(self.parens[i / 8])];
+                if depth + i64::from(low) > 0 {
+                    depth += i64::from(net);
+                    i += 8;
+                    continue;
+                }
+            }
+            depth += 2 * i64::from((self.parens[i / 8] >> (i % 8)) & 1) - 1;
+            i += 1;
+        }
+        if depth == 0 {
+            *open = 0;
+            return Some(i);
+        }
+        *open = depth as u32;
+        None
+    }
+}
+
+/// A place in a page's entries: the entry index and the opens before it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Pos {
+    i: usize,
+    k: usize,
+}
+
+/// The entries of a [`Page`] from some index on, read in place: a bit test
+/// per entry and, for an open, its code at the running open count.
+#[derive(Debug, Clone)]
+pub struct Entries<'a> {
+    page: Page<'a>,
+    /// Next entry to read.
+    i: usize,
+    /// Opens before it.
+    k: usize,
+}
+
+impl Entries<'_> {
+    /// Index of the next entry.
+    #[inline]
+    pub fn index(&self) -> usize {
+        self.i
+    }
+
+    /// Where the iterator stands, for [`Page::resume`].
+    #[inline]
+    pub fn pos(&self) -> Pos {
+        Pos {
+            i: self.i,
+            k: self.k,
+        }
+    }
+
+    /// Is the next entry a close?
+    #[inline]
+    pub fn at_close(&self) -> bool {
+        self.i < self.page.n && !self.page.is_open(self.i)
+    }
+
+    /// [`Page::close_from`] from the next entry, moving past the close (or
+    /// to the end of the page): `true` when the close was on the page.
+    pub fn pass(&mut self, open: &mut u32) -> bool {
+        let (from, before) = (self.i, i64::from(*open));
+        let end = self.page.close_from(from, open);
+        self.i = end.unwrap_or(self.page.n);
+        // Over the entries passed, opens - closes = the depth change.
+        let passed = (self.i - from) as i64;
+        self.k += ((passed + i64::from(*open) - before) / 2) as usize;
+        end.is_some()
+    }
+}
+
+impl Iterator for Entries<'_> {
+    type Item = Entry;
+
+    #[inline]
+    fn next(&mut self) -> Option<Entry> {
+        let i = self.i;
+        if i >= self.page.n {
+            return None;
+        }
+        self.i = i + 1;
+        if (self.page.parens[i / 8] >> (i % 8)) & 1 == 0 {
+            return Some(Entry::Close);
+        }
+        let k = self.k;
+        self.k = k + 1;
+        Some(Entry::Open(self.page.code(k)))
+    }
+}
+
+/// What [`check_page`] learns of a raw page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageCheck {
+    /// Parsed header.
+    pub header: PageHeader,
+    /// Entries on the page ([`Page::len`]).
+    pub entries: usize,
+    /// Of those, the opens: the nodes the page starts.
+    pub opens: u64,
+}
+
+/// Refuse a page image that is not in canonical form: what [`Page::new`]
+/// refuses, a level that drops below zero, a tag code past 15 bits, or
+/// two-byte codes on a page whose codes all fit one byte. One pass over
+/// the parenthesis bytes and one over the tag area; what opening a store
+/// needs of every page.
+pub fn check_page(buf: &[u8]) -> Option<PageCheck> {
+    let page = Page::new(buf)?;
+    let n = page.n;
+    let mut level = i32::from(page.header.st);
+    for &b in &page.parens[..n / 8] {
+        let (net, low) = BYTE_EXCESS[usize::from(b)];
+        if level + i32::from(low) < 0 {
+            return None; // more closes than opens ever seen
+        }
+        level += i32::from(net);
+    }
+    for i in n / 8 * 8..n {
+        level += if page.is_open(i) { 1 } else { -1 };
+        if level < 0 {
+            return None;
+        }
+    }
+    if page.wide {
+        let max = page.max_code();
+        if max < 256 || u32::from(max) >= TAG_CODE_LIMIT {
+            return None; // a width the codes do not need, or past 15 bits
+        }
+    }
+    Some(PageCheck {
+        header: page.header,
+        entries: n,
+        opens: page.opens() as u64,
+    })
 }
 
 /// The paper's page capacity in *nodes* (its C, with `S = 2`, `P = 1`): how
@@ -534,32 +695,52 @@ mod tests {
         .collect()
     }
 
+    /// `check_page`'s verdict, as "accepted".
+    fn checks(buf: &[u8]) -> bool {
+        check_page(buf).is_some()
+    }
+
+    fn page(buf: &[u8]) -> Page<'_> {
+        Page::new(buf).unwrap()
+    }
+
     #[test]
     fn entry_encoding_round_trip() {
-        // Tag codes of every varint width, opens and closes interleaved.
-        let entries = [
-            Entry::Open(TagCode(0)),
-            Entry::Close,
-            Entry::Open(TagCode(0x7FFF)),
-            Entry::Open(TagCode(300)),
-            Entry::Close,
-        ];
-        let content = encode_content(&entries);
-        // count word, one parenthesis byte, 1 + 3 + 2 tag bytes
-        assert_eq!(content.len(), 2 + 1 + 6);
-        assert_eq!(content[2], 0b01101);
-        let page = decode_page(&raw_page(0, &entries)).unwrap();
-        assert_eq!(page.entries().collect::<Vec<_>>(), entries);
-        assert_eq!(page.levels().collect::<Vec<_>>(), vec![1, 0, 1, 2, 1]);
+        // Codes up to 255 take one byte each; one code past it widens all.
+        for (big, code_bytes) in [
+            (255, vec![0, 255, 7]),
+            (0x7FFF, vec![0, 0, 255, 0, 0xFF, 0x7F]),
+        ] {
+            let entries = [
+                Entry::Open(TagCode(0)),
+                Entry::Close,
+                Entry::Open(TagCode(255)),
+                Entry::Open(TagCode(if big == 255 { 7 } else { big })),
+                Entry::Close,
+            ];
+            let content = encode_content(&entries);
+            assert_eq!(content[..3], [5, 0, 0b01101]);
+            let buf = raw_page(0, &entries);
+            assert!(checks(&buf));
+            let p = page(&buf);
+            assert_eq!(content[3..], code_bytes);
+            assert_eq!((p.tag_width(), p.max_code()), (code_bytes.len() / 3, big));
+            assert_eq!(p.entries().collect::<Vec<_>>(), entries);
+            assert_eq!(
+                (0..6).map(|i| p.get(i)).collect::<Vec<_>>()[..5],
+                entries.map(Some)
+            );
+            assert_eq!(p.levels().collect::<Vec<_>>(), vec![1, 0, 1, 2, 1]);
+        }
     }
 
     #[test]
     fn truncated_open_is_rejected() {
-        // One open whose two-byte tag code is cut after its first byte.
-        let good = encode_content(&[Entry::Open(TagCode(300))]);
-        assert_eq!(good.len(), 2 + 1 + 2);
-        assert!(decode_page(&raw_page_with_content(0, &good)).is_some());
-        assert!(decode_page(&raw_page_with_content(0, &good[..4])).is_none());
+        // One open whose one-byte tag code is cut.
+        let good = encode_content(&[Entry::Open(TagCode(200)), Entry::Close]);
+        assert_eq!(good.len(), 2 + 1 + 1);
+        assert!(checks(&raw_page_with_content(0, &good)));
+        assert!(!checks(&raw_page_with_content(0, &good[..3])));
     }
 
     #[test]
@@ -581,7 +762,8 @@ mod tests {
     /// (with st = 0).
     #[test]
     fn paper_level_sequence() {
-        let page = decode_page(&raw_page(0, &paper_entries())).unwrap();
+        let buf = raw_page(0, &paper_entries());
+        let page = page(&buf);
         assert_eq!(
             page.levels().collect::<Vec<_>>(),
             vec![1, 2, 3, 2, 3, 2, 3, 4, 3, 4, 3, 2],
@@ -592,28 +774,22 @@ mod tests {
         }
         assert_eq!(page.level_bounds(), (1, 4));
         assert_eq!(page.end_level(), 2);
+        assert_eq!(page.opens(), 7);
     }
 
     #[test]
     fn st_offsets_levels_on_later_pages() {
         // A page continuing one that ended at level 5.
-        let page = decode_page(&raw_page(5, &[Entry::Open(TagCode(0)), Entry::Close])).unwrap();
-        assert_eq!(page.levels().collect::<Vec<_>>(), vec![6, 5]);
+        let buf = raw_page(5, &[Entry::Open(TagCode(0)), Entry::Close]);
+        assert_eq!(page(&buf).levels().collect::<Vec<_>>(), vec![6, 5]);
     }
 
     #[test]
     fn short_buffer_header_is_rejected() {
         assert_eq!(read_header(&[0u8; 4]), None);
         assert_eq!(read_header(&[]), None);
-        assert!(decode_page(&[0u8; 4]).is_none());
-    }
-
-    #[test]
-    fn overrunning_nbytes_is_rejected() {
-        // nbytes claims more content than the buffer holds.
-        let mut buf = raw_page_with_content(0, &[0, 0]);
-        put_nbytes(&mut buf, 100);
-        assert!(decode_page(&buf).is_none());
+        assert!(Page::new(&[0u8; 4]).is_none());
+        assert!(!checks(&[0u8; 4]));
     }
 
     fn put_nbytes(buf: &mut [u8], nbytes: u16) {
@@ -622,17 +798,25 @@ mod tests {
     }
 
     #[test]
+    fn overrunning_nbytes_is_rejected() {
+        // nbytes claims more content than the buffer holds.
+        let mut buf = raw_page_with_content(0, &[0, 0]);
+        put_nbytes(&mut buf, 100);
+        assert!(Page::new(&buf).is_none());
+    }
+
+    #[test]
     fn truncated_open_entry_in_page_is_rejected() {
         // The count word and parenthesis bit announce an open, but the tag
-        // stream is absent altogether.
-        assert!(decode_page(&raw_page_with_content(0, &[1, 0, 0b1])).is_none());
+        // area is absent altogether.
+        assert!(Page::new(&raw_page_with_content(0, &[1, 0, 0b1])).is_none());
     }
 
     #[test]
     fn malformed_negative_level_rejected() {
         // A close at st=0 would drive the level to -1.
-        assert!(decode_page(&raw_page_with_content(0, &[1, 0, 0b0])).is_none());
-        assert!(decode_page(&raw_page_with_content(1, &[1, 0, 0b0])).is_some());
+        assert!(!checks(&raw_page_with_content(0, &[1, 0, 0b0])));
+        assert!(checks(&raw_page_with_content(1, &[1, 0, 0b0])));
     }
 
     /// The paper: "assume that each page is 4KB, of which 20% of the space is
@@ -651,7 +835,8 @@ mod tests {
     fn round_trip_restores_entries_levels_and_excess() {
         let entries = paper_entries();
         for st in [0u16, 5] {
-            let page = decode_page(&raw_page(st, &entries)).unwrap();
+            let buf = raw_page(st, &entries);
+            let page = page(&buf);
             assert_eq!(page.entries().collect::<Vec<_>>(), entries);
             // Excess: opens minus closes so far, the level above `st`.
             let mut excess = 0i32;
@@ -667,24 +852,47 @@ mod tests {
         }
     }
 
+    /// A page of `n` entries long enough to cross several parenthesis
+    /// bytes: nested runs of varying depth.
+    fn long_entries() -> Vec<Entry> {
+        let mut out = vec![Entry::Open(TagCode(9))];
+        for r in 0..40u16 {
+            let depth = 1 + r % 11;
+            for d in 0..depth {
+                out.push(Entry::Open(TagCode(d * 25 + r)));
+            }
+            out.extend(std::iter::repeat_n(Entry::Close, usize::from(depth)));
+        }
+        out.push(Entry::Close);
+        out
+    }
+
     #[test]
     fn close_from_finds_each_subtree_end_or_carries_its_depth() {
-        let entries = paper_entries();
-        let page = decode_page(&raw_page(0, &entries)).unwrap();
-        for (i, e) in entries.iter().enumerate() {
-            if !e.is_open() {
-                continue;
+        for entries in [paper_entries(), long_entries()] {
+            let buf = raw_page(0, &entries);
+            let page = page(&buf);
+            for (i, e) in entries.iter().enumerate() {
+                if !e.is_open() {
+                    continue;
+                }
+                let level = page.level(i);
+                let end = (i + 1..entries.len()).find(|&j| page.level(j) < level);
+                let mut open = 1;
+                assert_eq!(page.close_from(i + 1, &mut open), end.map(|j| j + 1));
+                // Unclosed at the page's end: the subtree's open nodes carry.
+                let left = match end {
+                    Some(_) => 0,
+                    None => page.end_level() + 1 - level,
+                };
+                assert_eq!(open, u32::from(left), "entry {i}");
+                // Passing the subtree keeps the iterator's open count.
+                let mut it = page.entries_from(i + 1);
+                let mut open = 1;
+                assert_eq!(it.pass(&mut open), end.is_some());
+                let rest: Vec<_> = it.collect();
+                assert_eq!(rest, entries[end.map_or(entries.len(), |j| j + 1)..]);
             }
-            let level = page.level(i);
-            let end = (i + 1..entries.len()).find(|&j| page.level(j) < level);
-            let mut open = 1;
-            assert_eq!(page.close_from(i + 1, &mut open), end.map(|j| j + 1));
-            // Unclosed at the page's end: the subtree's open nodes carry.
-            let left = match end {
-                Some(_) => 0,
-                None => page.end_level() + 1 - level,
-            };
-            assert_eq!(open, u32::from(left), "entry {i}");
         }
     }
 
@@ -696,62 +904,73 @@ mod tests {
         // 7 opens, 5 closes: 2 + 2 + 7 = 11 bytes, against 7 × 3 = 21 in
         // the paper's byte-per-character accounting.
         assert_eq!(acc.bytes(), 11);
-        // Incremental accounting agrees with bulk.
+        // Incremental accounting agrees with bulk, across the widening.
+        let mut grown = entries.clone();
+        grown.extend([Entry::Open(TagCode(300)), Entry::Close]);
         let mut inc = ContentAcc::new();
-        for (i, &e) in entries.iter().enumerate() {
+        for (i, &e) in grown.iter().enumerate() {
             assert_eq!(
                 inc.bytes_with(e),
-                encode_content(&entries[..=i]).len(),
+                encode_content(&grown[..=i]).len(),
                 "after entry {i}"
             );
             inc.add(e);
         }
-        assert_eq!(inc.bytes(), 11);
+        assert_eq!(inc.bytes(), 2 + 2 + 2 * 8);
     }
 
     #[test]
     fn succinct_empty_page_is_zero_bytes() {
         assert!(encode_content(&[]).is_empty());
         assert_eq!(ContentAcc::new().bytes(), 0);
-        let page = decode_page(&raw_page(0, &[])).unwrap();
+        let buf = raw_page(0, &[]);
+        assert!(checks(&buf));
+        let page = page(&buf);
         assert!(page.is_empty());
         assert_eq!(page.end_level(), 0);
+        assert_eq!(page.entries().count(), 0);
     }
 
     #[test]
     fn succinct_malformed_pages_rejected() {
         let entries = paper_entries();
         let good = raw_page(0, &entries);
-        // Truncated tag stream: shrink nbytes by one.
+        assert!(checks(&good));
+        // Truncated tag area: shrink nbytes by one.
         let mut bad = good.clone();
         put_nbytes(&mut bad, read_header(&good).unwrap().nbytes - 1);
-        assert!(decode_page(&bad).is_none());
-        // Content the tag stream does not cover: one trailing byte.
+        assert!(!checks(&bad));
+        // Content the tag area does not cover: one trailing byte.
         let mut bad = good.clone();
         bad.push(0);
         put_nbytes(&mut bad, read_header(&good).unwrap().nbytes + 1);
-        assert!(decode_page(&bad).is_none());
+        assert!(!checks(&bad));
         // Nonzero padding bit past the entry count.
         let mut bad = good.clone();
         bad[HEADER_SIZE + 2 + 1] |= 0x80; // bit 15 of a 12-entry page
-        assert!(decode_page(&bad).is_none());
+        assert!(!checks(&bad));
         // A leading close underflows the level at st = 0.
         let mut flipped = paper_entries();
         flipped[0] = Entry::Close;
         flipped[3] = Entry::Open(TagCode(0));
-        assert!(decode_page(&raw_page(0, &flipped)).is_none());
+        assert!(!checks(&raw_page(0, &flipped)));
         // Explicit zero count with nonzero nbytes is non-canonical.
-        assert!(decode_page(&raw_page_with_content(0, &[0, 0])).is_none());
-        // A wellformed varint outside the 15-bit tag-code space.
-        assert!(decode_page(&raw_page_with_content(0, &[2, 0, 0b01, 0xFF, 0xFF, 0x03])).is_none());
-        assert!(decode_page(&raw_page_with_content(0, &[2, 0, 0b01, 0xFF, 0xFF, 0x01])).is_some());
+        assert!(!checks(&raw_page_with_content(0, &[0, 0])));
+        // Codes 1 and 2 two bytes wide, and a two-byte code past 15 bits:
+        // readable, not canonical.
+        for content in [&[4, 0, 0b0101, 1, 0, 2, 0][..], &[2, 0, 0b01, 0x00, 0x80]] {
+            let buf = raw_page_with_content(0, content);
+            assert!(Page::new(&buf).is_some() && !checks(&buf));
+        }
+        // A tag area that is not one or two bytes per open.
+        assert!(Page::new(&raw_page_with_content(0, &[4, 0, 0b0101, 1, 2, 3])).is_none());
     }
 
     /// The superblock byte and the name `nokbench` reports are part of the
     /// on-disk and report formats: pin both.
     #[test]
     fn format_byte_and_reported_name_are_pinned() {
-        assert_eq!(FORMAT_BYTE, 2);
+        assert_eq!(FORMAT_BYTE, 3);
         assert_eq!(format!("{:?}", Succinct), "Succinct");
     }
 }

@@ -6,7 +6,7 @@
 //! consumes exactly that — `open`/`close` calls in document order — and
 //! decides one NoK fragment over every subject node it is shown, entering
 //! only the subtrees in which a pattern node can match. The same matcher
-//! serves both executor routes (events read off decoded pages by
+//! serves both executor routes (events read in place off the pages by
 //! [`crate::cursor::PageWalk`]: the whole chain on the scan route, each
 //! index-located start's subtree on the index route, see
 //! [`ScanMatcher::prime`]) and [`crate::stream::StreamMatcher`] (events

@@ -21,12 +21,11 @@ use nok_xml::Event;
 
 use crate::dewey::Dewey;
 use crate::error::{CoreError, CoreResult};
-use crate::page::{self, ContentAcc, DecodedPage, Entry, PageHeader, HEADER_SIZE, NO_PAGE};
+use crate::page::{self, ContentAcc, Entry, Page, PageHeader, HEADER_SIZE, NO_PAGE};
 use crate::sigma::{TagCode, TagDict};
 
 /// Address of an entry in the structural store: a page and an entry index
-/// within that page's decoded entry array. This is the `(p, o)` pair of the
-/// paper's Algorithm 2.
+/// within that page. This is the `(p, o)` pair of the paper's Algorithm 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeAddr {
     /// Page id.
@@ -62,6 +61,9 @@ pub struct DirEntry {
     /// Number of entries in the page (kept so empty pages can be skipped
     /// without I/O).
     pub entries: u32,
+    /// Of those, the opens: what fixes the width of the page's tag codes
+    /// (see [`page::Page::counted`]).
+    pub opens: u32,
 }
 
 #[derive(Debug, Default, Clone)]
@@ -153,23 +155,19 @@ impl BuildSink for () {
 ///
 /// A store constructed with [`StructStore::snapshot_view`] is a read-only
 /// *view* pinned to an MVCC generation: it shares the buffer pool but owns
-/// the generation's directory `Arc` and a private decode cache, and
-/// resolves every page read through the generation's before-image overlay.
+/// the generation's directory `Arc`, and resolves every page read through
+/// the generation's before-image overlay.
 pub struct StructStore<S: Storage> {
     pool: Arc<BufferPool<S>>,
     dir: RwLock<Arc<Directory>>,
-    decoded: RwLock<HashMap<PageId, Arc<DecodedPage>>>,
     node_count: AtomicU64,
     /// MVCC overlay for snapshot views; `None` on the live store.
     view: Option<SnapView>,
 }
 
-/// Decoded pages a store keeps before its decode cache clears wholesale.
-const DECODE_CACHE_LIMIT: usize = 1024;
-
-/// Recover the guard from a poisoned lock. The directory and decode cache
-/// hold plain data that is re-validated on use, so a panicking thread (only
-/// possible in tests) must not wedge every other query thread.
+/// Recover the guard from a poisoned lock. The directory holds plain data
+/// that is re-validated on use, so a panicking thread (only possible in
+/// tests) must not wedge every other query thread.
 fn rd<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(|e| e.into_inner())
 }
@@ -308,6 +306,7 @@ impl<S: Storage> StructStore<S> {
                     lo,
                     hi,
                     entries: checked.entries as u32,
+                    opens: checked.opens as u32,
                 });
                 if checked.header.next == NO_PAGE {
                     break;
@@ -328,7 +327,6 @@ impl<S: Storage> StructStore<S> {
         StructStore {
             pool,
             dir: RwLock::new(dir),
-            decoded: RwLock::new(HashMap::new()),
             node_count: AtomicU64::new(node_count),
             view,
         }
@@ -367,14 +365,13 @@ impl<S: Storage> StructStore<S> {
         Arc::clone(&self.pool)
     }
 
-    /// Rebuild the in-memory directory, node count and decode cache from
-    /// storage, exactly as [`StructStore::open`] does. Called after a
+    /// Rebuild the in-memory directory and node count from storage,
+    /// exactly as [`StructStore::open`] does. Called after a
     /// rollback discarded this store's dirty frames: the in-memory views
     /// may reflect the undone mutation.
     pub fn reload(&self) -> CoreResult<()> {
         let fresh = StructStore::open(Arc::clone(&self.pool))?;
         *wr(&self.dir) = fresh.dir.into_inner().unwrap_or_else(|e| e.into_inner());
-        wr(&self.decoded).clear();
         self.node_count
             .store(fresh.node_count.load(Ordering::Acquire), Ordering::Release);
         Ok(())
@@ -398,7 +395,7 @@ impl<S: Storage> StructStore<S> {
     /// Encoded structure bytes actually occupied on disk — the measured
     /// |tree| of Table 1: the sum of every page's `nbytes` plus its header
     /// (the paper's accounting would be `3 × node_count`). Header reads
-    /// only; contents are not decoded.
+    /// only; contents are not read.
     pub fn structure_bytes(&self) -> CoreResult<u64> {
         let dir = rd(&self.dir);
         let mut total = 0u64;
@@ -482,61 +479,50 @@ impl<S: Storage> StructStore<S> {
         Ok(lin_at(self.rank(addr.page)?, addr.entry))
     }
 
-    /// Fetch and decode a page (cached). The cache is shared across query
-    /// threads; a racing double-decode of the same page is harmless (both
-    /// results are identical, the second insert wins).
-    pub fn decoded(&self, id: PageId) -> CoreResult<Arc<DecodedPage>> {
-        if let Some(p) = rd(&self.decoded).get(&id) {
-            return Ok(Arc::clone(p));
+    /// Read page `id` in place: `read` gets the [`Page`] over its bytes. On
+    /// the live store that is the frame, under its read lock, so `read`
+    /// must take no other lock and read no other page; on a snapshot view,
+    /// the generation's image of the page from the calling thread's first
+    /// tier (`nok_pager::local_cache`). A pass that calls out per entry
+    /// holds the page's image instead ([`StructStore::page_image`]).
+    pub fn with_page<R>(&self, id: PageId, read: impl FnOnce(Page<'_>) -> R) -> CoreResult<R> {
+        let (_, de) = self.dir_of(id)?;
+        let read = |bytes: &[u8]| Page::counted(bytes, de.opens).map(read);
+        match &self.view {
+            Some(view) => read(&resolve_page_cached(&self.pool, view, id)?),
+            None => read(&self.pool.get(id)?.read()),
         }
-        let page = match &self.view {
-            // Snapshot view: resolve through the generation's overlay (the
-            // private decode cache above makes the copy a one-time cost).
-            Some(view) => {
-                let bytes = resolve_page_cached(&self.pool, view, id)?;
-                page::decode_page(&bytes)
-            }
-            None => page::decode_page(&self.pool.get(id)?.read()),
-        }
-        .ok_or_else(|| CoreError::Corrupt(format!("bad structural page {id}")))?;
-        let arc = Arc::new(page);
-        let mut cache = wr(&self.decoded);
-        if cache.len() >= DECODE_CACHE_LIMIT {
-            cache.clear();
-        }
-        cache.insert(id, Arc::clone(&arc));
-        Ok(arc)
+        .ok_or_else(|| CoreError::Corrupt(format!("bad structural page {id}")))
     }
 
-    /// Drop cached decodes (all pages, or one).
-    pub fn invalidate_decoded(&self, id: Option<PageId>) {
-        match id {
-            Some(id) => {
-                wr(&self.decoded).remove(&id);
-            }
-            None => wr(&self.decoded).clear(),
-        }
+    /// The image of page `id`, to read with [`Page::counted`] while other
+    /// locks are taken: a snapshot view's image itself, or a copy of the
+    /// live store's frame.
+    pub fn page_image(&self, id: PageId) -> CoreResult<Arc<[u8]>> {
+        Ok(match &self.view {
+            Some(view) => resolve_page_cached(&self.pool, view, id)?,
+            None => Arc::from(&self.pool.get(id)?.read()[..]),
+        })
     }
 
     /// The entry and its level at `addr`; the level is counted over the
     /// page's entries up to `addr`.
     pub fn entry_at(&self, addr: NodeAddr) -> CoreResult<(Entry, u16)> {
-        let page = self.decoded(addr.page)?;
         let i = addr.entry as usize;
-        match page.get(i) {
-            Some(e) => Ok((e, page.level(i))),
-            None => Err(CoreError::Corrupt(format!(
-                "entry index {} out of range in page {}",
-                addr.entry, addr.page
-            ))),
-        }
+        self.with_page(addr.page, |page| page.get(i).map(|e| (e, page.level(i))))?
+            .ok_or_else(|| {
+                CoreError::Corrupt(format!(
+                    "entry index {} out of range in page {}",
+                    addr.entry, addr.page
+                ))
+            })
     }
 
     /// Tag code at `addr` (must be an open entry). Reads the entry's code
     /// only, no level.
     #[inline]
     pub fn tag_at(&self, addr: NodeAddr) -> CoreResult<TagCode> {
-        match self.decoded(addr.page)?.get(addr.entry as usize) {
+        match self.with_page(addr.page, |page| page.get(addr.entry as usize))? {
             Some(Entry::Open(t)) => Ok(t),
             _ => Err(CoreError::Corrupt(format!("expected open entry at {addr}"))),
         }
@@ -695,6 +681,7 @@ impl<S: Storage> Builder<'_, S> {
             lo,
             hi: self.cur.hi,
             entries: n_entries,
+            opens: self.cur.acc.opens as u32,
         });
         Ok(())
     }
@@ -740,19 +727,22 @@ mod tests {
         assert_eq!(store.tag_at(root).unwrap(), dict.lookup("a").unwrap());
         assert_eq!(store.entry_at(root).unwrap().1, 1);
         // Entries: a b ) c ) ) -> 6 entries.
-        let page = store.decoded(root.page).unwrap();
-        assert_eq!(page.len(), 6);
-        assert_eq!(page.levels().collect::<Vec<_>>(), vec![1, 2, 1, 2, 1, 0]);
+        let levels = store
+            .with_page(root.page, |page| page.levels().collect::<Vec<_>>())
+            .unwrap();
+        assert_eq!(levels, vec![1, 2, 1, 2, 1, 0]);
     }
 
     #[test]
     fn attributes_become_leading_children() {
         let (store, dict) = mem_store(r#"<a x="1"><b/></a>"#, 4096);
         assert_eq!(store.node_count(), 3); // a, @x, b
-        let page = store.decoded(0).unwrap();
-        // a @x ) b ) )
-        assert_eq!(page.entry(1), Entry::Open(dict.lookup("@x").unwrap()));
-        assert_eq!(page.levels().collect::<Vec<_>>(), vec![1, 2, 1, 2, 1, 0]);
+                                           // a @x ) b ) )
+        let (second, levels) = store
+            .with_page(0, |page| (page.get(1), page.levels().collect::<Vec<_>>()))
+            .unwrap();
+        assert_eq!(second, Some(Entry::Open(dict.lookup("@x").unwrap())));
+        assert_eq!(levels, vec![1, 2, 1, 2, 1, 0]);
     }
 
     #[test]
@@ -770,14 +760,17 @@ mod tests {
         let mut prev_end: u16 = 0;
         for r in 0..store.chain_len() {
             let de = store.dir_at(r).unwrap();
-            let page = store.decoded(de.id).unwrap();
-            assert_eq!(page.header.st, prev_end, "st mismatch at rank {r}");
-            assert_eq!(
-                (page.header.lo, page.header.hi),
-                page.level_bounds(),
-                "lo/hi mismatch at rank {r}"
-            );
-            prev_end = page.end_level();
+            store
+                .with_page(de.id, |page| {
+                    assert_eq!(page.header.st, prev_end, "st mismatch at rank {r}");
+                    assert_eq!(
+                        (page.header.lo, page.header.hi),
+                        page.level_bounds(),
+                        "lo/hi mismatch at rank {r}"
+                    );
+                    prev_end = page.end_level();
+                })
+                .unwrap();
         }
         assert_eq!(prev_end, 0, "document must close back to level 0");
     }
@@ -891,8 +884,8 @@ mod tests {
         let mut lins = Vec::new();
         for r in 0..store.chain_len() {
             let de = store.dir_at(r).unwrap();
-            let page = store.decoded(de.id).unwrap();
-            for (i, e) in page.entries().enumerate() {
+            let entries: Vec<Entry> = store.with_page(de.id, |p| p.entries().collect()).unwrap();
+            for (i, e) in entries.into_iter().enumerate() {
                 if e.is_open() {
                     lins.push(
                         store
@@ -938,8 +931,9 @@ mod tests {
         let mut out = Vec::new();
         for r in 0..store.chain_len() {
             let de = store.dir_at(r).unwrap();
-            let page = store.decoded(de.id).unwrap();
-            out.extend(page.entries().zip(page.levels()));
+            store
+                .with_page(de.id, |page| out.extend(page.entries().zip(page.levels())))
+                .unwrap();
         }
         out
     }
@@ -1000,10 +994,13 @@ mod tests {
             let mut prev_end = 0u16;
             for r in 0..store.chain_len() {
                 let de = store.dir_at(r).unwrap();
-                let page = store.decoded(de.id).unwrap();
-                assert_eq!(page.header.st, prev_end);
-                assert_eq!((page.header.lo, page.header.hi), page.level_bounds());
-                prev_end = page.end_level();
+                store
+                    .with_page(de.id, |page| {
+                        assert_eq!(page.header.st, prev_end);
+                        assert_eq!((page.header.lo, page.header.hi), page.level_bounds());
+                        prev_end = page.end_level();
+                    })
+                    .unwrap();
             }
         }
     }
@@ -1033,7 +1030,7 @@ mod tests {
 
     #[test]
     fn succinct_store_reopens_with_matching_backend() {
-        // Reopening decodes every page again: same chain, same entries.
+        // Reopening checks every page again: same chain, same entries.
         let mut xml = String::from("<r>");
         for _ in 0..50 {
             xml.push_str("<x><y/></x>");

@@ -186,12 +186,11 @@ impl<S: Storage> XmlDb<S> {
         let mut chain = self.ancestor_tag_chain(parent)?;
 
         // Splice into the parent-close page at the close's entry index.
-        let decoded = self.store.decoded(close.page)?;
+        let (old_entries, header) = self.store.with_page(close.page, |page| {
+            (page.entries().collect::<Vec<Entry>>(), page.header)
+        })?;
         let ip = close.entry as usize;
-        let old_entries: Vec<Entry> = decoded.entries().collect();
-        let old_next = decoded.header.next;
-        let st = decoded.header.st;
-        drop(decoded);
+        let (old_next, st) = (header.next, header.st);
 
         // Walk the old tail (starting at the parent's close) to recover the
         // Dewey id of every shifted node: their ids are unchanged by a
@@ -317,30 +316,23 @@ impl<S: Storage> XmlDb<S> {
         let region_pages = self.pages_between(addr.page, close.page)?;
         let level_before = parent_level as u16;
         for (i, pid) in region_pages.iter().enumerate() {
-            let decoded = self.store.decoded(*pid)?;
-            let (keep_head, keep_tail): (usize, usize) = if region_pages.len() == 1 {
-                (
-                    addr.entry as usize,
-                    decoded.len() - close.entry as usize - 1,
-                )
-            } else if i == 0 {
-                (addr.entry as usize, 0)
-            } else if i + 1 == region_pages.len() {
-                (0, decoded.len() - close.entry as usize - 1)
-            } else {
-                (0, 0)
-            };
-            let mut kept: Vec<Entry> = Vec::with_capacity(keep_head + keep_tail);
-            kept.extend(decoded.entries().take(keep_head));
-            kept.extend(decoded.entries_from(decoded.len() - keep_tail));
-            let st = if i == 0 {
-                decoded.header.st
-            } else {
-                level_before
-            };
-            let next = decoded.header.next;
-            drop(decoded);
-            self.rewrite_page(*pid, st, &kept, next)?;
+            let (kept, header) = self.store.with_page(*pid, |page| {
+                let (keep_head, keep_tail): (usize, usize) = if region_pages.len() == 1 {
+                    (addr.entry as usize, page.len() - close.entry as usize - 1)
+                } else if i == 0 {
+                    (addr.entry as usize, 0)
+                } else if i + 1 == region_pages.len() {
+                    (0, page.len() - close.entry as usize - 1)
+                } else {
+                    (0, 0)
+                };
+                let mut kept: Vec<Entry> = Vec::with_capacity(keep_head + keep_tail);
+                kept.extend(page.entries().take(keep_head));
+                kept.extend(page.entries_from(page.len() - keep_tail));
+                (kept, page.header)
+            })?;
+            let st = if i == 0 { header.st } else { level_before };
+            self.rewrite_page(*pid, st, &kept, header.next)?;
         }
 
         // ---- Index maintenance.
@@ -679,6 +671,7 @@ impl<S: Storage> XmlDb<S> {
                         lo: u16::MAX,
                         hi: 0,
                         entries: 0,
+                        opens: 0,
                     },
                 )?;
             }
@@ -778,16 +771,13 @@ impl<S: Storage> XmlDb<S> {
             );
             buf[HEADER_SIZE..HEADER_SIZE + content.len()].copy_from_slice(&content);
         }
-        let dir_res = self.store.dir_mut().update_entry(pid, |e| {
+        self.store.dir_mut().update_entry(pid, |e| {
             e.st = hdr_st;
             e.lo = lo;
             e.hi = hi;
             e.entries = entries.len() as u32;
-        });
-        // Invalidate the decode cache even if the directory update failed —
-        // the buffer above has already changed.
-        self.store.invalidate_decoded(Some(pid));
-        dir_res?;
+            e.opens = entries.iter().filter(|e| e.is_open()).count() as u32;
+        })?;
         Ok(end_level)
     }
 }
@@ -1048,8 +1038,8 @@ mod tests {
     fn failed_rewrite_leaves_buffer_untouched() {
         // Regression: rewrite_page_with_st used to mutate the pool buffer
         // before discovering the directory had no entry for the page,
-        // leaving buffer and directory inconsistent (and the decode cache
-        // stale). Validation must come first.
+        // leaving buffer and directory inconsistent. Validation must come
+        // first.
         let mut db = db(BIB);
         let pool = db.store.pool_rc();
         let (pid, _h) = pool.allocate().unwrap(); // in the pool, not in the directory

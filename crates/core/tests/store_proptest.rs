@@ -126,10 +126,12 @@ proptest! {
         let mut prev_end = 0u16;
         for r in 0..store.chain_len() {
             let de = store.dir_at(r).unwrap();
-            let page = store.decoded(de.id).expect("decode");
-            prop_assert_eq!(page.header.st, prev_end, "st chain broken at rank {}", r);
-            prop_assert_eq!((page.header.lo, page.header.hi), page.level_bounds());
-            prev_end = page.end_level();
+            let (header, bounds, end) = store
+                .with_page(de.id, |page| (page.header, page.level_bounds(), page.end_level()))
+                .expect("read");
+            prop_assert_eq!(header.st, prev_end, "st chain broken at rank {}", r);
+            prop_assert_eq!((header.lo, header.hi), bounds);
+            prev_end = end;
         }
         prop_assert_eq!(prev_end, 0, "document does not close at level 0");
     }

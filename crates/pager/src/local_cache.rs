@@ -48,9 +48,10 @@ use crate::pool::BufferPool;
 use crate::storage::{PageId, Storage};
 
 /// Slots in the per-thread direct-mapped table (power of two). At a 4 KiB
-/// page size the tier holds at most 1 MiB of (mostly shared) images per
-/// thread.
-const SLOTS: usize = 256;
+/// page size the tier holds at most 2 MiB of (mostly shared) images per
+/// thread. Snapshot readers read structure pages from it as well as B+tree
+/// pages, which at 256 slots evicted each other (DESIGN.md §15.1).
+const SLOTS: usize = 512;
 
 /// Local hit counts are drained into the pool's shared stats once this many
 /// accumulate for one pool.

@@ -395,7 +395,7 @@ fn worker_loop<S: Storage + Send + 'static>(inner: &Inner<S>, ready: &Barrier) {
     // steady-state queries avoid fresh allocations for bookkeeping.
     let mut scratch = QueryScratch::new();
     // The worker's pinned snapshot. Kept across jobs (re-assembling the
-    // view per query would throw away its decode caches) and re-pinned
+    // view per query would pin the generation again) and re-pinned
     // only when a commit has published a newer generation.
     let mut snap: Option<Snapshot<S>> = None;
     // Set up: let `start` return.

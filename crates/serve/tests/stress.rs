@@ -210,9 +210,9 @@ fn navigation_primitives_agree_under_threads() {
             )
         })
         .collect();
-    // Drop every decoded page so the threads below race to re-decode
-    // shared pages.
-    db.store().invalidate_decoded(None);
+    // Empty the pool so the threads below race to read shared pages into
+    // it.
+    db.store().pool().clear_cache().expect("clear");
 
     let sample = Arc::new(sample);
     let threads: Vec<_> = (0..THREADS)

@@ -34,7 +34,6 @@ use nok_core::page::{self, HEADER_SIZE, NO_PAGE};
 use nok_core::physical::{tag_posting_key, IdRecord, TagPosting};
 use nok_core::sigma::TagCode;
 use nok_core::store::{NodeAddr, StructStore};
-use nok_core::succinct::read_varint;
 use nok_core::values::hash_key;
 use nok_core::LockDataFile;
 use nok_core::XmlDb;
@@ -90,8 +89,10 @@ struct ChainScan {
     chain: Vec<PageId>,
     /// Raw header of each chained page (parallel to `chain`).
     headers: Vec<page::PageHeader>,
-    /// Decoded entry count of each chained page (parallel to `chain`).
+    /// Entry count of each chained page (parallel to `chain`).
     entries: Vec<u32>,
+    /// Of those, the opens.
+    page_opens: Vec<u32>,
     opens: u64,
     closes: u64,
     /// The walk reached `NO_PAGE` without a cycle or a broken pointer.
@@ -119,6 +120,7 @@ fn scan_chain<S: Storage>(pool: &BufferPool<S>) -> ChainScan {
         chain: Vec::new(),
         headers: Vec::new(),
         entries: Vec::new(),
+        page_opens: Vec::new(),
         opens: 0,
         closes: 0,
         completed: false,
@@ -183,6 +185,7 @@ fn scan_chain<S: Storage>(pool: &BufferPool<S>) -> ChainScan {
                 max: max_content as u64,
             });
             scan.entries.push(0);
+            scan.page_opens.push(0);
             // Content bounds are untrustworthy; continue along the chain.
             drop(buf);
             if header.next == NO_PAGE {
@@ -210,18 +213,18 @@ fn scan_chain<S: Storage>(pool: &BufferPool<S>) -> ChainScan {
             });
         }
 
-        // Decode entries against the *recomputed* running level, so a wrong
+        // Read entries against the *recomputed* running level, so a wrong
         // `st` does not cascade into bounds noise. The parse is granular
-        // (not `page::decode_page`, which only says yes or no) so damage is
+        // (not `page::check_page`, which only says yes or no) so damage is
         // located precisely and the scan keeps what it could derive.
-        let content = &buf[HEADER_SIZE..HEADER_SIZE + header.nbytes as usize];
-        let decoded = scan_entries(pid, content, &mut scan.violations);
+        let decoded = scan_entries(pid, &buf, header.nbytes, &mut scan.violations);
         let (mut lo, mut hi) = (u16::MAX, 0u16);
-        let mut entry_idx = 0u32;
+        let (mut entry_idx, mut page_opens) = (0u32, 0u32);
         for entry in decoded {
             match entry {
                 page::Entry::Open(tag) => {
                     scan.opens += 1;
+                    page_opens += 1;
                     level += 1;
                     let index = match counters.last_mut() {
                         Some(c) => {
@@ -275,6 +278,7 @@ fn scan_chain<S: Storage>(pool: &BufferPool<S>) -> ChainScan {
             order += 1;
         }
         scan.entries.push(entry_idx);
+        scan.page_opens.push(page_opens);
 
         // Header exactness, part 2: lo/hi must be the true min/max level.
         // An empty page stores the empty range (lo=MAX, hi=0) by convention.
@@ -322,12 +326,14 @@ fn scan_chain<S: Storage>(pool: &BufferPool<S>) -> ChainScan {
     scan
 }
 
-/// Granular parse of one page's content: entry-count word,
-/// parenthesis bitvector (including canonical zero padding) and dictionary
-/// tag codes (LEB128, 15-bit bound, exact stream length). Pushes a
-/// violation per defect and returns the entries it managed to derive.
-fn scan_entries(pid: PageId, content: &[u8], v: &mut Vec<Violation>) -> Vec<page::Entry> {
-    use nok_core::sigma::TagCode;
+/// Granular parse of one page's content: entry-count word, parenthesis
+/// bitvector (including canonical zero padding) and the tag area (one code
+/// per open, one byte each when every code is below 256, else two; 15-bit
+/// bound). Pushes a violation per defect and returns the entries it managed
+/// to derive: through [`page::Page`] when the page reads, else from the
+/// parenthesis bits with whatever codes the tag area holds.
+fn scan_entries(pid: PageId, buf: &[u8], nbytes: u16, v: &mut Vec<Violation>) -> Vec<page::Entry> {
+    let content = &buf[HEADER_SIZE..HEADER_SIZE + usize::from(nbytes)];
     if content.is_empty() {
         return Vec::new();
     }
@@ -359,50 +365,67 @@ fn scan_entries(pid: PageId, content: &[u8], v: &mut Vec<Violation>) -> Vec<page
         return Vec::new();
     }
     let parens = &content[2..2 + paren_bytes];
-    if n % 8 != 0 && (parens[paren_bytes - 1] >> (n % 8)) != 0 {
+    if !n.is_multiple_of(8) && (parens[paren_bytes - 1] >> (n % 8)) != 0 {
         v.push(Violation::SuccinctEncoding {
             page: pid,
             detail: "nonzero padding bits after the last entry".into(),
         });
     }
-    // Tag-code stream: one varint per open, in order, covering the rest of
-    // the content exactly.
-    let mut entries = Vec::with_capacity(n);
-    let mut pos = 2 + paren_bytes;
-    for i in 0..n {
-        if (parens[i / 8] >> (i % 8)) & 1 == 1 {
-            match read_varint(content, pos) {
-                Some((code, width)) => {
-                    if code >= 1 << 15 {
-                        v.push(Violation::TagCodeOutOfRange {
-                            page: pid,
-                            entry: i as u32,
-                            code,
-                        });
+    let is_open = |i: usize| (parens[i / 8] >> (i % 8)) & 1 == 1;
+    let opens = (0..n).filter(|&i| is_open(i)).count();
+    let tags = &content[2 + paren_bytes..];
+    let page = page::Page::new(buf);
+    let entries: Vec<page::Entry> = match &page {
+        Some(page) => page.entries().collect(),
+        None => {
+            // Codes at the width the area comes closest to holding.
+            let width = if tags.len() >= 2 * opens { 2 } else { 1 };
+            let code = |k: usize| match width {
+                2 => tags
+                    .get(2 * k..2 * k + 2)
+                    .map(|c| u16::from_le_bytes([c[0], c[1]])),
+                _ => tags.get(k).map(|&c| u16::from(c)),
+            };
+            let mut k = 0;
+            (0..n)
+                .map(|i| match is_open(i) {
+                    true => {
+                        k += 1;
+                        page::Entry::Open(TagCode(code(k - 1).unwrap_or(0)))
                     }
-                    entries.push(page::Entry::Open(TagCode(code)));
-                    pos += width;
-                }
-                None => {
-                    v.push(Violation::SuccinctEncoding {
-                        page: pid,
-                        detail: format!("tag-code stream truncated at entry {i}"),
-                    });
-                    return entries;
-                }
-            }
-        } else {
-            entries.push(page::Entry::Close);
+                    false => page::Entry::Close,
+                })
+                .collect()
+        }
+    };
+    if tags.len() != opens && tags.len() != 2 * opens {
+        v.push(Violation::TagWidth {
+            page: pid,
+            detail: format!("{} tag bytes for {opens} opens", tags.len()),
+        });
+    } else if let Some(page) = &page {
+        let max = page.max_code();
+        if page.tag_width() != page::tag_width(max) {
+            v.push(Violation::TagWidth {
+                page: pid,
+                detail: format!(
+                    "{}-byte codes, largest {max}: the page's codes take {}",
+                    page.tag_width(),
+                    page::tag_width(max)
+                ),
+            });
         }
     }
-    if pos != content.len() {
-        v.push(Violation::SuccinctEncoding {
-            page: pid,
-            detail: format!(
-                "{} trailing content bytes after the tag-code stream",
-                content.len() - pos
-            ),
-        });
+    for (i, e) in entries.iter().enumerate() {
+        if let page::Entry::Open(TagCode(code)) = *e {
+            if u32::from(code) >= page::TAG_CODE_LIMIT {
+                v.push(Violation::TagCodeOutOfRange {
+                    page: pid,
+                    entry: i as u32,
+                    code,
+                });
+            }
+        }
     }
     entries
 }
@@ -441,12 +464,13 @@ fn directory_checks<S: Storage>(store: &StructStore<S>, scan: &mut ChainScan) {
             });
             continue;
         };
-        let fields: [(&'static str, u64, u64); 5] = [
+        let fields: [(&'static str, u64, u64); 6] = [
             ("id", pid as u64, dir.id as u64),
             ("st", header.st as u64, dir.st as u64),
             ("lo", header.lo as u64, dir.lo as u64),
             ("hi", header.hi as u64, dir.hi as u64),
             ("entries", scan.entries[i] as u64, dir.entries as u64),
+            ("opens", scan.page_opens[i] as u64, dir.opens as u64),
         ];
         for (field, expected, found) in fields {
             if expected != found {

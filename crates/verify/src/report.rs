@@ -216,12 +216,20 @@ pub enum Violation {
         detail: String,
     },
     /// A page's bit-packed content does not parse canonically:
-    /// bad count word, truncated parenthesis bitvector, nonzero padding
-    /// bits, or a tag-code stream that does not cover the content exactly.
+    /// bad count word, truncated parenthesis bitvector, or nonzero padding
+    /// bits.
     SuccinctEncoding {
         /// Page id.
         page: u32,
         /// What failed to parse.
+        detail: String,
+    },
+    /// A page's tag area is not one code per open at one or two bytes
+    /// each, or its codes are two bytes wide while all of them fit one.
+    TagWidth {
+        /// Page id.
+        page: u32,
+        /// The area's size, or the width against the largest code.
         detail: String,
     },
     /// A page stores a tag code outside the 15-bit range the tag
@@ -299,6 +307,7 @@ impl Violation {
             Violation::BTreeStructure { .. } => "btree-structure",
             Violation::RecordCorrupt { .. } => "record-corrupt",
             Violation::SuccinctEncoding { .. } => "succinct-encoding",
+            Violation::TagWidth { .. } => "tag-width",
             Violation::TagCodeOutOfRange { .. } => "tag-code-out-of-range",
             Violation::SynopsisPathCountMismatch { .. } => "synopsis-path-count-mismatch",
             Violation::SynopsisResidualMismatch { .. } => "synopsis-residual-mismatch",
@@ -447,7 +456,7 @@ impl Violation {
                 obj.str("what", what);
                 obj.str("detail", detail);
             }
-            Violation::SuccinctEncoding { page, detail } => {
+            Violation::SuccinctEncoding { page, detail } | Violation::TagWidth { page, detail } => {
                 obj.num("page", *page as u64);
                 obj.str("detail", detail);
             }
@@ -602,6 +611,9 @@ impl fmt::Display for Violation {
             Violation::RecordCorrupt { what, detail } => write!(f, "{what}: {detail}"),
             Violation::SuccinctEncoding { page, detail } => {
                 write!(f, "page {page}: succinct encoding: {detail}")
+            }
+            Violation::TagWidth { page, detail } => {
+                write!(f, "page {page}: tag width: {detail}")
             }
             Violation::TagCodeOutOfRange { page, entry, code } => {
                 write!(f, "page {page} entry {entry}: tag code {code} outside the 15-bit range")

@@ -92,6 +92,20 @@ fn get_u16_le(buf: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([buf[at], buf[at + 1]])
 }
 
+/// The LEB128 varint at `*pos` of a synopsis block, moving `*pos` past it.
+fn read_varint(buf: &[u8], pos: &mut usize) -> u64 {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = buf[*pos];
+        *pos += 1;
+        v |= u64::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            break;
+        }
+    }
+    v
+}
+
 #[test]
 fn st_corruption_is_flagged() {
     let db = tiny_db();
@@ -184,14 +198,18 @@ fn truncated_entry_is_flagged() {
     let db = tiny_db();
     let pid = chain_page(&db, 1);
     patch(&db, pid, |buf| {
-        // Set the continuation bit of the last tag-code byte: the final
-        // open's varint now runs off the end of the content. Decoding must
-        // fail without panicking.
-        let nbytes = get_u16(buf, OFF_NBYTES) as usize;
-        buf[HEADER_SIZE + nbytes - 1] |= 0x80;
+        // Turn the page's first close into an open: the tag area now holds
+        // one code fewer than the page has opens. Reading must fail without
+        // panicking.
+        let n = get_u16_le(buf, HEADER_SIZE) as usize;
+        let parens = HEADER_SIZE + 2;
+        let i = (0..n)
+            .find(|i| buf[parens + i / 8] >> (i % 8) & 1 == 0)
+            .expect("a page of a balanced string holds a close");
+        buf[parens + i / 8] |= 1 << (i % 8);
     });
     let rep = verify_chain(db.store().pool());
-    assert!(rep.has_kind("succinct-encoding"), "{rep}");
+    assert!(rep.has_kind("tag-width"), "{rep}");
 }
 
 #[test]
@@ -263,26 +281,52 @@ fn succinct_truncated_tag_stream_is_flagged() {
         .find(|e| e.entries > 0)
         .unwrap();
     patch(&db, victim.id, |buf| {
-        // Cut the last content byte: the varint tag stream no longer covers
-        // every open entry.
+        // Cut the last content byte: the tag area no longer holds a code
+        // for every open entry.
         let nbytes = get_u16(buf, OFF_NBYTES);
         assert!(nbytes >= 4);
         put_u16(buf, OFF_NBYTES, nbytes - 1);
     });
     let rep = verify_chain(db.store().pool());
-    assert!(rep.has_kind("succinct-encoding"), "{rep}");
+    assert!(rep.has_kind("tag-width"), "{rep}");
+}
+
+#[test]
+fn two_byte_codes_that_fit_one_byte_are_flagged() {
+    // Every code of BIB is below 256, so its page stores them one byte
+    // wide. Rewrite the page's tag area two bytes per code: the page still
+    // reads, but its width is not the canonical one.
+    let db = XmlDb::build_in_memory(BIB).unwrap();
+    let pid = chain_page(&db, 0);
+    patch(&db, pid, |buf| {
+        let nbytes = get_u16(buf, OFF_NBYTES) as usize;
+        let n = get_u16_le(buf, HEADER_SIZE) as usize;
+        let tags = HEADER_SIZE + 2 + n.div_ceil(8);
+        let codes = buf[tags..HEADER_SIZE + nbytes].to_vec();
+        assert!(
+            HEADER_SIZE + nbytes + codes.len() <= buf.len(),
+            "page has slack"
+        );
+        for (k, &c) in codes.iter().enumerate() {
+            buf[tags + 2 * k..tags + 2 * k + 2].copy_from_slice(&u16::from(c).to_le_bytes());
+        }
+        put_u16(buf, OFF_NBYTES, (nbytes + codes.len()) as u16);
+    });
+    assert!(nok_core::page::Page::new(&db.store().pool().get(pid).unwrap().read()).is_some());
+    let rep = verify_chain(db.store().pool());
+    assert_eq!(rep.kinds(), ["tag-width"], "{rep}");
 }
 
 #[test]
 fn succinct_tag_code_out_of_range_is_flagged() {
     use nok_core::page::{self, PageHeader, NO_PAGE};
     // Hand-build a single balanced page `()` whose only tag code is 0xFFFF —
-    // a wellformed varint, but outside the 15-bit tag-code space.
+    // a wellformed two-byte code, but outside the 15-bit tag-code space.
     let pool = BufferPool::new(MemStorage::with_page_size(64));
     let (_pid, handle) = pool.allocate().unwrap();
     {
         let mut buf = handle.write();
-        let content: [u8; 6] = [2, 0, 0x01, 0xFF, 0xFF, 0x03];
+        let content: [u8; 5] = [2, 0, 0x01, 0xFF, 0xFF];
         page::write_header(
             &mut buf,
             &PageHeader {
@@ -516,9 +560,9 @@ fn bumped_residual_is_flagged() {
     // node in preorder. Find the first folded node and fold one node more.
     let mut pos = trie + 4;
     let mut next = |block: &[u8]| {
-        let (v, width) = nok_core::succinct::read_varint(block, pos).unwrap();
-        pos += width;
-        (v, pos - width)
+        let at = pos;
+        let v = read_varint(block, &mut pos);
+        (v, at)
     };
     next(&block);
     next(&block);

@@ -65,9 +65,8 @@ impl Storage for Logged {
 
 type Store = StructStore<Logged>;
 
-/// Empty every cache in front of the structure pages, and the read log.
+/// Empty the pool in front of the structure pages, and the read log.
 fn cold(store: &Store, log: &Mutex<Vec<PageId>>) {
-    store.invalidate_decoded(None);
     store.pool().clear_cache().unwrap();
     log.lock().unwrap().clear();
 }
@@ -118,18 +117,21 @@ fn check_primitives(name: &str, xml: &str, page_size: usize) {
         .collect();
     let mut flat = Vec::new();
     for (rank, de) in dir.iter().enumerate() {
-        let page = store.decoded(de.id).unwrap();
-        for (i, (e, level)) in page.entries().zip(page.levels()).enumerate() {
-            flat.push(Flat {
-                addr: NodeAddr {
-                    page: de.id,
-                    entry: i as u32,
-                },
-                rank: rank as u32,
-                open: matches!(e, Entry::Open(_)),
-                level,
-            });
-        }
+        store
+            .with_page(de.id, |page| {
+                for (i, (e, level)) in page.entries().zip(page.levels()).enumerate() {
+                    flat.push(Flat {
+                        addr: NodeAddr {
+                            page: de.id,
+                            entry: i as u32,
+                        },
+                        rank: rank as u32,
+                        open: matches!(e, Entry::Open(_)),
+                        level,
+                    });
+                }
+            })
+            .unwrap();
     }
     // Pages of ranks `from..=to` that are non-empty and pass `test`.
     let passing = |from: u32, to: u32, test: &dyn Fn(&DirEntry) -> bool| -> BTreeSet<PageId> {

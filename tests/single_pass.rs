@@ -51,8 +51,6 @@ fn proposition1_single_start_reads_each_page_once() {
     let part = tree.partition();
     let matcher = NokMatcher::new(&part, 0);
     let access = PhysAccess::new(db.store(), db.dict(), db.bt_id(), db.data_cell());
-
-    db.store().invalidate_decoded(None);
     db.store().pool().clear_cache().expect("clear");
     db.store().pool().stats().reset();
     let mut hook = nok_core::nok::accept_all();
@@ -92,7 +90,6 @@ fn scan_route_reads_each_page_once_and_no_index_page() {
                 },
             )
             .expect("plan");
-        db.store().invalidate_decoded(None);
         db.store().pool().clear_cache().expect("clear");
         db.store().pool().stats().reset();
         let index_before = index_gets();
@@ -121,7 +118,6 @@ fn header_directory_skips_pages_for_sibling_jumps() {
 
     let root = store.root().unwrap();
     let bulk = cursor::first_child(&store, root).unwrap().unwrap();
-    store.invalidate_decoded(None);
     store.pool().clear_cache().unwrap();
     store.pool().stats().reset();
     let target = cursor::following_sibling(&store, bulk).unwrap().unwrap();
@@ -143,7 +139,6 @@ fn full_scan_touches_each_page_once() {
     let ds = generate(DatasetKind::Author, 0.01);
     let db = XmlDb::build_in_memory_with(&ds.xml, BuildOptions::default(), 512).expect("build");
     let pages = db.store().page_count() as u64;
-    db.store().invalidate_decoded(None);
     db.store().pool().clear_cache().unwrap();
     db.store().pool().stats().reset();
     let mut count = 0u64;

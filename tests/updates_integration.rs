@@ -154,7 +154,6 @@ fn page_splits_during_update_keep_proposition1() {
     }
     let pages = db.store().page_count() as u64;
     assert!(pages > 5, "splits must have produced pages ({pages})");
-    db.store().invalidate_decoded(None);
     db.store().pool().clear_cache().expect("clear");
     db.store().pool().stats().reset();
     let hits = db.query("/r/rec[f]").expect("query");
