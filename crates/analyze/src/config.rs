@@ -34,11 +34,13 @@ struct LockEntry {
     class: LockClass,
 }
 
-/// The MVCC epoch pin (`EpochArc`/`GenerationTable` in `pager::mvcc`,
-/// acquired through `snapshot()`). The lowest rank in the hierarchy: a
-/// reader pins its generation before touching anything else, and every
-/// other lock may be taken under it. It is a refcount, not a mutex — re-entrant by design
-/// (see `guard-across-writer` for the rule that *does* constrain it).
+/// The MVCC snapshot pin: the `SnapshotGuard` that `snapshot()` returns,
+/// an `Arc` on the pinned generation (`GenerationTable::pin` in
+/// `pager::mvcc` takes the generation cell's lock only for the clone).
+/// The lowest rank in the hierarchy: a reader pins its generation before
+/// touching anything else, and every other lock may be taken under it. It
+/// is a refcount, not a mutex — re-entrant by design (see
+/// `guard-across-writer` for the rule that *does* constrain it).
 pub const PAGER_MVCC_EPOCH: LockClass = LockClass {
     name: "pager.mvcc_epoch",
     rank: 5,
@@ -72,6 +74,13 @@ pub const CORE_DATA_FILE: LockClass = LockClass {
     name: "core.data_file",
     rank: 30,
 };
+/// The buffer pool's frame ring and CLOCK hand (`BufferPool.clock`): held
+/// by a miss from its re-check to its install, and by everything that
+/// walks the frames; shard, storage and frame locks nest inside it.
+pub const PAGER_POOL_CLOCK: LockClass = LockClass {
+    name: "pager.pool_clock",
+    rank: 38,
+};
 pub const PAGER_POOL_SHARD: LockClass = LockClass {
     name: "pager.pool_shard",
     rank: 40,
@@ -84,6 +93,19 @@ pub const PAGER_FRAME: LockClass = LockClass {
     name: "pager.frame",
     rank: 48,
 };
+/// A pool's capture map (`CaptureCell.map`): the writer records a
+/// before-image under the frame's write lock; readers look it up holding
+/// nothing.
+pub const PAGER_CAPTURE: LockClass = LockClass {
+    name: "pager.capture",
+    rank: 50,
+};
+/// The published generation (`GenerationTable.current`): a leaf, held for
+/// one `Arc` clone or swap.
+pub const PAGER_GENERATION: LockClass = LockClass {
+    name: "pager.generation",
+    rank: 52,
+};
 
 /// Every lock class, in hierarchy (rank) order.
 pub const ALL_CLASSES: &[LockClass] = &[
@@ -94,9 +116,12 @@ pub const ALL_CLASSES: &[LockClass] = &[
     CORE_DIRECTORY,
     CORE_WAL,
     CORE_DATA_FILE,
+    PAGER_POOL_CLOCK,
     PAGER_POOL_SHARD,
     PAGER_STORAGE,
     PAGER_FRAME,
+    PAGER_CAPTURE,
+    PAGER_GENERATION,
 ];
 
 const LOCK_TABLE: &[LockEntry] = &[
@@ -131,6 +156,11 @@ const LOCK_TABLE: &[LockEntry] = &[
         class: CORE_DATA_FILE,
     },
     LockEntry {
+        field: "clock",
+        in_crate: Some("pager"),
+        class: PAGER_POOL_CLOCK,
+    },
+    LockEntry {
         field: "shards",
         in_crate: Some("pager"),
         class: PAGER_POOL_SHARD,
@@ -141,12 +171,24 @@ const LOCK_TABLE: &[LockEntry] = &[
         class: PAGER_STORAGE,
     },
     LockEntry {
-        field: "data",
+        field: "image",
         in_crate: Some("pager"),
         class: PAGER_FRAME,
     },
-    // `handle.read()` / `handle.write()` on a pinned PageHandle locks the
-    // frame payload; the variable-name convention is part of the contract.
+    LockEntry {
+        field: "map",
+        in_crate: Some("pager"),
+        class: PAGER_CAPTURE,
+    },
+    LockEntry {
+        field: "current",
+        in_crate: Some("pager"),
+        class: PAGER_GENERATION,
+    },
+    // `handle.write()` on a pinned PageHandle locks the frame's image
+    // (`handle.read()` only clones it, and is classified the same way — a
+    // conservative reading); the variable-name convention is part of the
+    // contract.
     LockEntry {
         field: "handle",
         in_crate: None,
@@ -210,14 +252,11 @@ pub fn is_writer_entry(name: &str) -> bool {
 /// Atomics under the `atomic-ordering` contract: `Ordering::Relaxed` on any
 /// of these fields is an error (each is a publication/synchronization
 /// point, not a counter). Everything else — IO statistics, service metrics,
-/// clock hands, `last_used` stamps — is advisory and exempt.
+/// CLOCK reference bits — is advisory and exempt.
 pub const CRITICAL_ATOMICS: &[&str] = &[
     "txn_active", // no-steal barrier between pool and WAL commit
     "shutdown",   // service stop flag gating queue drain
     "state", // frame state bits (owes home, txn wrote) read by evict/flush without the frame lock
-    "frames", // pool occupancy accounting used by make_room
-    "ctrl",  // EpochArc control word: pin registration vs swing
-    "debt",  // EpochArc repaid-pin counter gating slot reclamation
 ];
 
 /// Files whose non-test code must not contain panic paths (ports the old
@@ -359,10 +398,15 @@ mod tests {
             Some("core.data_file")
         );
         assert_eq!(
-            lock_for_field("pager", "data").map(|c| c.name),
+            lock_for_field("pager", "image").map(|c| c.name),
             Some("pager.frame")
         );
+        assert_eq!(lock_for_field("pager", "data"), None);
         assert_eq!(lock_for_field("serve", "data"), None);
+        assert_eq!(
+            lock_for_field("pager", "current").map(|c| c.name),
+            Some("pager.generation")
+        );
         assert_eq!(
             lock_for_field("core", "handle").map(|c| c.name),
             Some("pager.frame")

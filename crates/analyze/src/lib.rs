@@ -5,13 +5,14 @@
 //! acquisitions, atomic operations and panicking constructs, and enforces:
 //!
 //! - **`lock-order` / `lock-reentry`** — the declared lock hierarchy
-//!   (service queue → plan cache → directory → data-file mutex →
-//!   pool shard → storage → frame; see `config::ALL_CLASSES` and DESIGN.md
+//!   (service queue → plan cache → directory → data-file mutex → pool
+//!   clock → pool shard → storage → frame → capture map → generation cell;
+//!   see `config::ALL_CLASSES` and DESIGN.md
 //!   §13), with call-graph propagation so an acquisition hidden behind a
 //!   call chain is still checked against the locks its caller holds.
 //! - **`atomic-ordering`** — `Ordering::Relaxed` is an error on the named
-//!   critical atomics (`txn_active`, `shutdown`, `state`, `frames`, `ctrl`,
-//!   `debt`); statistics counters are exempt.
+//!   critical atomics (`txn_active`, `shutdown`, `state`); statistics
+//!   counters are exempt.
 //! - **`serve-worker-panic` / `lock-unwrap`** — no `.unwrap()`/`.expect()`/
 //!   indexing panics on worker paths or lock results.
 //! - The five historical lint rules (`hot-path-panic`, `stray-debug-macro`,

@@ -99,6 +99,18 @@ const FAIL: &[FailFixture] = &[
         expect: &["lock-order"],
     },
     FailFixture {
+        name: "lock-order inversion (shard then clock)",
+        path: "crates/pager/src/pool.rs",
+        source: "impl BufferPool {\n    fn bad(&self) {\n        let sh = read_lock(&self.shards[0]);\n        let c = mutex_lock(&self.clock);\n        let _ = (sh, c);\n    }\n}\n",
+        expect: &["lock-order"],
+    },
+    FailFixture {
+        name: "lock-order inversion (generation cell then capture map)",
+        path: "crates/pager/src/mvcc.rs",
+        source: "impl Cell {\n    fn bad(&self) {\n        let g = write_lock(&self.current);\n        let m = read_lock(&self.map);\n        let _ = (g, m);\n    }\n}\n",
+        expect: &["lock-order"],
+    },
+    FailFixture {
         name: "lock-order inversion through a call",
         path: "crates/pager/src/pool.rs",
         source: "impl BufferPool {\n    fn outer(&self) {\n        let st = mutex_lock(&self.storage);\n        self.grab_shard();\n        let _ = st;\n    }\n    fn grab_shard(&self) {\n        let sh = write_lock(&self.shards[1]);\n        let _ = sh;\n    }\n}\n",
@@ -194,9 +206,14 @@ const PASS: &[PassFixture] = &[
         source: "// mentions .unwrap() and panic!( and unsafe in prose\npub fn doc() -> &'static str {\n    \".unwrap() panic!( .write_page( PlanStep:: dbg!( unsafe\"\n}\n",
     },
     PassFixture {
-        name: "correct lock order (shard then storage then frame)",
+        name: "correct lock order (clock then shard then storage then frame)",
         path: "crates/pager/src/pool.rs",
-        source: "impl BufferPool {\n    fn evict(&self, i: usize) {\n        let sh = write_lock(&self.shards[i]);\n        let st = mutex_lock(&self.storage);\n        let fr = read_lock(&frame.data);\n        let _ = (sh, st, fr);\n    }\n}\n",
+        source: "impl BufferPool {\n    fn evict(&self, i: usize) {\n        let c = mutex_lock(&self.clock);\n        let sh = write_lock(&self.shards[i]);\n        let st = mutex_lock(&self.storage);\n        let fr = read_lock(&frame.image);\n        let _ = (c, sh, st, fr);\n    }\n}\n",
+    },
+    PassFixture {
+        name: "writer records the capture under the frame lock",
+        path: "crates/pager/src/pool.rs",
+        source: "impl PageHandle {\n    fn write(&self) {\n        let image = write_lock(&self.frame.image);\n        let map = write_lock(&self.capture.map);\n        let _ = (image, map);\n    }\n}\n",
     },
     PassFixture {
         // Statement-scoped temporaries drop before the next acquisition:
@@ -216,7 +233,7 @@ const PASS: &[PassFixture] = &[
         // the parser once scanned on to the next top-level `;`, swallowing
         // the following test module and losing its `#[cfg(test)]` marker.
         name: "thread_local item does not swallow the following test module",
-        path: "crates/pager/src/local_cache.rs",
+        path: "crates/pager/src/pool.rs",
         source: "thread_local! {\n    static T: u32 = 0;\n}\n#[cfg(test)]\nmod tests {\n    fn t() { Some(1).unwrap(); }\n}\n",
     },
     PassFixture {

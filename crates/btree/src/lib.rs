@@ -34,9 +34,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nok_pager::codec::{get_u32, get_u64, put_u32, put_u64};
-use nok_pager::local_cache::resolve_page_cached;
-use nok_pager::mvcc::SnapView;
-use nok_pager::{BufferPool, PageHandle, PageId, PageRead, PagerError, Storage};
+use nok_pager::mvcc::{resolve_page, SnapView};
+use nok_pager::{BufferPool, PageHandle, PageId, PagerError, Storage};
 
 /// Errors from B+ tree operations.
 #[derive(Debug)]
@@ -99,39 +98,6 @@ pub struct BTree<S: Storage> {
     view: Option<SnapView>,
 }
 
-/// Page bytes as seen by a tree: a live pinned frame, or an immutable image
-/// resolved through a snapshot overlay.
-enum PageBytes {
-    Handle(PageHandle),
-    Owned(Arc<[u8]>),
-}
-
-/// Borrowed page bytes (frame read guard or overlay image).
-enum PageBytesRef<'a> {
-    Guard(PageRead<'a>),
-    Owned(&'a [u8]),
-}
-
-impl PageBytes {
-    fn read(&self) -> PageBytesRef<'_> {
-        match self {
-            PageBytes::Handle(h) => PageBytesRef::Guard(h.read()),
-            PageBytes::Owned(b) => PageBytesRef::Owned(b),
-        }
-    }
-}
-
-impl std::ops::Deref for PageBytesRef<'_> {
-    type Target = [u8];
-    #[inline]
-    fn deref(&self) -> &[u8] {
-        match self {
-            PageBytesRef::Guard(g) => g,
-            PageBytesRef::Owned(b) => b,
-        }
-    }
-}
-
 impl<S: Storage> BTree<S> {
     /// Create a new empty tree in a fresh pool (the pool must be empty).
     pub fn create(pool: Arc<BufferPool<S>>) -> BTreeResult<Self> {
@@ -184,15 +150,10 @@ impl<S: Storage> BTree<S> {
         }
     }
 
-    /// Fetch a page for reading: through the snapshot overlay on a view
-    /// (fronted by the calling thread's first-tier image cache, so a hot
-    /// node costs no shard lock and no page copy), straight from the pool
-    /// otherwise.
-    fn page(&self, id: PageId) -> BTreeResult<PageBytes> {
-        match &self.view {
-            Some(view) => Ok(PageBytes::Owned(resolve_page_cached(&self.pool, view, id)?)),
-            None => Ok(PageBytes::Handle(self.pool.get(id)?)),
-        }
+    /// The image of a page: through the snapshot overlay on a view, the
+    /// frame's current image otherwise. Either way an `Arc` clone, no copy.
+    fn page(&self, id: PageId) -> BTreeResult<Arc<[u8]>> {
+        Ok(resolve_page(&self.pool, self.view.as_ref(), id)?)
     }
 
     /// Current root page id (captured into MVCC generations at commit).
@@ -280,20 +241,15 @@ impl<S: Storage> BTree<S> {
         let mut path: Vec<(PageId, usize)> = Vec::new();
         let mut page_id = self.root.load(Ordering::Acquire);
         loop {
-            let page = self.pool.get(page_id)?;
-            let is_leaf = node::is_leaf(&page.read());
-            if is_leaf {
+            let buf = self.pool.image(page_id)?;
+            if node::is_leaf(&buf) {
                 break;
             }
-            let (child_idx, child) = {
-                let buf = page.read();
-                let idx = node::upper_bound(&buf, key);
-                let child = if idx == 0 {
-                    node::link(&buf)
-                } else {
-                    node::child(&buf, idx - 1)
-                };
-                (idx, child)
+            let child_idx = node::upper_bound(&buf, key);
+            let child = if child_idx == 0 {
+                node::link(&buf)
+            } else {
+                node::child(&buf, child_idx - 1)
             };
             path.push((page_id, child_idx));
             page_id = child;
@@ -512,8 +468,7 @@ impl<S: Storage> BTree<S> {
     fn descend_left(&self, key: &[u8]) -> BTreeResult<PageId> {
         let mut page_id = self.root.load(Ordering::Acquire);
         loop {
-            let page = self.page(page_id)?;
-            let buf = page.read();
+            let buf = self.page(page_id)?;
             if node::is_leaf(&buf) {
                 return Ok(page_id);
             }
@@ -577,7 +532,7 @@ impl<S: Storage> BTree<S> {
     fn scan_from(&self, key: &[u8]) -> BTreeResult<RangeIter<'_, S>> {
         let leaf_id = self.descend_left(key)?;
         let leaf = self.page(leaf_id)?;
-        let slot = node::lower_bound(&leaf.read(), key);
+        let slot = node::lower_bound(&leaf, key);
         Ok(RangeIter {
             tree: self,
             leaf: Some(leaf),
@@ -736,7 +691,7 @@ impl<S: Storage> BTree<S> {
 /// advancing may require page I/O.
 pub struct RangeIter<'a, S: Storage> {
     tree: &'a BTree<S>,
-    leaf: Option<PageBytes>,
+    leaf: Option<Arc<[u8]>>,
     slot: usize,
     upper: Bound<Vec<u8>>,
     skip_key: Option<Vec<u8>>,
@@ -749,16 +704,14 @@ impl<S: Storage> Iterator for RangeIter<'_, S> {
         loop {
             let leaf = self.leaf.as_ref()?;
             #[allow(clippy::type_complexity)]
-            let (item, advance): (Option<(Vec<u8>, Vec<u8>)>, Option<u32>) = {
-                let buf = leaf.read();
-                if self.slot < node::ncells(&buf) {
-                    let k = node::key(&buf, self.slot).to_vec();
-                    let v = node::leaf_value(&buf, self.slot).to_vec();
+            let (item, advance): (Option<(Vec<u8>, Vec<u8>)>, Option<u32>) =
+                if self.slot < node::ncells(leaf) {
+                    let k = node::key(leaf, self.slot).to_vec();
+                    let v = node::leaf_value(leaf, self.slot).to_vec();
                     (Some((k, v)), None)
                 } else {
-                    (None, Some(node::link(&buf)))
-                }
-            };
+                    (None, Some(node::link(leaf)))
+                };
             match (item, advance) {
                 (Some((k, v)), _) => {
                     self.slot += 1;

@@ -703,7 +703,7 @@ impl<S: Storage> XmlDb<S> {
             let before = h.pool().capture_cell().current();
             for page in h.written_pages() {
                 let (id, after) = (page.id(), page.read());
-                match before.as_ref().and_then(|images| images.get(id)) {
+                match before.get(id) {
                     Some(before) if wal.has_image(comp, id) => {
                         encode_page_delta(&mut frames, comp, id, &before, &after)
                     }

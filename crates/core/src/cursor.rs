@@ -207,7 +207,7 @@ pub fn interval<S: Storage>(store: &StructStore<S>, addr: NodeAddr) -> CoreResul
 /// single-pass read path (Proposition 1) the scan route, [`DocScan`] and
 /// [`descendants`] share — no per-entry `entry_at`, one directory probe and
 /// one page fetch per page. The walk holds the page's image
-/// ([`StructStore::page_image`]), not a locked frame: its callers take
+/// ([`StructStore::page_image`]), which holds no lock: its callers take
 /// other locks (the matcher's value checks read B+i and the data file)
 /// while they read the page.
 pub struct PageWalk<'a, S: Storage> {

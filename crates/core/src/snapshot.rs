@@ -27,7 +27,7 @@ use nok_pager::mvcc::{CaptureCell, GenTicket, GenerationStats, GenerationTable, 
 use nok_pager::{BufferPool, SnapView, SnapshotGuard, Storage};
 
 use crate::build::XmlDb;
-use crate::error::{CoreError, CoreResult};
+use crate::error::CoreResult;
 use crate::sigma::TagDict;
 use crate::store::{Directory, StructStore};
 use crate::synopsis::Synopsis;
@@ -113,7 +113,6 @@ pub(crate) fn initial_generations(
 ) -> Arc<GenerationTable<DbGeneration>> {
     let stats = Arc::new(GenerationStats::default());
     let views = cells.map(|cell| SnapView {
-        epoch: 0,
         node: PageChain::new(0),
         cell,
     });
@@ -128,7 +127,7 @@ pub(crate) fn initial_generations(
         data_len,
         _ticket: GenTicket::new(&stats),
     };
-    Arc::new(GenerationTable::with_stats(stats, Arc::new(gen0)))
+    Arc::new(GenerationTable::new(stats, Arc::new(gen0)))
 }
 
 /// A pinned, immutable view of the database at one commit epoch.
@@ -180,7 +179,7 @@ impl<S: Storage> std::fmt::Debug for Snapshot<S> {
 /// The live database hands one out via [`XmlDb::snapshot_source`]; after
 /// that, readers holding the source can keep pinning fresh snapshots while
 /// a writer owns the `XmlDb` exclusively (`&mut`) and commits updates —
-/// the single-writer / lock-free-reader split the generation table exists
+/// the single-writer / many-reader split the generation table exists
 /// for. Everything a snapshot needs beyond the generation itself (buffer
 /// pools, the shared data file) is captured here by `Arc`.
 pub struct SnapshotSource<S: Storage> {
@@ -201,14 +200,14 @@ impl<S: Storage> Clone for SnapshotSource<S> {
 
 impl<S: Storage> SnapshotSource<S> {
     /// Pin the newest published generation and assemble a read-only view
-    /// database over it. Lock-free, same as [`XmlDb::snapshot`].
+    /// database over it, as [`XmlDb::snapshot`] does.
     pub fn snapshot(&self) -> CoreResult<Snapshot<S>> {
-        assemble_snapshot(&self.gens, &self.pools, &self.data)
+        Ok(assemble_snapshot(&self.gens, &self.pools, &self.data))
     }
 
-    /// Epoch of the newest published generation.
+    /// Epoch of the newest published generation: one atomic load, no pin.
     pub fn current_epoch(&self) -> u64 {
-        self.gens.pin().map(|g| g.epoch).unwrap_or(0)
+        self.gens.epoch()
     }
 
     /// Generation reclamation stats (pinned readers, live/retired counts).
@@ -232,10 +231,8 @@ fn assemble_snapshot<S: Storage>(
     gens: &Arc<GenerationTable<DbGeneration>>,
     pools: &[Arc<BufferPool<S>>; 4],
     data: &Arc<Mutex<DataFile>>,
-) -> CoreResult<Snapshot<S>> {
-    let guard = gens
-        .pin()
-        .ok_or_else(|| CoreError::Corrupt("generation table drained".into()))?;
+) -> Snapshot<S> {
+    let guard = gens.pin();
     let g: &DbGeneration = &guard;
     let store = StructStore::snapshot_view(
         Arc::clone(&pools[0]),
@@ -277,7 +274,7 @@ fn assemble_snapshot<S: Storage>(
         pending_dead: Vec::new(),
         gens: Arc::clone(gens),
     };
-    Ok(Snapshot { guard, db })
+    Snapshot { guard, db }
 }
 
 impl<S: Storage> XmlDb<S> {
@@ -292,10 +289,14 @@ impl<S: Storage> XmlDb<S> {
     }
 
     /// Pin the current generation and assemble a read-only view database
-    /// over it. Lock-free: two atomic RMWs and a handful of `Arc` clones —
-    /// no `RwLock` or `Mutex` is taken, here or on the view's page reads.
+    /// over it: the generation cell's read lock for one `Arc` clone, then a
+    /// handful of `Arc` clones. Nothing is copied.
     pub fn snapshot(&self) -> CoreResult<Snapshot<S>> {
-        assemble_snapshot(&self.gens, &self.component_pools(), &self.data)
+        Ok(assemble_snapshot(
+            &self.gens,
+            &self.component_pools(),
+            &self.data,
+        ))
     }
 
     /// The four component buffer pools in component order.
@@ -333,15 +334,13 @@ impl<S: Storage> XmlDb<S> {
     /// (or during) this call loses nothing — recovery replays the log and
     /// the reopened database publishes the recovered state as generation 0.
     pub(crate) fn publish_generation(&self) {
-        let Some(cur) = self.gens.pin() else { return };
+        let cur = self.gens.pin();
         let epoch = cur.epoch + 1;
         let cells = self.capture_cells();
         let mut views = Vec::with_capacity(4);
         for (prev, cell) in cur.views.iter().zip(cells.iter()) {
-            let images = cell.current().unwrap_or_default();
             views.push(SnapView {
-                epoch,
-                node: prev.node.freeze(images),
+                node: prev.node.freeze(cell.current()),
                 cell: Arc::clone(cell),
             });
         }
@@ -365,7 +364,7 @@ impl<S: Storage> XmlDb<S> {
             _ticket: GenTicket::new(self.gens.stats()),
         };
         drop(cur);
-        self.gens.publish(Arc::new(gen));
+        self.gens.publish(epoch, Arc::new(gen));
         for cell in &cells {
             cell.reset(epoch);
         }
@@ -377,6 +376,8 @@ impl<S: Storage> XmlDb<S> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use crate::build::XmlDb;
 
     const BIB: &str = r#"<bib>
@@ -476,5 +477,44 @@ mod tests {
         let again = snap.snapshot().unwrap();
         assert_eq!(again.epoch(), 0);
         assert_eq!(again.query("//book").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn current_epoch_pins_nothing() {
+        let mut db = XmlDb::build_in_memory(BIB).unwrap();
+        let src = db.snapshot_source();
+        let book = db.query("//book").unwrap()[0].dewey.clone();
+        db.insert_last_child(&book, "<x/>").unwrap();
+        let snap = src.snapshot().unwrap();
+        let pinned = db.generation_stats().pinned_readers();
+        let count = Arc::strong_count(snap.guard.value());
+        assert_eq!(src.current_epoch(), 1);
+        assert_eq!(db.generation_stats().pinned_readers(), pinned);
+        assert_eq!(Arc::strong_count(snap.guard.value()), count);
+    }
+
+    #[test]
+    fn snapshot_page_reads_share_images_across_a_commit() {
+        let mut db = XmlDb::build_in_memory(BIB).unwrap();
+        let before = db.snapshot().unwrap();
+        let page = before.store().root().unwrap().page;
+        let image = before.store().page_image(page).unwrap();
+        assert!(Arc::ptr_eq(
+            &image,
+            &before.store().page_image(page).unwrap()
+        ));
+        // The commit rewrites the page: the old snapshot keeps reading the
+        // very image it read before, now the frozen before-image.
+        let book = db.query("//book").unwrap()[0].dewey.clone();
+        db.insert_last_child(&book, "<x/>").unwrap();
+        let after = db.snapshot().unwrap();
+        assert!(Arc::ptr_eq(
+            &image,
+            &before.store().page_image(page).unwrap()
+        ));
+        assert!(!Arc::ptr_eq(
+            &image,
+            &after.store().page_image(page).unwrap()
+        ));
     }
 }

@@ -14,8 +14,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use nok_pager::local_cache::resolve_page_cached;
-use nok_pager::mvcc::SnapView;
+use nok_pager::mvcc::{resolve_page, SnapView};
 use nok_pager::{BufferPool, PageId, Storage};
 use nok_xml::Event;
 
@@ -295,8 +294,7 @@ impl<S: Storage> StructStore<S> {
         if pool.page_count() > 0 {
             let mut pid = 0u32;
             loop {
-                let handle = pool.get(pid)?;
-                let checked = page::check_page(&handle.read())
+                let checked = page::check_page(&pool.image(pid)?)
                     .ok_or_else(|| CoreError::Corrupt(format!("bad structural page {pid}")))?;
                 node_count += checked.opens;
                 let (lo, hi) = (checked.header.lo, checked.header.hi);
@@ -400,8 +398,7 @@ impl<S: Storage> StructStore<S> {
         let dir = rd(&self.dir);
         let mut total = 0u64;
         for de in &dir.order {
-            let handle = self.pool.get(de.id)?;
-            let header = page::read_header(&handle.read())
+            let header = page::read_header(&self.pool.image(de.id)?)
                 .ok_or_else(|| CoreError::Corrupt(format!("bad structural page {}", de.id)))?;
             total += HEADER_SIZE as u64 + header.nbytes as u64;
         }
@@ -479,30 +476,20 @@ impl<S: Storage> StructStore<S> {
         Ok(lin_at(self.rank(addr.page)?, addr.entry))
     }
 
-    /// Read page `id` in place: `read` gets the [`Page`] over its bytes. On
-    /// the live store that is the frame, under its read lock, so `read`
-    /// must take no other lock and read no other page; on a snapshot view,
-    /// the generation's image of the page from the calling thread's first
-    /// tier (`nok_pager::local_cache`). A pass that calls out per entry
-    /// holds the page's image instead ([`StructStore::page_image`]).
+    /// Read page `id` in place: `read` gets the [`Page`] over its image,
+    /// which holds no lock, so `read` may take others.
     pub fn with_page<R>(&self, id: PageId, read: impl FnOnce(Page<'_>) -> R) -> CoreResult<R> {
         let (_, de) = self.dir_of(id)?;
-        let read = |bytes: &[u8]| Page::counted(bytes, de.opens).map(read);
-        match &self.view {
-            Some(view) => read(&resolve_page_cached(&self.pool, view, id)?),
-            None => read(&self.pool.get(id)?.read()),
-        }
-        .ok_or_else(|| CoreError::Corrupt(format!("bad structural page {id}")))
+        Page::counted(&self.page_image(id)?, de.opens)
+            .map(read)
+            .ok_or_else(|| CoreError::Corrupt(format!("bad structural page {id}")))
     }
 
-    /// The image of page `id`, to read with [`Page::counted`] while other
-    /// locks are taken: a snapshot view's image itself, or a copy of the
-    /// live store's frame.
+    /// The image of page `id`, to read with [`Page::counted`]: a snapshot
+    /// view's image of its epoch, the live store's current one. Either way
+    /// an `Arc` clone, no copy.
     pub fn page_image(&self, id: PageId) -> CoreResult<Arc<[u8]>> {
-        Ok(match &self.view {
-            Some(view) => resolve_page_cached(&self.pool, view, id)?,
-            None => Arc::from(&self.pool.get(id)?.read()[..]),
-        })
+        Ok(resolve_page(&self.pool, self.view.as_ref(), id)?)
     }
 
     /// The entry and its level at `addr`; the level is counted over the

@@ -5,22 +5,23 @@
 //!
 //! * a [`Storage`] trait with file-backed ([`FileStorage`]) and in-memory
 //!   ([`MemStorage`]) implementations,
-//! * a [`BufferPool`] with LRU eviction, pin counting (via handle reference
-//!   counts) and dirty-page write-back,
+//! * a [`BufferPool`] of immutable `Arc<[u8]>` page images with CLOCK
+//!   eviction, pin counting (via handle reference counts) and dirty-page
+//!   write-back,
 //! * [`IoStats`] counters distinguishing *logical* page requests from
 //!   *physical* storage reads — exactly the quantity Proposition 1 of the
 //!   paper bounds ("the physical level NoK pattern matching algorithm reads
 //!   every page at most once").
 //!
-//! The pool is thread-safe: frames live in sharded `RwLock` maps, the
-//! storage sits behind a `Mutex`, and stats are atomic, so one pool can be
-//! shared across query threads behind an `Arc`. The capacity is a hard
+//! The pool is thread-safe: a sharded `RwLock` page table finds a frame,
+//! a reader clones the frame's image, misses serialize on the frame ring's
+//! `Mutex`, and stats are atomic, so one pool can be shared across query
+//! threads behind an `Arc`. The capacity is a hard
 //! budget — when every frame is pinned, a miss fails with
 //! [`PagerError::PoolExhausted`] rather than growing the pool.
 
 pub mod error;
 pub mod failpoint;
-pub mod local_cache;
 pub mod mvcc;
 pub mod pool;
 pub mod stats;
@@ -29,12 +30,11 @@ pub mod wal;
 
 pub use error::{PagerError, PagerResult};
 pub use failpoint::{FailPlan, FailpointStorage};
-pub use local_cache::{clear_thread_tier, resolve_page_cached};
 pub use mvcc::{
-    CaptureCell, CowMap, EpochArc, GenTicket, GenerationStats, GenerationTable, PageChain,
-    SnapView, SnapshotGuard,
+    CaptureCell, CowMap, GenTicket, GenerationStats, GenerationTable, PageChain, SnapView,
+    SnapshotGuard,
 };
-pub use pool::{BufferPool, PageHandle, PageRead, PageWrite, TxnHandle};
+pub use pool::{BufferPool, PageHandle, PageWrite, TxnHandle};
 pub use stats::IoStats;
 pub use storage::{FileStorage, MemStorage, PageId, Storage, DEFAULT_PAGE_SIZE};
 pub use wal::{ReplayOutcome, Wal, WalRecord};

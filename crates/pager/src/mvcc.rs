@@ -1,135 +1,52 @@
-//! Copy-on-write page generations (MVCC snapshot reads).
+//! Page generations for snapshot reads (MVCC).
 //!
-//! This module publishes immutable *generations* of a page set so that
-//! readers never block on — and are never torn by — a concurrent writer:
+//! A page image is an immutable `Arc<[u8]>` (see [`crate::pool`]): a frame
+//! holds one, a writer replaces it, a reader clones it. What a reader pinned
+//! at an older epoch still needs is the image its epoch saw, and this module
+//! keeps exactly those:
 //!
-//! * [`EpochArc`] — a lock-free publishable `Arc<T>` cell. Readers *pin* the
-//!   current value (two atomic RMWs and an `Arc` clone); a single writer
-//!   *swings* the cell to a new value and reclaims the old one once every
-//!   in-flight pin has drained. Pins are instantaneous (the clone), so the
-//!   writer's drain wait is nanoseconds, never the lifetime of a snapshot.
-//! * [`CaptureCell`] — per-pool before-image map for the transaction in
-//!   flight: the first write to a page captures its committed bytes
-//!   *before* the frame is mutated (publish-before-mutate), so a reader
-//!   that raced the write can re-check the cell and pick the captured image.
+//! * [`CaptureCell`] — the in-flight transaction's before-images. On its
+//!   first write to a page the writer records the frame's current `Arc`
+//!   here *before* it installs a new image (a pointer, no byte copy), so a
+//!   reader that cloned the new image re-checks the cell and finds the old.
 //! * [`PageChain`] — one node per committed epoch. Commit freezes the
-//!   capture map into the retiring node, links the next node, and only then
-//!   swings the published generation, so the WAL commit point and the
-//!   visibility point coincide. A reader pinned at epoch `E` resolves a page
-//!   by walking frozen maps from its own node: the first map containing the
-//!   page holds its state-`E` image (the page was untouched in between).
-//! * [`GenerationTable`] / [`SnapshotGuard`] — the published generation and
-//!   the reader-side pin. Reclamation is by reference count: the guard's
-//!   `Arc` keeps the generation (and, through it, the frozen maps of its
-//!   chain node) alive; dropping the last guard of a superseded generation
-//!   frees its private images. [`GenerationStats`] exposes live/retired
-//!   generation counts and the pinned-reader gauge.
+//!   capture map into the retiring node and links the next node before it
+//!   publishes the generation, so the WAL commit point and the visibility
+//!   point coincide. A reader pinned at epoch `E` resolves a page by walking
+//!   frozen maps from its own node: the first map containing the page holds
+//!   its state-`E` image (the page was untouched in between).
+//! * [`GenerationTable`] / [`SnapshotGuard`] — the published generation
+//!   behind a plain lock, and the reader-side pin. Reclamation is by
+//!   reference count: the guard's `Arc` keeps the generation (and, through
+//!   it, the frozen maps of its chain node) alive. [`GenerationStats`]
+//!   exposes live/retired generation counts and the pinned-reader gauge.
 //!
-//! Single-writer discipline: [`EpochArc::swing`], [`CaptureCell::capture`]
-//! and [`CaptureCell::reset`] must only ever be called by one thread at a
-//! time (the database's writer mutex enforces this); readers may call
-//! [`EpochArc::pin`] and the lookup methods freely from any thread.
+//! Single-writer discipline: [`GenerationTable::publish`],
+//! [`CaptureCell::capture`] and [`CaptureCell::reset`] are only ever called
+//! by one thread at a time (the database's writer mutex enforces this);
+//! readers call [`GenerationTable::pin`] and the lookups from any thread.
 
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::PagerResult;
 use crate::pool::BufferPool;
 use crate::storage::{PageId, Storage};
 
-/// Low bits of the control word select the active slot.
-const SLOT_BITS: u32 = 16;
-const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
-
-/// One publishing slot: the value plus the number of pins that have finished
-/// with it ("debt repaid"). The writer compares repaid debt against the pin
-/// count recorded in the control word to know when the slot has drained.
-struct Slot<T> {
-    value: UnsafeCell<Option<Arc<T>>>,
-    debt: AtomicU64,
+/// Recover the guard from a poisoned lock: both locks here guard plain
+/// `Arc` swaps that cannot be left half done.
+fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A lock-free publishable `Arc<T>` cell (two-slot epoch pointer).
-///
-/// The control word packs `(pin_count << 16) | active_slot`. `pin` bumps the
-/// count and clones out of the active slot; `swing` installs the new value
-/// in the inactive slot, swaps the control word (resetting the count), and
-/// spins until the old slot's repaid debt equals the pins it handed out.
-/// Two slots suffice because the single writer drains before returning.
-pub struct EpochArc<T> {
-    ctrl: AtomicU64,
-    slots: [Slot<T>; 2],
+fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
-// SAFETY: slot values are only written by the single writer while no reader
-// can reach them (inactive slot pre-swap; drained slot post-swap); readers
-// only clone `Arc`s out of the active slot under the pin protocol.
-unsafe impl<T: Send + Sync> Send for EpochArc<T> {}
-// SAFETY: see the `Send` justification above — all shared access is
-// mediated by the pin/swing protocol on `ctrl` and `debt`.
-unsafe impl<T: Send + Sync> Sync for EpochArc<T> {}
-
-impl<T> EpochArc<T> {
-    /// A cell initially publishing `value` (slot 0 active, no pins).
-    pub fn new(value: Arc<T>) -> Self {
-        EpochArc {
-            ctrl: AtomicU64::new(0),
-            slots: [
-                Slot {
-                    value: UnsafeCell::new(Some(value)),
-                    debt: AtomicU64::new(0),
-                },
-                Slot {
-                    value: UnsafeCell::new(None),
-                    debt: AtomicU64::new(0),
-                },
-            ],
-        }
-    }
-
-    /// Clone the currently published value. Lock-free: one `fetch_add`, an
-    /// `Arc` clone, one `fetch_add`. Returns `None` only if the cell was
-    /// drained by a concurrent [`EpochArc::take`] (shutdown).
-    pub fn pin(&self) -> Option<Arc<T>> {
-        let c = self.ctrl.fetch_add(1 << SLOT_BITS, Ordering::Acquire);
-        let s = (c & SLOT_MASK) as usize;
-        // SAFETY: the fetch_add above registered this pin in the control
-        // word, so the writer's drain loop waits for the debt increment
-        // below; the active slot's value is never mutated while pinnable.
-        let v = unsafe { (*self.slots[s].value.get()).clone() };
-        self.slots[s].debt.fetch_add(1, Ordering::Release);
-        v
-    }
-
-    /// Publish `new`, returning the retired value. Single writer only.
-    /// Spins (nanoseconds — pins are `Arc` clones) until every reader that
-    /// pinned the old slot has finished cloning.
-    pub fn swing(&self, new: Arc<T>) -> Option<Arc<T>> {
-        let ns = (self.ctrl.load(Ordering::Acquire) & SLOT_MASK) ^ 1;
-        // SAFETY: slot `ns` is inactive — the previous swing drained it and
-        // no reader can select it until the swap below publishes it.
-        unsafe {
-            *self.slots[ns as usize].value.get() = Some(new);
-        }
-        let old = self.ctrl.swap(ns, Ordering::AcqRel);
-        let pins = old >> SLOT_BITS;
-        let os = (old & SLOT_MASK) as usize;
-        while self.slots[os].debt.load(Ordering::Acquire) < pins {
-            std::hint::spin_loop();
-        }
-        self.slots[os].debt.store(0, Ordering::Release);
-        // SAFETY: every pin of the old slot has repaid its debt, so no
-        // reader still holds a reference into it, and new pins only see the
-        // slot published by the swap above.
-        unsafe { (*self.slots[os].value.get()).take() }
-    }
-}
-
-/// Before-image map for one transaction: the committed bytes (as of epoch
+/// Before-image map for one transaction: the committed image (as of epoch
 /// `stamp`) of every page the writer has touched since the last commit.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct CowMap {
     /// Epoch whose committed state these images represent.
     pub stamp: u64,
@@ -167,32 +84,22 @@ impl CowMap {
 /// abort: before-images are the committed (post-rollback) state, so they
 /// remain valid, and clearing them would tear a reader that raced an
 /// aborted write.
+#[derive(Debug, Default)]
 pub struct CaptureCell {
     active: AtomicBool,
-    map: EpochArc<CowMap>,
-}
-
-impl std::fmt::Debug for CaptureCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CaptureCell")
-            .field("active", &self.is_active())
-            .finish()
-    }
+    map: RwLock<Arc<CowMap>>,
 }
 
 impl CaptureCell {
     /// A fresh, inactive cell stamped with epoch 0.
     pub fn new() -> Self {
-        CaptureCell {
-            active: AtomicBool::new(false),
-            map: EpochArc::new(Arc::new(CowMap::with_stamp(0))),
-        }
+        CaptureCell::default()
     }
 
     /// Begin capturing (first transaction). Idempotent.
     pub fn activate(&self, epoch: u64) {
         if !self.active.swap(true, Ordering::AcqRel) {
-            self.map.swing(Arc::new(CowMap::with_stamp(epoch)));
+            *write_lock(&self.map) = Arc::new(CowMap::with_stamp(epoch));
         }
     }
 
@@ -201,60 +108,45 @@ impl CaptureCell {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Does `page` still need a before-image? (Cheap pre-check so the
-    /// write path only copies bytes on the first write per transaction.)
-    pub fn needs(&self, page: PageId) -> bool {
+    /// Writer only: record `image` — the frame's image the write is about
+    /// to replace — as the before-image of `page`, unless one is already
+    /// present or capture is off. The map is the cell's own between
+    /// commits, so the insert copies neither the map nor the page.
+    pub fn capture(&self, page: PageId, image: &Arc<[u8]>) {
         if !self.is_active() {
-            return false;
-        }
-        match self.map.pin() {
-            Some(cur) => !cur.pages.contains_key(&page),
-            None => false,
-        }
-    }
-
-    /// Writer only: record `bytes` as the before-image of `page` unless one
-    /// is already present. Publishes the new map *before* the caller mutates
-    /// the frame, so a racing reader's re-check observes it.
-    pub fn capture(&self, page: PageId, bytes: &[u8]) {
-        let Some(cur) = self.map.pin() else { return };
-        if cur.pages.contains_key(&page) {
             return;
         }
-        let mut next = CowMap::with_stamp(cur.stamp);
-        next.pages = cur.pages.clone();
-        next.pages.insert(page, Arc::from(bytes));
-        self.map.swing(Arc::new(next));
+        let mut map = write_lock(&self.map);
+        if !map.pages.contains_key(&page) {
+            Arc::make_mut(&mut map)
+                .pages
+                .insert(page, Arc::clone(image));
+        }
     }
 
-    /// Reader: the captured image of `page`, provided the map still
-    /// describes state the reader can use (`stamp >= epoch`; a smaller
-    /// stamp means the cell is mid-reset after a commit the reader is
-    /// already ahead of).
-    pub fn lookup(&self, page: PageId, epoch: u64) -> Option<Arc<[u8]>> {
-        let cur = self.map.pin()?;
-        if cur.stamp >= epoch {
-            cur.get(page)
-        } else {
-            None
+    /// Reader whose newest chain node is `epoch`: `Some` with the captured
+    /// image of `page`, if any, while the map is that node's transaction's
+    /// (`stamp == epoch`; a smaller stamp is a map not yet reset after the
+    /// commit that published `epoch`, holding older images); `None` once a
+    /// commit has moved the cell past `epoch` — the node is frozen now.
+    pub fn lookup(&self, page: PageId, epoch: u64) -> Option<Option<Arc<[u8]>>> {
+        let map = read_lock(&self.map);
+        match map.stamp.cmp(&epoch) {
+            std::cmp::Ordering::Less => Some(None),
+            std::cmp::Ordering::Equal => Some(map.get(page)),
+            std::cmp::Ordering::Greater => None,
         }
     }
 
     /// The current map (for freezing into a [`PageChain`] node at commit).
-    pub fn current(&self) -> Option<Arc<CowMap>> {
-        self.map.pin()
+    pub fn current(&self) -> Arc<CowMap> {
+        Arc::clone(&read_lock(&self.map))
     }
 
     /// Writer only: replace the map with a fresh empty one stamped
-    /// `new_stamp` (the epoch just published), returning the retired map.
-    pub fn reset(&self, new_stamp: u64) -> Option<Arc<CowMap>> {
-        self.map.swing(Arc::new(CowMap::with_stamp(new_stamp)))
-    }
-}
-
-impl Default for CaptureCell {
-    fn default() -> Self {
-        CaptureCell::new()
+    /// `new_stamp` (the epoch just published).
+    pub fn reset(&self, new_stamp: u64) {
+        *write_lock(&self.map) = Arc::new(CowMap::with_stamp(new_stamp));
     }
 }
 
@@ -289,25 +181,13 @@ impl PageChain {
         let _ = self.next.set(Arc::clone(&next));
         next
     }
-
-    /// Frozen images of the transaction that retired this node, if any.
-    pub fn frozen(&self) -> Option<&Arc<CowMap>> {
-        self.frozen.get()
-    }
-
-    /// Successor node, once linked.
-    pub fn next(&self) -> Option<&Arc<PageChain>> {
-        self.next.get()
-    }
 }
 
 /// A reader's view of one pool at one epoch: its chain node plus the pool's
 /// live capture cell.
 #[derive(Clone)]
 pub struct SnapView {
-    /// Epoch the reader is pinned at.
-    pub epoch: u64,
-    /// Chain node for that epoch.
+    /// Chain node of the epoch the reader is pinned at.
     pub node: Arc<PageChain>,
     /// The pool's capture cell (for in-flight transaction images).
     pub cell: Arc<CaptureCell>,
@@ -316,47 +196,51 @@ pub struct SnapView {
 impl SnapView {
     /// Resolve `page` through the overlay: walk frozen maps from the
     /// reader's node (first hit wins — the page was untouched between the
-    /// reader's epoch and the capture), then the live capture cell.
+    /// reader's epoch and the capture), then the live capture cell. A
+    /// commit that lands between the walk and the cell freezes the node
+    /// the walk stopped at before it resets the cell, so the walk goes on.
     pub fn lookup(&self, page: PageId) -> Option<Arc<[u8]>> {
         let mut node = &self.node;
         loop {
-            match node.frozen() {
-                Some(map) => {
-                    if let Some(img) = map.get(page) {
-                        return Some(img);
-                    }
-                    match node.next() {
-                        Some(n) => node = n,
-                        // Mid-commit window: the successor is not linked
-                        // yet, so the live cell still holds the same map.
-                        None => return self.cell.lookup(page, self.epoch),
-                    }
+            if let Some(map) = node.frozen.get() {
+                if let Some(img) = map.get(page) {
+                    return Some(img);
                 }
-                None => return self.cell.lookup(page, self.epoch),
+                if let Some(next) = node.next.get() {
+                    node = next;
+                    continue;
+                }
+            }
+            match self.cell.lookup(page, node.epoch) {
+                Some(found) => return found,
+                None if node.next.get().is_some() => {}
+                // Never: a commit links the node before it resets the cell.
+                None => return None,
             }
         }
     }
 }
 
-/// Fetch the bytes of `page` as of `view`'s epoch: overlay first, then the
-/// shared base with a re-check. The re-check is sound because the writer
-/// publishes a page's before-image *before* taking the frame's write lock:
-/// if our base read raced a first write, the capture is visible by the time
-/// we re-check; if it did not, the base bytes are the committed state.
+/// The image of `page` as of `view`'s epoch, or the frame's current image
+/// without a view: look in the overlay, clone the frame's image, look in
+/// the overlay again. Nothing is copied. The second look is sound because
+/// the writer records a page's before-image *before* it installs the new
+/// image under the frame's lock: a reader that cloned the new image sees
+/// the capture on the second look; one that cloned the old image holds the
+/// committed state.
 pub fn resolve_page<S: Storage>(
     pool: &BufferPool<S>,
-    view: &SnapView,
+    view: Option<&SnapView>,
     page: PageId,
 ) -> PagerResult<Arc<[u8]>> {
+    let Some(view) = view else {
+        return pool.image(page);
+    };
     if let Some(img) = view.lookup(page) {
         return Ok(img);
     }
-    let handle = pool.get(page)?;
-    let guard = handle.read();
-    if let Some(img) = view.lookup(page) {
-        return Ok(img);
-    }
-    Ok(Arc::from(&guard[..]))
+    let img = pool.image(page)?;
+    Ok(view.lookup(page).unwrap_or(img))
 }
 
 /// Live/retired generation counts and the pinned-reader gauge.
@@ -397,9 +281,9 @@ impl std::fmt::Debug for GenTicket {
 }
 
 impl GenTicket {
-    /// A ticket counted against `stats` (live until dropped). Use with
-    /// [`GenerationTable::with_stats`] so *every* generation — including
-    /// the initial one — carries its own ticket and the gauges stay exact.
+    /// A ticket counted against `stats` (live until dropped). Every
+    /// generation — the initial one included — carries its own, so the
+    /// gauges stay exact.
     pub fn new(stats: &Arc<GenerationStats>) -> Self {
         stats.live.fetch_add(1, Ordering::AcqRel);
         GenTicket {
@@ -415,54 +299,49 @@ impl Drop for GenTicket {
     }
 }
 
-/// The published generation: an [`EpochArc`] plus reclamation stats.
+/// The published generation behind a plain lock, and its epoch in an
+/// atomic so that asking for the epoch takes no lock and pins nothing.
 pub struct GenerationTable<T> {
-    cell: EpochArc<T>,
+    current: RwLock<Arc<T>>,
+    epoch: AtomicU64,
     stats: Arc<GenerationStats>,
 }
 
 impl<T> GenerationTable<T> {
-    /// A table initially publishing `initial` (generation 0).
-    pub fn new(initial: Arc<T>) -> Self {
-        let stats = Arc::new(GenerationStats::default());
-        stats.live.fetch_add(1, Ordering::AcqRel);
+    /// A table publishing `initial` as epoch 0, counted in `stats` (the
+    /// initial generation carries its own [`GenTicket`]).
+    pub fn new(stats: Arc<GenerationStats>, initial: Arc<T>) -> Self {
         GenerationTable {
-            cell: EpochArc::new(initial),
+            current: RwLock::new(initial),
+            epoch: AtomicU64::new(0),
             stats,
         }
-    }
-
-    /// A table over a caller-provided stats block whose initial generation
-    /// already carries a [`GenTicket::new`] ticket (exact gauge accounting,
-    /// unlike [`GenerationTable::new`]'s implicit initial count).
-    pub fn with_stats(stats: Arc<GenerationStats>, initial: Arc<T>) -> Self {
-        GenerationTable {
-            cell: EpochArc::new(initial),
-            stats,
-        }
-    }
-
-    /// A ticket to embed in the *next* generation value (counts it live
-    /// until dropped). The initial generation's ticket is implicit.
-    pub fn ticket(&self) -> GenTicket {
-        GenTicket::new(&self.stats)
     }
 
     /// Pin the current generation. The guard's `Arc` keeps the generation
     /// (and its chain node's images) alive; dropping it releases the pin.
-    pub fn pin(&self) -> Option<SnapshotGuard<T>> {
-        let value = self.cell.pin()?;
+    pub fn pin(&self) -> SnapshotGuard<T> {
+        let value = Arc::clone(&read_lock(&self.current));
         self.stats.pinned.fetch_add(1, Ordering::AcqRel);
-        Some(SnapshotGuard {
+        SnapshotGuard {
             value,
             stats: Arc::clone(&self.stats),
-        })
+        }
     }
 
-    /// Writer only: publish `next` (the visibility point — call it right
-    /// after the WAL fsync). Returns the superseded generation.
-    pub fn publish(&self, next: Arc<T>) -> Option<Arc<T>> {
-        self.cell.swing(next)
+    /// Epoch of the newest published generation: one atomic load.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Writer only: publish `next` as `epoch` (the visibility point — call
+    /// it right after the WAL fsync). The epoch is stored after the swap,
+    /// so a reader that sees it pins that generation or a newer one.
+    /// Returns the superseded generation.
+    pub fn publish(&self, epoch: u64, next: Arc<T>) -> Arc<T> {
+        let old = std::mem::replace(&mut *write_lock(&self.current), next);
+        self.epoch.store(epoch, Ordering::Release);
+        old
     }
 
     /// Reclamation stats.
@@ -474,6 +353,7 @@ impl<T> GenerationTable<T> {
 impl<T> std::fmt::Debug for GenerationTable<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GenerationTable")
+            .field("epoch", &self.epoch())
             .field("pinned", &self.stats.pinned_readers())
             .field("live", &self.stats.live_generations())
             .finish()
@@ -512,96 +392,40 @@ impl<T> Drop for SnapshotGuard<T> {
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
-    use std::sync::atomic::AtomicUsize;
 
-    #[test]
-    fn epoch_arc_pin_and_swing_round_trip() {
-        let cell = EpochArc::new(Arc::new(1u32));
-        assert_eq!(*cell.pin().unwrap(), 1);
-        let old = cell.swing(Arc::new(2)).unwrap();
-        assert_eq!(*old, 1);
-        assert_eq!(*cell.pin().unwrap(), 2);
-        let old = cell.swing(Arc::new(3)).unwrap();
-        assert_eq!(*old, 2);
-        assert_eq!(*cell.pin().unwrap(), 3);
-    }
-
-    #[test]
-    fn epoch_arc_retired_value_freed_when_unpinned() {
-        struct Count<'a>(&'a AtomicUsize);
-        impl Drop for Count<'_> {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let drops = AtomicUsize::new(0);
-        let cell = EpochArc::new(Arc::new(Count(&drops)));
-        let pinned = cell.pin().unwrap();
-        let retired = cell.swing(Arc::new(Count(&drops))).unwrap();
-        assert_eq!(drops.load(Ordering::SeqCst), 0);
-        drop(retired);
-        assert_eq!(drops.load(Ordering::SeqCst), 0, "pin keeps value alive");
-        drop(pinned);
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn epoch_arc_concurrent_pins_see_whole_values() {
-        // Publish pairs (n, n) and assert no reader ever observes a torn
-        // pair while the writer swings continuously.
-        let cell = Arc::new(EpochArc::new(Arc::new((0u64, 0u64))));
-        let writer = {
-            let cell = Arc::clone(&cell);
-            std::thread::spawn(move || {
-                for n in 1..=1000u64 {
-                    cell.swing(Arc::new((n, n)));
-                }
-            })
-        };
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let cell = Arc::clone(&cell);
-                std::thread::spawn(move || {
-                    let mut last = 0;
-                    for _ in 0..2000 {
-                        let v = cell.pin().unwrap();
-                        assert_eq!(v.0, v.1, "torn value observed");
-                        assert!(v.0 >= last, "epoch went backwards");
-                        last = v.0;
-                    }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for r in readers {
-            r.join().unwrap();
-        }
+    fn image(bytes: &[u8]) -> Arc<[u8]> {
+        Arc::from(bytes)
     }
 
     #[test]
     fn capture_cell_inactive_until_activated() {
         let cell = CaptureCell::new();
-        cell.capture(7, &[1, 2, 3]);
-        // Capture before activation still records (gating is the caller's
-        // job via is_active); lookup honors the stamp.
+        cell.capture(7, &image(&[1, 2, 3]));
         assert!(!cell.is_active());
+        assert!(
+            cell.current().is_empty(),
+            "an inactive cell captures nothing"
+        );
         cell.activate(5);
         assert!(cell.is_active());
-        assert!(cell.lookup(7, 5).is_none(), "activation reset the map");
+        assert_eq!(cell.lookup(7, 5), Some(None));
     }
 
     #[test]
     fn capture_cell_first_image_wins() {
         let cell = CaptureCell::new();
         cell.activate(3);
-        cell.capture(9, &[1, 1]);
-        cell.capture(9, &[2, 2]);
-        assert_eq!(&cell.lookup(9, 3).unwrap()[..], &[1, 1]);
-        // A reader ahead of the stamp must not use the image.
-        assert!(cell.lookup(9, 4).is_none());
-        let old = cell.reset(4).unwrap();
-        assert_eq!(old.len(), 1);
-        assert!(cell.lookup(9, 4).is_none());
+        let first = image(&[1, 1]);
+        cell.capture(9, &first);
+        cell.capture(9, &image(&[2, 2]));
+        assert!(Arc::ptr_eq(&cell.lookup(9, 3).unwrap().unwrap(), &first));
+        // A reader ahead of the stamp must not use the image, and one
+        // behind it must look at its frozen maps again.
+        assert_eq!(cell.lookup(9, 4), Some(None));
+        assert_eq!(cell.lookup(9, 2), None);
+        assert_eq!(cell.current().len(), 1);
+        cell.reset(4);
+        assert_eq!(cell.lookup(9, 4), Some(None));
     }
 
     #[test]
@@ -610,28 +434,33 @@ mod tests {
         cell.activate(0);
         let node0 = PageChain::new(0);
         // Txn 0 -> 1 modified page 5 (state-0 image [0u8; 2]).
-        cell.capture(5, &[0, 0]);
-        let node1 = node0.freeze(cell.current().unwrap());
+        cell.capture(5, &image(&[0, 0]));
+        let node1 = node0.freeze(cell.current());
         cell.reset(1);
         // Txn 1 -> 2 modified page 6.
-        cell.capture(6, &[1, 1]);
-        let _node2 = node1.freeze(cell.current().unwrap());
+        cell.capture(6, &image(&[1, 1]));
+        let _node2 = node1.freeze(cell.current());
         cell.reset(2);
 
         let at0 = SnapView {
-            epoch: 0,
             node: Arc::clone(&node0),
             cell: Arc::clone(&cell),
         };
         assert_eq!(&at0.lookup(5).unwrap()[..], &[0, 0], "state-0 image");
         assert_eq!(&at0.lookup(6).unwrap()[..], &[1, 1], "unchanged 0->1");
         let at1 = SnapView {
-            epoch: 1,
             node: Arc::clone(&node1),
             cell: Arc::clone(&cell),
         };
         assert!(at1.lookup(5).is_none(), "page 5 already at state 1 in base");
         assert_eq!(&at1.lookup(6).unwrap()[..], &[1, 1]);
+    }
+
+    fn view_at_0(cell: &Arc<CaptureCell>) -> SnapView {
+        SnapView {
+            node: PageChain::new(0),
+            cell: Arc::clone(cell),
+        }
     }
 
     #[test]
@@ -642,53 +471,88 @@ mod tests {
         drop(h);
         let cell = Arc::new(CaptureCell::new());
         cell.activate(0);
-        let view = SnapView {
-            epoch: 0,
-            node: PageChain::new(0),
-            cell: Arc::clone(&cell),
-        };
-        let bytes = resolve_page(&pool, &view, id).unwrap();
+        let view = view_at_0(&cell);
+        let bytes = resolve_page(&pool, Some(&view), id).unwrap();
         assert_eq!(bytes[0], 42);
         // A capture supersedes the base.
-        cell.capture(id, &[7; 64]);
-        let bytes = resolve_page(&pool, &view, id).unwrap();
+        cell.capture(id, &image(&[7; 64]));
+        let bytes = resolve_page(&pool, Some(&view), id).unwrap();
         assert_eq!(bytes[0], 7);
+    }
+
+    #[test]
+    fn snapshot_reads_of_an_untouched_page_share_one_image() {
+        let pool = BufferPool::new(MemStorage::with_page_size(64));
+        let (id, h) = pool.allocate().unwrap();
+        drop(h);
+        let view = view_at_0(&Arc::new(CaptureCell::new()));
+        let a = resolve_page(&pool, Some(&view), id).unwrap();
+        let b = resolve_page(&pool, Some(&view), id).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "a snapshot read copied the page");
+    }
+
+    #[test]
+    fn an_older_snapshot_reads_the_captured_before_image_by_pointer() {
+        let pool = Arc::new(BufferPool::new(MemStorage::with_page_size(64)));
+        let (id, h) = pool.allocate().unwrap();
+        h.write()[0] = 1;
+        drop(h);
+        let view = view_at_0(pool.capture_cell());
+        let before = resolve_page(&pool, Some(&view), id).unwrap();
+        let mut txn = pool.begin_txn();
+        pool.get(id).unwrap().write()[0] = 2;
+        let captured = pool.capture_cell().current().get(id).unwrap();
+        assert!(
+            Arc::ptr_eq(&captured, &before),
+            "the before-image is the frame's old Arc"
+        );
+        let seen = resolve_page(&pool, Some(&view), id).unwrap();
+        assert!(Arc::ptr_eq(&seen, &captured));
+        assert_eq!(pool.image(id).unwrap()[0], 2);
+        txn.commit();
     }
 
     #[test]
     fn generation_table_stats_track_pins_and_reclaim() {
         struct Gen {
             n: u64,
-            _ticket: Option<GenTicket>,
+            _ticket: GenTicket,
         }
-        let table = GenerationTable::new(Arc::new(Gen {
-            n: 0,
-            _ticket: None,
-        }));
-        assert_eq!(table.stats().live_generations(), 1);
-        let g0 = table.pin().unwrap();
-        assert_eq!(table.stats().pinned_readers(), 1);
-        assert_eq!(g0.n, 0);
-        let retired = table
-            .publish(Arc::new(Gen {
-                n: 1,
-                _ticket: Some(table.ticket()),
-            }))
-            .unwrap();
-        assert_eq!(table.stats().live_generations(), 2);
+        let stats = Arc::new(GenerationStats::default());
+        let gen = |n| {
+            Arc::new(Gen {
+                n,
+                _ticket: GenTicket::new(&stats),
+            })
+        };
+        let table = GenerationTable::new(Arc::clone(&stats), gen(0));
+        assert_eq!((stats.live_generations(), table.epoch()), (1, 0));
+        let g0 = table.pin();
+        assert_eq!(stats.pinned_readers(), 1);
+        let retired = table.publish(1, gen(1));
+        assert_eq!((stats.live_generations(), table.epoch()), (2, 1));
         assert_eq!(retired.n, 0);
         drop(retired);
         // g0 still holds generation 0 alive.
-        assert_eq!(table.stats().retired_generations(), 0);
+        assert_eq!(stats.retired_generations(), 0);
         assert_eq!(g0.n, 0);
         drop(g0);
-        assert_eq!(table.stats().pinned_readers(), 0);
-        // Generation 0 carried no ticket (the initial one is implicit in
-        // `new`), so reclaim accounting moves when generation 1 retires.
-        let _ = table.publish(Arc::new(Gen {
-            n: 2,
-            _ticket: Some(table.ticket()),
-        }));
-        assert_eq!(table.stats().live_generations(), 3 - 1);
+        assert_eq!(stats.pinned_readers(), 0);
+        assert_eq!(stats.retired_generations(), 1);
+        assert_eq!(table.pin().n, 1);
+    }
+
+    #[test]
+    fn reading_the_epoch_takes_no_lock_and_pins_nothing() {
+        let stats = Arc::new(GenerationStats::default());
+        let table = GenerationTable::new(Arc::clone(&stats), Arc::new(7u32));
+        let _ = table.publish(3, Arc::new(8));
+        // With the cell write-locked (a publish in progress), a lock taken
+        // by `epoch` would never return.
+        let cell = write_lock(&table.current);
+        let count = Arc::strong_count(&cell);
+        assert_eq!(table.epoch(), 3);
+        assert_eq!(stats.pinned_readers(), 0);
+        assert_eq!(Arc::strong_count(&cell), count);
     }
 }

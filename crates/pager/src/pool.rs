@@ -1,27 +1,32 @@
 //! The buffer pool.
 //!
-//! Frames are reference-counted: a [`PageHandle`] keeps its frame pinned, and
-//! a frame is evictable exactly when no handle to it is alive. LRU order is
-//! maintained with a monotone clock stamp per frame (simple and adequate for
-//! pool sizes in the thousands).
+//! **Images.** A frame holds its page as an immutable `Arc<[u8]>`. A reader
+//! — live or snapshot — clones that `Arc` ([`BufferPool::image`]): nothing
+//! is copied, and the image stays readable after its frame is evicted. A
+//! writer changes bytes through [`PageHandle::write`], which gets a unique
+//! image with `Arc::make_mut` — copying it only while someone else holds
+//! it — so an image a reader holds is never changed. On a page's first
+//! write in a transaction the frame's image is recorded, by pointer, as
+//! the before-image in the pool's [`CaptureCell`] before the new image is
+//! installed; rollback puts that `Arc` back.
 //!
-//! **Concurrency model.** The pool is fully thread-safe: the frame table is
-//! sharded across [`SHARD_COUNT`] `RwLock`-protected maps (hits take one
-//! shard read lock and touch only atomics), the storage sits behind a
-//! `Mutex`, and [`IoStats`] counters are atomic. Misses and evictions
-//! serialize per shard: a miss holds its shard's write lock across the
-//! check-read-install sequence, and an eviction holds the victim's shard
-//! write lock across the remove-writeback sequence, so a page can never be
-//! re-read from storage while its dirty frame is mid-writeback. At most one
-//! shard lock is held at a time (the storage mutex nests strictly inside),
-//! which rules out lock-order deadlocks.
+//! **Frames and eviction.** The frames form one array (the CLOCK ring)
+//! under one mutex, and a page table — sharded across [`SHARD_COUNT`]
+//! `RwLock`ed maps — finds a page's frame. A hit takes one shard read lock
+//! and sets the frame's reference bit; the frame's own lock is taken after
+//! the shard's is released. A miss takes the ring's mutex, so misses,
+//! evictions and installs happen one at a time: the hand sweeps the ring,
+//! clearing reference bits, and evicts the first frame that is
+//! unreferenced, unpinned and not written by the open transaction, writing
+//! it back first if it owes its home file. The table entry goes before the
+//! write-back, and a miss on that page waits for the ring's mutex, so a
+//! page is never re-read from storage while its frame is being written.
 //!
-//! **Capacity.** `max_frames` is enforced at miss time: installing a frame
-//! into a full pool first evicts the least-recently-used *unpinned* frame
-//! (flushing it if dirty). If every frame is pinned the pool does not grow;
-//! the miss fails with [`crate::PagerError::PoolExhausted`]. Concurrent
-//! misses may transiently overshoot the cap by at most the number of racing
-//! threads; each subsequent install shrinks the pool back below `max_frames`.
+//! **Pins and capacity.** A [`PageHandle`] pins its frame (it holds the
+//! frame's `Arc`; the ring and the table hold the other two). The pool
+//! never holds more than `capacity` frames: when the hand finds nothing to
+//! evict in two turns, the miss fails with
+//! [`crate::PagerError::PoolExhausted`].
 //!
 //! **Transactions.** A frame's state records two separate facts: it *owes*
 //! its home file bytes storage has not seen, and the open transaction
@@ -29,14 +34,11 @@
 //! holds the transaction, and its frames simply stop being the
 //! transaction's. Eviction and [`BufferPool::flush`] write back any frame
 //! that owes — a committed frame's log record is already durable (the WAL
-//! rule) — but never one the open transaction wrote (no-steal). Rollback
-//! gives each page the transaction rewrote its before-image back from the
-//! pool's [`CaptureCell`]: the frame may hold committed bytes its home file
-//! has never seen, so dropping it would lose them.
+//! rule) — but never one the open transaction wrote (no-steal).
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::error::{PagerError, PagerResult};
@@ -44,9 +46,8 @@ use crate::mvcc::CaptureCell;
 use crate::stats::IoStats;
 use crate::storage::{PageId, Storage};
 
-/// Number of independently locked frame-map shards. A small power of two:
-/// enough to keep eight query threads from colliding on one lock, cheap
-/// enough to scan exhaustively during eviction.
+/// Number of independently locked page-table shards: enough to keep eight
+/// query threads from colliding on one lock.
 const SHARD_COUNT: usize = 16;
 
 #[inline]
@@ -60,62 +61,70 @@ const OWES_HOME: u8 = 1;
 /// Frame state bit: the open transaction wrote the frame.
 const TXN_WROTE: u8 = 2;
 
+/// Holders of an unpinned cached frame: the ring and the page table.
+const UNPINNED: usize = 2;
+
 #[derive(Debug)]
 struct Frame {
-    data: Arc<RwLock<Box<[u8]>>>,
-    state: Arc<AtomicU8>,
-    last_used: AtomicU64,
+    id: PageId,
+    image: RwLock<Arc<[u8]>>,
+    state: AtomicU8,
+    /// CLOCK reference bit: set by a hit, cleared by the passing hand.
+    referenced: AtomicBool,
 }
 
 impl Frame {
-    /// A frame is pinned while any [`PageHandle`] to it is alive; the map's
-    /// own `Arc` is the only other holder.
-    fn is_pinned(&self) -> bool {
-        Arc::strong_count(&self.data) > 1
+    fn new(id: PageId, image: Arc<[u8]>, state: u8) -> Arc<Frame> {
+        Arc::new(Frame {
+            id,
+            image: RwLock::new(image),
+            state: AtomicU8::new(state),
+            referenced: AtomicBool::new(false),
+        })
     }
 
-    /// May the frame's bytes go to storage — not while the open
-    /// transaction (`in_txn`) has written them?
-    fn may_write_back(&self, in_txn: bool) -> bool {
-        !(in_txn && self.state.load(Ordering::Acquire) & TXN_WROTE != 0)
+    fn current_image(&self) -> Arc<[u8]> {
+        Arc::clone(&read_lock(&self.image))
+    }
+
+    /// May the frame leave the pool: is it unpinned, and are its bytes
+    /// not the open transaction's (`in_txn`)?
+    fn evictable(self: &Arc<Self>, in_txn: bool) -> bool {
+        Arc::strong_count(self) <= UNPINNED
+            && !(in_txn && self.state.load(Ordering::Acquire) & TXN_WROTE != 0)
     }
 }
 
-type Shard = HashMap<PageId, Frame>;
+/// The frame array and the CLOCK hand.
+#[derive(Debug, Default)]
+struct Clock {
+    ring: Vec<Arc<Frame>>,
+    hand: usize,
+}
 
 /// A pinned page. Holding the handle keeps the page in the pool; dropping it
-/// makes the frame evictable again. Obtain the bytes with [`PageHandle::read`]
-/// or [`PageHandle::write`] (the latter marks the page dirty).
+/// makes the frame evictable again. Read the bytes with [`PageHandle::read`]
+/// or change them with [`PageHandle::write`] (which marks the page dirty).
 #[derive(Clone)]
 pub struct PageHandle {
-    id: PageId,
-    data: Arc<RwLock<Box<[u8]>>>,
-    state: Arc<AtomicU8>,
+    frame: Arc<Frame>,
     /// The owning pool's capture cell: the first write to this page inside
-    /// a transaction publishes its before-image for snapshot readers
-    /// *before* mutating the frame. `None` only for cache-less handles.
+    /// a transaction records its before-image for snapshot readers.
+    /// `None` only for cache-less handles.
     capture: Option<Arc<CaptureCell>>,
 }
 
 impl std::fmt::Debug for PageHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PageHandle").field("id", &self.id).finish()
+        f.debug_struct("PageHandle")
+            .field("id", &self.frame.id)
+            .finish()
     }
 }
 
-/// Shared read access to a page's bytes (an RAII guard).
-pub struct PageRead<'a>(RwLockReadGuard<'a, Box<[u8]>>);
-
-impl Deref for PageRead<'_> {
-    type Target = [u8];
-    #[inline]
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-/// Exclusive write access to a page's bytes (an RAII guard).
-pub struct PageWrite<'a>(RwLockWriteGuard<'a, Box<[u8]>>);
+/// Exclusive write access to a page's bytes (an RAII guard over the
+/// frame's image; the first mutable access makes the image unique).
+pub struct PageWrite<'a>(RwLockWriteGuard<'a, Arc<[u8]>>);
 
 impl Deref for PageWrite<'_> {
     type Target = [u8];
@@ -128,13 +137,14 @@ impl Deref for PageWrite<'_> {
 impl DerefMut for PageWrite<'_> {
     #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.0
+        Arc::make_mut(&mut self.0)
     }
 }
 
-/// Recover the guard from a poisoned lock: the page bytes are plain data
-/// whose invariants are re-checked on decode, so a panic in another thread
-/// (only possible in tests — the query path is panic-free) must not cascade.
+/// Recover the guard from a poisoned lock: the locks here guard `Arc`
+/// swaps and maps whose invariants a panicking thread cannot break (only
+/// possible in tests — the query path is panic-free), so it must not
+/// cascade.
 #[inline]
 fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(|e| e.into_inner())
@@ -153,45 +163,44 @@ fn mutex_lock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
 impl PageHandle {
     /// Page id this handle refers to.
     pub fn id(&self) -> PageId {
-        self.id
+        self.frame.id
     }
 
-    /// Immutable view of the page bytes. Concurrent readers do not block
-    /// each other; a writer in another thread blocks until they finish.
-    pub fn read(&self) -> PageRead<'_> {
-        PageRead(read_lock(&self.data))
+    /// The page's current image. It never changes, whatever is written to
+    /// the page later.
+    pub fn read(&self) -> Arc<[u8]> {
+        self.frame.current_image()
     }
 
-    /// Mutable view of the page bytes; marks the page as owing its home
-    /// file and as written by the open transaction. If the pool's capture
-    /// cell is active and this is the page's first write in the
-    /// transaction, its before-image is published *before* the write lock
-    /// is taken, so snapshot readers re-checking the cell never observe
-    /// mid-transaction bytes.
+    /// Mutable access to the page bytes; marks the page as owing its home
+    /// file and as written by the open transaction. If this is the page's
+    /// first write in the transaction, the frame's image is recorded as its
+    /// before-image *before* the new image replaces it, so a snapshot
+    /// reader re-checking the capture cell never uses mid-transaction bytes.
     pub fn write(&self) -> PageWrite<'_> {
+        let image = write_lock(&self.frame.image);
         if let Some(cell) = &self.capture {
-            if cell.needs(self.id) {
-                cell.capture(self.id, &read_lock(&self.data));
-            }
+            cell.capture(self.frame.id, &image);
         }
-        self.state.fetch_or(OWES_HOME | TXN_WROTE, Ordering::AcqRel);
-        PageWrite(write_lock(&self.data))
+        self.frame
+            .state
+            .fetch_or(OWES_HOME | TXN_WROTE, Ordering::AcqRel);
+        PageWrite(image)
     }
 }
 
-/// An LRU buffer pool over a [`Storage`].
+/// A CLOCK buffer pool over a [`Storage`].
 ///
 /// All methods take `&self`; the pool is `Sync` whenever the storage is
 /// `Send`, so one pool can be shared across query threads behind an `Arc`.
 #[derive(Debug)]
 pub struct BufferPool<S: Storage> {
     storage: Mutex<S>,
-    shards: Vec<RwLock<Shard>>,
-    /// Total frames across all shards (may transiently exceed `capacity`
-    /// while concurrent misses race; see module docs).
-    frames: AtomicUsize,
-    /// Monotone LRU clock.
-    clock: AtomicU64,
+    /// The page table: page id → frame.
+    shards: Vec<RwLock<HashMap<PageId, Arc<Frame>>>>,
+    /// The frames and the hand. Held by a miss from its re-check to its
+    /// install, and by everything that walks the frames.
+    clock: Mutex<Clock>,
     capacity: usize,
     page_size: usize,
     stats: IoStats,
@@ -199,11 +208,6 @@ pub struct BufferPool<S: Storage> {
     /// written back (no-steal): the write-ahead log has not seen them yet.
     /// Eviction and flush skip them while this is set.
     txn_active: AtomicBool,
-    /// Process-unique pool identity (monotone, never reused), so caches
-    /// outside the pool — e.g. the per-worker first tier in
-    /// [`crate::local_cache`] — can key entries by pool without holding an
-    /// `Arc` back to it.
-    instance: u64,
     /// Before-image capture for MVCC snapshot readers (see [`crate::mvcc`]).
     capture: Arc<CaptureCell>,
 }
@@ -222,29 +226,17 @@ impl<S: Storage> BufferPool<S> {
     /// disables caching entirely (every get is a physical read) — used by
     /// tests that want raw I/O counts.
     pub fn with_capacity(storage: S, capacity: usize) -> Self {
-        // Relaxed: the counter only needs uniqueness, not ordering.
-        static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
         let page_size = storage.page_size();
         BufferPool {
             storage: Mutex::new(storage),
-            shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(Shard::new()))
-                .collect(),
-            frames: AtomicUsize::new(0),
-            clock: AtomicU64::new(0),
+            shards: (0..SHARD_COUNT).map(|_| RwLock::default()).collect(),
+            clock: Mutex::default(),
             capacity,
             page_size,
             stats: IoStats::default(),
             txn_active: AtomicBool::new(false),
             capture: Arc::new(CaptureCell::new()),
-            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
         }
-    }
-
-    /// Process-unique identity of this pool instance (never reused, never
-    /// zero). External caches key on it instead of on an address.
-    pub fn instance_id(&self) -> u64 {
-        self.instance
     }
 
     /// This pool's before-image capture cell (inactive until a transaction
@@ -275,195 +267,154 @@ impl<S: Storage> BufferPool<S> {
 
     /// Number of frames currently cached.
     pub fn cached_frames(&self) -> usize {
-        self.frames.load(Ordering::Acquire)
+        mutex_lock(&self.clock).ring.len()
     }
 
-    #[inline]
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// A pin on a cached frame.
-    fn handle_to(&self, id: PageId, frame: &Frame) -> PageHandle {
-        PageHandle {
-            id,
-            data: Arc::clone(&frame.data),
-            state: Arc::clone(&frame.state),
-            capture: Some(Arc::clone(&self.capture)),
-        }
-    }
-
-    /// Fetch page `id`, reading it from storage on a miss.
+    /// Fetch and pin page `id`, reading it from storage on a miss.
     pub fn get(&self, id: PageId) -> PagerResult<PageHandle> {
+        Ok(PageHandle {
+            frame: self.fetch(id)?,
+            capture: (self.capacity > 0).then(|| Arc::clone(&self.capture)),
+        })
+    }
+
+    /// The current image of page `id`, reading it from storage on a miss.
+    /// Pins nothing: the image outlives its frame.
+    pub fn image(&self, id: PageId) -> PagerResult<Arc<[u8]>> {
+        Ok(self.fetch(id)?.current_image())
+    }
+
+    /// The frame of page `id`, installed from storage on a miss. The
+    /// caller takes the frame's lock with no pool lock held: a writer
+    /// holding one frame's write lock may miss on another page.
+    fn fetch(&self, id: PageId) -> PagerResult<Arc<Frame>> {
         self.stats.count_get();
         if self.capacity == 0 {
             // Cache-less mode: always a physical read, never retained.
-            let mut buf = vec![0u8; self.page_size].into_boxed_slice();
-            mutex_lock(&self.storage).read_page(id, &mut buf)?;
-            self.stats.count_read();
-            return Ok(PageHandle {
-                id,
-                data: Arc::new(RwLock::new(buf)),
-                state: Arc::new(AtomicU8::new(0)),
-                capture: None,
-            });
+            return Ok(Frame::new(id, self.read_page(id)?, 0));
         }
-        // Fast path: shard read lock, atomics only.
-        {
-            let shard = read_lock(&self.shards[shard_of(id)]);
-            if let Some(frame) = shard.get(&id) {
-                frame.last_used.store(self.tick(), Ordering::Relaxed);
-                return Ok(self.handle_to(id, frame));
-            }
+        if let Some(frame) = self.hit(id) {
+            return Ok(frame);
         }
-        // Miss: make room first (never holding two shard locks at once),
-        // then re-check and read under the target shard's write lock so a
-        // concurrent eviction of the same page cannot interleave its
-        // write-back with our read.
-        self.make_room()?;
-        let handle = {
-            let mut shard = write_lock(&self.shards[shard_of(id)]);
-            if let Some(frame) = shard.get(&id) {
-                // Another thread installed it while we waited.
-                frame.last_used.store(self.tick(), Ordering::Relaxed);
-                self.handle_to(id, frame)
-            } else {
-                let mut buf = vec![0u8; self.page_size].into_boxed_slice();
-                mutex_lock(&self.storage).read_page(id, &mut buf)?;
-                self.stats.count_read();
-                self.install_into(&mut shard, id, buf, 0)
-            }
-        };
-        self.shrink_overshoot();
-        Ok(handle)
+        let mut clock = mutex_lock(&self.clock);
+        // Another miss may have installed it while we waited.
+        if let Some(frame) = self.hit(id) {
+            return Ok(frame);
+        }
+        self.make_room(&mut clock)?;
+        let image = self.read_page(id)?;
+        Ok(self.install(&mut clock, id, image, 0))
+    }
+
+    fn hit(&self, id: PageId) -> Option<Arc<Frame>> {
+        let shard = read_lock(&self.shards[shard_of(id)]);
+        let frame = shard.get(&id)?;
+        if !frame.referenced.load(Ordering::Relaxed) {
+            frame.referenced.store(true, Ordering::Relaxed);
+        }
+        Some(Arc::clone(frame))
+    }
+
+    fn zeroed(&self) -> Arc<[u8]> {
+        std::iter::repeat_n(0, self.page_size).collect()
+    }
+
+    fn read_page(&self, id: PageId) -> PagerResult<Arc<[u8]>> {
+        let mut image = self.zeroed();
+        mutex_lock(&self.storage).read_page(id, Arc::make_mut(&mut image))?;
+        self.stats.count_read();
+        Ok(image)
     }
 
     /// Allocate a fresh zeroed page and return a pinned handle to it.
     pub fn allocate(&self) -> PagerResult<(PageId, PageHandle)> {
-        // Make room before touching the storage, so a PoolExhausted failure
-        // does not leak a half-allocated page.
-        if self.capacity > 0 {
-            self.make_room()?;
-        }
-        let id = mutex_lock(&self.storage).allocate_page()?;
-        let buf = vec![0u8; self.page_size].into_boxed_slice();
+        let zeroed = self.zeroed();
+        let state = OWES_HOME | TXN_WROTE;
         if self.capacity == 0 {
             // Cache-less mode: hand out the frame without retaining it. The
             // handle itself still works; the page is simply re-read next
             // time. Dirty data would be lost, so cache-less pools are
             // read-only in practice (only tests use them).
+            let id = mutex_lock(&self.storage).allocate_page()?;
+            let frame = Frame::new(id, zeroed, state);
             return Ok((
                 id,
                 PageHandle {
-                    id,
-                    data: Arc::new(RwLock::new(buf)),
-                    state: Arc::new(AtomicU8::new(OWES_HOME | TXN_WROTE)),
+                    frame,
                     capture: None,
                 },
             ));
         }
-        let handle = {
-            let mut shard = write_lock(&self.shards[shard_of(id)]);
-            self.install_into(&mut shard, id, buf, OWES_HOME | TXN_WROTE)
-        };
-        self.shrink_overshoot();
-        Ok((id, handle))
-    }
-
-    /// Insert a frame into an already write-locked shard.
-    fn install_into(&self, shard: &mut Shard, id: PageId, buf: Box<[u8]>, state: u8) -> PageHandle {
-        let data = Arc::new(RwLock::new(buf));
-        let state = Arc::new(AtomicU8::new(state));
-        shard.insert(
+        // Make room before touching the storage, so a PoolExhausted failure
+        // does not leak a half-allocated page.
+        let mut clock = mutex_lock(&self.clock);
+        self.make_room(&mut clock)?;
+        let id = mutex_lock(&self.storage).allocate_page()?;
+        let frame = self.install(&mut clock, id, zeroed, state);
+        Ok((
             id,
-            Frame {
-                data: Arc::clone(&data),
-                state: Arc::clone(&state),
-                last_used: AtomicU64::new(self.tick()),
+            PageHandle {
+                frame,
+                capture: Some(Arc::clone(&self.capture)),
             },
-        );
-        self.frames.fetch_add(1, Ordering::AcqRel);
-        PageHandle {
-            id,
-            data,
-            state,
-            capture: Some(Arc::clone(&self.capture)),
-        }
+        ))
     }
 
-    /// Evict LRU unpinned frames until there is room for one more. Pinned
-    /// frames (live handles) are never evicted; when every frame is pinned
-    /// the miss fails with [`PagerError::PoolExhausted`] instead of growing
-    /// the pool past its budget.
-    fn make_room(&self) -> PagerResult<()> {
-        while self.frames.load(Ordering::Acquire) >= self.capacity {
-            if !self.evict_one()? {
-                return Err(PagerError::PoolExhausted {
-                    capacity: self.capacity,
-                });
-            }
-        }
-        Ok(())
+    /// Put a new frame in the ring and in the page table.
+    fn install(&self, clock: &mut Clock, id: PageId, image: Arc<[u8]>, state: u8) -> Arc<Frame> {
+        let frame = Frame::new(id, image, state);
+        write_lock(&self.shards[shard_of(id)]).insert(id, Arc::clone(&frame));
+        clock.ring.push(Arc::clone(&frame));
+        frame
     }
 
-    /// Best-effort correction after a racing overshoot: evict (without
-    /// failing) until the pool is back within capacity.
-    fn shrink_overshoot(&self) {
-        while self.frames.load(Ordering::Acquire) > self.capacity {
-            match self.evict_one() {
-                Ok(true) => continue,
-                // Nothing evictable or a write-back error: leave the
-                // overshoot for the next miss to repair.
-                Ok(false) | Err(_) => break,
-            }
+    /// Room for one more frame: nothing to do below capacity, else the hand
+    /// evicts a frame and it leaves the ring. The hand passes a referenced
+    /// frame once, clearing its bit, so two turns without a victim mean
+    /// every frame is pinned or the open transaction's:
+    /// [`PagerError::PoolExhausted`] instead of growing the pool past its
+    /// budget.
+    fn make_room(&self, clock: &mut Clock) -> PagerResult<()> {
+        let n = clock.ring.len();
+        if n < self.capacity {
+            return Ok(());
         }
-    }
-
-    /// Evict the least-recently-used unpinned frame, if any, writing it back
-    /// if it owes its home file. Returns whether a frame was evicted.
-    fn evict_one(&self) -> PagerResult<bool> {
         let in_txn = self.txn_active.load(Ordering::Acquire);
-        // Scan for the global LRU victim (read locks only).
-        let victim: Option<(PageId, u64)> = {
-            let mut best: Option<(PageId, u64)> = None;
-            for shard in &self.shards {
-                let shard = read_lock(shard);
-                for (&id, frame) in shard.iter() {
-                    if frame.is_pinned() || !frame.may_write_back(in_txn) {
-                        continue;
-                    }
-                    let stamp = frame.last_used.load(Ordering::Relaxed);
-                    if best.is_none_or(|(_, b)| stamp < b) {
-                        best = Some((id, stamp));
-                    }
-                }
+        for _ in 0..2 * n {
+            let slot = clock.hand % n;
+            clock.hand = slot + 1;
+            self.stats.count_examined();
+            let frame = &clock.ring[slot];
+            if !frame.referenced.swap(false, Ordering::Relaxed) && self.evict(frame, in_txn)? {
+                clock.ring.swap_remove(slot);
+                return Ok(());
             }
-            best
-        };
-        let Some((id, _)) = victim else {
-            return Ok(false);
-        };
-        // Remove under the shard's write lock, re-checking the pin: a get()
-        // may have cloned the frame between our scan and this lock. Holding
-        // the write lock across the dirty write-back keeps any concurrent
-        // miss on the same page ordered after it.
-        let mut shard = write_lock(&self.shards[shard_of(id)]);
-        let still_evictable = shard
-            .get(&id)
-            .is_some_and(|f| !f.is_pinned() && f.may_write_back(in_txn));
-        if !still_evictable {
-            return Ok(true); // someone pinned or evicted it; count as progress
         }
-        let Some(frame) = shard.remove(&id) else {
-            return Ok(true);
-        };
-        self.frames.fetch_sub(1, Ordering::AcqRel);
+        Err(PagerError::PoolExhausted {
+            capacity: self.capacity,
+        })
+    }
+
+    /// Take `frame` out of the page table if it may leave (re-checked
+    /// under the shard's write lock, where no new pin can start), writing
+    /// it back first if it owes its home file. Runs under the ring's
+    /// mutex, so no miss can re-read the page before the write-back ends.
+    fn evict(&self, frame: &Arc<Frame>, in_txn: bool) -> PagerResult<bool> {
+        if !frame.evictable(in_txn) {
+            return Ok(false);
+        }
+        {
+            let mut shard = write_lock(&self.shards[shard_of(frame.id)]);
+            if !frame.evictable(in_txn) {
+                return Ok(false);
+            }
+            shard.remove(&frame.id);
+        }
         if frame.state.load(Ordering::Acquire) & OWES_HOME != 0 {
-            let result = mutex_lock(&self.storage).write_page(id, &read_lock(&frame.data));
+            let result = mutex_lock(&self.storage).write_page(frame.id, &frame.current_image());
             if let Err(e) = result {
-                // Reinstall rather than lose the dirty frame.
-                self.frames.fetch_add(1, Ordering::AcqRel);
-                shard.insert(id, frame);
+                // Put it back rather than lose the dirty frame.
+                write_lock(&self.shards[shard_of(frame.id)]).insert(frame.id, Arc::clone(frame));
                 return Err(e);
             }
             self.stats.count_write();
@@ -477,38 +428,45 @@ impl<S: Storage> BufferPool<S> {
     /// owner runs it outside its transactions (the checkpoint).
     pub fn flush(&self) -> PagerResult<()> {
         let in_txn = self.txn_active.load(Ordering::Acquire);
-        for shard in &self.shards {
-            let shard = read_lock(shard);
-            for (&id, frame) in shard.iter() {
-                // fetch_and() so a racing write that re-dirties the page
-                // after our write-back is not silently marked clean.
-                if frame.may_write_back(in_txn)
-                    && frame.state.fetch_and(!OWES_HOME, Ordering::AcqRel) & OWES_HOME != 0
-                {
-                    let result = mutex_lock(&self.storage).write_page(id, &read_lock(&frame.data));
-                    if let Err(e) = result {
-                        frame.state.fetch_or(OWES_HOME, Ordering::AcqRel);
-                        return Err(e);
-                    }
-                    self.stats.count_write();
+        // The frames to write, pinned so no eviction races the write-back.
+        let owing: Vec<Arc<Frame>> = mutex_lock(&self.clock)
+            .ring
+            .iter()
+            .filter(|f| f.state.load(Ordering::Acquire) & OWES_HOME != 0)
+            .filter(|f| !(in_txn && f.state.load(Ordering::Acquire) & TXN_WROTE != 0))
+            .cloned()
+            .collect();
+        for frame in owing {
+            // fetch_and() so a racing write that re-dirties the page after
+            // our write-back is not silently marked clean.
+            if frame.state.fetch_and(!OWES_HOME, Ordering::AcqRel) & OWES_HOME != 0 {
+                let result = mutex_lock(&self.storage).write_page(frame.id, &frame.current_image());
+                if let Err(e) = result {
+                    frame.state.fetch_or(OWES_HOME, Ordering::AcqRel);
+                    return Err(e);
                 }
+                self.stats.count_write();
             }
         }
         mutex_lock(&self.storage).sync()
     }
 
-    /// Drop every *unpinned* cached frame (flushing dirty ones), so following
-    /// reads are physical. Used between measured queries to cold-start the
-    /// cache.
+    /// Flush, then drop every unpinned cached frame, so following reads are
+    /// physical. Used between measured queries to cold-start the cache.
+    /// Images already handed out stay readable.
     pub fn clear_cache(&self) -> PagerResult<()> {
         self.flush()?;
-        for shard in &self.shards {
-            let mut shard = write_lock(shard);
-            let before = shard.len();
-            shard.retain(|_, f| f.is_pinned());
-            self.frames
-                .fetch_sub(before - shard.len(), Ordering::AcqRel);
-        }
+        let in_txn = self.txn_active.load(Ordering::Acquire);
+        let mut clock = mutex_lock(&self.clock);
+        clock.hand = 0;
+        clock.ring.retain(|f| {
+            let mut shard = write_lock(&self.shards[shard_of(f.id)]);
+            let leaves = f.evictable(in_txn) && f.state.load(Ordering::Acquire) & OWES_HOME == 0;
+            if leaves {
+                shard.remove(&f.id);
+            }
+            !leaves
+        });
         Ok(())
     }
 
@@ -520,27 +478,26 @@ impl<S: Storage> BufferPool<S> {
 
     /// Undo the open transaction's writes: a page it allocated (id at or
     /// past `start_pages`) is dropped, a page it rewrote gets its
-    /// before-image back and keeps owing its home file.
+    /// before-image back by pointer and keeps owing its home file (the
+    /// image may hold committed bytes its home file has never seen).
     fn roll_back(&self, start_pages: PageId) {
         let images = self.capture.current();
-        for shard in &self.shards {
-            let mut shard = write_lock(shard);
-            let before = shard.len();
-            shard.retain(|&id, f| {
-                if f.state.load(Ordering::Acquire) & TXN_WROTE == 0 {
-                    return true;
+        mutex_lock(&self.clock).ring.retain(|f| {
+            if f.state.load(Ordering::Acquire) & TXN_WROTE == 0 {
+                return true;
+            }
+            match images.get(f.id).filter(|_| f.id < start_pages) {
+                Some(image) => {
+                    *write_lock(&f.image) = image;
+                    f.state.fetch_and(!TXN_WROTE, Ordering::AcqRel);
+                    true
                 }
-                let image = images.as_ref().filter(|_| id < start_pages);
-                let Some(image) = image.and_then(|m| m.get(id)) else {
-                    return false;
-                };
-                write_lock(&f.data).copy_from_slice(&image);
-                f.state.fetch_and(!TXN_WROTE, Ordering::AcqRel);
-                true
-            });
-            self.frames
-                .fetch_sub(before - shard.len(), Ordering::AcqRel);
-        }
+                None => {
+                    write_lock(&self.shards[shard_of(f.id)]).remove(&f.id);
+                    false
+                }
+            }
+        });
     }
 
     /// Begin a transaction: arm before-image capture (rollback restores
@@ -548,10 +505,8 @@ impl<S: Storage> BufferPool<S> {
     /// pool to no-steal mode. Writes nothing.
     pub fn begin_txn(self: &Arc<Self>) -> TxnHandle<S> {
         self.capture.activate(0);
-        for shard in &self.shards {
-            for frame in read_lock(shard).values() {
-                frame.state.fetch_and(!TXN_WROTE, Ordering::AcqRel);
-            }
+        for frame in &mutex_lock(&self.clock).ring {
+            frame.state.fetch_and(!TXN_WROTE, Ordering::AcqRel);
         }
         self.txn_active.store(true, Ordering::Release);
         TxnHandle {
@@ -592,14 +547,15 @@ impl<S: Storage> TxnHandle<S> {
     /// This transaction's write set: a pin on every frame it wrote, sorted
     /// by page id; the bytes are read through the handles, not copied.
     pub fn written_pages(&self) -> Vec<PageHandle> {
-        let mut pages = Vec::new();
-        for shard in &self.pool.shards {
-            for (&id, frame) in read_lock(shard).iter() {
-                if frame.state.load(Ordering::Acquire) & TXN_WROTE != 0 {
-                    pages.push(self.pool.handle_to(id, frame));
-                }
-            }
-        }
+        let mut pages: Vec<PageHandle> = mutex_lock(&self.pool.clock)
+            .ring
+            .iter()
+            .filter(|f| f.state.load(Ordering::Acquire) & TXN_WROTE != 0)
+            .map(|f| PageHandle {
+                frame: Arc::clone(f),
+                capture: Some(Arc::clone(&self.pool.capture)),
+            })
+            .collect();
         pages.sort_by_key(PageHandle::id);
         pages
     }
@@ -616,7 +572,8 @@ impl<S: Storage> TxnHandle<S> {
         }
         self.done = true;
         self.pool.txn_active.store(false, Ordering::Release);
-        if let Some(images) = self.pool.capture.current().filter(|m| !m.is_empty()) {
+        let images = self.pool.capture.current();
+        if !images.is_empty() {
             self.pool.capture.reset(images.stamp);
         }
     }
@@ -970,6 +927,57 @@ mod tests {
         assert_eq!(stored(&pool, 1), 2, "the txn's frame never left");
         txn.abort().unwrap();
         assert_eq!(pool.get(1).unwrap().read()[0], 2);
+    }
+
+    #[test]
+    fn an_image_stays_readable_after_eviction_and_clear_cache() {
+        let pool = pool_with_pages(3, 1);
+        let image = pool.image(0).unwrap();
+        pool.get(1).unwrap(); // evicts page 0
+        assert_eq!(pool.stats().evictions(), 1);
+        assert_eq!(image[0], 0);
+        let image = pool.image(2).unwrap();
+        pool.clear_cache().unwrap();
+        assert_eq!(pool.cached_frames(), 0);
+        assert_eq!(image[0], 2);
+    }
+
+    /// The number of distinct images page 0 goes through in ten writes at
+    /// byte `at`, with no reader holding any of them.
+    fn images_over_ten_writes(pool: &BufferPool<MemStorage>, at: usize) -> usize {
+        let h = pool.get(0).unwrap();
+        let mut seen = vec![Arc::as_ptr(&h.read())];
+        for i in 1..=10 {
+            h.write()[at] = i;
+            seen.push(Arc::as_ptr(&h.read()));
+        }
+        seen.dedup();
+        seen.len()
+    }
+
+    #[test]
+    fn a_writer_copies_a_page_at_most_once_per_transaction() {
+        let pool = Arc::new(pool_with_pages(1, 4));
+        assert_eq!(images_over_ten_writes(&pool, 1), 1, "no capture: in place");
+        let mut txn = pool.begin_txn();
+        // The capture cell keeps the original, so the first write copies
+        // it once; the other nine write the copy in place.
+        assert_eq!(images_over_ten_writes(&pool, 2), 2);
+        let before = pool.capture_cell().current().get(0).unwrap();
+        assert_eq!((before[1], before[2]), (10, 0));
+        assert_eq!(pool.image(0).unwrap()[2], 10);
+        txn.commit();
+    }
+
+    #[test]
+    fn abort_restores_the_before_image_by_pointer() {
+        let pool = Arc::new(pool_with_pages(2, 4));
+        let before = pool.image(1).unwrap();
+        let mut txn = pool.begin_txn();
+        pool.get(1).unwrap().write()[0] = 99;
+        assert_eq!(pool.image(1).unwrap()[0], 99);
+        txn.abort().unwrap();
+        assert!(Arc::ptr_eq(&pool.image(1).unwrap(), &before));
     }
 
     #[test]

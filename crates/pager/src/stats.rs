@@ -18,6 +18,7 @@ pub struct IoStats {
     physical_reads: AtomicU64,
     physical_writes: AtomicU64,
     evictions: AtomicU64,
+    frames_examined: AtomicU64,
     entries_examined: AtomicU64,
     dir_entries_examined: AtomicU64,
 }
@@ -58,18 +59,6 @@ impl IoStats {
         }
     }
 
-    /// Batch-add to the logical-gets counter (one atomic op per call).
-    ///
-    /// Used by first-tier caches above the pool ([`crate::local_cache`])
-    /// that satisfy page requests without touching the pool: their hits are
-    /// still logical page requests, drained in here in batches so the hot
-    /// path never bounces a shared counter per access.
-    pub fn add_logical_gets(&self, n: u64) {
-        if n > 0 {
-            self.logical_gets.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Pages actually read from the storage.
     pub fn physical_reads(&self) -> u64 {
         self.physical_reads.load(Ordering::Relaxed)
@@ -83,6 +72,11 @@ impl IoStats {
     /// Frames evicted from the pool.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Frames the eviction hand looked at (one per step of the hand).
+    pub fn frames_examined(&self) -> u64 {
+        self.frames_examined.load(Ordering::Relaxed)
     }
 
     /// Buffer-pool hit ratio in `[0, 1]`; 1.0 when nothing was requested.
@@ -100,6 +94,7 @@ impl IoStats {
         self.physical_reads.store(0, Ordering::Relaxed);
         self.physical_writes.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
+        self.frames_examined.store(0, Ordering::Relaxed);
         self.entries_examined.store(0, Ordering::Relaxed);
         self.dir_entries_examined.store(0, Ordering::Relaxed);
     }
@@ -118,6 +113,10 @@ impl IoStats {
 
     pub(crate) fn count_eviction(&self) {
         self.evictions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn count_examined(&self) {
+        self.frames_examined.fetch_add(1, Ordering::Relaxed);
     }
 }
 

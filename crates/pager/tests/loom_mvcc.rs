@@ -1,250 +1,321 @@
-//! Loom model of MVCC snapshot publish / pin / retire.
+//! Loom model of a snapshot read racing the writer's first write and its
+//! commit.
 //!
-//! Mirrors the `EpochArc` two-slot epoch pointer (crates/pager/src/mvcc.rs):
-//! the control word packs `(pin_count << 16) | active_slot`; `pin` bumps the
-//! count, clones out of the active slot, and repays one unit of debt;
-//! `swing` installs the next generation in the inactive slot, swaps the
-//! control word, and drains — waits until the old slot's repaid debt equals
-//! the pins it handed out — before taking the retired value back. The shim
-//! has no `UnsafeCell`, so the slot value lives behind a `Mutex` standing in
-//! for the unsynchronized read; the pin/swing/drain choreography on `ctrl`
-//! and `debt` is modeled verbatim. Properties:
+//! Mirrors `pager::mvcc` and `PageHandle::write` (crates/pager/src/): a
+//! frame holds its page as an immutable `Arc` image behind a lock; the
+//! pool's capture cell holds the in-flight transaction's before-images,
+//! stamped with the epoch whose state they are; each committed epoch has a
+//! chain node that commit freezes the capture map into. The protocol:
 //!
-//! 1. a pinned reader never observes a torn (half-built) or reclaimed
-//!    generation, even while the writer publishes more of them,
-//! 2. a writer that dies after building generation N+1 but *before* the
-//!    epoch swing leaves generation N published and intact,
-//! 3. a deliberately buggy variant that frees the retired slot without
-//!    draining the debt is caught by the model.
+//! * the writer's first write to a page records the frame's current image
+//!   in the capture cell, *then* swaps in the new image — both under the
+//!   frame's write lock;
+//! * a reader pinned at epoch `E` looks in the overlay (frozen maps from
+//!   its own chain node up to the first unfrozen node `K`, then the capture
+//!   cell if its stamp is `K`, walking on if a commit moved it past `K`),
+//!   clones the frame's image, then looks in the overlay again;
+//! * commit freezes the capture map into the retiring node and links the
+//!   next node, *then* publishes the generation, then resets the cell;
+//! * abort puts the captured image back by pointer.
+//!
+//! Properties: a reader pinned at epoch 0 reads epoch 0's bytes whatever
+//! the writer is doing, a reader pinned at epoch 1 reads the committed
+//! bytes, and abort restores the very image the page had. Three
+//! deliberately broken variants must be caught by the model: the writer
+//! swaps the image before it records the capture; commit resets the cell
+//! before it freezes the map; the reader trusts a cell stamped past the
+//! node its walk stopped at (the rule before images became `Arc`s, which
+//! let a commit landing inside the second look hand the reader the new
+//! bytes).
 //!
 //! Run with: `RUSTFLAGS="--cfg loom" cargo test -p nok-pager --test loom_mvcc`
 #![cfg(loom)]
 
 use loom::sync::atomic::{AtomicU64, Ordering};
-use loom::sync::{Arc, Mutex};
+use loom::sync::{Arc, Mutex, RwLock};
 use loom::thread;
 
-const SLOT_BITS: u32 = 16;
-const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
+/// The page's bytes at epoch 0, in the transaction, and committed at 1.
+const AT_0: u64 = 10;
+const IN_TXN: u64 = 11;
+const AT_1: u64 = 12;
 
-/// Stand-in for `DbGeneration`: `payload` is derived from `epoch`
-/// (`epoch * 10 + 7`), so a half-built generation — installed with
-/// `payload == 0` before the second build step — is detectable.
-struct Gen {
-    epoch: u64,
-    payload: u64,
+/// The capture map of one page: its stamp and before-image, if captured.
+#[derive(Clone)]
+struct CowMap {
+    stamp: u64,
+    image: Option<Arc<u64>>,
 }
 
-impl Gen {
-    fn complete(epoch: u64) -> Gen {
-        Gen {
-            epoch,
-            payload: epoch * 10 + 7,
+/// A chain node: the frozen map of the transaction that retired it, and
+/// whether the successor is linked (the model has two epochs).
+struct Node {
+    frozen: Mutex<Option<CowMap>>,
+    linked: Mutex<bool>,
+}
+
+impl Node {
+    fn new() -> Node {
+        Node {
+            frozen: Mutex::new(None),
+            linked: Mutex::new(false),
+        }
+    }
+}
+
+/// The protocol, or one step of it broken.
+#[derive(Clone, Copy, PartialEq)]
+enum Variant {
+    Correct,
+    /// The writer swaps the image, releases the frame, then records the
+    /// capture.
+    SwapBeforeCapture,
+    /// Commit resets the cell before it freezes the map into the node.
+    ResetBeforeFreeze,
+    /// The reader uses any cell whose stamp is at or past its own epoch.
+    TrustNewerStamp,
+}
+
+struct Db {
+    how: Variant,
+    frame: RwLock<Arc<u64>>,
+    cell: RwLock<CowMap>,
+    nodes: [Node; 2],
+    /// The published epoch (the generation cell).
+    epoch: AtomicU64,
+}
+
+impl Db {
+    fn new(how: Variant) -> Db {
+        Db {
+            how,
+            frame: RwLock::new(Arc::new(AT_0)),
+            cell: RwLock::new(CowMap {
+                stamp: 0,
+                image: None,
+            }),
+            nodes: [Node::new(), Node::new()],
+            epoch: AtomicU64::new(0),
         }
     }
 
-    fn is_torn(&self) -> bool {
-        self.payload != self.epoch * 10 + 7
-    }
-}
-
-struct Slot {
-    /// Mutex-mirror of the `UnsafeCell<Option<Arc<T>>>` slot value.
-    value: Mutex<Option<Arc<Gen>>>,
-    debt: AtomicU64,
-}
-
-struct Cell {
-    ctrl: AtomicU64,
-    slots: [Slot; 2],
-}
-
-impl Cell {
-    fn new(initial: Gen) -> Cell {
-        Cell {
-            ctrl: AtomicU64::new(0),
-            slots: [
-                Slot {
-                    value: Mutex::new(Some(Arc::new(initial))),
-                    debt: AtomicU64::new(0),
-                },
-                Slot {
-                    value: Mutex::new(None),
-                    debt: AtomicU64::new(0),
-                },
-            ],
+    /// Mirrors `CaptureCell::capture`: first image wins.
+    fn capture(&self, image: &Arc<u64>) {
+        let mut cell = self.cell.write().unwrap();
+        if cell.image.is_none() {
+            cell.image = Some(Arc::clone(image));
         }
     }
 
-    /// Mirrors `EpochArc::pin`: register in the control word, clone out of
-    /// the selected slot, repay one unit of debt.
-    fn pin(&self) -> Option<Arc<Gen>> {
-        let c = self.ctrl.fetch_add(1 << SLOT_BITS, Ordering::Acquire);
-        let s = (c & SLOT_MASK) as usize;
-        let v = self.slots[s].value.lock().expect("slot").clone();
-        self.slots[s].debt.fetch_add(1, Ordering::Release);
-        v
+    /// Mirrors `PageHandle::write` and the `make_mut` that follows it.
+    fn write(&self, value: u64) {
+        let mut frame = self.frame.write().unwrap();
+        if self.how == Variant::SwapBeforeCapture {
+            let old = std::mem::replace(&mut *frame, Arc::new(value));
+            drop(frame);
+            // ... other work before the capture ...
+            for _ in 0..4 {
+                thread::yield_now();
+            }
+            self.capture(&old);
+            return;
+        }
+        self.capture(&frame);
+        *frame = Arc::new(value);
     }
 
-    /// Mirrors `EpochArc::swing`, with the generation *build* made visible
-    /// as two steps into the inactive slot (a half-built value first): the
-    /// protocol's claim is that no reader can select that slot until the
-    /// control-word swap publishes it.
-    fn swing(&self, epoch: u64) -> Option<Arc<Gen>> {
-        let ns = ((self.ctrl.load(Ordering::Acquire) & SLOT_MASK) ^ 1) as usize;
-        *self.slots[ns].value.lock().expect("slot") = Some(Arc::new(Gen { epoch, payload: 0 }));
-        thread::yield_now();
-        *self.slots[ns].value.lock().expect("slot") = Some(Arc::new(Gen::complete(epoch)));
-        let old = self.ctrl.swap(ns as u64, Ordering::AcqRel);
-        let pins = old >> SLOT_BITS;
-        let os = (old & SLOT_MASK) as usize;
-        while self.slots[os].debt.load(Ordering::Acquire) < pins {
+    /// Mirrors `XmlDb::publish_generation` for epoch 0 → 1.
+    fn commit(&self) {
+        if self.how == Variant::ResetBeforeFreeze {
+            let map = self.cell.read().unwrap().clone();
+            self.reset(1);
             thread::yield_now();
+            *self.nodes[0].frozen.lock().unwrap() = Some(map);
+        } else {
+            let map = self.cell.read().unwrap().clone();
+            *self.nodes[0].frozen.lock().unwrap() = Some(map);
         }
-        self.slots[os].debt.store(0, Ordering::Release);
-        self.slots[os].value.lock().expect("slot").take()
+        *self.nodes[0].linked.lock().unwrap() = true;
+        self.epoch.store(1, Ordering::Release);
+        self.reset(1);
     }
 
-    /// A writer that panics after building generation `epoch` but before
-    /// the control-word swap: the build steps run, the publish does not.
-    fn swing_abandoned_before_publish(&self, epoch: u64) {
-        let ns = ((self.ctrl.load(Ordering::Acquire) & SLOT_MASK) ^ 1) as usize;
-        *self.slots[ns].value.lock().expect("slot") = Some(Arc::new(Gen { epoch, payload: 0 }));
-        thread::yield_now();
-        *self.slots[ns].value.lock().expect("slot") = Some(Arc::new(Gen::complete(epoch)));
-        // ... crash: no ctrl.swap, no drain, no take.
+    fn reset(&self, stamp: u64) {
+        *self.cell.write().unwrap() = CowMap { stamp, image: None };
     }
 
-    /// Deliberately buggy swing: takes the retired value back *without*
-    /// draining the debt, so a reader that already registered its pin can
-    /// find the slot empty — the model's stand-in for a use-after-free.
-    fn swing_buggy_early_free(&self, epoch: u64) -> Option<Arc<Gen>> {
-        let ns = ((self.ctrl.load(Ordering::Acquire) & SLOT_MASK) ^ 1) as usize;
-        *self.slots[ns].value.lock().expect("slot") = Some(Arc::new(Gen::complete(epoch)));
-        let old = self.ctrl.swap(ns as u64, Ordering::AcqRel);
-        let os = (old & SLOT_MASK) as usize;
-        // BUG: no `while debt < pins` drain before reclaiming the slot.
-        let freed = self.slots[os].value.lock().expect("slot").take();
-        self.slots[os].debt.store(0, Ordering::Release);
-        freed
+    /// Mirrors `TxnHandle::abort`: the captured image goes back.
+    fn abort(&self) {
+        if let Some(image) = self.cell.read().unwrap().image.clone() {
+            *self.frame.write().unwrap() = image;
+        }
+    }
+
+    /// Mirrors `SnapView::lookup` for a reader pinned at `epoch`.
+    fn lookup(&self, epoch: u64) -> Option<Arc<u64>> {
+        let mut node = epoch as usize;
+        loop {
+            let frozen = self.nodes[node].frozen.lock().unwrap().clone();
+            let linked = *self.nodes[node].linked.lock().unwrap();
+            if let Some(map) = frozen {
+                if map.image.is_some() {
+                    return map.image;
+                }
+                if linked {
+                    node += 1;
+                    continue;
+                }
+            }
+            let cell = self.cell.read().unwrap();
+            if self.how == Variant::TrustNewerStamp {
+                return cell.image.clone().filter(|_| cell.stamp >= epoch);
+            }
+            match cell.stamp.cmp(&(node as u64)) {
+                std::cmp::Ordering::Less => return None,
+                std::cmp::Ordering::Equal => return cell.image.clone(),
+                // A commit moved the cell past `node`: it is frozen and
+                // linked now, so walk on.
+                std::cmp::Ordering::Greater => {
+                    if !*self.nodes[node].linked.lock().unwrap() {
+                        return None;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Mirrors `resolve_page`: overlay, frame image, overlay again.
+    fn resolve(&self, epoch: u64) -> u64 {
+        if let Some(image) = self.lookup(epoch) {
+            return *image;
+        }
+        let image = Arc::clone(&self.frame.read().unwrap());
+        *self.lookup(epoch).unwrap_or(image)
     }
 }
 
-/// Readers pinning while the writer publishes two more generations: every
-/// pin must return a complete generation (never the half-built value in the
-/// inactive slot, never an emptied slot), epochs seen by one reader must be
-/// non-decreasing, and a guard held across later publishes must still read
-/// consistently — the retired generation outlives the swing for as long as
-/// anyone pins it.
+/// One writer (first write, a second write, commit) and two readers: one
+/// pinned at epoch 0 before anything happens, one pinning whatever epoch is
+/// published when it starts. Returns whether every read was right.
+fn run(how: Variant) -> bool {
+    let db = Arc::new(Db::new(how));
+    let writer = {
+        let db = Arc::clone(&db);
+        thread::spawn(move || {
+            db.write(IN_TXN);
+            db.write(AT_1);
+            db.commit();
+        })
+    };
+    let old = {
+        let db = Arc::clone(&db);
+        thread::spawn(move || (0..2).all(|_| db.resolve(0) == AT_0))
+    };
+    let fresh = {
+        let db = Arc::clone(&db);
+        thread::spawn(move || {
+            let epoch = db.epoch.load(Ordering::Acquire);
+            let seen = db.resolve(epoch);
+            seen == if epoch == 0 { AT_0 } else { AT_1 }
+        })
+    };
+    writer.join().unwrap();
+    let right = old.join().unwrap() & fresh.join().unwrap();
+    right && db.resolve(0) == AT_0 && db.resolve(1) == AT_1
+}
+
+/// Sample more schedules than the default: the windows these models look
+/// for are a few switch points wide.
+fn explore<F: Fn() + Send + Sync + 'static>(f: F) {
+    let mut builder = loom::builder::Builder::new();
+    builder.max_permutations = Some(4096);
+    builder.check(f);
+}
+
 #[test]
-fn pinned_readers_never_observe_torn_or_reclaimed_generations() {
-    loom::model(|| {
-        let cell = Arc::new(Cell::new(Gen::complete(0)));
-
-        let writer = {
-            let cell = Arc::clone(&cell);
-            thread::spawn(move || {
-                let retired = cell.swing(1).expect("generation 0 present");
-                assert_eq!(retired.epoch, 0);
-                assert!(!retired.is_torn(), "retired generation torn");
-                cell.swing(2).expect("generation 1 present")
-            })
-        };
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let cell = Arc::clone(&cell);
-                thread::spawn(move || {
-                    let first = cell.pin().expect("published generation");
-                    assert!(!first.is_torn(), "pinned a torn generation");
-                    let second = cell.pin().expect("published generation");
-                    assert!(!second.is_torn(), "pinned a torn generation");
-                    assert!(
-                        second.epoch >= first.epoch,
-                        "epoch went backwards: {} then {}",
-                        first.epoch,
-                        second.epoch
-                    );
-                    // The first guard is still alive here: whatever the
-                    // writer retired meanwhile, its contents must be intact.
-                    assert!(!first.is_torn(), "held guard saw reclaimed data");
-                    first.epoch
-                })
-            })
-            .collect();
-
-        let last_retired = writer.join().expect("writer");
-        assert_eq!(last_retired.epoch, 1);
-        for r in readers {
-            let e = r.join().expect("reader");
-            assert!(e <= 2);
-        }
-        // Quiescent: the published generation is the final one.
-        let now = cell.pin().expect("published generation");
-        assert_eq!(now.epoch, 2);
-        assert!(!now.is_torn());
+fn snapshot_reads_see_their_epoch_while_the_writer_captures_swaps_and_commits() {
+    explore(|| {
+        assert!(
+            run(Variant::Correct),
+            "a snapshot read saw another epoch's bytes"
+        );
     });
 }
 
-/// The writer dies after building generation 1 but before the epoch swing:
-/// generation 0 stays published and complete — the commit point and the
-/// visibility point coincide at the swap, so an unswapped build is invisible.
+/// Abort while an epoch-0 reader resolves the page: the reader sees epoch
+/// 0's bytes throughout, and afterwards the frame holds the very image it
+/// had before the write.
 #[test]
-fn writer_panic_before_epoch_swing_leaves_old_generation_intact() {
+fn abort_restores_the_before_image_by_pointer() {
     loom::model(|| {
-        let cell = Arc::new(Cell::new(Gen::complete(0)));
-
+        let db = Arc::new(Db::new(Variant::Correct));
+        let original = Arc::clone(&db.frame.read().unwrap());
         let writer = {
-            let cell = Arc::clone(&cell);
-            thread::spawn(move || cell.swing_abandoned_before_publish(1))
+            let db = Arc::clone(&db);
+            thread::spawn(move || {
+                db.write(IN_TXN);
+                db.abort();
+            })
         };
         let reader = {
-            let cell = Arc::clone(&cell);
-            thread::spawn(move || {
-                let g = cell.pin().expect("published generation");
-                assert_eq!(g.epoch, 0, "unpublished generation became visible");
-                assert!(!g.is_torn(), "published generation torn by dead writer");
-            })
+            let db = Arc::clone(&db);
+            thread::spawn(move || db.resolve(0))
         };
-
-        writer.join().expect("writer");
-        reader.join().expect("reader");
-        let after = cell.pin().expect("published generation");
-        assert_eq!(after.epoch, 0);
-        assert!(!after.is_torn());
+        writer.join().unwrap();
+        assert_eq!(reader.join().unwrap(), AT_0);
+        assert!(Arc::ptr_eq(&db.frame.read().unwrap(), &original));
     });
 }
 
-/// The early-free bug — reclaiming the retired slot without draining the
-/// debt — must be observable: under some schedule a reader that registered
-/// its pin before the swap finds the slot already emptied. This is the
-/// model's proof that the drain loop in `swing` is load-bearing.
-#[test]
-fn early_free_without_debt_drain_is_caught_by_the_model() {
+/// Run a broken variant under the model — the writer against one reader
+/// pinned at epoch 0 that resolves the page over and over — and demand
+/// that some schedule shows the reader the wrong epoch: the proof that the
+/// step the variant breaks is load-bearing.
+fn caught(how: Variant) -> bool {
     use std::sync::atomic::{AtomicBool, Ordering as StdOrdering};
-    static CAUGHT: AtomicBool = AtomicBool::new(false);
-
-    loom::model(|| {
-        let cell = Arc::new(Cell::new(Gen::complete(0)));
-
-        let reader = {
-            let cell = Arc::clone(&cell);
-            thread::spawn(move || cell.pin().is_none())
-        };
+    let caught = std::sync::Arc::new(AtomicBool::new(false));
+    let flag = std::sync::Arc::clone(&caught);
+    explore(move || {
+        let db = Arc::new(Db::new(how));
         let writer = {
-            let cell = Arc::clone(&cell);
-            thread::spawn(move || cell.swing_buggy_early_free(1))
+            let db = Arc::clone(&db);
+            thread::spawn(move || {
+                db.write(IN_TXN);
+                db.commit();
+            })
         };
-
-        if reader.join().expect("reader") {
-            // A registered pin found its slot reclaimed: with the real
-            // `UnsafeCell` slot this is a use-after-free.
-            CAUGHT.store(true, StdOrdering::SeqCst);
+        let reader = {
+            let db = Arc::clone(&db);
+            thread::spawn(move || (0..4).all(|_| db.resolve(0) == AT_0))
+        };
+        writer.join().unwrap();
+        if !reader.join().unwrap() {
+            flag.store(true, StdOrdering::SeqCst);
         }
-        let _ = writer.join().expect("writer");
     });
+    caught.load(StdOrdering::SeqCst)
+}
 
+#[test]
+fn swapping_the_image_before_the_capture_is_caught_by_the_model() {
     assert!(
-        CAUGHT.load(StdOrdering::SeqCst),
-        "no schedule caught the early free; the model lost its teeth"
+        caught(Variant::SwapBeforeCapture),
+        "no schedule caught the early swap; the model lost its teeth"
+    );
+}
+
+#[test]
+fn resetting_the_cell_before_the_freeze_is_caught_by_the_model() {
+    assert!(
+        caught(Variant::ResetBeforeFreeze),
+        "no schedule caught the early reset; the model lost its teeth"
+    );
+}
+
+#[test]
+fn trusting_a_cell_stamped_past_the_walk_is_caught_by_the_model() {
+    assert!(
+        caught(Variant::TrustNewerStamp),
+        "no schedule caught the stale-node read; the model lost its teeth"
     );
 }

@@ -1,6 +1,7 @@
 //! Property tests for the buffer pool: under arbitrary interleavings of
 //! allocations, reads, writes, pins and cache clears, page contents must
-//! match a flat reference model, for any pool capacity.
+//! match a flat reference model, for any pool capacity; and the eviction
+//! hand does constant work per eviction.
 
 #![cfg(test)]
 
@@ -149,5 +150,31 @@ proptest! {
         pool.flush().expect("flush2");
         let h = pool.get(0).expect("reget");
         prop_assert_eq!(h.read()[7], 99);
+    }
+
+    /// One pass over ten times as many distinct pages as the pool holds:
+    /// every miss past the first `capacity` evicts, and the hand examines
+    /// at most two frames per eviction (`IoStats::frames_examined` counts
+    /// each step of the hand).
+    #[test]
+    fn a_single_pass_examines_at_most_two_frames_per_eviction(capacity in 1usize..32) {
+        let pool = BufferPool::with_capacity(MemStorage::with_page_size(64), capacity);
+        let pages = 10 * capacity as u32;
+        for _ in 0..pages {
+            pool.allocate().expect("allocate");
+        }
+        pool.clear_cache().expect("clear");
+        pool.stats().reset();
+        for id in 0..pages {
+            pool.image(id).expect("get");
+        }
+        let s = pool.stats();
+        prop_assert_eq!(s.evictions(), u64::from(pages) - capacity as u64);
+        prop_assert!(
+            s.frames_examined() <= 2 * s.evictions(),
+            "{} frames examined for {} evictions",
+            s.frames_examined(),
+            s.evictions()
+        );
     }
 }

@@ -26,11 +26,11 @@
 //!   build is offline, so no serde).
 //!
 //! Concurrency model in one paragraph: every worker pins an immutable
-//! MVCC generation (lock-free — two atomic RMWs) and serves queries from
+//! MVCC generation (one read lock for an `Arc` clone) and serves queries from
 //! that snapshot, re-pinning only when the commit generation moves; a
 //! single writer may commit new generations concurrently (see
-//! [`QueryService::start_from_source`]). Workers read pages through the
-//! sharded buffer pool, which evicts unpinned LRU frames when the
+//! [`QueryService::start_from_source`]). Workers read page images through
+//! the buffer pool, whose CLOCK hand evicts unpinned frames when the
 //! configured capacity (`nokd` caps the structural pool at 256 frames) is
 //! exceeded. Overload degrades gracefully: a full queue rejects with
 //! [`QueryError::QueueFull`], a missed deadline returns

@@ -7,9 +7,11 @@
 //! * **Snapshot pinning.** Every worker pins the newest published
 //!   generation (see DESIGN.md §14) and serves queries against that
 //!   immutable view; when a committed update publishes a newer generation
-//!   the worker re-pins before its next job. Pinning is lock-free, so a
-//!   concurrent writer — updating through `&mut XmlDb` while the service
-//!   reads through a [`SnapshotSource`] — never blocks the read path.
+//!   the worker re-pins before its next job. Pinning clones an `Arc` under
+//!   a read lock the writer takes only to swap that `Arc`, so a concurrent
+//!   writer — updating through `&mut XmlDb` while the service reads
+//!   through a [`SnapshotSource`] — never holds up the read path for
+//!   longer than that swap.
 //! * **Admission.** Jobs flow through a bounded `Mutex<VecDeque>` queue
 //!   ([`crate::admission::AdmissionQueue`]); producers fail fast with
 //!   [`QueryError::QueueFull`] at `queue_cap`, and a worker takes one job
@@ -184,7 +186,7 @@ impl<S: Storage + Send + 'static> QueryService<S> {
     /// Start the service from a bare [`SnapshotSource`], with no handle to
     /// the live database. Use this when a writer owns the `XmlDb`
     /// exclusively (`&mut`) and commits updates while the service reads:
-    /// workers keep pinning the newest published generation, lock-free.
+    /// workers keep pinning the newest published generation.
     pub fn start_from_source(source: SnapshotSource<S>, config: ServiceConfig) -> Self {
         Self::start_inner(None, source, config)
     }

@@ -619,11 +619,7 @@ fn btree_page_corruption_is_flagged() {
 
     // META page 0 stores the root id at offset 4 (LE); the tag tree is
     // small enough that the root is a single leaf.
-    let root = {
-        let meta = tag_pool.get(0).unwrap();
-        let root = nok_pager::codec::get_u32(&meta.read(), 4);
-        root
-    };
+    let root = nok_pager::codec::get_u32(&tag_pool.image(0).unwrap(), 4);
     {
         let page = tag_pool.get(root).unwrap();
         let mut buf = page.write();
