@@ -133,8 +133,10 @@ echo "==> planner bench (BENCH_plan.json)"
 # fetches each structural page at most once and examines only the entries
 # and directory records it feeds its matcher (no subtree_close); the scan
 # route skips >= 75% of the entries it reads inside dead subtrees on
-# /dblp/article/author and //article/author, and some on
-# /treebank/s[np][vp]. The per-route timings of the 12 heavy queries are
+# /dblp/article/author and //article/author, some on /treebank/s[np][vp],
+# and on //s/np and //s[np][vp] at least as many as on their rooted forms
+# (the depth bound of `s` proves it under treebank's folded path summary).
+# The per-route timings of the 12 heavy queries are
 # reported, not gated.
 cargo run --release -q -p nok-bench --bin plan_bench -- \
   --reps 3 --out BENCH_plan.json

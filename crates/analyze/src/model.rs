@@ -131,6 +131,7 @@ const SYNOPSIS_MUTATORS: &[&str] = &[
     "count_node",
     "uncount_node",
     "fold_to",
+    "raise_depth_bound",
 ];
 
 /// Idents that precede a bracket group in non-indexing positions (array

@@ -49,9 +49,10 @@
 //! they feed the matcher (no `subtree_close`). The scan route's skip is
 //! gated as counts as well: on `/dblp/article/author` and
 //! `//article/author` it passes over at least 75 % of the entries it reads
-//! inside dead subtrees (`QueryStats::entries_skipped`), and on
-//! `/treebank/s[np][vp]` over some; the table prints every heavy query's
-//! share. The section also prints the unit costs the planner's constants
+//! inside dead subtrees (`QueryStats::entries_skipped`), on
+//! `/treebank/s[np][vp]` over some, and on `//s/np` and `//s[np][vp]` over
+//! at least as many as their rooted forms; the table prints every heavy
+//! query's share. The section also prints the unit costs the planner's constants
 //! cite (`scan_pass_ns_per_node`, `scan_hit_ns`, `get_warm_ns`,
 //! `match_ns_per_start`).
 //!
@@ -382,14 +383,19 @@ fn route_corpus(
         // ---- The skip as exact counts: the scan route passes over the
         // subtrees no pattern node can enter without a matcher call — on
         // dblp all but the `article` records' `author` children, in both
-        // forms (the `//` one by the exact path summary's proof), on the
-        // folded treebank summary only what the `/treebank/s` spine rules
-        // out.
+        // forms (the `//` one by the exact path summary's proof), on
+        // treebank what the `/treebank/s` spine rules out, and as much in
+        // the `//` forms, by the depth bound of `s` (the trie is folded).
+        let skipped_by = |q: &str| rows.iter().find(|r| r.query == q).map(|r| r.scan_skipped);
         for r in &rows {
             let (examined, skipped) = (r.scan_examined, r.scan_skipped);
             let holds = match r.query.as_str() {
                 "/dblp/article/author" | "//article/author" => 4 * skipped >= 3 * examined,
                 "/treebank/s[np][vp]" => skipped > 0,
+                "//s/np" => skipped_by("/treebank/s/np").is_some_and(|rooted| skipped >= rooted),
+                "//s[np][vp]" => {
+                    skipped_by("/treebank/s[np][vp]").is_some_and(|rooted| skipped >= rooted)
+                }
                 _ => true,
             };
             if !holds {

@@ -121,37 +121,76 @@ fn cuts_hold(cuts: &[Cut<'_>], p: PNodeId, start: u64, end: u64) -> bool {
 }
 
 /// Where a page-fed pass stands in the subtree of a dead node (see
-/// [`ScanMatcher::open`]), carried from one page to the next.
+/// [`ScanMatcher::open`]) or below a hollow one ([`ScanMatcher::hollow`]),
+/// carried from one page to the next.
 #[derive(Default)]
 struct Skip {
     /// Nodes of the subtree still open; 0 outside one.
     open: u32,
+    /// The subtree is a hollow node's: its close goes to the matcher.
+    hollow: bool,
     /// Entries of dead subtrees so far: each dead open, which the matcher
     /// only counts as a child, and the rest of its subtree, passed over by
-    /// the depth count.
+    /// the depth count — the children of a hollow node included.
     entries: u64,
 }
 
 impl Skip {
-    /// Pass `entries` over the rest of the dead subtree, to after the close
-    /// that ends it or to the end of the page: `true` when the close was
-    /// on the page. Out of line, and by value so that [`feed`]'s iterator
-    /// stays in registers: inlined, it slows the loop of a pass that skips
-    /// nothing.
+    /// Pass `entries` over the rest of the dead subtree, and then over the
+    /// run of dead siblings after it, to the first entry the matcher must
+    /// see or to the end of the page: `true` when the run ended on the
+    /// page. A sibling is dead when [`ScanMatcher::is_dead`] says so; the
+    /// matcher is not called for it, and the run's length is added to the
+    /// parent's child counter once. The run stops where the subtree's
+    /// close leaves `floor` nodes open: a dead index-route start has no
+    /// siblings to pass. Out of line, and by value so that [`feed`]'s
+    /// iterator stays in registers: inlined, it slows the loop of a pass
+    /// that skips nothing.
     #[inline(never)]
-    fn pass<'a>(&mut self, mut entries: Entries<'a>) -> (Entries<'a>, bool) {
+    fn pass<'a, Src: ScanSource>(
+        &mut self,
+        m: &mut ScanMatcher<Src>,
+        tests: &[NodeTests<Src::Set>],
+        mut entries: Entries<'a>,
+        floor: usize,
+    ) -> (Entries<'a>, bool) {
         let from = entries.index();
         let closed = entries.pass(&mut self.open);
+        if !closed || m.depth() == floor {
+            self.entries += (entries.index() - from) as u64;
+            return (entries, closed);
+        }
+        let mut run = 0;
+        loop {
+            let mut next = entries.clone();
+            let Some(Entry::Open(tag)) = next.next() else {
+                break;
+            };
+            match tests.get(usize::from(tag.0)) {
+                Some(t) if m.is_dead(t) => {}
+                _ => break,
+            }
+            run += 1;
+            self.open = 1;
+            entries = next;
+            if !entries.pass(&mut self.open) {
+                m.pass_dead(run);
+                self.entries += (entries.index() - from) as u64;
+                return (entries, false);
+            }
+        }
+        m.pass_dead(run);
         self.entries += (entries.index() - from) as u64;
-        (entries, closed)
+        (entries, true)
     }
 }
 
 /// Feed entries `from..` of one page to the matcher, stopping after the
 /// close that leaves `floor` nodes open (the scan route passes 0: never).
-/// Returns the index after that close. The subtree of a dead node is
-/// passed over by an excess search over the page's parenthesis bytes; a
-/// dead start of the index route ends its sub-scan at its own close.
+/// Returns the index after that close. The subtree of a dead node, the
+/// dead siblings after it and the children of a hollow node are passed
+/// over by an excess search over the page's parenthesis bytes; a dead
+/// start of the index route ends its sub-scan at its own close.
 #[inline]
 fn feed<Src: ScanSource<Payload = NodeAddr>>(
     m: &mut ScanMatcher<Src>,
@@ -165,9 +204,23 @@ fn feed<Src: ScanSource<Payload = NodeAddr>>(
     let untested = NodeTests::default();
     // One run of live entries after each dead subtree passed over.
     'runs: loop {
-        if skip.open > 0 {
+        if skip.hollow {
+            // The children of a hollow node, then its close.
+            let from = entries.index();
+            let closed = entries.pass(&mut skip.open);
+            let close = entries.index() - usize::from(closed);
+            skip.entries += (close - from) as u64;
+            if !closed {
+                return Ok(None);
+            }
+            skip.hollow = false;
+            m.close(wp.lin(close))?;
+            if m.depth() == floor {
+                return Ok(Some(close + 1));
+            }
+        } else if skip.open > 0 {
             let closed;
-            (entries, closed) = skip.pass(entries);
+            (entries, closed) = skip.pass(m, tests, entries, floor);
             if !closed {
                 return Ok(None);
             }
@@ -199,6 +252,11 @@ fn feed<Src: ScanSource<Payload = NodeAddr>>(
                         }
                         skip.open = 1;
                         skip.entries += 1;
+                        continue 'runs;
+                    }
+                    if m.hollow() && !entries.at_close() {
+                        skip.open = 1;
+                        skip.hollow = true;
                         continue 'runs;
                     }
                 }
@@ -604,12 +662,12 @@ impl<S: Storage> XmlDb<S> {
     /// the postings of the index route's `seed` literals (on the scan
     /// route, `None`: of every `= "literal"` the fragment has) and fetching
     /// values for the rest, and its name tests resolved per tag code, with
-    /// the plan's barren tags.
+    /// the plan's barren tags and root floor.
     fn matcher<'a, B: NodeSet>(
         &self,
         part: &'a Partition<'_>,
         fp: &FragmentPlan,
-        pat: ScanPattern<B>,
+        mut pat: ScanPattern<B>,
         access: &'a PhysAccess<'a, S>,
         cuts: &'a [Cut<'a>],
         seed: Option<Vec<Postings<'a>>>,
@@ -641,6 +699,7 @@ impl<S: Storage> XmlDb<S> {
                 confirms.insert(i);
             }
         }
+        pat.root_floor = fp.root_floor.map_or(usize::MAX, usize::from);
         let mut tests = vec![NodeTests::default(); self.dict.len()];
         // Both in code order.
         let mut barren = fp.barren.iter().peekable();

@@ -278,6 +278,31 @@ const BYTE_EXCESS: [(i8, i8); 256] = {
     table
 };
 
+/// Per parenthesis byte and starting depth `d` in `1..=8`: how many of its
+/// bits (LSB first) are passed when the depth first reaches zero, or 8 when
+/// it does not.
+const FIRST_REACH: [[u8; 8]; 256] = {
+    let mut table = [[8u8; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut d = 1;
+        while d <= 8 {
+            let (mut depth, mut i) = (d as i32, 0);
+            while i < 8 {
+                depth += if (b >> i) & 1 == 1 { 1 } else { -1 };
+                i += 1;
+                if depth == 0 {
+                    table[b][d - 1] = i as u8;
+                    break;
+                }
+            }
+            d += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
 /// A structural page read in place: its header, and its parenthesis bits
 /// and tag codes as slices of the page image. Nothing is copied or decoded.
 #[derive(Debug, Clone, Copy)]
@@ -491,23 +516,26 @@ impl<'a> Page<'a> {
     /// opened — the end of a subtree entered `open` levels deep — and
     /// return the index after that close; `None` at the end of the page,
     /// with `open` left at the levels still to close. `open` must be
-    /// positive. Whole parenthesis bytes are passed by their net excess;
-    /// only the byte where the depth can reach zero is read bit by bit.
+    /// positive. One table step per parenthesis byte: a byte the depth
+    /// does not reach zero in is passed by its net excess, and the one it
+    /// does is resolved by [`FIRST_REACH`]. A partial first or last byte
+    /// is shifted to start at `from` and has the bits past its entries set
+    /// as opens, which neither lower its low point nor reach zero.
     pub fn close_from(&self, from: usize, open: &mut u32) -> Option<usize> {
         let (n, mut i) = (self.n, from.min(self.n));
         let mut depth = i64::from(*open);
         while i < n && depth > 0 {
-            if i.is_multiple_of(8) && i + 8 <= n {
-                // A whole byte the depth does not reach zero in.
-                let (net, low) = BYTE_EXCESS[usize::from(self.parens[i / 8])];
-                if depth + i64::from(low) > 0 {
-                    depth += i64::from(net);
-                    i += 8;
-                    continue;
-                }
+            let valid = (8 - i % 8).min(n - i);
+            let pad = 0xFF_u16 << valid;
+            let byte = usize::from((self.parens[i / 8] >> (i % 8)) | pad as u8);
+            let (net, low) = BYTE_EXCESS[byte];
+            if depth + i64::from(low) <= 0 {
+                // The low point is at least -8, so the depth is 1..=8.
+                *open = 0;
+                return Some(i + usize::from(FIRST_REACH[byte][depth as usize - 1]));
             }
-            depth += 2 * i64::from((self.parens[i / 8] >> (i % 8)) & 1) - 1;
-            i += 1;
+            depth += i64::from(net) - (8 - valid) as i64;
+            i += valid;
         }
         if depth == 0 {
             *open = 0;

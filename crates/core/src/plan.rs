@@ -123,6 +123,13 @@ pub struct FragmentPlan {
     /// whenever the summary is folded. Valid for the generation planned
     /// against, as `QueryPlan::proven_empty` is.
     pub barren: Vec<TagCode>,
+    /// The deepest level any node passing the root test has had, by the
+    /// synopsis's per-tag depth bounds: no root candidate opens below a
+    /// node at this absolute level or deeper, and the matcher passes over
+    /// such a node's subtree when it matches nothing itself. `None` for the
+    /// document-rooted fragment. Valid for the generation planned against,
+    /// as `barren` is.
+    pub root_floor: Option<u16>,
 }
 
 /// One step of the physical plan.

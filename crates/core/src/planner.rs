@@ -292,6 +292,18 @@ impl<S: Storage> XmlDb<S> {
             .unwrap_or_default()
     }
 
+    /// The largest depth bound among the tags that pass `test`
+    /// (`FragmentPlan::root_floor`); 0 when no node ever has.
+    fn root_floor(&self, test: &NameTest) -> u16 {
+        let synopsis = self.synopsis();
+        self.dict
+            .iter()
+            .filter(|(_, name)| test.accepts(name))
+            .map(|(code, _)| synopsis.depth_bound(code))
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Route choice + cost estimate for one fragment: the cheapest index
     /// seed against the scan route (module docs), both in nanoseconds.
     /// Path-aware planning (`chains`) refines the tag-only picture with the
@@ -330,12 +342,14 @@ impl<S: Storage> XmlDb<S> {
                 path_support: None,
                 path_support_open: false,
                 barren: Vec::new(),
+                root_floor: None,
             });
         }
-        let barren = if root == DOC_NODE {
-            Vec::new()
+        let (barren, root_floor) = if root == DOC_NODE {
+            (Vec::new(), None)
         } else {
-            self.barren_tags(&tree.nodes[root].test)
+            let test = &tree.nodes[root].test;
+            (self.barren_tags(test), Some(self.root_floor(test)))
         };
         // A plan seeded on `seed` from `pivot`, its survivors bounded by the
         // root chain of pattern node `chain`.
@@ -350,6 +364,7 @@ impl<S: Storage> XmlDb<S> {
             path_support: chains.map(|c| c.support[chain]),
             path_support_open: chains.is_some_and(|c| c.states[chain].is_open()),
             barren,
+            root_floor,
         };
         let strategy = opts.strategy;
         let depths = pivot_depths(part, pivot);

@@ -34,12 +34,24 @@
 //! through its matching close, with a depth count and no matcher call —
 //! the paper's Algorithm 1 never enters such a subtree either. Below a
 //! node of an anchored fragment a root candidate opens only if the node
-//! carries the spine; below a node of a `//`- or `following::`-rooted
-//! fragment, anywhere, unless the node's tag is *barren*: the exact path
-//! summary shows no path on which the tag has a descendant passing the
-//! root test (`FragmentPlan::barren`). A folded summary proves nothing (a
-//! residual hides paths, and a tag seen only there is unknown), and a SAX
-//! stream has no summary, so such fragments then skip nothing.
+//! carries the spine. Below a node of a `//`- or `following::`-rooted
+//! fragment it may open anywhere, unless one of two proofs says not:
+//!
+//! * the node's tag is *barren*: the exact path summary shows no path on
+//!   which the tag has a descendant passing the root test
+//!   (`FragmentPlan::barren`). A folded trie proves nothing this way (a
+//!   residual hides paths, and a tag seen only there is unknown);
+//! * the node sits at or below the fragment's *root floor*: the deepest
+//!   level any node passing the root test has had, by the synopsis's
+//!   per-tag depth bounds (`FragmentPlan::root_floor`). Levels are
+//!   absolute, so an index-route start primes the matcher with its own.
+//!
+//! A SAX stream has neither proof, so such fragments skip nothing there.
+//!
+//! A live node is **hollow** when its candidates have no pattern children
+//! and no root candidate can open below it: every child is dead, so the
+//! executor may pass over all of them, to the node's own close, at once
+//! ([`ScanMatcher::hollow`]).
 //!
 //! Matches of the fragment's hot node are buffered from the moment the
 //! candidate opens and released once every node on the path up to the
@@ -199,6 +211,11 @@ pub(crate) struct ScanPattern<B> {
     /// the start's parent after [`ScanMatcher::prime`]); when false (`//`-
     /// and `following::`-rooted fragments) any node may match the root.
     anchored: bool,
+    /// No node passing the root test sits deeper than this absolute level
+    /// (`FragmentPlan::root_floor`), so none opens below a node at it or
+    /// deeper; `usize::MAX` while nothing proves it. Set before the
+    /// per-tag [`NodeTests`] are made.
+    pub(crate) root_floor: usize,
 }
 
 impl<B: NodeSet> ScanPattern<B> {
@@ -300,6 +317,7 @@ impl<B: NodeSet> ScanPattern<B> {
             chain_mask,
             spine,
             anchored,
+            root_floor: usize::MAX,
         })
     }
 
@@ -321,8 +339,8 @@ pub(crate) struct NodeTests<B> {
 }
 
 /// When a node is dead, given the name tests it passes: never, or — if it
-/// is a candidate for no pattern child of its parent's candidates — always
-/// or by its level.
+/// is a candidate for no pattern child of its parent's candidates — always,
+/// by its level and the spine, or by its level alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum Dies {
     /// A root candidate may open at the node or below it: it passes the
@@ -336,6 +354,9 @@ pub(crate) enum Dies {
     /// An anchored fragment's node passing the root test or a spine test:
     /// its level and the spine above it decide.
     ByLevel,
+    /// An unanchored fragment's node failing the root test, its tag not
+    /// barren: no root candidate opens below it at or past the root floor.
+    ByDepth,
 }
 
 impl<B: NodeSet> NodeTests<B> {
@@ -355,6 +376,7 @@ impl<B: NodeSet> NodeTests<B> {
             (true, false) if spine.is_empty() => Dies::Childless,
             (true, _) => Dies::ByLevel,
             (false, false) if barren => Dies::Childless,
+            (false, false) if pat.root_floor != usize::MAX => Dies::ByDepth,
             (false, _) => Dies::Never,
         };
         NodeTests { nodes, spine, dies }
@@ -462,6 +484,11 @@ pub(crate) struct ScanMatcher<S: ScanSource> {
     path: Vec<u32>,
     /// Leading levels of the open path that pass the spine tests.
     spine_ok: usize,
+    /// Absolute level of the base frame: 0 for the document node, the
+    /// start's parent's after [`ScanMatcher::prime`].
+    base_level: usize,
+    /// The node opened last is hollow (module docs).
+    hollow: bool,
     /// Buffered hot matches, in document order.
     pending: Vec<ScanHit<S::Payload>>,
     undecided: usize,
@@ -497,6 +524,8 @@ impl<S: ScanSource> ScanMatcher<S> {
             }],
             path: Vec::new(),
             spine_ok: 0,
+            base_level: 0,
+            hollow: false,
             pending: Vec::new(),
             undecided: 0,
             done: Vec::new(),
@@ -537,7 +566,61 @@ impl<S: ScanSource> ScanMatcher<S> {
         self.path.clear();
         self.path.extend_from_slice(above);
         self.spine_ok = 0;
+        self.base_level = above.len();
         Ok(())
+    }
+
+    /// Is a node passing `tests` dead (module docs) if it opens as the next
+    /// child of the innermost open node? Its siblings share the answer for
+    /// their own tests: nothing it depends on moves while they are passed
+    /// over.
+    #[inline]
+    pub(crate) fn is_dead(&self, tests: &NodeTests<S::Set>) -> bool {
+        let level = self.frames.len();
+        let rootless = match tests.dies {
+            Dies::Never => false,
+            Dies::Childless => true,
+            Dies::ByLevel => !anchored_roots_at_or_below(&self.pat, self.spine_ok, tests, level),
+            Dies::ByDepth => self.base_level + level >= self.pat.root_floor,
+        };
+        rootless
+            && self
+                .frames
+                .last()
+                .is_some_and(|parent| !tests.nodes.meets(&parent.kids))
+    }
+
+    /// Can a root candidate open strictly below a node passing `tests`
+    /// that opens as the next child of the innermost open node?
+    #[inline]
+    fn roots_below(&self, tests: &NodeTests<S::Set>) -> bool {
+        let level = self.frames.len();
+        match tests.dies {
+            Dies::Childless => false,
+            Dies::Never | Dies::ByDepth => self.base_level + level < self.pat.root_floor,
+            Dies::ByLevel => {
+                self.spine_ok + 1 == level
+                    && level <= self.pat.spine.len()
+                    && tests.spine.has(level - 1)
+            }
+        }
+    }
+
+    /// Is the node opened last, and live, hollow (module docs)? Then the
+    /// caller may pass over the rest of its subtree up to its close without
+    /// calling the matcher, and close it.
+    #[inline]
+    pub(crate) fn hollow(&self) -> bool {
+        self.hollow
+    }
+
+    /// Count `n` dead nodes, passed over without [`ScanMatcher::open`], as
+    /// children of the innermost open node.
+    #[inline]
+    pub(crate) fn pass_dead(&mut self, n: u32) {
+        if let Some(parent) = self.frames.last_mut() {
+            parent.next_child += n;
+        }
     }
 
     /// A node opens at position `start`. `payload` is only called when the
@@ -552,6 +635,8 @@ impl<S: ScanSource> ScanMatcher<S> {
         start: u64,
         payload: impl FnOnce() -> S::Payload,
     ) -> CoreResult<bool> {
+        let dead = self.is_dead(tests);
+        let roots_below = self.roots_below(tests);
         let pat = &self.pat;
         let level = self.frames.len();
         let Some(parent) = self.frames.last_mut() else {
@@ -559,12 +644,7 @@ impl<S: ScanSource> ScanMatcher<S> {
                 "scan matcher lost its root frame".into(),
             ));
         };
-        let rootless = match tests.dies {
-            Dies::Never => false,
-            Dies::Childless => true,
-            Dies::ByLevel => !anchored_roots_at_or_below(pat, self.spine_ok, tests, level),
-        };
-        if rootless && !tests.nodes.meets(&parent.kids) {
+        if dead {
             parent.next_child += 1;
             return Ok(false);
         }
@@ -617,6 +697,7 @@ impl<S: ScanSource> ScanMatcher<S> {
                 self.undecided += 1;
             }
         }
+        self.hollow = kids.is_empty() && !roots_below;
         self.frames.push(Frame {
             cand,
             kids,
@@ -842,10 +923,18 @@ mod tests {
         live
     }
 
-    /// Feed the subtree of `id`, passing over it when it opens dead.
+    /// Feed the subtree of `id`, passing over it when it opens dead, and
+    /// over its children when it opens hollow.
     fn walk(m: &mut ScanMatcher<DomSource<'_>>, id: NodeId, pos: &mut u64) {
         let doc = m.src.doc;
         if !open(m, doc.tag(id).unwrap_or(""), pos) {
+            return;
+        }
+        if m.hollow() {
+            let text = doc.direct_text(id);
+            m.src.value = (!text.trim().is_empty()).then_some(text);
+            *pos += 1;
+            m.close(*pos).unwrap();
             return;
         }
         for a in doc.attrs(id) {
@@ -1010,6 +1099,30 @@ mod tests {
             let mut m = matcher(&tree, tree.partition().fragments.len() - 1, &doc);
             walk(&mut m, NodeId::ROOT, &mut 0);
             assert_eq!(m.src.live, live, "{q}");
+        }
+    }
+
+    /// The depth proof alone: with no barren tag, a `//` fragment passes
+    /// over every non-candidate at or below its root floor, the deepest
+    /// level of a node passing its root test, and nothing above it.
+    #[test]
+    fn the_root_floor_passes_over_what_no_root_can_open_below() {
+        // `a` at levels 2 and 3 only; 16 nodes.
+        let xml = "<r><x><a><b/></a><y><w><v/></w></y></x><a><z><b/><c><b/></c></z><b/></a>\
+                   <v><w/><w/></v></r>";
+        for (q, floor, live, hits) in [("//a/b", 3, 7, 2), ("//a", 3, 5, 2), ("//a/b", 9, 16, 2)] {
+            assert_eq!(agree(q, xml).len(), hits, "{q}");
+            let tree = PatternTree::parse(q).unwrap();
+            let doc = Document::parse(xml).unwrap();
+            let mut m = matcher(&tree, tree.partition().fragments.len() - 1, &doc);
+            m.src.holders = ["r", "x", "y", "z", "c", "v", "w", "a", "b"]
+                .map(String::from)
+                .into();
+            m.pat.root_floor = floor;
+            walk(&mut m, NodeId::ROOT, &mut 0);
+            m.finish().unwrap();
+            assert_eq!(m.src.live, live, "{q} below level {floor}");
+            assert_eq!(m.done.len(), hits, "{q} below level {floor}");
         }
     }
 

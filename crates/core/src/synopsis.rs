@@ -1,5 +1,5 @@
-//! The database synopsis: per-tag counters plus a DataGuide-style **path
-//! summary** held to a fixed node budget.
+//! The database synopsis: per-tag counters and depth bounds, plus a
+//! DataGuide-style **path summary** held to a fixed node budget.
 //!
 //! The paper's cost model (§6.2) prices a starting-point strategy from flat
 //! per-tag counts. That is blind to *paths*: `//a//b` seeds on whichever of
@@ -19,6 +19,13 @@
 //! ([`ChainStates`]): its residual is added to the estimate, which becomes
 //! an upper bound, and the chain can no longer be proven empty. Zero
 //! support is a proof only where the trie is exact.
+//!
+//! Beside each tag's count the synopsis keeps its **depth bound**: the
+//! deepest level a node with that tag has had. It is one number per tag,
+//! so it never folds, and it proves what a folded trie cannot: no node
+//! with the tag opens below that level (`core::scan`'s dead rule). Inserts
+//! raise it; deletes leave it, since a bound that is too high only weakens
+//! the proof.
 //!
 //! Value selectivity is not kept here: a literal's B+v postings *are* its
 //! count, and the planner counts them at plan time.
@@ -48,7 +55,7 @@ use crate::sigma::TagCode;
 /// Magic of the synopsis block (supersedes `NOKSTATS`).
 pub const SYNOPSIS_MAGIC: &[u8; 8] = b"NOKSYNOP";
 /// Version written and read by this build.
-pub const SYNOPSIS_VERSION: u16 = 3;
+pub const SYNOPSIS_VERSION: u16 = 4;
 /// Most trie nodes (the virtual root aside) a synopsis holds in memory and
 /// a block may declare: what bounds the block to a few tens of KiB and a
 /// commit's copy-on-write clone to one small arena, whatever the document.
@@ -488,11 +495,21 @@ impl PathTrie {
     }
 }
 
-/// The full synopsis: tag counters + path trie. Held as a single
-/// `Arc<Synopsis>` by `XmlDb` and by every published `DbGeneration`.
+/// What the synopsis keeps per tag.
+#[derive(Debug, Clone, Copy, Default)]
+struct TagStat {
+    /// Nodes with the tag.
+    count: u64,
+    /// The deepest level (the root element is level 1) a node with the tag
+    /// has had; never lowered.
+    depth: u16,
+}
+
+/// The full synopsis: tag counters and depth bounds + path trie. Held as a
+/// single `Arc<Synopsis>` by `XmlDb` and by every published `DbGeneration`.
 #[derive(Debug, Clone, Default)]
 pub struct Synopsis {
-    tag_counts: HashMap<TagCode, u64>,
+    tags: HashMap<TagCode, TagStat>,
     paths: PathTrie,
 }
 
@@ -524,12 +541,19 @@ impl Synopsis {
 
     /// Number of nodes with tag `tag`.
     pub fn tag_count(&self, tag: TagCode) -> u64 {
-        self.tag_counts.get(&tag).copied().unwrap_or(0)
+        self.tags.get(&tag).map_or(0, |s| s.count)
     }
 
     /// Iterate `(tag, count)` pairs (unordered).
     pub fn tag_counts(&self) -> impl Iterator<Item = (TagCode, u64)> + '_ {
-        self.tag_counts.iter().map(|(&t, &c)| (t, c))
+        self.tags.iter().map(|(&t, s)| (t, s.count))
+    }
+
+    /// The deepest level a node with tag `tag` has had (0: none ever has).
+    /// No node with the tag sits deeper, so none opens below a node at
+    /// that level or deeper.
+    pub fn depth_bound(&self, tag: TagCode) -> u16 {
+        self.tags.get(&tag).map_or(0, |s| s.depth)
     }
 
     /// The path summary.
@@ -546,15 +570,23 @@ impl Synopsis {
 
     /// Add `n` nodes of tag `tag`.
     pub fn add_tag_count(&mut self, tag: TagCode, n: u64) {
-        let c = self.tag_counts.entry(tag).or_insert(0);
-        *c = c.saturating_add(n);
+        let s = self.tags.entry(tag).or_default();
+        s.count = s.count.saturating_add(n);
     }
 
-    /// Remove `n` nodes of tag `tag` (saturating; the entry stays).
+    /// Remove `n` nodes of tag `tag` (saturating; the entry and its depth
+    /// bound stay).
     pub fn sub_tag_count(&mut self, tag: TagCode, n: u64) {
-        if let Some(c) = self.tag_counts.get_mut(&tag) {
-            *c = c.saturating_sub(n);
+        if let Some(s) = self.tags.get_mut(&tag) {
+            s.count = s.count.saturating_sub(n);
         }
+    }
+
+    /// Record a node with tag `tag` at `level`: raise the tag's depth
+    /// bound to it.
+    pub fn raise_depth_bound(&mut self, tag: TagCode, level: u16) {
+        let s = self.tags.entry(tag).or_default();
+        s.depth = s.depth.max(level);
     }
 
     /// Add `n` nodes whose root path is `tags`.
@@ -569,15 +601,18 @@ impl Synopsis {
 
     /// Count one document node met in document order: `chain` is the
     /// caller's tag stack, cut here to the node's level and extended by its
-    /// tag, which makes it the node's root path.
+    /// tag, which makes it the node's root path. Raises the tag's depth
+    /// bound to the level.
     pub fn count_node(&mut self, chain: &mut Vec<TagCode>, tag: TagCode, level: u16) {
         chain.truncate(usize::from(level).saturating_sub(1));
         chain.push(tag);
         self.add_tag_count(tag, 1);
+        self.raise_depth_bound(tag, level);
         self.paths.add_path_count(chain, 1);
     }
 
-    /// Uncount one document node; the mirror of [`Synopsis::count_node`].
+    /// Uncount one document node; the mirror of [`Synopsis::count_node`],
+    /// except that the depth bound stays.
     pub fn uncount_node(&mut self, chain: &mut Vec<TagCode>, tag: TagCode, level: u16) {
         chain.truncate(usize::from(level).saturating_sub(1));
         chain.push(tag);
@@ -601,12 +636,14 @@ impl Synopsis {
         out.extend_from_slice(&SYNOPSIS_VERSION.to_be_bytes());
         out.extend_from_slice(&node_count.to_be_bytes());
 
-        let mut tags: Vec<(TagCode, u64)> = self.tag_counts.iter().map(|(&t, &c)| (t, c)).collect();
-        tags.sort_unstable();
+        // Tags: code, count, depth bound.
+        let mut tags: Vec<(TagCode, TagStat)> = self.tags.iter().map(|(&t, &s)| (t, s)).collect();
+        tags.sort_unstable_by_key(|&(t, _)| t);
         out.extend_from_slice(&(tags.len() as u32).to_be_bytes());
-        for (t, c) in &tags {
+        for (t, s) in &tags {
             out.extend_from_slice(&t.0.to_be_bytes());
-            out.extend_from_slice(&c.to_be_bytes());
+            out.extend_from_slice(&s.count.to_be_bytes());
+            out.extend_from_slice(&s.depth.to_be_bytes());
         }
 
         // Path trie: the number of live (nonzero-subtree) nodes below the
@@ -655,11 +692,12 @@ impl Synopsis {
 
         let mut syn = Synopsis::new();
         let tag_n = u32::from_be_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-        syn.tag_counts.reserve(tag_n.min(1 << 16));
+        syn.tags.reserve(tag_n.min(1 << 16));
         for _ in 0..tag_n {
             let t = u16::from_be_bytes(take(&mut pos, 2)?.try_into().ok()?);
-            let c = u64::from_be_bytes(take(&mut pos, 8)?.try_into().ok()?);
-            syn.tag_counts.insert(TagCode(t), c);
+            let count = u64::from_be_bytes(take(&mut pos, 8)?.try_into().ok()?);
+            let depth = u16::from_be_bytes(take(&mut pos, 2)?.try_into().ok()?);
+            syn.tags.insert(TagCode(t), TagStat { count, depth });
         }
 
         let path_n = u32::from_be_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
@@ -789,8 +827,42 @@ mod tests {
     fn other_versions_rejected() {
         let mut bytes = sample().to_bytes(6);
         assert_eq!(bytes[8..10], SYNOPSIS_VERSION.to_be_bytes());
-        bytes[8..10].copy_from_slice(&2u16.to_be_bytes());
-        assert!(Synopsis::from_bytes(&bytes).is_none());
+        for old in [2u16, 3] {
+            bytes[8..10].copy_from_slice(&old.to_be_bytes());
+            assert!(Synopsis::from_bytes(&bytes).is_none());
+        }
+    }
+
+    /// A node raises its tag's depth bound as it is counted; uncounting it
+    /// leaves the bound, which survives the block codec.
+    #[test]
+    fn depth_bounds_rise_with_counted_nodes_and_stay() {
+        // <a><b><c/></b><c/></a>, then <b><c><c/></c></b> under the first b.
+        let mut s = Synopsis::new();
+        let mut chain = Vec::new();
+        for (t, level) in [(1, 1), (2, 2), (3, 3), (3, 2)] {
+            s.count_node(&mut chain, tc(t), level);
+        }
+        assert_eq!(
+            [1, 2, 3, 4].map(|t| s.depth_bound(tc(t))),
+            [1, 2, 3, 0],
+            "c's deepest is level 3"
+        );
+        let mut chain = vec![tc(1), tc(2)];
+        for (t, level) in [(2, 3), (3, 4), (3, 5)] {
+            s.count_node(&mut chain, tc(t), level);
+        }
+        assert_eq!([2, 3].map(|t| s.depth_bound(tc(t))), [3, 5]);
+        let mut chain = vec![tc(1), tc(2)];
+        for (t, level) in [(2, 3), (3, 4), (3, 5)] {
+            s.uncount_node(&mut chain, tc(t), level);
+        }
+        assert_eq!(s.tag_count(tc(3)), 2);
+        assert_eq!([2, 3].map(|t| s.depth_bound(tc(t))), [3, 5]);
+        let bytes = s.to_bytes(4);
+        let (_, d) = Synopsis::from_bytes(&bytes).expect("decode failed");
+        assert_eq!([1, 2, 3, 4].map(|t| d.depth_bound(tc(t))), [1, 3, 5, 0]);
+        assert_eq!(d.to_bytes(4), bytes);
     }
 
     #[test]

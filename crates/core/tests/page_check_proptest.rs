@@ -10,7 +10,11 @@
 //! * `check_page` refuses exactly what the walk refuses, and never panics;
 //! * the reader accepts whatever `check_page` accepts, and its entry,
 //!   level and tag at every index, and `close_from` from every open, equal
-//!   the walk's; on what only the reader accepts, no accessor panics.
+//!   the walk's; on what only the reader accepts, no accessor panics;
+//! * `close_from` from every offset and every starting depth 1..=9 equals
+//!   a bit-by-bit walk of the parenthesis bits — on every stored page and
+//!   on random sequences whose length is not a multiple of 8, so the table
+//!   steps over partial first and last bytes are covered.
 
 #![cfg(test)]
 
@@ -167,6 +171,30 @@ fn reader_matches_walk(buf: &[u8]) {
     assert_eq!(closes, want_closes);
 }
 
+/// `close_from` from every offset and starting depth 1..=9 against a walk
+/// of the parenthesis bits one at a time: the index after the close that
+/// brings the depth to zero, or the depth left at the end of the page.
+fn close_from_matches_bit_walk(page: &Page<'_>) {
+    let n = page.len();
+    for from in 0..=n {
+        for depth in 1..=9u32 {
+            let mut want_open = i64::from(depth);
+            let mut want = None;
+            for i in from..n {
+                want_open += if page.is_open(i) { 1 } else { -1 };
+                if want_open == 0 {
+                    want = Some(i + 1);
+                    break;
+                }
+            }
+            let mut open = depth;
+            let got = page.close_from(from, &mut open);
+            assert_eq!(got, want, "from {from}, depth {depth}, {n} entries");
+            assert_eq!(i64::from(open), want_open, "from {from}, depth {depth}");
+        }
+    }
+}
+
 #[test]
 fn every_stored_page_checks_as_it_decodes() {
     let pages = pages();
@@ -182,6 +210,7 @@ fn every_stored_page_checks_as_it_decodes() {
         assert!(walk(page).is_some(), "page {i} does not walk");
         assert_eq!(checked(page), walked(page), "page {i}");
         reader_matches_walk(page);
+        close_from_matches_bit_walk(&Page::new(page).expect("reads"));
     }
 }
 
@@ -254,5 +283,44 @@ proptest! {
         prop_assert!(check_page(&buf).is_some());
         prop_assert_eq!(checked(&buf), walked(&buf));
         reader_matches_walk(&buf);
+    }
+
+    #[test]
+    fn close_from_steps_partial_bytes_as_the_bit_walk(
+        bits in prop::collection::vec(any::<bool>(), 1..200),
+        st in 0u16..12,
+    ) {
+        // Any open/close sequence that keeps its level non-negative, cut
+        // to a length that leaves a partial last byte.
+        let mut bits = bits;
+        if bits.len().is_multiple_of(8) {
+            bits.pop();
+        }
+        let mut level = i32::from(st);
+        let entries: Vec<Entry> = bits
+            .iter()
+            .map(|&open| {
+                if open || level == 0 {
+                    level += 1;
+                    Entry::Open(TagCode(7))
+                } else {
+                    level -= 1;
+                    Entry::Close
+                }
+            })
+            .collect();
+        let content = encode_content(&entries);
+        let mut buf = vec![0u8; HEADER_SIZE + content.len()];
+        nok_core::page::write_header(&mut buf, &nok_core::page::PageHeader {
+            st,
+            lo: 0,
+            hi: 0,
+            next: nok_core::page::NO_PAGE,
+            nbytes: content.len() as u16,
+        });
+        buf[HEADER_SIZE..].copy_from_slice(&content);
+        let page = Page::new(&buf).expect("reads");
+        prop_assert!(!page.len().is_multiple_of(8));
+        close_from_matches_bit_walk(&page);
     }
 }

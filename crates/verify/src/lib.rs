@@ -880,10 +880,27 @@ fn index_checks<S: Storage>(db: &XmlDb<S>, opts: VerifyOptions, scan: &mut Chain
             found: tag_entries,
         });
     }
-    // Selectivity counters must agree with the derived per-tag occurrences.
+    // Selectivity counters must agree with the derived per-tag occurrences,
+    // and no node may sit deeper than its tag's depth bound.
     let mut derived_tag_counts: HashMap<TagCode, u64> = HashMap::new();
+    let mut deepest: HashMap<TagCode, u16> = HashMap::new();
     for n in &scan.nodes {
         *derived_tag_counts.entry(n.tag).or_insert(0) += 1;
+        let d = deepest.entry(n.tag).or_insert(0);
+        *d = (*d).max(n.level);
+    }
+    let mut too_deep: Vec<(TagCode, u16)> = deepest
+        .into_iter()
+        .filter(|&(tag, level)| level > db.synopsis().depth_bound(tag))
+        .collect();
+    too_deep.sort_unstable();
+    for (tag, level) in too_deep {
+        let known = usize::from(tag.0) < db.dict().len();
+        v.push(Violation::SynopsisDepthBound {
+            tag: if known { db.dict().name(tag) } else { "?" }.to_string(),
+            deepest: level,
+            bound: db.synopsis().depth_bound(tag),
+        });
     }
     for (tag, expected) in &derived_tag_counts {
         let found = db.tag_count(*tag);

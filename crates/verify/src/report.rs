@@ -263,6 +263,17 @@ pub enum Violation {
         /// Residual the synopsis carries.
         found: u64,
     },
+    /// A node sits deeper than its tag's synopsis depth bound, which the
+    /// planner takes as a proof that no node with the tag opens below it
+    /// (see DESIGN.md §17). A bound above the deepest node is allowed.
+    SynopsisDepthBound {
+        /// The tag's dictionary name.
+        tag: String,
+        /// Deepest level of a node with the tag, from the rescan.
+        deepest: u16,
+        /// Depth bound the synopsis carries.
+        bound: u16,
+    },
     /// The published MVCC generation disagrees with the committed state it
     /// claims to represent (see DESIGN.md §14).
     GenerationMismatch {
@@ -311,6 +322,7 @@ impl Violation {
             Violation::TagCodeOutOfRange { .. } => "tag-code-out-of-range",
             Violation::SynopsisPathCountMismatch { .. } => "synopsis-path-count-mismatch",
             Violation::SynopsisResidualMismatch { .. } => "synopsis-residual-mismatch",
+            Violation::SynopsisDepthBound { .. } => "synopsis-depth-bound",
             Violation::GenerationMismatch { .. } => "generation-mismatch",
         }
     }
@@ -479,6 +491,15 @@ impl Violation {
                 obj.num("expected", *expected);
                 obj.num("found", *found);
             }
+            Violation::SynopsisDepthBound {
+                tag,
+                deepest,
+                bound,
+            } => {
+                obj.str("tag", tag);
+                obj.num("deepest", u64::from(*deepest));
+                obj.num("bound", u64::from(*bound));
+            }
             Violation::GenerationMismatch {
                 field,
                 expected,
@@ -633,6 +654,14 @@ impl fmt::Display for Violation {
             } => write!(
                 f,
                 "synopsis path {path}: stored residual {found}, rescan says {expected}"
+            ),
+            Violation::SynopsisDepthBound {
+                tag,
+                deepest,
+                bound,
+            } => write!(
+                f,
+                "synopsis tag {tag}: depth bound {bound}, rescan finds one at level {deepest}"
             ),
             Violation::GenerationMismatch {
                 field,

@@ -547,9 +547,10 @@ fn folded_store(name: &str) -> (std::path::PathBuf, Vec<u8>, usize) {
     assert!(verify_db(&db, VerifyOptions::strict()).is_clean());
     drop(db);
     let block = std::fs::read(dir.join("stats.blk")).unwrap();
-    // magic, version, node count; then the tag section: count, 10 bytes each.
+    // magic, version, node count; then the tag section: count, then 12
+    // bytes each (code, count, depth bound).
     let tag_n = u32::from_be_bytes(block[18..22].try_into().unwrap()) as usize;
-    (dir, block, 22 + 10 * tag_n)
+    (dir, block, 22 + 12 * tag_n)
 }
 
 #[test]
@@ -581,6 +582,31 @@ fn bumped_residual_is_flagged() {
     let rep = verify_db(&db, VerifyOptions::default());
     assert_eq!(rep.kinds(), ["synopsis-residual-mismatch"], "{rep}");
     drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A depth bound lowered below a node of its tag would let the planner
+/// pass over a subtree holding answers: it is flagged. One raised above
+/// every node only weakens the proof, and is clean.
+#[test]
+fn lowered_depth_bound_is_flagged() {
+    let (dir, good, _) = folded_store("depth");
+    // Tag entries from offset 22: code u16, count u64, depth bound u16.
+    let tag_n = u32::from_be_bytes(good[18..22].try_into().unwrap()) as usize;
+    let bound_at = |i: usize| 22 + 12 * i + 10;
+    let bound =
+        |block: &[u8], i: usize| u16::from_be_bytes([block[bound_at(i)], block[bound_at(i) + 1]]);
+    // The `b<j>` leaves sit at level 3.
+    let deep = (0..tag_n).find(|&i| bound(&good, i) == 3).unwrap();
+    for (new, kinds) in [(2u16, &["synopsis-depth-bound"][..]), (9, &[])] {
+        let mut block = good.clone();
+        block[bound_at(deep)..bound_at(deep) + 2].copy_from_slice(&new.to_be_bytes());
+        std::fs::write(dir.join("stats.blk"), &block).unwrap();
+        let db = XmlDb::open_dir(&dir).unwrap();
+        let rep = verify_db(&db, VerifyOptions::strict());
+        assert_eq!(rep.kinds(), kinds, "bound {new}: {rep}");
+        drop(db);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

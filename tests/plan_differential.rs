@@ -542,6 +542,33 @@ fn dead_subtrees_are_skipped_on_every_route() {
         assert!(scan_skipped(&db, q) > 0, "{q} skips nothing");
     }
 
+    // Runs of dead leaves and dead subtrees between live siblings, long
+    // enough to cross page boundaries at 64 and 128 bytes: the siblings
+    // after a run keep their Dewey ordinals, on both routes.
+    let leaves = "<z/>".repeat(40);
+    let subtrees = "<y><z/><z><w/></z></y>".repeat(20);
+    let mixed = "<z/><y><w/></y><z/><z/>".repeat(12);
+    let runs = format!(
+        "<r><a><b/>{leaves}<c><d/></c>{subtrees}<b/>{mixed}<b><d/></b></a><q>{subtrees}</q>\
+         <a>{leaves}<b/>{mixed}</a><a>{subtrees}<c/></a></r>"
+    );
+    let queries = [
+        "//a/b", "/r/a/b", "//a[c]/b", "//a/c/d", "//b/d", "//a[b]/c", "/r/a[c]",
+    ];
+    check_routes(&runs, &queries);
+    for page_size in [64, 128] {
+        let db =
+            XmlDb::build_in_memory_with(&runs, BuildOptions::default(), page_size).expect("build");
+        for q in queries {
+            assert!(scan_skipped(&db, q) > 0, "{q} skips nothing");
+        }
+        let opts = QueryOptions {
+            strategy: StartStrategy::TagIndex,
+        };
+        let stats = db.query_with("//a/b", opts).expect("query").1;
+        assert!(stats.entries_skipped > 0, "the index route skips nothing");
+    }
+
     // Index-route starts of another tag: the literal's postings also lift
     // to `z` parents, dead unless an `a` sits below (the fourth record).
     check_routes(
@@ -590,33 +617,43 @@ fn dead_subtrees_are_skipped_on_every_route() {
     );
 }
 
-/// A recursive document with more distinct paths than the synopsis trie
-/// keeps is folded; a folded summary proves no tag barren, so `//`
-/// fragments skip nothing — yet `/`-anchored ones still do. Here `g` and
-/// `x` occur only below the folded levels, so a proof read off the kept
-/// nodes alone would skip the `t`/`u` holding them and lose answers.
-#[test]
-fn a_folded_summary_proves_nothing() {
+/// 64 × 64 `/r/t<i>/u<j>` records: more distinct paths than the synopsis
+/// trie keeps, so it folds, and `g` and `x` occur only below the folded
+/// levels. `g` sits at level 4 alone, and every node at level 5 is an `x`
+/// child of a `g`.
+fn folded_xml() -> String {
     let mut xml = String::from("<r>");
     for i in 0..64 {
         xml.push_str(&format!("<t{i}>"));
         for j in 0..64 {
             match (i, j) {
                 (0, 0) | (63, 63) => xml.push_str(&format!("<u{j}><g><x/></g></u{j}>")),
-                (5, 7) => xml.push_str(&format!("<u{j}><x/><g/></u{j}>")),
+                (5, 7) => xml.push_str(&format!("<u{j}><g/><g><x/><x/></g></u{j}>")),
                 _ => xml.push_str(&format!("<u{j}/>")),
             }
         }
         xml.push_str(&format!("</t{i}>"));
     }
     xml.push_str("</r>");
+    xml
+}
+
+/// A folded trie proves no tag barren, and a proof read off its kept nodes
+/// alone would skip the `t`/`u` holding `g` and `x` and lose answers. The
+/// depth bounds prove nothing here either: every node at or below the
+/// deepest level of a root tag passes the root test or is a pattern child
+/// of a candidate. So `//` fragments skip nothing — yet `/`-anchored ones
+/// still do.
+#[test]
+fn a_folded_summary_proves_nothing() {
+    let xml = folded_xml();
     let db = XmlDb::build_in_memory(&xml).expect("build");
     assert!(
         db.synopsis().paths().folded_nodes() > 0,
         "{} distinct paths do not fold",
         db.synopsis().distinct_paths()
     );
-    let descendant = ["//g/x", "//x", "//g[x]", "//u5//x", "//t0//g"];
+    let descendant = ["//g/x", "//x", "//g[x]", "//*/x", "//*[x]"];
     for q in descendant {
         assert_eq!(
             scan_skipped(&db, q),
@@ -626,8 +663,104 @@ fn a_folded_summary_proves_nothing() {
     }
     assert!(scan_skipped(&db, "/r/t0/u0/g/x") > 0);
     let mut queries = descendant.to_vec();
-    queries.extend(["/r/t0/u0/g/x", "/r/t5/u7/x", "/r/*/*/g"]);
+    queries.extend(["/r/t0/u0/g/x", "/r/t5/u7/g/x", "/r/*/*/g"]);
     check_routes(&xml, &queries);
+}
+
+/// Under the same folded trie, a root tag that never occurs deep proves
+/// the skip by its depth bound: no node at or below its deepest level can
+/// hold one.
+#[test]
+fn a_shallow_root_tag_skips_under_a_folded_trie() {
+    let xml = folded_xml();
+    let queries = ["//t0//g", "//u7//x", "//t5/u7[g]", "//u0/g/x", "//t63//x"];
+    for page_size in [64, 128, 4096] {
+        let db =
+            XmlDb::build_in_memory_with(&xml, BuildOptions::default(), page_size).expect("build");
+        assert!(db.synopsis().paths().folded_nodes() > 0);
+        for q in queries {
+            assert!(
+                scan_skipped(&db, q) > 0,
+                "{q} skips nothing ({page_size}-byte pages)"
+            );
+        }
+    }
+    check_routes(&xml, &queries);
+}
+
+/// An insert that puts a root-tag node below its tag's depth bound raises
+/// the bound in the same commit, and the plan of the next generation finds
+/// the node: the one cached under the old generation would pass over the
+/// dead node holding it. Deletes leave the bound where it was, which only
+/// weakens the proof.
+#[test]
+fn an_insert_below_the_depth_bound_raises_it() {
+    let xml = folded_xml();
+    let mut db = XmlDb::build_in_memory_with(&xml, BuildOptions::default(), 128).expect("build");
+    let g = db.dict().lookup("g").expect("g is a tag");
+    assert_eq!(db.synopsis().depth_bound(g), 4);
+    let cache = nok_serve::PlanCache::new(8);
+    let plan = |db: &XmlDb<nok_pager::MemStorage>| {
+        std::sync::Arc::new(
+            db.plan_query("//g/x", QueryOptions::default())
+                .expect("plan"),
+        )
+    };
+    let run = |db: &XmlDb<nok_pager::MemStorage>, planned: &nok_core::PlannedQuery| {
+        let mut out = Vec::new();
+        db.execute_plan(planned, &mut QueryScratch::new(), &mut out)
+            .expect("execute");
+        out.iter().map(|m| m.dewey.to_string()).collect::<Vec<_>>()
+    };
+    let old = plan(&db);
+    cache.insert("//g/x".into(), db.commit_generation(), old.clone());
+
+    // Below the `x` of /r/t0/u0/g/x (level 5): `y` at 6, `g` at 7.
+    let x = db.query("/r/t0/u0/g/x").expect("query")[0].dewey.clone();
+    db.insert_last_child(&x, "<y><g><x/></g></y>")
+        .expect("insert");
+    assert_eq!(db.synopsis().depth_bound(g), 7, "raised in the commit");
+    let mirror = xml.replacen("<g><x/></g>", "<g><x><y><g><x/></g></y></x></g>", 1);
+    let expected = oracle_answers(&mirror, "//g/x");
+    assert!(expected.contains(&"0.0.0.0.0.0.0.0".to_string()));
+
+    let lookup = cache.lookup("//g/x", db.commit_generation());
+    assert!(
+        lookup.plan.is_none() && lookup.stale,
+        "a commit invalidates"
+    );
+    let new = plan(&db);
+    assert_eq!(run(&db, &new), expected);
+    assert_ne!(run(&db, &old), expected, "the old floor hides the new g");
+    for strategy in ROUTES {
+        let got = execute(
+            &db,
+            "//g/x",
+            QueryOptions { strategy },
+            PlanConfig::default(),
+            &mut QueryScratch::new(),
+        );
+        assert_eq!(got, expected, "{strategy:?}");
+    }
+
+    // Deleting the deep nodes leaves a stale bound: answers stay exact.
+    let y = db.query("//x/y").expect("query")[0].dewey.clone();
+    db.delete_subtree(&y).expect("delete");
+    assert_eq!(db.synopsis().depth_bound(g), 7, "a delete lowers nothing");
+    let expected = oracle_answers(&xml, "//g/x");
+    for strategy in ROUTES {
+        for q in ["//g/x", "//x", "//t0//g"] {
+            let got = execute(
+                &db,
+                q,
+                QueryOptions { strategy },
+                PlanConfig::default(),
+                &mut QueryScratch::new(),
+            );
+            assert_eq!(got, oracle_answers(&xml, q), "{q} via {strategy:?}");
+        }
+    }
+    assert_eq!(run(&db, &plan(&db)), expected);
 }
 
 /// The benchmark's bypass workloads stay on the index route: at the

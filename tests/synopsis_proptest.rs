@@ -2,8 +2,9 @@
 //! path summary.
 //!
 //! * **Round-trip**: any synopsis assembled through the mutation API
-//!   encodes to a canonical block that decodes back to the same counters,
-//!   path counts, and stored node count — and re-encodes byte-identically.
+//!   encodes to a canonical (version 4) block that decodes back to the
+//!   same counters, depth bounds, path counts, and stored node count — and
+//!   re-encodes byte-identically.
 //! * **Adversarial input**: `from_bytes` over truncations, single-byte
 //!   corruptions, and arbitrary byte soup never panics; it answers
 //!   `Some(..)` only for blocks that re-encode consistently.
@@ -31,8 +32,9 @@ fn arb_synopsis() -> BoxedStrategy<(u64, Synopsis)> {
         0..24,
     );
     let tags = proptest::collection::vec((0u16..12, 1u64..500), 0..12);
-    (paths, tags, any::<u64>())
-        .prop_map(|(paths, tags, node_count)| {
+    let depths = proptest::collection::vec((0u16..14, any::<u16>()), 0..12);
+    (paths, tags, depths, any::<u64>())
+        .prop_map(|(paths, tags, depths, node_count)| {
             let mut s = Synopsis::new();
             for (path, n) in paths {
                 let tags: Vec<TagCode> = path.into_iter().map(TagCode).collect();
@@ -40,6 +42,9 @@ fn arb_synopsis() -> BoxedStrategy<(u64, Synopsis)> {
             }
             for (t, n) in tags {
                 s.add_tag_count(TagCode(t), n);
+            }
+            for (t, level) in depths {
+                s.raise_depth_bound(TagCode(t), level);
             }
             (node_count, s)
         })
@@ -246,10 +251,14 @@ proptest! {
         let (decoded_count, decoded) =
             Synopsis::from_bytes(&bytes).expect("canonical block must decode");
         prop_assert_eq!(decoded_count, node_count);
-        // Tag and value counters survive exactly.
+        // Tag counters and depth bounds survive exactly.
         for (t, c) in s.tag_counts() {
             prop_assert_eq!(decoded.tag_count(t), c);
         }
+        for t in (0..14).map(TagCode) {
+            prop_assert_eq!(decoded.depth_bound(t), s.depth_bound(t));
+        }
+        prop_assert_eq!(u16::from_be_bytes([bytes[8], bytes[9]]), 4);
         // Path counts survive exactly, in both directions.
         prop_assert_eq!(decoded.distinct_paths(), s.distinct_paths());
         prop_assert_eq!(nodes_of(&s), nodes_of(&decoded));
