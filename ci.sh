@@ -112,39 +112,11 @@ wait "$nokd_pid"
 ./target/release/nokfsck --strict "$corpus/dblp"
 
 echo "==> planner/executor differential battery (release)"
-# Every workload query x every dataset: cost-ordered plan == fixed order
-# == forced scan route == forced index route == the naive oracle, the
-# scan-route edge cases, the selective workload's index seeds, plus the
-# explain snapshot.
+# Every workload query x every dataset: the planned route == forced scan
+# route == forced index route == the naive oracle, the scan-route edge
+# cases, the selective workload's index seeds, the path summary's empty
+# proof and pivot elevation as exact counts, plus the explain snapshot.
 cargo test --release -q -p nok-bench --test plan_differential
-
-echo "==> planner bench (BENCH_plan.json)"
-# Gates: the cost-ordered path-aware plan never examines more index entries
-# than the legacy fixed-order tag-only baseline (strictly fewer on the
-# pessimal sibling-cut query), the zero-path-support query completes with 0
-# entries and 0 physical page reads, the deep selective path examines >=10x
-# fewer entries than tag-only seeding, and a plan-cache hit reuses the
-# cached allocation with exactly one miss. Route gates (Proposition 1 as
-# exact counts, no timing; dblp 0.1 and treebank 0.4 on disk): on
-# /dblp/article/author, //article[author][title] and /treebank/s[np][vp] the
-# scan route makes 0 index-pool gets and fetches each structural page at
-# most once, EXPLAIN shows strategy=scan for them, and dblp Q1-Q8 keep an
-# index seed; forced TagIndex on //article[author][title] (the index route)
-# fetches each structural page at most once and examines only the entries
-# and directory records it feeds its matcher (no subtree_close); the scan
-# route skips >= 75% of the entries it reads inside dead subtrees on
-# /dblp/article/author and //article/author, some on /treebank/s[np][vp],
-# and on //s/np and //s[np][vp] at least as many as on their rooted forms
-# (the depth bound of `s` proves it under treebank's folded path summary).
-# The per-route timings of the 12 heavy queries are
-# reported, not gated.
-cargo run --release -q -p nok-bench --bin plan_bench -- \
-  --reps 3 --out BENCH_plan.json
-grep -q '"gates_passed":true' BENCH_plan.json
-grep -q '"path_gates_passed":true' BENCH_plan.json
-grep -q '"path_queries"' BENCH_plan.json
-grep -q '"route_gates_passed":true' BENCH_plan.json
-grep -q '"routes"' BENCH_plan.json
 
 echo "==> crash-recovery failpoint sweep + differential update fuzz (release)"
 # Bounded k-sweep by default; NOK_FAILPOINT_FULL=1 probes every injected

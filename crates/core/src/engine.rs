@@ -27,7 +27,6 @@ use crate::pattern::PathExpr;
 use crate::pattern_tree::PatternTree;
 use crate::physical::PhysAccess;
 use crate::plan::StrategyUsed;
-use crate::planner::PlanConfig;
 use crate::store::NodeAddr;
 
 /// One query result: a subject-tree node.
@@ -190,7 +189,7 @@ impl<S: Storage> XmlDb<S> {
     ) -> CoreResult<()> {
         let expr = PathExpr::parse(path)?;
         let tree = PatternTree::from_path(&expr)?;
-        let plan = self.plan_pattern(&tree, opts, PlanConfig::default())?;
+        let plan = self.plan_pattern(&tree, opts)?;
         out.clear();
         self.execute_pattern_plan(&tree, &plan, scratch, out)
     }
@@ -203,7 +202,7 @@ impl<S: Storage> XmlDb<S> {
     ) -> CoreResult<(Vec<QueryMatch>, QueryStats)> {
         let mut scratch = QueryScratch::new();
         let mut out = Vec::new();
-        let plan = self.plan_pattern(tree, opts, PlanConfig::default())?;
+        let plan = self.plan_pattern(tree, opts)?;
         self.execute_pattern_plan(tree, &plan, &mut scratch, &mut out)?;
         Ok((out, scratch.stats))
     }

@@ -662,7 +662,7 @@ impl<S: Storage> XmlDb<S> {
     /// the postings of the index route's `seed` literals (on the scan
     /// route, `None`: of every `= "literal"` the fragment has) and fetching
     /// values for the rest, and its name tests resolved per tag code, with
-    /// the plan's barren tags and root floor.
+    /// the plan's root floor.
     fn matcher<'a, B: NodeSet>(
         &self,
         part: &'a Partition<'_>,
@@ -701,11 +701,8 @@ impl<S: Storage> XmlDb<S> {
         }
         pat.root_floor = fp.root_floor.map_or(usize::MAX, usize::from);
         let mut tests = vec![NodeTests::default(); self.dict.len()];
-        // Both in code order.
-        let mut barren = fp.barren.iter().peekable();
         for (code, name) in self.dict.iter() {
-            let is_barren = barren.next_if_eq(&&code).is_some();
-            tests[code.0 as usize] = NodeTests::of(&pat, name, is_barren);
+            tests[code.0 as usize] = NodeTests::of(&pat, name);
         }
         let src = StoreSource {
             access,
@@ -1391,36 +1388,6 @@ mod tests {
         // Every executed eval row has both an estimate and an actual.
         for r in &evals {
             assert!(r.est.is_some(), "{explain}");
-        }
-    }
-
-    #[test]
-    fn planned_and_fixed_order_agree() {
-        use crate::planner::PlanConfig;
-        let db = crate::build::XmlDb::build_in_memory(BIB).unwrap();
-        for q in [
-            "//book//last",
-            r#"//book[author/last="Stevens"][price<100]"#,
-            "/bib//editor//affiliation",
-            "//nosuch//last",
-        ] {
-            let planned = db.plan_query(q, QueryOptions::default()).unwrap();
-            let fixed = db
-                .plan_query_with(
-                    q,
-                    QueryOptions::default(),
-                    PlanConfig {
-                        cost_ordered: false,
-                        ..PlanConfig::default()
-                    },
-                )
-                .unwrap();
-            let mut s1 = QueryScratch::new();
-            let mut s2 = QueryScratch::new();
-            let (mut o1, mut o2) = (Vec::new(), Vec::new());
-            db.execute_plan(&planned, &mut s1, &mut o1).unwrap();
-            db.execute_plan(&fixed, &mut s2, &mut o2).unwrap();
-            assert_eq!(o1, o2, "order must not change results of {q}");
         }
     }
 }

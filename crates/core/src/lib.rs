@@ -81,7 +81,6 @@ pub use error::{CoreError, CoreResult, SuperblockError};
 pub use plan::{
     Explain, ExplainRow, FragmentPlan, PlanStep, PlannedQuery, QueryPlan, SeedChoice, StrategyUsed,
 };
-pub use planner::PlanConfig;
 pub use recovery::RecoveryReport;
 pub use sigma::{TagCode, TagDict};
 pub use snapshot::{DbGeneration, Snapshot, SnapshotSource};

@@ -14,7 +14,6 @@
 use std::fmt;
 
 use crate::pattern_tree::{CutKind, PNodeId, PatternTree};
-use crate::sigma::TagCode;
 
 /// How a fragment's starting points were (or will be) located. This is the
 /// typed replacement for the old `&'static str` strategy labels; `Display`
@@ -110,25 +109,19 @@ pub struct FragmentPlan {
     /// Estimated cost in nanoseconds (see the constants in
     /// `core::planner`).
     pub est_cost: u64,
-    /// Root-chain support of the seed from the synopsis path summary, when
-    /// the plan was path-aware (`None` under tag-only planning).
+    /// Root-chain support of the seed from the synopsis path summary
+    /// (`None` for the fragment whose pivot is the document node).
     pub path_support: Option<u64>,
     /// The chain may end among paths the summary folded away:
     /// `path_support` is an upper bound, not a count.
     pub path_support_open: bool,
-    /// Tags the exact path summary proves never have a descendant passing
-    /// the root test, ascending: the matcher passes over the subtree of
-    /// such a node when it matches nothing itself (`core::scan`). Empty
-    /// for the document-rooted fragment, whose root is anchored, and
-    /// whenever the summary is folded. Valid for the generation planned
-    /// against, as `QueryPlan::proven_empty` is.
-    pub barren: Vec<TagCode>,
     /// The deepest level any node passing the root test has had, by the
     /// synopsis's per-tag depth bounds: no root candidate opens below a
     /// node at this absolute level or deeper, and the matcher passes over
-    /// such a node's subtree when it matches nothing itself. `None` for the
-    /// document-rooted fragment. Valid for the generation planned against,
-    /// as `barren` is.
+    /// such a node's subtree when it matches nothing itself (`core::scan`).
+    /// `None` for the document-rooted fragment, whose root is anchored.
+    /// Valid for the generation planned against, as
+    /// `QueryPlan::proven_empty` is.
     pub root_floor: Option<u16>,
 }
 
@@ -167,9 +160,6 @@ pub struct QueryPlan {
     pub steps: Vec<PlanStep>,
     /// Fragment whose hot-node matches are the query result.
     pub returning_fragment: usize,
-    /// Whether fragment evaluation was ordered by estimated cost (false:
-    /// the legacy fixed bottom-up order).
-    pub cost_ordered: bool,
     /// The synopsis path summary proved some pattern node's root chain has
     /// zero support: the executor answers the query empty without touching
     /// a single page.

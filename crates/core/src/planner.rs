@@ -17,8 +17,8 @@
 //!   nodes match.
 //!
 //! The unit costs below are measurements of this repository's own layers on
-//! the reference host, not tuning knobs; each names the probe that produced
-//! it. The paper's §6.2 heuristic ("whenever there are value constraints, we
+//! the reference host, not tuning knobs; each names the layer it prices.
+//! The paper's §6.2 heuristic ("whenever there are value constraints, we
 //! always use the value index"; tag index when selective) falls out for
 //! selective queries — a handful of starts costs microseconds against a
 //! pass of milliseconds — and result-heavy fragments take the pass.
@@ -37,7 +37,6 @@ use crate::error::CoreResult;
 use crate::pattern::{NameTest, PathExpr};
 use crate::pattern_tree::{EdgeKind, PNodeId, Partition, PatternTree, DOC_NODE};
 use crate::plan::{FragmentPlan, PlanStep, PlannedQuery, QueryPlan, SeedChoice};
-use crate::sigma::TagCode;
 use crate::synopsis::{ChainStates, PathAxis, PathStep, PathTrie};
 use crate::values::hash_key;
 use crate::{QueryOptions, StartStrategy};
@@ -45,21 +44,21 @@ use crate::{QueryOptions, StartStrategy};
 // ---- Unit costs, in nanoseconds: measurements of this repository's own
 // layers on the reference host (2 cores; dblp at scale 0.1 — 320k nodes,
 // 4 KiB pages, 256-frame pools), not tuning knobs. `btree.*`, `values.*`
-// and `cursor.*` are per-layer probes of `benchmark/`; the others are
-// printed by `plan_bench`'s route section. DESIGN.md §12 keeps the table.
+// and `cursor.*` are per-layer probes of `benchmark/`; DESIGN.md §12
+// records the others' values and how each was taken.
 
-/// One document node of the scan route's pass, whatever it matches:
-/// `scan_pass_ns_per_node` (11–13 ns; two entries per node).
+/// One document node of the scan route's pass, whatever it matches
+/// (11–13 ns; two entries per node; DESIGN.md §12).
 const SCAN_NODE_NS: u64 = 12;
 /// One hot-node candidate of the scan route — buffered with its Dewey id at
-/// open, settled at close, handed to the collector: `scan_hit_ns`
-/// (57–90 ns).
+/// open, settled at close, handed to the collector (57–90 ns; DESIGN.md
+/// §12).
 const SCAN_HIT_NS: u64 = 75;
 /// Reading one posting off a B+t/B+v leaf chain:
 /// `btree.postings_ns_per_entry` (127–145 ns).
 const POSTING_NS: u64 = 145;
 /// One B+i point lookup with its leaf resident, which is what seeds arriving
-/// in key order see: `get_warm_ns` (594–702 ns). A lookup that misses the
+/// in key order see (561–702 ns; DESIGN.md §12). A lookup that misses the
 /// pool (`btree.get_ns`, 4–4.7 µs) is the sparse-seed case, where the index
 /// route wins by orders of magnitude anyway.
 const GET_NS: u64 = 600;
@@ -69,36 +68,13 @@ const FETCH_NS: u64 = 400;
 /// One `FIRST-CHILD`/`FOLLOWING-SIBLING` step: `cursor.first_child_ns`,
 /// `cursor.following_sibling_ns` (80–136 ns).
 const NAV_NS: u64 = 120;
-/// Matching from one starting point with pattern children to find:
-/// `match_ns_per_start`, the index route on `//article[author][title]`.
+/// Matching from one starting point with pattern children to find, as
+/// the index route on `//article[author][title]` does (DESIGN.md §12).
 /// Set when the index route navigated each start with `match_at`
 /// (1.9–2.3 µs over 17k starts); its sub-scans now measure 0.38–0.52 µs.
 /// The constant stays until the routes are re-priced together, so plans
 /// do not move (DESIGN.md §12).
 const MATCH_NS: u64 = 2_000;
-
-/// Planner knobs. Not part of [`QueryOptions`] so existing option literals
-/// keep compiling; benchmarks use this to compare orders and path modes.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanConfig {
-    /// Order fragment evaluation by estimated cost (default). `false`
-    /// reproduces the legacy fixed bottom-up walk.
-    pub cost_ordered: bool,
-    /// Consult the synopsis path summary (default): prove fragments empty
-    /// from root-chain support alone, estimate seeds by true path support
-    /// instead of min-tag counts, and allow pivot elevation onto rare
-    /// spine ancestors. `false` reproduces tag-only planning.
-    pub path_aware: bool,
-}
-
-impl Default for PlanConfig {
-    fn default() -> Self {
-        PlanConfig {
-            cost_ordered: true,
-            path_aware: true,
-        }
-    }
-}
 
 /// The root-chain trie states of every pattern node of one plan. A node's
 /// states are its pattern parent's advanced by one step, so each distinct
@@ -174,19 +150,9 @@ struct IndexCand {
 impl<S: Storage> XmlDb<S> {
     /// Plan a path expression (parse, partition, cost).
     pub fn plan_query(&self, path: &str, opts: QueryOptions) -> CoreResult<PlannedQuery> {
-        self.plan_query_with(path, opts, PlanConfig::default())
-    }
-
-    /// Plan with explicit planner configuration.
-    pub fn plan_query_with(
-        &self,
-        path: &str,
-        opts: QueryOptions,
-        cfg: PlanConfig,
-    ) -> CoreResult<PlannedQuery> {
         let expr = PathExpr::parse(path)?;
         let tree = PatternTree::from_path(&expr)?;
-        let plan = self.plan_pattern(&tree, opts, cfg)?;
+        let plan = self.plan_pattern(&tree, opts)?;
         Ok(PlannedQuery { tree, plan })
     }
 
@@ -196,23 +162,20 @@ impl<S: Storage> XmlDb<S> {
         &self,
         tree: &PatternTree,
         opts: QueryOptions,
-        cfg: PlanConfig,
     ) -> CoreResult<QueryPlan> {
         let part = tree.partition();
         let nfrags = part.fragments.len();
-        let chains = cfg.path_aware.then(|| Chains::new(self, tree));
+        let chains = Chains::new(self, tree);
         let mut fragments = Vec::with_capacity(nfrags);
         for f in 0..nfrags {
-            fragments.push(self.plan_fragment(&part, f, opts, chains.as_ref())?);
+            fragments.push(self.plan_fragment(&part, f, opts, &chains)?);
         }
 
         // Empty-by-synopsis proof: a conjunctive tree pattern can only
         // match if every pattern node's root chain has support in the
         // document; a single zero proves the whole query empty and lets
         // the executor answer without touching a page.
-        let proven_empty = chains
-            .as_ref()
-            .is_some_and(|c| c.states.iter().any(ChainStates::is_empty));
+        let proven_empty = chains.states.iter().any(ChainStates::is_empty);
 
         // ---- Fragment evaluation order. Children must precede parents
         // (their root positions feed the parent's cut-edge conditions).
@@ -220,30 +183,17 @@ impl<S: Storage> XmlDb<S> {
         for (f, children) in deps.iter_mut().enumerate() {
             children.extend(part.cut_edges_from(f).map(|ce| ce.child_frag));
         }
-        let order: Vec<usize> = if cfg.cost_ordered {
-            let mut done = vec![false; nfrags];
-            let mut order = Vec::with_capacity(nfrags);
-            while order.len() < nfrags {
-                // Ready: all children evaluated. Among ready, cheapest
-                // first; ties resolve to the highest index (the legacy
-                // bottom-up direction).
-                let next = (0..nfrags)
-                    .filter(|&f| !done[f] && deps[f].iter().all(|&g| done[g]))
-                    .min_by_key(|&f| (fragments[f].est_cost, usize::MAX - f));
-                match next {
-                    Some(f) => {
-                        done[f] = true;
-                        order.push(f);
-                    }
-                    // Unreachable for well-formed partitions (the fragment
-                    // forest is acyclic); bail out rather than spin.
-                    None => break,
-                }
-            }
-            order
-        } else {
-            (0..nfrags).rev().collect()
-        };
+        // Ready: all children evaluated. Among ready, cheapest first; ties
+        // resolve to the highest index (children sit after their parents).
+        let mut done = vec![false; nfrags];
+        let mut order = Vec::with_capacity(nfrags);
+        while let Some(f) = (0..nfrags)
+            .filter(|&f| !done[f] && deps[f].iter().all(|&g| done[g]))
+            .min_by_key(|&f| (fragments[f].est_cost, usize::MAX - f))
+        {
+            done[f] = true;
+            order.push(f);
+        }
 
         let mut steps: Vec<PlanStep> = order
             .into_iter()
@@ -276,20 +226,8 @@ impl<S: Storage> XmlDb<S> {
             fragments,
             steps,
             returning_fragment: part.returning_fragment,
-            cost_ordered: cfg.cost_ordered,
             proven_empty,
         })
-    }
-
-    /// Tags the exact path summary proves never have a descendant passing
-    /// `test` (`FragmentPlan::barren`); none while the summary is folded.
-    fn barren_tags(&self, test: &NameTest) -> Vec<TagCode> {
-        let ntags = self.dict.len();
-        let passes = |t: TagCode| usize::from(t.0) >= ntags || test.accepts(self.dict.name(t));
-        self.synopsis()
-            .paths()
-            .barren_tags(ntags, passes)
-            .unwrap_or_default()
     }
 
     /// The largest depth bound among the tags that pass `test`
@@ -306,18 +244,17 @@ impl<S: Storage> XmlDb<S> {
 
     /// Route choice + cost estimate for one fragment: the cheapest index
     /// seed against the scan route (module docs), both in nanoseconds.
-    /// Path-aware planning (`chains`) refines the tag-only picture with the
-    /// synopsis path summary: estimates come from true root-chain support
-    /// rather than tag counts, and a document-rooted fragment may elevate
-    /// its pivot onto a rarer spine ancestor when probing that tag plus
-    /// navigating its matched subtrees is estimated cheaper than
-    /// lift-and-verify over the postings of the best member tag.
+    /// Estimates come from root-chain support in the synopsis path summary
+    /// (`chains`), and a document-rooted fragment may elevate its pivot
+    /// onto a rarer spine ancestor when probing that tag plus navigating
+    /// its matched subtrees is estimated cheaper than lift-and-verify over
+    /// the postings of the best member tag.
     fn plan_fragment(
         &self,
         part: &Partition<'_>,
         f: usize,
         opts: QueryOptions,
-        chains: Option<&Chains<'_>>,
+        chains: &Chains<'_>,
     ) -> CoreResult<FragmentPlan> {
         let tree = part.tree;
         let root = part.fragments[f].root;
@@ -341,19 +278,13 @@ impl<S: Storage> XmlDb<S> {
                 est_cost: local.saturating_mul(node_count).saturating_mul(NAV_NS),
                 path_support: None,
                 path_support_open: false,
-                barren: Vec::new(),
                 root_floor: None,
             });
         }
-        let (barren, root_floor) = if root == DOC_NODE {
-            (Vec::new(), None)
-        } else {
-            let test = &tree.nodes[root].test;
-            (self.barren_tags(test), Some(self.root_floor(test)))
-        };
+        let root_floor = (root != DOC_NODE).then(|| self.root_floor(&tree.nodes[root].test));
         // A plan seeded on `seed` from `pivot`, its survivors bounded by the
         // root chain of pattern node `chain`.
-        let plan = move |seed, pivot, chain: PNodeId, est_starts, est_cost| FragmentPlan {
+        let plan = |seed, pivot, chain: PNodeId, est_starts, est_cost| FragmentPlan {
             frag: f,
             root,
             pivot,
@@ -361,9 +292,8 @@ impl<S: Storage> XmlDb<S> {
             seed,
             est_starts,
             est_cost,
-            path_support: chains.map(|c| c.support[chain]),
-            path_support_open: chains.is_some_and(|c| c.states[chain].is_open()),
-            barren,
+            path_support: Some(chains.support[chain]),
+            path_support_open: chains.states[chain].is_open(),
             root_floor,
         };
         let strategy = opts.strategy;
@@ -372,9 +302,8 @@ impl<S: Storage> XmlDb<S> {
             NameTest::Tag(name) => self.dict.lookup(name).map_or(0, |c| self.tag_count(c)),
             NameTest::Wildcard => node_count,
         };
-        // Nodes that can match pattern node `n`, as well as the planner
-        // knows: root-chain support, else its tag's count.
-        let support = |n: PNodeId| chains.map_or_else(|| tag_count(n), |c| c.support[n]);
+        // Nodes that can match pattern node `n`: its root chain's support.
+        let support = |n: PNodeId| chains.support[n];
         let spine_gets = if root == DOC_NODE {
             spine_above(part, pivot).len() as u64
         } else {
@@ -402,7 +331,7 @@ impl<S: Storage> XmlDb<S> {
         for (&n, &d) in &depths {
             if let NameTest::Tag(name) = &tree.nodes[n].test {
                 let count = tag_count(n);
-                let starts = support(n).min(count);
+                let starts = support(n);
                 consider(IndexCand {
                     cost: count
                         .saturating_mul(POSTING_NS)
@@ -417,17 +346,17 @@ impl<S: Storage> XmlDb<S> {
                 });
             }
         }
-        // Elevated-pivot candidates (path-aware, document-rooted): spine
-        // ancestors of the pivot. Seeding from a rare ancestor costs its
-        // postings and their spine checks plus navigation bounded by the
-        // total size of the subtrees its chain matches — which only the
-        // path summary can estimate.
-        if let (Some(chains), true) = (chains, root == DOC_NODE) {
+        // Elevated-pivot candidates (document-rooted): spine ancestors of
+        // the pivot. Seeding from a rare ancestor costs its postings and
+        // their spine checks plus navigation bounded by the total size of
+        // the subtrees its chain matches — which only the path summary can
+        // estimate.
+        if root == DOC_NODE {
             let mut cur = tree.nodes[pivot].parent;
             while let Some(s) = cur.filter(|&s| s != DOC_NODE) {
                 if let NameTest::Tag(name) = &tree.nodes[s].test {
                     let count = tag_count(s);
-                    let starts = chains.support[s].min(count);
+                    let starts = support(s);
                     let spine = spine_above(part, s).len() as u64;
                     consider(IndexCand {
                         cost: count
@@ -478,7 +407,7 @@ impl<S: Storage> XmlDb<S> {
         for (lit, d) in literals {
             let count = self.literal_postings(lit, bound)?;
             scan_cost = scan_cost.saturating_add(count.saturating_mul(POSTING_NS));
-            let starts = chains.map_or(count, |c| count.min(c.support[pivot]));
+            let starts = count.min(support(pivot));
             let cost = count
                 .saturating_mul(POSTING_NS)
                 .saturating_add(starts.saturating_mul(per_start(d)));
@@ -787,32 +716,5 @@ mod tests {
             costs[0],
             p.plan.fragments.iter().map(|fp| fp.est_cost).min().unwrap()
         );
-    }
-
-    #[test]
-    fn legacy_order_is_reverse_index() {
-        let db = XmlDb::build_in_memory(BIB).unwrap();
-        let p = db
-            .plan_query_with(
-                "//book//last",
-                QueryOptions::default(),
-                PlanConfig {
-                    cost_ordered: false,
-                    ..PlanConfig::default()
-                },
-            )
-            .unwrap();
-        let evals: Vec<usize> = p
-            .plan
-            .steps
-            .iter()
-            .filter_map(|s| match s {
-                PlanStep::EvalFragment { frag } => Some(*frag),
-                _ => None,
-            })
-            .collect();
-        let want: Vec<usize> = (0..p.plan.fragments.len()).rev().collect();
-        assert_eq!(evals, want);
-        assert!(!p.plan.cost_ordered);
     }
 }

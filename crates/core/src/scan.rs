@@ -35,18 +35,11 @@
 //! the paper's Algorithm 1 never enters such a subtree either. Below a
 //! node of an anchored fragment a root candidate opens only if the node
 //! carries the spine. Below a node of a `//`- or `following::`-rooted
-//! fragment it may open anywhere, unless one of two proofs says not:
-//!
-//! * the node's tag is *barren*: the exact path summary shows no path on
-//!   which the tag has a descendant passing the root test
-//!   (`FragmentPlan::barren`). A folded trie proves nothing this way (a
-//!   residual hides paths, and a tag seen only there is unknown);
-//! * the node sits at or below the fragment's *root floor*: the deepest
-//!   level any node passing the root test has had, by the synopsis's
-//!   per-tag depth bounds (`FragmentPlan::root_floor`). Levels are
-//!   absolute, so an index-route start primes the matcher with its own.
-//!
-//! A SAX stream has neither proof, so such fragments skip nothing there.
+//! fragment it opens nowhere at or below the fragment's *root floor*: the
+//! deepest level any node passing the root test has had, by the
+//! synopsis's per-tag depth bounds (`FragmentPlan::root_floor`). Levels
+//! are absolute, so an index-route start primes the matcher with its own.
+//! A SAX stream has no depth bounds, so such fragments skip nothing there.
 //!
 //! A live node is **hollow** when its candidates have no pattern children
 //! and no root candidate can open below it: every child is dead, so the
@@ -344,26 +337,23 @@ pub(crate) struct NodeTests<B> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum Dies {
     /// A root candidate may open at the node or below it: it passes the
-    /// root test, or its tag may hold a descendant that does.
+    /// root test, or no depth bound is known.
     #[default]
     Never,
-    /// No root candidate opens at or below the node at any level: it
-    /// fails the root test and, in an anchored fragment, every spine
-    /// test; in any other, its tag is barren.
+    /// An anchored fragment's node failing the root test and every spine
+    /// test: no root candidate opens at or below it at any level.
     Childless,
     /// An anchored fragment's node passing the root test or a spine test:
     /// its level and the spine above it decide.
     ByLevel,
-    /// An unanchored fragment's node failing the root test, its tag not
-    /// barren: no root candidate opens below it at or past the root floor.
+    /// An unanchored fragment's node failing the root test: no root
+    /// candidate opens below it at or past the root floor.
     ByDepth,
 }
 
 impl<B: NodeSet> NodeTests<B> {
-    /// The name tests of `pat` a node named `name` passes. `barren`: the
-    /// exact path summary proves that no node so named has a descendant
-    /// passing the root test.
-    pub(crate) fn of(pat: &ScanPattern<B>, name: &str, barren: bool) -> Self {
+    /// The name tests of `pat` a node named `name` passes.
+    pub(crate) fn of(pat: &ScanPattern<B>, name: &str) -> Self {
         let passed = |tests: &[NameTest]| {
             let mut s = B::default();
             (tests.iter().enumerate())
@@ -375,7 +365,6 @@ impl<B: NodeSet> NodeTests<B> {
         let dies = match (pat.anchored, nodes.has(0)) {
             (true, false) if spine.is_empty() => Dies::Childless,
             (true, _) => Dies::ByLevel,
-            (false, false) if barren => Dies::Childless,
             (false, false) if pat.root_floor != usize::MAX => Dies::ByDepth,
             (false, _) => Dies::Never,
         };
@@ -817,7 +806,6 @@ mod tests {
     use crate::pattern::ValueCmp;
     use crate::pattern_tree::PatternTree;
     use nok_xml::{Document, NodeId};
-    use std::collections::HashSet;
 
     /// Drives the matcher from the DOM, attributes as leading children —
     /// the same subject tree `DomAccess` shows `match_at`.
@@ -827,40 +815,32 @@ mod tests {
         cmps: Vec<Vec<ValueCmp>>,
         /// Value of the node about to close.
         value: Option<String>,
-        /// Names with a descendant passing the root test (the exact
-        /// holder set the path summary gives the stored engine).
-        holders: HashSet<String>,
         /// Nodes opened live.
         live: usize,
     }
 
-    /// Every name with a descendant passing `root`, below `id` (whose
-    /// ancestors are `above`).
-    fn holders_of(
-        doc: &Document,
-        id: NodeId,
-        root: &NameTest,
-        above: &mut Vec<String>,
-        out: &mut HashSet<String>,
-    ) {
-        let name = doc.tag(id).unwrap_or("").to_string();
-        if root.accepts(&name) {
-            out.extend(above.iter().cloned());
-        }
-        above.push(name);
+    /// The deepest level of a node passing `root` at or below `id`, which
+    /// opens at `level` (0 if none does): the root floor the synopsis's
+    /// depth bounds give the stored engine.
+    fn floor_of(doc: &Document, id: NodeId, root: &NameTest, level: usize) -> usize {
+        let mut floor = if root.accepts(doc.tag(id).unwrap_or("")) {
+            level
+        } else {
+            0
+        };
         if doc
             .attrs(id)
             .iter()
             .any(|a| root.accepts(&format!("@{}", a.name)))
         {
-            out.extend(above.iter().cloned());
+            floor = level + 1;
         }
         for c in doc.children(id) {
             if doc.tag(c).is_some() {
-                holders_of(doc, c, root, above, out);
+                floor = floor.max(floor_of(doc, c, root, level + 1));
             }
         }
-        above.pop();
+        floor
     }
 
     fn matcher<'d>(
@@ -868,25 +848,17 @@ mod tests {
         frag: usize,
         doc: &'d Document,
     ) -> ScanMatcher<DomSource<'d>> {
-        let pat = ScanPattern::compile(&tree.partition(), frag).unwrap();
+        let mut pat = ScanPattern::compile(&tree.partition(), frag).unwrap();
         let cmps = pat
             .nodes
             .iter()
             .map(|&n| tree.nodes[n].value_cmps.clone())
             .collect();
-        let mut holders = HashSet::new();
-        holders_of(
-            doc,
-            NodeId::ROOT,
-            &pat.tests[0],
-            &mut Vec::new(),
-            &mut holders,
-        );
+        pat.root_floor = floor_of(doc, NodeId::ROOT, &pat.tests[0], 1);
         let src = DomSource {
             doc,
             cmps,
             value: None,
-            holders,
             live: 0,
         };
         ScanMatcher::new(pat, src)
@@ -916,7 +888,7 @@ mod tests {
 
     /// Open a node named `name`: whether it is live.
     fn open(m: &mut ScanMatcher<DomSource<'_>>, name: &str, pos: &mut u64) -> bool {
-        let tests = NodeTests::of(&m.pat, name, !m.src.holders.contains(name));
+        let tests = NodeTests::of(&m.pat, name);
         *pos += 1;
         let live = m.open(&tests, *pos, || ()).unwrap();
         m.src.live += usize::from(live);
@@ -1089,10 +1061,11 @@ mod tests {
     #[test]
     fn dead_subtrees_are_passed_over() {
         // 15 nodes. Anchored `/r/a/b` enters only what carries the spine;
-        // `//a/b` and `//w` also enter the holders of their root tag.
+        // `//a/b` and `//w` enter what opens above the deepest level of
+        // their root tag (3 and 4), and their candidates' children.
         let xml = "<r><x><a><b/></a><y><w/></y></x><a><z><b/><c><b/></c></z><b/></a>\
                    <v><w/><w/></v></r>";
-        for (q, live, hits) in [("/r/a/b", 3, 1), ("//a/b", 6, 2), ("//w", 7, 3)] {
+        for (q, live, hits) in [("/r/a/b", 3, 1), ("//a/b", 7, 2), ("//w", 11, 3)] {
             assert_eq!(agree(q, xml).len(), hits, "{q}");
             let tree = PatternTree::parse(q).unwrap();
             let doc = Document::parse(xml).unwrap();
@@ -1102,9 +1075,8 @@ mod tests {
         }
     }
 
-    /// The depth proof alone: with no barren tag, a `//` fragment passes
-    /// over every non-candidate at or below its root floor, the deepest
-    /// level of a node passing its root test, and nothing above it.
+    /// A `//` fragment passes over every non-candidate at or below its
+    /// root floor, however deep the floor is set, and nothing above it.
     #[test]
     fn the_root_floor_passes_over_what_no_root_can_open_below() {
         // `a` at levels 2 and 3 only; 16 nodes.
@@ -1115,9 +1087,6 @@ mod tests {
             let tree = PatternTree::parse(q).unwrap();
             let doc = Document::parse(xml).unwrap();
             let mut m = matcher(&tree, tree.partition().fragments.len() - 1, &doc);
-            m.src.holders = ["r", "x", "y", "z", "c", "v", "w", "a", "b"]
-                .map(String::from)
-                .into();
             m.pat.root_floor = floor;
             walk(&mut m, NodeId::ROOT, &mut 0);
             m.finish().unwrap();

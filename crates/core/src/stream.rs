@@ -10,8 +10,8 @@
 //! them to the same single-pass matcher the stored engine's scan route
 //! runs ([`crate::scan::ScanMatcher`]) — two event sources, one matcher,
 //! one rule for the dead subtrees it passes over by counting start and end
-//! tags. A stream has no path summary to prove a tag barren, so only a
-//! `/`-anchored pattern skips.
+//! tags. A stream has no depth bounds to fix a `//` pattern's root floor,
+//! so only a `/`-anchored pattern skips.
 //! A start tag opens a node (its attributes open and close as leading
 //! children, as in the storage model), an end tag closes it with the text
 //! collected in between as its value. A returning match is emitted as soon
@@ -153,7 +153,7 @@ impl StreamMatcher {
         let tests = match self.tests.get(name) {
             Some(t) => *t,
             None => {
-                let t = NodeTests::of(&self.matcher.pat, name, false);
+                let t = NodeTests::of(&self.matcher.pat, name);
                 self.tests.insert(name.to_string(), t);
                 t
             }

@@ -418,40 +418,6 @@ impl PathTrie {
         total
     }
 
-    /// The tag codes below `ntags` of which no document node has a
-    /// descendant passing `passes`, ascending — a proof, so `None` while
-    /// anything is folded: a residual hides the paths below it, and a tag
-    /// seen only there is unknown.
-    pub(crate) fn barren_tags(
-        &self,
-        ntags: usize,
-        passes: impl Fn(TagCode) -> bool,
-    ) -> Option<Vec<TagCode>> {
-        if self.folded_nodes() > 0 {
-            return None;
-        }
-        // Children have larger indices than their parents: one backward
-        // sweep sees every node's children before the node.
-        let mut passes_below = vec![false; self.nodes.len()];
-        let mut holds = vec![false; ntags];
-        for n in (1..self.nodes.len()).rev() {
-            let below = self.nodes[n]
-                .children
-                .iter()
-                .any(|&c| passes_below[c as usize] || passes(self.nodes[c as usize].tag));
-            passes_below[n] = below;
-            if let (true, Some(h)) = (below, holds.get_mut(self.nodes[n].tag.0 as usize)) {
-                *h = true;
-            }
-        }
-        Some(
-            (0..ntags)
-                .filter(|&t| !holds[t])
-                .map(|t| TagCode(t as u16))
-                .collect(),
-        )
-    }
-
     /// Number of distinct root-to-node paths the trie spells out with at
     /// least one node.
     pub fn distinct_paths(&self) -> u64 {
@@ -969,21 +935,6 @@ mod tests {
     /// Folding keeps whole levels from the top, then the heaviest subtrees;
     /// the rest becomes its parent's residual, which opens every chain that
     /// could continue there and closes it to zero-support proofs.
-    #[test]
-    fn barren_tags_are_proven_only_by_an_exact_trie() {
-        // <a><b><c/><c/></b><b/><d/></a>, tags 0..6.
-        let s = sample();
-        let barren = |t: u16| s.paths.barren_tags(6, |x| x == tc(t));
-        // Only a and b hold a c; only a holds a b or a d; nothing holds a.
-        let tags = |ts: &[u16]| Some(ts.iter().map(|&t| tc(t)).collect::<Vec<_>>());
-        assert_eq!(barren(3), tags(&[0, 3, 4, 5]));
-        assert_eq!(barren(2), tags(&[0, 2, 3, 4, 5]));
-        assert_eq!(barren(1), tags(&[0, 1, 2, 3, 4, 5]));
-        let mut folded = sample();
-        folded.fold_to(2);
-        assert_eq!(folded.paths.barren_tags(6, |x| x == tc(3)), None);
-    }
-
     #[test]
     fn folded_paths_become_open_upper_bounds() {
         let mut s = sample();

@@ -110,8 +110,8 @@ fn treebank_queries_stay_within_their_scan_route_budget() {
 
 /// Only `article` records can hold an answer to `article/author`, and in
 /// them only the `author` children: the matcher is fed at most a quarter
-/// of the chain, in both forms (the `//` form through the exact path
-/// summary's proof that no other record holds an `article`).
+/// of the chain, in both forms (the `//` form through the depth bound of
+/// `article`, which never occurs below level 2).
 #[test]
 fn the_skip_feeds_a_quarter_of_the_chain_or_less() {
     let db = XmlDb::build_in_memory(&generate(DatasetKind::Dblp, 0.01).xml).unwrap();

@@ -181,6 +181,31 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
+    /// A hit allocates no plan: over a thousand lookups of one key the
+    /// first misses and plans, and every later one shares its allocation.
+    #[test]
+    fn hits_share_the_first_plan() {
+        let db = XmlDb::build_in_memory("<r><a><filler/></a></r>").unwrap();
+        let cache = PlanCache::new(8);
+        let key = normalize_query("//a[.//nosuch]//filler");
+        let generation = db.commit_generation();
+        let mut misses = 0;
+        let mut first: Option<Arc<PlannedQuery>> = None;
+        for _ in 0..1000 {
+            match (cache.lookup(&key, generation).plan, &first) {
+                (Some(hit), Some(first)) => assert!(Arc::ptr_eq(&hit, first)),
+                (Some(_), None) => panic!("a hit before any insert"),
+                (None, _) => {
+                    misses += 1;
+                    let plan = planned(&db, &key);
+                    cache.insert(key.clone(), generation, Arc::clone(&plan));
+                    first = Some(plan);
+                }
+            }
+        }
+        assert_eq!(misses, 1);
+    }
+
     #[test]
     fn generation_change_drops_only_the_stale_entry() {
         let db = XmlDb::build_in_memory("<a><b/><c/></a>").unwrap();

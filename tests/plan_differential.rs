@@ -1,19 +1,17 @@
 //! Planner/executor differential battery: on every dataset, every
-//! workload query (plus the `//` variants), the path-aware cost-ordered plan, the tag-only plan, the legacy
-//! fixed-order plan, the forced scan route and the forced index route
-//! (tag and value seeds) must all return exactly the result sequence of
-//! the naive oracle — the planner may change evaluation *order*, *seeding*
-//! and *route* (including proving queries empty from the synopsis path
-//! summary), never *answers*. Targeted cases then aim at what a
-//! single-pass matcher can get wrong, a plan-stability test pins the index
-//! seeds of the selective workload at the benchmark's corpus size, and a
-//! final snapshot test pins the explain output's operator sequence on a
-//! deep/wide synthetic document.
+//! workload query (plus the `//` variants), the planned route, the forced
+//! scan route and the forced index route (tag and value seeds) must all
+//! return exactly the result sequence of the naive oracle — the planner
+//! may change evaluation *order*, *seeding* and *route* (including proving
+//! queries empty from the synopsis path summary), never *answers*.
+//! Targeted cases then aim at what a single-pass matcher can get wrong, a
+//! plan-stability test pins the index seeds of the selective workload at
+//! the benchmark's corpus size, and a final snapshot test pins the explain
+//! output's operator sequence on a deep/wide synthetic document.
 
 use nok_core::naive::NaiveEvaluator;
 use nok_core::{
-    BuildOptions, PlanConfig, QueryOptions, QueryScratch, SeedChoice, StartStrategy, StrategyUsed,
-    XmlDb,
+    BuildOptions, QueryOptions, QueryScratch, SeedChoice, StartStrategy, StrategyUsed, XmlDb,
 };
 use nok_datagen::{generate, workload, DatasetKind};
 use nok_xml::Document;
@@ -22,10 +20,9 @@ fn execute(
     db: &XmlDb<nok_pager::MemStorage>,
     path: &str,
     opts: QueryOptions,
-    cfg: PlanConfig,
     scratch: &mut QueryScratch,
 ) -> Vec<String> {
-    let planned = db.plan_query_with(path, opts, cfg).expect("plan");
+    let planned = db.plan_query(path, opts).expect("plan");
     let mut out = Vec::new();
     db.execute_plan(&planned, scratch, &mut out)
         .expect("execute");
@@ -49,56 +46,12 @@ fn check_dataset(kind: DatasetKind) {
                 .iter()
                 .map(|n| oracle.dewey(n).to_string())
                 .collect();
-            let arms: [(&str, QueryOptions, PlanConfig); 6] = [
-                (
-                    "path-aware cost-ordered",
-                    QueryOptions::default(),
-                    PlanConfig::default(),
-                ),
-                (
-                    "tag-only",
-                    QueryOptions::default(),
-                    PlanConfig {
-                        path_aware: false,
-                        ..PlanConfig::default()
-                    },
-                ),
-                (
-                    "fixed-order",
-                    QueryOptions::default(),
-                    PlanConfig {
-                        cost_ordered: false,
-                        ..PlanConfig::default()
-                    },
-                ),
-                (
-                    "forced-scan",
-                    QueryOptions {
-                        strategy: StartStrategy::Scan,
-                    },
-                    PlanConfig::default(),
-                ),
-                (
-                    "forced-index (tag)",
-                    QueryOptions {
-                        strategy: StartStrategy::TagIndex,
-                    },
-                    PlanConfig::default(),
-                ),
-                (
-                    "forced-index (value)",
-                    QueryOptions {
-                        strategy: StartStrategy::ValueIndex,
-                    },
-                    PlanConfig::default(),
-                ),
-            ];
-            for (arm, opts, cfg) in arms {
-                let got = execute(&db, path, opts, cfg, &mut scratch);
+            for strategy in ROUTES {
+                let got = execute(&db, path, QueryOptions { strategy }, &mut scratch);
                 assert_eq!(
                     got,
                     expected,
-                    "{arm} plan disagrees with oracle on {} Q{i}: {path}",
+                    "{strategy:?} plan disagrees with oracle on {} Q{i}: {path}",
                     kind.name()
                 );
             }
@@ -159,13 +112,7 @@ fn check_routes(xml: &str, queries: &[&str]) {
         for q in queries {
             let expected = oracle_answers(xml, q);
             for strategy in ROUTES {
-                let got = execute(
-                    &db,
-                    q,
-                    QueryOptions { strategy },
-                    PlanConfig::default(),
-                    &mut scratch,
-                );
+                let got = execute(&db, q, QueryOptions { strategy }, &mut scratch);
                 assert_eq!(
                     got, expected,
                     "{q} via {strategy:?} ({page_size}-byte pages)"
@@ -329,7 +276,7 @@ fn scan_route_value_literals_across_updates() {
         for strategy in ROUTES {
             let opts = QueryOptions { strategy };
             assert_eq!(
-                execute(&db, q, opts, PlanConfig::default(), &mut scratch),
+                execute(&db, q, opts, &mut scratch),
                 oracle_answers(&updated, q),
                 "{q} via {strategy:?} after updates"
             );
@@ -381,13 +328,7 @@ fn scan_route_skips_pages_emptied_by_deletes() {
     for q in ["/r/a/c/d", "//a[b]/e", "//c[d]", r#"//a[e="v55"]/b"#] {
         for strategy in ROUTES {
             assert_eq!(
-                execute(
-                    &db,
-                    q,
-                    QueryOptions { strategy },
-                    PlanConfig::default(),
-                    &mut scratch
-                ),
+                execute(&db, q, QueryOptions { strategy }, &mut scratch),
                 oracle_answers(&kept, q),
                 "{q} via {strategy:?}"
             );
@@ -522,8 +463,8 @@ fn scan_skipped(db: &XmlDb<nok_pager::MemStorage>, q: &str) -> u64 {
 /// The pass skips the subtree of a node no pattern node can enter: on the
 /// scan route across page boundaries, on the index route below a start
 /// and at a start that is itself dead, for `/`-anchored fragments by the
-/// spine and for `//`- and `following::`-rooted ones by the exact path
-/// summary's proof that a tag never holds the root tag below it.
+/// spine and for `//`- and `following::`-rooted ones by the root tag's
+/// depth bound: no root candidate opens at or below its deepest level.
 #[test]
 fn dead_subtrees_are_skipped_on_every_route() {
     // Dead subtrees spanning pages, and `x` only under some tags: `q`
@@ -638,12 +579,11 @@ fn folded_xml() -> String {
     xml
 }
 
-/// A folded trie proves no tag barren, and a proof read off its kept nodes
-/// alone would skip the `t`/`u` holding `g` and `x` and lose answers. The
-/// depth bounds prove nothing here either: every node at or below the
-/// deepest level of a root tag passes the root test or is a pattern child
-/// of a candidate. So `//` fragments skip nothing — yet `/`-anchored ones
-/// still do.
+/// A proof read off a folded trie's kept nodes alone would skip the
+/// `t`/`u` holding `g` and `x` and lose answers. The depth bounds prove
+/// nothing here: every node at or below the deepest level of a root tag
+/// passes the root test or is a pattern child of a candidate. So `//`
+/// fragments skip nothing — yet `/`-anchored ones still do.
 #[test]
 fn a_folded_summary_proves_nothing() {
     let xml = folded_xml();
@@ -737,7 +677,6 @@ fn an_insert_below_the_depth_bound_raises_it() {
             &db,
             "//g/x",
             QueryOptions { strategy },
-            PlanConfig::default(),
             &mut QueryScratch::new(),
         );
         assert_eq!(got, expected, "{strategy:?}");
@@ -750,13 +689,7 @@ fn an_insert_below_the_depth_bound_raises_it() {
     let expected = oracle_answers(&xml, "//g/x");
     for strategy in ROUTES {
         for q in ["//g/x", "//x", "//t0//g"] {
-            let got = execute(
-                &db,
-                q,
-                QueryOptions { strategy },
-                PlanConfig::default(),
-                &mut QueryScratch::new(),
-            );
+            let got = execute(&db, q, QueryOptions { strategy }, &mut QueryScratch::new());
             assert_eq!(got, oracle_answers(&xml, q), "{q} via {strategy:?}");
         }
     }
@@ -827,6 +760,67 @@ fn selective_queries_keep_their_index_seeds() {
     }
 }
 
+/// A query whose tags both occur but never on one root path is proven
+/// empty by the path summary alone: 40 `a` records of one `meta` and 400
+/// `filler`s, and `//filler//meta` examines no entry and reads no page.
+#[test]
+fn a_zero_support_path_touches_no_page() {
+    let record = format!("<a><meta>x</meta>{}</a>", "<filler/>".repeat(400));
+    let db = XmlDb::build_in_memory(&format!("<r>{}</r>", record.repeat(40))).expect("build");
+    let planned = db
+        .plan_query("//filler//meta", QueryOptions::default())
+        .expect("plan");
+    assert!(planned.plan.proven_empty);
+    let pools = [
+        db.store().pool(),
+        db.bt_tag().pool(),
+        db.bt_val().pool(),
+        db.bt_id().pool(),
+    ];
+    for pool in pools {
+        pool.clear_cache().expect("clear");
+    }
+    let reads = || pools.map(|p| p.stats().physical_reads());
+    let before = reads();
+    let mut scratch = QueryScratch::new();
+    let mut out = Vec::new();
+    db.execute_plan(&planned, &mut scratch, &mut out)
+        .expect("execute");
+    assert!(out.is_empty());
+    assert!(scratch.stats().proven_empty);
+    assert_eq!(scratch.stats().entries_examined, 0);
+    assert_eq!(reads(), before, "physical reads per pool");
+}
+
+/// A thousand `item`s match `/site/item/*/name` and three route through
+/// `special`: the plan elevates its pivot to the rare spine ancestor,
+/// seeds from `special`'s three postings and examines only their subtrees.
+#[test]
+fn a_rare_spine_ancestor_seeds_the_deep_selective_path() {
+    let xml = format!(
+        "<site>{}{}</site>",
+        "<item><sub><name>n</name></sub></item>".repeat(1000),
+        "<item><special><name>n</name></special></item>".repeat(3)
+    );
+    let db = XmlDb::build_in_memory(&xml).expect("build");
+    let q = "/site/item/special/name";
+    let planned = db.plan_query(q, QueryOptions::default()).expect("plan");
+    let seeds: Vec<String> = planned
+        .plan
+        .fragments
+        .iter()
+        .map(|f| f.seed.to_string())
+        .collect();
+    assert_eq!(seeds, ["tag-index(special, lift 0)"]);
+    let mut scratch = QueryScratch::new();
+    let mut out = Vec::new();
+    db.execute_plan(&planned, &mut scratch, &mut out)
+        .expect("execute");
+    assert_eq!(out.len(), 3);
+    let examined = scratch.stats().entries_examined;
+    assert!(examined <= 12, "{examined} entries examined");
+}
+
 /// A deep/wide synthetic document (many sections, each a deep chain plus a
 /// wide run of leaves) where the explain output is predictable enough to
 /// snapshot: operator sequence, seed kinds, and the est/actual agreement
@@ -876,7 +870,7 @@ fn deepwide_explain_snapshot() {
         .unwrap_or_else(|| panic!("value constraint must seed from the value index: {explain}"));
     assert_eq!(value_row.est, Some(1), "{explain}");
     assert_eq!(value_row.actual, Some(1), "{explain}");
-    // Path-aware planning annotates seeds with their true root-chain
+    // The planner annotates seeds with their true root-chain
     // support from the synopsis path summary.
     assert!(
         explain.rows.iter().any(|r| r.detail.contains("path-est=")),
