@@ -9,7 +9,7 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (workspace, all targets)"
-cargo clippy --workspace --all-targets
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo xtask analyze (self-test, then workspace)"
 cargo xtask analyze --self-test

@@ -272,7 +272,7 @@ const HOT_PATH_FILES: &[&str] = &[
 const HOT_PATH_DIRS: &[&str] = &["crates/pager/src/", "crates/btree/src/"];
 
 pub fn is_hot_path(rel: &str) -> bool {
-    HOT_PATH_FILES.iter().any(|f| rel == *f) || HOT_PATH_DIRS.iter().any(|d| rel.starts_with(d))
+    HOT_PATH_FILES.contains(&rel) || HOT_PATH_DIRS.iter().any(|d| rel.starts_with(d))
 }
 
 /// Worker-path files in the serve crate: request handling must degrade, not

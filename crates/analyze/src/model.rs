@@ -70,7 +70,7 @@ pub enum Event {
         name: String,
         line: usize,
     },
-    /// `PlanStep::` / `SeedChoice::` reference.
+    /// `SeedChoice::` reference.
     PlanOp {
         name: String,
         line: usize,
@@ -275,15 +275,15 @@ fn orderings_in(group: &Group) -> Vec<String> {
 fn collect_orderings(toks: &[TokenTree], out: &mut Vec<String>) {
     for (k, t) in toks.iter().enumerate() {
         match t {
-            TokenTree::Ident(i) if ORDERING_NAMES.contains(&i.text.as_str()) => {
+            TokenTree::Ident(i)
+                if ORDERING_NAMES.contains(&i.text.as_str())
                 // Require a preceding `Ordering ::`.
-                if k >= 3
+                && k >= 3
                     && matches!(&toks[k - 1], TokenTree::Punct(p) if p.ch == ':')
                     && matches!(&toks[k - 2], TokenTree::Punct(p) if p.ch == ':')
-                    && matches!(&toks[k - 3], TokenTree::Ident(q) if q.text == "Ordering")
-                {
-                    out.push(i.text.clone());
-                }
+                    && matches!(&toks[k - 3], TokenTree::Ident(q) if q.text == "Ordering") =>
+            {
+                out.push(i.text.clone());
             }
             TokenTree::Group(g) => collect_orderings(&g.stream.0, out),
             _ => {}
@@ -363,9 +363,9 @@ fn extract(toks: &[TokenTree], krate: &str, out: &mut Vec<Event>, stmt_ctx: bool
                 at_stmt_start = false;
                 continue;
             }
-            // `PlanStep::` / `SeedChoice::` reference.
+            // `SeedChoice::` reference.
             (TokenTree::Ident(id), Some(TokenTree::Punct(p)))
-                if (id.text == "PlanStep" || id.text == "SeedChoice")
+                if id.text == "SeedChoice"
                     && p.ch == ':'
                     && matches!(toks.get(i + 2), Some(TokenTree::Punct(p)) if p.ch == ':') =>
             {
@@ -732,13 +732,13 @@ mod tests {
 
     #[test]
     fn macro_and_plan_ops_extracted() {
-        let ev = events("fn f() { dbg!(x); let p = PlanStep::Child { axis }; }");
+        let ev = events("fn f() { dbg!(x); let p = SeedChoice::TagIndex { name, lift }; }");
         assert!(ev
             .iter()
             .any(|e| matches!(e, Event::MacroUse { name, .. } if name == "dbg")));
         assert!(ev
             .iter()
-            .any(|e| matches!(e, Event::PlanOp { name, .. } if name == "PlanStep")));
+            .any(|e| matches!(e, Event::PlanOp { name, .. } if name == "SeedChoice")));
     }
 
     #[test]

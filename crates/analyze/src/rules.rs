@@ -91,7 +91,7 @@ fn scan_fn(m: &FnModel) -> FnScan {
                 held.retain(|h| h.depth < depth);
                 depth = depth.saturating_sub(1);
             }
-            Event::EndStmt => held.retain(|h| !(h.depth == depth && !h.let_bound)),
+            Event::EndStmt => held.retain(|h| h.depth != depth || h.let_bound),
             Event::Release { var, .. } => {
                 // `drop(var)` releases the most recent guard bound to `var`.
                 if let Some(pos) = held

@@ -71,7 +71,7 @@ const FAIL: &[FailFixture] = &[
     FailFixture {
         name: "plan operator outside planner",
         path: "crates/serve/src/service.rs",
-        source: "pub fn fabricate() -> u32 { PlanStep::COUNT }\n",
+        source: "pub fn fabricate() -> SeedChoice { SeedChoice::Scan }\n",
         expect: &["plan-operator-construction"],
     },
     FailFixture {
@@ -203,7 +203,7 @@ const PASS: &[PassFixture] = &[
     PassFixture {
         name: "patterns inside strings and comments",
         path: "crates/core/src/page.rs",
-        source: "// mentions .unwrap() and panic!( and unsafe in prose\npub fn doc() -> &'static str {\n    \".unwrap() panic!( .write_page( PlanStep:: dbg!( unsafe\"\n}\n",
+        source: "// mentions .unwrap() and panic!( and unsafe in prose\npub fn doc() -> &'static str {\n    \".unwrap() panic!( .write_page( SeedChoice:: dbg!( unsafe\"\n}\n",
     },
     PassFixture {
         name: "correct lock order (clock then shard then storage then frame)",

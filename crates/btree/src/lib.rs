@@ -744,7 +744,7 @@ impl<S: Storage> Iterator for RangeIter<'_, S> {
                         }
                         Err(e) => {
                             self.leaf = None;
-                            return Some(Err(e.into()));
+                            return Some(Err(e));
                         }
                     }
                 }

@@ -3,15 +3,14 @@
 //! The actual machinery lives in three sibling modules (the explicit
 //! pipeline the planner refactor introduced):
 //!
-//! - [`crate::plan`] — the plan IR: fragments, seed choices, and
-//!   semijoin/filter steps as enum operators.
-//! - [`crate::planner`] — the cost-based planner: picks each fragment's
-//!   route (index seed or scan) and the fragment evaluation order from the
-//!   persisted synopsis, pricing both routes in measured nanoseconds.
-//! - [`crate::exec`] — the operator executor: runs each fragment by its
-//!   route through one `ScanMatcher` (over the subtrees of index-located
-//!   starts, or over the whole page chain) and joins fragments over
-//!   intervals.
+//! - [`crate::plan`] — the plan IR: per-fragment plans and the walk
+//!   root's seed choice.
+//! - [`crate::planner`] — the cost-based planner: picks the walk root's
+//!   route (index seed or scan) from the persisted synopsis, pricing both
+//!   routes in measured nanoseconds.
+//! - [`crate::exec`] — the executor: runs every fragment in one walk
+//!   through one `ScanMatcher` (over the subtrees of index-located starts,
+//!   or over the whole page chain), deciding cut edges inside it.
 //!
 //! This module keeps the stable entry points (`query`, `query_with`,
 //! `query_into`, `query_pattern`) plus the option/stats types they take
@@ -22,7 +21,6 @@ use nok_pager::Storage;
 use crate::build::XmlDb;
 use crate::dewey::Dewey;
 use crate::error::CoreResult;
-use crate::exec::EvalPool;
 use crate::pattern::PathExpr;
 use crate::pattern_tree::PatternTree;
 use crate::physical::PhysAccess;
@@ -40,10 +38,10 @@ pub struct QueryMatch {
 
 /// Where the executor puts a query's answer: each match once, in document
 /// order, as soon as it is decided — no open pattern ancestor can still
-/// veto it. A single-fragment plan releases matches while its pass is
-/// still reading pages; a plan that joins fragments releases them at its
-/// final collect step. `put` is called between pages, never with a pool
-/// or page lock held, so a sink may block (back-pressure).
+/// veto it, and no hit it must lie under or after is still undecided.
+/// Every plan releases matches while its walk is still reading pages.
+/// `put` is called between pages, never with a pool or page lock held, so
+/// a sink may block (back-pressure).
 pub trait MatchSink {
     /// Take the next match. An error stops the evaluation with it.
     fn put(&mut self, m: QueryMatch) -> CoreResult<()>;
@@ -57,8 +55,8 @@ impl MatchSink for Vec<QueryMatch> {
     }
 }
 
-/// How a fragment is evaluated: the scan route, or the index route seeded
-/// from one of the two indexes (§3's three starting-point options). Under
+/// How the walk root is evaluated: the scan route, or the index route
+/// seeded from one of the two indexes (§3's three starting-point options). Under
 /// `Auto` the planner decides by price; the other variants are planner
 /// overrides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,14 +91,11 @@ pub struct QueryStats {
     /// Starting points tried, per fragment (on the scan route: the nodes
     /// that passed the fragment root's test).
     pub starting_points: Vec<u64>,
-    /// Strategy actually used, per fragment ([`StrategyUsed::Skipped`]
-    /// when an earlier empty fragment proved the query empty).
+    /// Strategy actually used, per fragment: its walk's
+    /// ([`StrategyUsed::Skipped`] when the plan was proven empty).
     pub strategies: Vec<StrategyUsed>,
     /// Successful fragment-root matches, per fragment.
     pub fragment_matches: Vec<u64>,
-    /// Surviving hot matches of the child fragment after each top-down
-    /// semijoin filter step, in chain order (root fragment downward).
-    pub chain_survivors: Vec<u64>,
     /// String entries the executor's loops read during this query: whole
     /// pages on the scan route, each start's subtree on the index route.
     /// Counted by the executor itself, so exact whatever other threads do
@@ -113,8 +108,8 @@ pub struct QueryStats {
     /// Directory records the executor's page walks consulted during this
     /// query (exact, likewise).
     pub dir_entries_examined: u64,
-    /// The synopsis path summary proved the query empty at plan time: the
-    /// executor answered without locating a single starting point.
+    /// The plan was proven empty (`QueryPlan::proven_empty`): the executor
+    /// answered without locating a single starting point.
     pub proven_empty: bool,
 }
 
@@ -129,7 +124,6 @@ impl QueryStats {
         self.strategies.resize(nfrags, StrategyUsed::Pending);
         self.fragment_matches.clear();
         self.fragment_matches.resize(nfrags, 0);
-        self.chain_survivors.clear();
         self.entries_examined = 0;
         self.entries_skipped = 0;
         self.dir_entries_examined = 0;
@@ -138,13 +132,11 @@ impl QueryStats {
 }
 
 /// Reusable per-worker query state. A serving worker keeps one scratch for
-/// its whole lifetime and threads it through [`XmlDb::query_into`], so both
-/// the per-query bookkeeping vectors *and* the per-fragment record buffers
-/// are allocated once, not per request.
+/// its whole lifetime and threads it through [`XmlDb::query_into`], so the
+/// per-query bookkeeping vectors are allocated once, not per request.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     pub(crate) stats: QueryStats,
-    pub(crate) pool: EvalPool,
 }
 
 impl QueryScratch {
@@ -177,7 +169,7 @@ impl<S: Storage> XmlDb<S> {
     }
 
     /// Evaluate into caller-provided buffers, reusing the scratch's stats
-    /// vectors and fragment record pools. `out` is cleared first; matches
+    /// vectors. `out` is cleared first; matches
     /// land there in document order. This is the allocation-lean path
     /// serving workers use.
     pub fn query_into(

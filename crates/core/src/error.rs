@@ -36,8 +36,8 @@ pub enum CoreError {
     UnsupportedFormat(SuperblockError),
     /// An update was rejected (e.g. deleting the root).
     InvalidUpdate(String),
-    /// The pattern cannot be evaluated in one streaming pass (it needs
-    /// structural joins between distinct subtrees).
+    /// The pattern cannot be evaluated in one streaming pass (a
+    /// `following::` edge needs a walk over what follows its source).
     StreamUnsupported(String),
     /// The [`crate::MatchSink`] taking the answer stopped the evaluation:
     /// whoever reads the matches is gone or gave up on them.

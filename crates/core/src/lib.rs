@@ -21,13 +21,14 @@
 //! * [`nok`] — the NoK pattern-matching algorithm (paper Algorithm 1) over an
 //!   abstract tree interface; [`physical`] — that interface implemented by
 //!   the succinct store (single-pass matching, Proposition 1).
-//! * [`join`] — structural (containment) joins combining NoK partial results.
 //! * [`plan`] — the query-plan IR; [`planner`] — the cost-based planner
-//!   (index route vs scan route per fragment, priced in measured
-//!   nanoseconds, plus cost-ordered fragment evaluation); [`exec`] — the
-//!   operator executor; [`engine`] — the stable query façade over the three.
-//! * `scan` — the single-pass NoK matcher behind the scan route and
-//!   [`stream`], NoK matching over streaming SAX events.
+//!   (index route vs scan route for the walk root, priced in measured
+//!   nanoseconds); [`exec`] — the executor, one walk per query;
+//!   [`engine`] — the stable query façade over the three.
+//! * `scan` — the single-pass matcher behind both routes and [`stream`]
+//!   (NoK matching over streaming SAX events): every fragment of a pattern
+//!   decided in one walk, its cut edges at their sources' close, its
+//!   answer filtered as a stream instead of joined.
 //! * [`update`] — subtree insertion/deletion against the paged string.
 //! * [`stats`] — per-document statistics (Table 1 columns); [`synopsis`] —
 //!   the persisted planner synopsis: per-tag/per-value counts plus a
@@ -53,7 +54,6 @@ pub mod dewey;
 pub mod engine;
 pub mod error;
 pub mod exec;
-pub mod join;
 pub mod naive;
 pub mod nok;
 pub mod page;
@@ -79,7 +79,7 @@ pub use dewey::Dewey;
 pub use engine::{MatchSink, QueryMatch, QueryOptions, QueryScratch, QueryStats, StartStrategy};
 pub use error::{CoreError, CoreResult, SuperblockError};
 pub use plan::{
-    Explain, ExplainRow, FragmentPlan, PlanStep, PlannedQuery, QueryPlan, SeedChoice, StrategyUsed,
+    Explain, ExplainRow, FragmentPlan, PlannedQuery, QueryPlan, SeedChoice, StrategyUsed,
 };
 pub use recovery::RecoveryReport;
 pub use sigma::{TagCode, TagDict};

@@ -9,8 +9,9 @@
 //! A **NoK pattern tree** is a maximal fragment connected by local
 //! relationships only (`/` and ⊲). [`PatternTree::partition`] cuts the tree
 //! at every `//` and ◄ edge, producing the fragment forest plus the cut
-//! edges along which the engine later performs structural joins — exactly
-//! the paper's evaluation strategy.
+//! edges — the paper's evaluation units. The paper joins the fragments'
+//! partial results along the cut edges; this engine decides them inside
+//! one walk (`core::scan`).
 
 use std::collections::{HashMap, HashSet};
 

@@ -468,7 +468,7 @@ impl<S: Storage> StructStore<S> {
 
     /// Linear position of an address: document order as a single `u64`
     /// (`(rank+1) * 2^32 + entry`). This is the paper's `p·C + o` quantity
-    /// used as the interval endpoint for structural joins. Ranks are offset
+    /// used as the interval endpoint cut edges are decided on. Ranks are offset
     /// by one so every real position is strictly greater than 0, letting the
     /// virtual document node own the open interval `(0, u64::MAX)`.
     #[inline]

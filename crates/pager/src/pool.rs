@@ -771,7 +771,7 @@ mod tests {
         assert!(pool.cached_frames() <= 8 + 8);
         let s = pool.stats();
         assert_eq!(s.logical_gets(), 8 * 400);
-        assert!(s.physical_reads() >= 32 as u64);
+        assert!(s.physical_reads() >= 32_u64);
     }
 
     #[test]

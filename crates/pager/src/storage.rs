@@ -451,10 +451,10 @@ mod tests {
         let path = dir.join("trunc.pg");
         let mut s = FileStorage::create_with_page_size(&path, 128).unwrap();
         let p0 = s.allocate_page().unwrap();
-        s.write_page(p0, &vec![1u8; 128]).unwrap();
+        s.write_page(p0, &[1u8; 128]).unwrap();
         s.sync().unwrap();
         let p1 = s.allocate_page().unwrap();
-        s.write_page(p1, &vec![2u8; 128]).unwrap();
+        s.write_page(p1, &[2u8; 128]).unwrap();
         s.truncate_pages(1).unwrap();
         s.sync().unwrap();
         let mut s = FileStorage::open(&path).unwrap();

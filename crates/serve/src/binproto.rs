@@ -396,13 +396,17 @@ pub fn put_frame(out: &mut Vec<u8>, opcode: u8, id: u64, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// One frame split off a buffer: opcode, request id, payload, and the
+/// bytes it took.
+pub type SplitFrame<'a> = (u8, u64, &'a [u8], usize);
+
 /// Try to split one frame off the front of `buf`.
 ///
 /// Returns `Ok(None)` when `buf` holds a frame prefix that is so far valid
 /// but incomplete (read more bytes and retry), `Ok(Some(...))` with the
 /// frame fields and the total bytes consumed, and `Err` when the prefix
 /// can never become a valid frame (oversized declared length).
-pub fn split_frame(buf: &[u8]) -> Result<Option<(u8, u64, &[u8], usize)>, FrameError> {
+pub fn split_frame(buf: &[u8]) -> Result<Option<SplitFrame<'_>>, FrameError> {
     if buf.len() < HEADER_LEN {
         return Ok(None);
     }

@@ -433,18 +433,15 @@ pub fn serve_connection<S: Storage + Send + Sync + 'static>(
     let writer = std::thread::Builder::new()
         .name("nok-conn-writer".to_string())
         .spawn(move || write_loop(&writer_queue, writer_stream))
-        .map_err(|e| io::Error::new(io::ErrorKind::Other, format!("spawn writer: {e}")))?;
+        .map_err(|e| io::Error::other(format!("spawn writer: {e}")))?;
 
     let result = read_loop(&mut reader, svc, stop, &queue);
     // Reader is done (EOF, shutdown, or error): let the writer drain every
     // outstanding response, then surface its I/O verdict if ours was clean.
     queue.finish();
-    let writer_result = writer.join().unwrap_or_else(|_| {
-        Err(io::Error::new(
-            io::ErrorKind::Other,
-            "connection writer panicked",
-        ))
-    });
+    let writer_result = writer
+        .join()
+        .unwrap_or_else(|_| Err(io::Error::other("connection writer panicked")));
     if let Ok(true) = result {
         // Only now that the acknowledgement is flushed: once the accept
         // loop wakes it exits the process, and an unflushed frame would be

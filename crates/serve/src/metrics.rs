@@ -47,12 +47,9 @@ impl LatencyHistogram {
 
     /// Mean latency in microseconds (0 when empty).
     pub fn mean_micros(&self) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            0
-        } else {
-            self.sum_micros.load(Ordering::Relaxed) / n
-        }
+        (self.sum_micros.load(Ordering::Relaxed))
+            .checked_div(self.count())
+            .unwrap_or(0)
     }
 
     /// Latency quantile `q` in `[0,1]`, reported as the upper bound of the

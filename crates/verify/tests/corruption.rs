@@ -55,7 +55,7 @@ fn patch(db: &XmlDb<MemStorage>, page: PageId, f: impl FnOnce(&mut [u8])) {
 fn append_close(buf: &mut [u8]) {
     let nbytes = get_u16(buf, OFF_NBYTES) as usize;
     let n = get_u16_le(buf, HEADER_SIZE) as usize;
-    if n % 8 == 0 {
+    if n.is_multiple_of(8) {
         assert!(HEADER_SIZE + nbytes < buf.len(), "page has slack");
         let tags = HEADER_SIZE + 2 + n / 8;
         buf.copy_within(tags..HEADER_SIZE + nbytes, tags + 1);
@@ -77,7 +77,7 @@ fn drop_last_close(buf: &mut [u8]) {
         0,
         "last entry is a close"
     );
-    if last % 8 == 0 {
+    if last.is_multiple_of(8) {
         // The parenthesis vector loses its last byte.
         let tags = HEADER_SIZE + 2 + n.div_ceil(8);
         buf.copy_within(tags..HEADER_SIZE + nbytes, tags - 1);
@@ -138,7 +138,7 @@ fn stale_empty_page_st_is_flagged() {
     let mut db = XmlDb::build_in_memory_with(&xml, BuildOptions::default(), 64).unwrap();
     db.delete_subtree(&Dewey::from_components(vec![0, 0]))
         .unwrap();
-    let empty = (0..db.store().chain_len() as u32)
+    let empty = (0..db.store().chain_len())
         .map(|r| db.store().dir_at(r).unwrap())
         .find(|e| e.entries == 0)
         .expect("multi-page delete leaves an empty page");
@@ -216,7 +216,7 @@ fn truncated_entry_is_flagged() {
 fn stray_close_is_a_nesting_violation() {
     let db = tiny_db();
     let last = chain_page(&db, db.store().chain_len() - 1);
-    patch(&db, last, |buf| append_close(buf));
+    patch(&db, last, append_close);
     let rep = verify_chain(db.store().pool());
     assert!(rep.has_kind("nesting-violation"), "{rep}");
     assert!(rep.has_kind("unbalanced-string"), "{rep}");
@@ -226,7 +226,7 @@ fn stray_close_is_a_nesting_violation() {
 fn dropped_closes_unbalance_the_string() {
     let db = tiny_db();
     let last = chain_page(&db, db.store().chain_len() - 1);
-    patch(&db, last, |buf| drop_last_close(buf));
+    patch(&db, last, drop_last_close);
     let rep = verify_chain(db.store().pool());
     assert!(rep.has_kind("unbalanced-string"), "{rep}");
 }
@@ -248,7 +248,7 @@ fn succinct_padding_bit_is_flagged() {
     // Find a page whose entry count is not a byte multiple, so the last
     // parens byte has padding bits, and set the topmost (always padding
     // when n % 8 != 0).
-    let victim = (0..db.store().chain_len() as u32)
+    let victim = (0..db.store().chain_len())
         .map(|r| db.store().dir_at(r).unwrap())
         .find(|e| e.entries > 0 && e.entries % 8 != 0)
         .expect("some page has a ragged entry count");
@@ -276,7 +276,7 @@ fn succinct_zero_count_with_content_is_flagged() {
 #[test]
 fn succinct_truncated_tag_stream_is_flagged() {
     let db = tiny_db();
-    let victim = (0..db.store().chain_len() as u32)
+    let victim = (0..db.store().chain_len())
         .map(|r| db.store().dir_at(r).unwrap())
         .find(|e| e.entries > 0)
         .unwrap();

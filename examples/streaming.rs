@@ -37,11 +37,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Patterns that need structural joins between separate subtrees cannot
-    // run in one streaming pass; the API says so explicitly.
-    match StreamMatcher::new("//a//b") {
-        Err(e) => println!("\n//a//b rejected as expected: {e}"),
-        Ok(_) => unreachable!("joins are not streamable"),
+    // A `following::` edge needs a walk over what follows its source, and
+    // a stream can be walked only once; the API says so explicitly.
+    match StreamMatcher::new("//a/following::b") {
+        Err(e) => println!("\n//a/following::b rejected as expected: {e}"),
+        Ok(_) => unreachable!("following:: is not streamable"),
     }
     Ok(())
 }

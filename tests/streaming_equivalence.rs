@@ -86,3 +86,34 @@ fn incremental_matches_batch() {
             .collect::<Vec<_>>()
     );
 }
+
+/// Interior `//` streams: every NoK fragment rides the one walk the stream
+/// is, and the answer comes out in the stored engine's document order.
+#[test]
+fn interior_descendant_patterns_stream() {
+    let dblp = generate(DatasetKind::Dblp, 0.01).xml;
+    let cuts = "<r><a><b/><x><c/></x></a><a><b/></a><c/><a><x><x><c/></x></x><b/><b/></a>\
+                <a><a><b/><c/></a><b/></a></r>";
+    for (xml, path) in [
+        (cuts, "//a[.//c]/b"),
+        (cuts, "//a//x//c"),
+        (dblp.as_str(), "//article[.//author]//title"),
+        (dblp.as_str(), "//dblp//article//author"),
+        (dblp.as_str(), "/dblp//article[.//year]//author"),
+    ] {
+        let db = XmlDb::build_in_memory(xml).expect("build");
+        let stored: Vec<String> = (db.query(path).expect("stored query").iter())
+            .map(|m| m.dewey.to_string())
+            .collect();
+        let streamed: Vec<String> = (StreamMatcher::run_str(path, xml).expect("stream").iter())
+            .map(|h| h.dewey.to_string())
+            .collect();
+        assert!(!stored.is_empty(), "{path}");
+        assert_eq!(streamed, stored, "{path}");
+    }
+    // What follows a source needs a second walk, which a stream has not.
+    assert!(matches!(
+        StreamMatcher::new("//article/following::title"),
+        Err(CoreError::StreamUnsupported(_))
+    ));
+}
