@@ -97,13 +97,13 @@ grep -q '"served"' "$corpus/stats.json"
 # Answers stream: some answer above one chunk went out as parts (the
 # largest dblp answers are ~3.4k matches, several 4 KiB chunks).
 grep -q '"answer_chunks":[1-9]' "$corpus/stats.json"
-# EXPLAIN over the wire and offline both end in the collect operator.
+# EXPLAIN over the wire and offline both end in the sink row (the answer).
 ./target/release/nokq --addr "127.0.0.1:$port" --explain \
   '//article[year="1995"]//author' > "$corpus/explain-served.txt"
-grep -q 'collect' "$corpus/explain-served.txt"
+grep -q '^sink ' "$corpus/explain-served.txt"
 ./target/release/nokq --offline "$corpus/dblp" --explain \
   '//article[year="1995"]//author' > "$corpus/explain-offline.txt"
-grep -q 'collect' "$corpus/explain-offline.txt"
+grep -q '^sink ' "$corpus/explain-offline.txt"
 # Without queries on the command line nokq drains piped stdin first, so a
 # scripted shutdown must pin stdin to /dev/null or it can block forever.
 ./target/release/nokq --addr "127.0.0.1:$port" --shutdown \

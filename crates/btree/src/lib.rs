@@ -464,13 +464,14 @@ impl<S: Storage> BTree<S> {
         }
     }
 
-    /// Descend to the leftmost leaf that can contain `key`.
-    fn descend_left(&self, key: &[u8]) -> BTreeResult<PageId> {
+    /// Descend to the leftmost leaf that can contain `key`: its id and the
+    /// image the descent read, so no caller fetches the leaf again.
+    fn descend_left(&self, key: &[u8]) -> BTreeResult<(PageId, Arc<[u8]>)> {
         let mut page_id = self.root.load(Ordering::Acquire);
         loop {
             let buf = self.page(page_id)?;
             if node::is_leaf(&buf) {
-                return Ok(page_id);
+                return Ok((page_id, buf));
             }
             let idx = node::lower_bound(&buf, key); // first separator >= key
             page_id = if idx == 0 {
@@ -481,14 +482,21 @@ impl<S: Storage> BTree<S> {
         }
     }
 
-    /// First value stored under `key`, if any.
+    /// First value stored under `key`, if any. Keys are compared where they
+    /// lie; only the value found is copied.
     pub fn get_first(&self, key: &[u8]) -> BTreeResult<Option<Vec<u8>>> {
-        let mut iter = self.scan_from(key)?;
-        match iter.next() {
-            Some(Ok((k, v))) if k == key => Ok(Some(v)),
-            Some(Err(e)) => Err(e),
-            _ => Ok(None),
+        let (_, mut leaf) = self.descend_left(key)?;
+        let mut slot = node::lower_bound(&leaf, key);
+        // Past the leaf's last key, the first key at or above `key` opens
+        // the next non-empty leaf.
+        while slot == node::ncells(&leaf) {
+            match node::link(&leaf) {
+                node::NO_PAGE => return Ok(None),
+                next => leaf = self.page(next)?,
+            }
+            slot = 0;
         }
+        Ok((node::key(&leaf, slot) == key).then(|| node::leaf_value(&leaf, slot).to_vec()))
     }
 
     /// All values stored under `key`, in insertion order.
@@ -530,8 +538,7 @@ impl<S: Storage> BTree<S> {
     }
 
     fn scan_from(&self, key: &[u8]) -> BTreeResult<RangeIter<'_, S>> {
-        let leaf_id = self.descend_left(key)?;
-        let leaf = self.page(leaf_id)?;
+        let (_, leaf) = self.descend_left(key)?;
         let slot = node::lower_bound(&leaf, key);
         Ok(RangeIter {
             tree: self,
@@ -549,40 +556,33 @@ impl<S: Storage> BTree<S> {
         if self.view.is_some() {
             return Err(BTreeError::Corrupt("delete on a snapshot view".into()));
         }
-        let mut leaf_id = self.descend_left(key)?;
+        // Search the images the descent and the link walk read; take the
+        // frame for writing only in the leaf that holds the entry.
+        let (mut leaf_id, mut buf) = self.descend_left(key)?;
         loop {
-            let leaf = self.pool.get(leaf_id)?;
-            let (found, next): (Option<usize>, u32) = {
-                let buf = leaf.read();
-                let mut found = None;
-                let mut past = false;
-                let start = node::lower_bound(&buf, key);
-                for i in start..node::ncells(&buf) {
-                    if node::key(&buf, i) != key {
-                        past = true;
-                        break;
-                    }
-                    if value.is_none_or(|v| node::leaf_value(&buf, i) == v) {
-                        found = Some(i);
-                        break;
-                    }
+            let mut found = None;
+            let mut past = false;
+            for i in node::lower_bound(&buf, key)..node::ncells(&buf) {
+                if node::key(&buf, i) != key {
+                    past = true;
+                    break;
                 }
-                let next = if past {
-                    node::NO_PAGE
-                } else {
-                    node::link(&buf)
-                };
-                (found, next)
-            };
+                if value.is_none_or(|v| node::leaf_value(&buf, i) == v) {
+                    found = Some(i);
+                    break;
+                }
+            }
             if let Some(i) = found {
-                node::remove(&mut leaf.write(), i);
+                node::remove(&mut self.pool.get(leaf_id)?.write(), i);
                 self.bump_count(-1)?;
                 return Ok(true);
             }
-            if next == node::NO_PAGE {
+            let next = node::link(&buf);
+            if past || next == node::NO_PAGE {
                 return Ok(false);
             }
             leaf_id = next;
+            buf = self.page(leaf_id)?;
         }
     }
 

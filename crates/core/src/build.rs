@@ -24,7 +24,7 @@ use crate::sigma::{TagCode, TagDict};
 use crate::snapshot::{initial_generations, DbGeneration};
 use crate::store::{BuildOptions, BuildSink, NodeRecord, StructStore};
 use crate::synopsis::Synopsis;
-use crate::values::{hash_key, DataFile, LockDataFile};
+use crate::values::{hash_value, DataFile, LockDataFile};
 
 /// A complete XML database instance over one document.
 pub struct XmlDb<S: Storage> {
@@ -69,8 +69,9 @@ pub struct XmlDb<S: Storage> {
 /// Collects node/value records during the build for index construction.
 struct IndexSink {
     nodes: Vec<NodeRecord>,
-    /// `(dewey, data-file offset, len)` per valued node, in close order.
-    values: Vec<(Dewey, u64, u32)>,
+    /// `(dewey, data-file offset, len, value hash)` per valued node, in
+    /// close order.
+    values: Vec<(Dewey, u64, u32, u64)>,
     data: DataFile,
 }
 
@@ -82,8 +83,9 @@ impl BuildSink for IndexSink {
     fn value(&mut self, dewey: &Dewey, text: &str) {
         // Data-file errors are deferred: an in-memory put cannot fail, and
         // file-backed puts surface their error on the next sync.
-        if let Ok((off, len)) = self.data.put(text) {
-            self.values.push((dewey.clone(), off, len));
+        let h = hash_value(text);
+        if let Ok((off, len)) = self.data.put_hashed(text, h) {
+            self.values.push((dewey.clone(), off, len, h));
         }
     }
 }
@@ -220,8 +222,9 @@ impl XmlDb<FileStorage> {
             mk(F_TAG)?,
             mk(F_VAL)?,
             mk(F_ID)?,
-            DataFile::create(dir.join(F_DATA))?,
+            DataFile::in_memory(),
         )?;
+        db.data.lock_data().persist_new(dir.join(F_DATA))?;
         db.dict_path = Some(dir.join(F_DICT));
         db.stats_path = Some(dir.join(F_STATS));
         // The first checkpoint seeds the log with its baseline, so the
@@ -377,7 +380,7 @@ impl<S: Storage> XmlDb<S> {
         let mut value_by_dewey: Vec<(Vec<u8>, (u64, u32))> = sink
             .values
             .iter()
-            .map(|(d, off, len)| (d.to_key(), (*off, *len)))
+            .map(|(d, off, len, _)| (d.to_key(), (*off, *len)))
             .collect();
         value_by_dewey.sort();
         let id_pairs: Vec<(Vec<u8>, Vec<u8>)> = sink
@@ -424,11 +427,9 @@ impl<S: Storage> XmlDb<S> {
         let bt_tag = BTree::bulk_load(tag_pool, tag_pairs, 0.9)?;
 
         // ---- B+v: value hash → dewey key.
-        let mut val_pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(sink.values.len());
-        for (dewey, off, _len) in &sink.values {
-            let text = sink.data.get_record(*off)?;
-            val_pairs.push((hash_key(&text).to_vec(), dewey.to_key()));
-        }
+        let mut val_pairs: Vec<(Vec<u8>, Vec<u8>)> = (sink.values.iter())
+            .map(|(dewey, _, _, h)| (h.to_be_bytes().to_vec(), dewey.to_key()))
+            .collect();
         val_pairs.sort_by(|a, b| a.0.cmp(&b.0));
         let bt_val = BTree::bulk_load(val_pool, val_pairs, 0.9)?;
 
@@ -776,6 +777,7 @@ pub(crate) struct TxnCtx<S: Storage> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::values::hash_key;
 
     const BIB: &str = r#"<bib>
         <book year="1994"><title>TCP/IP</title><price>65.95</price></book>

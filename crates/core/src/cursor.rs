@@ -27,6 +27,7 @@
 //! entries looked at inside loaded pages, and `dir_entries_examined`
 //! counts directory records consulted.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::dewey::Dewey;
@@ -217,6 +218,9 @@ pub struct PageWalk<'a, S: Storage> {
     probes: u64,
     /// Rank, id, image and opens of the page the walk holds, if any.
     cur: Option<(u32, PageId, Arc<[u8]>, u32)>,
+    /// Pages read ahead of the walk ([`PageWalk::read_ahead`]), in chain
+    /// order, held until the walk reaches or passes them.
+    ahead: VecDeque<(u32, PageId, Arc<[u8]>, u32)>,
 }
 
 /// The page a [`PageWalk`] holds.
@@ -251,6 +255,7 @@ impl<'a, S: Storage> PageWalk<'a, S> {
             next_rank: rank,
             probes: 0,
             cur: None,
+            ahead: VecDeque::new(),
         }
     }
 
@@ -276,6 +281,25 @@ impl<'a, S: Storage> PageWalk<'a, S> {
         })
     }
 
+    /// Read page `id` before the walk reaches it, and hold it until the
+    /// walk does: the walk then takes the held image instead of fetching
+    /// the page again. Pages must be read ahead in chain order.
+    pub fn read_ahead(&mut self, id: PageId) -> CoreResult<WalkPage<'_>> {
+        if self.ahead.back().is_none_or(|held| held.1 != id) {
+            let (rank, de) = self.store.dir_of(id)?;
+            let image = self.store.page_image(id)?;
+            self.ahead.push_back((rank, id, image, de.opens));
+        }
+        let held = self.ahead.back().and_then(|(rank, id, image, opens)| {
+            Some(WalkPage {
+                rank: *rank,
+                id: *id,
+                page: Page::counted(image, *opens)?,
+            })
+        });
+        held.ok_or_else(|| CoreError::Corrupt(format!("bad structural page {id}")))
+    }
+
     /// Move to the next non-empty page, or to `None` at the end of the
     /// chain.
     pub fn next_page(&mut self) -> CoreResult<Option<WalkPage<'_>>> {
@@ -288,7 +312,18 @@ impl<'a, S: Storage> PageWalk<'a, S> {
             return Ok(None);
         };
         self.next_rank = rank + 1;
-        self.cur = Some((rank, de.id, self.store.page_image(de.id)?, de.opens));
+        while self.ahead.front().is_some_and(|held| held.0 < rank) {
+            self.ahead.pop_front();
+        }
+        let image = match self.ahead.front() {
+            Some(held) if held.0 == rank => self.ahead.pop_front().map(|held| held.2),
+            _ => None,
+        };
+        let image = match image {
+            Some(image) => image,
+            None => self.store.page_image(de.id)?,
+        };
+        self.cur = Some((rank, de.id, image, de.opens));
         match self.current() {
             Some(wp) if !wp.page.is_empty() => Ok(Some(wp)),
             _ => Err(CoreError::Corrupt(format!("bad structural page {}", de.id))),

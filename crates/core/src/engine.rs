@@ -21,10 +21,12 @@ use nok_pager::Storage;
 use crate::build::XmlDb;
 use crate::dewey::Dewey;
 use crate::error::CoreResult;
+use crate::exec::SpineMemo;
 use crate::pattern::PathExpr;
 use crate::pattern_tree::PatternTree;
 use crate::physical::PhysAccess;
 use crate::plan::StrategyUsed;
+use crate::scan::{ChainFilter, MatchBufs, WideSet};
 use crate::store::NodeAddr;
 
 /// One query result: a subject-tree node.
@@ -133,10 +135,28 @@ impl QueryStats {
 
 /// Reusable per-worker query state. A serving worker keeps one scratch for
 /// its whole lifetime and threads it through [`XmlDb::query_into`], so the
-/// per-query bookkeeping vectors are allocated once, not per request.
-#[derive(Debug, Default)]
+/// per-query bookkeeping vectors, the matcher's frames and hit buffers,
+/// the returning chain's filter stacks and the spine checks' memo are
+/// allocated once, not per request.
+#[derive(Default)]
 pub struct QueryScratch {
     pub(crate) stats: QueryStats,
+    /// The matcher's buffers, for walks of up to 64 pattern nodes
+    pub(crate) narrow: MatchBufs<u64, NodeAddr>,
+    /// and of more.
+    pub(crate) wide: MatchBufs<WideSet, NodeAddr>,
+    pub(crate) filter: ChainFilter,
+    pub(crate) spine: SpineMemo,
+    /// The last root match of each fragment reduced for `following::`.
+    pub(crate) before: Vec<u64>,
+}
+
+impl std::fmt::Debug for QueryScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueryScratch")
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
 }
 
 impl QueryScratch {
@@ -179,11 +199,9 @@ impl<S: Storage> XmlDb<S> {
         scratch: &mut QueryScratch,
         out: &mut Vec<QueryMatch>,
     ) -> CoreResult<()> {
-        let expr = PathExpr::parse(path)?;
-        let tree = PatternTree::from_path(&expr)?;
-        let plan = self.plan_pattern(&tree, opts)?;
+        let planned = self.plan_query(path, opts)?;
         out.clear();
-        self.execute_pattern_plan(&tree, &plan, scratch, out)
+        self.execute_plan_into(&planned, scratch, out)
     }
 
     /// Evaluate a pre-built pattern tree.
@@ -194,8 +212,8 @@ impl<S: Storage> XmlDb<S> {
     ) -> CoreResult<(Vec<QueryMatch>, QueryStats)> {
         let mut scratch = QueryScratch::new();
         let mut out = Vec::new();
-        let plan = self.plan_pattern(tree, opts)?;
-        self.execute_pattern_plan(tree, &plan, &mut scratch, &mut out)?;
+        let planned = self.plan_tree(tree.clone(), opts)?;
+        self.execute_plan_into(&planned, &mut scratch, &mut out)?;
         Ok((out, scratch.stats))
     }
 

@@ -78,6 +78,7 @@ pub use build::XmlDb;
 pub use dewey::Dewey;
 pub use engine::{MatchSink, QueryMatch, QueryOptions, QueryScratch, QueryStats, StartStrategy};
 pub use error::{CoreError, CoreResult, SuperblockError};
+pub use pattern::PathExpr;
 pub use plan::{
     Explain, ExplainRow, FragmentPlan, PlannedQuery, QueryPlan, SeedChoice, StrategyUsed,
 };

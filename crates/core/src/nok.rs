@@ -75,9 +75,9 @@ pub struct NokMatcher<'p> {
 }
 
 impl<'p> NokMatcher<'p> {
-    /// Compile the matcher for fragment `frag` of `partition`.
-    pub fn new(partition: &Partition<'p>, frag: usize) -> NokMatcher<'p> {
-        let tree = partition.tree;
+    /// Compile the matcher for fragment `frag` of `partition`, the
+    /// partition of `tree`.
+    pub fn new(tree: &'p PatternTree, partition: &Partition, frag: usize) -> NokMatcher<'p> {
         let members: HashSet<PNodeId> = partition.fragments[frag].members.iter().copied().collect();
         let mut children: HashMap<PNodeId, Vec<PNodeId>> = HashMap::new();
         for &m in &members {
@@ -91,7 +91,7 @@ impl<'p> NokMatcher<'p> {
                 *order_indegree.entry(after).or_default() += 1;
             }
         }
-        let persistent = partition.persistent_nodes(frag);
+        let persistent = partition.persistent_nodes(tree, frag);
         let mut collect = HashSet::new();
         if let Some(&h) = partition.hot.get(&frag) {
             collect.insert(h);
@@ -375,7 +375,7 @@ mod tests {
             1,
             "these tests exercise single-fragment patterns"
         );
-        let matcher = NokMatcher::new(&part, 0);
+        let matcher = NokMatcher::new(&tree, &part, 0);
         let doc = Document::parse(xml).unwrap();
         let access = DomAccess::new(&doc);
         let mut hook = accept_all();
@@ -556,12 +556,12 @@ mod tests {
     fn hook_can_veto_matches() {
         let tree = PatternTree::parse("/a/b").unwrap();
         let part = tree.partition();
-        let matcher = NokMatcher::new(&part, 0);
+        let matcher = NokMatcher::new(&tree, &part, 0);
         let doc = Document::parse("<a><b>x</b><b>y</b></a>").unwrap();
         let access = DomAccess::new(&doc);
         // Veto any b whose value is "x".
         let mut hook = |p: PNodeId, n: &DomNode| -> CoreResult<bool> {
-            if part.tree.nodes[p].test == NameTest::Tag("b".into()) {
+            if tree.nodes[p].test == NameTest::Tag("b".into()) {
                 let v = access.value(n)?;
                 return Ok(v.as_deref() != Some("x"));
             }

@@ -303,6 +303,52 @@ const FIRST_REACH: [[u8; 8]; 256] = {
     table
 };
 
+/// Per parenthesis byte read backward (bit 7 first, 1 = open): its net
+/// change in levels still to climb (a close +1, an open -1), and the
+/// lowest change after any of its bits.
+const BYTE_CLIMB: [(i8, i8); 256] = {
+    let mut table = [(0i8, 0i8); 256];
+    let mut b = 0;
+    while b < 256 {
+        let (mut climb, mut low, mut i) = (0i8, i8::MAX, 8);
+        while i > 0 {
+            i -= 1;
+            climb += if (b >> i) & 1 == 1 { -1 } else { 1 };
+            if climb < low {
+                low = climb;
+            }
+        }
+        table[b] = (climb, low);
+        b += 1;
+    }
+    table
+};
+
+/// Per parenthesis byte read backward and levels to climb `d` in `1..=8`:
+/// how many of its bits (bit 7 first) are passed when the climb first
+/// reaches zero, at an open, or 8 when it does not.
+const FIRST_CLIMB: [[u8; 8]; 256] = {
+    let mut table = [[8u8; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut d = 1;
+        while d <= 8 {
+            let (mut climb, mut i) = (d as i32, 0);
+            while i < 8 {
+                climb += if (b >> (7 - i)) & 1 == 1 { -1 } else { 1 };
+                i += 1;
+                if climb == 0 {
+                    table[b][d - 1] = i as u8;
+                    break;
+                }
+            }
+            d += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
 /// A structural page read in place: its header, and its parenthesis bits
 /// and tag codes as slices of the page image. Nothing is copied or decoded.
 #[derive(Debug, Clone, Copy)]
@@ -543,6 +589,37 @@ impl<'a> Page<'a> {
         }
         *open = depth as u32;
         None
+    }
+    /// The open `k` levels above entry `i`: of the node entry `i` opens,
+    /// its ancestor `k` levels up (`k = 1` its parent). Entries `i-1, i-2,
+    /// …` are read backward, an open lowering the levels still to climb
+    /// and a close raising them, until the climb reaches zero at an open:
+    /// its index. At the page's first entry the climb is `Err` with the
+    /// levels still to climb above the page's start, where `st` nodes are
+    /// open. `k = 0` is entry `i` itself. The mirror of
+    /// [`Page::close_from`]: one table step per parenthesis byte, the
+    /// partial first byte shifted to end at bit 7 and padded with closes,
+    /// which neither reach zero nor lower its low point.
+    pub fn open_above(&self, i: usize, k: u32) -> Result<usize, u32> {
+        let mut i = i.min(self.n);
+        let mut climb = i64::from(k);
+        if climb == 0 {
+            return Ok(i);
+        }
+        while i > 0 {
+            let top = i - 1;
+            let valid = top % 8 + 1;
+            let byte = usize::from(self.parens[top / 8] << (8 - valid));
+            let (net, low) = BYTE_CLIMB[byte];
+            if climb + i64::from(low) <= 0 {
+                // The low point is at least -8, so the climb is 1..=8.
+                let passed = usize::from(FIRST_CLIMB[byte][climb as usize - 1]);
+                return Ok(top + 1 - passed);
+            }
+            climb += i64::from(net) - (8 - valid) as i64;
+            i = top + 1 - valid;
+        }
+        Err(climb as u32)
     }
 }
 

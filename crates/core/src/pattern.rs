@@ -181,36 +181,76 @@ impl PathExpr {
     pub fn parse(input: &str) -> CoreResult<PathExpr> {
         Parser::new(input).parse_path()
     }
+
+    /// The expression's *shape*: its canonical text with each
+    /// `= "literal"` replaced by a numbered slot, in text order —
+    /// `//article[ee="db/j/7.html"]/title` is `//article[ee=$1]/title`.
+    /// Queries that differ only in such literals share a shape, and so a
+    /// plan ([`crate::XmlDb::bind`]).
+    pub fn shape(&self) -> String {
+        struct Shape<'a>(&'a PathExpr);
+        impl fmt::Display for Shape<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let mut slot = Some(0);
+                self.0
+                    .steps
+                    .iter()
+                    .try_for_each(|s| write_step(f, s, &mut slot))
+            }
+        }
+        Shape(self).to_string()
+    }
+
+    /// The literals of the `= "literal"` constraints, in the slot order of
+    /// [`PathExpr::shape`].
+    pub fn literals(&self) -> Vec<&str> {
+        fn visit<'a>(steps: &'a [Step], out: &mut Vec<&'a str>) {
+            for step in steps {
+                for p in &step.predicates {
+                    visit(&p.path, out);
+                    out.extend(p.cmp.as_ref().and_then(ValueCmp::str_eq));
+                }
+            }
+        }
+        let mut out = Vec::new();
+        visit(&self.steps, &mut out);
+        out
+    }
 }
 
 impl fmt::Display for PathExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for step in &self.steps {
-            write_step(f, step)?;
+            write_step(f, step, &mut None)?;
         }
         Ok(())
     }
 }
 
-fn write_step(f: &mut fmt::Formatter<'_>, step: &Step) -> fmt::Result {
+/// Write `step`; with `slot`, each `= "literal"` as the next numbered slot.
+fn write_step(f: &mut fmt::Formatter<'_>, step: &Step, slot: &mut Option<usize>) -> fmt::Result {
     match step.axis {
         Axis::Child => f.write_str("/")?,
         Axis::Descendant => f.write_str("//")?,
         Axis::FollowingSibling => f.write_str("/following-sibling::")?,
         Axis::Following => f.write_str("/following::")?,
     }
-    write_step_body(f, step)
+    write_step_body(f, step, slot)
 }
 
-fn write_step_body(f: &mut fmt::Formatter<'_>, step: &Step) -> fmt::Result {
+fn write_step_body(
+    f: &mut fmt::Formatter<'_>,
+    step: &Step,
+    slot: &mut Option<usize>,
+) -> fmt::Result {
     write!(f, "{}", step.test)?;
     for p in &step.predicates {
         f.write_str("[")?;
         for (i, s) in p.path.iter().enumerate() {
             if i == 0 && s.axis == Axis::Child {
-                write_step_body(f, s)?;
+                write_step_body(f, s, slot)?;
             } else {
-                write_step(f, s)?;
+                write_step(f, s, slot)?;
             }
         }
         if p.path.is_empty() {
@@ -225,9 +265,13 @@ fn write_step_body(f: &mut fmt::Formatter<'_>, step: &Step) -> fmt::Result {
                 CmpOp::Gt => ">",
                 CmpOp::Ge => ">=",
             };
-            match &c.rhs {
-                Literal::Str(s) => write!(f, "{op}\"{s}\"")?,
-                Literal::Num(n) => write!(f, "{op}{n}")?,
+            match (&c.rhs, c.str_eq().and(slot.as_mut())) {
+                (_, Some(k)) => {
+                    *k += 1;
+                    write!(f, "{op}${k}")?;
+                }
+                (Literal::Str(s), None) => write!(f, "{op}\"{s}\"")?,
+                (Literal::Num(n), None) => write!(f, "{op}{n}")?,
             }
         }
         f.write_str("]")?;

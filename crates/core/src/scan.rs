@@ -75,11 +75,12 @@
 //! two to the same answers).
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use crate::dewey::Dewey;
 use crate::error::{CoreError, CoreResult};
 use crate::pattern::NameTest;
-use crate::pattern_tree::{CutKind, PNodeId, Partition, DOC_NODE};
+use crate::pattern_tree::{CutKind, PNodeId, Partition, PatternTree, DOC_NODE};
 use crate::planner::{doc_pivot, spine_above};
 
 /// A set of fragment-local pattern node indices. A fragment of up to 64
@@ -212,8 +213,8 @@ pub(crate) struct Walk {
 /// of a bare document node under a `//` edge (the `//` of a `//`-rooted
 /// query). A `following::` edge out of the document node stays in the
 /// walk, to be decided (nothing follows the document node).
-pub(crate) fn walk_root(part: &Partition<'_>) -> usize {
-    let bare = part.tree.local_children(DOC_NODE).next().is_none();
+pub(crate) fn walk_root(tree: &PatternTree, part: &Partition) -> usize {
+    let bare = tree.local_children(DOC_NODE).next().is_none();
     match part.cut_edges_from(0).next() {
         Some(cut) if bare && cut.kind == CutKind::Descendant => cut.child_frag,
         _ => 0,
@@ -224,7 +225,7 @@ pub(crate) fn walk_root(part: &Partition<'_>) -> usize {
 /// edge, deepest first, reducing the edge's child fragment to the start of
 /// its last root match; then the main walk from [`walk_root`], whose
 /// returning chain is the answer.
-pub(crate) fn plan_walks(part: &Partition<'_>) -> Vec<Walk> {
+pub(crate) fn plan_walks(tree: &PatternTree, part: &Partition) -> Vec<Walk> {
     let mut reduced: Vec<usize> = (part.cut_edges.iter())
         .filter(|c| c.kind == CutKind::Following)
         .map(|c| c.child_frag)
@@ -236,7 +237,7 @@ pub(crate) fn plan_walks(part: &Partition<'_>) -> Vec<Walk> {
             chain: Vec::new(),
         })
         .collect();
-    let root = walk_root(part);
+    let root = walk_root(tree, part);
     let mut chain = vec![part.returning_fragment];
     while let Some(cut) = (chain.last())
         .filter(|&&f| f != root)
@@ -255,7 +256,7 @@ pub(crate) fn plan_walks(part: &Partition<'_>) -> Vec<Walk> {
 /// `root` and the fragments reachable from it through `//` cut edges and
 /// through `following::` edges into `chain`, ascending. A fragment's cut
 /// edges come after the one into it in `Partition::cut_edges`.
-fn riders(part: &Partition<'_>, root: usize, chain: &[usize]) -> Vec<usize> {
+fn riders(part: &Partition, root: usize, chain: &[usize]) -> Vec<usize> {
     let mut rides = vec![false; part.fragments.len()];
     rides[root] = true;
     for c in &part.cut_edges {
@@ -270,8 +271,9 @@ fn riders(part: &Partition<'_>, root: usize, chain: &[usize]) -> Vec<usize> {
 enum CutTest {
     /// `//`: this slot's root matches grew while the source was open.
     Grew(usize),
-    /// `following::`: the source ends before this position (0: never).
-    EndsBefore(u64),
+    /// `following::`: the source ends before the start of this fragment's
+    /// last root match (the matcher's `before`; 0: never).
+    EndsBefore(usize),
 }
 
 /// The fragments of one [`Walk`] compiled for [`ScanMatcher`]. Pattern
@@ -333,27 +335,26 @@ pub(crate) struct ScanPattern<B> {
 }
 
 impl<B: NodeSet> ScanPattern<B> {
-    /// Compile `walk` over `part`. With `seeded`, the walk covers the
-    /// subtrees of index-located starts ([`ScanMatcher::prime`]), its root
-    /// matched from that pivot — at the start alone for fragment 0, whose
-    /// spine was verified then; otherwise the whole document, fragment 0
-    /// from its pivot under the spine above it. `before[g]` is the start of
-    /// fragment `g`'s last root match; `floors[f]` is `f`'s root floor.
+    /// Compile `walk` over `part`, the partition of `tree`. With `seeded`,
+    /// the walk covers the subtrees of index-located starts
+    /// ([`ScanMatcher::prime`]), its root matched from that pivot — at the
+    /// start alone for fragment 0, whose spine was verified then; otherwise
+    /// the whole document, fragment 0 from its pivot under the spine above
+    /// it. `floors[f]` is `f`'s root floor.
     pub(crate) fn compile(
-        part: &Partition<'_>,
+        tree: &PatternTree,
+        part: &Partition,
         walk: &Walk,
         seeded: Option<PNodeId>,
-        before: &[u64],
         floors: &[Option<u16>],
     ) -> CoreResult<Self> {
-        let tree = part.tree;
         let w = walk.frags[0];
         let (root, spine, anchored) = match seeded {
             Some(pivot) => (pivot, Vec::new(), w == 0),
             None if w == 0 => {
-                let root = doc_pivot(part);
+                let root = doc_pivot(tree, part);
                 let spine = if root != DOC_NODE {
-                    spine_above(part, root)
+                    spine_above(tree, root)
                 } else {
                     Vec::new()
                 };
@@ -424,9 +425,7 @@ impl<B: NodeSet> ScanPattern<B> {
                     slot(ce.child_frag)
                         .ok_or_else(|| outside(format!("rider {}", ce.child_frag)))?,
                 ),
-                CutKind::Following => {
-                    CutTest::EndsBefore(before.get(ce.child_frag).copied().unwrap_or(0))
-                }
+                CutKind::Following => CutTest::EndsBefore(ce.child_frag),
             };
             cuts.push((src, test));
         }
@@ -634,9 +633,40 @@ fn anchored_roots_at_or_below<B: NodeSet>(
     }
 }
 
+/// The growable state of a [`ScanMatcher`]: kept between matches (the
+/// executor keeps one per worker in `QueryScratch`), so that a warm query
+/// allocates none of it.
+pub(crate) struct MatchBufs<B, P> {
+    frames: Vec<Frame<B>>,
+    path: Vec<u32>,
+    pending: Vec<ScanHit<P>>,
+    done: Vec<ScanHit<P>>,
+    candidates: Vec<u64>,
+    roots: Vec<u64>,
+    snaps: Vec<u64>,
+    scopes: Vec<(B, usize, usize)>,
+    before: Vec<u64>,
+}
+
+impl<B, P> Default for MatchBufs<B, P> {
+    fn default() -> Self {
+        MatchBufs {
+            frames: Vec::new(),
+            path: Vec::new(),
+            pending: Vec::new(),
+            done: Vec::new(),
+            candidates: Vec::new(),
+            roots: Vec::new(),
+            snaps: Vec::new(),
+            scopes: Vec::new(),
+            before: Vec::new(),
+        }
+    }
+}
+
 /// The matcher: feed it `open`/`close` in document order, then `finish`.
 pub(crate) struct ScanMatcher<S: ScanSource> {
-    pub(crate) pat: ScanPattern<S::Set>,
+    pub(crate) pat: Arc<ScanPattern<S::Set>>,
     pub(crate) src: S,
     /// Open nodes; `frames[0]` is the virtual document node (level 0).
     frames: Vec<Frame<S::Set>>,
@@ -672,12 +702,27 @@ pub(crate) struct ScanMatcher<S: ScanSource> {
     /// The values each open cut source replaced, and where its snapshots
     /// start.
     scopes: Vec<(S::Set, usize, usize)>,
+    /// Per fragment, the start of its last root match: what a
+    /// `following::` edge into it is decided against (0: nothing follows).
+    before: Vec<u64>,
     admits: S::Set,
     confirms: S::Set,
 }
 
 impl<S: ScanSource> ScanMatcher<S> {
-    pub(crate) fn new(pat: ScanPattern<S::Set>, src: S) -> Self {
+    pub(crate) fn new(pat: Arc<ScanPattern<S::Set>>, src: S) -> Self {
+        Self::with_bufs(pat, src, MatchBufs::default(), &[])
+    }
+
+    /// [`ScanMatcher::new`] over buffers kept from an earlier match
+    /// ([`ScanMatcher::into_bufs`]). `before[g]` is the start of fragment
+    /// `g`'s last root match, for the `following::` edges into it.
+    pub(crate) fn with_bufs(
+        pat: Arc<ScanPattern<S::Set>>,
+        src: S,
+        mut bufs: MatchBufs<S::Set, S::Payload>,
+        before: &[u64],
+    ) -> Self {
         let doc_rooted = pat.root() == DOC_NODE;
         let (mut cand, mut kids) = (S::Set::default(), S::Set::default());
         if doc_rooted {
@@ -685,35 +730,63 @@ impl<S: ScanSource> ScanMatcher<S> {
             kids = pat.children[0].clone();
         }
         let slots = pat.roots.len();
-        let mut candidates = vec![0; slots];
-        candidates[0] = u64::from(doc_rooted);
+        bufs.frames.clear();
+        bufs.frames.push(Frame {
+            cand,
+            kids,
+            sat: S::Set::default(),
+            start: 0,
+            buf_start: 0,
+            next_child: 0,
+        });
+        bufs.candidates.clear();
+        bufs.candidates.resize(slots, 0);
+        bufs.candidates[0] = u64::from(doc_rooted);
+        bufs.roots.clear();
+        bufs.roots.resize(slots, 0);
+        bufs.path.clear();
+        bufs.snaps.clear();
+        bufs.before.clear();
+        bufs.before.extend_from_slice(before);
+        bufs.pending.clear();
+        bufs.done.clear();
+        bufs.scopes.clear();
         ScanMatcher {
             free: pat.free.clone(),
             floor: pat.root_floor,
-            scopes: Vec::new(),
-            frames: vec![Frame {
-                cand,
-                kids,
-                sat: S::Set::default(),
-                start: 0,
-                buf_start: 0,
-                next_child: 0,
-            }],
-            path: Vec::new(),
+            scopes: bufs.scopes,
+            frames: bufs.frames,
+            path: bufs.path,
             spine_ok: 0,
             base_level: 0,
             hollow: false,
-            pending: Vec::new(),
+            pending: bufs.pending,
             undecided: 0,
-            done: Vec::new(),
-            candidates,
-            roots: vec![0; slots],
+            done: bufs.done,
+            candidates: bufs.candidates,
+            roots: bufs.roots,
             last_root: 0,
-            snaps: Vec::new(),
+            snaps: bufs.snaps,
+            before: bufs.before,
             admits: src.admits(),
             confirms: src.confirms(),
             pat,
             src,
+        }
+    }
+
+    /// The matcher's buffers, for the next match to reuse.
+    pub(crate) fn into_bufs(self) -> MatchBufs<S::Set, S::Payload> {
+        MatchBufs {
+            frames: self.frames,
+            path: self.path,
+            pending: self.pending,
+            done: self.done,
+            candidates: self.candidates,
+            roots: self.roots,
+            snaps: self.snaps,
+            scopes: self.scopes,
+            before: self.before,
         }
     }
 
@@ -972,7 +1045,7 @@ impl<S: ScanSource> ScanMatcher<S> {
             .filter(|(_, (src, _))| *src == p)
             .all(|(i, &(_, test))| match test {
                 CutTest::Grew(s) => at_open(i).is_some_and(|at| self.roots[s] > at),
-                CutTest::EndsBefore(at) => end < at,
+                CutTest::EndsBefore(g) => end < self.before.get(g).copied().unwrap_or(0),
             })
     }
 
@@ -1078,6 +1151,7 @@ impl<S: ScanSource> ScanMatcher<S> {
 
 /// The returning chain's filter (module docs): takes a walk's released hits
 /// in document order and decides which are answers.
+#[derive(Default)]
 pub(crate) struct ChainFilter {
     levels: Vec<Level>,
 }
@@ -1094,15 +1168,28 @@ struct Level {
 
 impl ChainFilter {
     /// The filter of `walk`'s returning chain over `part`.
-    pub(crate) fn new(part: &Partition<'_>, walk: &Walk) -> Self {
-        let levels = (walk.chain.iter())
-            .map(|&f| Level {
-                kind: part.incoming_cut(f).map_or(CutKind::Descendant, |c| c.kind),
+    pub(crate) fn new(part: &Partition, walk: &Walk) -> Self {
+        let mut filter = ChainFilter::default();
+        filter.reset(part, walk);
+        filter
+    }
+
+    /// Make this the filter of `walk`'s returning chain over `part`,
+    /// keeping the buffers it has.
+    pub(crate) fn reset(&mut self, part: &Partition, walk: &Walk) {
+        self.levels.truncate(walk.chain.len());
+        while self.levels.len() < walk.chain.len() {
+            self.levels.push(Level {
+                kind: CutKind::Descendant,
                 open: Vec::new(),
                 min_end: u64::MAX,
-            })
-            .collect();
-        ChainFilter { levels }
+            });
+        }
+        for (level, &f) in self.levels.iter_mut().zip(&walk.chain) {
+            level.kind = part.incoming_cut(f).map_or(CutKind::Descendant, |c| c.kind);
+            level.open.clear();
+            level.min_end = u64::MAX;
+        }
     }
 
     /// Is `hit`, the next released, an answer: of the chain's last level,
@@ -1196,7 +1283,7 @@ mod tests {
         let mut floors = vec![None; part.fragments.len()];
         let root = &tree.nodes[part.fragments[frag].root].test;
         floors[frag] = u16::try_from(floor_of(doc, NodeId::ROOT, root, 1)).ok();
-        let pat = ScanPattern::compile(&part, &walk, None, &[], &floors).unwrap();
+        let pat = ScanPattern::compile(tree, &part, &walk, None, &floors).unwrap();
         let cmps = pat
             .nodes
             .iter()
@@ -1208,7 +1295,7 @@ mod tests {
             value: None,
             live: 0,
         };
-        ScanMatcher::new(pat, src)
+        ScanMatcher::new(Arc::new(pat), src)
     }
 
     impl ScanSource for DomSource<'_> {
@@ -1296,7 +1383,7 @@ mod tests {
         let doc = Document::parse(xml).unwrap();
         let access = DomAccess::new(&doc);
         let ev = crate::naive::NaiveEvaluator::new(&doc);
-        let matcher = NokMatcher::new(&part, frag);
+        let matcher = NokMatcher::new(&tree, &part, frag);
         let mut hook = accept_all();
         let mut out = Vec::new();
         if frag == 0 {
@@ -1434,7 +1521,8 @@ mod tests {
             let tree = PatternTree::parse(q).unwrap();
             let doc = Document::parse(xml).unwrap();
             let mut m = matcher(&tree, tree.partition().fragments.len() - 1, &doc);
-            (m.pat.root_floor, m.floor) = (floor, floor);
+            Arc::get_mut(&mut m.pat).expect("unshared").root_floor = floor;
+            m.floor = floor;
             walk(&mut m, NodeId::ROOT, &mut 0);
             m.finish().unwrap();
             assert_eq!(m.src.live, live, "{q} below level {floor}");

@@ -28,6 +28,7 @@
 //! twice. That needs the stored engine.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use nok_xml::Event;
 
@@ -118,11 +119,11 @@ impl StreamMatcher {
         if part.fragments.len() == 1 && tree.local_children(DOC_NODE).next().is_none() {
             return Err(CoreError::StreamUnsupported("pattern has no steps".into()));
         }
-        let walks = plan_walks(&part);
+        let walks = plan_walks(&tree, &part);
         let walk = walks
             .last()
             .ok_or_else(|| CoreError::StreamUnsupported("pattern has no walk".into()))?;
-        let pat = ScanPattern::compile(&part, walk, None, &[], &[])
+        let pat = ScanPattern::compile(&tree, &part, walk, None, &[])
             .map_err(|e| CoreError::StreamUnsupported(e.to_string()))?;
         let cmps = pat
             .nodes
@@ -130,7 +131,7 @@ impl StreamMatcher {
             .map(|&n| tree.nodes[n].value_cmps.clone())
             .collect();
         Ok(StreamMatcher {
-            matcher: ScanMatcher::new(pat, SaxSource { cmps, value: None }),
+            matcher: ScanMatcher::new(Arc::new(pat), SaxSource { cmps, value: None }),
             filter: ChainFilter::new(&part, walk),
             tests: HashMap::new(),
             text: Vec::new(),

@@ -11,7 +11,8 @@
 
 use nok_core::naive::NaiveEvaluator;
 use nok_core::{
-    BuildOptions, QueryOptions, QueryScratch, SeedChoice, StartStrategy, StrategyUsed, XmlDb,
+    BuildOptions, PathExpr, QueryOptions, QueryScratch, SeedChoice, StartStrategy, StrategyUsed,
+    XmlDb,
 };
 use nok_datagen::{generate, workload, DatasetKind};
 use nok_xml::Document;
@@ -82,6 +83,40 @@ fn treebank_plans_match_oracle() {
 #[test]
 fn dblp_plans_match_oracle() {
     check_dataset(DatasetKind::Dblp);
+}
+
+/// A plan is its query's shape, planned once, bound to its literals: for
+/// every workload query of every dataset (both forms) on every route, the
+/// shape planned with other literals and then bound to the query's equals
+/// the plan of the query's text.
+#[test]
+fn a_template_bound_to_a_querys_literals_plans_as_its_text() {
+    for kind in DatasetKind::ALL {
+        let ds = generate(kind, 0.01);
+        let db = XmlDb::build_in_memory(&ds.xml).expect("build");
+        for (_, spec) in workload(kind) {
+            let Some(spec) = spec else { continue };
+            for path in [&spec.path, &spec.descendant_variant] {
+                let expr = PathExpr::parse(path).expect("parse");
+                let literals = expr.literals();
+                // The same shape with literals no node has.
+                let mut other = expr.shape();
+                for k in (1..=literals.len()).rev() {
+                    other = other.replace(&format!("${k}"), &format!("\"absent {k}\""));
+                }
+                for strategy in ROUTES {
+                    let opts = QueryOptions { strategy };
+                    let template = db.plan_query(&other, opts).expect("plan");
+                    let bound = db.bind(&template, &literals).expect("bind");
+                    let planned = db.plan_query(path, opts).expect("plan");
+                    assert_eq!(bound.plan, planned.plan, "{path} via {strategy:?}");
+                    if !literals.is_empty() {
+                        assert!(template.plan.proven_empty, "{other}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 const ROUTES: [StartStrategy; 4] = [

@@ -55,7 +55,7 @@ fn proposition1_single_start_reads_each_page_once() {
     // pattern visits every record ([title] exists on each item).
     let tree = PatternTree::parse("/catalog/item[title][publisher]").expect("pattern");
     let part = tree.partition();
-    let matcher = NokMatcher::new(&part, 0);
+    let matcher = NokMatcher::new(&tree, &part, 0);
     let access = PhysAccess::new(db.store(), db.dict(), db.bt_id(), db.data_cell());
     db.store().pool().clear_cache().expect("clear");
     db.store().pool().stats().reset();
