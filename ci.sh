@@ -36,15 +36,20 @@ RUSTFLAGS="--cfg loom" cargo test -q -p nok-serve --test loom_out_queue
 RUSTFLAGS="--cfg loom" cargo test -q -p nok-pager --test loom_pool
 RUSTFLAGS="--cfg loom" cargo test -q -p nok-pager --test loom_mvcc
 
-# ThreadSanitizer over the serve stress suite and Miri over the pager/btree
-# unit tests need nightly with rust-src / miri; the GitHub nightly jobs run
-# them unconditionally (see ci.yml), locally they are skipped when absent.
+# ThreadSanitizer over the serve stress suite and nok-core's tests, and Miri
+# over the pager/btree unit tests, need nightly with rust-src / miri; the
+# GitHub nightly jobs run them unconditionally (see ci.yml), locally they
+# are skipped when absent.
 if rustup component list --toolchain nightly 2>/dev/null \
     | grep -q '^rust-src (installed)'; then
-  echo "==> ThreadSanitizer stress suite (nightly)"
-  RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
-    cargo +nightly test -Zbuild-std -q -p nok-serve --release --test stress \
-    --target "$(rustc -vV | sed -n 's/^host: //p')"
+  echo "==> ThreadSanitizer: stress suite and nok-core (nightly)"
+  host="$(rustc -vV | sed -n 's/^host: //p')"
+  export RUSTFLAGS="-Zsanitizer=thread" RUSTDOCFLAGS="-Zsanitizer=thread" \
+    TSAN_OPTIONS="halt_on_error=1"
+  cargo +nightly test -Zbuild-std -q -p nok-serve --release --test stress \
+    --target "$host"
+  cargo +nightly test -Zbuild-std -q -p nok-core --release --target "$host"
+  unset RUSTFLAGS RUSTDOCFLAGS TSAN_OPTIONS
 else
   echo "==> ThreadSanitizer: skipped (nightly rust-src not installed)"
 fi

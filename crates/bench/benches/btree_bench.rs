@@ -31,12 +31,10 @@ fn bench_btree(c: &mut Criterion) {
 
     c.bench_function("btree_range_scan_1k", |b| {
         b.iter(|| {
-            let lo = b"key00050000".to_vec();
-            let hi = b"key00051000".to_vec();
             let n = tree
                 .range(
-                    std::ops::Bound::Included(&lo),
-                    std::ops::Bound::Excluded(hi),
+                    std::ops::Bound::Included(&b"key00050000"[..]),
+                    std::ops::Bound::Excluded(&b"key00051000"[..]),
                 )
                 .unwrap()
                 .count();

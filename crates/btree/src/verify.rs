@@ -6,8 +6,11 @@
 //!
 //! * meta-page magic and root pointer validity,
 //! * node types and slotted-page bounds (slot array below `cell_start`,
-//!   every cell fully inside the page),
+//!   every cell inside the cell area, a leaf cell's header canonical),
+//! * each leaf's stored prefix is a prefix of both its fences (and empty
+//!   at either end of the chain),
 //! * key ordering within each node (non-decreasing; duplicates are legal),
+//!   a leaf's keys reconstructed as prefix ++ suffix,
 //! * separator routing: every key in a subtree lies within the separator
 //!   bounds that route to it (non-strict on both sides, because duplicate
 //!   runs may straddle a split),
@@ -42,39 +45,54 @@ impl std::fmt::Display for Issue {
     }
 }
 
-/// Bounds-checked view of one cell: its key slice plus, for internal nodes,
-/// the child pointer.
-struct Cell<'a> {
-    key: &'a [u8],
+/// Bounds-checked view of one cell: its whole key (a leaf's prefix and
+/// stored suffix) plus, for internal nodes, the child pointer.
+struct Cell {
+    key: Vec<u8>,
     child: u32,
 }
 
-fn checked_cell<'a>(buf: &'a [u8], i: usize, leaf: bool) -> Result<Cell<'a>, String> {
-    let slot = node::HEADER_SIZE + 2 * i;
-    if slot + 2 > buf.len() {
-        return Err(format!("slot {i} lies outside the page"));
+/// Cell `i` of a node whose slots start at `slots` and cells at
+/// `cell_start`, every offset checked against the cell area first. A leaf
+/// passes its `prefix`; an internal node passes `None`.
+fn checked_cell(
+    buf: &[u8],
+    i: usize,
+    slots: usize,
+    cell_start: usize,
+    prefix: Option<&[u8]>,
+) -> Result<Cell, String> {
+    let off = get_u16(buf, slots + 2 * i) as usize;
+    if off < cell_start {
+        return Err(format!("cell {i} at offset {off} lies below the cell area"));
     }
-    let off = get_u16(buf, slot) as usize;
-    let cell_header = if leaf { 4 } else { 6 };
-    if off + cell_header > buf.len() {
-        return Err(format!("cell {i} header at offset {off} overruns the page"));
-    }
-    let klen = get_u16(buf, off) as usize;
-    let (key_start, tail) = if leaf {
-        let vlen = get_u16(buf, off + 2) as usize;
-        (off + 4, vlen)
-    } else {
-        (off + 6, 0)
+    let Some(prefix) = prefix else {
+        if off + 6 > buf.len() {
+            return Err(format!("cell {i} header at offset {off} overruns the page"));
+        }
+        let klen = get_u16(buf, off) as usize;
+        let Some(key) = buf.get(off + 6..off + 6 + klen) else {
+            return Err(format!(
+                "cell {i} key ({klen} bytes at {}) overruns the page",
+                off + 6
+            ));
+        };
+        return Ok(Cell {
+            key: key.to_vec(),
+            child: get_u32(buf, off + 2),
+        });
     };
-    if key_start + klen + tail > buf.len() {
+    let Some((head, suffix, value)) = node::leaf_cell_at(buf, off) else {
         return Err(format!(
-            "cell {i} payload ({klen}+{tail} bytes at {key_start}) overruns the page"
+            "cell {i} header or suffix at offset {off} overruns the cell area"
         ));
+    };
+    if head.len() != node::head_size(suffix.len(), value.len()) {
+        return Err(format!("cell {i} header at offset {off} is not canonical"));
     }
-    let child = if leaf { 0 } else { get_u32(buf, off + 2) };
     Ok(Cell {
-        key: &buf[key_start..key_start + klen],
-        child,
+        key: [prefix, &buf[suffix]].concat(),
+        child: 0,
     })
 }
 
@@ -123,44 +141,58 @@ impl<S: Storage> Walk<'_, S> {
         let leaf = ntype == node::NODE_LEAF;
         let n = node::ncells(&buf);
         let cell_start = get_u16(&buf, node::OFF_CELL_START) as usize;
-        if node::HEADER_SIZE + 2 * n > cell_start || cell_start > buf.len() {
+        let slots = if leaf {
+            node::LEAF_HEADER_SIZE + buf[node::OFF_PREFIX_LEN] as usize
+        } else {
+            node::HEADER_SIZE
+        };
+        if slots + 2 * n > cell_start || cell_start > buf.len() {
             self.issue(
                 page,
                 format!("slot array ({n} cells) collides with cell area (cell_start={cell_start})"),
             );
             return Ok(());
         }
+        // A leaf's prefix must start every key its fences admit: it is a
+        // prefix of both, and empty at an end of the chain.
+        let prefix = leaf.then(|| node::leaf_prefix(&buf));
+        if let Some(p) = prefix {
+            let fenced = match (lower, upper) {
+                (Some(lo), Some(hi)) => lo.starts_with(p) && hi.starts_with(p),
+                _ => p.is_empty(),
+            };
+            if !fenced {
+                self.issue(
+                    page,
+                    format!("leaf prefix {p:02x?} is not a prefix of both fences"),
+                );
+            }
+        }
 
         // Per-cell bounds, in-node key order, separator-bound containment.
         let mut prev_key: Option<Vec<u8>> = None;
         let mut children: Vec<(Vec<u8>, u32)> = Vec::new();
         for i in 0..n {
-            let cell = match checked_cell(&buf, i, leaf) {
+            let cell = match checked_cell(&buf, i, slots, cell_start, prefix) {
                 Ok(c) => c,
                 Err(detail) => {
                     self.issue(page, detail);
                     break; // offsets untrustworthy beyond this point
                 }
             };
-            if let Some(prev) = &prev_key {
-                if prev.as_slice() > cell.key {
-                    self.issue(page, format!("key order violated at cell {i}"));
-                }
+            if prev_key.as_ref().is_some_and(|prev| *prev > cell.key) {
+                self.issue(page, format!("key order violated at cell {i}"));
             }
-            if let Some(lo) = lower {
-                if cell.key < lo {
-                    self.issue(page, format!("cell {i} key below its separator bound"));
-                }
+            if lower.is_some_and(|lo| cell.key.as_slice() < lo) {
+                self.issue(page, format!("cell {i} key below its separator bound"));
             }
-            if let Some(hi) = upper {
-                if cell.key > hi {
-                    self.issue(page, format!("cell {i} key above its separator bound"));
-                }
+            if upper.is_some_and(|hi| cell.key.as_slice() > hi) {
+                self.issue(page, format!("cell {i} key above its separator bound"));
             }
-            prev_key = Some(cell.key.to_vec());
             if !leaf {
-                children.push((cell.key.to_vec(), cell.child));
+                children.push((cell.key.clone(), cell.child));
             }
+            prev_key = Some(cell.key);
         }
 
         if leaf {
@@ -352,10 +384,11 @@ mod tests {
         {
             let h = t.pool.get(leaf).unwrap();
             let mut b = h.write();
-            let s0 = get_u16(&b, node::HEADER_SIZE);
-            let s1 = get_u16(&b, node::HEADER_SIZE + 2);
-            nok_pager::codec::put_u16(&mut b, node::HEADER_SIZE, s1);
-            nok_pager::codec::put_u16(&mut b, node::HEADER_SIZE + 2, s0);
+            let slots = node::slot_base(&b);
+            let s0 = get_u16(&b, slots);
+            let s1 = get_u16(&b, slots + 2);
+            nok_pager::codec::put_u16(&mut b, slots, s1);
+            nok_pager::codec::put_u16(&mut b, slots + 2, s0);
         }
         let issues = t.verify_structure().unwrap();
         assert!(
@@ -403,12 +436,91 @@ mod tests {
             // Point the first slot near the end of the page so the cell
             // header itself overruns.
             let len = b.len() as u16;
-            nok_pager::codec::put_u16(&mut b, node::HEADER_SIZE, len - 1);
+            let slots = node::slot_base(&b);
+            nok_pager::codec::put_u16(&mut b, slots, len - 1);
         }
         let issues = t.verify_structure().unwrap();
         assert!(
             issues.iter().any(|i| i.detail.contains("overruns")),
             "expected an overrun issue, got {issues:?}"
         );
+    }
+
+    /// A bulk-loaded tree and a leaf of it with a non-empty prefix and at
+    /// least two cells.
+    fn prefixed_leaf() -> (BTree<MemStorage>, PageId) {
+        let pool = Arc::new(BufferPool::new(MemStorage::with_page_size(256)));
+        let pairs: Vec<_> = (0..1000u32).map(|i| (key_of(i), b"v".to_vec())).collect();
+        let t = BTree::bulk_load(pool, pairs, 0.9).unwrap();
+        assert!(t.verify_structure().unwrap().is_empty());
+        let leaf = (1..t.pool.page_count())
+            .find(|&p| {
+                let b = t.pool.image(p).unwrap();
+                node::is_leaf(&b) && node::ncells(&b) >= 2 && node::leaf_prefix(&b).len() >= 2
+            })
+            .expect("some leaf has a prefix");
+        (t, leaf)
+    }
+
+    fn has(issues: &[Issue], needle: &str) -> bool {
+        issues.iter().any(|i| i.detail.contains(needle))
+    }
+
+    #[test]
+    fn prefix_that_is_not_a_prefix_of_both_fences_is_reported() {
+        let (t, leaf) = prefixed_leaf();
+        {
+            let h = t.pool.get(leaf).unwrap();
+            let mut b = h.write();
+            // The prefix's first byte, a digit, becomes one no fence has.
+            b[node::LEAF_HEADER_SIZE] = b'9';
+        }
+        let issues = t.verify_structure().unwrap();
+        assert!(
+            has(&issues, "not a prefix of both fences"),
+            "expected a prefix issue, got {issues:?}"
+        );
+    }
+
+    #[test]
+    fn cell_header_or_suffix_overrunning_the_cell_area_is_reported() {
+        let (t, leaf) = prefixed_leaf();
+        {
+            let h = t.pool.get(leaf).unwrap();
+            let mut b = h.write();
+            // An escape head whose suffix length runs past the page.
+            let off = get_u16(&b, node::slot_base(&b)) as usize;
+            b[off] = node::ESCAPE;
+            b[off + 1] = 0x7F;
+            b[off + 2] = 0x7F;
+        }
+        let issues = t.verify_structure().unwrap();
+        assert!(
+            has(&issues, "overruns the cell area"),
+            "expected an overrun issue, got {issues:?}"
+        );
+        // The scan still reads the damaged leaf without panicking.
+        assert!(t.iter_all().unwrap().count() > 0);
+    }
+
+    #[test]
+    fn reconstructed_key_outside_the_fences_is_reported() {
+        let (t, leaf) = prefixed_leaf();
+        {
+            let h = t.pool.get(leaf).unwrap();
+            let mut b = h.write();
+            // The last cell's suffix starts with a byte above every digit:
+            // prefix ++ suffix now sorts past the leaf's upper fence.
+            let n = node::ncells(&b);
+            let off = get_u16(&b, node::slot_base(&b) + 2 * (n - 1)) as usize;
+            assert!(b[off] >> 4 > 0, "the last cell has a suffix");
+            b[off + 1] = 0xFF;
+        }
+        let issues = t.verify_structure().unwrap();
+        assert!(
+            has(&issues, "above its separator bound"),
+            "expected a bound issue, got {issues:?}"
+        );
+        assert!(!has(&issues, "not a prefix of both fences"), "{issues:?}");
     }
 }

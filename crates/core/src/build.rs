@@ -573,10 +573,10 @@ impl<S: Storage> XmlDb<S> {
         use std::ops::Bound;
         let lo = tag.to_key();
         let code = u16::from_be_bytes(lo);
-        let hi = if code == u16::MAX {
-            Bound::Unbounded
-        } else {
-            Bound::Excluded((code + 1).to_be_bytes().to_vec())
+        let next = code.checked_add(1).map(u16::to_be_bytes);
+        let hi = match &next {
+            Some(next) => Bound::Excluded(&next[..]),
+            None => Bound::Unbounded,
         };
         let mut out = Vec::new();
         for item in self.bt_tag.range(Bound::Included(&lo[..]), hi)? {
@@ -865,7 +865,7 @@ mod tests {
         // The superblock names the page format, and nothing is left of the
         // temp file it was written through.
         let sb = std::fs::read(dir.join(F_SUPER)).unwrap();
-        assert_eq!(sb, b"NOKSUPER\x00\x01\x03");
+        assert_eq!(sb, b"NOKSUPER\x00\x01\x04");
         assert!(!dir.join(format!("{F_SUPER}.tmp")).exists());
         {
             let db = XmlDb::open_dir(&dir).unwrap();
@@ -904,8 +904,9 @@ mod tests {
     }
 
     /// Format 0 (the retired byte-per-entry pages), format 1 (fixed-width
-    /// index entries), format 2 (LEB128 tag codes), an unknown format byte
-    /// and a damaged superblock are each refused by name.
+    /// index entries), format 2 (LEB128 tag codes), format 3 (B+tree leaves
+    /// of whole keys), an unknown format byte and a damaged superblock are
+    /// each refused by name.
     #[test]
     fn other_format_or_damaged_superblock_is_refused() {
         let dir = std::env::temp_dir().join(format!("nok-badsuper-{}", std::process::id()));
@@ -914,7 +915,7 @@ mod tests {
             XmlDb::create_on_disk(&dir, BIB).unwrap();
         }
         let good = std::fs::read(dir.join(F_SUPER)).unwrap();
-        for format in [0u8, 1, 2, 9] {
+        for format in [0u8, 1, 2, 3, 9] {
             let mut sb = good.clone();
             sb[10] = format;
             std::fs::write(dir.join(F_SUPER), sb).unwrap();
@@ -923,6 +924,7 @@ mod tests {
                 matches!(e, CoreError::UnsupportedFormat(SuperblockError::Format(f)) if f == format),
                 "{e}"
             );
+            assert!(e.to_string().contains("rebuild"), "{e}");
         }
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';

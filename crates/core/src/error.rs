@@ -53,7 +53,8 @@ pub enum SuperblockError {
     Damaged,
     /// A wellformed superblock naming another format (0 is the retired
     /// byte-per-entry page encoding, 1 the retired fixed-width index
-    /// entries, 2 the retired LEB128 tag codes).
+    /// entries, 2 the retired LEB128 tag codes, 3 the retired B+tree leaves
+    /// with whole keys and 6-byte cell headers).
     Format(u8),
 }
 
@@ -70,6 +71,12 @@ impl fmt::Display for SuperblockError {
             }
             SuperblockError::Format(2) => {
                 write!(f, "super.blk names format 2 (LEB128 tag codes)")
+            }
+            SuperblockError::Format(3) => {
+                write!(
+                    f,
+                    "super.blk names format 3 (B+tree leaves with whole keys)"
+                )
             }
             SuperblockError::Format(b) => write!(f, "super.blk names unknown page format {b}"),
         }
@@ -91,7 +98,7 @@ impl fmt::Display for CoreError {
                 f,
                 "unsupported database format: {why}; this build reads only format {} \
                  (bit-packed pages with fixed-width tag codes, variable-length index \
-                 entries) and upgrades \
+                 entries in prefix-truncated B+tree leaves) and upgrades \
                  nothing in place: rebuild the directory from its XML source",
                 crate::page::FORMAT_BYTE
             ),

@@ -44,15 +44,16 @@
 //! superblock records it, together with the index entry layout of
 //! [`crate::physical`] and [`crate::dewey`], as [`FORMAT_BYTE`]; a
 //! directory naming any other format (0 was a byte-per-entry page
-//! encoding, 1 fixed-width index entries, 2 LEB128 tag codes; none is read
-//! or written any more) is refused at open with
+//! encoding, 1 fixed-width index entries, 2 LEB128 tag codes, 3 B+tree
+//! leaves of whole keys under 6-byte cell headers; none is read or written
+//! any more) is refused at open with
 //! [`crate::error::SuperblockError`].
 
 use crate::sigma::TagCode;
 
-/// The byte the database superblock stores for this page format and the
-/// variable-length index entries.
-pub const FORMAT_BYTE: u8 = 3;
+/// The byte the database superblock stores for this page format, the
+/// variable-length index entries and the B+tree leaf layout they lie in.
+pub const FORMAT_BYTE: u8 = 4;
 
 /// The structure page format, as a type with exactly one value. It selects
 /// nothing: it exists so [`crate::store::BuildOptions::backend`], which
@@ -1075,7 +1076,7 @@ mod tests {
     /// on-disk and report formats: pin both.
     #[test]
     fn format_byte_and_reported_name_are_pinned() {
-        assert_eq!(FORMAT_BYTE, 3);
+        assert_eq!(FORMAT_BYTE, 4);
         assert_eq!(format!("{:?}", Succinct), "Succinct");
     }
 }

@@ -623,7 +623,7 @@ impl<S: Storage> XmlDb<S> {
         let mut count = 0u64;
         let postings = self
             .bt_val
-            .range(Bound::Included(&key[..]), Bound::Included(key.to_vec()))?;
+            .range(Bound::Included(&key[..]), Bound::Included(&key[..]))?;
         for posting in postings.take(usize::try_from(limit).unwrap_or(usize::MAX)) {
             read.push(posting?.1);
             count += 1;

@@ -351,7 +351,7 @@ impl<S: Storage> XmlDb<S> {
                     let mut shared = false;
                     for posting in self
                         .bt_val
-                        .range(Bound::Included(&h), Bound::Included(h.to_vec()))?
+                        .range(Bound::Included(&h), Bound::Included(&h))?
                     {
                         if let Some(other) = self.bt_id.get_first(&posting?.1)? {
                             if IdRecord::from_bytes(&other)?.value.map(|(o, _)| o) == Some(off) {

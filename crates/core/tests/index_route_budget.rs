@@ -48,21 +48,21 @@ const BUDGET: [(&str, [u64; 5]); 17] = [
     ),
     (
         r#"/dblp/article[keyword="needle-mod"]/author"#,
-        [0, 3, 80, 1194, 314],
+        [0, 2, 80, 1194, 314],
     ),
     (
         r#"//article[keyword="needle-mod"]/author"#,
-        [0, 3, 80, 1194, 314],
+        [0, 2, 80, 1194, 314],
     ),
     ("/dblp/article/uncommonitem/subitem", [2, 0, 0, 160, 160]),
     ("//article/uncommonitem/subitem", [2, 0, 0, 1194, 240]),
     (
         r#"/dblp/article[keyword="needle-mod"][note="needle-mod"]"#,
-        [0, 6, 80, 1194, 240],
+        [0, 4, 80, 1194, 240],
     ),
     (
         r#"//article[keyword="needle-mod"][note="needle-mod"]"#,
-        [0, 6, 80, 1194, 240],
+        [0, 4, 80, 1194, 240],
     ),
     (
         "/dblp/article[uncommonitem][author][title]",

@@ -650,16 +650,51 @@ fn btree_page_corruption_is_flagged() {
         let page = tag_pool.get(root).unwrap();
         let mut buf = page.write();
         // Swap the first and last slots: the keys differ (several distinct
-        // tags), so the leaf's key order breaks.
+        // tags), so the leaf's key order breaks. A lone leaf has an empty
+        // prefix, so its slots start after the 10-byte leaf header.
         let ncells = get_u16(&buf, 1) as usize;
         assert!(ncells >= 2);
-        let a = get_u16(&buf, 9);
-        let b = get_u16(&buf, 9 + 2 * (ncells - 1));
-        put_u16(&mut buf, 9, b);
-        put_u16(&mut buf, 9 + 2 * (ncells - 1), a);
+        assert_eq!(buf[9], 0, "empty prefix");
+        let a = get_u16(&buf, 10);
+        let b = get_u16(&buf, 10 + 2 * (ncells - 1));
+        put_u16(&mut buf, 10, b);
+        put_u16(&mut buf, 10 + 2 * (ncells - 1), a);
     }
     let rep = verify_db(&db, VerifyOptions::default());
     assert!(rep.has_kind("btree-structure"), "{rep}");
+}
+
+/// A B+t leaf cell whose header claims more bytes than the page holds is
+/// reported, and the entry-level checks that scan the tree afterwards read
+/// the damaged cell as empty instead of panicking.
+#[test]
+fn btree_cell_overrunning_its_page_is_flagged_not_panicking() {
+    let mk = || Arc::new(BufferPool::new(MemStorage::new()));
+    let tag_pool = mk();
+    let db = XmlDb::build_with_pools(
+        BIB,
+        BuildOptions::default(),
+        mk(),
+        Arc::clone(&tag_pool),
+        mk(),
+        mk(),
+        DataFile::in_memory(),
+    )
+    .unwrap();
+    let root = nok_pager::codec::get_u32(&tag_pool.image(0).unwrap(), 4);
+    {
+        let page = tag_pool.get(root).unwrap();
+        let mut buf = page.write();
+        // The lone leaf's first slot (after its 10-byte header and empty
+        // prefix) points at a cell; its head becomes 14 + 14 bytes at the
+        // page's last byte.
+        let last = buf.len() - 1;
+        buf[last] = 0xEE;
+        put_u16(&mut buf, 10, last as u16);
+    }
+    let rep = verify_db(&db, VerifyOptions::default());
+    assert!(rep.has_kind("btree-structure"), "{rep}");
+    assert!(rep.to_string().contains("overruns the cell area"), "{rep}");
 }
 
 #[test]
