@@ -25,8 +25,7 @@ pub struct LockClass {
 /// Field-name → lock-class table. Classification is by the *last field
 /// segment* of the receiver/argument (`self.dir` → `dir`,
 /// `self.shards[i]` → `shards`) plus the crate the code lives in, because
-/// one field name can mean different locks in different crates (`data` is
-/// the data-file mutex in `core` and the frame payload in `pager`).
+/// one field name can mean different locks in different crates.
 struct LockEntry {
     field: &'static str,
     /// `None` = any crate.
@@ -70,6 +69,10 @@ pub const CORE_WAL: LockClass = LockClass {
     name: "core.wal",
     rank: 28,
 };
+/// The data file's dedup table (`DataFile.dedup` in `core::values`): the
+/// value-hash table, and the appends and tombstones that change it. Value
+/// reads go through the pool without it; a holder reads pages (pool locks
+/// nest inside).
 pub const CORE_DATA_FILE: LockClass = LockClass {
     name: "core.data_file",
     rank: 30,
@@ -151,7 +154,7 @@ const LOCK_TABLE: &[LockEntry] = &[
         class: CORE_WAL,
     },
     LockEntry {
-        field: "data",
+        field: "dedup",
         in_crate: Some("core"),
         class: CORE_DATA_FILE,
     },
@@ -215,11 +218,11 @@ pub fn helper_mode(name: &str) -> Option<AcqMode> {
 }
 
 /// Guard-returning methods: `recv.lock()/.read()/.write()` classify by the
-/// receiver field; `lock_data()` is the DataFile mutex helper trait.
+/// receiver field.
 pub fn method_mode(name: &str) -> Option<AcqMode> {
     match name {
         "read" => Some(AcqMode::Read),
-        "write" | "lock" | "lock_data" => Some(AcqMode::Write),
+        "write" | "lock" => Some(AcqMode::Write),
         _ => None,
     }
 }
@@ -230,6 +233,7 @@ pub fn method_mode(name: &str) -> Option<AcqMode> {
 pub fn guard_returning_fn(name: &str) -> Option<LockClass> {
     match name {
         "dir_mut" => Some(CORE_DIRECTORY),
+        "lock_dedup" => Some(CORE_DATA_FILE),
         // `db.snapshot()` / `source.snapshot()` return a pinned
         // `SnapshotGuard`-backed view: the caller holds the epoch pin for
         // as long as the binding lives.
@@ -394,7 +398,7 @@ mod tests {
     #[test]
     fn field_classification_is_crate_sensitive() {
         assert_eq!(
-            lock_for_field("core", "data").map(|c| c.name),
+            lock_for_field("core", "dedup").map(|c| c.name),
             Some("core.data_file")
         );
         assert_eq!(

@@ -221,7 +221,7 @@ const PASS: &[PassFixture] = &[
         // would be an inversion.
         name: "sequential statement guards do not overlap",
         path: "crates/core/src/store.rs",
-        source: "impl StructStore {\n    fn invalidate(&self) {\n        self.data.lock_data().clear();\n        *wr(&self.dir) = Directory::new();\n    }\n}\n",
+        source: "impl StructStore {\n    fn invalidate(&self) {\n        self.dedup.lock().clear();\n        *wr(&self.dir) = Directory::new();\n    }\n}\n",
     },
     PassFixture {
         name: "relaxed on an exempt statistics counter",

@@ -14,7 +14,6 @@
 //!   document-order sorting are id comparisons, and each node stores the
 //!   id of the last node in its subtree.
 
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -59,7 +58,7 @@ struct NodeRec {
 pub struct NavDomEngine<S: Storage = MemStorage> {
     pool: Arc<BufferPool<S>>,
     dict: TagDict,
-    data: RefCell<DataFile>,
+    data: DataFile<S>,
     bt_tag: BTree<S>,
     bt_val: BTree<S>,
     node_count: u32,
@@ -72,7 +71,8 @@ impl NavDomEngine<MemStorage> {
         let pool = Arc::new(BufferPool::new(MemStorage::new()));
         let tag_pool = Arc::new(BufferPool::new(MemStorage::new()));
         let val_pool = Arc::new(BufferPool::new(MemStorage::new()));
-        Self::build(xml, pool, tag_pool, val_pool, DataFile::in_memory())
+        let data = DataFile::create(Arc::new(BufferPool::new(MemStorage::new())))?;
+        Self::build(xml, pool, tag_pool, val_pool, data)
     }
 }
 
@@ -83,7 +83,7 @@ impl<S: Storage> NavDomEngine<S> {
         pool: Arc<BufferPool<S>>,
         tag_pool: Arc<BufferPool<S>>,
         val_pool: Arc<BufferPool<S>>,
-        mut data: DataFile,
+        mut data: DataFile<S>,
     ) -> CoreResult<Self> {
         let records_per_page = pool.page_size() / RECORD_SIZE;
         let mut dict = TagDict::new();
@@ -189,7 +189,7 @@ impl<S: Storage> NavDomEngine<S> {
         Ok(NavDomEngine {
             pool,
             dict,
-            data: RefCell::new(data),
+            data,
             bt_tag,
             bt_val,
             node_count,
@@ -222,7 +222,7 @@ impl<S: Storage> NavDomEngine<S> {
 
     fn value_of(&self, rec: &NodeRec) -> CoreResult<Option<String>> {
         match rec.value {
-            Some((off, _)) => Ok(Some(self.data.borrow_mut().get_record(off)?)),
+            Some((off, _)) => Ok(Some(self.data.get_record(off)?)),
             None => Ok(None),
         }
     }

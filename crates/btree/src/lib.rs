@@ -276,7 +276,7 @@ impl<S: Storage> BTree<S> {
                     "leaf {page_id}: a key routed to it lacks its prefix"
                 )));
             }
-            if node::free_space(&buf) >= node::leaf_need(&buf, key, value) {
+            if node::fits(&buf, node::leaf_need(&buf, key, value)) {
                 let pos = node::upper_bound(&buf, key);
                 node::leaf_insert(&mut buf, pos, key, value);
                 drop(buf);
@@ -607,7 +607,7 @@ impl<S: Storage> BTree<S> {
             let size = node::internal_cell_size(&sep);
             {
                 let mut buf = parent.write();
-                if node::free_space(&buf) >= size + 2 {
+                if node::fits(&buf, size + 2) {
                     node::internal_insert(&mut buf, child_idx, &sep, new_child);
                     return Ok(());
                 }

@@ -26,10 +26,12 @@
 //!   separator (smallest key that routes to `child`).
 //!
 //! A lookup compares its probe with the prefix once and then binary-searches
-//! the suffixes where they lie. Deletion compacts the cell area immediately;
-//! pages are small enough that the copy is cheap and it keeps free-space
-//! accounting trivial. Leaf reads never panic: a cell that does not lie in
-//! the page reads as empty, and [`crate::verify`] reports it.
+//! the suffixes where they lie. Deletion drops the cell's slot and leaves its
+//! bytes where they lie, so a delete changes only the header and the slot
+//! array (the page's log delta); an insert that finds the gap between the
+//! slots and the cells too short, but the page's free bytes enough,
+//! compacts the cell area first. Leaf reads never panic: a cell that does
+//! not lie in the page reads as empty, and [`crate::verify`] reports it.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -122,14 +124,27 @@ pub(crate) fn cell_offset(buf: &[u8], i: usize) -> usize {
 
 /// Is cell `i` the one this node received last? Cells are laid down from
 /// the page end in arrival order, so that is the lowest one (after a
-/// rebuild — [`remove`], [`write_leaf`] — the last slot's).
+/// rebuild — a compaction, [`write_leaf`] — the last slot's).
 pub fn is_newest_cell(buf: &[u8], i: usize) -> bool {
     cell_offset(buf, i) == cell_start(buf)
 }
 
-/// Free bytes available for one more cell + slot.
-pub fn free_space(buf: &[u8]) -> usize {
+/// Bytes between the slot array and the lowest cell: what an insert can
+/// take without compacting.
+fn gap(buf: &[u8]) -> usize {
     cell_start(buf).saturating_sub(slot_base(buf) + 2 * ncells(buf))
+}
+
+/// Free bytes for cells and slots: the gap plus the holes deletes left.
+pub fn free_space(buf: &[u8]) -> usize {
+    let cells: usize = (0..ncells(buf)).map(|i| raw_cell(buf, i).len()).sum();
+    (buf.len() - cell_start(buf)).saturating_sub(cells) + gap(buf)
+}
+
+/// Does a cell and slot of `need` bytes fit, compacting if it must? The
+/// gap is read first: only a page with too short a gap sums its cells.
+pub fn fits(buf: &[u8], need: usize) -> bool {
+    gap(buf) >= need || free_space(buf) >= need
 }
 
 /// Bytes of a leaf cell's head for a suffix of `slen` and a value of
@@ -326,11 +341,13 @@ pub fn leaf_need(buf: &[u8], key: &[u8], value: &[u8]) -> usize {
 }
 
 /// Insert a leaf cell at slot position `pos`. `key` starts with the leaf's
-/// prefix, and the caller has verified `free_space >= leaf_need`. Only the
-/// new cell, the slot array and the header change.
+/// prefix, and the caller has verified that `leaf_need` [`fits`]. Only the
+/// new cell, the slot array and the header change, unless the gap was too
+/// short and the cell area was compacted first.
 pub fn leaf_insert(buf: &mut [u8], pos: usize, key: &[u8], value: &[u8]) {
     let plen = leaf_prefix(buf).len();
     debug_assert!(key.starts_with(leaf_prefix(buf)));
+    make_gap(buf, leaf_cell_size(key.len() - plen, value.len()) + 2);
     let start = put_leaf_cell(buf, [&[], &key[plen..]], value);
     insert_slot(buf, pos, start as u16);
 }
@@ -357,9 +374,11 @@ fn put_leaf_cell(buf: &mut [u8], suffix: [&[u8]; 2], value: &[u8]) -> usize {
     start
 }
 
-/// Insert an internal cell `(key, child)` at slot position `pos`.
+/// Insert an internal cell `(key, child)` at slot position `pos` (the
+/// caller has verified that it [`fits`]).
 pub fn internal_insert(buf: &mut [u8], pos: usize, key: &[u8], child: u32) {
     let size = internal_cell_size(key);
+    make_gap(buf, size + 2);
     let start = cell_start(buf) - size;
     put_u16(buf, start, key.len() as u16);
     put_u32(buf, start + 2, child);
@@ -378,12 +397,29 @@ fn insert_slot(buf: &mut [u8], pos: usize, cell_off: u16) {
     put_u16(buf, OFF_NCELLS, (n + 1) as u16);
 }
 
-/// Remove cell `pos`, compacting the cell area. A leaf keeps its prefix.
+/// Compact the cell area when the gap is shorter than `need` bytes.
+fn make_gap(buf: &mut [u8], need: usize) {
+    if gap(buf) < need {
+        let old = buf.to_vec();
+        clear_cells(buf);
+        for i in 0..ncells(&old) {
+            append_raw(buf, raw_cell(&old, i));
+        }
+    }
+}
+
+/// Remove cell `pos`: its slot goes, its bytes stay where they lie as a
+/// hole, so only the header and the slot array change. The lowest cell's
+/// bytes rejoin the gap.
 pub fn remove(buf: &mut [u8], pos: usize) {
-    let old = buf.to_vec();
-    clear_cells(buf);
-    for i in (0..ncells(&old)).filter(|&i| i != pos) {
-        append_raw(buf, raw_cell(&old, i));
+    let n = ncells(buf);
+    debug_assert!(pos < n);
+    let (off, len) = (cell_offset(buf, pos), raw_cell(buf, pos).len());
+    let base = slot_base(buf);
+    buf.copy_within(base + 2 * pos + 2..base + 2 * n, base + 2 * pos);
+    put_u16(buf, OFF_NCELLS, (n - 1) as u16);
+    if off == cell_start(buf) {
+        put_u16(buf, OFF_CELL_START, (off + len) as u16);
     }
 }
 
@@ -689,6 +725,59 @@ mod tests {
         assert_eq!(leaf_key(&buf, 1), b"xc");
         assert_eq!(leaf_value(&buf, 1), b"3");
         assert!(free_space(&buf) > free_before);
+    }
+
+    /// The twin of the insert test: a delete changes only the header and
+    /// the slot array, and the next insert that needs the hole compacts.
+    #[test]
+    fn delete_changes_only_the_header_and_the_slots() {
+        let mut buf = leaf_with_prefix(512, b"pre");
+        for i in 0..20u8 {
+            leaf_insert(&mut buf, i as usize, &[b'p', b'r', b'e', i * 2], &[i; 5]);
+        }
+        let keys = |buf: &[u8]| {
+            (0..ncells(buf))
+                .map(|i| leaf_key(buf, i))
+                .collect::<Vec<_>>()
+        };
+        let mut want = keys(&buf);
+        let (before, free) = (buf.clone(), free_space(&buf));
+        let slots = slot_base(&buf)..slot_base(&buf) + 2 * ncells(&buf);
+        remove(&mut buf, 7);
+        want.remove(7);
+        let changed: Vec<usize> = (0..buf.len()).filter(|&i| buf[i] != before[i]).collect();
+        assert!(!changed.is_empty());
+        for i in changed {
+            assert!(
+                i < HEADER_SIZE || slots.contains(&i),
+                "byte {i} changed outside the header and slots {slots:?}"
+            );
+        }
+        assert_eq!(keys(&buf), want);
+        assert_eq!(free_space(&buf), free + leaf_cell_size(1, 5) + 2);
+        // Removing the newest cell returns its bytes to the gap.
+        let newest = (0..ncells(&buf))
+            .find(|&i| is_newest_cell(&buf, i))
+            .unwrap();
+        let start = cell_start(&buf);
+        remove(&mut buf, newest);
+        want.remove(newest);
+        assert_eq!(cell_start(&buf), start + leaf_cell_size(1, 5));
+        // Fill the gap, then insert what only the hole leaves room for.
+        let mut k = 0u8;
+        while gap(&buf) >= leaf_cell_size(1, 5) + 2 {
+            let key = [b'p', b'r', b'e', 100 + k];
+            let n = ncells(&buf);
+            leaf_insert(&mut buf, n, &key, &[k; 5]);
+            want.push(key.to_vec());
+            k += 1;
+        }
+        assert!(fits(&buf, leaf_cell_size(1, 5) + 2));
+        leaf_insert(&mut buf, 0, b"pre\x00", &[7; 5]);
+        want.insert(0, b"pre\x00".to_vec());
+        assert_eq!(keys(&buf), want);
+        assert_eq!(leaf_value(&buf, 0), [7; 5]);
+        assert!(!fits(&buf, free_space(&buf) + 1));
     }
 
     #[test]

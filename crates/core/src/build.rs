@@ -1,6 +1,7 @@
 //! [`XmlDb`]: the assembled storage system — succinct structural store,
 //! detached value file, and the three B+ tree indexes of Figure 3 — with
-//! constructors for in-memory and on-disk instances.
+//! constructors for in-memory and on-disk instances. All five are paged
+//! components of one durability protocol: the write-ahead log below.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +25,7 @@ use crate::sigma::{TagCode, TagDict};
 use crate::snapshot::{initial_generations, DbGeneration};
 use crate::store::{BuildOptions, BuildSink, NodeRecord, StructStore};
 use crate::synopsis::Synopsis;
-use crate::values::{hash_value, DataFile, LockDataFile};
+use crate::values::{hash_value, DataFile};
 
 /// A complete XML database instance over one document.
 pub struct XmlDb<S: Storage> {
@@ -33,8 +34,9 @@ pub struct XmlDb<S: Storage> {
     /// updates intern through `Arc::make_mut` (copy-on-write when a pinned
     /// snapshot still shares it).
     pub(crate) dict: Arc<TagDict>,
-    /// Value data file, shared with every snapshot view of this database.
-    pub(crate) data: Arc<Mutex<DataFile>>,
+    /// Value data file; a snapshot view holds a handle on its pages at the
+    /// view's generation.
+    pub(crate) data: DataFile<S>,
     /// B+t: tag code → postings (document order).
     pub(crate) bt_tag: BTree<S>,
     /// B+v: value hash → dewey keys.
@@ -53,39 +55,39 @@ pub struct XmlDb<S: Storage> {
     /// updates can intern new tags, so `flush` rewrites it.
     pub(crate) dict_path: Option<PathBuf>,
     /// Write-ahead log (durable on-disk databases only). When present,
-    /// every multi-page update commits through it. Behind a lock as the
-    /// data file is: [`XmlDb::flush`] checkpoints it through `&self`.
+    /// every multi-page update commits through it. Behind a lock:
+    /// [`XmlDb::flush`] checkpoints it through `&self`.
     pub(crate) wal: Option<Mutex<Wal>>,
     /// What recovery found when this database was opened.
     pub(crate) recovery: Option<RecoveryReport>,
-    /// Data-file offsets tombstoned by the update in flight; applied (and
-    /// logged) at commit, discarded on rollback.
-    pub(crate) pending_dead: Vec<u64>,
     /// Published MVCC generations (see [`crate::snapshot`]). Shared with
     /// snapshot views so their stats and re-pins reach the live table.
     pub(crate) gens: Arc<GenerationTable<DbGeneration>>,
 }
 
 /// Collects node/value records during the build for index construction.
-struct IndexSink {
+struct IndexSink<S: Storage> {
     nodes: Vec<NodeRecord>,
     /// `(dewey, data-file offset, len, value hash)` per valued node, in
     /// close order.
     values: Vec<(Dewey, u64, u32, u64)>,
-    data: DataFile,
+    data: DataFile<S>,
+    /// The first data-file error, surfaced once the build returns.
+    failed: Option<CoreError>,
 }
 
-impl BuildSink for IndexSink {
+impl<S: Storage> BuildSink for IndexSink<S> {
     fn node(&mut self, rec: NodeRecord) {
         self.nodes.push(rec);
     }
 
     fn value(&mut self, dewey: &Dewey, text: &str) {
-        // Data-file errors are deferred: an in-memory put cannot fail, and
-        // file-backed puts surface their error on the next sync.
         let h = hash_value(text);
-        if let Ok((off, len)) = self.data.put_hashed(text, h) {
-            self.values.push((dewey.clone(), off, len, h));
+        match self.data.put_hashed(text, h) {
+            Ok((off, len)) => self.values.push((dewey.clone(), off, len, h)),
+            Err(e) => {
+                self.failed.get_or_insert(e);
+            }
         }
     }
 }
@@ -115,7 +117,7 @@ impl XmlDb<MemStorage> {
             mk(),
             mk(),
             mk(),
-            DataFile::in_memory(),
+            mk(),
         )
     }
 }
@@ -138,7 +140,7 @@ const CHECKPOINT_LOG_BYTES: u64 = 1 << 20;
 
 /// Paged component files in WAL component order (the `comp` byte of a
 /// [`WalRecord::PageImage`] or [`WalRecord::PageDelta`] indexes this array).
-pub(crate) const COMPONENT_FILES: [&str; 4] = [F_STRUCT, F_TAG, F_VAL, F_ID];
+pub(crate) const COMPONENT_FILES: [&str; 5] = [F_STRUCT, F_TAG, F_VAL, F_ID, F_DATA];
 
 /// Magic prefix of the database superblock.
 const SUPER_MAGIC: &[u8; 8] = b"NOKSUPER";
@@ -222,13 +224,12 @@ impl XmlDb<FileStorage> {
             mk(F_TAG)?,
             mk(F_VAL)?,
             mk(F_ID)?,
-            DataFile::in_memory(),
+            mk(F_DATA)?,
         )?;
-        db.data.lock_data().persist_new(dir.join(F_DATA))?;
         db.dict_path = Some(dir.join(F_DICT));
         db.stats_path = Some(dir.join(F_STATS));
-        // The first checkpoint seeds the log with its baseline, so the
-        // first crash-recovery pass knows the committed data-file length.
+        // The first checkpoint writes every page home and seeds the log
+        // with its baseline.
         db.wal = Some(Mutex::new(Wal::open_or_create(dir.join(F_WAL))?));
         db.flush()?;
         Ok(db)
@@ -276,7 +277,7 @@ impl<S: Storage> XmlDb<S> {
         let bt_tag = BTree::open(mk(F_TAG)?)?;
         let bt_val = BTree::open(mk(F_VAL)?)?;
         let bt_id = BTree::open(mk(F_ID)?)?;
-        let data = DataFile::open(dir.join(F_DATA))?;
+        let data = DataFile::open(mk(F_DATA)?)?;
         let dict_bytes = std::fs::read(dir.join(F_DICT)).map_err(nok_pager::PagerError::from)?;
         let dict = TagDict::from_bytes(&dict_bytes)
             .ok_or_else(|| CoreError::Corrupt("bad tag dictionary".into()))?;
@@ -317,6 +318,7 @@ impl<S: Storage> XmlDb<S> {
                 Arc::clone(bt_tag.pool_rc().capture_cell()),
                 Arc::clone(bt_val.pool_rc().capture_cell()),
                 Arc::clone(bt_id.pool_rc().capture_cell()),
+                Arc::clone(data.pool().capture_cell()),
             ],
             store.dir_arc(),
             store.node_count(),
@@ -332,7 +334,7 @@ impl<S: Storage> XmlDb<S> {
         let db = XmlDb {
             store,
             dict,
-            data: Arc::new(Mutex::new(data)),
+            data,
             bt_tag,
             bt_val,
             bt_id,
@@ -342,7 +344,6 @@ impl<S: Storage> XmlDb<S> {
             dict_path: Some(dir.join(F_DICT)),
             wal: Some(Mutex::new(wal)),
             recovery: Some(report),
-            pending_dead: Vec::new(),
             gens,
         };
         if stats_stale {
@@ -351,7 +352,8 @@ impl<S: Storage> XmlDb<S> {
         Ok(db)
     }
 
-    /// Build from XML text given pre-created pools (one per component).
+    /// Build from XML text given pre-created empty pools (one per
+    /// component, the data file's last).
     pub fn build_with_pools(
         xml: &str,
         opts: BuildOptions,
@@ -359,13 +361,14 @@ impl<S: Storage> XmlDb<S> {
         tag_pool: Arc<BufferPool<S>>,
         val_pool: Arc<BufferPool<S>>,
         id_pool: Arc<BufferPool<S>>,
-        data: DataFile,
+        data_pool: Arc<BufferPool<S>>,
     ) -> CoreResult<Self> {
         let mut dict = TagDict::new();
         let mut sink = IndexSink {
             nodes: Vec::new(),
             values: Vec::new(),
-            data,
+            data: DataFile::create(data_pool)?,
+            failed: None,
         };
         let store = StructStore::build(
             struct_pool,
@@ -374,7 +377,9 @@ impl<S: Storage> XmlDb<S> {
             opts,
             &mut sink,
         )?;
-        sink.data.sync()?;
+        if let Some(e) = sink.failed {
+            return Err(e);
+        }
 
         // ---- B+i: dewey → IdRecord, bulk-loaded in document (= key) order.
         let mut value_by_dewey: Vec<(Vec<u8>, (u64, u32))> = sink
@@ -441,6 +446,7 @@ impl<S: Storage> XmlDb<S> {
                 Arc::clone(bt_tag.pool_rc().capture_cell()),
                 Arc::clone(bt_val.pool_rc().capture_cell()),
                 Arc::clone(bt_id.pool_rc().capture_cell()),
+                Arc::clone(sink.data.pool().capture_cell()),
             ],
             store.dir_arc(),
             store.node_count(),
@@ -456,7 +462,7 @@ impl<S: Storage> XmlDb<S> {
         Ok(XmlDb {
             store,
             dict,
-            data: Arc::new(Mutex::new(sink.data)),
+            data: sink.data,
             bt_tag,
             bt_val,
             bt_id,
@@ -466,7 +472,6 @@ impl<S: Storage> XmlDb<S> {
             dict_path: None,
             wal: None,
             recovery: None,
-            pending_dead: Vec::new(),
             gens,
         })
     }
@@ -496,9 +501,8 @@ impl<S: Storage> XmlDb<S> {
         &self.bt_id
     }
 
-    /// The value data file (shared mutex, as the physical access layer
-    /// expects).
-    pub fn data_cell(&self) -> &Mutex<DataFile> {
+    /// The value data file.
+    pub fn data_file(&self) -> &DataFile<S> {
         &self.data
     }
 
@@ -536,24 +540,20 @@ impl<S: Storage> XmlDb<S> {
 
     /// Checkpoint: make everything committed so far durable in its home
     /// file, then restart the log at a baseline. The order is the
-    /// contract — `values.dat` synced, the four paged components written
-    /// back and synced, the dictionary and the synopsis persisted, and only
-    /// *then* the log, whose records all of that has just made redundant,
-    /// truncated. Runs when a commit finds the log past
+    /// contract — the five paged components written back and synced, the
+    /// dictionary and the synopsis persisted, and only *then* the log,
+    /// whose records all of that has just made redundant, truncated. Runs
+    /// when a commit finds the log past
     /// [`CHECKPOINT_LOG_BYTES`], when the caller asks, and (in
     /// [`crate::recovery`]'s own form) at the end of a recovery that
     /// replayed anything; a crash anywhere inside it leaves a log that
     /// replays to this state.
     pub fn flush(&self) -> CoreResult<()> {
-        let data_len = {
-            let mut data = self.data.lock_data();
-            data.sync()?;
-            data.len_bytes()
-        };
         self.store.pool().flush()?;
         self.bt_tag.pool().flush()?;
         self.bt_val.pool().flush()?;
         self.bt_id.pool().flush()?;
+        self.data.pool().flush()?;
         if let Some(path) = &self.dict_path {
             persist_file(path, &self.dict.to_bytes())?;
         }
@@ -562,7 +562,7 @@ impl<S: Storage> XmlDb<S> {
             // Poisoning recovered: a `Wal` is a file handle, which a panic
             // elsewhere cannot leave half-updated.
             let mut wal = wal.lock().unwrap_or_else(|e| e.into_inner());
-            wal.checkpoint(&[WalRecord::DataLen(data_len)])?;
+            wal.checkpoint()?;
         }
         Ok(())
     }
@@ -599,15 +599,14 @@ impl<S: Storage> XmlDb<S> {
         self.wal = None;
     }
 
-    /// Route all mutating I/O (log, data file) through a fault-injection
-    /// plan. The paged components are wrapped at open time via
+    /// Route the log's mutating I/O through a fault-injection plan. The
+    /// five paged components are wrapped at open time via
     /// [`XmlDb::open_dir_with`].
     pub fn set_failpoint(&mut self, plan: Arc<FailPlan>) {
         if let Some(wal) = &mut self.wal {
             let wal = wal.get_mut().unwrap_or_else(|e| e.into_inner());
-            wal.set_failpoint(Arc::clone(&plan));
+            wal.set_failpoint(plan);
         }
-        self.data.lock_data().set_failpoint(plan);
     }
 
     // ------------------------------------------------------------------
@@ -616,9 +615,8 @@ impl<S: Storage> XmlDb<S> {
 
     /// Start a multi-page transaction: one no-steal handle per paged
     /// component plus snapshots of the side state the pager cannot roll
-    /// back (data-file length, dictionary, tag counts).
+    /// back (dictionary, tag counts).
     pub(crate) fn txn_begin(&mut self) -> CoreResult<TxnCtx<S>> {
-        self.pending_dead.clear();
         // Arm copy-on-write capture from the first transaction on (the
         // initial bulk build must not capture). Idempotent after that.
         let epoch = self.generation.load(Ordering::Acquire);
@@ -631,19 +629,19 @@ impl<S: Storage> XmlDb<S> {
                 self.bt_tag.pool_rc().begin_txn(),
                 self.bt_val.pool_rc().begin_txn(),
                 self.bt_id.pool_rc().begin_txn(),
+                self.data.pool().begin_txn(),
             ],
-            data_len0: self.data.lock_data().len_bytes(),
             dict0: Arc::clone(&self.dict),
             synopsis0: Arc::clone(&self.synopsis),
         })
     }
 
     /// Commit: write the whole transaction to the log with one fsync (the
-    /// commit point, and the only fsync here) and tombstones to the data
-    /// file unsynced; the pages stay in their pools, owing their home
-    /// files. Past [`CHECKPOINT_LOG_BYTES`] of log, checkpoint. A failure
-    /// before the commit point rolls back; after it, the state is
-    /// recoverable from the log and the caller is told to reopen.
+    /// commit point, and the only fsync here); the pages stay in their
+    /// pools, owing their home files. Past [`CHECKPOINT_LOG_BYTES`] of log,
+    /// checkpoint. A failure before the commit point rolls back; after it,
+    /// the state is recoverable from the log and the caller is told to
+    /// reopen.
     pub(crate) fn txn_commit(&mut self, mut ctx: TxnCtx<S>) -> CoreResult<()> {
         let log_len = match self.txn_commit_log(&ctx) {
             Ok(len) => len,
@@ -658,13 +656,15 @@ impl<S: Storage> XmlDb<S> {
         for h in &mut ctx.handles {
             h.commit();
         }
-        if let Err(e) = self.txn_commit_apply(log_len) {
-            return Err(CoreError::Corrupt(format!(
+        if log_len <= CHECKPOINT_LOG_BYTES {
+            return Ok(());
+        }
+        self.flush().map_err(|e| {
+            CoreError::Corrupt(format!(
                 "commit interrupted after its log record became durable ({e}); \
                  reopen the database to recover"
-            )));
-        }
-        Ok(())
+            ))
+        })
     }
 
     /// Phase 1 of commit: the transaction's log record, with everything
@@ -678,17 +678,6 @@ impl<S: Storage> XmlDb<S> {
             return Ok(0);
         };
         let mut frames = Vec::new();
-        {
-            let mut data = self.data.lock_data();
-            if data.len_bytes() > ctx.data_len0 {
-                let (offset, bytes) = (ctx.data_len0, data.bytes_from(ctx.data_len0)?);
-                WalRecord::DataAppend { offset, bytes }.encode_into(&mut frames);
-            }
-            WalRecord::DataLen(data.len_bytes()).encode_into(&mut frames);
-        }
-        for &off in &self.pending_dead {
-            WalRecord::DataDead(off).encode_into(&mut frames);
-        }
         // Interning takes the dictionary copy-on-write, so a transaction
         // that interned nothing still holds the `Arc` it began with.
         if !Arc::ptr_eq(&self.dict, &ctx.dict0) {
@@ -718,22 +707,6 @@ impl<S: Storage> XmlDb<S> {
         Ok(wal.append_frames(frames, &imaged)?)
     }
 
-    /// Phase 2 of commit: tombstones go to the data file, unsynced. Like
-    /// the pages, they are re-doable from the log, which keeps them until a
-    /// checkpoint — due once the log is past [`CHECKPOINT_LOG_BYTES`] — has
-    /// written back and synced the home files.
-    fn txn_commit_apply(&mut self, log_len: u64) -> CoreResult<()> {
-        let mut data = self.data.lock_data();
-        for off in self.pending_dead.drain(..) {
-            data.mark_dead(off)?;
-        }
-        drop(data);
-        if log_len > CHECKPOINT_LOG_BYTES {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
     /// Roll back after a pre-commit-point failure, folding a rollback
     /// failure into the returned error.
     pub(crate) fn fail_with_rollback(&mut self, mut ctx: TxnCtx<S>, e: CoreError) -> CoreError {
@@ -746,15 +719,16 @@ impl<S: Storage> XmlDb<S> {
         }
     }
 
-    /// Undo an uncommitted transaction: restore the pages it wrote, truncate
-    /// the data file, restore the dictionary and tag counts, and reload the
-    /// in-memory structures derived from the rolled-back pages.
+    /// Undo an uncommitted transaction: restore the pages it wrote (the
+    /// data file's among them), restore the dictionary and tag counts, and
+    /// reload the in-memory structures derived from the rolled-back pages.
     pub(crate) fn txn_rollback(&mut self, ctx: &mut TxnCtx<S>) -> CoreResult<()> {
-        self.pending_dead.clear();
-        for h in &mut ctx.handles {
-            h.abort()?;
-        }
-        self.data.lock_data().truncate_to(ctx.data_len0)?;
+        self.data.roll_back(|| {
+            for h in &mut ctx.handles {
+                h.abort()?;
+            }
+            Ok(())
+        })?;
         self.dict = Arc::clone(&ctx.dict0);
         self.synopsis = Arc::clone(&ctx.synopsis0);
         self.store.reload()?;
@@ -768,8 +742,7 @@ impl<S: Storage> XmlDb<S> {
 /// In-flight transaction state held between [`XmlDb::txn_begin`] and
 /// commit/rollback. Handle order matches [`COMPONENT_FILES`].
 pub(crate) struct TxnCtx<S: Storage> {
-    handles: [TxnHandle<S>; 4],
-    data_len0: u64,
+    handles: [TxnHandle<S>; 5],
     dict0: Arc<TagDict>,
     synopsis0: Arc<Synopsis>,
 }
@@ -812,7 +785,7 @@ mod tests {
         let key = Dewey::from_components(vec![0, 0, 0]).to_key();
         let rec = IdRecord::from_bytes(&db.bt_id.get_first(&key).unwrap().unwrap()).unwrap();
         let (off, _) = rec.value.expect("attribute has a value");
-        assert_eq!(db.data.lock_data().get_record(off).unwrap(), "1994");
+        assert_eq!(db.data.get_record(off).unwrap(), "1994");
     }
 
     #[test]
@@ -865,7 +838,7 @@ mod tests {
         // The superblock names the page format, and nothing is left of the
         // temp file it was written through.
         let sb = std::fs::read(dir.join(F_SUPER)).unwrap();
-        assert_eq!(sb, b"NOKSUPER\x00\x01\x04");
+        assert_eq!(sb, b"NOKSUPER\x00\x01\x05");
         assert!(!dir.join(format!("{F_SUPER}.tmp")).exists());
         {
             let db = XmlDb::open_dir(&dir).unwrap();
@@ -905,8 +878,9 @@ mod tests {
 
     /// Format 0 (the retired byte-per-entry pages), format 1 (fixed-width
     /// index entries), format 2 (LEB128 tag codes), format 3 (B+tree leaves
-    /// of whole keys), an unknown format byte and a damaged superblock are
-    /// each refused by name.
+    /// of whole keys), format 4 (`values.dat` outside the pages), an
+    /// unknown format byte and a damaged superblock are each refused by
+    /// name.
     #[test]
     fn other_format_or_damaged_superblock_is_refused() {
         let dir = std::env::temp_dir().join(format!("nok-badsuper-{}", std::process::id()));
@@ -915,7 +889,7 @@ mod tests {
             XmlDb::create_on_disk(&dir, BIB).unwrap();
         }
         let good = std::fs::read(dir.join(F_SUPER)).unwrap();
-        for format in [0u8, 1, 2, 3, 9] {
+        for format in [0u8, 1, 2, 3, 4, 9] {
             let mut sb = good.clone();
             sb[10] = format;
             std::fs::write(dir.join(F_SUPER), sb).unwrap();

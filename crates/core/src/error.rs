@@ -78,6 +78,9 @@ impl fmt::Display for SuperblockError {
                     "super.blk names format 3 (B+tree leaves with whole keys)"
                 )
             }
+            SuperblockError::Format(4) => {
+                write!(f, "super.blk names format 4 (values.dat outside the pages)")
+            }
             SuperblockError::Format(b) => write!(f, "super.blk names unknown page format {b}"),
         }
     }
@@ -98,7 +101,7 @@ impl fmt::Display for CoreError {
                 f,
                 "unsupported database format: {why}; this build reads only format {} \
                  (bit-packed pages with fixed-width tag codes, variable-length index \
-                 entries in prefix-truncated B+tree leaves) and upgrades \
+                 entries in prefix-truncated B+tree leaves, paged values) and upgrades \
                  nothing in place: rebuild the directory from its XML source",
                 crate::page::FORMAT_BYTE
             ),

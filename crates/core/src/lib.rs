@@ -89,4 +89,3 @@ pub use stats::DocStats;
 pub use store::{BuildOptions, NodeAddr, StructStore};
 pub use stream::{StreamHit, StreamMatcher};
 pub use synopsis::{ChainStates, PathAxis, PathStep, PathTrie, Synopsis, TRIE_NODE_BUDGET};
-pub use values::LockDataFile;

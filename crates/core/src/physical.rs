@@ -4,8 +4,6 @@
 //! traversal (so node values can be fetched through the Dewey B+ tree and
 //! the data file without any ids stored in the structure).
 
-use std::sync::Mutex;
-
 use nok_btree::BTree;
 use nok_pager::Storage;
 
@@ -16,7 +14,7 @@ use crate::nok::TreeAccess;
 use crate::pattern::NameTest;
 use crate::sigma::{TagCode, TagDict};
 use crate::store::{NodeAddr, StructStore};
-use crate::values::{DataFile, LockDataFile};
+use crate::values::DataFile;
 
 /// A physical subject-tree node: its address plus the Dewey id derived on
 /// the way here.
@@ -220,7 +218,7 @@ pub struct PhysAccess<'a, S: Storage> {
     store: &'a StructStore<S>,
     dict: &'a TagDict,
     bt_id: &'a BTree<S>,
-    data: &'a Mutex<DataFile>,
+    data: &'a DataFile<S>,
 }
 
 impl<'a, S: Storage> PhysAccess<'a, S> {
@@ -229,7 +227,7 @@ impl<'a, S: Storage> PhysAccess<'a, S> {
         store: &'a StructStore<S>,
         dict: &'a TagDict,
         bt_id: &'a BTree<S>,
-        data: &'a Mutex<DataFile>,
+        data: &'a DataFile<S>,
     ) -> Self {
         PhysAccess {
             store,
@@ -250,28 +248,22 @@ impl<'a, S: Storage> PhysAccess<'a, S> {
             return Ok(None);
         };
         let rec = IdRecord::from_bytes(&rec)?;
+        // A snapshot's data file reads the record as its generation left
+        // it, before any later tombstone.
         match rec.value {
-            // A snapshot view may reference a record that a later commit
-            // tombstoned; the payload bytes are still intact, so read past
-            // the dead bit. The live path keeps the strict accessor — a
-            // tombstoned record reachable from live indexes is corruption.
-            Some((off, _len)) if self.store.is_view() => {
-                Ok(Some(self.data.lock_data().get_record_any(off)?))
-            }
-            Some((off, _len)) => Ok(Some(self.data.lock_data().get_record(off)?)),
+            Some((off, _len)) => Ok(Some(self.data.get_record(off)?)),
             None => Ok(None),
         }
     }
 
     /// Does the node with this Dewey id carry exactly `literal` as its
-    /// value? Compares the stored bytes (live or tombstoned — a snapshot
-    /// may still reference a record a later commit tombstoned).
+    /// value? Compares the stored bytes.
     pub fn value_equals(&self, dewey: &Dewey, literal: &str) -> CoreResult<bool> {
         let Some(rec) = self.bt_id.get_first(&dewey.to_key())? else {
             return Ok(false);
         };
         match IdRecord::from_bytes(&rec)?.value {
-            Some((off, _len)) => self.data.lock_data().record_equals(off, literal),
+            Some((off, _len)) => self.data.record_equals(off, literal),
             None => Ok(false),
         }
     }

@@ -61,7 +61,7 @@ use crate::plan::{
 };
 use crate::scan::{plan_walks, walk_root, NodeSet, NodeTests, ScanPattern};
 use crate::synopsis::{ChainStates, PathAxis, PathStep, PathTrie};
-use crate::values::{hash_key, LockDataFile};
+use crate::values::hash_key;
 use crate::{QueryOptions, StartStrategy};
 
 // ---- Unit costs, in nanoseconds: measurements of this repository's own
@@ -640,7 +640,7 @@ impl<S: Storage> XmlDb<S> {
         literal: &str,
         mut postings: Cow<'a, [Vec<u8>]>,
     ) -> CoreResult<Cow<'a, [Vec<u8>]>> {
-        let vouched = self.data.lock_data().hash_identifies(literal)?;
+        let vouched = self.data.hash_identifies(literal)?;
         if !vouched {
             let access = PhysAccess::new(&self.store, &self.dict, &self.bt_id, &self.data);
             let mut verified = Vec::with_capacity(postings.len());

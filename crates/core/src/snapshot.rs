@@ -3,9 +3,9 @@
 //! Every committed transaction publishes an immutable [`DbGeneration`]: the
 //! epoch number plus everything a reader needs to see the database exactly
 //! as of that commit — the directory `Arc`, the tag dictionary, the planner
-//! synopsis, the B+ tree roots, and one [`SnapView`] per paged
-//! component resolving page reads through the copy-on-write overlay built
-//! by the writer (see `nok_pager::mvcc`).
+//! synopsis, the B+ tree roots, the data file's length, and one
+//! [`SnapView`] per paged component resolving page reads through the
+//! copy-on-write overlay built by the writer (see `nok_pager::mvcc`).
 //!
 //! [`XmlDb::snapshot`] pins the current generation and assembles a
 //! *view-mode* [`XmlDb`] from it: a full database value whose stores and
@@ -20,7 +20,7 @@
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use nok_btree::BTree;
 use nok_pager::mvcc::{CaptureCell, GenTicket, GenerationStats, GenerationTable, PageChain};
@@ -31,16 +31,16 @@ use crate::error::CoreResult;
 use crate::sigma::TagDict;
 use crate::store::{Directory, StructStore};
 use crate::synopsis::Synopsis;
-use crate::values::{DataFile, LockDataFile};
+use crate::values::DataFile;
 
 /// One published generation: the committed state of epoch `epoch`, held
 /// entirely by `Arc`s so pinning it is O(1) and never copies data.
 pub struct DbGeneration {
     /// Commit epoch this generation represents (0 = the initial build).
     pub(crate) epoch: u64,
-    /// Per-pool overlay views in component order (struct, tag, val, id —
-    /// matching `COMPONENT_FILES`).
-    pub(crate) views: [SnapView; 4],
+    /// Per-pool overlay views in component order (struct, tag, val, id,
+    /// data — matching `COMPONENT_FILES`).
+    pub(crate) views: [SnapView; 5],
     /// Structural page directory as of this epoch.
     pub(crate) dir: Arc<Directory>,
     /// Element/attribute node count as of this epoch.
@@ -103,7 +103,7 @@ impl std::fmt::Debug for DbGeneration {
 /// open). Called by the `XmlDb` constructors once every component exists.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn initial_generations(
-    cells: [Arc<CaptureCell>; 4],
+    cells: [Arc<CaptureCell>; 5],
     dir: Arc<Directory>,
     node_count: u64,
     dict: Arc<TagDict>,
@@ -181,11 +181,11 @@ impl<S: Storage> std::fmt::Debug for Snapshot<S> {
 /// a writer owns the `XmlDb` exclusively (`&mut`) and commits updates —
 /// the single-writer / many-reader split the generation table exists
 /// for. Everything a snapshot needs beyond the generation itself (buffer
-/// pools, the shared data file) is captured here by `Arc`.
+/// pools, a handle on the data file's pages) is captured here by `Arc`.
 pub struct SnapshotSource<S: Storage> {
     gens: Arc<GenerationTable<DbGeneration>>,
     pools: [Arc<BufferPool<S>>; 4],
-    data: Arc<Mutex<DataFile>>,
+    data: DataFile<S>,
 }
 
 impl<S: Storage> Clone for SnapshotSource<S> {
@@ -193,7 +193,7 @@ impl<S: Storage> Clone for SnapshotSource<S> {
         SnapshotSource {
             gens: Arc::clone(&self.gens),
             pools: self.pools.clone(),
-            data: Arc::clone(&self.data),
+            data: self.data.at(None, 0),
         }
     }
 }
@@ -225,12 +225,12 @@ impl<S: Storage> std::fmt::Debug for SnapshotSource<S> {
 }
 
 /// Pin the newest generation from `gens` and build the view database from
-/// the shared pools. Common body of [`XmlDb::snapshot`] and
-/// [`SnapshotSource::snapshot`].
+/// the shared pools and `data`'s pages. Common body of [`XmlDb::snapshot`]
+/// and [`SnapshotSource::snapshot`].
 fn assemble_snapshot<S: Storage>(
     gens: &Arc<GenerationTable<DbGeneration>>,
     pools: &[Arc<BufferPool<S>>; 4],
-    data: &Arc<Mutex<DataFile>>,
+    data: &DataFile<S>,
 ) -> Snapshot<S> {
     let guard = gens.pin();
     let g: &DbGeneration = &guard;
@@ -261,7 +261,7 @@ fn assemble_snapshot<S: Storage>(
     let db = XmlDb {
         store,
         dict: Arc::clone(&g.dict),
-        data: Arc::clone(data),
+        data: data.at(Some(g.views[4].clone()), g.data_len),
         bt_tag,
         bt_val,
         bt_id,
@@ -271,7 +271,6 @@ fn assemble_snapshot<S: Storage>(
         dict_path: None,
         wal: None,
         recovery: None,
-        pending_dead: Vec::new(),
         gens: Arc::clone(gens),
     };
     Snapshot { guard, db }
@@ -279,12 +278,13 @@ fn assemble_snapshot<S: Storage>(
 
 impl<S: Storage> XmlDb<S> {
     /// The per-pool capture cells in component order.
-    pub(crate) fn capture_cells(&self) -> [Arc<CaptureCell>; 4] {
+    pub(crate) fn capture_cells(&self) -> [Arc<CaptureCell>; 5] {
         [
             Arc::clone(self.store.pool().capture_cell()),
             Arc::clone(self.bt_tag.pool_rc().capture_cell()),
             Arc::clone(self.bt_val.pool_rc().capture_cell()),
             Arc::clone(self.bt_id.pool_rc().capture_cell()),
+            Arc::clone(self.data.pool().capture_cell()),
         ]
     }
 
@@ -299,7 +299,8 @@ impl<S: Storage> XmlDb<S> {
         ))
     }
 
-    /// The four component buffer pools in component order.
+    /// The four index and structure pools in component order (the data
+    /// file's goes with its handle).
     fn component_pools(&self) -> [Arc<BufferPool<S>>; 4] {
         [
             self.store.pool_rc(),
@@ -315,7 +316,7 @@ impl<S: Storage> XmlDb<S> {
         SnapshotSource {
             gens: Arc::clone(&self.gens),
             pools: self.component_pools(),
-            data: Arc::clone(&self.data),
+            data: self.data.at(None, 0),
         }
     }
 
@@ -337,17 +338,17 @@ impl<S: Storage> XmlDb<S> {
         let cur = self.gens.pin();
         let epoch = cur.epoch + 1;
         let cells = self.capture_cells();
-        let mut views = Vec::with_capacity(4);
+        let mut views = Vec::with_capacity(5);
         for (prev, cell) in cur.views.iter().zip(cells.iter()) {
             views.push(SnapView {
                 node: prev.node.freeze(cell.current()),
                 cell: Arc::clone(cell),
             });
         }
-        let Ok(views) = <[SnapView; 4]>::try_from(views) else {
+        let Ok(views) = <[SnapView; 5]>::try_from(views) else {
             return;
         };
-        let data_len = self.data.lock_data().len_bytes();
+        let data_len = self.data.len_bytes();
         let gen = DbGeneration {
             epoch,
             views,

@@ -5,7 +5,6 @@ use nok_pager::Storage;
 use crate::build::XmlDb;
 use crate::cursor::DocScan;
 use crate::error::CoreResult;
-use crate::values::LockDataFile;
 
 /// One row of Table 1 for a dataset.
 #[derive(Debug, Clone, Default)]
@@ -113,7 +112,7 @@ impl<S: Storage> XmlDb<S> {
             bt_tag_bytes: self.bt_tag.footprint_bytes(),
             bt_val_bytes: self.bt_val.footprint_bytes(),
             bt_id_bytes: self.bt_id.footprint_bytes(),
-            data_bytes: self.data.lock_data().len_bytes(),
+            data_bytes: self.data.len_bytes(),
         })
     }
 }

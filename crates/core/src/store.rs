@@ -342,11 +342,6 @@ impl<S: Storage> StructStore<S> {
         Self::assemble(pool, dir, node_count, Some(view))
     }
 
-    /// Is this store a snapshot view (reads resolve through an overlay)?
-    pub fn is_view(&self) -> bool {
-        self.view.is_some()
-    }
-
     /// The current directory `Arc` (captured into MVCC generations at
     /// commit — O(1), no deep copy).
     pub(crate) fn dir_arc(&self) -> Arc<Directory> {

@@ -40,7 +40,7 @@ use crate::page::{self, ContentAcc, Entry, PageHeader, HEADER_SIZE};
 use crate::physical::{tag_posting_key, IdRecord, TagPosting};
 use crate::sigma::TagCode;
 use crate::store::{DirEntry, NodeAddr};
-use crate::values::{hash_key, LockDataFile};
+use crate::values::hash_key;
 
 /// Derives Dewey ids while walking raw entries from an arbitrary seed
 /// position (the stack-of-counters trick: ancestors' consumed-child counts
@@ -221,7 +221,7 @@ impl<S: Storage> XmlDb<S> {
         // New nodes: insert into B+i / B+t (+ values into data file, B+v).
         let mut value_map: HashMap<Vec<u8>, (u64, u32)> = HashMap::new();
         for (dewey, text) in &new_values {
-            let (off, len) = self.data.lock_data().put(text)?;
+            let (off, len) = self.data.put(text)?;
             value_map.insert(dewey.to_key(), (off, len));
             self.bt_val.insert(&hash_key(text), &dewey.to_key())?;
         }
@@ -251,7 +251,7 @@ impl<S: Storage> XmlDb<S> {
     ///
     /// Runs as one transaction, like [`XmlDb::insert_last_child`]. Value
     /// records whose last referencing node is deleted are tombstoned in the
-    /// data file at commit.
+    /// data file, a page write of the transaction.
     pub fn delete_subtree(&mut self, target: &Dewey) -> CoreResult<u64> {
         let ctx = self.txn_begin()?;
         match self.delete_subtree_inner(target) {
@@ -342,10 +342,10 @@ impl<S: Storage> XmlDb<S> {
             if let Some(rec) = self.bt_id.get_first(&key)? {
                 let rec = IdRecord::from_bytes(&rec)?;
                 if let Some((off, _)) = rec.value {
-                    let text = self.data.lock_data().get_record(off)?;
+                    let text = self.data.get_record(off)?;
                     let h = hash_key(&text);
                     self.bt_val.delete(&h, Some(&key))?;
-                    // Tombstone the record at commit unless another node
+                    // Tombstone the record unless another node
                     // (deduplicated values are shared) still points at it:
                     // the postings under the hash, read until one does.
                     let mut shared = false;
@@ -361,7 +361,7 @@ impl<S: Storage> XmlDb<S> {
                         }
                     }
                     if !shared {
-                        self.pending_dead.push(off);
+                        self.data.mark_dead(off)?;
                     }
                 }
             }
@@ -557,7 +557,7 @@ impl<S: Storage> XmlDb<S> {
         // B+v, if the node carries a value and its Dewey changed.
         if t.old_dewey != t.new_dewey {
             if let Some((off, _)) = rec.value {
-                let text = self.data.lock_data().get_record(off)?;
+                let text = self.data.get_record(off)?;
                 self.bt_val.delete(&hash_key(&text), Some(&old_key))?;
                 self.bt_val.insert(&hash_key(&text), &new_key)?;
             }
@@ -1100,11 +1100,11 @@ mod tests {
         // <c>'s value has no other referent: deleting it kills the record.
         db.delete_subtree(&Dewey::from_components(vec![0, 2]))
             .unwrap();
-        assert!(db.data.lock_data().get_record(off_unique).is_err());
+        assert!(db.data.get_record(off_unique).is_err());
         // <a>'s value is still referenced by <b>: the record survives.
         db.delete_subtree(&Dewey::from_components(vec![0, 0]))
             .unwrap();
-        assert_eq!(db.data.lock_data().get_record(off_dup).unwrap(), "dup");
+        assert_eq!(db.data.get_record(off_dup).unwrap(), "dup");
     }
 
     #[test]

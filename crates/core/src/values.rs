@@ -14,19 +14,26 @@
 //! * duplicate elimination — equal values are stored once and shared ("we
 //!   can keep only one copy and let these nodes point to the same position").
 //!
-//! Reading a value needs only its offset. The table that finds a value's
-//! record by its hash ([`Dedup`]) is sized by the document, so opening a
-//! file does not build it: the first caller that shares, vouches for,
-//! tombstones or rolls back a record does, in one pass streamed over the
-//! file.
+//! The records form one byte stream laid over the pages of a
+//! [`BufferPool`], the fifth paged component: the record at byte offset
+//! `o` starts on page `1 + o / page_size`, and a record may straddle pages.
+//! Page 0 holds the stream's length (`u64` LE). An append, a tombstone and
+//! the length are page writes like any other, so the write-ahead log, the
+//! checkpoint, rollback and recovery treat them as they treat the indexes'
+//! pages, and a snapshot reads records through its generation's view.
+//!
+//! Reading a value needs only its offset and takes no lock. The table that
+//! finds a value's record by its hash ([`Dedup`]) is sized by the document,
+//! so opening a file does not build it: the first caller that shares or
+//! vouches for a record does, in one pass over the pages that leaves the
+//! pool's cache as it found it. The mutex that holds the table also orders
+//! the appends and tombstones that change it.
 
 use std::collections::{BTreeSet, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
-use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use nok_pager::FailPlan;
+use nok_pager::mvcc::resolve_page;
+use nok_pager::{BufferPool, PageId, SnapView, Storage};
 
 use crate::error::{CoreError, CoreResult};
 
@@ -51,33 +58,6 @@ pub fn hash_value(value: &str) -> u64 {
 /// Key bytes for the B+v index (big-endian so equal hashes cluster).
 pub fn hash_key(value: &str) -> [u8; 8] {
     hash_value(value).to_be_bytes()
-}
-
-/// Payload bytes fetched together with a record's length header. Element
-/// text and attribute values are overwhelmingly shorter than this.
-const INLINE_READ: usize = 124;
-
-/// Bytes [`DataFile::for_each_record`] reads at a time (a longer record
-/// widens the window to hold it).
-const SCAN_WINDOW: usize = 64 << 10;
-
-enum Backing {
-    Mem(Vec<u8>),
-    File(File),
-}
-
-/// One positional read: no seek, so no file-cursor state and one system
-/// call per record.
-#[cfg(unix)]
-fn read_file_at(f: &mut File, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
-    std::os::unix::fs::FileExt::read_exact_at(f, buf, offset)
-}
-
-#[cfg(not(unix))]
-fn read_file_at(f: &mut File, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
-    use std::io::Read;
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(buf)
 }
 
 /// Low bits of a [`Dedup`] entry that hold the record's offset; the hash
@@ -120,150 +100,69 @@ impl Dedup {
     fn remove(&mut self, hash: u64, offset: u64) {
         self.live.remove(&(hash & !OFFSET_MASK | offset));
     }
-
-    /// Forget every live record at or past `len`.
-    fn truncate(&mut self, len: u64) {
-        self.live.retain(|&e| e & OFFSET_MASK < len);
-    }
 }
 
-/// The sequential `(len, value)` record file.
-pub struct DataFile {
-    backing: Backing,
-    /// Total bytes written (also the next append offset).
+/// `None` until first needed (see [`DataFile::table`]); shared by a file's
+/// live handle and every snapshot view of it.
+type Table = Arc<Mutex<Option<Dedup>>>;
+
+/// The sequential `(len, value)` record file, over the pages of a pool.
+pub struct DataFile<S: Storage> {
+    pool: Arc<BufferPool<S>>,
+    /// The pinned generation's overlay of a snapshot's handle; `None` reads
+    /// the live pages.
+    view: Option<SnapView>,
+    /// Bytes this handle reads: the file's for the live handle, the pinned
+    /// generation's committed length for a view.
     len: u64,
-    /// `None` until first needed (see [`DataFile::table`]).
-    dedup: Option<Dedup>,
-    /// Optional fault-injection plan gating mutating I/O.
-    failpoint: Option<Failpoint>,
+    dedup: Table,
 }
 
-/// A fault-injection plan, and what the file must be put back to when it
-/// trips — a crash loses what was never synced (see [`nok_pager::failpoint`]).
-struct Failpoint {
-    plan: Arc<FailPlan>,
-    /// Length as of the last sync.
-    synced_len: u64,
-    /// `(offset, live length word)` of the records tombstoned since.
-    unsynced_dead: Vec<(u64, u32)>,
-}
-
-impl DataFile {
-    /// An in-memory data file.
-    pub fn in_memory() -> Self {
-        DataFile {
-            backing: Backing::Mem(Vec::new()),
-            len: 0,
-            dedup: Some(Dedup::default()),
-            failpoint: None,
+impl<S: Storage> DataFile<S> {
+    /// A new data file over the empty `pool`: page 0, holding length 0.
+    pub fn create(pool: Arc<BufferPool<S>>) -> CoreResult<Self> {
+        if pool.page_count() != 0 {
+            return Err(CoreError::Corrupt(
+                "data file created over used pages".into(),
+            ));
         }
-    }
-
-    /// Create a new (truncated) data file on disk.
-    pub fn create<P: AsRef<Path>>(path: P) -> CoreResult<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(nok_pager::PagerError::from)?;
+        pool.allocate()?;
         Ok(DataFile {
-            backing: Backing::File(file),
+            pool,
+            view: None,
             len: 0,
-            dedup: Some(Dedup::default()),
-            failpoint: None,
+            dedup: Arc::new(Mutex::new(Some(Dedup::default()))),
         })
     }
 
-    /// Open an existing data file. Its length is the file's — recovery has
-    /// already cut it to the committed length — and nothing of it is read.
-    pub fn open<P: AsRef<Path>>(path: P) -> CoreResult<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(nok_pager::PagerError::from)?;
-        let len = file.metadata().map_err(nok_pager::PagerError::from)?.len();
-        Ok(DataFile {
-            backing: Backing::File(file),
-            len,
-            dedup: None,
-            failpoint: None,
-        })
-    }
-
-    /// The dedup table, built on first use by one pass streamed over the
-    /// records: live ones by hash, tombstoned ones as unlisted hashes. A
-    /// file that does not end on a record boundary is
-    /// [`CoreError::Corrupt`].
-    fn table(&mut self) -> CoreResult<&mut Dedup> {
-        let table = match self.dedup.take() {
-            Some(table) => table,
-            None => {
-                let mut table = Dedup::default();
-                self.for_each_record(|offset, dead, payload| {
-                    if let Ok(s) = std::str::from_utf8(payload) {
-                        if dead {
-                            table.unlisted.insert(hash_value(s));
-                        } else {
-                            table.insert(hash_value(s), offset);
-                        }
-                    }
-                })?;
-                table
-            }
+    /// Open the data file on `pool`: its length is page 0's, and nothing
+    /// else is read.
+    pub fn open(pool: Arc<BufferPool<S>>) -> CoreResult<Self> {
+        let mut file = DataFile {
+            pool,
+            view: None,
+            len: 0,
+            dedup: Arc::new(Mutex::new(None)),
         };
-        Ok(self.dedup.insert(table))
+        file.len = file.live_len()?;
+        Ok(file)
     }
 
-    /// Call `f(offset, dead, payload)` for every record, in file order,
-    /// reading the file [`SCAN_WINDOW`] bytes at a time.
-    fn for_each_record(&mut self, mut f: impl FnMut(u64, bool, &[u8])) -> CoreResult<()> {
-        let mut window: Vec<u8> = Vec::new();
-        // File offsets of `window[0]` and of the first byte not yet read.
-        let (mut base, mut read_to) = (0u64, 0u64);
-        loop {
-            let mut p = 0usize;
-            while let Some(&[a, b, c, d]) = window.get(p..p + 4) {
-                let raw = u32::from_le_bytes([a, b, c, d]);
-                let Some(payload) = window.get(p + 4..p + 4 + (raw & !DEAD_BIT) as usize) else {
-                    break;
-                };
-                f(base + p as u64, raw & DEAD_BIT != 0, payload);
-                p += 4 + payload.len();
-            }
-            window.drain(..p);
-            base += p as u64;
-            if read_to == self.len {
-                if !window.is_empty() {
-                    return Err(CoreError::Corrupt("truncated data-file record".into()));
-                }
-                return Ok(());
-            }
-            let n = (self.len - read_to).min(SCAN_WINDOW as u64) as usize;
-            let filled = window.len();
-            window.resize(filled + n, 0);
-            self.read_exact_at(read_to, &mut window[filled..])?;
-            read_to += n as u64;
+    /// A read-only handle on the same pages and table: through `view`,
+    /// `len` bytes long (a snapshot's handle), or the live pages without a
+    /// view.
+    pub(crate) fn at(&self, view: Option<SnapView>, len: u64) -> Self {
+        DataFile {
+            pool: Arc::clone(&self.pool),
+            view,
+            len,
+            dedup: Arc::clone(&self.dedup),
         }
     }
 
-    /// Route this file's mutating I/O through a fault-injection plan; the
-    /// file is taken to be synced as it stands.
-    pub fn set_failpoint(&mut self, plan: Arc<FailPlan>) {
-        self.failpoint = Some(Failpoint {
-            plan,
-            synced_len: self.len,
-            unsynced_dead: Vec::new(),
-        });
-    }
-
-    fn check_failpoint(&self) -> CoreResult<()> {
-        if let Some(fp) = &self.failpoint {
-            fp.plan.check()?;
-        }
-        Ok(())
+    /// The pool holding the pages.
+    pub fn pool(&self) -> &Arc<BufferPool<S>> {
+        &self.pool
     }
 
     /// Total bytes in the file.
@@ -271,31 +170,158 @@ impl DataFile {
         self.len
     }
 
-    /// The bytes from `offset` to the end: what a transaction that began at
-    /// length `offset` appended, for its commit record.
-    pub fn bytes_from(&mut self, offset: u64) -> CoreResult<Vec<u8>> {
+    /// The live file's length: page 0's current bytes, whatever this
+    /// handle's view.
+    fn live_len(&self) -> CoreResult<u64> {
+        let page = self.pool.image(0)?;
+        let bytes = page
+            .first_chunk::<8>()
+            .ok_or_else(|| CoreError::Corrupt("data-file page too small for its length".into()))?;
+        Ok(u64::from_le_bytes(*bytes))
+    }
+
+    /// The bytes from `offset` to the end.
+    pub fn bytes_from(&self, offset: u64) -> CoreResult<Vec<u8>> {
         let mut bytes = vec![0u8; self.len.saturating_sub(offset) as usize];
-        self.read_exact_at(offset, &mut bytes)?;
+        self.read_at(offset, &mut bytes)?;
         Ok(bytes)
     }
 
-    /// Write an in-memory file's records to a new file at `path`, in one
-    /// write, and go on backed by that file: a build assembles the whole
-    /// data file in memory and writes it once, before its first sync.
-    pub(crate) fn persist_new<P: AsRef<Path>>(&mut self, path: P) -> CoreResult<()> {
-        let Backing::Mem(bytes) = &self.backing else {
-            return Err(CoreError::Corrupt("data file is already on disk".into()));
-        };
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(nok_pager::PagerError::from)?;
-        file.write_all(bytes).map_err(nok_pager::PagerError::from)?;
-        self.backing = Backing::File(file);
+    fn lock_dedup(&self) -> MutexGuard<'_, Option<Dedup>> {
+        // A poisoned lock (only a panicking test thread) is recovered, as
+        // the pool's locks are.
+        self.dedup.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Page `id` of the stream (`1 + offset / page_size`).
+    fn page_of(&self, offset: u64) -> CoreResult<(PageId, usize)> {
+        let size = self.pool.page_size() as u64;
+        let id = PageId::try_from(1 + offset / size)
+            .map_err(|_| CoreError::Corrupt(format!("data-file offset {offset} out of range")))?;
+        Ok((id, (offset % size) as usize))
+    }
+
+    /// Copy bytes `[offset, offset + buf.len())` out of the pages `page`
+    /// yields.
+    fn copy_out(
+        &self,
+        offset: u64,
+        buf: &mut [u8],
+        mut page: impl FnMut(PageId) -> CoreResult<Arc<[u8]>>,
+    ) -> CoreResult<()> {
+        let mut done = 0;
+        while done < buf.len() {
+            let (id, at) = self.page_of(offset + done as u64)?;
+            let image = page(id)?;
+            let n = (buf.len() - done).min(image.len() - at);
+            buf[done..done + n].copy_from_slice(&image[at..at + n]);
+            done += n;
+        }
         Ok(())
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> CoreResult<()> {
+        self.copy_out(offset, buf, |id| {
+            Ok(resolve_page(&self.pool, self.view.as_ref(), id)?)
+        })
+    }
+
+    /// Write `bytes` at `offset`, allocating the pages the stream grows
+    /// into.
+    fn write_at(&self, offset: u64, bytes: &[u8]) -> CoreResult<()> {
+        let mut done = 0;
+        while done < bytes.len() {
+            let (id, at) = self.page_of(offset + done as u64)?;
+            let page = match id.cmp(&self.pool.page_count()) {
+                std::cmp::Ordering::Less => self.pool.get(id)?,
+                std::cmp::Ordering::Equal => self.pool.allocate()?.1,
+                std::cmp::Ordering::Greater => {
+                    return Err(CoreError::Corrupt(format!(
+                        "data-file write at {offset} past its pages"
+                    )))
+                }
+            };
+            let mut image = page.write();
+            let n = (bytes.len() - done).min(image.len() - at);
+            image[at..at + n].copy_from_slice(&bytes[done..done + n]);
+            done += n;
+        }
+        Ok(())
+    }
+
+    /// The length word of the record at `offset`, checked against the
+    /// handle's length.
+    fn length_word(&self, offset: u64) -> CoreResult<u32> {
+        if offset.saturating_add(4) > self.len {
+            return Err(CoreError::Corrupt(format!(
+                "data-file read past end ({} > {})",
+                offset.saturating_add(4),
+                self.len
+            )));
+        }
+        let mut word = [0u8; 4];
+        self.read_at(offset, &mut word)?;
+        Ok(u32::from_le_bytes(word))
+    }
+
+    /// Read the payload of the record at `offset` into `payload` and return
+    /// its tombstone flag. The payload is bounded by the file, not by the
+    /// (possibly damaged) length word.
+    fn read_record(&self, offset: u64, payload: &mut Vec<u8>) -> CoreResult<bool> {
+        let raw = self.length_word(offset)?;
+        let len = (raw & !DEAD_BIT) as u64;
+        if len > self.len - offset - 4 {
+            return Err(CoreError::Corrupt(format!(
+                "data record at {offset} runs past the end of the file"
+            )));
+        }
+        payload.resize(len as usize, 0);
+        self.read_at(offset + 4, payload)?;
+        Ok(raw & DEAD_BIT != 0)
+    }
+
+    /// The dedup table, built on first use by one pass over the live
+    /// records: live ones by hash, tombstoned ones as unlisted hashes. The
+    /// pass reads pages the pool has not cached without caching them. A
+    /// file that does not end on a record boundary is
+    /// [`CoreError::Corrupt`].
+    fn table<'t>(&self, slot: &'t mut Option<Dedup>) -> CoreResult<&'t mut Dedup> {
+        if let Some(table) = slot {
+            return Ok(table);
+        }
+        let len = self.live_len()?;
+        let mut table = Dedup::default();
+        let mut last: Option<(PageId, Arc<[u8]>)> = None;
+        let mut page = |id| match &last {
+            Some((at, image)) if *at == id => Ok(Arc::clone(image)),
+            _ => {
+                let image = self.pool.image_uncached(id)?;
+                last = Some((id, Arc::clone(&image)));
+                Ok(image)
+            }
+        };
+        let (mut offset, mut payload) = (0u64, Vec::new());
+        while offset < len {
+            let mut word = [0u8; 4];
+            let raw_len = (len - offset).min(4) as usize;
+            self.copy_out(offset, &mut word[..raw_len], &mut page)?;
+            let raw = u32::from_le_bytes(word);
+            let size = 4 + (raw & !DEAD_BIT) as u64;
+            if raw_len < 4 || size > len - offset {
+                return Err(CoreError::Corrupt("truncated data-file record".into()));
+            }
+            payload.resize(size as usize - 4, 0);
+            self.copy_out(offset + 4, &mut payload, &mut page)?;
+            if let Ok(s) = std::str::from_utf8(&payload) {
+                if raw & DEAD_BIT != 0 {
+                    table.unlisted.insert(hash_value(s));
+                } else {
+                    table.insert(hash_value(s), offset);
+                }
+            }
+            offset += size;
+        }
+        Ok(slot.insert(table))
     }
 
     /// Store `value`, reusing an existing record when the same value was
@@ -304,38 +330,38 @@ impl DataFile {
         self.put_hashed(value, hash_value(value))
     }
 
-    /// [`DataFile::put`] of a value whose [`hash_value`] is `h`.
+    /// [`DataFile::put`] of a value whose [`hash_value`] is `h`: the record
+    /// bytes, then the new length into page 0.
     pub(crate) fn put_hashed(&mut self, value: &str, h: u64) -> CoreResult<(u64, u32)> {
-        for off in self.table()?.candidates(h) {
+        let mut slot = self.lock_dedup();
+        let table = self.table(&mut slot)?;
+        for off in table.candidates(h) {
             // Hash collision safety: verify the stored bytes.
             if self.record_equals(off, value)? {
                 return Ok((off, value.len() as u32));
             }
         }
-        if value.len() as u32 & DEAD_BIT != 0 {
+        if value.len() >= DEAD_BIT as usize {
             return Err(CoreError::Corrupt("value too large for data file".into()));
         }
-        self.check_failpoint()?;
         let off = self.len;
         let mut rec = Vec::with_capacity(4 + value.len());
         rec.extend_from_slice(&(value.len() as u32).to_le_bytes());
         rec.extend_from_slice(value.as_bytes());
-        match &mut self.backing {
-            Backing::Mem(v) => v.extend_from_slice(&rec),
-            Backing::File(f) => {
-                f.seek(SeekFrom::Start(off))
-                    .map_err(nok_pager::PagerError::from)?;
-                f.write_all(&rec).map_err(nok_pager::PagerError::from)?;
-            }
-        }
-        self.len += rec.len() as u64;
-        self.table()?.insert(h, off);
+        self.write_at(off, &rec)?;
+        let len = off + rec.len() as u64;
+        self.pool.get(0)?.write()[..8].copy_from_slice(&len.to_le_bytes());
+        table.insert(h, off);
+        drop(slot);
+        self.len = len;
         Ok((off, value.len() as u32))
     }
 
     /// Read the record starting at `offset`. Tombstoned records are an
-    /// error: nothing should still reference them.
-    pub fn get_record(&mut self, offset: u64) -> CoreResult<String> {
+    /// error: nothing should still reference them. A snapshot's handle
+    /// reads the record as its generation left it, before any later
+    /// tombstone.
+    pub fn get_record(&self, offset: u64) -> CoreResult<String> {
         let mut payload = Vec::new();
         if self.read_record(offset, &mut payload)? {
             return Err(CoreError::Corrupt(format!(
@@ -345,20 +371,9 @@ impl DataFile {
         String::from_utf8(payload).map_err(|_| CoreError::Corrupt("non-UTF8 value record".into()))
     }
 
-    /// Read the record at `offset` whether or not it has been tombstoned.
-    /// Snapshot readers pinned at an older generation use this: a record
-    /// live at their epoch may be marked dead by a later commit, but
-    /// tombstoning only sets the length's dead bit — the payload bytes
-    /// stay intact for as long as the file lives.
-    pub fn get_record_any(&mut self, offset: u64) -> CoreResult<String> {
-        let mut payload = Vec::new();
-        self.read_record(offset, &mut payload)?;
-        String::from_utf8(payload).map_err(|_| CoreError::Corrupt("non-UTF8 value record".into()))
-    }
-
     /// Does the record at `offset` (live or tombstoned) hold exactly
     /// `value`? Compares the stored bytes; no `String` is built.
-    pub fn record_equals(&mut self, offset: u64, value: &str) -> CoreResult<bool> {
+    pub fn record_equals(&self, offset: u64, value: &str) -> CoreResult<bool> {
         let mut payload = Vec::new();
         self.read_record(offset, &mut payload)?;
         Ok(payload == value.as_bytes())
@@ -371,15 +386,18 @@ impl DataFile {
     /// value shares the hash (or just the top bits the table keeps), or
     /// when a record with this hash has been tombstoned (its text is no
     /// longer enumerable here, so the caller must verify posting by
-    /// posting).
-    pub fn hash_identifies(&mut self, value: &str) -> CoreResult<bool> {
+    /// posting). The table lists the live file, so the candidates are read
+    /// from the live pages whatever handle asks.
+    pub fn hash_identifies(&self, value: &str) -> CoreResult<bool> {
         let h = hash_value(value);
-        let table = self.table()?;
+        let mut slot = self.lock_dedup();
+        let table = self.table(&mut slot)?;
         if table.unlisted.contains(&h) {
             return Ok(false);
         }
+        let live = self.at(None, self.live_len()?);
         for off in table.candidates(h) {
-            if !self.record_equals(off, value)? {
+            if !live.record_equals(off, value)? {
                 return Ok(false);
             }
         }
@@ -389,185 +407,71 @@ impl DataFile {
     /// Payload length and tombstone flag of the record at `offset` — the
     /// raw accessor integrity scans use to walk the file without tripping
     /// over dead records.
-    pub fn record_span(&mut self, offset: u64) -> CoreResult<(u32, bool)> {
-        let mut len_buf = [0u8; 4];
-        self.read_exact_at(offset, &mut len_buf)?;
-        let raw = u32::from_le_bytes(len_buf);
+    pub fn record_span(&self, offset: u64) -> CoreResult<(u32, bool)> {
+        let raw = self.length_word(offset)?;
         Ok((raw & !DEAD_BIT, raw & DEAD_BIT != 0))
     }
 
-    /// Read the payload of the record at `offset` into `payload` and return
-    /// its tombstone flag. One positional read fetches the length header
-    /// together with a payload of up to [`INLINE_READ`] bytes; only longer
-    /// values cost a second read.
-    fn read_record(&mut self, offset: u64, payload: &mut Vec<u8>) -> CoreResult<bool> {
-        let mut buf = [0u8; 4 + INLINE_READ];
-        let avail = self.len.saturating_sub(offset).min(buf.len() as u64) as usize;
-        if avail < 4 {
-            return Err(CoreError::Corrupt(format!(
-                "data-file read past end ({} > {})",
-                offset.saturating_add(4),
-                self.len
-            )));
-        }
-        self.read_exact_at(offset, &mut buf[..avail])?;
-        let raw = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-        let len = (raw & !DEAD_BIT) as usize;
-        payload.clear();
-        if 4 + len <= avail {
-            payload.extend_from_slice(&buf[4..4 + len]);
-        } else {
-            // Bounded by the file, not by the (possibly damaged) header.
-            if (len as u64) > self.len.saturating_sub(offset + 4) {
-                return Err(CoreError::Corrupt(format!(
-                    "data record at {offset} runs past the end of the file"
-                )));
-            }
-            payload.resize(len, 0);
-            payload[..avail - 4].copy_from_slice(&buf[4..avail]);
-            self.read_exact_at(offset + avail as u64, &mut payload[avail - 4..])?;
-        }
-        Ok(raw & DEAD_BIT != 0)
-    }
-
     /// Tombstone the record at `offset`: set the dead bit in its length
-    /// field and drop it from dedup. Idempotent — recovery may replay it.
+    /// word (a page write the open transaction logs, and its rollback
+    /// undoes) and drop it from dedup. Idempotent.
     pub fn mark_dead(&mut self, offset: u64) -> CoreResult<()> {
-        let (len, dead) = self.record_span(offset)?;
-        if dead {
+        let mut slot = self.lock_dedup();
+        let table = self.table(&mut slot)?;
+        let mut payload = Vec::new();
+        if self.read_record(offset, &mut payload)? {
             return Ok(());
         }
-        // Drop the offset from dedup before touching the file, so a failed
-        // write cannot leave a dead record shareable.
-        let mut payload = vec![0u8; len as usize];
-        self.read_exact_at(offset + 4, &mut payload)?;
+        // Out of the table before the page changes, so a failed write
+        // cannot leave a dead record shareable.
         if let Ok(s) = std::str::from_utf8(&payload) {
             let h = hash_value(s);
-            let table = self.table()?;
             table.unlisted.insert(h);
             table.remove(h, offset);
         }
-        self.check_failpoint()?;
-        if let Some(fp) = &mut self.failpoint {
-            fp.unsynced_dead.push((offset, len));
-        }
-        let raw = len | DEAD_BIT;
-        match &mut self.backing {
-            Backing::Mem(v) => {
-                v[offset as usize..offset as usize + 4].copy_from_slice(&raw.to_le_bytes());
-            }
-            Backing::File(f) => {
-                f.seek(SeekFrom::Start(offset))
-                    .map_err(nok_pager::PagerError::from)?;
-                f.write_all(&raw.to_le_bytes())
-                    .map_err(nok_pager::PagerError::from)?;
-            }
-        }
+        let raw = payload.len() as u32 | DEAD_BIT;
+        self.write_at(offset, &raw.to_le_bytes())
+    }
+
+    /// Roll the file back with its pages: `abort` undoes the open
+    /// transaction's page writes (appends, tombstones, the length), then
+    /// the length is page 0's again and the table is dropped, to be rebuilt
+    /// from the pages when next needed. The table's lock is held
+    /// throughout, so no reader confirms an entry against a page that is
+    /// being put back.
+    pub(crate) fn roll_back(&mut self, abort: impl FnOnce() -> CoreResult<()>) -> CoreResult<()> {
+        let mut slot = self.lock_dedup();
+        let undone = abort();
+        *slot = None;
+        drop(slot);
+        undone?;
+        self.len = self.live_len()?;
         Ok(())
-    }
-
-    /// Roll back to a previous length: drop every byte and dedup entry at
-    /// or past `len` (the file is append-only, so everything after a
-    /// remembered watermark belongs to the transaction being undone).
-    pub fn truncate_to(&mut self, len: u64) -> CoreResult<()> {
-        if len > self.len {
-            return Err(CoreError::Corrupt(format!(
-                "data-file truncate_to({len}) beyond current length {}",
-                self.len
-            )));
-        }
-        if len == self.len {
-            return Ok(());
-        }
-        self.check_failpoint()?;
-        match &mut self.backing {
-            Backing::Mem(v) => v.truncate(len as usize),
-            Backing::File(f) => {
-                f.set_len(len).map_err(nok_pager::PagerError::from)?;
-            }
-        }
-        self.len = len;
-        self.table()?.truncate(len);
-        Ok(())
-    }
-
-    fn read_exact_at(&mut self, offset: u64, buf: &mut [u8]) -> CoreResult<()> {
-        match &mut self.backing {
-            Backing::Mem(v) => {
-                let start = offset as usize;
-                let end = start + buf.len();
-                if end > v.len() {
-                    return Err(CoreError::Corrupt(format!(
-                        "data-file read past end ({end} > {})",
-                        v.len()
-                    )));
-                }
-                buf.copy_from_slice(&v[start..end]);
-                Ok(())
-            }
-            Backing::File(f) => {
-                read_file_at(f, offset, buf).map_err(nok_pager::PagerError::from)?;
-                Ok(())
-            }
-        }
-    }
-
-    /// Flush to durable media.
-    pub fn sync(&mut self) -> CoreResult<()> {
-        if matches!(self.backing, Backing::Mem(_)) {
-            return Ok(());
-        }
-        self.check_failpoint()?;
-        if let Backing::File(f) = &mut self.backing {
-            f.sync_data().map_err(nok_pager::PagerError::from)?;
-        }
-        if let Some(fp) = &mut self.failpoint {
-            fp.synced_len = self.len;
-            fp.unsynced_dead.clear();
-        }
-        Ok(())
-    }
-}
-
-/// A tripped fault-injection plan is a crash, and a crash loses what was
-/// never synced: appends past the synced length and tombstones set since.
-impl Drop for DataFile {
-    fn drop(&mut self) {
-        let (Some(fp), Backing::File(f)) = (&self.failpoint, &mut self.backing) else {
-            return;
-        };
-        if fp.plan.is_tripped() {
-            for (off, live) in fp.unsynced_dead.iter().filter(|d| d.0 < fp.synced_len) {
-                let _ = f.seek(SeekFrom::Start(*off));
-                let _ = f.write_all(&live.to_le_bytes());
-            }
-            let _ = f.set_len(fp.synced_len.min(self.len));
-        }
-    }
-}
-
-/// Panic-free locking for a shared [`DataFile`]. Query threads share one
-/// data file behind a `Mutex`; a poisoned lock (a panicking thread, only
-/// possible in tests) is recovered rather than propagated, since the file
-/// holds plain offset-addressed records that stay valid across a panic.
-pub trait LockDataFile {
-    /// Acquire the data file, recovering from poisoning.
-    fn lock_data(&self) -> MutexGuard<'_, DataFile>;
-}
-
-impl LockDataFile for Mutex<DataFile> {
-    fn lock_data(&self) -> MutexGuard<'_, DataFile> {
-        self.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nok_pager::{FileStorage, MemStorage};
+
+    fn mem_with_page_size(page_size: usize) -> DataFile<MemStorage> {
+        let pool = BufferPool::new(MemStorage::with_page_size(page_size));
+        DataFile::create(Arc::new(pool)).unwrap()
+    }
+
+    fn mem() -> DataFile<MemStorage> {
+        mem_with_page_size(nok_pager::DEFAULT_PAGE_SIZE)
+    }
+
+    /// A handle opened afresh on the same pages: no table yet.
+    fn reopen<S: Storage>(df: &DataFile<S>) -> DataFile<S> {
+        DataFile::open(Arc::clone(df.pool())).unwrap()
+    }
 
     #[test]
     fn put_and_get_round_trip() {
-        let mut df = DataFile::in_memory();
+        let mut df = mem();
         let (o1, l1) = df.put("1994").unwrap();
         let (o2, _) = df.put("TCP/IP Illustrated").unwrap();
         assert_eq!(l1, 4);
@@ -577,7 +481,7 @@ mod tests {
 
     #[test]
     fn identical_values_are_shared() {
-        let mut df = DataFile::in_memory();
+        let mut df = mem();
         let (o1, _) = df.put("Addison-Wesley").unwrap();
         let before = df.len_bytes();
         let (o2, _) = df.put("Addison-Wesley").unwrap();
@@ -587,7 +491,7 @@ mod tests {
 
     #[test]
     fn different_values_get_different_offsets() {
-        let mut df = DataFile::in_memory();
+        let mut df = mem();
         let (o1, _) = df.put("a").unwrap();
         let (o2, _) = df.put("b").unwrap();
         assert_ne!(o1, o2);
@@ -595,7 +499,7 @@ mod tests {
 
     #[test]
     fn empty_value_is_storable() {
-        let mut df = DataFile::in_memory();
+        let mut df = mem();
         let (o, l) = df.put("").unwrap();
         assert_eq!(l, 0);
         assert_eq!(df.get_record(o).unwrap(), "");
@@ -609,6 +513,8 @@ mod tests {
         assert_eq!(hash_key("x"), hash_value("x").to_be_bytes());
     }
 
+    /// The records lie on the pages after the length page, at their byte
+    /// offsets, and survive a write-back and a reopen of the file.
     #[test]
     fn file_backing_persists() {
         let dir = std::env::temp_dir().join(format!("nok-values-{}", std::process::id()));
@@ -616,34 +522,45 @@ mod tests {
         let path = dir.join("values.dat");
         let off;
         {
-            let mut df = DataFile::create(&path).unwrap();
+            let pool = BufferPool::new(FileStorage::create_with_page_size(&path, 64).unwrap());
+            let mut df = DataFile::create(Arc::new(pool)).unwrap();
             off = df.put("persisted value").unwrap().0;
             df.put("another").unwrap();
-            df.sync().unwrap();
+            df.pool().flush().unwrap();
         }
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[16..24], 30u64.to_le_bytes(), "page 0: the length");
+        assert_eq!(bytes[80..84], 15u32.to_le_bytes(), "page 1: the records");
+        assert_eq!(&bytes[84..99], b"persisted value");
         {
-            let mut df = DataFile::open(&path).unwrap();
+            let pool = BufferPool::new(FileStorage::open(&path).unwrap());
+            let mut df = DataFile::open(Arc::new(pool)).unwrap();
+            assert_eq!(df.len_bytes(), 30);
             assert_eq!(df.get_record(off).unwrap(), "persisted value");
-            // Dedup map must have been rebuilt: re-putting reuses.
+            // The dedup table is rebuilt: re-putting reuses.
             assert_eq!(df.put("persisted value").unwrap().0, off);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Records shorter and longer than a page, the empty one, and one whose
+    /// length word straddles a page boundary read back from a file; a read
+    /// from inside a record's length word past the end is refused.
     #[test]
     fn long_and_short_records_read_back_from_a_file() {
-        // Short values ride along with the header read; long ones take a
-        // second read; the last record of the file ends mid-buffer.
         let dir = std::env::temp_dir().join(format!("nok-values-long-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut df = DataFile::create(dir.join("values.dat")).unwrap();
-        let long = "x".repeat(INLINE_READ * 3 + 5);
-        let edge = "y".repeat(INLINE_READ);
-        let offs: Vec<u64> = ["a", &long, "", &edge, "tail"]
-            .iter()
-            .map(|v| df.put(v).unwrap().0)
-            .collect();
-        for (off, want) in offs.iter().zip(["a", &long, "", &edge, "tail"]) {
+        let path = dir.join("values.dat");
+        let pool = BufferPool::new(FileStorage::create_with_page_size(&path, 64).unwrap());
+        let mut df = DataFile::create(Arc::new(pool)).unwrap();
+        let (long, edge) = ("x".repeat(64 * 3 + 5), "y".repeat(40));
+        let values = ["a", &long, "", &edge, "straddles", "tail"];
+        let offs: Vec<u64> = values.iter().map(|v| df.put(v).unwrap().0).collect();
+        assert_eq!(offs[4] % 64, 62, "the length word straddles two pages");
+        df.pool().flush().unwrap();
+        let df = DataFile::open(Arc::new(BufferPool::new(FileStorage::open(&path).unwrap())));
+        let df = df.unwrap();
+        for (off, want) in offs.iter().zip(values) {
             assert_eq!(df.get_record(*off).unwrap(), want);
             assert!(df.record_equals(*off, want).unwrap());
             assert!(!df.record_equals(*off, "something else").unwrap());
@@ -652,18 +569,46 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// What an aborted transaction appended and tombstoned is gone: the
+    /// length, the records and the table are the committed ones again.
+    #[test]
+    fn abort_rolls_back_appends_and_tombstones() {
+        let mut df = mem();
+        let (base, _) = df.put("base").unwrap();
+        let mark = df.len_bytes();
+        let mut txn = df.pool().begin_txn();
+        df.put("txn-value").unwrap();
+        df.mark_dead(base).unwrap();
+        df.roll_back(|| Ok(txn.abort()?)).unwrap();
+        assert_eq!(df.len_bytes(), mark);
+        assert_eq!(reopen(&df).len_bytes(), mark);
+        assert_eq!(df.get_record(base).unwrap(), "base");
+        assert_eq!(df.put("base").unwrap().0, base, "shared again");
+        // The rolled-back value is not shareable: it is stored afresh.
+        assert_eq!(df.put("txn-value").unwrap().0, mark);
+    }
+
     #[test]
     fn a_hash_identifies_its_value_until_proven_otherwise() {
-        let mut df = DataFile::in_memory();
+        let mut df = mem();
         let (abc, _) = df.put("abc").unwrap();
         let (xyz, _) = df.put("xyz").unwrap();
         assert!(df.hash_identifies("abc").unwrap());
         assert!(df.hash_identifies("never stored").unwrap(), "vacuously");
         // A second value under the same hash (a collision, planted here by
         // hand) means postings must be verified one by one.
-        df.table().unwrap().insert(hash_value("abc"), xyz);
+        let plant = |df: &DataFile<MemStorage>, add: bool| {
+            let mut slot = df.lock_dedup();
+            let table = df.table(&mut slot).unwrap();
+            if add {
+                table.insert(hash_value("abc"), xyz);
+            } else {
+                table.remove(hash_value("abc"), xyz);
+            }
+        };
+        plant(&df, true);
         assert!(!df.hash_identifies("abc").unwrap());
-        df.table().unwrap().remove(hash_value("abc"), xyz);
+        plant(&df, false);
         assert!(df.hash_identifies("abc").unwrap());
         // So does a tombstone: the dead record's text is no longer listed,
         // yet a pinned snapshot may still reach it — even after the value
@@ -688,59 +633,45 @@ mod tests {
     /// The table of a reopened file packs each record into 8 bytes and
     /// confirms lookups against the record: it shares and vouches for every
     /// stored value, an entry that shares only the hash's top bits is
-    /// verified rather than vouched for, and tombstones and roll-backs
-    /// reach it.
+    /// verified rather than vouched for, and tombstones reach it.
     #[test]
     fn a_table_built_from_the_file_shares_and_vouches() {
-        let dir = std::env::temp_dir().join(format!("nok-values-built-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("values.dat");
+        let mut df = mem_with_page_size(256);
         let values: Vec<String> = (0..2000).map(|i| format!("value {i}")).collect();
-        let offs: Vec<u64> = {
-            let mut df = DataFile::create(&path).unwrap();
-            let offs = values.iter().map(|v| df.put(v).unwrap().0).collect();
-            df.sync().unwrap();
-            offs
-        };
-        let mut df = DataFile::open(&path).unwrap();
+        let offs: Vec<u64> = values.iter().map(|v| df.put(v).unwrap().0).collect();
+        let mut df = reopen(&df);
         for (v, off) in values.iter().zip(&offs) {
             assert_eq!(df.put(v).unwrap().0, *off, "{v} is shared");
             assert!(df.hash_identifies(v).unwrap());
         }
-        let table = df.table().unwrap();
-        assert_eq!(table.live.len(), values.len());
-        // Plant an entry that shares the top bits of `value 0`'s hash but
-        // points at another record: the value is still shared, but no
-        // longer vouched for.
-        let h0 = hash_value(&values[0]);
-        table.live.insert(h0 & !OFFSET_MASK | offs[1]);
+        {
+            let mut slot = df.lock_dedup();
+            let table = df.table(&mut slot).unwrap();
+            assert_eq!(table.live.len(), values.len());
+            // Plant an entry that shares the top bits of `value 0`'s hash
+            // but points at another record: the value is still shared, but
+            // no longer vouched for.
+            let h0 = hash_value(&values[0]);
+            table.live.insert(h0 & !OFFSET_MASK | offs[1]);
+        }
         assert!(!df.hash_identifies(&values[0]).unwrap());
         assert_eq!(df.put(&values[0]).unwrap().0, offs[0]);
-        // A tombstone and a roll-back reach the entries.
         df.mark_dead(offs[5]).unwrap();
         assert!(!df.hash_identifies(&values[5]).unwrap());
         assert_ne!(df.put(&values[5]).unwrap().0, offs[5]);
-        df.truncate_to(offs[1000]).unwrap();
-        let len = df.len_bytes();
-        assert_eq!(df.put(&values[999]).unwrap().0, offs[999]);
-        assert_eq!(
-            df.put(&values[1000]).unwrap().0,
-            len,
-            "cut off: stored afresh"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn out_of_range_read_is_error() {
-        let mut df = DataFile::in_memory();
+        let mut df = mem();
         df.put("x").unwrap();
         assert!(df.get_record(999).is_err());
+        assert!(df.get_record(df.len_bytes() - 2).is_err(), "torn header");
     }
 
     #[test]
     fn tombstones_stop_sharing_and_reads() {
-        let mut df = DataFile::in_memory();
+        let mut df = mem();
         let (o1, _) = df.put("ghost").unwrap();
         let (o2, _) = df.put("alive").unwrap();
         df.mark_dead(o1).unwrap();
@@ -756,120 +687,176 @@ mod tests {
 
     #[test]
     fn tombstones_survive_reopen_outside_dedup() {
-        let dir = std::env::temp_dir().join(format!("nok-values-dead-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("values.dat");
-        let (dead_off, live_off);
-        {
-            let mut df = DataFile::create(&path).unwrap();
-            dead_off = df.put("condemned").unwrap().0;
-            live_off = df.put("kept").unwrap().0;
-            df.mark_dead(dead_off).unwrap();
-            df.sync().unwrap();
-        }
-        {
-            let mut df = DataFile::open(&path).unwrap();
-            assert!(df.get_record(dead_off).is_err());
-            assert_eq!(df.get_record(live_off).unwrap(), "kept");
-            assert!(!df.hash_identifies("condemned").unwrap());
-            assert!(df.hash_identifies("kept").unwrap());
-            assert_ne!(df.put("condemned").unwrap().0, dead_off);
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        let mut df = mem();
+        let dead_off = df.put("condemned").unwrap().0;
+        let live_off = df.put("kept").unwrap().0;
+        df.mark_dead(dead_off).unwrap();
+        let mut df = reopen(&df);
+        assert!(df.get_record(dead_off).is_err());
+        assert_eq!(df.get_record(live_off).unwrap(), "kept");
+        assert!(!df.hash_identifies("condemned").unwrap());
+        assert!(df.hash_identifies("kept").unwrap());
+        assert_ne!(df.put("condemned").unwrap().0, dead_off);
     }
 
-    /// Opening reads nothing of the file and reading records never needs
-    /// the table; each of the four operations that do need it builds it,
-    /// and a file that ends inside a record is found out by that build.
+    /// Opening reads nothing but the length and reading records never
+    /// needs the table; each of the three operations that do need it builds
+    /// it, and a file that ends inside a record is found out by that build.
     #[test]
     fn the_table_is_built_by_the_first_caller_that_needs_it() {
-        let dir = std::env::temp_dir().join(format!("nok-values-lazy-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("values.dat");
-        let (one, two, len);
-        {
-            let mut df = DataFile::create(&path).unwrap();
-            one = df.put("one").unwrap().0;
-            two = df.put("two").unwrap().0;
-            len = df.len_bytes();
-            df.sync().unwrap();
-        }
-        let needs: [fn(&mut DataFile, u64) -> bool; 4] = [
-            |df, _| df.put("three").is_ok(),
+        let mut df = mem();
+        let one = df.put("one").unwrap().0;
+        let two = df.put("two").unwrap().0;
+        let len = df.len_bytes();
+        let needs: [fn(&mut DataFile<MemStorage>, u64) -> bool; 3] = [
+            |df, _| df.put("one").is_ok(),
             |df, _| df.hash_identifies("one").is_ok(),
-            |df, two| df.mark_dead(two).is_ok(),
-            |df, two| df.truncate_to(two).is_ok(),
+            |df, one| df.mark_dead(one).is_ok() && df.put("one").is_ok(),
         ];
         for need in needs {
-            let mut df = DataFile::open(&path).unwrap();
+            let mut df = reopen(&df);
             assert_eq!(df.len_bytes(), len);
             assert_eq!(df.get_record(one).unwrap(), "one");
             assert!(df.record_equals(two, "two").unwrap());
             assert_eq!(df.record_span(two).unwrap(), (3, false));
-            assert!(df.dedup.is_none(), "reads do not build the table");
-            assert!(need(&mut df, two));
-            assert!(df.dedup.is_some());
-            drop(df);
-            // Undo what the operation did to the file.
-            let mut df = DataFile::create(&path).unwrap();
-            df.put("one").unwrap();
-            df.put("two").unwrap();
+            assert!(df.lock_dedup().is_none(), "reads do not build the table");
+            assert!(need(&mut df, one));
+            assert!(df.lock_dedup().is_some());
         }
-        // A torn tail: opening does not notice, records before it read
-        // fine, and what needs the table is refused.
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .and_then(|f| f.set_len(len - 1))
-            .unwrap();
-        let mut df = DataFile::open(&path).unwrap();
+        // A length that ends inside a record: records before it read fine,
+        // and what needs the table is refused.
+        let mut df = mem();
+        let one = df.put("one").unwrap().0;
+        let torn = df.put("two").unwrap().0 + 1;
+        df.pool().get(0).unwrap().write()[..8].copy_from_slice(&torn.to_le_bytes());
+        let mut df = reopen(&df);
         assert_eq!(df.get_record(one).unwrap(), "one");
         assert!(matches!(
             df.hash_identifies("one"),
             Err(CoreError::Corrupt(_))
         ));
         assert!(matches!(df.put("three"), Err(CoreError::Corrupt(_))));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Under a fault-injection plan that tripped, dropping the file is the
-    /// crash: what was appended or tombstoned after the last sync is gone.
-    #[test]
-    fn a_tripped_plan_loses_what_was_never_synced() {
-        let dir = std::env::temp_dir().join(format!("nok-values-trip-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("values.dat");
-        let mut df = DataFile::create(&path).unwrap();
-        let kept = df.put("kept").unwrap().0;
-        let spared = df.put("spared").unwrap().0;
-        df.set_failpoint(FailPlan::at(5));
-        df.mark_dead(kept).unwrap(); // 1
-        df.sync().unwrap(); // 2
-        let synced = df.len_bytes();
-        assert_eq!(df.bytes_from(spared).unwrap(), b"\x06\x00\x00\x00spared");
-        df.put("lost").unwrap(); // 3
-        df.mark_dead(spared).unwrap(); // 4
-        assert!(df.sync().is_err()); // 5: the crash
-        drop(df);
-        let mut df = DataFile::open(&path).unwrap();
-        assert_eq!(df.len_bytes(), synced);
-        assert_eq!(df.record_span(kept).unwrap(), (4, true));
-        assert_eq!(df.get_record(spared).unwrap(), "spared");
-        std::fs::remove_dir_all(&dir).ok();
+    /// xorshift64: a seeded stream for the property test.
+    fn rng(mut s: u64) -> impl FnMut() -> u64 {
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        }
+    }
+
+    /// The file against a `Vec<u8>` of its byte stream: appends (the empty
+    /// value, short ones, ones longer than a page, repeats that must be
+    /// shared) and tombstones, inside transactions that commit or abort,
+    /// and reopens. After every step the stream, the length page and the
+    /// page count are the model's; at the end every record reads back.
+    fn paged_file_matches_a_byte_model(page_size: usize) {
+        let (mut straddled_words, mut straddled_dead, mut aborted) = (0, 0, 0);
+        for seed in 1..=12u64 {
+            let mut next = rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut df = mem_with_page_size(page_size);
+            let mut model: Vec<u8> = Vec::new();
+            // Offset and text of every record stored, and whether it is dead.
+            let mut records: Vec<(u64, String, bool)> = Vec::new();
+            let mut txn = df.pool().begin_txn();
+            let mut began = (model.clone(), records.clone());
+            let straddles = |off: u64| off % page_size as u64 > page_size as u64 - 4;
+            for _ in 0..240 {
+                match next() % 10 {
+                    0..=4 => {
+                        // Case 2 ends its record two bytes before a page
+                        // boundary: the next length word straddles it.
+                        let to_straddle = (2 * page_size - 6 - model.len() % page_size) % page_size;
+                        let fresh = match next() % 8 {
+                            0 => String::new(),
+                            1 => "x".repeat(page_size + (next() % (2 * page_size as u64)) as usize),
+                            2 => "z".repeat(to_straddle),
+                            _ => format!("{}{}", next(), "y".repeat((next() % 40) as usize)),
+                        };
+                        let value = match records.iter().find(|r| !r.2 && next().is_multiple_of(4))
+                        {
+                            Some(r) => r.1.clone(),
+                            None => fresh,
+                        };
+                        let shared = records.iter().find(|r| !r.2 && r.1 == value);
+                        let (off, len) = df.put(&value).unwrap();
+                        assert_eq!(len as usize, value.len());
+                        if let Some(r) = shared {
+                            assert_eq!(off, r.0, "a live equal value is shared");
+                        } else {
+                            assert_eq!(off, model.len() as u64, "a new value is appended");
+                            model.extend_from_slice(&len.to_le_bytes());
+                            model.extend_from_slice(value.as_bytes());
+                            straddled_words += usize::from(straddles(off));
+                            records.push((off, value, false));
+                        }
+                    }
+                    5 | 6 => {
+                        let live: Vec<usize> =
+                            (0..records.len()).filter(|&i| !records[i].2).collect();
+                        if let Some(&i) = live.get((next() % (live.len() as u64 + 1)) as usize) {
+                            let off = records[i].0;
+                            df.mark_dead(off).unwrap();
+                            model[off as usize + 3] |= 0x80;
+                            records[i].2 = true;
+                            straddled_dead += usize::from(straddles(off));
+                        }
+                    }
+                    7 => {
+                        df.roll_back(|| Ok(txn.abort()?)).unwrap();
+                        (model, records) = began.clone();
+                        aborted += 1;
+                        txn = df.pool().begin_txn();
+                    }
+                    op => {
+                        txn.commit();
+                        if op == 9 {
+                            df = reopen(&df);
+                        }
+                        txn = df.pool().begin_txn();
+                        began = (model.clone(), records.clone());
+                    }
+                }
+                assert_eq!(df.len_bytes(), model.len() as u64);
+                assert_eq!(df.bytes_from(0).unwrap(), model);
+                assert_eq!(reopen(&df).len_bytes(), model.len() as u64, "page 0");
+                let pages = df.pool().page_count() as usize;
+                assert_eq!(
+                    pages,
+                    1 + model.len().div_ceil(page_size),
+                    "no page to spare"
+                );
+            }
+            txn.commit();
+            for (off, value, dead) in &records {
+                assert_eq!(df.record_span(*off).unwrap(), (value.len() as u32, *dead));
+                match dead {
+                    false => assert_eq!(&df.get_record(*off).unwrap(), value),
+                    true => assert!(df.get_record(*off).is_err()),
+                }
+                assert!(df.record_equals(*off, value).unwrap());
+                let none_dead = records.iter().all(|r| &r.1 != value || !r.2);
+                assert_eq!(df.hash_identifies(value).unwrap(), none_dead);
+            }
+        }
+        assert!(straddled_words > 0 && straddled_dead > 0 && aborted > 0);
     }
 
     #[test]
-    fn truncate_to_rolls_back_appends() {
-        let mut df = DataFile::in_memory();
-        let (o1, _) = df.put("base").unwrap();
-        let mark = df.len_bytes();
-        df.put("txn-value").unwrap();
-        df.truncate_to(mark).unwrap();
-        assert_eq!(df.len_bytes(), mark);
-        assert_eq!(df.get_record(o1).unwrap(), "base");
-        // The rolled-back value must not be shareable.
-        let (o2, _) = df.put("txn-value").unwrap();
-        assert_eq!(o2, mark);
-        assert!(df.truncate_to(mark + 999).is_err());
+    fn paged_file_matches_a_byte_model_256_byte_pages() {
+        paged_file_matches_a_byte_model(256);
+    }
+
+    #[test]
+    fn paged_file_matches_a_byte_model_1k_pages() {
+        paged_file_matches_a_byte_model(1024);
+    }
+
+    #[test]
+    fn paged_file_matches_a_byte_model_4k_pages() {
+        paged_file_matches_a_byte_model(4096);
     }
 }

@@ -63,7 +63,6 @@ fn page_splitting_inserts_preserve_invariants() {
 /// a stored node what the bulk build made it, however long the storm runs.
 #[test]
 fn a_long_storm_adds_nodes_at_the_built_stores_bytes_per_node() {
-    use nok_core::LockDataFile;
     let xml = nok_datagen::generate(nok_datagen::DatasetKind::Dblp, 0.01).xml;
     let mut db = XmlDb::build_in_memory(&xml).unwrap();
     let size = |db: &XmlDb<nok_pager::MemStorage>| {
@@ -71,7 +70,7 @@ fn a_long_storm_adds_nodes_at_the_built_stores_bytes_per_node() {
             + db.bt_tag().footprint_bytes()
             + db.bt_val().footprint_bytes()
             + db.bt_id().footprint_bytes()
-            + db.data_cell().lock_data().len_bytes();
+            + db.data_file().len_bytes();
         (bytes as f64, db.node_count() as f64)
     };
     let record = |key: String| {

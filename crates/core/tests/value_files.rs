@@ -1,14 +1,13 @@
-//! The build writes `values.dat` in one piece and hashes each value as it
-//! reads it, where the data file used to take a seek and a write per value
-//! and B+v's bulk load read every value back: neither moves a byte.
-//! `values.dat` equals the data file `build_in_memory` assembles for the
-//! same XML, and `values.idx` keeps the bytes pinned by its 64-bit FNV-1a
-//! digest (first those the per-value build wrote; re-pinned when the
-//! B+tree leaf format changed).
+//! The build hashes each value as it reads it, where B+v's bulk load used
+//! to read every value back, and writes `values.dat` through its pool:
+//! neither moves a byte. The records on `values.dat`'s pages equal the data
+//! file `build_in_memory` assembles for the same XML, and `values.idx`
+//! keeps the bytes pinned by its 64-bit FNV-1a digest (first those the
+//! per-value build wrote; re-pinned when the B+tree leaf format changed).
 
 #![cfg(test)]
 
-use nok_core::{LockDataFile, XmlDb};
+use nok_core::XmlDb;
 use nok_datagen::{generate, DatasetKind};
 
 /// FNV-1a of `values.idx` built from dblp at scale 0.01 (format 4's
@@ -27,12 +26,17 @@ fn value_files_are_byte_identical_to_the_per_value_build() {
     std::fs::remove_dir_all(&dir).ok();
 
     let mem = XmlDb::build_in_memory(&xml).unwrap();
-    let want = mem.data_cell().lock_data().bytes_from(0).unwrap();
-    assert_eq!(data.len(), want.len());
+    let want = mem.data_file().bytes_from(0).unwrap();
+    // The file's 16-byte header, page 0 with the length, then the records
+    // from page 1 on, the last page padded with zeros.
+    let page = nok_pager::DEFAULT_PAGE_SIZE;
+    let (records, pad) = data[16 + page..].split_at(want.len());
+    assert_eq!(data[16..24], (want.len() as u64).to_le_bytes());
     assert!(
-        data == want,
+        records == want,
         "values.dat differs from the in-memory data file"
     );
+    assert!(pad.len() < page && pad.iter().all(|&b| b == 0));
     let digest = idx.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
     });

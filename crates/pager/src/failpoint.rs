@@ -6,13 +6,13 @@
 //! operation fails too**. Code under test therefore cannot repair anything
 //! after the injected crash. And because a real crash also loses what was
 //! written but never synced, a tripped [`FailpointStorage`] puts its pages
-//! back to what its last successful `sync` left (the data file does the
-//! same): recovery gets to work with the synced bytes and the log only.
+//! back to what its last successful `sync` left: recovery gets to work with
+//! the synced bytes and the log only.
 //!
 //! [`FailpointStorage`] wraps any [`Storage`] and routes its mutating
-//! operations through a shared plan; [`crate::wal::Wal`] and the data file
-//! take the same plan via `set_failpoint`, so one counter spans every
-//! durability-relevant write in a store.
+//! operations through a shared plan; [`crate::wal::Wal`] takes the same
+//! plan via `set_failpoint`, so one counter spans every durability-relevant
+//! write in a store.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

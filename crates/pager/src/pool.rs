@@ -284,6 +284,22 @@ impl<S: Storage> BufferPool<S> {
         Ok(self.fetch(id)?.current_image())
     }
 
+    /// The current image of page `id` for a one-pass scan: a cached
+    /// frame's image, else the page read from storage and not kept, so the
+    /// scan leaves the cache as it found it. The miss holds the ring's
+    /// mutex, as a miss that installs does, so no write-back is under way.
+    pub fn image_uncached(&self, id: PageId) -> PagerResult<Arc<[u8]>> {
+        self.stats.count_get();
+        if let Some(frame) = self.hit(id) {
+            return Ok(frame.current_image());
+        }
+        let _clock = mutex_lock(&self.clock);
+        match self.hit(id) {
+            Some(frame) => Ok(frame.current_image()),
+            None => self.read_page(id),
+        }
+    }
+
     /// The frame of page `id`, installed from storage on a miss. The
     /// caller takes the frame's lock with no pool lock held: a writer
     /// holding one frame's write lock may miss on another page.

@@ -1,9 +1,9 @@
 //! Write-ahead log for crash-safe multi-page commits.
 //!
 //! The WAL is a physical **redo** log: a transaction is what it changed in
-//! the pages it dirtied (plus a handful of non-paged side effects —
-//! data-file appends and length, tombstones, tag-dictionary and synopsis
-//! blobs), terminated by a commit marker. The commit protocol is NO-FORCE:
+//! the pages it dirtied (plus two non-paged side effects, the
+//! tag-dictionary and synopsis blobs), terminated by a commit marker. The
+//! commit protocol is NO-FORCE:
 //!
 //! 1. the caller appends every record of the transaction plus a
 //!    [`WalRecord::Commit`] marker in **one** write, then fsyncs — that
@@ -12,7 +12,7 @@
 //!    them back to their home storages, never before step 1 (the WAL rule);
 //! 3. once the log has grown past the caller's threshold, the caller writes
 //!    back and syncs the home files and checkpoints the log (truncates it
-//!    back to its magic, re-seeds it with the current baseline).
+//!    back to its magic and an empty baseline transaction).
 //!
 //! A page's first record after a checkpoint is its full image
 //! ([`WalRecord::PageImage`]); every later one is a [`WalRecord::PageDelta`]
@@ -58,11 +58,8 @@ const WAL_MAGIC_IMAGES_ONLY: &[u8; 8] = b"NOKWAL01";
 
 const REC_PAGE_IMAGE: u8 = 1;
 const REC_PAGE_COUNT: u8 = 2;
-const REC_DATA_LEN: u8 = 3;
-const REC_DATA_DEAD: u8 = 4;
 const REC_DICT_BLOB: u8 = 5;
 const REC_COMMIT: u8 = 6;
-const REC_DATA_APPEND: u8 = 7;
 const REC_STATS_BLOB: u8 = 8;
 const REC_PAGE_DELTA: u8 = 9;
 
@@ -89,20 +86,8 @@ pub enum WalRecord {
         /// Number of pages after the transaction.
         count: u32,
     },
-    /// Post-transaction byte length of the append-only data file.
-    DataLen(u64),
-    /// A data-file record at this offset was tombstoned by the transaction.
-    DataDead(u64),
     /// Full serialized tag dictionary after the transaction.
     DictBlob(Vec<u8>),
-    /// The bytes the transaction appended to the data file, which are not
-    /// synced before the commit point: recovery rewrites them at `offset`.
-    DataAppend {
-        /// Data-file length when the transaction began.
-        offset: u64,
-        /// Everything appended since.
-        bytes: Vec<u8>,
-    },
     /// The encoded planner synopsis after the transaction.
     StatsBlob(Vec<u8>),
     /// Terminates a transaction; everything since the previous commit
@@ -129,12 +114,7 @@ impl WalRecord {
             WalRecord::PageCount { comp, count } => {
                 put_frame(out, REC_PAGE_COUNT, &[&[*comp], &count.to_le_bytes()])
             }
-            WalRecord::DataLen(n) => put_frame(out, REC_DATA_LEN, &[&n.to_le_bytes()]),
-            WalRecord::DataDead(off) => put_frame(out, REC_DATA_DEAD, &[&off.to_le_bytes()]),
             WalRecord::DictBlob(b) => put_frame(out, REC_DICT_BLOB, &[b]),
-            WalRecord::DataAppend { offset, bytes } => {
-                put_frame(out, REC_DATA_APPEND, &[&offset.to_le_bytes(), bytes])
-            }
             WalRecord::StatsBlob(b) => put_frame(out, REC_STATS_BLOB, &[b]),
             WalRecord::Commit => put_frame(out, REC_COMMIT, &[]),
             WalRecord::PageDelta { comp, page, runs } => {
@@ -181,28 +161,7 @@ impl WalRecord {
                     count: u32::from_le_bytes([rest[1], rest[2], rest[3], rest[4]]),
                 })
             }
-            REC_DATA_LEN => {
-                let b: [u8; 8] = rest
-                    .try_into()
-                    .map_err(|_| corrupt("malformed data-len record"))?;
-                Ok(WalRecord::DataLen(u64::from_le_bytes(b)))
-            }
-            REC_DATA_DEAD => {
-                let b: [u8; 8] = rest
-                    .try_into()
-                    .map_err(|_| corrupt("malformed data-dead record"))?;
-                Ok(WalRecord::DataDead(u64::from_le_bytes(b)))
-            }
             REC_DICT_BLOB => Ok(WalRecord::DictBlob(rest.to_vec())),
-            REC_DATA_APPEND => {
-                let (off, bytes) = rest
-                    .split_first_chunk::<8>()
-                    .ok_or_else(|| corrupt("short data-append record"))?;
-                Ok(WalRecord::DataAppend {
-                    offset: u64::from_le_bytes(*off),
-                    bytes: bytes.to_vec(),
-                })
-            }
             REC_STATS_BLOB => Ok(WalRecord::StatsBlob(rest.to_vec())),
             REC_COMMIT => Ok(WalRecord::Commit),
             other => Err(corrupt(&format!("unknown record type {other}"))),
@@ -443,37 +402,31 @@ impl Wal {
         Ok((txns, committed as u64))
     }
 
-    /// Truncate the log back to its magic and seed it with a fresh baseline
-    /// transaction (typically just the current data-file length). After a
-    /// checkpoint the previously logged records are gone — callers must
-    /// only checkpoint once those pages are durable in their home files —
-    /// and the next record of every page is an image again.
-    pub fn checkpoint(&mut self, baseline: &[WalRecord]) -> PagerResult<()> {
+    /// Truncate the log back to its magic and seed it with an empty
+    /// baseline transaction. After a checkpoint the previously logged
+    /// records are gone — callers must only checkpoint once those pages are
+    /// durable in their home files — and the next record of every page is
+    /// an image again.
+    pub fn checkpoint(&mut self) -> PagerResult<()> {
         self.check_failpoint()?;
         self.file.set_len(8)?;
         self.file.write_all_at(WAL_MAGIC, 0)?;
         self.imaged.clear();
         self.deltas = true;
-        self.append_txn(baseline).map(|_| ())
+        self.append_frames(Vec::new(), &[]).map(|_| ())
     }
 }
 
 /// What [`replay`] applied, plus the non-paged side effects the caller must
-/// apply itself (the pager does not know about data files or dictionaries).
+/// apply itself (the pager does not know about dictionaries).
 #[derive(Debug, Default)]
 pub struct ReplayOutcome {
     /// Number of page images and deltas written back.
     pub pages_applied: u64,
     /// Number of transactions replayed.
     pub txns: u64,
-    /// Final logged data-file length, if any transaction recorded one.
-    pub data_len: Option<u64>,
-    /// Every tombstoned data-file offset, in log order.
-    pub data_dead: Vec<u64>,
     /// Final logged dictionary blob, if any transaction recorded one.
     pub dict: Option<Vec<u8>>,
-    /// Every logged data-file append `(offset, bytes)`, in log order.
-    pub data_appends: Vec<(u64, Vec<u8>)>,
     /// Final logged synopsis blob, if any transaction recorded one.
     pub stats: Option<Vec<u8>>,
 }
@@ -532,10 +485,7 @@ pub fn replay(
                     touched[i] = true;
                     out.pages_applied += 1;
                 }
-                WalRecord::DataLen(n) => out.data_len = Some(n),
-                WalRecord::DataDead(off) => out.data_dead.push(off),
                 WalRecord::DictBlob(b) => out.dict = Some(b),
-                WalRecord::DataAppend { offset, bytes } => out.data_appends.push((offset, bytes)),
                 WalRecord::StatsBlob(b) => out.stats = Some(b),
                 WalRecord::Commit => {}
             }
@@ -811,13 +761,7 @@ mod tests {
                 page: 4,
                 runs: vec![2, 0, 1, 0, 9],
             },
-            WalRecord::DataLen(99),
-            WalRecord::DataDead(12),
             WalRecord::DictBlob(b"dict".to_vec()),
-            WalRecord::DataAppend {
-                offset: 95,
-                bytes: b"\x00\x00\x00\x00".to_vec(),
-            },
             WalRecord::StatsBlob(b"stats".to_vec()),
         ];
         {
@@ -859,17 +803,16 @@ mod tests {
         let path = temp_path("len");
         let mut wal = Wal::open_or_create(&path).unwrap();
         let on_disk = || std::fs::metadata(&path).unwrap().len();
-        let one = wal
-            .append_txn(&[WalRecord::DataLen(1), WalRecord::Commit])
-            .unwrap();
+        let blob = WalRecord::DictBlob(vec![1; 8]);
+        let one = wal.append_txn(&[blob, WalRecord::Commit]).unwrap();
         assert_eq!((one, on_disk()), (8 + 17 + 9, 8 + 17 + 9));
         assert_eq!(wal.append_frames(Vec::new(), &[]).unwrap(), one + 9);
         assert_eq!(wal.committed_txns().unwrap().0.len(), 2);
-        wal.checkpoint(&[WalRecord::DataLen(1)]).unwrap();
-        assert_eq!(on_disk(), one);
+        wal.checkpoint().unwrap();
+        assert_eq!(on_disk(), 8 + 9, "the magic and an empty baseline");
         drop(wal);
         let mut wal = Wal::open_or_create(&path).unwrap();
-        assert_eq!(wal.append_frames(Vec::new(), &[]).unwrap(), one + 9);
+        assert_eq!(wal.append_frames(Vec::new(), &[]).unwrap(), 8 + 9 + 9);
         std::fs::remove_file(&path).ok();
     }
 
@@ -883,7 +826,7 @@ mod tests {
         assert!(!wal.has_image(1, 5));
         wal.append_frames(Vec::new(), &[(1, 5)]).unwrap();
         assert!(wal.has_image(1, 5) && !wal.has_image(0, 5));
-        wal.checkpoint(&[]).unwrap();
+        wal.checkpoint().unwrap();
         assert!(!wal.has_image(1, 5));
         wal.append_frames(Vec::new(), &[(1, 5)]).unwrap();
         drop(wal);
@@ -903,7 +846,7 @@ mod tests {
                 page: 1,
                 data: vec![4u8; 32],
             },
-            WalRecord::DataLen(7),
+            WalRecord::StatsBlob(vec![7]),
         ];
         let mut bytes = WAL_MAGIC_IMAGES_ONLY.to_vec();
         for r in recs.iter().chain([&WalRecord::Commit]) {
@@ -917,7 +860,7 @@ mod tests {
             !wal.has_image(0, 1),
             "no delta goes into an images-only log"
         );
-        wal.checkpoint(&[WalRecord::DataLen(7)]).unwrap();
+        wal.checkpoint().unwrap();
         assert_eq!(std::fs::read(&path).unwrap()[..8], WAL_MAGIC[..]);
         wal.append_frames(Vec::new(), &[(0, 1)]).unwrap();
         assert!(wal.has_image(0, 1));
@@ -929,7 +872,7 @@ mod tests {
         let path = temp_path("torn");
         {
             let mut wal = Wal::open_or_create(&path).unwrap();
-            wal.append_txn(&[WalRecord::DataLen(1)]).unwrap();
+            wal.append_txn(&[WalRecord::StatsBlob(vec![1])]).unwrap();
             wal.append_txn(&[WalRecord::PageImage {
                 comp: 1,
                 page: 0,
@@ -963,7 +906,7 @@ mod tests {
             let mut wal = Wal::open_or_create(&path).unwrap();
             let (txns, end) = wal.committed_txns().unwrap();
             assert_eq!(txns.len(), 1, "cut at {cut}");
-            assert_eq!(txns[0], vec![WalRecord::DataLen(1)]);
+            assert_eq!(txns[0], vec![WalRecord::StatsBlob(vec![1])]);
             assert_eq!(end, first_txn_end as u64, "cut at {cut}");
         }
         std::fs::remove_file(&path).ok();
@@ -974,8 +917,8 @@ mod tests {
         let path = temp_path("crc");
         {
             let mut wal = Wal::open_or_create(&path).unwrap();
-            wal.append_txn(&[WalRecord::DataLen(1)]).unwrap();
-            wal.append_txn(&[WalRecord::DataLen(2)]).unwrap();
+            wal.append_txn(&[WalRecord::StatsBlob(vec![1])]).unwrap();
+            wal.append_txn(&[WalRecord::StatsBlob(vec![2])]).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip a payload byte in the second transaction's first record.
@@ -987,7 +930,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let mut wal = Wal::open_or_create(&path).unwrap();
         let (txns, _) = wal.committed_txns().unwrap();
-        assert_eq!(txns, vec![vec![WalRecord::DataLen(1)]]);
+        assert_eq!(txns, vec![vec![WalRecord::StatsBlob(vec![1])]]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1001,9 +944,9 @@ mod tests {
             data: vec![1u8; 16],
         }])
         .unwrap();
-        wal.checkpoint(&[WalRecord::DataLen(42)]).unwrap();
+        wal.checkpoint().unwrap();
         let (txns, _) = wal.committed_txns().unwrap();
-        assert_eq!(txns, vec![vec![WalRecord::DataLen(42)]]);
+        assert_eq!(txns, vec![vec![]]);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -117,12 +117,8 @@ fn run() -> Result<(), String> {
         if r.was_dirty() {
             eprintln!(
                 "nokd: recovered {}: {} txn(s) replayed, {} page(s) restored, \
-                 {} data byte(s) truncated, {} tombstone(s) re-applied",
-                args.db_dir,
-                r.replayed_txns,
-                r.pages_applied,
-                r.data_truncated_by,
-                r.deads_reapplied
+                 dictionary restored: {}, synopsis restored: {}",
+                args.db_dir, r.replayed_txns, r.pages_applied, r.dict_restored, r.stats_restored
             );
         }
     }

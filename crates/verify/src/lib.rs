@@ -34,8 +34,7 @@ use nok_core::page::{self, HEADER_SIZE, NO_PAGE};
 use nok_core::physical::{tag_posting_key, IdRecord, TagPosting};
 use nok_core::sigma::TagCode;
 use nok_core::store::{NodeAddr, StructStore};
-use nok_core::values::hash_key;
-use nok_core::LockDataFile;
+use nok_core::values::{hash_key, DataFile};
 use nok_core::XmlDb;
 use nok_pager::{BufferPool, PageId, Storage};
 
@@ -580,7 +579,7 @@ fn generation_checks<S: Storage>(db: &XmlDb<S>, v: &mut Vec<Violation>) {
     // The published data-file length is a visibility horizon: records at
     // or past it are invisible to snapshot readers. A horizon *beyond* the
     // file is corruption; a horizon behind it is just an uncommitted tail.
-    let file_len = db.data_cell().lock_data().len_bytes();
+    let file_len = db.data_file().len_bytes();
     if g.data_len() > file_len {
         v.push(Violation::GenerationMismatch {
             field: "data-file length",
@@ -623,8 +622,14 @@ fn index_checks<S: Storage>(db: &XmlDb<S>, opts: VerifyOptions, scan: &mut Chain
     let derived: HashMap<Vec<u8>, &DerivedNode> =
         scan.nodes.iter().map(|n| (n.dewey.to_key(), n)).collect();
 
+    // ---- Data file: the length page 0 holds lies within its pages, and
+    // the records tile it: `(offset, dead)` in file order, `None` when
+    // they do not.
+    let records = data_file_records(db.data_file(), v);
+
     // ---- B+i: every node exactly once, with the right address; every
-    // value pointer resolves in the data file with the right length.
+    // value pointer is a record start and resolves in the data file with
+    // the right length.
     let mut seen_ids: HashSet<Vec<u8>> = HashSet::new();
     let mut referenced_offsets: HashSet<u64> = HashSet::new();
     // dewey key -> value text (resolved through B+i), for the B+v checks.
@@ -690,7 +695,15 @@ fn index_checks<S: Storage>(db: &XmlDb<S>, opts: VerifyOptions, scan: &mut Chain
             }
         }
         if let Some((off, len)) = rec.value {
-            match db.data_cell().lock_data().get_record(off) {
+            let start = records
+                .as_ref()
+                .is_none_or(|r| r.binary_search_by_key(&off, |r| r.0).is_ok());
+            match db.data_file().get_record(off) {
+                Ok(_) if !start => v.push(Violation::ValueUnresolvable {
+                    dewey: dewey.to_string(),
+                    offset: off,
+                    detail: "not the start of a data-file record".into(),
+                }),
                 Ok(text) => {
                     if text.len() as u32 != len {
                         v.push(Violation::ValueUnresolvable {
@@ -965,23 +978,52 @@ fn index_checks<S: Storage>(db: &XmlDb<S>, opts: VerifyOptions, scan: &mut Chain
     // last referent was deleted carry a tombstone (the dead bit in the
     // length word) and are skipped, so this holds after updates too.
     if opts.value_orphans {
-        let mut off = 0u64;
-        let total = db.data_cell().lock_data().len_bytes();
-        while off < total {
-            let (len, dead) = match db.data_cell().lock_data().record_span(off) {
-                Ok(s) => s,
-                Err(e) => {
-                    v.push(Violation::RecordCorrupt {
-                        what: "data-file record",
-                        detail: format!("offset {off}: {e}"),
-                    });
-                    break;
-                }
-            };
+        for &(off, dead) in records.iter().flatten() {
             if !dead && !referenced_offsets.contains(&off) {
                 v.push(Violation::OrphanValueRecord { offset: off });
             }
-            off += 4 + len as u64;
         }
     }
+}
+
+/// The records of the data file, `(offset, dead)` in file order, walked
+/// through its pages; `None`, with the violation, when page 0's length is
+/// past the pages or a record does not lie within the length.
+fn data_file_records<S: Storage>(
+    data: &DataFile<S>,
+    v: &mut Vec<Violation>,
+) -> Option<Vec<(u64, bool)>> {
+    let (len, pages) = (data.len_bytes(), data.pool().page_count() as u64);
+    let room = pages.saturating_sub(1) * data.pool().page_size() as u64;
+    if len > room {
+        v.push(Violation::RecordCorrupt {
+            what: "data-file length",
+            detail: format!("page 0 holds {len} bytes, {pages} pages hold at most {room}"),
+        });
+        return None;
+    }
+    let (mut records, mut off) = (Vec::new(), 0u64);
+    while off < len {
+        match data.record_span(off) {
+            Ok((size, dead)) if off + 4 + u64::from(size) <= len => {
+                records.push((off, dead));
+                off += 4 + u64::from(size);
+            }
+            Ok((size, _)) => {
+                v.push(Violation::RecordCorrupt {
+                    what: "data-file record",
+                    detail: format!("offset {off}: {size} bytes run past the length {len}"),
+                });
+                return None;
+            }
+            Err(e) => {
+                v.push(Violation::RecordCorrupt {
+                    what: "data-file record",
+                    detail: format!("offset {off}: {e}"),
+                });
+                return None;
+            }
+        }
+    }
+    Some(records)
 }

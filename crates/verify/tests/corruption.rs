@@ -12,10 +12,9 @@ use nok_core::page::{HEADER_SIZE, OFF_LO, OFF_NBYTES, OFF_NEXT, OFF_ST};
 use nok_core::physical::{tag_posting_key, IdRecord, TagPosting};
 use nok_core::store::{BuildOptions, NodeAddr};
 use nok_core::values::{hash_key, DataFile};
-use nok_core::LockDataFile;
 use nok_core::XmlDb;
 use nok_pager::codec::{get_u16, put_u16, put_u32};
-use nok_pager::{BufferPool, MemStorage, PageId};
+use nok_pager::{BufferPool, FileStorage, MemStorage, PageId};
 use nok_verify::{verify_chain, verify_db, verify_store, VerifyOptions};
 
 const BIB: &str = r#"<bib>
@@ -347,10 +346,32 @@ fn succinct_tag_code_out_of_range_is_flagged() {
 // Index-layer injections (default page size; damage via the index APIs).
 // ---------------------------------------------------------------------
 
+/// BIB on disk, with `values.dat`'s pages handed to `damage` before the
+/// directory is opened again.
+fn bib_with_damaged_values(
+    name: &str,
+    damage: impl FnOnce(&Arc<BufferPool<FileStorage>>),
+) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("nok-verify-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    drop(XmlDb::create_on_disk(&dir, BIB).unwrap());
+    let pool = Arc::new(BufferPool::new(
+        FileStorage::open(dir.join("values.dat")).unwrap(),
+    ));
+    damage(&pool);
+    pool.flush().unwrap();
+    dir
+}
+
 #[test]
 fn orphaned_data_record_is_flagged_in_strict_mode() {
-    let db = XmlDb::build_in_memory(BIB).unwrap();
-    db.data_cell().lock_data().put("orphan text").unwrap();
+    let dir = bib_with_damaged_values("orphan", |pool| {
+        DataFile::open(Arc::clone(pool))
+            .unwrap()
+            .put("orphan text")
+            .unwrap();
+    });
+    let db = XmlDb::open_dir(&dir).unwrap();
     let lenient = verify_db(&db, VerifyOptions::default());
     assert!(
         lenient.is_clean(),
@@ -358,6 +379,37 @@ fn orphaned_data_record_is_flagged_in_strict_mode() {
     );
     let strict = verify_db(&db, VerifyOptions::strict());
     assert!(strict.has_kind("orphan-value-record"), "{strict}");
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A damaged length in `values.dat`'s page 0 — past the pages, or inside
+/// the last record — opens, and is reported rather than panicking; the
+/// first value still resolves.
+#[test]
+fn damaged_data_file_length_is_reported_not_panicking() {
+    for past in [true, false] {
+        let dir = bib_with_damaged_values("length", |pool| {
+            let page = pool.get(0).unwrap();
+            let mut buf = page.write();
+            let len = u64::from_le_bytes(buf[..8].try_into().unwrap());
+            let bad = if past { 1 << 40 } else { len - 1 };
+            buf[..8].copy_from_slice(&bad.to_le_bytes());
+        });
+        let db = XmlDb::open_dir(&dir).unwrap();
+        let rep = verify_db(&db, VerifyOptions::strict());
+        assert!(rep.has_kind("record-corrupt"), "{rep}");
+        let what = if past {
+            "pages hold at most"
+        } else {
+            "run past the length"
+        };
+        assert!(rep.to_json().contains(what), "{rep}");
+        let first = &db.query("//title").unwrap()[0];
+        assert!(db.value_of(first).unwrap().is_some());
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -639,7 +691,7 @@ fn btree_page_corruption_is_flagged() {
         Arc::clone(&tag_pool),
         mk(),
         mk(),
-        DataFile::in_memory(),
+        mk(),
     )
     .unwrap();
 
@@ -678,7 +730,7 @@ fn btree_cell_overrunning_its_page_is_flagged_not_panicking() {
         Arc::clone(&tag_pool),
         mk(),
         mk(),
-        DataFile::in_memory(),
+        mk(),
     )
     .unwrap();
     let root = nok_pager::codec::get_u32(&tag_pool.image(0).unwrap(), 4);

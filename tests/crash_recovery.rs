@@ -1,7 +1,7 @@
 //! Fault-injection harness for crash-safe updates.
 //!
 //! The pager's [`FailPlan`] counts every mutating I/O (page writes, file
-//! syncs, truncations, WAL appends, data-file appends) a scripted update
+//! syncs, truncations, WAL appends) a scripted update
 //! workload performs, then the sweep re-runs the workload once per k with
 //! the plan set to trip at the k-th operation. A tripped plan fails that
 //! operation *and every mutating operation after it* — the process is
@@ -84,7 +84,7 @@ fn render(items: &Mirror) -> String {
 }
 
 /// Operations in the sweep's script. Every insert stores a value of
-/// [`VAL_BYTES`], which its log record carries as a data-file append: the
+/// [`VAL_BYTES`], which its log record carries as data-file page images: the
 /// ~30 inserts after [`FLUSH_AFTER`] outgrow the checkpoint threshold
 /// (1 MiB) once.
 const OPS: usize = 60;
@@ -505,15 +505,15 @@ impl nok_pager::Storage for Counted {
 /// The budget of a storm-shaped commit — a six-node record inserted, then
 /// deleted again, each a transaction: below the checkpoint threshold it is
 /// one append to the log — one write, one fsync, the commit point — and
-/// nothing else durable: no home-file page written, no home file synced.
+/// nothing else durable: no home-file page written, no home file synced,
+/// `values.dat` counted with the other four components.
 /// Once the pages it dirties have had their first touch since the
 /// checkpoint, that append is at most 16 KiB. The commit that finds the log
 /// past the threshold checkpoints, once: it writes the pages back, syncs
-/// each component, and leaves a log back at its baseline. Counts and bytes,
-/// not timings.
+/// each of the five components, and leaves a log back at its baseline.
+/// Counts and bytes, not timings.
 #[test]
 fn a_commit_is_one_log_append_until_the_log_is_due_a_checkpoint() {
-    use nok_core::LockDataFile;
     let dir = make_pristine("commit-io");
     let baseline_len = std::fs::metadata(dir.join("wal.log")).expect("wal").len();
     let (writes, syncs) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
@@ -524,13 +524,9 @@ fn a_commit_is_one_log_append_until_the_log_is_due_a_checkpoint() {
         syncs: Arc::clone(&y),
     })
     .expect("open counted");
-    // One counting plan for the log's mutating I/O (an append is one, a
-    // checkpoint two), one for the data file's (appends, tombstones, syncs).
-    let (log_ios, data_ios) = (FailPlan::counting(), FailPlan::counting());
+    // The log's mutating I/O: an append is one, a checkpoint two.
+    let log_ios = FailPlan::counting();
     db.set_failpoint(Arc::clone(&log_ios));
-    db.data_cell()
-        .lock_data()
-        .set_failpoint(Arc::clone(&data_ios));
     let wal_len = || std::fs::metadata(dir.join("wal.log")).expect("wal").len();
     // Five values the document has not seen, so an insert appends five
     // records and its delete tombstones all five.
@@ -541,7 +537,7 @@ fn a_commit_is_one_log_append_until_the_log_is_due_a_checkpoint() {
 
     let mut commits = 0;
     loop {
-        let (len0, log0, data0) = (wal_len(), log_ios.count(), data_ios.count());
+        let (len0, log0) = (wal_len(), log_ios.count());
         if commits % 2 == 0 {
             db.insert_last_child(&Dewey::root(), &record(commits / 2))
                 .expect("insert");
@@ -549,10 +545,9 @@ fn a_commit_is_one_log_append_until_the_log_is_due_a_checkpoint() {
             db.delete_subtree(&storm).expect("delete");
         }
         commits += 1;
-        let (log, data) = (log_ios.count() - log0, data_ios.count() - data0);
+        let log = log_ios.count() - log0;
         if wal_len() > len0 {
             assert_eq!(log, 1, "one log append, and with it one fsync");
-            assert_eq!(data, 5, "five data-file appends or tombstones, no sync");
             assert_eq!(syncs.load(Ordering::Relaxed), 0, "no home file synced");
             assert_eq!(writes.load(Ordering::Relaxed), 0, "no home page written");
             if commits > 2 {
@@ -565,8 +560,7 @@ fn a_commit_is_one_log_append_until_the_log_is_due_a_checkpoint() {
         assert!(commits > 5 && len0 <= (1 << 20), "checkpointed at {len0} B");
         assert_eq!(wal_len(), baseline_len, "baseline-only log");
         assert_eq!(log, 3, "the commit's append, then the checkpoint");
-        assert_eq!(data, 5 + 1, "the commit's five, then the checkpoint's sync");
-        assert_eq!(syncs.load(Ordering::Relaxed), 4, "each component once");
+        assert_eq!(syncs.load(Ordering::Relaxed), 5, "each component once");
         assert!(
             writes.load(Ordering::Relaxed) > 0,
             "the checkpoint wrote pages back"

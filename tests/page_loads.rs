@@ -16,7 +16,6 @@ use std::sync::{Arc, Mutex};
 use nok_core::cursor::{descendants, first_child, following_sibling, next_entry, subtree_close};
 use nok_core::page::Entry;
 use nok_core::store::DirEntry;
-use nok_core::values::DataFile;
 use nok_core::{BuildOptions, CoreResult, Dewey, NodeAddr, StructStore, TagDict, XmlDb};
 use nok_datagen::{generate, DatasetKind};
 use nok_pager::{BufferPool, MemStorage, PageId, PagerResult, Storage};
@@ -214,7 +213,7 @@ fn insert_under_root_reads_only_the_root_close_page() {
         pool(),
         pool(),
         pool(),
-        DataFile::in_memory(),
+        pool(),
     )
     .unwrap();
     let root = db.store().root().unwrap();

@@ -56,7 +56,7 @@ fn proposition1_single_start_reads_each_page_once() {
     let tree = PatternTree::parse("/catalog/item[title][publisher]").expect("pattern");
     let part = tree.partition();
     let matcher = NokMatcher::new(&tree, &part, 0);
-    let access = PhysAccess::new(db.store(), db.dict(), db.bt_id(), db.data_cell());
+    let access = PhysAccess::new(db.store(), db.dict(), db.bt_id(), db.data_file());
     db.store().pool().clear_cache().expect("clear");
     db.store().pool().stats().reset();
     let mut hook = nok_core::nok::accept_all();
